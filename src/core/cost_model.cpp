@@ -11,6 +11,22 @@
 namespace tpuperf::core {
 namespace {
 
+// Inference tapes recycle their buffers through a per-thread arena, so a
+// stream of forwards keeps its working set instead of handing it back to
+// the allocator (which may return it to the OS and fault it back in on the
+// next call).
+nn::TapeArena& InferenceArena() {
+  static thread_local nn::TapeArena arena;
+  return arena;
+}
+
+// A constant leaf holding a copy of `m`, allocated through the tape's arena.
+nn::Tensor ArenaLeaf(nn::Tape& tape, const nn::Matrix& m) {
+  nn::Matrix copy = tape.NewMatrixUninit(m.rows(), m.cols());
+  std::copy(m.flat().begin(), m.flat().end(), copy.data());
+  return tape.Leaf(std::move(copy));
+}
+
 // Width of the option-1 extras appended to every node's features.
 int NodeExtraWidth(const ModelConfig& c) {
   int extra = 0;
@@ -144,7 +160,7 @@ PreparedKernel LearnedCostModel::Prepare(
                               pk.node_features.row(i));
   }
   // The symmetric-mean operator is only read by the undirected GraphSAGE
-  // ablation; skip the extra n x n matrix otherwise.
+  // ablation; skip building it otherwise.
   const bool need_sym_norm =
       config_.gnn == GnnKind::kGraphSage && !config_.directed_edges;
   pk.structure = nn::BuildGraphStructure(kf.operand_lists, need_sym_norm);
@@ -254,7 +270,7 @@ nn::Tensor LearnedCostModel::Forward(nn::Tape& tape,
 double LearnedCostModel::PredictScore(const PreparedKernel& kernel,
                                       const ir::TileConfig* tile) const {
   const nn::ScopedPrecision scoped(precision_);
-  nn::Tape tape(/*grad_enabled=*/false);
+  nn::Tape tape(/*grad_enabled=*/false, &InferenceArena());
   return ForwardImpl(tape, kernel, tile, /*training=*/false, dropout_rng_)
       .scalar();
 }
@@ -268,7 +284,7 @@ double LearnedCostModel::PredictSeconds(const PreparedKernel& kernel,
 std::vector<double> LearnedCostModel::PredictBatch(
     const PreparedBatch& batch) const {
   const nn::ScopedPrecision scoped(precision_);
-  nn::Tape tape(/*grad_enabled=*/false);
+  nn::Tape tape(/*grad_enabled=*/false, &InferenceArena());
   const nn::Tensor out =
       ForwardBatchImpl(tape, batch, /*training=*/false, dropout_rng_);
   std::vector<double> scores(static_cast<size_t>(out.rows()));
@@ -311,14 +327,14 @@ nn::Tensor LearnedCostModel::ForwardImpl(nn::Tape& tape,
 
   // ---- Node inputs: opcode embedding ++ scalars (++ option-1 extras) ------
   nn::Tensor embed = opcode_embedding_.Forward(tape, kernel.opcode_ids);
-  nn::Tensor scalars = tape.Leaf(kernel.node_features);
+  nn::Tensor scalars = ArenaLeaf(tape, kernel.node_features);
   std::vector<nn::Tensor> parts = {embed, scalars};
 
   std::vector<float> tile_row;
   if (config_.use_tile_features) tile_row = ScaledTileFeatures(*tile);
 
   const auto broadcast_rows = [&](std::span<const float> row) {
-    nn::Matrix m(n, static_cast<int>(row.size()));
+    nn::Matrix m = tape.NewMatrixUninit(n, static_cast<int>(row.size()));
     for (int i = 0; i < n; ++i) {
       std::copy(row.begin(), row.end(), m.row(i).begin());
     }
@@ -416,7 +432,7 @@ nn::Tensor LearnedCostModel::ForwardImpl(nn::Tape& tape,
   // ---- Option-2 extras ------------------------------------------------------
   std::vector<nn::Tensor> kparts = {kernel_embedding};
   const auto leaf_row = [&](std::span<const float> row) {
-    nn::Matrix m(1, static_cast<int>(row.size()));
+    nn::Matrix m = tape.NewMatrixUninit(1, static_cast<int>(row.size()));
     std::copy(row.begin(), row.end(), m.row(0).begin());
     return tape.Leaf(std::move(m));
   };
@@ -451,12 +467,12 @@ nn::Tensor LearnedCostModel::ForwardBatchImpl(
   // ---- Node inputs: opcode embedding ++ scalars (++ option-1 extras) ------
   // One gather / one leaf over all nodes of the batch.
   nn::Tensor embed = opcode_embedding_.Forward(tape, batch.opcode_ids);
-  nn::Tensor scalars = tape.Leaf(batch.node_features);
+  nn::Tensor scalars = ArenaLeaf(tape, batch.node_features);
   std::vector<nn::Tensor> parts = {embed, scalars};
 
   // Expands per-kernel feature rows to one row per node of that kernel.
   const auto broadcast_segments = [&](const nn::Matrix& per_kernel) {
-    nn::Matrix m(total, per_kernel.cols());
+    nn::Matrix m = tape.NewMatrixUninit(total, per_kernel.cols());
     for (int b = 0; b < num_kernels; ++b) {
       const auto src = per_kernel.row(b);
       for (int i = offsets[static_cast<size_t>(b)];
@@ -544,11 +560,11 @@ nn::Tensor LearnedCostModel::ForwardBatchImpl(
   std::vector<nn::Tensor> kparts = {kernel_embedding};
   if (config_.use_tile_features &&
       config_.tile_placement == FeaturePlacement::kKernelEmbedding) {
-    kparts.push_back(tape.Leaf(batch.tile_features));
+    kparts.push_back(ArenaLeaf(tape, batch.tile_features));
   }
   if (config_.use_static_perf &&
       config_.static_perf_placement == FeaturePlacement::kKernelEmbedding) {
-    kparts.push_back(tape.Leaf(batch.static_perf));
+    kparts.push_back(ArenaLeaf(tape, batch.static_perf));
   }
   nn::Tensor merged = kparts.size() == 1 ? kparts.front()
                                          : nn::ConcatColsOp(tape, kparts);

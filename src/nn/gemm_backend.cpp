@@ -196,11 +196,10 @@ void MatMulDispatchKnown(Matrix& out, const Matrix& a, const Matrix& b,
                          bool sparse_a) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
 
-  // Mostly-zero left operands (e.g. masked attention weights that carry
-  // gradients and so can't use MatMulConstA) take the zero-skip row
-  // kernel. Dispatch is per-matrix and row values are independent of it
-  // (skipping exact-zero terms), so packed batches still match per-kernel
-  // runs.
+  // Mostly-zero left operands (e.g. masked attention weights) take the
+  // zero-skip row kernel. Dispatch is per-matrix and row values are
+  // independent of it (skipping exact-zero terms), so packed batches still
+  // match per-kernel runs.
   if (sparse_a) {
     MatMulSparseADispatch(out, a, b);
     return;
@@ -312,8 +311,8 @@ void MatMulTransposeADenseRange(const Matrix& a, const Matrix& b, Matrix& out,
 }
 
 // Columns [j0, j1) of out = a^T @ b with the zero-skip p-outer kernel —
-// kept for sparse left operands (MatMulConstA's backward feeds adjacency
-// operators through here). Column partitioning preserves the serial
+// kept for sparse left operands (masked or adjacency-like matrices).
+// Column partitioning preserves the serial
 // per-element accumulation order exactly.
 void MatMulTransposeASparseCols(const Matrix& a, const Matrix& b, Matrix& out,
                                 int j0, int j1) {
@@ -339,10 +338,9 @@ void MatMulTransposeADispatchKnown(const Matrix& a, const Matrix& b,
                                    Matrix& out, bool sparse_a) {
   const int k = a.rows(), m = a.cols(), n = b.cols();
 
-  // Same density dispatch as MatMul: mostly-zero left operands (adjacency
-  // operators arriving from MatMulConstA's backward) keep the zero-skip
-  // kernel; dense operands (activation/grad GEMMs of the backward pass) get
-  // the register-tiled kernel.
+  // Same density dispatch as MatMul: mostly-zero left operands keep the
+  // zero-skip kernel; dense operands (activation/grad GEMMs of the backward
+  // pass) get the register-tiled kernel.
   if (sparse_a) {
     // The zero-skip kernel is accumulate-natural (+=): it serves both modes.
     if (ShouldParallelize(m, k, n)) {

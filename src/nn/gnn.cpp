@@ -1,50 +1,88 @@
 #include "nn/gnn.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace tpuperf::nn {
+
+namespace {
+
+// Appends one row of (column, weight) edges to `list`: sorted by column,
+// repeated columns summed. Every caller gives a repeated column the same
+// weight each time, so the sum is the dense build's `+=` sequence whatever
+// order the sort leaves them in.
+void AppendRow(EdgeList& list, std::vector<std::pair<int, float>>& edges) {
+  std::sort(edges.begin(), edges.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t e = 0; e < edges.size(); ++e) {
+    if (e > 0 && edges[e].first == edges[e - 1].first) {
+      list.weight.back() += edges[e].second;
+    } else {
+      list.col.push_back(edges[e].first);
+      list.weight.push_back(edges[e].second);
+    }
+  }
+  list.row_begin.push_back(static_cast<int>(list.col.size()));
+}
+
+}  // namespace
 
 GraphStructure BuildGraphStructure(
     const std::vector<std::vector<int>>& operand_lists, bool build_sym_norm) {
   const int n = static_cast<int>(operand_lists.size());
   GraphStructure gs;
-  gs.in_agg = Matrix(n, n);
-  gs.out_agg = Matrix(n, n);
   gs.sym_mask = Matrix(n, n);
 
-  std::vector<int> out_degree(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    for (const int j : operand_lists[static_cast<size_t>(i)]) {
-      ++out_degree[static_cast<size_t>(j)];
-    }
-  }
+  // users[j]: the nodes using j, ascending, once per use.
+  std::vector<std::vector<int>> users(static_cast<size_t>(n));
+  std::vector<std::pair<int, float>> edges;
   for (int i = 0; i < n; ++i) {
     const auto& ops = operand_lists[static_cast<size_t>(i)];
     const float in_w = ops.empty() ? 0.0f : 1.0f / static_cast<float>(ops.size());
+    edges.clear();
     for (const int j : ops) {
-      gs.in_agg.at(i, j) += in_w;
+      edges.emplace_back(j, in_w);
+      users[static_cast<size_t>(j)].push_back(i);
       gs.sym_mask.at(i, j) = 1.0f;
       gs.sym_mask.at(j, i) = 1.0f;
     }
     gs.sym_mask.at(i, i) = 1.0f;
+    AppendRow(gs.in_agg, edges);
   }
   // out_agg[j][i] = 1/out_degree(j) for each edge j -> i (j used by i).
-  for (int i = 0; i < n; ++i) {
-    for (const int j : operand_lists[static_cast<size_t>(i)]) {
-      gs.out_agg.at(j, i) +=
-          1.0f / static_cast<float>(out_degree[static_cast<size_t>(j)]);
+  for (int j = 0; j < n; ++j) {
+    const auto& used_by = users[static_cast<size_t>(j)];
+    edges.clear();
+    for (const int i : used_by) {
+      edges.emplace_back(i, 1.0f / static_cast<float>(used_by.size()));
     }
+    AppendRow(gs.out_agg, edges);
   }
   if (build_sym_norm) {
     // Renormalize rows of in_agg + out_agg so the mean aggregator stays a
-    // mean (used by the undirected ablation).
-    gs.sym_norm = Add(gs.in_agg, gs.out_agg);
+    // mean (used by the undirected ablation): merge the two sorted rows,
+    // sum in ascending column order, divide.
+    const EdgeList& in = gs.in_agg;
+    const EdgeList& out = gs.out_agg;
     for (int i = 0; i < n; ++i) {
-      float total = 0;
-      for (int j = 0; j < n; ++j) total += gs.sym_norm.at(i, j);
-      if (total > 0) {
-        for (int j = 0; j < n; ++j) gs.sym_norm.at(i, j) /= total;
+      edges.clear();
+      int a = in.row_begin[static_cast<size_t>(i)];
+      int b = out.row_begin[static_cast<size_t>(i)];
+      const int a_end = in.row_begin[static_cast<size_t>(i) + 1];
+      const int b_end = out.row_begin[static_cast<size_t>(i) + 1];
+      while (a < a_end || b < b_end) {
+        const int ca = a < a_end ? in.col[static_cast<size_t>(a)] : n;
+        const int cb = b < b_end ? out.col[static_cast<size_t>(b)] : n;
+        const int c = std::min(ca, cb);
+        const float wa = ca == c ? in.weight[static_cast<size_t>(a++)] : 0.0f;
+        const float wb = cb == c ? out.weight[static_cast<size_t>(b++)] : 0.0f;
+        edges.emplace_back(c, wa + wb);
       }
+      float total = 0;
+      for (const auto& e : edges) total += e.second;
+      for (auto& e : edges) e.second /= total;
+      AppendRow(gs.sym_norm, edges);
     }
   }
   return gs;
@@ -61,7 +99,7 @@ BatchedGraphStructure PackGraphStructures(
       throw std::invalid_argument("PackGraphStructures: null structure");
     }
     batch.blocks.push_back(gs);
-    batch.offsets.push_back(batch.offsets.back() + gs->in_agg.rows());
+    batch.offsets.push_back(batch.offsets.back() + gs->sym_mask.rows());
   }
   return batch;
 }
@@ -81,54 +119,32 @@ GraphSageLayer::GraphSageLayer(ParamStore& store, const std::string& name,
 
 Tensor GraphSageLayer::Forward(Tape& tape, Tensor h,
                                const GraphStructure& gs) const {
-  Tensor out;
-  if (directed_) {
-    Tensor msg_in = MatMulConstA(
-        tape, gs.in_agg, ReluOp(tape, f2_in_.Forward(tape, h)));
-    Tensor msg_out = MatMulConstA(
-        tape, gs.out_agg, ReluOp(tape, f2_out_.Forward(tape, h)));
-    const Tensor parts[] = {h, msg_in, msg_out};
-    out = f3_.Forward(tape, ConcatColsOp(tape, parts));
-  } else {
-    // Undirected ablation: same feedforward for both directions, aggregated
-    // over the symmetric neighborhood (sym_norm, precomputed at build time).
-    Tensor msg =
-        MatMulConstA(tape, gs.sym_norm, ReluOp(tape, f2_in_.Forward(tape, h)));
-    const Tensor parts[] = {h, msg};
-    out = f3_.Forward(tape, ConcatColsOp(tape, parts));
-  }
-  out = ReluOp(tape, out);
-  if (l2_normalize_) out = RowL2NormalizeOp(tape, out);
-  return out;
+  BatchedGraphStructure single;
+  single.blocks = {&gs};
+  single.offsets = {0, h.rows()};
+  return Forward(tape, h, single);
 }
 
 Tensor GraphSageLayer::Forward(Tape& tape, Tensor h,
                                const BatchedGraphStructure& gs) const {
-  std::vector<const Matrix*> blocks(gs.blocks.size());
+  const auto aggregate = [&](EdgeList GraphStructure::*op, const Linear& f2) {
+    std::vector<const EdgeList*> blocks;
+    blocks.reserve(gs.blocks.size());
+    for (const GraphStructure* block : gs.blocks) {
+      blocks.push_back(&(block->*op));
+    }
+    return BlockDiagMatMulConstA(tape, blocks, gs.offsets,
+                                 ReluOp(tape, f2.Forward(tape, h)));
+  };
   Tensor out;
   if (directed_) {
-    for (size_t b = 0; b < gs.blocks.size(); ++b) {
-      blocks[b] = &gs.blocks[b]->in_agg;
-    }
-    Tensor msg_in =
-        BlockDiagMatMulConstA(tape, blocks, gs.offsets,
-                              ReluOp(tape, f2_in_.Forward(tape, h)));
-    for (size_t b = 0; b < gs.blocks.size(); ++b) {
-      blocks[b] = &gs.blocks[b]->out_agg;
-    }
-    Tensor msg_out =
-        BlockDiagMatMulConstA(tape, blocks, gs.offsets,
-                              ReluOp(tape, f2_out_.Forward(tape, h)));
-    const Tensor parts[] = {h, msg_in, msg_out};
+    const Tensor parts[] = {h, aggregate(&GraphStructure::in_agg, f2_in_),
+                            aggregate(&GraphStructure::out_agg, f2_out_)};
     out = f3_.Forward(tape, ConcatColsOp(tape, parts));
   } else {
-    for (size_t b = 0; b < gs.blocks.size(); ++b) {
-      blocks[b] = &gs.blocks[b]->sym_norm;
-    }
-    Tensor msg =
-        BlockDiagMatMulConstA(tape, blocks, gs.offsets,
-                              ReluOp(tape, f2_in_.Forward(tape, h)));
-    const Tensor parts[] = {h, msg};
+    // Undirected ablation: same feedforward for both directions, aggregated
+    // over the symmetric neighborhood (sym_norm, precomputed at build time).
+    const Tensor parts[] = {h, aggregate(&GraphStructure::sym_norm, f2_in_)};
     out = f3_.Forward(tape, ConcatColsOp(tape, parts));
   }
   out = ReluOp(tape, out);

@@ -1,8 +1,8 @@
 // Graph neural network layers: GraphSAGE (paper §3.2) and GAT (§6.2 Q3).
 //
-// Both operate on dense per-kernel inputs: a node-feature matrix [n, d] and
-// adjacency structure. Kernels in the datasets average ~41 nodes (paper §4),
-// so dense adjacency is the right trade-off here.
+// Both operate on per-kernel inputs: a node-feature matrix [n, d] and the
+// graph's adjacency. Mean aggregation runs over row-sorted edge lists; the
+// GAT edge mask stays dense, since its attention is O(n^2) per graph anyway.
 #pragma once
 
 #include <random>
@@ -11,31 +11,32 @@
 #include <vector>
 
 #include "nn/layers.h"
+#include "nn/op_kernels.h"
 #include "nn/tape.h"
 
 namespace tpuperf::nn {
 
 // Precomputed constant adjacency operators for one kernel graph.
 struct GraphStructure {
-  // Row-normalized (mean-aggregator) adjacency over incoming dataflow edges:
-  // in_agg[i][j] = 1/|operands(i)| if j is an operand of i.
-  Matrix in_agg;
-  // Row-normalized adjacency over outgoing edges (users).
-  Matrix out_agg;
+  // Mean aggregator over incoming dataflow edges: row i holds
+  // 1/|operands(i)| for each operand j of i (repeated operands summed).
+  EdgeList in_agg;
+  // Mean aggregator over outgoing edges (users).
+  EdgeList out_agg;
   // Symmetric union used by the undirected ablation and as the GAT mask
   // (includes self-loops).
   Matrix sym_mask;
   // Row-renormalized in_agg + out_agg (mean aggregator over the symmetric
   // neighborhood), used by the undirected ablation. Built on demand: empty
   // unless BuildGraphStructure was asked for it.
-  Matrix sym_norm;
+  EdgeList sym_norm;
 };
 
 // Block-diagonal adjacency over a packed batch of kernel graphs. Nodes of
 // kernel b occupy rows [offsets[b], offsets[b+1]) of the packed node matrix;
 // the implied batch adjacency is blockdiag(blocks[0]->in_agg, ...) etc., but
-// it is referenced and applied per block so the batch pays O(sum n_b^2) for
-// aggregation instead of O((sum n_b)^2). Non-owning: the pointed-to
+// it is referenced and applied per block, so the batch pays for its edges
+// only. Non-owning: the pointed-to
 // structures (the PreparedKernels they live in) must outlive this batch and
 // any tape built from it.
 struct BatchedGraphStructure {
@@ -116,10 +117,10 @@ class GatLayer {
   int head_dim_ = 0;
 };
 
-// Builds the dense adjacency operators from operand lists.
+// Builds the adjacency operators from operand lists.
 // operand_lists[i] holds the operand node ids of node i. `build_sym_norm`
-// skips the symmetric-mean operator (an extra n x n matrix) when the model
-// is directed and will never read it.
+// skips the symmetric-mean operator when the model is directed and will
+// never read it.
 GraphStructure BuildGraphStructure(
     const std::vector<std::vector<int>>& operand_lists,
     bool build_sym_norm = true);

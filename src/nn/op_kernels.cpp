@@ -16,19 +16,6 @@ namespace {
 // runs serially: fork/join overhead beats the parallel win under this.
 constexpr std::int64_t kParallelOpWork = 1 << 18;
 
-// Runs `body(b0, b1)` over segments [0, batch), sharded across the pool when
-// `parallel`. Every segment kernel writes disjoint output row ranges per
-// segment, so the partitioning (which never depends on pool width) is
-// bit-exact at any thread count.
-template <typename Body>
-void ForEachSegment(int batch, bool parallel, const Body& body) {
-  if (parallel) {
-    core::ParallelFor(0, batch, 1, body);
-  } else {
-    body(0, batch);
-  }
-}
-
 // Grow-only thread_local scratch row: steady-state replay (and the warm tape
 // path) performs zero heap allocations for per-row workspaces.
 std::vector<float>& ScratchRow(size_t min_size) {
@@ -189,41 +176,67 @@ bool SegmentMaxForward(Matrix& y, const Matrix& x,
   return parallel;
 }
 
-bool BlockDiagMatMulForward(Matrix& y, std::span<const Matrix* const> blocks,
-                            std::span<const int> offsets, const Matrix& x) {
+bool EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
+                          std::span<const int> offsets, const Matrix& x) {
   const int batch = static_cast<int>(blocks.size());
-  std::int64_t block_flops = 0;
+  std::int64_t edge_flops = 0;
   for (int b = 0; b < batch; ++b) {
-    const Matrix& a = *blocks[static_cast<size_t>(b)];
-    const int len = offsets[static_cast<size_t>(b) + 1] -
-                    offsets[static_cast<size_t>(b)];
-    if (a.rows() != len || a.cols() != len) {
+    const EdgeList& a = *blocks[static_cast<size_t>(b)];
+    if (a.rows() != offsets[static_cast<size_t>(b) + 1] -
+                        offsets[static_cast<size_t>(b)]) {
       throw std::invalid_argument(
           "BlockDiagMatMulConstA: block shape mismatch");
     }
-    block_flops += 2ll * len * len * x.cols();
+    edge_flops += 2ll * static_cast<std::int64_t>(a.col.size()) * x.cols();
   }
-  const bool parallel = batch > 1 && UseParallelOpWork(block_flops);
-  // Each block writes only its own row segment, so sharding blocks across
-  // the pool is bit-exact at any thread count.
+  const bool parallel = batch > 1 && UseParallelOpWork(edge_flops);
+  const int cols = x.cols();
+  // y[begin+i, :] += w * x[begin+k, :] over row i's edges, ascending k.
   ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
-      const Matrix& a = *blocks[static_cast<size_t>(b)];
+      const EdgeList& a = *blocks[static_cast<size_t>(b)];
       const int begin = offsets[static_cast<size_t>(b)];
-      const int len = offsets[static_cast<size_t>(b) + 1] - begin;
-      // y[begin+i, :] += a[i, k] * x[begin+k, :] — same kernel as MatMul.
-      for (int i = 0; i < len; ++i) {
-        for (int k = 0; k < len; ++k) {
-          const float av = a.at(i, k);
-          if (av == 0.0f) continue;
-          for (int j = 0; j < x.cols(); ++j) {
-            y.at(begin + i, j) += av * x.at(begin + k, j);
-          }
+      for (int i = 0; i < a.rows(); ++i) {
+        float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * cols;
+        for (int e = a.row_begin[static_cast<size_t>(i)];
+             e < a.row_begin[static_cast<size_t>(i) + 1]; ++e) {
+          const float w = a.weight[static_cast<size_t>(e)];
+          const float* __restrict xk =
+              x.data() +
+              static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
+          for (int j = 0; j < cols; ++j) yi[j] += w * xk[j];
         }
       }
     }
   });
   return parallel;
+}
+
+void EdgeAggregateBackward(Matrix& dx, std::span<const EdgeList* const> blocks,
+                           std::span<const int> offsets, const Matrix& dy,
+                           bool parallel) {
+  const int batch = static_cast<int>(blocks.size());
+  const int cols = dy.cols();
+  // dx[begin+k, :] += w * dy[begin+i, :]: each block scatters only into its
+  // own row segment — same sharding as the forward pass.
+  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const EdgeList& a = *blocks[static_cast<size_t>(b)];
+      const int begin = offsets[static_cast<size_t>(b)];
+      for (int i = 0; i < a.rows(); ++i) {
+        const float* __restrict dyi =
+            dy.data() + static_cast<size_t>(begin + i) * cols;
+        for (int e = a.row_begin[static_cast<size_t>(i)];
+             e < a.row_begin[static_cast<size_t>(i) + 1]; ++e) {
+          const float w = a.weight[static_cast<size_t>(e)];
+          float* __restrict dxk =
+              dx.data() +
+              static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
+          for (int j = 0; j < cols; ++j) dxk[j] += w * dyi[j];
+        }
+      }
+    }
+  });
 }
 
 bool BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
@@ -355,67 +368,164 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
   return parallel;
 }
 
-void LstmGatePreactForward(Matrix& y, const Matrix& x_rows,
-                           std::span<const int> ids, const Matrix& h,
-                           const Matrix& w, const Matrix& bias) {
-  const int batch = static_cast<int>(ids.size());
-  const int out_cols = x_rows.cols();
-  MatMulInto(y, h, w);
-  for (int r = 0; r < batch; ++r) {
-    const int src = ids[static_cast<size_t>(r)];
-    if (src < 0 || src >= x_rows.rows()) {
-      throw std::out_of_range("LstmGatePreactOp: id out of range");
+namespace {
+
+// Output columns per register block of the recurrent product: 8 AVX2
+// accumulators, enough independent FMA chains to hide their latency.
+constexpr int kLstmColBlock = 64;
+
+// One LSTM step for one row (see LstmSequenceForward). `act` receives the
+// pre-activations and then, in place, the gate activations. h_in may alias
+// h_out and c_in may alias c_out: h_in is fully consumed by the recurrent
+// product before h_out is written, and c is updated elementwise.
+void LstmStep(const float* h_in, const float* c_in, const float* xw_row,
+              const Matrix& w_h, const float* bias, int hidden, float* act,
+              float* h_out, float* c_out, float* tanh_c) {
+  const int n = 4 * hidden;
+  const float* w = w_h.data();
+  // pre[j] = sum_p h[p] * w_h[p, j] (ascending p, from zero — the MatMul
+  // row kernel's per-element FMA chain) + (xw[j] + bias[j]).
+  int j0 = 0;
+  for (; j0 + kLstmColBlock <= n; j0 += kLstmColBlock) {
+    float acc[kLstmColBlock] = {};
+    for (int p = 0; p < hidden; ++p) {
+      const float hp = h_in[p];
+      const float* __restrict wr = w + static_cast<size_t>(p) * n + j0;
+      for (int j = 0; j < kLstmColBlock; ++j) acc[j] += hp * wr[j];
     }
-    float* __restrict out = y.data() + static_cast<size_t>(r) * out_cols;
-    const float* __restrict xr =
-        x_rows.data() + static_cast<size_t>(src) * out_cols;
-    for (int j = 0; j < out_cols; ++j) out[j] += xr[j] + bias.data()[j];
+    for (int j = 0; j < kLstmColBlock; ++j) {
+      act[j0 + j] = acc[j] + (xw_row[j0 + j] + bias[j0 + j]);
+    }
+  }
+  for (; j0 < n; ++j0) {
+    float s = 0;
+    for (int p = 0; p < hidden; ++p) {
+      s += h_in[p] * w[static_cast<size_t>(p) * n + j0];
+    }
+    act[j0] = s + (xw_row[j0] + bias[j0]);
+  }
+  // Activations in contiguous per-gate runs, so the loops vectorize.
+  for (int j = 0; j < 2 * hidden; ++j) act[j] = FastSigmoid(act[j]);
+  for (int j = 2 * hidden; j < 3 * hidden; ++j) act[j] = FastTanh(act[j]);
+  for (int j = 3 * hidden; j < n; ++j) act[j] = FastSigmoid(act[j]);
+  for (int j = 0; j < hidden; ++j) {
+    c_out[j] = act[hidden + j] * c_in[j] + act[j] * act[2 * hidden + j];
+  }
+  for (int j = 0; j < hidden; ++j) {
+    const float t = FastTanh(c_out[j]);
+    h_out[j] = act[3 * hidden + j] * t;
+    if (tanh_c != nullptr) tanh_c[j] = t;
   }
 }
 
-bool LstmCellForward(Matrix& y, const Matrix& preact, const Matrix& c_prev,
-                     int hidden, Matrix* gates, Matrix* tanh_c) {
-  const int batch = preact.rows();
-  // Activations over whole rows in contiguous per-gate segments (the [B,4h]
-  // layout is [i|f|g|o]), so the transcendental loops vectorize. Rows are
-  // independent — the lockstep batch partitions across the pool (each chunk
-  // owns its rows and a private scratch buffer), bit-exact at any width.
-  const auto cell_rows = [&](std::int64_t r0, std::int64_t r1) {
-    std::vector<float>& act = ScratchRow(static_cast<size_t>(4) * hidden);
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const float* __restrict p =
-          preact.data() + static_cast<size_t>(r) * 4 * hidden;
-      const float* __restrict cp =
-          c_prev.data() + static_cast<size_t>(r) * hidden;
-      float* __restrict a = act.data();
-      float* __restrict out = y.data() + static_cast<size_t>(r) * 2 * hidden;
-      for (int j = 0; j < 2 * hidden; ++j) a[j] = FastSigmoid(p[j]);
-      for (int j = 2 * hidden; j < 3 * hidden; ++j) a[j] = FastTanh(p[j]);
-      for (int j = 3 * hidden; j < 4 * hidden; ++j) a[j] = FastSigmoid(p[j]);
-      for (int j = 0; j < hidden; ++j) {
-        out[hidden + j] = a[hidden + j] * cp[j] + a[j] * a[2 * hidden + j];
-      }
-      for (int j = 0; j < hidden; ++j) {
-        const float t = FastTanh(out[hidden + j]);
-        out[j] = a[3 * hidden + j] * t;  // h; out[hidden+j] is c
-        if (tanh_c != nullptr) {
-          tanh_c->data()[static_cast<size_t>(r) * hidden + j] = t;
+}  // namespace
+
+bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
+                         const Matrix& bias, std::span<const int> offsets,
+                         const LstmTrace* trace) {
+  const int hidden = w_h.rows();
+  const int batch = static_cast<int>(offsets.size()) - 1;
+  CheckSegmentOffsetsFor(xw.rows(), offsets, "LstmSequence");
+  if (w_h.cols() != 4 * hidden || xw.cols() != 4 * hidden ||
+      bias.rows() != 1 || bias.cols() != 4 * hidden ||
+      h_final.rows() != batch || h_final.cols() != hidden) {
+    throw std::invalid_argument("LstmSequence: shape mismatch");
+  }
+  for (int b = 0; b < batch; ++b) {
+    if (offsets[static_cast<size_t>(b) + 1] ==
+        offsets[static_cast<size_t>(b)]) {
+      throw std::invalid_argument("LstmSequence: empty segment");
+    }
+  }
+  const size_t h = static_cast<size_t>(hidden);
+  const bool parallel =
+      batch > 1 && UseParallelOpWork(static_cast<std::int64_t>(xw.rows()) *
+                                     4 * hidden * (hidden + 10));
+  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
+    // Inference state: h, c rows updated in place, plus the gate row.
+    std::vector<float>& scratch = ScratchRow(6 * h);
+    float* hs = scratch.data();
+    float* cs = hs + h;
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const int begin = offsets[static_cast<size_t>(b)];
+      const int end = offsets[static_cast<size_t>(b) + 1];
+      float* out = h_final.data() + static_cast<size_t>(b) * h;
+      if (trace == nullptr) {
+        std::fill(hs, hs + 2 * h, 0.0f);
+        for (int i = begin; i < end; ++i) {
+          LstmStep(hs, cs, xw.data() + static_cast<size_t>(i) * 4 * h,
+                   w_h, bias.data(), hidden, cs + h, hs, cs, nullptr);
         }
+        std::copy(hs, hs + h, out);
+        continue;
       }
-      if (gates != nullptr) {
-        std::copy(act.data(), act.data() + static_cast<size_t>(4) * hidden,
-                  gates->data() + static_cast<size_t>(r) * 4 * hidden);
+      // Traced: each step reads its state from its own h_prev/c_prev rows
+      // and writes the next step's (the last step's h goes to h_final).
+      float* hp = trace->h_prev->data();
+      float* cp = trace->c_prev->data();
+      std::fill(hp + begin * h, hp + (begin + 1) * h, 0.0f);
+      std::fill(cp + begin * h, cp + (begin + 1) * h, 0.0f);
+      for (int i = begin; i < end; ++i) {
+        const bool last = i + 1 == end;
+        LstmStep(hp + i * h, cp + i * h, xw.data() + i * 4 * h, w_h,
+                 bias.data(), hidden, trace->gates->data() + i * 4 * h,
+                 last ? out : hp + (i + 1) * h, last ? cs : cp + (i + 1) * h,
+                 trace->tanh_c->data() + i * h);
       }
     }
-  };
-  // ~10 transcendentals per cell lane, each tens of flops.
-  const bool parallel_rows = UseParallelOpWork(40ll * batch * hidden);
-  if (parallel_rows) {
-    core::ParallelFor(0, batch, 8, cell_rows);
-  } else {
-    cell_rows(0, batch);
-  }
-  return parallel_rows;
+  });
+  return parallel;
+}
+
+void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
+                          const Matrix& w_h, std::span<const int> offsets,
+                          const LstmTrace& trace, bool parallel) {
+  const int hidden = w_h.rows();
+  const size_t h = static_cast<size_t>(hidden);
+  const int n = 4 * hidden;
+  // dh_prev = dpre @ w_h^T runs over rows of the transpose, so the inner
+  // loop is a contiguous axpy over the hidden units.
+  const Matrix w_t = Transpose(w_h);  // [4h, h]
+  const int batch = static_cast<int>(offsets.size()) - 1;
+  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
+    std::vector<float>& scratch = ScratchRow(3 * h);
+    float* dh = scratch.data();
+    float* dc = dh + h;
+    float* dh_prev = dc + h;
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const int begin = offsets[static_cast<size_t>(b)];
+      const int end = offsets[static_cast<size_t>(b) + 1];
+      const float* dout = dh_final.data() + static_cast<size_t>(b) * h;
+      std::copy(dout, dout + h, dh);
+      std::fill(dc, dc + h, 0.0f);
+      for (int i = end - 1; i >= begin; --i) {
+        const float* __restrict g = trace.gates->data() + i * 4 * h;
+        const float* __restrict tc = trace.tanh_c->data() + i * h;
+        const float* __restrict cp = trace.c_prev->data() + i * h;
+        float* __restrict dp = dpre.data() + i * 4 * h;
+        for (int j = 0; j < hidden; ++j) {
+          const float i_g = g[j], f_g = g[hidden + j];
+          const float g_g = g[2 * hidden + j], o_g = g[3 * hidden + j];
+          const float t = tc[j];
+          // dc combines the h path (through tanh) and the carried c grad.
+          const float dcj = dh[j] * o_g * (1.0f - t * t) + dc[j];
+          dp[j] = dcj * g_g * i_g * (1.0f - i_g);
+          dp[hidden + j] = dcj * cp[j] * f_g * (1.0f - f_g);
+          dp[2 * hidden + j] = dcj * i_g * (1.0f - g_g * g_g);
+          dp[3 * hidden + j] = dh[j] * t * o_g * (1.0f - o_g);
+          dc[j] = dcj * f_g;
+        }
+        if (i == begin) break;  // the zero initial state takes no gradient
+        std::fill(dh_prev, dh_prev + h, 0.0f);
+        for (int j = 0; j < n; ++j) {
+          const float d = dp[j];
+          const float* __restrict wt = w_t.data() + static_cast<size_t>(j) * h;
+          for (int p = 0; p < hidden; ++p) dh_prev[p] += d * wt[p];
+        }
+        std::swap(dh, dh_prev);
+      }
+    }
+  });
 }
 
 void GatherRowsForward(Matrix& y, const Matrix& table,

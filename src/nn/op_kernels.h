@@ -6,22 +6,49 @@
 // to the tape path at any core::ThreadPool width.
 //
 // Backward by-products (inverse norms, layer-norm xhat, attention
-// probabilities, LSTM gate activations) are optional out-parameters: the
-// tape ops pass them so their backward closures keep working, the plan
-// executor passes nullptr and pays only for the forward values.
+// probabilities, the LSTM trace) are optional out-parameters: the tape ops
+// pass them so their backward closures keep working, the plan executor
+// passes nullptr and pays only for the forward values.
 //
-// Kernels that need per-row scratch (attention score rows, LSTM gate
-// activations) use grow-only thread_local buffers, so steady-state replay
-// performs zero heap allocations.
+// Kernels that need per-row scratch (attention score rows, LSTM state) use
+// grow-only thread_local buffers, so steady-state replay performs zero heap
+// allocations.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/thread_pool.h"
 #include "nn/matrix.h"
 
 namespace tpuperf::nn {
+
+// A constant sparse aggregation operator (a graph adjacency) as a
+// row-sorted edge list: row i sums weight[e] * x[col[e], :] over
+// e in [row_begin[i], row_begin[i+1]), with col strictly ascending inside a
+// row. Visiting a row's neighbours in ascending order is the FMA sequence of
+// a zero-skip scan over the equivalent dense row.
+struct EdgeList {
+  std::vector<int> row_begin = {0};  // rows() + 1 entries
+  std::vector<int> col;
+  std::vector<float> weight;
+
+  int rows() const noexcept { return static_cast<int>(row_begin.size()) - 1; }
+};
+
+// Runs `body(b0, b1)` over segments [0, batch), sharded across the pool when
+// `parallel`. Every segment kernel writes disjoint output row ranges per
+// segment, so the partitioning (which never depends on pool width) is
+// bit-exact at any thread count.
+template <typename Body>
+void ForEachSegment(int batch, bool parallel, const Body& body) {
+  if (parallel) {
+    core::ParallelFor(0, batch, 1, body);
+  } else {
+    body(0, batch);
+  }
+}
 
 // The shared op-level parallel dispatch predicate (work in multiply-adds or
 // transcendental evaluations; see kParallelOpWork in ops.cpp).
@@ -70,11 +97,17 @@ bool SegmentMeanForward(Matrix& y, const Matrix& x,
 bool SegmentMaxForward(Matrix& y, const Matrix& x,
                        std::span<const int> offsets, int* argmax);
 
-// y[seg b] += blocks[b] @ x[seg b] (zero-skip, ascending k then j — the
-// MatMulSparseA row order). `y` must be pre-shaped [x.rows(), x.cols()] and
-// zero-filled. Validates block shapes; returns the parallel decision.
-bool BlockDiagMatMulForward(Matrix& y, std::span<const Matrix* const> blocks,
-                            std::span<const int> offsets, const Matrix& x);
+// y[seg b] += blocks[b] @ x[seg b], each row summing its edges in
+// ascending column order. `y` must be pre-shaped [x.rows(), x.cols()] and
+// zero-filled. Validates block row counts; returns the parallel decision.
+bool EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
+                          std::span<const int> offsets, const Matrix& x);
+// The transposed scatter: dx[seg b] += blocks[b]^T @ dy[seg b], visiting
+// rows and their edges in ascending order; `parallel` shards segments as
+// the forward did.
+void EdgeAggregateBackward(Matrix& dx, std::span<const EdgeList* const> blocks,
+                           std::span<const int> offsets, const Matrix& dy,
+                           bool parallel);
 
 // y[seg b] = Softmax(scale * q_b @ k_b^T) @ v_b. `y` must be pre-shaped
 // [q.rows(), v.cols()] and zero-filled. `sq`/`max_len` come from
@@ -96,19 +129,40 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
                                   std::span<const std::int64_t> sq,
                                   int max_len, float alpha, float* probs);
 
-// y[r, :] = h[r, :] @ w + x_rows[ids[r], :] + bias[0, :] (the fused LSTM
-// gate pre-activation; GEMM through MatMulInto, then the serial add loop).
-// Throws std::out_of_range on a bad id.
-void LstmGatePreactForward(Matrix& y, const Matrix& x_rows,
-                           std::span<const int> ids, const Matrix& h,
-                           const Matrix& w, const Matrix& bias);
+// The LSTM recurrence — the only implementation, shared by the tape op
+// (LstmSequenceOp), Lstm::ForwardBatched and the plan's kLstmReduce.
+// Segment b of a packed batch runs over node rows
+// [offsets[b], offsets[b+1]) (every segment non-empty); node i's step is
+//   pre = h_prev @ w_h + (xw[i, :] + bias)     gate order i|f|g|o
+//   c   = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
+//   h   = sigmoid(o) * tanh(c)
+// from zero state, one row at a time: no per-step GEMM dispatch, no
+// [h | c] split. `xw` [N, 4h] is the input-side projection of every node,
+// `w_h` [h, 4h] the recurrent weight, `bias` [1, 4h]. Writes segment b's
+// final hidden state to row b of `h_final` (pre-shaped [B, h]).
+//
+// `trace`, when non-null, records the backward state per node row: the
+// state each step read (h_prev, c_prev; [N, h] each), the gate activations
+// ([N, 4h]) and tanh(c) ([N, h]). Returns the parallel decision (segments
+// are independent, so sharding them is bit-exact at any pool width).
+struct LstmTrace {
+  Matrix* h_prev = nullptr;
+  Matrix* c_prev = nullptr;
+  Matrix* gates = nullptr;
+  Matrix* tanh_c = nullptr;
+};
+bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
+                         const Matrix& bias, std::span<const int> offsets,
+                         const LstmTrace* trace);
 
-// The fused LSTM cell: y = [h | c] ([B, 2h]) from preact [B, 4h] (gate
-// order i|f|g|o) and c_prev [B, h]. `gates` ([B, 4h]) and `tanh_c`
-// ([B, h]), when non-null, receive the backward state. Returns the
-// parallel decision (UseParallelOpWork(40 * B * h), grain 8).
-bool LstmCellForward(Matrix& y, const Matrix& preact, const Matrix& c_prev,
-                     int hidden, Matrix* gates, Matrix* tanh_c);
+// Backpropagation through time for LstmSequenceForward: from dh_final
+// ([B, h]) and the forward's trace, writes every node's gate
+// pre-activation gradient into `dpre` (pre-shaped [N, 4h]; row i is also
+// d xw[i, :]). The weight and bias gradients follow from it as one GEMM
+// (h_prev^T @ dpre) and one column sum. W_h is transposed once per call.
+void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
+                          const Matrix& w_h, std::span<const int> offsets,
+                          const LstmTrace& trace, bool parallel);
 
 // y[i, :] = table[ids[i], :]; throws std::out_of_range on a bad id.
 void GatherRowsForward(Matrix& y, const Matrix& table,

@@ -95,25 +95,6 @@ Tensor MatMulOp(Tape& tape, Tensor a, Tensor b) {
   });
 }
 
-Tensor MatMulConstA(Tape& tape, const Matrix& a, Tensor x) {
-  // The constant operand here is an adjacency operator — sparse, so the
-  // zero-skip kernel beats the dense tiled one (the MatMulSparseA entry
-  // point runs the built-in kernel on every GEMM backend; its backward
-  // below hits the backends' mostly-zero fallback the same way).
-  Matrix y = tape.NewMatrixUninit(a.rows(), x.cols());
-  MatMulSparseAInto(y, a, x.value());
-  TapeNode* xn = x.node();
-  if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {xn}, nullptr);
-  const bool fused = FusedOpsEnabled();
-  return tape.NewNode(std::move(y), {xn}, [xn, a, fused](TapeNode& self) {
-    if (fused) {
-      MatMulTransposeAAccum(xn->grad, a, self.grad);
-    } else {
-      AccumulateInto(xn->grad, MatMulTransposeA(a, self.grad));
-    }
-  });
-}
-
 Tensor AddOp(Tape& tape, Tensor a, Tensor b) {
   const Matrix& av = a.value();
   const Matrix& bv = b.value();
@@ -623,153 +604,52 @@ Tensor SliceColsOp(Tape& tape, Tensor x, int begin, int cols) {
   });
 }
 
-Tensor LstmGatePreactOp(Tape& tape, Tensor x_rows, std::span<const int> ids,
-                        Tensor h, Tensor w, Tensor bias) {
-  const Matrix& xv = x_rows.value();
-  const Matrix& hv = h.value();
-  const Matrix& wv = w.value();
-  const Matrix& bv = bias.value();
-  const int batch = static_cast<int>(ids.size());
-  const int out_cols = xv.cols();
-  if (hv.rows() != batch || wv.rows() != hv.cols() || wv.cols() != out_cols ||
-      bv.rows() != 1 || bv.cols() != out_cols) {
-    throw std::invalid_argument("LstmGatePreactOp: shape mismatch");
+Tensor LstmSequenceOp(Tape& tape, Tensor xw, Tensor w_h, Tensor bias,
+                      std::span<const int> offsets) {
+  const int batch = static_cast<int>(offsets.size()) - 1;
+  const int nodes = xw.rows();
+  const int hidden = w_h.rows();
+  Matrix y = tape.NewMatrixUninit(std::max(batch, 0), hidden);
+  if (!tape.grad_enabled() || !(xw.requires_grad() || w_h.requires_grad() ||
+                                bias.requires_grad())) {
+    LstmSequenceForward(y, xw.value(), w_h.value(), bias.value(), offsets,
+                        nullptr);
+    return tape.NewNode(std::move(y), {xw.node(), w_h.node(), bias.node()},
+                        nullptr);
   }
-  Matrix y = tape.NewMatrixUninit(batch, out_cols);
-  LstmGatePreactForward(y, xv, ids, hv, wv, bv);
-  TapeNode* xn = x_rows.node();
-  TapeNode* hn = h.node();
-  TapeNode* wn = w.node();
+  // The trace lives on the tape as stash leaves (arena-recycled).
+  TapeNode* h_prev = tape.Leaf(tape.NewMatrixUninit(nodes, hidden)).node();
+  TapeNode* c_prev = tape.Leaf(tape.NewMatrixUninit(nodes, hidden)).node();
+  TapeNode* gates = tape.Leaf(tape.NewMatrixUninit(nodes, 4 * hidden)).node();
+  TapeNode* tanh_c = tape.Leaf(tape.NewMatrixUninit(nodes, hidden)).node();
+  const LstmTrace trace{&h_prev->value, &c_prev->value, &gates->value,
+                        &tanh_c->value};
+  const bool parallel = LstmSequenceForward(y, xw.value(), w_h.value(),
+                                            bias.value(), offsets, &trace);
+  TapeNode* xn = xw.node();
+  TapeNode* wn = w_h.node();
   TapeNode* bn = bias.node();
-  std::vector<int> ids_copy(ids.begin(), ids.end());
-  const bool fused = FusedOpsEnabled();
+  std::vector<int> offs(offsets.begin(), offsets.end());
+  TapeNode* dpre = tape.Leaf(tape.NewMatrixUninit(nodes, 4 * hidden)).node();
   return tape.NewNode(
-      std::move(y), {xn, hn, wn, bn},
-      [xn, hn, wn, bn, ids = std::move(ids_copy), fused](TapeNode& self) {
-        // Backward GEMMs below dispatch through the selected backend
-        // (nn/gemm_backend.h), like MatMulOp's.
-        const Matrix& g = self.grad;
-        if (xn->requires_grad) {
-          for (size_t r = 0; r < ids.size(); ++r) {
-            for (int j = 0; j < g.cols(); ++j) {
-              xn->grad.at(ids[r], j) += g.at(static_cast<int>(r), j);
-            }
-          }
-        }
-        if (hn->requires_grad) {
-          if (fused) {
-            MatMulTransposeBAccum(hn->grad, g, wn->value);
-          } else {
-            AccumulateInto(hn->grad, MatMulTransposeB(g, wn->value));
-          }
-        }
+      std::move(y), {xn, wn, bn},
+      [xn, wn, bn, trace, dpre, offs = std::move(offs),
+       parallel](TapeNode& self) {
+        Matrix& dp = dpre->value;
+        LstmSequenceBackward(dp, self.grad, wn->value, offs, trace, parallel);
+        // Row i of dpre is d xw[i, :]; the weight and bias gradients are one
+        // GEMM and one column sum over the whole sequence batch.
+        if (xn->requires_grad) AccumulateInto(xn->grad, dp);
         if (wn->requires_grad) {
-          if (fused) {
-            MatMulTransposeAAccum(wn->grad, hn->value, g);
-          } else {
-            AccumulateInto(wn->grad, MatMulTransposeA(hn->value, g));
-          }
+          MatMulTransposeAAccum(wn->grad, *trace.h_prev, dp);
         }
         if (bn->requires_grad) {
-          if (fused) {
-            for (int i = 0; i < g.rows(); ++i) {
-              for (int j = 0; j < g.cols(); ++j) {
-                bn->grad.at(0, j) += g.at(i, j);
-              }
+          for (int i = 0; i < dp.rows(); ++i) {
+            for (int j = 0; j < dp.cols(); ++j) {
+              bn->grad.at(0, j) += dp.at(i, j);
             }
-          } else {
-            AccumulateInto(bn->grad, ColSum(g));
           }
         }
-      });
-}
-
-namespace {
-
-void LstmCellBackward(const Matrix& gates, const Matrix& tanh_c, int hidden,
-                      bool parallel_rows, TapeNode* pn, TapeNode* cn,
-                      TapeNode& self) {
-  const int batch = self.grad.rows();
-  // Rows write disjoint grad rows of preact/c — same partitioning as the
-  // forward pass.
-  const auto cell_rows_backward = [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const float* __restrict g =
-          gates.data() + static_cast<size_t>(r) * 4 * hidden;
-      const float* __restrict tc =
-          tanh_c.data() + static_cast<size_t>(r) * hidden;
-      const float* __restrict dout =
-          self.grad.data() + static_cast<size_t>(r) * 2 * hidden;
-      const float* __restrict cp =
-          cn->value.data() + static_cast<size_t>(r) * hidden;
-      for (int j = 0; j < hidden; ++j) {
-        const float i_g = g[j], f_g = g[hidden + j];
-        const float g_g = g[2 * hidden + j], o_g = g[3 * hidden + j];
-        const float t = tc[j];
-        const float dh = dout[j];
-        // dc combines the h path (through tanh) and the direct c output.
-        const float dc = dh * o_g * (1.0f - t * t) + dout[hidden + j];
-        if (pn->requires_grad) {
-          float* __restrict dp =
-              pn->grad.data() + static_cast<size_t>(r) * 4 * hidden;
-          dp[j] += dc * g_g * i_g * (1.0f - i_g);
-          dp[hidden + j] += dc * cp[j] * f_g * (1.0f - f_g);
-          dp[2 * hidden + j] += dc * i_g * (1.0f - g_g * g_g);
-          dp[3 * hidden + j] += dh * t * o_g * (1.0f - o_g);
-        }
-        if (cn->requires_grad) {
-          cn->grad.data()[static_cast<size_t>(r) * hidden + j] += dc * f_g;
-        }
-      }
-    }
-  };
-  if (parallel_rows) {
-    core::ParallelFor(0, batch, 8, cell_rows_backward);
-  } else {
-    cell_rows_backward(0, batch);
-  }
-}
-
-}  // namespace
-
-Tensor LstmCellOp(Tape& tape, Tensor preact, Tensor c_prev) {
-  const Matrix& pv = preact.value();
-  const Matrix& cv = c_prev.value();
-  const int batch = pv.rows();
-  const int hidden = cv.cols();
-  if (pv.cols() != 4 * hidden || cv.rows() != batch) {
-    throw std::invalid_argument("LstmCellOp: expects [B,4h] preact, [B,h] c");
-  }
-  Matrix y = tape.NewMatrixUninit(batch, 2 * hidden);
-  // Gate activations and tanh(c) — backward state, skipped for inference.
-  const bool need_backward = tape.grad_enabled();
-  Matrix gates = tape.NewMatrixUninit(need_backward ? batch : 0, 4 * hidden);
-  Matrix tanh_c = tape.NewMatrixUninit(need_backward ? batch : 0, hidden);
-  const bool parallel_rows =
-      LstmCellForward(y, pv, cv, hidden, need_backward ? &gates : nullptr,
-                      need_backward ? &tanh_c : nullptr);
-  if (!need_backward) {
-    return tape.NewNode(std::move(y), {preact.node(), c_prev.node()}, nullptr);
-  }
-  TapeNode* pn = preact.node();
-  TapeNode* cn = c_prev.node();
-  if (FusedOpsEnabled()) {
-    // Backward state lives on the tape (arena-recycled), not in the closure.
-    TapeNode* gates_node = tape.Leaf(std::move(gates)).node();
-    TapeNode* tanh_c_node = tape.Leaf(std::move(tanh_c)).node();
-    return tape.NewNode(std::move(y), {pn, cn},
-                        [pn, cn, gates_node, tanh_c_node, hidden,
-                         parallel_rows](TapeNode& self) {
-                          LstmCellBackward(gates_node->value,
-                                           tanh_c_node->value, hidden,
-                                           parallel_rows, pn, cn, self);
-                        });
-  }
-  return tape.NewNode(
-      std::move(y), {pn, cn},
-      [pn, cn, gates = std::move(gates), tanh_c = std::move(tanh_c), hidden,
-       parallel_rows](TapeNode& self) {
-        LstmCellBackward(gates, tanh_c, hidden, parallel_rows, pn, cn, self);
       });
 }
 
@@ -778,19 +658,6 @@ namespace {
 void CheckSegmentOffsets(const Matrix& x, std::span<const int> offsets,
                          const char* op) {
   CheckSegmentOffsetsFor(x.rows(), offsets, op);
-}
-
-// Runs `body(b0, b1)` over segments [0, batch), sharded across the pool when
-// `parallel`. Every segment op writes disjoint output/grad row ranges per
-// segment, so the partitioning (which never depends on pool width) is
-// bit-exact at any thread count.
-template <typename Body>
-void ForEachSegment(int batch, bool parallel, const Body& body) {
-  if (parallel) {
-    core::ParallelFor(0, batch, 1, body);
-  } else {
-    body(0, batch);
-  }
 }
 
 }  // namespace
@@ -877,7 +744,7 @@ Tensor SegmentMaxOp(Tape& tape, Tensor x, std::span<const int> offsets) {
 }
 
 Tensor BlockDiagMatMulConstA(Tape& tape,
-                             std::span<const Matrix* const> blocks,
+                             std::span<const EdgeList* const> blocks,
                              std::span<const int> offsets, Tensor x) {
   const Matrix& xv = x.value();
   CheckSegmentOffsets(xv, offsets, "BlockDiagMatMulConstA");
@@ -885,33 +752,15 @@ Tensor BlockDiagMatMulConstA(Tape& tape,
     throw std::invalid_argument("BlockDiagMatMulConstA: blocks/offsets size");
   }
   Matrix y = tape.NewMatrix(xv.rows(), xv.cols());  // accumulated: keep zeroed
-  const bool parallel = BlockDiagMatMulForward(y, blocks, offsets, xv);
+  const bool parallel = EdgeAggregateForward(y, blocks, offsets, xv);
   TapeNode* xn = x.node();
-  std::vector<const Matrix*> blocks_copy(blocks.begin(), blocks.end());
+  std::vector<const EdgeList*> blocks_copy(blocks.begin(), blocks.end());
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
       std::move(y), {xn},
       [xn, blocks = std::move(blocks_copy), offs = std::move(offs),
        parallel](TapeNode& self) {
-        // dx[begin+k, :] += a[i, k] * dy[begin+i, :]. Blocks touch disjoint
-        // grad row segments — same sharding as the forward pass.
-        const auto backward_blocks = [&](std::int64_t b0, std::int64_t b1) {
-          for (std::int64_t b = b0; b < b1; ++b) {
-            const Matrix& a = *blocks[static_cast<size_t>(b)];
-            const int begin = offs[static_cast<size_t>(b)];
-            for (int i = 0; i < a.rows(); ++i) {
-              for (int k = 0; k < a.cols(); ++k) {
-                const float av = a.at(i, k);
-                if (av == 0.0f) continue;
-                for (int j = 0; j < self.grad.cols(); ++j) {
-                  xn->grad.at(begin + k, j) += av * self.grad.at(begin + i, j);
-                }
-              }
-            }
-          }
-        };
-        ForEachSegment(static_cast<int>(blocks.size()), parallel,
-                       backward_blocks);
+        EdgeAggregateBackward(xn->grad, blocks, offs, self.grad, parallel);
       });
 }
 
@@ -940,7 +789,6 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
   if (!kv.same_shape(qv) || vv.rows() != qv.rows()) {
     throw std::invalid_argument("BlockDiagSelfAttentionOp: shape mismatch");
   }
-  const int batch = static_cast<int>(offsets.size()) - 1;
   const int dim = qv.cols();
   const int vdim = vv.cols();
   const std::vector<std::int64_t> sq = SquaredOffsets(offsets);

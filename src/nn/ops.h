@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/op_kernels.h"
 #include "nn/tape.h"
 
 namespace tpuperf::nn {
@@ -27,8 +28,6 @@ void SetFusedOps(bool enabled) noexcept;
 
 // y = a @ b.
 Tensor MatMulOp(Tape& tape, Tensor a, Tensor b);
-// y = A @ x where A is a constant (e.g. a normalized adjacency matrix).
-Tensor MatMulConstA(Tape& tape, const Matrix& a, Tensor x);
 
 Tensor AddOp(Tape& tape, Tensor a, Tensor b);
 Tensor SubOp(Tape& tape, Tensor a, Tensor b);
@@ -69,22 +68,15 @@ Tensor SliceRowsOp(Tape& tape, Tensor x, int begin, int rows);
 // y = x[:, begin:begin+cols] as a [r, cols] tensor.
 Tensor SliceColsOp(Tape& tape, Tensor x, int begin, int cols);
 
-// Fused LSTM gate pre-activation for one lockstep time step:
-//   y[r, :] = x_rows[ids[r], :] + h[r, :] @ w + bias[0, :]
-// where x_rows is the input-side gate projection precomputed for ALL nodes
-// in one large GEMM (hoisted out of the time loop), ids selects the active
-// row per segment, and w is the recurrent weight block [hidden, 4h].
-Tensor LstmGatePreactOp(Tape& tape, Tensor x_rows, std::span<const int> ids,
-                        Tensor h, Tensor w, Tensor bias);
-
-// Fused LSTM cell: given the pre-activation `preact` = [i | f | g | o]
-// ([B, 4h], gate order input/forget/cell/output) and the previous cell
-// state c_prev ([B, h]), computes
-//   c = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
-//   h = sigmoid(o) * tanh(c)
-// and returns [h | c] as one [B, 2h] tensor. One tape node instead of the
-// ~10 elementwise ops of the unfused cell; the arithmetic is identical.
-Tensor LstmCellOp(Tape& tape, Tensor preact, Tensor c_prev);
+// The whole-sequence LSTM over every segment of a packed batch, as ONE
+// tape node (see LstmSequenceForward for the recurrence): xw [N, 4h] is the
+// input-side gate projection of every node, w_h [h, 4h] the recurrent
+// weight, bias [1, 4h]; returns the [B, h] final hidden states in segment
+// order. The backward is BPTT inside the node: it writes d xw rows
+// directly, then adds the weight and bias gradients as one GEMM and one
+// column sum.
+Tensor LstmSequenceOp(Tape& tape, Tensor xw, Tensor w_h, Tensor bias,
+                      std::span<const int> offsets);
 
 // Column-wise reductions: [n, c] -> [1, c].
 Tensor ColSumOp(Tape& tape, Tensor x);
@@ -101,12 +93,12 @@ Tensor SegmentSumOp(Tape& tape, Tensor x, std::span<const int> offsets);
 Tensor SegmentMeanOp(Tape& tape, Tensor x, std::span<const int> offsets);
 Tensor SegmentMaxOp(Tape& tape, Tensor x, std::span<const int> offsets);
 
-// y = blockdiag(blocks[0], ..., blocks[B-1]) @ x, applied block-sparsely:
-// rows [offsets[b], offsets[b+1]) of y are blocks[b] @ (same rows of x).
-// Cost is O(sum n_b^2 c), not O((sum n_b)^2 c) — the packed batch pays the
-// same adjacency flops as B separate kernels. `blocks` must outlive the tape.
+// y = blockdiag(blocks[0], ..., blocks[B-1]) @ x for constant edge-list
+// blocks (graph adjacency operators): rows [offsets[b], offsets[b+1]) of y
+// are blocks[b] @ (same rows of x). Cost is O(edges * c). A single graph is
+// the one-block case. `blocks` must outlive the tape.
 Tensor BlockDiagMatMulConstA(Tape& tape,
-                             std::span<const Matrix* const> blocks,
+                             std::span<const EdgeList* const> blocks,
                              std::span<const int> offsets, Tensor x);
 
 // ---- Fused block-diagonal masked attention ---------------------------------

@@ -26,14 +26,14 @@ class Lstm {
 
   Output Forward(Tape& tape, Tensor x) const;
 
-  // Runs the LSTM over every segment of a packed batch in lockstep: at step
-  // t all still-active segments advance together, so each gate transform is
-  // one [B_t, in+hidden] GEMM instead of B_t separate [1, in+hidden] ones.
+  // Runs the LSTM over every segment of a packed batch: the input-side gate
+  // projection of all nodes is one GEMM, and the recurrence is one
+  // LstmSequenceOp node (the same kernel the compiled plan replays).
   // `offsets` has B+1 monotone entries delimiting the row segments of `x`;
   // every segment must be non-empty. Returns the final hidden states as a
   // [B, hidden] tensor in segment order; row b matches
   // Forward(rows of segment b).final_hidden up to float accumulation
-  // grouping (the input-side and recurrent gate GEMMs are split here),
+  // grouping (the input-side and recurrent gate products are split here),
   // ~1e-9 in practice.
   Tensor ForwardBatched(Tape& tape, Tensor x,
                         std::span<const int> offsets) const;

@@ -11,6 +11,7 @@ Matrix TapeArena::Acquire(int rows, int cols) {
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   if (need == 0) return Matrix(rows, cols);
   ++requests_;
+  ++outstanding_;
   // Best fit: the smallest pooled buffer whose capacity covers the request.
   const auto it = pool_.lower_bound(need);
   if (it != pool_.end()) {
@@ -27,6 +28,7 @@ Matrix TapeArena::AcquireUninit(int rows, int cols) {
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   if (need == 0) return Matrix(rows, cols);
   ++requests_;
+  ++outstanding_;
   const auto it = pool_.lower_bound(need);
   if (it != pool_.end()) {
     std::vector<float> storage = std::move(it->second);
@@ -39,7 +41,11 @@ Matrix TapeArena::AcquireUninit(int rows, int cols) {
 
 void TapeArena::Recycle(Matrix&& m) {
   std::vector<float> storage = m.TakeStorage();
-  if (storage.capacity() == 0) return;
+  // Pool at most as many buffers as the arena handed out: a tape also holds
+  // leaves allocated elsewhere, and pooling those too would grow the pool
+  // on every step.
+  if (storage.capacity() == 0 || outstanding_ == 0) return;
+  --outstanding_;
   pool_.emplace(storage.capacity(), std::move(storage));
 }
 

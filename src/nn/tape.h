@@ -81,7 +81,8 @@ class TapeArena {
   /// As Acquire but without the zero-fill (contents unspecified) — for
   /// outputs that are fully overwritten by their op.
   Matrix AcquireUninit(int rows, int cols);
-  /// Returns a matrix's heap storage to the pool.
+  /// Returns a matrix's heap storage to the pool (or frees it, once the
+  /// pool again holds every buffer the arena handed out).
   void Recycle(Matrix&& m);
 
   // ---- Instrumentation (the measurable win; see bench_micro) ---------------
@@ -103,6 +104,7 @@ class TapeArena {
   std::multimap<std::size_t, std::vector<float>> pool_;  // keyed by capacity
   std::size_t requests_ = 0;
   std::size_t heap_allocations_ = 0;
+  std::size_t outstanding_ = 0;  // handed out and not yet recycled
 };
 
 /// One recorded op result (or leaf) on the tape. Addresses are stable for

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -33,33 +32,17 @@ void PoisonMatrix(nn::Matrix& m, std::size_t capacity) {
   m.Fill(std::numeric_limits<float>::quiet_NaN());
 }
 
-// Enumerates the logical buffers an instruction reads / writes. The LSTM
-// scratch buffers are both written and read inside the one kLstmReduce
-// instruction, so they appear in both sets (live exactly at that step).
+// Enumerates the logical buffers an instruction reads / writes.
 template <typename Fn>
 void ForEachRead(const Instr& ins, Fn&& fn) {
   if (ins.a >= 0) fn(ins.a);
   if (ins.b >= 0) fn(ins.b);
   if (ins.c >= 0) fn(ins.c);
-  if (ins.lstm) {
-    fn(ins.lstm->xw);
-    fn(ins.lstm->h_state);
-    fn(ins.lstm->c_state);
-    fn(ins.lstm->preact);
-    fn(ins.lstm->hc);
-  }
 }
 
 template <typename Fn>
 void ForEachWrite(const Instr& ins, Fn&& fn) {
   fn(ins.dst);
-  if (ins.lstm) {
-    fn(ins.lstm->xw);
-    fn(ins.lstm->h_state);
-    fn(ins.lstm->c_state);
-    fn(ins.lstm->preact);
-    fn(ins.lstm->hc);
-  }
 }
 
 }  // namespace
@@ -80,12 +63,11 @@ PlanInput PlanInput::FromBatch(const core::PreparedBatch& batch) {
 // workspaces. Pooled by CompiledPlan so concurrent Run calls never share.
 struct CompiledPlan::ExecutionContext {
   std::vector<nn::Matrix> phys;
-  std::vector<const nn::Matrix*> block_ptrs;  // adjacency blocks / GAT masks
+  std::vector<const nn::EdgeList*> agg_ptrs;  // adjacency blocks
+  std::vector<const nn::Matrix*> mask_ptrs;   // GAT masks
   std::vector<std::int64_t> sq;               // squared segment offsets
   int max_len = 0;
   bool sq_valid = false;
-  // LSTM loop workspaces.
-  std::vector<int> length, order, ids;
 };
 
 CompiledPlan::CompiledPlan(Spec spec, const Options& options)
@@ -325,8 +307,7 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
     // The defining write reshapes (and, for accumulate kernels, clears) the
     // destination; later writers to the same buffer fill other columns.
     // kGemm destinations are reshaped/zeroed by MatMulInto itself.
-    if (ins.first_write && ins.kind != OpKind::kGemm &&
-        ins.kind != OpKind::kLstmReduce) {
+    if (ins.first_write && ins.kind != OpKind::kGemm) {
       Reshape(d, dst_rows, dst_cols, ins.zero_dst);
     }
     switch (ins.kind) {
@@ -386,16 +367,16 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
         break;
       }
       case OpKind::kBlockAgg: {
-        ctx.block_ptrs.resize(static_cast<size_t>(batch));
+        nn::EdgeList nn::GraphStructure::*op =
+            ins.block_kind == 0   ? &nn::GraphStructure::in_agg
+            : ins.block_kind == 1 ? &nn::GraphStructure::out_agg
+                                  : &nn::GraphStructure::sym_norm;
+        ctx.agg_ptrs.resize(static_cast<size_t>(batch));
         for (int b = 0; b < batch; ++b) {
-          const nn::GraphStructure& gs = *input.blocks[static_cast<size_t>(b)];
-          ctx.block_ptrs[static_cast<size_t>(b)] =
-              ins.block_kind == 0 ? &gs.in_agg
-              : ins.block_kind == 1 ? &gs.out_agg
-                                    : &gs.sym_norm;
+          ctx.agg_ptrs[static_cast<size_t>(b)] =
+              &(input.blocks[static_cast<size_t>(b)]->*op);
         }
-        nn::BlockDiagMatMulForward(d, ctx.block_ptrs, input.offsets,
-                                   buf(ins.a));
+        nn::EdgeAggregateForward(d, ctx.agg_ptrs, input.offsets, buf(ins.a));
         break;
       }
       case OpKind::kRowL2Norm:
@@ -430,7 +411,7 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
         break;
       case OpKind::kGatAttention: {
         ensure_sq();
-        ctx.block_ptrs.resize(static_cast<size_t>(batch));
+        ctx.mask_ptrs.resize(static_cast<size_t>(batch));
         for (int b = 0; b < batch; ++b) {
           const nn::Matrix& mask =
               input.blocks[static_cast<size_t>(b)]->sym_mask;
@@ -440,15 +421,16 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
             throw std::invalid_argument(
                 "CompiledPlan: GAT mask shape mismatch");
           }
-          ctx.block_ptrs[static_cast<size_t>(b)] = &mask;
+          ctx.mask_ptrs[static_cast<size_t>(b)] = &mask;
         }
         nn::BlockDiagGatAttentionForward(d, buf(ins.a), buf(ins.b), buf(ins.c),
-                                         ctx.block_ptrs, input.offsets, ctx.sq,
+                                         ctx.mask_ptrs, input.offsets, ctx.sq,
                                          ctx.max_len, ins.scale, nullptr);
         break;
       }
       case OpKind::kLstmReduce:
-        RunLstm(ctx, ins, input, batch);
+        nn::LstmSequenceForward(d, buf(ins.a), ins.lstm->w_h, ins.lstm->b_all,
+                                input.offsets, nullptr);
         break;
     }
     if (options_.poison_dead_buffers) {
@@ -463,103 +445,6 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
         }
       }
     }
-  }
-}
-
-void CompiledPlan::RunLstm(ExecutionContext& ctx, const Instr& ins,
-                           const PlanInput& input, int batch) const {
-  const LstmPlanData& L = *ins.lstm;
-  const int hidden = L.hidden;
-  const auto buf = [&](int id) -> nn::Matrix& {
-    return ctx.phys[static_cast<size_t>(physical_of_[static_cast<size_t>(id)])];
-  };
-  nn::Matrix& x = buf(ins.a);
-  nn::Matrix& xw = buf(L.xw);
-  nn::Matrix& hs = buf(L.h_state);
-  nn::Matrix& cs = buf(L.c_state);
-  nn::Matrix& pre = buf(L.preact);
-  nn::Matrix& hc = buf(L.hc);
-  nn::Matrix& out = buf(ins.dst);
-  Reshape(out, batch, hidden, /*zero=*/false);
-
-  const std::span<const int> offsets = input.offsets;
-  ctx.length.resize(static_cast<size_t>(batch));
-  for (int b = 0; b < batch; ++b) {
-    ctx.length[static_cast<size_t>(b)] =
-        offsets[static_cast<size_t>(b) + 1] - offsets[static_cast<size_t>(b)];
-    if (ctx.length[static_cast<size_t>(b)] <= 0) {
-      throw std::invalid_argument("CompiledPlan: empty LSTM segment");
-    }
-  }
-  // Stable insertion sort by descending length: the same permutation
-  // std::stable_sort produces in Lstm::ForwardBatched, without its potential
-  // temporary allocation.
-  ctx.order.resize(static_cast<size_t>(batch));
-  std::iota(ctx.order.begin(), ctx.order.end(), 0);
-  for (int i = 1; i < batch; ++i) {
-    const int v = ctx.order[static_cast<size_t>(i)];
-    const int lv = ctx.length[static_cast<size_t>(v)];
-    int j = i;
-    while (j > 0 &&
-           ctx.length[static_cast<size_t>(
-               ctx.order[static_cast<size_t>(j - 1)])] < lv) {
-      ctx.order[static_cast<size_t>(j)] = ctx.order[static_cast<size_t>(j - 1)];
-      --j;
-    }
-    ctx.order[static_cast<size_t>(j)] = v;
-  }
-  const int max_len = ctx.length[static_cast<size_t>(ctx.order.front())];
-
-  // Input-side projection of every node, hoisted out of the time loop —
-  // exactly the xw GEMM of Lstm::ForwardBatched.
-  nn::MatMulInto(xw, x, L.w_x);
-  Reshape(hs, batch, hidden, /*zero=*/true);
-  Reshape(cs, batch, hidden, /*zero=*/true);
-
-  int active = batch;
-  for (int t = 0; t < max_len; ++t) {
-    int still_active = active;
-    while (still_active > 0 &&
-           ctx.length[static_cast<size_t>(ctx.order[static_cast<size_t>(
-               still_active - 1)])] <= t) {
-      --still_active;
-    }
-    if (still_active < active) {
-      // Finished segments: their final hidden state is the current row.
-      // Writing it straight to the segment's output row reproduces the
-      // tape's final_chunks / ConcatRows / GatherRows(position) composition.
-      for (int k = still_active; k < active; ++k) {
-        const auto src = hs.row(k);
-        std::copy(src.begin(), src.end(),
-                  out.row(ctx.order[static_cast<size_t>(k)]).begin());
-      }
-      // Shrink to the active prefix: row-major, so the prefix rows survive
-      // the in-place reshape untouched.
-      Reshape(hs, still_active, hidden, /*zero=*/false);
-      Reshape(cs, still_active, hidden, /*zero=*/false);
-      active = still_active;
-    }
-    ctx.ids.resize(static_cast<size_t>(active));
-    for (int k = 0; k < active; ++k) {
-      ctx.ids[static_cast<size_t>(k)] =
-          offsets[static_cast<size_t>(ctx.order[static_cast<size_t>(k)])] + t;
-    }
-    nn::LstmGatePreactForward(pre, xw, ctx.ids, hs, L.w_h, L.b_all);
-    Reshape(hc, active, 2 * hidden, /*zero=*/false);
-    nn::LstmCellForward(hc, pre, cs, hidden, nullptr, nullptr);
-    // Split [h | c] — the SliceColsOp pair of the tape path, as copies.
-    Reshape(hs, active, hidden, /*zero=*/false);
-    Reshape(cs, active, hidden, /*zero=*/false);
-    for (int r = 0; r < active; ++r) {
-      const float* src = hc.data() + static_cast<size_t>(r) * 2 * hidden;
-      std::copy(src, src + hidden, hs.row(r).begin());
-      std::copy(src + hidden, src + 2 * hidden, cs.row(r).begin());
-    }
-  }
-  for (int k = 0; k < active; ++k) {
-    const auto src = hs.row(k);
-    std::copy(src.begin(), src.end(),
-              out.row(ctx.order[static_cast<size_t>(k)]).begin());
   }
 }
 

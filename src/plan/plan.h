@@ -7,7 +7,7 @@
 // (plan/planner.cpp, LearnedCostModel::CompilePlan) traces the exact
 // ForwardBatchImpl op sequence for the model's configuration and emits one
 // Instr per fused kernel call — GEMMs with their bias/ReLU epilogues folded
-// in, block-diagonal aggregations, segment reductions, the lockstep LSTM as
+// in, block-diagonal aggregations, segment reductions, the LSTM recurrence as
 // a single instruction. A liveness pass then assigns every intermediate a
 // physical buffer in a small recycled pool (buffers whose last reader has
 // retired are reused), so a replay touches a fixed slab of memory.
@@ -57,25 +57,18 @@ enum class OpKind {
   kSegmentMax,         // dst[b] = colwise max over segment b of a
   kSelfAttention,      // dst = blockdiag softmax(a b^T * scale) @ c
   kGatAttention,       // dst = blockdiag GAT attention (s=a, d=b, wh=c)
-  kLstmReduce,         // dst = final hidden states of the lockstep LSTM
+  kLstmReduce,         // dst = final LSTM hidden states over xw = buffer a
 };
 
-// Compile-time state of the fused LSTM reduction: the exact gate-weight
+// Compile-time state of the LSTM reduction: the exact gate-weight
 // concatenation Lstm::ForwardBatched builds on the tape per call
 // ([in+hidden, 4h] split into input-side and recurrent blocks, plus the
-// fused [1, 4h] bias), materialized once, and the logical scratch buffers
-// the time loop cycles through.
+// fused [1, 4h] bias), materialized once. The input-side block feeds a
+// plain kGemm; kLstmReduce runs nn::LstmSequenceForward over its output.
 struct LstmPlanData {
   nn::Matrix w_x;    // [in_features, 4*hidden]
   nn::Matrix w_h;    // [hidden, 4*hidden]
   nn::Matrix b_all;  // [1, 4*hidden]
-  int hidden = 0;
-  // Logical buffer ids of the loop workspaces (live only inside the instr).
-  int xw = -1;       // [N, 4h] hoisted input-side projection
-  int h_state = -1;  // [B, h]
-  int c_state = -1;  // [B, h]
-  int preact = -1;   // [B, 4h]
-  int hc = -1;       // [B, 2h]
 };
 
 // One schedule entry. `dst`/`a`/`b`/`c` are logical buffer ids; `w`/`w2`
@@ -93,6 +86,7 @@ struct Instr {
   int input_kind = 0;            // 0 node features, 1 static perf, 2 tile
   bool first_write = false;      // set by the memory planner
   bool zero_dst = false;         // accumulate kernel: zero dst on define
+  // kLstmReduce's weights; the xw kGemm shares it to keep `w` alive.
   std::shared_ptr<const LstmPlanData> lstm;
 };
 
@@ -170,8 +164,6 @@ class CompiledPlan {
   void ValidateInput(const PlanInput& input, int batch, int nodes) const;
   void Execute(ExecutionContext& ctx, const PlanInput& input, int batch,
                int nodes) const;
-  void RunLstm(ExecutionContext& ctx, const Instr& ins, const PlanInput& input,
-               int batch) const;
 
   Spec spec_;
   Options options_;

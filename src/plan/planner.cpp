@@ -232,7 +232,8 @@ int EmitTransformer(PlanBuilder& b, const nn::TransformerEncoder& encoder,
 // builds them on the tape per call: w_all = ConcatCols(wi, wf, wg, wo) split
 // into the input-side block (rows [0, in)) and the recurrent block (rows
 // [in, in+hidden)), plus the fused [1, 4h] bias — all plain copies, so the
-// replayed GEMMs see bit-identical operands.
+// replayed kernels see bit-identical operands. Then xw = h @ w_x (kGemm, as
+// the tape's MatMulOp) and the recurrence (kLstmReduce).
 int EmitLstm(PlanBuilder& b, const nn::Lstm& lstm, int h) {
   const int hidden = lstm.hidden();
   const nn::Matrix* gate_w[4] = {&lstm.input_gate().weight_param()->value,
@@ -249,7 +250,6 @@ int EmitLstm(PlanBuilder& b, const nn::Lstm& lstm, int h) {
     throw std::logic_error("CompilePlan: LSTM input width mismatch");
   }
   auto data = std::make_shared<LstmPlanData>();
-  data->hidden = hidden;
   data->w_x = nn::Matrix(in_features, 4 * hidden);
   data->w_h = nn::Matrix(hidden, 4 * hidden);
   data->b_all = nn::Matrix(1, 4 * hidden);
@@ -268,15 +268,18 @@ int EmitLstm(PlanBuilder& b, const nn::Lstm& lstm, int h) {
       data->b_all.at(0, g * hidden + j) = gate_b[g]->at(0, j);
     }
   }
-  data->xw = b.NewBuffer(Rows::kNodes, 4 * hidden);
-  data->h_state = b.NewBuffer(Rows::kBatch, hidden);
-  data->c_state = b.NewBuffer(Rows::kBatch, hidden);
-  data->preact = b.NewBuffer(Rows::kBatch, 4 * hidden);
-  data->hc = b.NewBuffer(Rows::kBatch, 2 * hidden);
+  const int xw = b.NewBuffer(Rows::kNodes, 4 * hidden);
+  {
+    Instr& i = b.Emit(OpKind::kGemm);
+    i.dst = xw;
+    i.a = h;
+    i.w = &data->w_x;
+    i.lstm = data;  // keeps w_x alive
+  }
   const int out = b.NewBuffer(Rows::kBatch, hidden);
   Instr& i = b.Emit(OpKind::kLstmReduce);
   i.dst = out;
-  i.a = h;
+  i.a = xw;
   i.lstm = std::move(data);
   return out;
 }

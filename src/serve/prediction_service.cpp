@@ -72,15 +72,21 @@ std::pair<int, int> PlanCache::Bucket(int num_kernels, int total_nodes) {
 
 std::shared_ptr<const plan::CompiledPlan> PlanCache::Lookup(int num_kernels,
                                                             int total_nodes) {
-  const std::pair<int, int> bucket = Bucket(num_kernels, total_nodes);
   std::lock_guard lock(mu_);
+  // A plan's schedule does not depend on its capacities, so any plan whose
+  // bucket covers the shape replays it bit-identically; take the smallest.
+  auto best = entries_.end();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->bucket == bucket) {
-      entries_.splice(entries_.begin(), entries_, it);
-      return entries_.front().plan;
+    const auto [b, n] = it->bucket;
+    if (b < num_kernels || n < total_nodes) continue;
+    if (best == entries_.end() ||
+        std::pair{n, b} < std::pair{best->bucket.second, best->bucket.first}) {
+      best = it;
     }
   }
-  return nullptr;
+  if (best == entries_.end()) return nullptr;
+  entries_.splice(entries_.begin(), entries_, best);
+  return entries_.front().plan;
 }
 
 void PlanCache::Insert(int num_kernels, int total_nodes,

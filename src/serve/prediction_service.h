@@ -169,8 +169,9 @@ struct ServiceConfig {
 
 /// An LRU cache of compiled plans keyed by batch-shape bucket. Shapes are
 /// bucketed to the next power of two in both dimensions (batch size and
-/// packed node count) so nearby batch shapes share one plan — a plan compiled
-/// for capacity (2^a, 2^b) replays any batch at or under that capacity.
+/// packed node count). A plan compiled for capacity (2^a, 2^b) replays any
+/// batch at or under that capacity, so a lookup is served by the smallest
+/// cached plan covering the shape, whichever bucket it was compiled for.
 /// Thread-safe; standalone so tests can exercise eviction directly.
 class PlanCache {
  public:
@@ -179,8 +180,9 @@ class PlanCache {
   /// The bucket (plan capacity) covering a concrete batch shape.
   static std::pair<int, int> Bucket(int num_kernels, int total_nodes);
 
-  /// The cached plan whose bucket covers (num_kernels, total_nodes), or null.
-  /// A hit refreshes the entry's LRU position.
+  /// The smallest cached plan (by node, then batch capacity) covering
+  /// (num_kernels, total_nodes), or null. A hit refreshes the entry's LRU
+  /// position.
   std::shared_ptr<const plan::CompiledPlan> Lookup(int num_kernels,
                                                    int total_nodes);
   /// Inserts a plan under Bucket(num_kernels, total_nodes), evicting the

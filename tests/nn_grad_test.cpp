@@ -88,12 +88,17 @@ TEST(GradCheck, MatMul) {
                  });
 }
 
-TEST(GradCheck, MatMulConstA) {
+TEST(GradCheck, BlockDiagMatMulConstA) {
   std::mt19937_64 rng(2);
-  const Matrix a = RandomMatrix(5, 3, rng);
-  CheckGradients({RandomMatrix(3, 4, rng)},
-                 [a](Tape& t, std::vector<Tensor>& in) {
-                   return SumAllOp(t, MatMulConstA(t, a, in[0]));
+  // Two graphs, one with a repeated operand; edges include empty rows.
+  const GraphStructure g0 = BuildGraphStructure({{}, {0}, {0, 1}, {2, 2}});
+  const GraphStructure g1 = BuildGraphStructure({{}, {0}});
+  const std::vector<const EdgeList*> blocks = {&g0.in_agg, &g1.out_agg};
+  const std::vector<int> offsets = {0, 4, 6};
+  CheckGradients({RandomMatrix(6, 3, rng)},
+                 [&](Tape& t, std::vector<Tensor>& in) {
+                   Tensor y = BlockDiagMatMulConstA(t, blocks, offsets, in[0]);
+                   return SumAllOp(t, MulOp(t, y, y));
                  });
 }
 

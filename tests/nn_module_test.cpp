@@ -5,6 +5,8 @@
 
 #include <random>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "nn/gnn.h"
 #include "nn/layers.h"
@@ -189,17 +191,131 @@ TEST(GraphStructure, NormalizedAdjacency) {
   // 0 -> 2, 1 -> 2, 2 -> 3.
   const std::vector<std::vector<int>> operands = {{}, {}, {0, 1}, {2}};
   const GraphStructure gs = BuildGraphStructure(operands);
-  // in_agg row 2 averages nodes 0 and 1.
-  EXPECT_FLOAT_EQ(gs.in_agg.at(2, 0), 0.5f);
-  EXPECT_FLOAT_EQ(gs.in_agg.at(2, 1), 0.5f);
-  EXPECT_FLOAT_EQ(gs.in_agg.at(3, 2), 1.0f);
+  // Row i of an edge list as (column, weight) pairs.
+  using Edges = std::vector<std::pair<int, float>>;
+  const auto row = [](const EdgeList& list, int i) {
+    Edges edges;
+    for (int e = list.row_begin[i]; e < list.row_begin[i + 1]; ++e) {
+      edges.emplace_back(list.col[e], list.weight[e]);
+    }
+    return edges;
+  };
+  ASSERT_EQ(gs.in_agg.rows(), 4);
+  ASSERT_EQ(gs.out_agg.rows(), 4);
+  // in_agg row 2 averages nodes 0 and 1; row 3 takes node 2.
+  EXPECT_EQ(row(gs.in_agg, 0), Edges{});
+  EXPECT_EQ(row(gs.in_agg, 2), (Edges{{0, 0.5f}, {1, 0.5f}}));
+  EXPECT_EQ(row(gs.in_agg, 3), (Edges{{2, 1.0f}}));
   // out_agg row 0: node 0 feeds node 2 only.
-  EXPECT_FLOAT_EQ(gs.out_agg.at(0, 2), 1.0f);
+  EXPECT_EQ(row(gs.out_agg, 0), (Edges{{2, 1.0f}}));
+  EXPECT_EQ(row(gs.out_agg, 3), Edges{});
   // Mask is symmetric with self-loops.
   for (int i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(gs.sym_mask.at(i, i), 1.0f);
     for (int j = 0; j < 4; ++j) {
       EXPECT_FLOAT_EQ(gs.sym_mask.at(i, j), gs.sym_mask.at(j, i));
+    }
+  }
+}
+
+// Dense operators built as element-wise `+=` per operand use — the
+// reference the edge lists must reproduce bit for bit.
+struct DenseAdjacency {
+  Matrix in_agg, out_agg, sym_norm;
+};
+
+DenseAdjacency BuildDenseAdjacency(
+    const std::vector<std::vector<int>>& operands) {
+  const int n = static_cast<int>(operands.size());
+  DenseAdjacency d{Matrix(n, n), Matrix(n, n), Matrix()};
+  std::vector<int> out_degree(n, 0);
+  for (const auto& ops : operands) {
+    for (const int j : ops) ++out_degree[j];
+  }
+  for (int i = 0; i < n; ++i) {
+    for (const int j : operands[i]) {
+      d.in_agg.at(i, j) += 1.0f / static_cast<float>(operands[i].size());
+      d.out_agg.at(j, i) += 1.0f / static_cast<float>(out_degree[j]);
+    }
+  }
+  d.sym_norm = Add(d.in_agg, d.out_agg);
+  for (int i = 0; i < n; ++i) {
+    float total = 0;
+    for (int j = 0; j < n; ++j) total += d.sym_norm.at(i, j);
+    if (total > 0) {
+      for (int j = 0; j < n; ++j) d.sym_norm.at(i, j) /= total;
+    }
+  }
+  return d;
+}
+
+// Edge-list aggregation (forward and its transposed-scatter backward) must
+// equal the dense zero-skip scan exactly, on random graphs with repeated
+// operands and nodes without operands, packed as one block-diagonal batch.
+TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
+  std::mt19937_64 rng(41);
+  std::vector<std::vector<std::vector<int>>> graphs;
+  for (const int n : {1, 9, 24}) {
+    std::vector<std::vector<int>> operands(n);
+    for (int i = 1; i < n; ++i) {
+      // Every third node has no operands; the rest draw 1-4 with repeats.
+      if (i % 3 == 0) continue;
+      const int count = 1 + static_cast<int>(rng() % 4);
+      for (int k = 0; k < count; ++k) {
+        operands[i].push_back(static_cast<int>(rng() % i));
+      }
+    }
+    graphs.push_back(std::move(operands));
+  }
+  std::vector<GraphStructure> structures;
+  std::vector<DenseAdjacency> dense;
+  std::vector<int> offsets = {0};
+  for (const auto& operands : graphs) {
+    structures.push_back(BuildGraphStructure(operands));
+    dense.push_back(BuildDenseAdjacency(operands));
+    offsets.push_back(offsets.back() + static_cast<int>(operands.size()));
+  }
+  const int total = offsets.back();
+  const int cols = 19;
+  std::uniform_real_distribution<float> dist(-1, 1);
+  Matrix x0(total, cols), dy(total, cols);
+  for (float& v : x0.flat()) v = dist(rng);
+  for (float& v : dy.flat()) v = dist(rng);
+
+  const std::pair<EdgeList GraphStructure::*, Matrix DenseAdjacency::*> ops[] =
+      {{&GraphStructure::in_agg, &DenseAdjacency::in_agg},
+       {&GraphStructure::out_agg, &DenseAdjacency::out_agg},
+       {&GraphStructure::sym_norm, &DenseAdjacency::sym_norm}};
+  for (const auto& [edge_op, dense_op] : ops) {
+    std::vector<const EdgeList*> blocks;
+    for (const auto& gs : structures) blocks.push_back(&(gs.*edge_op));
+    Tape tape(/*grad_enabled=*/true);
+    Tensor x = tape.Leaf(x0, /*requires_grad=*/true);
+    Tensor y = BlockDiagMatMulConstA(tape, blocks, offsets, x);
+    tape.Backward(SumAllOp(tape, MulOp(tape, y, tape.Leaf(dy))));
+
+    Matrix want_y(total, cols), want_dx(total, cols);
+    for (size_t b = 0; b < graphs.size(); ++b) {
+      const Matrix& a = dense[b].*dense_op;
+      const int begin = offsets[b];
+      const Matrix seg = MatMulSparseA(a, CopyRows(x0, begin, a.rows()));
+      for (int i = 0; i < a.rows(); ++i) {
+        for (int j = 0; j < cols; ++j) want_y.at(begin + i, j) = seg.at(i, j);
+        // The transposed scatter, rows then columns ascending.
+        for (int k = 0; k < a.cols(); ++k) {
+          const float av = a.at(i, k);
+          if (av == 0.0f) continue;
+          for (int j = 0; j < cols; ++j) {
+            want_dx.at(begin + k, j) += av * dy.at(begin + i, j);
+          }
+        }
+      }
+    }
+    for (int i = 0; i < total; ++i) {
+      for (int j = 0; j < cols; ++j) {
+        ASSERT_EQ(y.value().at(i, j), want_y.at(i, j)) << i << "," << j;
+        ASSERT_EQ(x.grad().at(i, j), want_dx.at(i, j)) << i << "," << j;
+      }
     }
   }
 }

@@ -1,9 +1,9 @@
 // Tests for plan-compiled inference (src/plan): bit-exact parity between
 // CompiledPlan replay and the tape path across the full GNN × reduction
 // grid at pool widths 1 and 4, allocation-free replay after warm-up, the
-// NaN-poison validation of the liveness plan, PlanCache bucketing/LRU
-// eviction, the service's compile-once-replay-many path, and the
-// TPUPERF_PLAN_* env knobs.
+// NaN-poison validation of the liveness plan, PlanCache bucketing, covering
+// lookup and LRU eviction, the service's compile-once-replay-many path, and
+// the TPUPERF_PLAN_* env knobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -377,28 +377,35 @@ TEST(PlanCacheTest, BucketsRoundUpToPowersOfTwo) {
   EXPECT_EQ(serve::PlanCache::Bucket(8, 3), (std::pair<int, int>{8, 8}));
 }
 
-TEST(PlanCacheTest, SharedBucketHitsAndLruEviction) {
+TEST(PlanCacheTest, CoveringLookupAndLruEviction) {
   Fixture fx(SmallConfig());
-  const auto plan = fx.model->CompilePlan(4, 128);
+  const auto small = fx.model->CompilePlan(4, 128);
+  const auto mid = fx.model->CompilePlan(8, 256);
+  const auto large = fx.model->CompilePlan(16, 512);
 
   serve::PlanCache cache(2);
   EXPECT_EQ(cache.Lookup(3, 100), nullptr);
-  cache.Insert(3, 100, plan);  // bucket (4, 128)
+  cache.Insert(3, 100, small);  // bucket (4, 128)
   EXPECT_EQ(cache.size(), 1u);
-  // Any shape in the same bucket hits the same plan.
-  EXPECT_EQ(cache.Lookup(4, 128).get(), plan.get());
-  EXPECT_EQ(cache.Lookup(3, 65).get(), plan.get());
-  // A different bucket (here: a smaller batch dimension) misses.
-  EXPECT_EQ(cache.Lookup(2, 65), nullptr);
+  // Every shape within the plan's capacity hits it, smaller buckets
+  // included; a shape beyond it in either dimension misses.
+  EXPECT_EQ(cache.Lookup(4, 128).get(), small.get());
+  EXPECT_EQ(cache.Lookup(3, 65).get(), small.get());
+  EXPECT_EQ(cache.Lookup(1, 1).get(), small.get());
+  EXPECT_EQ(cache.Lookup(5, 100), nullptr);
   EXPECT_EQ(cache.Lookup(3, 300), nullptr);
 
-  cache.Insert(8, 256, plan);   // bucket (8, 256); cache full
-  EXPECT_EQ(cache.Lookup(3, 100).get(), plan.get());  // refresh (4, 128)
-  cache.Insert(16, 512, plan);  // evicts the LRU entry, (8, 256)
+  cache.Insert(8, 256, mid);  // cache full
+  // The smallest covering plan wins; each hit refreshes its entry.
+  EXPECT_EQ(cache.Lookup(2, 65).get(), small.get());
+  EXPECT_EQ(cache.Lookup(5, 100).get(), mid.get());
+  EXPECT_EQ(cache.Lookup(2, 65).get(), small.get());  // (8, 256) is now LRU
+  cache.Insert(16, 512, large);                       // evicts (8, 256)
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Lookup(8, 256), nullptr);
-  EXPECT_EQ(cache.Lookup(3, 100).get(), plan.get());
-  EXPECT_EQ(cache.Lookup(16, 512).get(), plan.get());
+  EXPECT_EQ(cache.Lookup(5, 100).get(), large.get());
+  EXPECT_EQ(cache.Lookup(3, 100).get(), small.get());
+  EXPECT_EQ(cache.Lookup(16, 512).get(), large.get());
+  EXPECT_EQ(cache.Lookup(17, 512), nullptr);
 }
 
 // ---- Service integration ---------------------------------------------------
@@ -441,6 +448,45 @@ TEST(PlanService, CompileOnceReplayMany) {
   EXPECT_EQ(stats.plan_compiles, 1u);
   EXPECT_EQ(stats.plan_misses, 1u);
   EXPECT_EQ(stats.plan_hits, static_cast<std::uint64_t>(kRounds - 1));
+}
+
+// The plan compiled for a full batch also serves a later, smaller batch:
+// no second compile, and the scores stay exactly PredictScore's.
+TEST(PlanService, SmallerBatchReusesCachedLargerPlan) {
+  Fixture fx(SmallConfig(), 4);
+  std::vector<double> direct(fx.kernels.size());
+  for (size_t i = 0; i < fx.kernels.size(); ++i) {
+    direct[i] = fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]);
+  }
+
+  serve::ServiceConfig config;
+  config.max_batch = static_cast<int>(fx.kernels.size());
+  config.deadline_us = 50000;
+  config.num_threads = 1;
+  auto served_model = std::make_unique<LearnedCostModel>(SmallConfig());
+  for (const auto& kernel : fx.kernels) served_model->FitNodeScaler(kernel);
+  for (const auto& tile : fx.tiles) served_model->FitTileScaler(tile);
+  served_model->FinishFitting();
+  serve::PredictionService service(std::move(served_model), config);
+
+  // A full batch flushes on size and compiles the one plan.
+  std::vector<std::future<serve::PredictResult>> futures;
+  for (size_t i = 0; i < fx.kernels.size(); ++i) {
+    futures.push_back(service.PredictAsync(fx.kernels[i], &fx.tiles[i]));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().value, direct[i]) << "kernel " << i;
+  }
+  // A lone request flushes on the deadline, as a batch of one.
+  EXPECT_EQ(service.PredictAsync(fx.kernels[1], &fx.tiles[1]).get().value,
+            direct[1]);
+
+  service.Shutdown();
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.plan_compiles, 1u);
+  EXPECT_EQ(stats.plan_misses, 1u);
+  EXPECT_EQ(stats.plan_hits, 1u);
 }
 
 // plan_enable=0 must bypass the plan path entirely — and stay bit-identical.
