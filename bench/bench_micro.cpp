@@ -101,14 +101,6 @@ void BM_ModelPrepare(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelPrepare);
 
-void BM_ModelInference(benchmark::State& state) {
-  auto& f = F();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model.PredictScore(f.prepared, &f.tile));
-  }
-}
-BENCHMARK(BM_ModelInference);
-
 // A compiled plan sized for the fixture kernel (single-kernel replay).
 const plan::CompiledPlan& SinglePlan() {
   static std::shared_ptr<const plan::CompiledPlan> plan = [] {
@@ -414,7 +406,6 @@ double TimeReps(Fn&& fn) {
 }
 
 struct TrainTaskReport {
-  double seed_steps_per_sec = 0;
   double fused_steps_per_sec = 0;
   double fused_threaded_steps_per_sec = 0;
   // Tape buffer requests per step == per-step heap allocations without the
@@ -425,22 +416,13 @@ struct TrainTaskReport {
   double warm_heap_allocations_per_step = 0;
 };
 
-// Trains the batch-32 minibatch in three modes — seed per-op backward (the
-// pre-fusion path, no arena), fused backward + arena on 1 thread, and fused
-// on the pool — and counts per-step tape allocations through the arena.
+// Trains the batch-32 minibatch on 1 thread and on the pool, and counts
+// per-step tape allocations through the arena.
 TrainTaskReport ReportTrainingTask(TrainBatch32& b, int pool_threads) {
   auto& f = F();
   TrainTaskReport r;
 
   core::ThreadPool::SetNumThreads(1);
-  {
-    nn::SetFusedOps(false);
-    core::LearnedCostModel model = b.MakeModel(f);
-    nn::Adam adam(nn::AdamConfig{});
-    nn::Tape tape(/*grad_enabled=*/true);
-    r.seed_steps_per_sec = 1.0 / TimeReps([&] { b.Step(model, adam, tape); });
-    nn::SetFusedOps(true);
-  }
   {
     core::LearnedCostModel model = b.MakeModel(f);
     nn::Adam adam(nn::AdamConfig{});
@@ -475,14 +457,10 @@ TrainTaskReport ReportTrainingTask(TrainBatch32& b, int pool_threads) {
 void PrintTrainTask(const char* name, const TrainTaskReport& r,
                     int pool_threads) {
   std::printf("%s:\n", name);
-  std::printf("  seed backward  (1 thread):  %8.1f steps/s\n",
-              r.seed_steps_per_sec);
-  std::printf("  fused + arena  (1 thread):  %8.1f steps/s  (%.2fx)\n",
-              r.fused_steps_per_sec,
-              r.fused_steps_per_sec / r.seed_steps_per_sec);
-  std::printf("  fused + arena (%2d threads): %8.1f steps/s  (%.2fx)\n",
-              pool_threads, r.fused_threaded_steps_per_sec,
-              r.fused_threaded_steps_per_sec / r.seed_steps_per_sec);
+  std::printf("  fused + arena  (1 thread):  %8.1f steps/s\n",
+              r.fused_steps_per_sec);
+  std::printf("  fused + arena (%2d threads): %8.1f steps/s\n", pool_threads,
+              r.fused_threaded_steps_per_sec);
   std::printf(
       "  tape allocations/step: %.0f without arena -> %.1f warm misses "
       "(cold step: %.0f)\n",
@@ -492,14 +470,10 @@ void PrintTrainTask(const char* name, const TrainTaskReport& r,
 
 void PrintTrainTaskJson(FILE* json, const char* prefix,
                         const TrainTaskReport& r) {
-  std::fprintf(json, "  \"%s_seed_steps_per_sec\": %.2f,\n", prefix,
-               r.seed_steps_per_sec);
   std::fprintf(json, "  \"%s_fused_steps_per_sec\": %.2f,\n", prefix,
                r.fused_steps_per_sec);
   std::fprintf(json, "  \"%s_fused_threaded_steps_per_sec\": %.2f,\n", prefix,
                r.fused_threaded_steps_per_sec);
-  std::fprintf(json, "  \"%s_fused_speedup_vs_seed\": %.3f,\n", prefix,
-               r.fused_steps_per_sec / r.seed_steps_per_sec);
   std::fprintf(json, "  \"%s_allocations_per_step_no_arena\": %.1f,\n",
                prefix, r.buffer_requests_per_step);
   std::fprintf(json, "  \"%s_allocations_per_step_arena\": %.2f,\n", prefix,
@@ -535,11 +509,11 @@ void RegisterPerBackendBenchmarks() {
 
 // Times batch-32 prediction against 32 sequential predictions on the same
 // inputs — single-threaded AND on the worker pool — plus batch-32 TRAINING
-// steps (forward + loss + backward + Adam) with the seed per-op backward vs
-// the fused backward + tape arena. Printed after the google-benchmark table
-// so the speedups, allocation counts, and parity bounds are visible in one
-// run, and written to BENCH_results.json so the perf trajectory is
-// machine-readable across PRs.
+// steps (forward + loss + backward + Adam) with the fused backward + tape
+// arena. Printed after the google-benchmark table so the speedups,
+// allocation counts, and parity bounds are visible in one run, and written
+// to BENCH_results.json so the perf trajectory is machine-readable across
+// PRs.
 void ReportBatchedThroughput() {
   auto& f = F();
   auto& b = B32();
@@ -605,11 +579,11 @@ void ReportBatchedThroughput() {
   std::printf("thread speedup:         %.2fx (on %u hardware threads)\n",
               threaded_rate / batch_rate, hw);
   std::printf("total speedup:          %.2fx\n", threaded_rate / seq_rate);
-  std::printf("max |batched - sequential| = %.3g\n", max_diff);
+  std::printf("max |batched - sequential| = %.3g (must be 0)\n", max_diff);
   std::printf("max |threaded - batched|   = %.3g (must be 0)\n",
               max_thread_diff);
 
-  // ---- Training throughput (batch-32 minibatch, fused vs seed backward) ----
+  // ---- Training throughput (batch-32 minibatch, 1 thread and pool) ---------
   std::printf("\n--- Training-step report (batch=%d) ---\n",
               TrainBatch32::kBatch);
   const TrainTaskReport rank_report = ReportTrainingTask(RankTrain32(),

@@ -255,24 +255,12 @@ PreparedBatch LearnedCostModel::PrepareBatch(
   return pb;
 }
 
-nn::Tensor LearnedCostModel::Forward(nn::Tape& tape,
-                                     const PreparedKernel& kernel,
-                                     const ir::TileConfig* tile,
-                                     bool training) {
-  if (training && precision_ != nn::Precision::kFloat32) {
-    throw std::logic_error(
-        "Forward: training requires Precision::kFloat32 (reduced precision "
-        "is inference-only)");
-  }
-  return ForwardImpl(tape, kernel, tile, training, dropout_rng_);
-}
-
 double LearnedCostModel::PredictScore(const PreparedKernel& kernel,
                                       const ir::TileConfig* tile) const {
-  const nn::ScopedPrecision scoped(precision_);
-  nn::Tape tape(/*grad_enabled=*/false, &InferenceArena());
-  return ForwardImpl(tape, kernel, tile, /*training=*/false, dropout_rng_)
-      .scalar();
+  // Scored as a one-item batch through PredictBatch's forward, so the two
+  // agree bit for bit by construction.
+  const BatchItem item{&kernel, tile};
+  return PredictBatch(PrepareBatch({&item, 1})).front();
 }
 
 double LearnedCostModel::PredictSeconds(const PreparedKernel& kernel,
@@ -312,143 +300,6 @@ nn::Tensor LearnedCostModel::ForwardBatch(nn::Tape& tape,
         "precision is inference-only)");
   }
   return ForwardBatchImpl(tape, batch, training, dropout_rng_);
-}
-
-nn::Tensor LearnedCostModel::ForwardImpl(nn::Tape& tape,
-                                         const PreparedKernel& kernel,
-                                         const ir::TileConfig* tile,
-                                         bool training,
-                                         std::mt19937_64& dropout_rng) const {
-  const int n = kernel.num_nodes;
-  if (n == 0) throw std::invalid_argument("Forward: empty kernel");
-  if (config_.use_tile_features && tile == nullptr) {
-    throw std::invalid_argument("Forward: model expects a tile config");
-  }
-
-  // ---- Node inputs: opcode embedding ++ scalars (++ option-1 extras) ------
-  nn::Tensor embed = opcode_embedding_.Forward(tape, kernel.opcode_ids);
-  nn::Tensor scalars = ArenaLeaf(tape, kernel.node_features);
-  std::vector<nn::Tensor> parts = {embed, scalars};
-
-  std::vector<float> tile_row;
-  if (config_.use_tile_features) tile_row = ScaledTileFeatures(*tile);
-
-  const auto broadcast_rows = [&](std::span<const float> row) {
-    nn::Matrix m = tape.NewMatrixUninit(n, static_cast<int>(row.size()));
-    for (int i = 0; i < n; ++i) {
-      std::copy(row.begin(), row.end(), m.row(i).begin());
-    }
-    return tape.Leaf(std::move(m));
-  };
-
-  if (config_.use_tile_features &&
-      config_.tile_placement == FeaturePlacement::kNodeFeatures) {
-    parts.push_back(broadcast_rows(tile_row));
-  }
-  if (config_.use_static_perf &&
-      config_.static_perf_placement == FeaturePlacement::kNodeFeatures) {
-    parts.push_back(broadcast_rows(kernel.static_perf));
-  }
-
-  nn::Tensor x = nn::ConcatColsOp(tape, parts);
-  nn::Tensor h = f1_.Forward(tape, x);
-  if (training && config_.dropout > 0) {
-    h = nn::DropoutOp(tape, h, config_.dropout, dropout_rng);
-  }
-
-  // ---- GNN ----------------------------------------------------------------
-  for (const auto& layer : sage_layers_) {
-    h = layer.Forward(tape, h, kernel.structure);
-  }
-  if (!gat_layers_.empty()) {
-    if (nn::FusedOpsEnabled()) {
-      // Routed through the batched overload with one [0, n) segment: the
-      // fused attention kernel's weighted-neighbor sum associates
-      // differently from the unfused MaskedSoftmaxRows + MatMul chain, and
-      // a segment's result is independent of its batch-mates — so this
-      // keeps PredictScore bit-identical to a PredictBatch containing the
-      // same kernel (the exactness contract serve::PredictionService and
-      // the compiled plan promise), as the LSTM/Transformer reductions
-      // below already do.
-      nn::BatchedGraphStructure single;
-      single.blocks = {&kernel.structure};
-      single.offsets = {0, n};
-      for (const auto& layer : gat_layers_) {
-        h = layer.Forward(tape, h, single);
-      }
-    } else {
-      for (const auto& layer : gat_layers_) {
-        h = layer.Forward(tape, h, kernel.structure);
-      }
-    }
-  }
-
-  h = node_final_.Forward(tape, h);
-  if (training && config_.dropout > 0) {
-    h = nn::DropoutOp(tape, h, config_.dropout, dropout_rng);
-  }
-
-  // ---- Reduction to the kernel embedding -----------------------------------
-  nn::Tensor kernel_embedding;
-  switch (config_.reduction) {
-    case ReductionKind::kPerNode: {
-      nn::Tensor per_node = per_node_head_.Forward(tape, h);  // [n, 1]
-      kernel_embedding = nn::ColSumOp(tape, per_node);        // [1, 1]
-      break;
-    }
-    case ReductionKind::kColumnWise: {
-      const nn::Tensor cols[] = {nn::ColMeanOp(tape, h), nn::ColMaxOp(tape, h)};
-      kernel_embedding = nn::ConcatColsOp(tape, cols);
-      break;
-    }
-    case ReductionKind::kLstm: {
-      // Routed through the batched (fused-gate) LSTM with one [0, n)
-      // segment rather than Lstm::Forward: the two implementations
-      // associate the gate accumulations differently (x·Wx + h·Wh vs one
-      // [x|h]·W chain), and a segment's result in ForwardBatched is
-      // independent of its batch-mates — so this keeps PredictScore
-      // bit-identical to a PredictBatch containing the same kernel, the
-      // exactness contract serve::PredictionService promises.
-      const int offs[] = {0, n};
-      kernel_embedding = reduction_lstm_.ForwardBatched(tape, h, offs);
-      break;
-    }
-    case ReductionKind::kTransformer: {
-      if (nn::FusedOpsEnabled()) {
-        // Same single-segment routing as the LSTM, for the same
-        // batch-vs-single exactness guarantee (the fused encoder
-        // reassociates layer GEMMs relative to the unpacked one).
-        const int offs[] = {0, n};
-        nn::Tensor enc = reduction_transformer_.Forward(tape, h, offs);
-        kernel_embedding = nn::SegmentMeanOp(tape, enc, offs);
-      } else {
-        nn::Tensor enc = reduction_transformer_.Forward(tape, h);
-        kernel_embedding = nn::ColMeanOp(tape, enc);  // mean (see header)
-      }
-      break;
-    }
-  }
-
-  // ---- Option-2 extras ------------------------------------------------------
-  std::vector<nn::Tensor> kparts = {kernel_embedding};
-  const auto leaf_row = [&](std::span<const float> row) {
-    nn::Matrix m = tape.NewMatrixUninit(1, static_cast<int>(row.size()));
-    std::copy(row.begin(), row.end(), m.row(0).begin());
-    return tape.Leaf(std::move(m));
-  };
-  if (config_.use_tile_features &&
-      config_.tile_placement == FeaturePlacement::kKernelEmbedding) {
-    kparts.push_back(leaf_row(tile_row));
-  }
-  if (config_.use_static_perf &&
-      config_.static_perf_placement == FeaturePlacement::kKernelEmbedding) {
-    kparts.push_back(leaf_row(kernel.static_perf));
-  }
-  nn::Tensor merged = kparts.size() == 1 ? kparts.front()
-                                         : nn::ConcatColsOp(tape, kparts);
-
-  // Linear output head without activation (§3.2).
-  return output_head_.Forward(tape, merged);
 }
 
 nn::Tensor LearnedCostModel::ForwardBatchImpl(
@@ -530,28 +381,13 @@ nn::Tensor LearnedCostModel::ForwardBatchImpl(
       break;
     }
     case ReductionKind::kTransformer: {
-      // Attention is O(n^2) per kernel and must not mix kernels.
-      if (nn::FusedOpsEnabled()) {
-        // The whole encoder stack runs packed: dense transforms (q/k/v,
-        // layer norms, FFN) as single GEMMs over every node of the batch,
-        // attention block-diagonally per segment through one fused op whose
-        // forward and backward shard segments across the pool. This is the
-        // batched Transformer reduction — training and inference alike.
-        nn::Tensor enc = reduction_transformer_.Forward(tape, h, offsets);
-        kernel_embedding = nn::SegmentMeanOp(tape, enc, offsets);
-      } else {
-        // Seed path: the encoder replayed per segment with per-op slices.
-        std::vector<nn::Tensor> segs;
-        segs.reserve(static_cast<size_t>(num_kernels));
-        for (int b = 0; b < num_kernels; ++b) {
-          const int begin = offsets[static_cast<size_t>(b)];
-          const int len = offsets[static_cast<size_t>(b) + 1] - begin;
-          nn::Tensor seg = nn::SliceRowsOp(tape, h, begin, len);
-          nn::Tensor enc = reduction_transformer_.Forward(tape, seg);
-          segs.push_back(nn::ColMeanOp(tape, enc));
-        }
-        kernel_embedding = nn::ConcatRowsOp(tape, segs);
-      }
+      // The whole encoder stack runs packed: dense transforms (q/k/v, layer
+      // norms, FFN) as single GEMMs over every node of the batch, attention
+      // (O(n^2) per kernel, never mixing kernels) block-diagonally per
+      // segment through one fused op whose forward and backward shard
+      // segments across the pool.
+      nn::Tensor enc = reduction_transformer_.Forward(tape, h, offsets);
+      kernel_embedding = nn::SegmentMeanOp(tape, enc, offsets);
       break;
     }
   }

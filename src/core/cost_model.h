@@ -96,7 +96,8 @@ class LearnedCostModel {
   // ---- Prediction ----------------------------------------------------------
   // Raw model output for a kernel (+ optional tile config). For rank-loss
   // models this is a unitless score (lower = faster); for log-target models
-  // it is log(seconds).
+  // it is log(seconds). Scores the kernel as a one-item PredictBatch; throws
+  // std::invalid_argument for an empty kernel or a missing tile config.
   double PredictScore(const PreparedKernel& kernel,
                       const ir::TileConfig* tile = nullptr) const;
   // Absolute runtime in seconds (applies exp() for log-target models).
@@ -104,10 +105,9 @@ class LearnedCostModel {
                         const ir::TileConfig* tile = nullptr) const;
 
   // Batched prediction: one forward pass over the packed batch, with all
-  // dense layers running as single large GEMMs. Element i of the result
-  // equals PredictScore(kernel_i, tile_i) up to float accumulation (the
-  // packed ops reduce per segment in the same order, so in practice the
-  // outputs are identical).
+  // dense layers running as single large GEMMs. Element i of the result is
+  // bit-identical to PredictScore(kernel_i, tile_i): the packed ops reduce
+  // each segment independently of its batch-mates.
   std::vector<double> PredictBatch(const PreparedBatch& batch) const;
   // As PredictBatch, but in seconds (applies exp() for log-target models).
   std::vector<double> PredictBatchSeconds(const PreparedBatch& batch) const;
@@ -119,9 +119,9 @@ class LearnedCostModel {
   // this model's parameters (AOT semantics: the model must outlive the plan,
   // and the plan must be recompiled after parameter updates). Replay is
   // bit-identical to PredictBatch/PredictScore at any thread-pool width.
-  // Requires fitted scalers and nn::FusedOpsEnabled(); throws
-  // std::logic_error otherwise. `poison_dead_buffers` enables the
-  // plan_test debug mode that NaN-fills retired buffers.
+  // Requires fitted scalers; throws std::logic_error otherwise.
+  // `poison_dead_buffers` enables the plan_test debug mode that NaN-fills
+  // retired buffers.
   std::shared_ptr<const plan::CompiledPlan> CompilePlan(
       int max_kernels, int max_total_nodes,
       bool poison_dead_buffers = false) const;
@@ -133,14 +133,10 @@ class LearnedCostModel {
   std::vector<double> PredictBatchWithPlan(const plan::CompiledPlan& plan,
                                            const PreparedBatch& batch) const;
 
-  // Differentiable forward pass used by the trainer. `tape` must outlive the
-  // returned tensor. `training` enables dropout.
-  nn::Tensor Forward(nn::Tape& tape, const PreparedKernel& kernel,
-                     const ir::TileConfig* tile, bool training);
-
-  // Differentiable batched forward: returns a [B, 1] tensor of scores.
-  // `batch` must outlive `tape` (the tape's closures reference its adjacency
-  // blocks).
+  // Differentiable forward pass used by the trainer: returns a [B, 1]
+  // tensor of scores. `tape` must outlive the returned tensor, and `batch`
+  // must outlive `tape` (the tape's closures reference its adjacency
+  // blocks). `training` enables dropout.
   nn::Tensor ForwardBatch(nn::Tape& tape, const PreparedBatch& batch,
                           bool training);
 
@@ -183,9 +179,8 @@ class LearnedCostModel {
   void LoadFromFile(const std::string& path);
 
  private:
-  nn::Tensor ForwardImpl(nn::Tape& tape, const PreparedKernel& kernel,
-                         const ir::TileConfig* tile, bool training,
-                         std::mt19937_64& dropout_rng) const;
+  // The model's one tape forward: every Predict* tape path and ForwardBatch
+  // build the model through it.
   nn::Tensor ForwardBatchImpl(nn::Tape& tape, const PreparedBatch& batch,
                               bool training,
                               std::mt19937_64& dropout_rng) const;

@@ -521,9 +521,6 @@ class BuiltinBackend final : public GemmBackend {
   void MatMul(Matrix& out, const Matrix& a, const Matrix& b) override {
     MatMulDispatch(out, a, b);
   }
-  void MatMulSparseA(Matrix& out, const Matrix& a, const Matrix& b) override {
-    MatMulSparseADispatch(out, a, b);
-  }
   void MatMulTransposeA(Matrix& out, const Matrix& a,
                         const Matrix& b) override {
     MatMulTransposeADispatch<false>(a, b, out);
@@ -570,13 +567,6 @@ void RoutedGemmBackend::MatMul(Matrix& out, const Matrix& a, const Matrix& b) {
     return;
   }
   DenseMatMul(out, a, b, /*accumulate=*/false);
-}
-
-void RoutedGemmBackend::MatMulSparseA(Matrix& out, const Matrix& a,
-                                      const Matrix& b) {
-  // Callers reach this entry point only when they already know `a` is
-  // sparse (adjacency operators): the zero-skip kernel always wins.
-  MatMulSparseADispatch(out, a, b);
 }
 
 void RoutedGemmBackend::MatMulTransposeA(Matrix& out, const Matrix& a,
@@ -1032,21 +1022,6 @@ void MatMulInto(Matrix& out, const Matrix& a, const Matrix& b) {
   CheckMatMulShapes(a, b, "MatMulInto");
   out = Matrix(a.rows(), b.cols(), out.TakeStorage());  // reshape + zero
   Dispatch(&GemmBackend::MatMul, "MatMulInto", out, a, b, a.cols());
-}
-
-Matrix MatMulSparseA(const Matrix& a, const Matrix& b) {
-  CheckMatMulShapes(a, b, "MatMulSparseA");
-  Matrix out(a.rows(), b.cols());
-  Dispatch(&GemmBackend::MatMulSparseA, "MatMulSparseA", out, a, b,
-           a.cols());
-  return out;
-}
-
-void MatMulSparseAInto(Matrix& out, const Matrix& a, const Matrix& b) {
-  CheckMatMulShapes(a, b, "MatMulSparseAInto");
-  out = Matrix(a.rows(), b.cols(), out.TakeStorage());  // reshape + zero
-  Dispatch(&GemmBackend::MatMulSparseA, "MatMulSparseAInto", out, a, b,
-           a.cols());
 }
 
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {

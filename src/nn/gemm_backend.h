@@ -2,7 +2,7 @@
 /// Pluggable GEMM backend dispatch (ROADMAP "Multi-backend GEMM").
 ///
 /// Every hot path in the reproduction — batched GNN inference, the fused
-/// attention backward, trainer minibatch steps — bottoms out in the six
+/// attention backward, trainer minibatch steps — bottoms out in the five
 /// GEMM entry points declared in nn/matrix.h. This header makes those entry
 /// points dispatch through a process-global `GemmBackend`, so hosts with an
 /// optimized BLAS (or Eigen) can route large dense contractions to the
@@ -22,8 +22,7 @@
 /// External backends are *routed* (see RoutedGemmBackend): only dense
 /// products above a flops threshold go to the library; mostly-zero operands
 /// keep the built-in zero-skip kernels and tiny operands skip the library
-/// call overhead. `MatMulSparseA` always runs built-in — callers use it
-/// precisely when they know the left operand is sparse.
+/// call overhead.
 ///
 /// Selection:
 ///   * `nn::SetGemmBackend("name")` — programmatic, takes effect for every
@@ -79,12 +78,11 @@ struct GemmParityTolerance {
   float atol = kGemmParityRtol;
 };
 
-/// One GEMM implementation covering all six entry points of nn/matrix.h.
+/// One GEMM implementation covering all five entry points of nn/matrix.h.
 ///
 /// Contract (shapes are pre-validated by the nn::MatMul* wrappers; `out`
 /// arrives already shaped and zero-filled for the non-accumulating calls):
 ///   * MatMul:          out  = a @ b           a:[m,k] b:[k,n] out:[m,n]
-///   * MatMulSparseA:   out  = a @ b           (a expected mostly zero)
 ///   * MatMulTransposeA: out = a^T @ b         a:[k,m] b:[k,n] out:[m,n]
 ///   * MatMulTransposeB: out = a @ b^T         a:[m,k] b:[n,k] out:[m,n]
 ///   * MatMulTransposeAAccum: dst += a^T @ b   (dst holds prior grads)
@@ -103,8 +101,6 @@ class GemmBackend {
   virtual std::string_view name() const noexcept = 0;
 
   virtual void MatMul(Matrix& out, const Matrix& a, const Matrix& b) = 0;
-  virtual void MatMulSparseA(Matrix& out, const Matrix& a,
-                             const Matrix& b) = 0;
   virtual void MatMulTransposeA(Matrix& out, const Matrix& a,
                                 const Matrix& b) = 0;
   virtual void MatMulTransposeB(Matrix& out, const Matrix& a,
@@ -126,16 +122,16 @@ class GemmBackend {
 
 /// Base class for backends that wrap an external dense-GEMM library.
 ///
-/// Implements the six entry points with the routing policy described in the
+/// Implements the five entry points with the routing policy described in the
 /// file comment: dense operands whose product exceeds
 /// `kExternalDispatchFlops` multiply-adds go to the subclass's Dense*
 /// hooks; mostly-zero left operands (the same >=70%-zeros heuristic the
 /// built-in dispatch uses) and small products fall back to the built-in
 /// kernels, whose zero-skip / low-overhead paths beat a library call
 /// there. Each operand is density-scanned at most once per call (the
-/// verdict is forwarded into the built-in dispatch). `MatMulSparseA`
-/// always runs built-in; large `MatMulTransposeB` products always go to
-/// the library (the built-in kernel has no zero-skip path there).
+/// verdict is forwarded into the built-in dispatch). Large
+/// `MatMulTransposeB` products always go to the library (the built-in
+/// kernel has no zero-skip path there).
 class RoutedGemmBackend : public GemmBackend {
  public:
   /// Minimum m*k*n (multiply-adds) before a product is worth a library
@@ -144,7 +140,6 @@ class RoutedGemmBackend : public GemmBackend {
   static constexpr long long kExternalDispatchFlops = 1 << 15;
 
   void MatMul(Matrix& out, const Matrix& a, const Matrix& b) final;
-  void MatMulSparseA(Matrix& out, const Matrix& a, const Matrix& b) final;
   void MatMulTransposeA(Matrix& out, const Matrix& a, const Matrix& b) final;
   void MatMulTransposeB(Matrix& out, const Matrix& a, const Matrix& b) final;
   void MatMulTransposeAAccum(Matrix& dst, const Matrix& a,

@@ -191,14 +191,10 @@ Tensor GatLayer::Forward(Tape& tape, Tensor h,
 Tensor GatLayer::Forward(Tape& tape, Tensor h,
                          const BatchedGraphStructure& gs) const {
   if (heads_.empty()) throw std::logic_error("GatLayer: uninitialized");
-  const int batch = gs.num_graphs();
-  const bool fused = FusedOpsEnabled();
   std::vector<const Matrix*> masks;
-  if (fused) {
-    masks.reserve(gs.blocks.size());
-    for (const GraphStructure* block : gs.blocks) {
-      masks.push_back(&block->sym_mask);
-    }
+  masks.reserve(gs.blocks.size());
+  for (const GraphStructure* block : gs.blocks) {
+    masks.push_back(&block->sym_mask);
   }
   std::vector<Tensor> head_outputs;
   head_outputs.reserve(heads_.size());
@@ -207,29 +203,11 @@ Tensor GatLayer::Forward(Tape& tape, Tensor h,
     Tensor wh = head.w.Forward(tape, h);  // [N, head_dim]
     Tensor s = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_src));  // [N, 1]
     Tensor d = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_dst));  // [N, 1]
-    // Attention stays per segment: nodes never attend across kernels.
-    if (fused) {
-      // One fused op per head: every segment's masked attention in one
-      // tape node whose forward and backward shard segments across the
-      // pool (the seed per-segment op loop below serializes the backward).
-      head_outputs.push_back(
-          BlockDiagGatAttentionOp(tape, s, d, wh, masks, gs.offsets, 0.2f));
-    } else {
-      std::vector<Tensor> segs;
-      segs.reserve(static_cast<size_t>(batch));
-      for (int b = 0; b < batch; ++b) {
-        const int begin = gs.offsets[static_cast<size_t>(b)];
-        const int len = gs.offsets[static_cast<size_t>(b) + 1] - begin;
-        Tensor wh_b = SliceRowsOp(tape, wh, begin, len);
-        Tensor s_b = SliceRowsOp(tape, s, begin, len);
-        Tensor d_b = SliceRowsOp(tape, d, begin, len);
-        Tensor logits = LeakyReluOp(tape, OuterSumOp(tape, s_b, d_b), 0.2f);
-        Tensor attn = MaskedSoftmaxRowsOp(
-            tape, logits, gs.blocks[static_cast<size_t>(b)]->sym_mask);
-        segs.push_back(MatMulOp(tape, attn, wh_b));
-      }
-      head_outputs.push_back(ConcatRowsOp(tape, segs));
-    }
+    // Attention stays per segment (nodes never attend across kernels): one
+    // fused op per head holds every segment's masked attention in one tape
+    // node whose forward and backward shard segments across the pool.
+    head_outputs.push_back(
+        BlockDiagGatAttentionOp(tape, s, d, wh, masks, gs.offsets, 0.2f));
   }
   Tensor merged = ConcatColsOp(tape, head_outputs);
   return ReluOp(tape, merge_.Forward(tape, merged));

@@ -47,14 +47,6 @@ std::string Matrix::ShapeString() const {
   return s;
 }
 
-Matrix CopyRows(const Matrix& a, int begin, int len) {
-  assert(begin >= 0 && len >= 0 && begin + len <= a.rows());
-  Matrix out(len, a.cols());
-  const float* src = a.data() + static_cast<size_t>(begin) * a.cols();
-  std::copy(src, src + out.size(), out.data());
-  return out;
-}
-
 Matrix Transpose(const Matrix& a) {
   Matrix out(a.cols(), a.rows());
   for (int i = 0; i < a.rows(); ++i) {

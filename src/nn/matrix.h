@@ -3,8 +3,8 @@
 /// the autograd engine is built on. Everything in the learned cost model's
 /// forward/backward passes bottoms out here.
 ///
-/// The six GEMM entry points (MatMul/MatMulInto, MatMulSparseA/Into,
-/// MatMulTransposeA/B and their Accum variants) dispatch through the
+/// The five GEMM entry points (MatMul/MatMulInto, MatMulTransposeA/B and
+/// their Accum variants) dispatch through the
 /// process-global backend selected in nn/gemm_backend.h: the built-in
 /// register-tiled kernels by default, an external library (CBLAS, Eigen)
 /// when one is compiled in and selected. The "builtin" backend reproduces
@@ -120,12 +120,6 @@ class Matrix {
 /// core::ThreadPool; the partitioning is bit-exact (each row is produced by
 /// the same instruction sequence at any thread count).
 Matrix MatMul(const Matrix& a, const Matrix& b);
-/// out = a @ b where `a` is expected to be sparse (e.g. a normalized
-/// adjacency matrix): skips zero entries of `a` row-wise instead of running
-/// the dense register-tiled kernel. Per-row accumulation order matches
-/// MatMul, so results agree to float-addition-of-zero terms. Always served
-/// by the built-in zero-skip kernel, on every backend.
-Matrix MatMulSparseA(const Matrix& a, const Matrix& b);
 /// out = a^T @ b. Shapes: [k,m] x [k,n] -> [m,n]. Dense operands run the
 /// register-tiled kernel (backward-pass GEMMs); mostly-zero operands keep a
 /// zero-skip kernel. Both row/column-partition across the pool when large.
@@ -139,8 +133,6 @@ Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 /// exactly like the allocating version — same kernels, same per-element
 /// float sequence.
 void MatMulInto(Matrix& out, const Matrix& a, const Matrix& b);
-/// In-place variant of MatMulSparseA (see MatMulInto).
-void MatMulSparseAInto(Matrix& out, const Matrix& a, const Matrix& b);
 
 /// Fused backward accumulation: dst += a^T @ b without materializing the
 /// product. Each output element's partial sum is formed in registers over
@@ -156,9 +148,6 @@ void MatMulTransposeAAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 void MatMulTransposeBAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 
 // ---- Elementwise / reduction helpers ----------------------------------------
-
-/// Rows [begin, begin+len) of `a` as an owned matrix (contiguous copy).
-Matrix CopyRows(const Matrix& a, int begin, int len);
 
 Matrix Transpose(const Matrix& a);
 Matrix Add(const Matrix& a, const Matrix& b);

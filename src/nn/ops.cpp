@@ -1,7 +1,6 @@
 #include "nn/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,8 +12,6 @@
 namespace tpuperf::nn {
 namespace {
 
-std::atomic<bool> g_fused_ops{true};
-
 void CheckSame(const Matrix& a, const Matrix& b, const char* op) {
   if (!a.same_shape(b)) {
     throw std::invalid_argument(std::string(op) + ": shape mismatch " +
@@ -23,11 +20,10 @@ void CheckSame(const Matrix& a, const Matrix& b, const char* op) {
 }
 
 // Shorthand: elementwise unary op with dy/dx computable from x and y.
-// Fused mode reads x and y from the tape nodes themselves in the backward
-// (the parent's value and self.value stay alive on the tape), so no matrix
-// copies are captured; seed mode keeps the pre-fusion captured copies. On
-// grad-disabled tapes neither closure is built — inference pays for the
-// forward values only.
+// The backward reads x and y from the tape nodes themselves (the parent's
+// value and self.value stay alive on the tape), so no matrix copies are
+// captured. On grad-disabled tapes no closure is built — inference pays
+// for the forward values only.
 template <typename Fwd, typename Bwd>
 Tensor Unary(Tape& tape, Tensor x, Fwd fwd, Bwd bwd) {
   const Matrix& xv = x.value();
@@ -35,35 +31,16 @@ Tensor Unary(Tape& tape, Tensor x, Fwd fwd, Bwd bwd) {
   for (size_t i = 0; i < xv.size(); ++i) y.data()[i] = fwd(xv.data()[i]);
   TapeNode* xn = x.node();
   if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {xn}, nullptr);
-  if (FusedOpsEnabled()) {
-    return tape.NewNode(std::move(y), {xn}, [xn, bwd](TapeNode& self) {
-      const float* __restrict xd = xn->value.data();
-      const float* __restrict yd = self.value.data();
-      for (size_t i = 0; i < self.grad.size(); ++i) {
-        xn->grad.data()[i] += self.grad.data()[i] * bwd(xd[i], yd[i]);
-      }
-    });
-  }
-  Matrix yv = y;  // captured copy for backward (seed behavior)
-  return tape.NewNode(
-      std::move(y), {xn},
-      [xn, xv_copy = xv, yv = std::move(yv), bwd](TapeNode& self) {
-        for (size_t i = 0; i < self.grad.size(); ++i) {
-          xn->grad.data()[i] +=
-              self.grad.data()[i] * bwd(xv_copy.data()[i], yv.data()[i]);
-        }
-      });
+  return tape.NewNode(std::move(y), {xn}, [xn, bwd](TapeNode& self) {
+    const float* __restrict xd = xn->value.data();
+    const float* __restrict yd = self.value.data();
+    for (size_t i = 0; i < self.grad.size(); ++i) {
+      xn->grad.data()[i] += self.grad.data()[i] * bwd(xd[i], yd[i]);
+    }
+  });
 }
 
 }  // namespace
-
-bool FusedOpsEnabled() noexcept {
-  return g_fused_ops.load(std::memory_order_relaxed);
-}
-
-void SetFusedOps(bool enabled) noexcept {
-  g_fused_ops.store(enabled, std::memory_order_relaxed);
-}
 
 Tensor MatMulOp(Tape& tape, Tensor a, Tensor b) {
   Matrix y = tape.NewMatrixUninit(a.rows(), b.cols());
@@ -71,26 +48,15 @@ Tensor MatMulOp(Tape& tape, Tensor a, Tensor b) {
   TapeNode* an = a.node();
   TapeNode* bn = b.node();
   if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {an, bn}, nullptr);
-  const bool fused = FusedOpsEnabled();
-  return tape.NewNode(std::move(y), {an, bn}, [an, bn, fused](TapeNode& self) {
+  return tape.NewNode(std::move(y), {an, bn}, [an, bn](TapeNode& self) {
     // The accumulate entry points (dispatched through the selected GEMM
-    // backend, nn/gemm_backend.h) produce bit-identical grads to the
-    // temp+add seed pair on the built-in backend; they just skip the
-    // temporary and the extra add pass. External backends agree within
-    // nn::kGemmParityRtol.
+    // backend, nn/gemm_backend.h) add the product straight into the grad:
+    // no temporary, no extra add pass.
     if (an->requires_grad) {
-      if (fused) {
-        MatMulTransposeBAccum(an->grad, self.grad, bn->value);
-      } else {
-        AccumulateInto(an->grad, MatMulTransposeB(self.grad, bn->value));
-      }
+      MatMulTransposeBAccum(an->grad, self.grad, bn->value);
     }
     if (bn->requires_grad) {
-      if (fused) {
-        MatMulTransposeAAccum(bn->grad, an->value, self.grad);
-      } else {
-        AccumulateInto(bn->grad, MatMulTransposeA(an->value, self.grad));
-      }
+      MatMulTransposeAAccum(bn->grad, an->value, self.grad);
     }
   });
 }
@@ -137,30 +103,20 @@ Tensor MulOp(Tape& tape, Tensor a, Tensor b) {
   }
   TapeNode* an = a.node();
   TapeNode* bn = b.node();
-  const bool fused = FusedOpsEnabled();
-  return tape.NewNode(std::move(y), {an, bn}, [an, bn, fused](TapeNode& self) {
-    if (fused) {
-      // Read the operand values from the parent nodes; no Hadamard temps.
-      const float* __restrict g = self.grad.data();
-      if (an->requires_grad) {
-        const float* __restrict bd = bn->value.data();
-        for (size_t i = 0; i < self.grad.size(); ++i) {
-          an->grad.data()[i] += g[i] * bd[i];
-        }
-      }
-      if (bn->requires_grad) {
-        const float* __restrict ad = an->value.data();
-        for (size_t i = 0; i < self.grad.size(); ++i) {
-          bn->grad.data()[i] += g[i] * ad[i];
-        }
-      }
-      return;
-    }
+  return tape.NewNode(std::move(y), {an, bn}, [an, bn](TapeNode& self) {
+    // Read the operand values from the parent nodes.
+    const float* __restrict g = self.grad.data();
     if (an->requires_grad) {
-      AccumulateInto(an->grad, Hadamard(self.grad, bn->value));
+      const float* __restrict bd = bn->value.data();
+      for (size_t i = 0; i < self.grad.size(); ++i) {
+        an->grad.data()[i] += g[i] * bd[i];
+      }
     }
     if (bn->requires_grad) {
-      AccumulateInto(bn->grad, Hadamard(self.grad, an->value));
+      const float* __restrict ad = an->value.data();
+      for (size_t i = 0; i < self.grad.size(); ++i) {
+        bn->grad.data()[i] += g[i] * ad[i];
+      }
     }
   });
 }
@@ -197,20 +153,15 @@ Tensor AddRowBroadcastOp(Tape& tape, Tensor x, Tensor bias) {
   }
   TapeNode* xn = x.node();
   TapeNode* bn = bias.node();
-  const bool fused = FusedOpsEnabled();
-  return tape.NewNode(std::move(y), {xn, bn}, [xn, bn, fused](TapeNode& self) {
+  return tape.NewNode(std::move(y), {xn, bn}, [xn, bn](TapeNode& self) {
     if (xn->requires_grad) AccumulateInto(xn->grad, self.grad);
     if (bn->requires_grad) {
-      if (fused) {
-        // Column sums accumulated straight into the bias grad (same
-        // ascending-row order as ColSum; no [1, c] temporary).
-        for (int i = 0; i < self.grad.rows(); ++i) {
-          for (int j = 0; j < self.grad.cols(); ++j) {
-            bn->grad.at(0, j) += self.grad.at(i, j);
-          }
+      // Column sums accumulated straight into the bias grad (ascending-row
+      // order; no [1, c] temporary).
+      for (int i = 0; i < self.grad.rows(); ++i) {
+        for (int j = 0; j < self.grad.cols(); ++j) {
+          bn->grad.at(0, j) += self.grad.at(i, j);
         }
-      } else {
-        AccumulateInto(bn->grad, ColSum(self.grad));
       }
     }
   });
@@ -265,20 +216,14 @@ Tensor DropoutOp(Tape& tape, Tensor x, float rate, std::mt19937_64& rng) {
     y.data()[i] = xv.data()[i] * mask.data()[i];
   }
   TapeNode* xn = x.node();
-  if (tape.grad_enabled() && FusedOpsEnabled()) {
-    // Stash the mask on the tape (arena-recycled) instead of in the closure.
-    TapeNode* mask_node = tape.Leaf(std::move(mask)).node();
-    return tape.NewNode(std::move(y), {xn}, [xn, mask_node](TapeNode& self) {
-      const float* __restrict m = mask_node->value.data();
-      for (size_t i = 0; i < self.grad.size(); ++i) {
-        xn->grad.data()[i] += self.grad.data()[i] * m[i];
-      }
-    });
-  }
-  return tape.NewNode(std::move(y), {xn},
-                      [xn, mask = std::move(mask)](TapeNode& self) {
-                        AccumulateInto(xn->grad, Hadamard(self.grad, mask));
-                      });
+  // Stash the mask on the tape (arena-recycled) instead of in the closure.
+  TapeNode* mask_node = tape.Leaf(std::move(mask)).node();
+  return tape.NewNode(std::move(y), {xn}, [xn, mask_node](TapeNode& self) {
+    const float* __restrict m = mask_node->value.data();
+    for (size_t i = 0; i < self.grad.size(); ++i) {
+      xn->grad.data()[i] += self.grad.data()[i] * m[i];
+    }
+  });
 }
 
 namespace {
@@ -312,20 +257,12 @@ Tensor RowL2NormalizeOp(Tape& tape, Tensor x, float eps) {
   }
   std::vector<float> inv_norms(static_cast<size_t>(xv.rows()));
   RowL2NormalizeForward(y, xv, eps, inv_norms.data());
-  if (FusedOpsEnabled()) {
-    // y is read back from self.value in the backward; only the per-row
-    // norms are captured.
-    return tape.NewNode(std::move(y), {xn},
-                        [xn, inv_norms = std::move(inv_norms)](TapeNode& self) {
-                          RowL2NormalizeBackward(self.value, inv_norms, xn,
-                                                 self);
-                        });
-  }
-  Matrix yv = y;
-  return tape.NewNode(
-      std::move(y), {xn},
-      [xn, yv = std::move(yv), inv_norms = std::move(inv_norms)](
-          TapeNode& self) { RowL2NormalizeBackward(yv, inv_norms, xn, self); });
+  // y is read back from self.value in the backward; only the per-row norms
+  // are captured.
+  return tape.NewNode(std::move(y), {xn},
+                      [xn, inv_norms = std::move(inv_norms)](TapeNode& self) {
+                        RowL2NormalizeBackward(self.value, inv_norms, xn, self);
+                      });
 }
 
 namespace {
@@ -389,20 +326,12 @@ Tensor LayerNormRowsOp(Tape& tape, Tensor x, Tensor gamma, Tensor beta,
   Matrix xhat = tape.NewMatrixUninit(n, c);
   std::vector<float> inv_std(static_cast<size_t>(n));
   LayerNormRowsForward(y, xv, gv, bv, eps, &xhat, inv_std.data());
-  if (FusedOpsEnabled()) {
-    // xhat lives on the tape (arena-recycled stash leaf), not in the closure.
-    TapeNode* xhat_node = tape.Leaf(std::move(xhat)).node();
-    return tape.NewNode(
-        std::move(y), {xn, gn, bn},
-        [xn, gn, bn, xhat_node, inv_std = std::move(inv_std)](TapeNode& self) {
-          LayerNormBackward(xhat_node->value, inv_std, xn, gn, bn, self);
-        });
-  }
+  // xhat lives on the tape (arena-recycled stash leaf), not in the closure.
+  TapeNode* xhat_node = tape.Leaf(std::move(xhat)).node();
   return tape.NewNode(
       std::move(y), {xn, gn, bn},
-      [xn, gn, bn, xhat = std::move(xhat), inv_std = std::move(inv_std)](
-          TapeNode& self) {
-        LayerNormBackward(xhat, inv_std, xn, gn, bn, self);
+      [xn, gn, bn, xhat_node, inv_std = std::move(inv_std)](TapeNode& self) {
+        LayerNormBackward(xhat_node->value, inv_std, xn, gn, bn, self);
       });
 }
 
@@ -449,16 +378,9 @@ Tensor SoftmaxImpl(Tape& tape, Tensor x, const Matrix* mask) {
   }
   TapeNode* xn = x.node();
   if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {xn}, nullptr);
-  if (FusedOpsEnabled()) {
-    return tape.NewNode(std::move(y), {xn}, [xn](TapeNode& self) {
-      SoftmaxBackward(self.value, xn, self);
-    });
-  }
-  Matrix yv = y;
-  return tape.NewNode(std::move(y), {xn},
-                      [xn, yv = std::move(yv)](TapeNode& self) {
-                        SoftmaxBackward(yv, xn, self);
-                      });
+  return tape.NewNode(std::move(y), {xn}, [xn](TapeNode& self) {
+    SoftmaxBackward(self.value, xn, self);
+  });
 }
 
 }  // namespace

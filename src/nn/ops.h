@@ -14,18 +14,6 @@
 
 namespace tpuperf::nn {
 
-// Runtime toggle between the fused training hot paths (default) and the
-// seed per-op implementations. Fused mode: block-diagonal attention ops
-// replace the per-segment GAT/Transformer loops, backward closures write
-// gradients through the accumulate GEMM kernels without materializing
-// per-op temporaries, and elementwise backwards read their operands from
-// the tape nodes instead of captured copies. Seed mode reproduces the
-// pre-fusion op sequence — kept as the reference for gradient-parity tests
-// and as the benchmark baseline. The same arithmetic is performed either
-// way; parameter gradients agree to float reassociation (~1e-7 relative).
-bool FusedOpsEnabled() noexcept;
-void SetFusedOps(bool enabled) noexcept;
-
 // y = a @ b.
 Tensor MatMulOp(Tape& tape, Tensor a, Tensor b);
 

@@ -294,11 +294,6 @@ std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::CompilePlan(
   if (!fitted_) {
     throw std::logic_error("CompilePlan: scalers not fitted");
   }
-  if (!nn::FusedOpsEnabled()) {
-    // The plan replays the fused batched op sequence; with fused ops off the
-    // tape takes the seed per-segment paths, which associate differently.
-    throw std::logic_error("CompilePlan: requires fused ops enabled");
-  }
   if (max_kernels < 1 || max_total_nodes < max_kernels) {
     throw std::invalid_argument("CompilePlan: bad capacities");
   }

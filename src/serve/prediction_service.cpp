@@ -16,7 +16,6 @@
 #include "core/env.h"
 #include "core/fault_injection.h"
 #include "core/thread_pool.h"
-#include "nn/ops.h"
 #include "plan/plan.h"
 #include "serve/snapshot.h"
 #include "sim/target.h"
@@ -186,13 +185,13 @@ void NoteReducedPrecision(const core::LearnedCostModel& model,
 
 // Scores a packed batch, preferring a cached compiled plan (compiling one
 // for the batch's shape bucket on a miss). Any plan-path failure — a model
-// configuration the planner rejects, fused ops disabled, an injected
-// plan.compile_fail — falls back to the tape path, which is always
-// available; the two paths are bit-identical.
+// configuration the planner rejects, an injected plan.compile_fail — falls
+// back to the tape path, which is always available; the two paths are
+// bit-identical.
 std::vector<double> ScorePacked(const core::LearnedCostModel& model,
                                 const core::PreparedBatch& packed,
                                 ServiceImpl& impl) {
-  if (impl.plan_cache != nullptr && nn::FusedOpsEnabled()) {
+  if (impl.plan_cache != nullptr) {
     const int b = packed.num_kernels();
     const int n = packed.total_nodes();
     std::shared_ptr<const plan::CompiledPlan> plan =

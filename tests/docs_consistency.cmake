@@ -8,6 +8,9 @@
 #   * every environment variable the sources read via getenv(),
 #     core::EnvInt(), or core::EnvEnum() must be documented in
 #     docs/BENCHMARKS.md's env-var matrix;
+#   * every backticked namespaced identifier in README/docs (`nn::X`,
+#     `core::X`, `serve::X`, ...) must still appear as a word in src/, so
+#     docs cannot keep naming a deleted symbol;
 #   * docs/ARCHITECTURE.md and docs/BENCHMARKS.md must exist and be linked
 #     from README.md.
 #
@@ -102,6 +105,44 @@ foreach(var IN LISTS env_vars)
   endif()
 endforeach()
 
+# ---- Every namespaced identifier the docs name exists in src/ ---------------
+# Scans inline code spans only; `tpuperf::nn::X` counts as `nn::X`.
+file(GLOB docs_files "${REPO_ROOT}/docs/*.md")
+set(doc_identifiers "")
+foreach(doc_file IN ITEMS "${REPO_ROOT}/README.md" ${docs_files})
+  file(READ "${doc_file}" content)
+  string(REGEX MATCHALL "`[^`\n]+`" spans "${content}")
+  foreach(span IN LISTS spans)
+    string(REGEX MATCHALL
+           "(^|[^A-Za-z0-9_])(nn|core|serve|plan|data|feat|tune|ir|analytical)::[A-Za-z_][A-Za-z0-9_]*"
+           names "${span}")
+    foreach(name IN LISTS names)
+      string(REGEX MATCH "[a-z]+::[A-Za-z0-9_]+$" name "${name}")
+      list(APPEND doc_identifiers "${name}")
+    endforeach()
+  endforeach()
+endforeach()
+list(REMOVE_DUPLICATES doc_identifiers)
+list(LENGTH doc_identifiers doc_identifier_count)
+if(doc_identifier_count EQUAL 0)
+  list(APPEND failures
+       "doc identifier scan found nothing: the scan itself is broken")
+endif()
+file(GLOB_RECURSE src_files "${REPO_ROOT}/src/*.cpp" "${REPO_ROOT}/src/*.h")
+set(src_text "")
+foreach(src_file IN LISTS src_files)
+  file(READ "${src_file}" content)
+  string(APPEND src_text "\n${content}")
+endforeach()
+foreach(name IN LISTS doc_identifiers)
+  string(REGEX REPLACE "^[a-z]+::" "" symbol "${name}")
+  string(REGEX MATCH "[^A-Za-z0-9_]${symbol}[^A-Za-z0-9_]" found "${src_text}")
+  if(found STREQUAL "")
+    list(APPEND failures
+         "docs name `${name}`, but ${symbol} appears nowhere in src/")
+  endif()
+endforeach()
+
 # ---- Verdict ----------------------------------------------------------------
 list(LENGTH failures failure_count)
 if(failure_count GREATER 0)
@@ -111,4 +152,4 @@ if(failure_count GREATER 0)
   message(FATAL_ERROR "docs_consistency: ${failure_count} inconsistencies")
 endif()
 message(STATUS
-        "docs_consistency: OK (${SUITE_COUNT} suites, ${env_var_count} env vars checked)")
+        "docs_consistency: OK (${SUITE_COUNT} suites, ${env_var_count} env vars, ${doc_identifier_count} doc identifiers checked)")

@@ -326,15 +326,6 @@ void CheckAllEntryPointsAgainstBuiltin(const GemmShape& s) {
     ExpectNear(into, want, "MatMulInto", tol);
   }
   {
-    const GemmParityTolerance tol = selected.ParityBound(a, b, s.k);
-    Matrix want(s.m, s.n);
-    builtin.MatMulSparseA(want, a, b);
-    ExpectNear(MatMulSparseA(a, b), want, "MatMulSparseA", tol);
-    Matrix into = PseudoRandom(1, 3, 98);
-    MatMulSparseAInto(into, a, b);
-    ExpectNear(into, want, "MatMulSparseAInto", tol);
-  }
-  {
     const GemmParityTolerance tol = selected.ParityBound(ta_a, b, s.k);
     Matrix want(s.m, s.n);
     builtin.MatMulTransposeA(want, ta_a, b);
@@ -411,15 +402,6 @@ TEST_F(GemmBackendTest, RoutedBackendFallsBackToBuiltinForTinyOperands) {
   Matrix want(5, 3);
   BuiltinGemmBackend().MatMul(want, a, b);
   ExpectBitEqual(MatMul(a, b), want, "tiny fallback");
-}
-
-TEST_F(GemmBackendTest, SparseAEntryPointAlwaysRunsBuiltin) {
-  SetGemmBackend("broken-test");
-  const Matrix a = PseudoRandom(40, 40, 11);  // dense and large: no excuse
-  const Matrix b = PseudoRandom(40, 40, 12);
-  Matrix want(40, 40);
-  BuiltinGemmBackend().MatMulSparseA(want, a, b);
-  ExpectBitEqual(MatMulSparseA(a, b), want, "MatMulSparseA routing");
 }
 
 // ---- Threaded parity --------------------------------------------------------

@@ -298,9 +298,7 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
     for (size_t b = 0; b < graphs.size(); ++b) {
       const Matrix& a = dense[b].*dense_op;
       const int begin = offsets[b];
-      const Matrix seg = MatMulSparseA(a, CopyRows(x0, begin, a.rows()));
       for (int i = 0; i < a.rows(); ++i) {
-        for (int j = 0; j < cols; ++j) want_y.at(begin + i, j) = seg.at(i, j);
         // The transposed scatter, rows then columns ascending.
         for (int k = 0; k < a.cols(); ++k) {
           const float av = a.at(i, k);
@@ -308,6 +306,18 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
           for (int j = 0; j < cols; ++j) {
             want_dx.at(begin + k, j) += av * dy.at(begin + i, j);
           }
+        }
+      }
+      // The zero-skip product, in the kernel's row-axpy form.
+      for (int i = 0; i < a.rows(); ++i) {
+        float* __restrict yi =
+            want_y.data() + static_cast<size_t>(begin + i) * cols;
+        for (int k = 0; k < a.cols(); ++k) {
+          const float av = a.at(i, k);
+          if (av == 0.0f) continue;
+          const float* __restrict xk =
+              x0.data() + static_cast<size_t>(begin + k) * cols;
+          for (int j = 0; j < cols; ++j) yi[j] += av * xk[j];
         }
       }
     }

@@ -224,11 +224,6 @@ TEST(QuantGemmParity, AllEntryPointsWithinDerivedBoundViaScopedPrecision) {
         Matrix into = PseudoRandom(2, 2, 99);
         MatMulInto(into, a, b);
         ExpectWithin(into, want, tol, "MatMulInto");
-        Matrix want_sparse(s.m, s.n);  // raw entries accumulate: fresh out
-        builtin.MatMulSparseA(want_sparse, a, b);
-        ExpectWithin(MatMulSparseA(a, b), want_sparse, tol, "MatMulSparseA");
-        MatMulSparseAInto(into, a, b);
-        ExpectWithin(into, want_sparse, tol, "MatMulSparseAInto");
       }
       {
         const GemmParityTolerance tol = backend->ParityBound(ta_a, b, s.k);
@@ -505,15 +500,11 @@ TEST(QuantModel, TrainingThrowsAtReducedPrecision) {
   ModelFixture fx(3);
   fx.model->SetPrecision(Precision::kInt8);
   nn::Tape tape(/*grad_enabled=*/true);
-  EXPECT_THROW(fx.model->Forward(tape, fx.prepared[0], &fx.tiles[0],
-                                 /*training=*/true),
-               std::logic_error);
   const core::PreparedBatch batch = fx.MakeBatch();
   EXPECT_THROW(fx.model->ForwardBatch(tape, batch, /*training=*/true),
                std::logic_error);
   // Inference-mode forwards still work.
-  EXPECT_NO_THROW(fx.model->Forward(tape, fx.prepared[0], &fx.tiles[0],
-                                    /*training=*/false));
+  EXPECT_NO_THROW(fx.model->ForwardBatch(tape, batch, /*training=*/false));
 }
 
 TEST(QuantModel, SaveRefusesReducedPrecisionAndLoadResets) {
