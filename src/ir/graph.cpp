@@ -1,6 +1,8 @@
 #include "ir/graph.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,11 +13,23 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// kFnvPrimePow[k] = kFnvPrime^k mod 2^64.
+constexpr auto kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{1};
+  for (size_t k = 1; k < pow.size(); ++k) pow[k] = pow[k - 1] * kFnvPrime;
+  return pow;
+}();
+
+// Byte-serial FNV-1a over v's 8 little-endian bytes. A zero byte's xor is a
+// no-op, so the high zero bytes fold into one multiply by a prime power:
+// the same value, with fewer dependent multiplies.
 void HashMix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
+  const int bytes = (std::bit_width(v) + 7) / 8;
+  for (int i = 0; i < bytes; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
     h *= kFnvPrime;
   }
+  h *= kFnvPrimePow[8 - bytes];
 }
 
 // Independent mixer (splitmix64 finalizer) for StructuralSignature, so the

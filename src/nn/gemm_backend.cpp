@@ -14,6 +14,7 @@
 
 #include "core/thread_pool.h"
 #include "nn/quant.h"
+#include "nn/simd.h"
 
 #ifdef TPUPERF_WITH_BLAS
 #include <cblas.h>
@@ -65,93 +66,44 @@ void MatMulSparseARowRange(const Matrix& a, const Matrix& b, Matrix& out,
 
 // Rows [i0, i1) of out = a @ b.
 //
-// Register-tiled main kernel: 4 rows x 16 columns accumulated over the
-// full k extent in registers — each b row is loaded once per 4 output
-// rows and every output element is written exactly once. Batched
-// inference lives on this path. EVERY row runs through this one loop
-// body, including the trailing partial block when (i1-i0) % 4 != 0: its
-// missing lanes alias the last real row (identical arithmetic, stores
-// masked off), instead of falling back to a separately compiled
-// remainder kernel. That matters for bit-exactness, not just tidiness —
-// the optimizer contracts the tiled body and a scalar remainder loop
-// into different FMA sequences, so the same row used to get different
-// low bits depending on whether its position put it in a full block.
-// With one body, a row's value depends only on its own contents and b,
-// never on its position or on the total row count; packed batches match
-// per-kernel runs exactly (the serve::PredictionService parity
+// Register-tiled main kernel: 4 rows x 2 native-width vectors (then one
+// vector, then scalar columns; see nn/simd.h) accumulated over the full k
+// extent in registers — each b row is loaded once per 4 output rows and
+// every output element is written exactly once. Batched inference lives on
+// this path. EVERY row runs through this one loop body, including the
+// trailing partial block when (i1-i0) % 4 != 0: its missing lanes alias the
+// last real row (identical arithmetic, stores masked off), instead of
+// falling back to a separately compiled remainder kernel. That matters for
+// bit-exactness, not just tidiness — the optimizer contracts the tiled body
+// and a scalar remainder loop into different FMA sequences, so the same row
+// used to get different low bits depending on whether its position put it in
+// a full block. With one body, a row's value depends only on its own
+// contents and b, never on its position or on the total row count; packed
+// batches match per-kernel runs exactly (the serve::PredictionService parity
 // contract), and parallel row chunks match the serial kernel at any
-// boundary. With Accum the register partial sums are added onto `out`
-// (fused backward).
+// boundary. With Accum the register partial sums are added onto `out` (fused
+// backward).
 template <bool Accum>
 void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix& out, int i0,
                     int i1) {
   const int k = a.cols(), n = b.cols();
   constexpr int kRowBlock = 4;
-  constexpr int kColBlock = 16;
   for (int i = i0; i < i1; i += kRowBlock) {
     const int valid = std::min(kRowBlock, i1 - i);
     // Lane r of a partial block reads the last real row; only writes are
     // guarded, so the aliased reads are never stored through twice.
-    const int r1 = i + std::min(1, valid - 1);
-    const int r2 = i + std::min(2, valid - 1);
-    const int r3 = i + std::min(3, valid - 1);
-    const float* __restrict a0 = a.data() + static_cast<size_t>(i) * k;
-    const float* a1 = a.data() + static_cast<size_t>(r1) * k;
-    const float* a2 = a.data() + static_cast<size_t>(r2) * k;
-    const float* a3 = a.data() + static_cast<size_t>(r3) * k;
-    float* __restrict o0 = out.data() + static_cast<size_t>(i) * n;
-    float* o1 = out.data() + static_cast<size_t>(r1) * n;
-    float* o2 = out.data() + static_cast<size_t>(r2) * n;
-    float* o3 = out.data() + static_cast<size_t>(r3) * n;
-    int j0 = 0;
-    for (; j0 + kColBlock <= n; j0 += kColBlock) {
-      float acc0[kColBlock] = {}, acc1[kColBlock] = {};
-      float acc2[kColBlock] = {}, acc3[kColBlock] = {};
-      for (int p = 0; p < k; ++p) {
-        const float* __restrict b_row =
-            b.data() + static_cast<size_t>(p) * n + j0;
-        const float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-        for (int j = 0; j < kColBlock; ++j) {
-          acc0[j] += av0 * b_row[j];
-          acc1[j] += av1 * b_row[j];
-          acc2[j] += av2 * b_row[j];
-          acc3[j] += av3 * b_row[j];
-        }
-      }
-      for (int j = 0; j < kColBlock; ++j) {
-        if constexpr (Accum) {
-          o0[j0 + j] += acc0[j];
-          if (valid > 1) o1[j0 + j] += acc1[j];
-          if (valid > 2) o2[j0 + j] += acc2[j];
-          if (valid > 3) o3[j0 + j] += acc3[j];
-        } else {
-          o0[j0 + j] = acc0[j];
-          if (valid > 1) o1[j0 + j] = acc1[j];
-          if (valid > 2) o2[j0 + j] = acc2[j];
-          if (valid > 3) o3[j0 + j] = acc3[j];
-        }
-      }
+    const float* a_rows[kRowBlock];
+    float* o_rows[kRowBlock];
+    for (int r = 0; r < kRowBlock; ++r) {
+      const size_t row = i + std::min(r, valid - 1);
+      a_rows[r] = a.data() + row * k;
+      o_rows[r] = out.data() + row * n;
     }
-    for (; j0 < n; ++j0) {
-      float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (int p = 0; p < k; ++p) {
-        const float bv = b.data()[static_cast<size_t>(p) * n + j0];
-        s0 += a0[p] * bv;
-        s1 += a1[p] * bv;
-        s2 += a2[p] * bv;
-        s3 += a3[p] * bv;
-      }
-      if constexpr (Accum) {
-        o0[j0] += s0;
-        if (valid > 1) o1[j0] += s1;
-        if (valid > 2) o2[j0] += s2;
-        if (valid > 3) o3[j0] += s3;
-      } else {
-        o0[j0] = s0;
-        if (valid > 1) o1[j0] = s1;
-        if (valid > 2) o2[j0] = s2;
-        if (valid > 3) o3[j0] = s3;
-      }
+    int j = simd::MulAddVectorCols<kRowBlock, 2, Accum>(
+        a_rows, 1, b.data(), n, k, n, o_rows, valid);
+    for (; j < n; ++j) {
+      simd::MulAddTile<float, kRowBlock, 1, Accum>(a_rows, 1, b.data(), n, k,
+                                                   j, o_rows, valid);
     }
   }
 }
@@ -227,7 +179,7 @@ void MatMulDispatch(Matrix& out, const Matrix& a, const Matrix& b) {
 }
 
 // Rows [i0, i1) of out = a^T @ b through the register-tiled kernel: 4
-// output rows (= columns of a) x 16 output columns accumulated over the
+// output rows (= columns of a) x 2 native-width vectors accumulated over the
 // full k extent in registers, ascending p per element — the backward-pass
 // analogue of MatMulRowRange. With Accum the register partial sums are added
 // onto `out` instead of stored (out op= acc), fusing the backward's
@@ -237,67 +189,19 @@ void MatMulTransposeADenseRange(const Matrix& a, const Matrix& b, Matrix& out,
                                 int i0, int i1) {
   const int k = a.rows(), m = a.cols(), n = b.cols();
   constexpr int kRowBlock = 4;
-  constexpr int kColBlock = 16;
   int i = i0;
   for (; i + kRowBlock <= i1; i += kRowBlock) {
-    int j0 = 0;
-    for (; j0 + kColBlock <= n; j0 += kColBlock) {
-      float acc0[kColBlock] = {}, acc1[kColBlock] = {};
-      float acc2[kColBlock] = {}, acc3[kColBlock] = {};
-      for (int p = 0; p < k; ++p) {
-        const float* __restrict a_row =
-            a.data() + static_cast<size_t>(p) * m + i;
-        const float* __restrict b_row =
-            b.data() + static_cast<size_t>(p) * n + j0;
-        const float av0 = a_row[0], av1 = a_row[1];
-        const float av2 = a_row[2], av3 = a_row[3];
-        for (int j = 0; j < kColBlock; ++j) {
-          acc0[j] += av0 * b_row[j];
-          acc1[j] += av1 * b_row[j];
-          acc2[j] += av2 * b_row[j];
-          acc3[j] += av3 * b_row[j];
-        }
-      }
-      float* __restrict o0 = out.data() + static_cast<size_t>(i) * n + j0;
-      float* __restrict o1 = o0 + n;
-      float* __restrict o2 = o1 + n;
-      float* __restrict o3 = o2 + n;
-      for (int j = 0; j < kColBlock; ++j) {
-        if constexpr (Accum) {
-          o0[j] += acc0[j];
-          o1[j] += acc1[j];
-          o2[j] += acc2[j];
-          o3[j] += acc3[j];
-        } else {
-          o0[j] = acc0[j];
-          o1[j] = acc1[j];
-          o2[j] = acc2[j];
-          o3[j] = acc3[j];
-        }
-      }
+    const float* a_cols[kRowBlock];
+    float* o_rows[kRowBlock];
+    for (int r = 0; r < kRowBlock; ++r) {
+      a_cols[r] = a.data() + i + r;
+      o_rows[r] = out.data() + static_cast<size_t>(i + r) * n;
     }
-    for (; j0 < n; ++j0) {
-      float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (int p = 0; p < k; ++p) {
-        const float* __restrict a_row =
-            a.data() + static_cast<size_t>(p) * m + i;
-        const float bv = b.data()[static_cast<size_t>(p) * n + j0];
-        s0 += a_row[0] * bv;
-        s1 += a_row[1] * bv;
-        s2 += a_row[2] * bv;
-        s3 += a_row[3] * bv;
-      }
-      if constexpr (Accum) {
-        out.at(i, j0) += s0;
-        out.at(i + 1, j0) += s1;
-        out.at(i + 2, j0) += s2;
-        out.at(i + 3, j0) += s3;
-      } else {
-        out.at(i, j0) = s0;
-        out.at(i + 1, j0) = s1;
-        out.at(i + 2, j0) = s2;
-        out.at(i + 3, j0) = s3;
-      }
+    int j = simd::MulAddVectorCols<kRowBlock, 2, Accum>(
+        a_cols, m, b.data(), n, k, n, o_rows, kRowBlock);
+    for (; j < n; ++j) {
+      simd::MulAddTile<float, kRowBlock, 1, Accum>(a_cols, m, b.data(), n, k,
+                                                   j, o_rows, kRowBlock);
     }
   }
   for (; i < i1; ++i) {

@@ -8,6 +8,7 @@
 
 #include "core/thread_pool.h"
 #include "nn/fastmath.h"
+#include "nn/simd.h"
 
 namespace tpuperf::nn {
 namespace {
@@ -370,10 +371,6 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
 
 namespace {
 
-// Output columns per register block of the recurrent product: 8 AVX2
-// accumulators, enough independent FMA chains to hide their latency.
-constexpr int kLstmColBlock = 64;
-
 // One LSTM step for one row (see LstmSequenceForward). `act` receives the
 // pre-activations and then, in place, the gate activations. h_in may alias
 // h_out and c_in may alias c_out: h_in is fully consumed by the recurrent
@@ -382,28 +379,11 @@ void LstmStep(const float* h_in, const float* c_in, const float* xw_row,
               const Matrix& w_h, const float* bias, int hidden, float* act,
               float* h_out, float* c_out, float* tanh_c) {
   const int n = 4 * hidden;
-  const float* w = w_h.data();
-  // pre[j] = sum_p h[p] * w_h[p, j] (ascending p, from zero — the MatMul
-  // row kernel's per-element FMA chain) + (xw[j] + bias[j]).
-  int j0 = 0;
-  for (; j0 + kLstmColBlock <= n; j0 += kLstmColBlock) {
-    float acc[kLstmColBlock] = {};
-    for (int p = 0; p < hidden; ++p) {
-      const float hp = h_in[p];
-      const float* __restrict wr = w + static_cast<size_t>(p) * n + j0;
-      for (int j = 0; j < kLstmColBlock; ++j) acc[j] += hp * wr[j];
-    }
-    for (int j = 0; j < kLstmColBlock; ++j) {
-      act[j0 + j] = acc[j] + (xw_row[j0 + j] + bias[j0 + j]);
-    }
-  }
-  for (; j0 < n; ++j0) {
-    float s = 0;
-    for (int p = 0; p < hidden; ++p) {
-      s += h_in[p] * w[static_cast<size_t>(p) * n + j0];
-    }
-    act[j0] = s + (xw_row[j0] + bias[j0]);
-  }
+  // pre[j] = (xw[j] + bias[j]) + sum_p h[p] * w_h[p, j] (ascending p, from
+  // zero — the MatMul row kernel's per-element FMA chain), all 4h columns in
+  // one pass of 8 vector accumulators at 512-bit lanes.
+  for (int j = 0; j < n; ++j) act[j] = xw_row[j] + bias[j];
+  simd::MulAddRow<true>(h_in, w_h.data(), n, hidden, n, act);
   // Activations in contiguous per-gate runs, so the loops vectorize.
   for (int j = 0; j < 2 * hidden; ++j) act[j] = FastSigmoid(act[j]);
   for (int j = 2 * hidden; j < 3 * hidden; ++j) act[j] = FastTanh(act[j]);
@@ -483,8 +463,8 @@ void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
   const int hidden = w_h.rows();
   const size_t h = static_cast<size_t>(hidden);
   const int n = 4 * hidden;
-  // dh_prev = dpre @ w_h^T runs over rows of the transpose, so the inner
-  // loop is a contiguous axpy over the hidden units.
+  // dh_prev = dpre @ w_h^T runs over rows of the transpose, so a block of
+  // hidden units is contiguous in each row.
   const Matrix w_t = Transpose(w_h);  // [4h, h]
   const int batch = static_cast<int>(offsets.size()) - 1;
   ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
@@ -516,12 +496,9 @@ void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
           dc[j] = dcj * f_g;
         }
         if (i == begin) break;  // the zero initial state takes no gradient
-        std::fill(dh_prev, dh_prev + h, 0.0f);
-        for (int j = 0; j < n; ++j) {
-          const float d = dp[j];
-          const float* __restrict wt = w_t.data() + static_cast<size_t>(j) * h;
-          for (int p = 0; p < hidden; ++p) dh_prev[p] += d * wt[p];
-        }
+        // Register accumulators per vector block of hidden units, over
+        // ascending j from zero.
+        simd::MulAddRow<false>(dp, w_t.data(), h, n, hidden, dh_prev);
         std::swap(dh, dh_prev);
       }
     }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "core/thread_pool.h"
 #include "nn/matrix.h"
 #include "nn/quant.h"
+#include "nn/simd.h"
 
 namespace tpuperf::nn {
 namespace {
@@ -378,6 +380,84 @@ TEST_F(GemmBackendTest, BuiltinDispatchIsBitIdenticalToDirectCall) {
   Matrix want(33, 29);
   BuiltinGemmBackend().MatMul(want, a, b);
   ExpectBitEqual(MatMul(a, b), want, "builtin MatMul");
+}
+
+// ---- Exactness against a scalar reference -----------------------------------
+
+// The builtin kernels' per-element arithmetic: a multiply-add, fused
+// exactly when the target has FMA.
+float MulAdd(float a, float b, float acc) {
+#ifdef __FMA__
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+// In the vector column blocks (the first n - n % simd::kLanes columns),
+// every output element is one MulAdd chain over ascending p. A plain
+// product starts it from zero, and an accumulating one adds the chain onto
+// dst, except in MatMulTransposeAAccum's trailing m % 4 rows (below its
+// 4-row tile), whose chain starts from dst. The leftover scalar columns may
+// be compiled as separate products and in-order adds, so they are held to
+// the dot product's rounding bound instead. The shapes straddle every column
+// block width (1, 2 and 4 vectors at 16-, 32- and 64-byte lanes) and the
+// partial row block.
+TEST_F(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
+  std::uint64_t seed = 100;
+  for (const int m : {1, 3, 4, 5, 13}) {
+    for (const int n : {1, 15, 16, 17, 31, 32, 33, 48, 128}) {
+      for (const int k : {1, 7, 69}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        const Matrix a = PseudoRandom(m, k, ++seed);
+        const Matrix a_t = PseudoRandom(k, m, ++seed);
+        const Matrix b = PseudoRandom(k, n, ++seed);
+        const Matrix b_t = PseudoRandom(n, k, ++seed);
+        const Matrix dst = PseudoRandom(m, n, ++seed);
+        const Matrix mm = MatMul(a, b);
+        const Matrix ta = MatMulTransposeA(a_t, b);
+        Matrix ta_acc = dst, tb_acc = dst;
+        MatMulTransposeAAccum(ta_acc, a_t, b);
+        MatMulTransposeBAccum(tb_acc, a, b_t);
+        const int vector_cols = n - n % simd::kLanes;
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            float ab = 0, atb = 0, atb_seeded = dst.at(i, j), abt = 0;
+            double mag = std::abs(dst.at(i, j));
+            for (int p = 0; p < k; ++p) {
+              ab = MulAdd(a.at(i, p), b.at(p, j), ab);
+              atb = MulAdd(a_t.at(p, i), b.at(p, j), atb);
+              atb_seeded = MulAdd(a_t.at(p, i), b.at(p, j), atb_seeded);
+              abt = MulAdd(a.at(i, p), b_t.at(j, p), abt);
+              mag += std::abs(a.at(i, p) * b.at(p, j)) +
+                     std::abs(a_t.at(p, i) * b.at(p, j)) +
+                     std::abs(a.at(i, p) * b_t.at(j, p));
+            }
+            const float want_ta_acc =
+                i < m / 4 * 4 ? dst.at(i, j) + atb : atb_seeded;
+            const float want_tb_acc = dst.at(i, j) + abt;
+            if (j < vector_cols) {
+              ASSERT_EQ(mm.at(i, j), ab) << "MatMul at " << i << "," << j;
+              ASSERT_EQ(ta.at(i, j), atb) << "TransposeA at " << i << "," << j;
+              ASSERT_EQ(ta_acc.at(i, j), want_ta_acc)
+                  << "TransposeAAccum at " << i << "," << j;
+              ASSERT_EQ(tb_acc.at(i, j), want_tb_acc)
+                  << "TransposeBAccum at " << i << "," << j;
+              continue;
+            }
+            const double bound = 2.0 * (k + 1) * FLT_EPSILON * mag;
+            EXPECT_NEAR(mm.at(i, j), ab, bound) << "MatMul at " << i;
+            EXPECT_NEAR(ta.at(i, j), atb, bound) << "TransposeA at " << i;
+            EXPECT_NEAR(ta_acc.at(i, j), want_ta_acc, bound)
+                << "TransposeAAccum at " << i;
+            EXPECT_NEAR(tb_acc.at(i, j), want_tb_acc, bound)
+                << "TransposeBAccum at " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- Routed fallbacks -------------------------------------------------------

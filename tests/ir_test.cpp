@@ -2,6 +2,8 @@
 // invariants, fingerprints, and the builder's shape inference.
 #include <gtest/gtest.h>
 
+#include "dataset/families.h"
+#include "dataset/fusion.h"
 #include "ir/analysis.h"
 #include "ir/builder.h"
 #include "ir/graph.h"
@@ -172,6 +174,54 @@ TEST(Graph, FingerprintSensitiveToEdgesAndOutputs) {
   b2.Binary(OpCode::kAdd, q2, p2);  // reversed operand order
   EXPECT_NE(std::move(b1).Build().Fingerprint(),
             std::move(b2).Build().Fingerprint());
+}
+
+// Byte-serial FNV-1a over the fields Graph::Fingerprint walks, 8 bytes per
+// field: the definition stored fingerprints were written with.
+std::uint64_t ByteSerialFingerprint(const Graph& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Node& n : g.nodes()) {
+    mix(static_cast<std::uint64_t>(n.op));
+    mix(static_cast<std::uint64_t>(n.shape.element_type()));
+    for (const auto d : n.shape.dims()) mix(static_cast<std::uint64_t>(d));
+    for (const int l : n.shape.minor_to_major()) {
+      mix(static_cast<std::uint64_t>(l) + 17);
+    }
+    for (const NodeId operand : n.operands) {
+      mix(static_cast<std::uint64_t>(operand) + 1000003);
+    }
+    for (const auto& w : n.window.dims) {
+      mix(static_cast<std::uint64_t>(w.size));
+      mix(static_cast<std::uint64_t>(w.stride) + 3);
+      mix(static_cast<std::uint64_t>(w.padding_low) + 7);
+    }
+    for (const int d : n.reduce_dims) mix(static_cast<std::uint64_t>(d) + 31);
+    mix(n.is_output ? 2 : 1);
+  }
+  return h;
+}
+
+TEST(Graph, FingerprintMatchesByteSerialFnvOverCorpus) {
+  int graphs = 0;
+  for (const Program& program : data::GenerateCorpus()) {
+    ASSERT_EQ(program.graph.Fingerprint(),
+              ByteSerialFingerprint(program.graph))
+        << program.name;
+    const data::EdgeList edges = data::EdgeList::FromGraph(program.graph);
+    for (const Kernel& kernel : data::ApplyFusion(
+             program.graph, edges, data::DefaultFusion(program.graph, edges))) {
+      ASSERT_EQ(kernel.graph.Fingerprint(), ByteSerialFingerprint(kernel.graph))
+          << program.name;
+      ++graphs;
+    }
+  }
+  EXPECT_GT(graphs, 500);
 }
 
 TEST(Graph, ToStringContainsNodes) {

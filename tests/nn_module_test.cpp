@@ -3,14 +3,17 @@
 // graph-structure construction.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "nn/fastmath.h"
 #include "nn/gnn.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
+#include "nn/op_kernels.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
@@ -325,6 +328,98 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
       for (int j = 0; j < cols; ++j) {
         ASSERT_EQ(y.value().at(i, j), want_y.at(i, j)) << i << "," << j;
         ASSERT_EQ(x.grad().at(i, j), want_dx.at(i, j)) << i << "," << j;
+      }
+    }
+  }
+}
+
+// The recurrent products' per-element arithmetic: a multiply-add, fused
+// exactly when the target has FMA.
+float MulAdd(float a, float b, float acc) {
+#ifdef __FMA__
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+// LstmSequenceForward's traced gates and h, and LstmSequenceBackward's dpre,
+// against a scalar reference: each recurrent product element is one MulAdd
+// chain from zero (over ascending p forward, ascending gate column j for
+// dh_prev), and the gate arithmetic uses the kernels' own expressions.
+TEST(LstmSequence, MatchesScalarReferenceBitForBit) {
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<float> dist(-1, 1);
+  const std::vector<int> offsets = {0, 3, 4, 9, 11};  // lengths 3, 1, 5, 2
+  const int rows = offsets.back();
+  const int batch = static_cast<int>(offsets.size()) - 1;
+  for (const int hidden : {4, 20, 32}) {
+    SCOPED_TRACE("hidden=" + std::to_string(hidden));
+    const int n = 4 * hidden;
+    Matrix xw(rows, n), w_h(hidden, n), bias(1, n), dh_final(batch, hidden);
+    for (Matrix* m : {&xw, &w_h, &bias, &dh_final}) {
+      for (float& v : m->flat()) v = dist(rng);
+    }
+    Matrix h_final(batch, hidden), gates(rows, n), h_prev(rows, hidden),
+        c_prev(rows, hidden), tanh_c(rows, hidden), dpre(rows, n);
+    const LstmTrace trace{&h_prev, &c_prev, &gates, &tanh_c};
+    LstmSequenceForward(h_final, xw, w_h, bias, offsets, &trace);
+    LstmSequenceBackward(dpre, dh_final, w_h, offsets, trace,
+                         /*parallel=*/false);
+
+    for (int b = 0; b < batch; ++b) {
+      const int begin = offsets[b], end = offsets[b + 1];
+      Matrix act(rows, n), tc(rows, hidden), cp(rows, hidden);
+      std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
+      for (int i = begin; i < end; ++i) {
+        float* a = act.data() + static_cast<size_t>(i) * n;
+        for (int j = 0; j < n; ++j) {
+          float pre = 0.0f;
+          for (int p = 0; p < hidden; ++p) pre = MulAdd(h[p], w_h.at(p, j), pre);
+          a[j] = (xw.at(i, j) + bias.at(0, j)) + pre;
+        }
+        for (int j = 0; j < 2 * hidden; ++j) a[j] = FastSigmoid(a[j]);
+        for (int j = 2 * hidden; j < 3 * hidden; ++j) a[j] = FastTanh(a[j]);
+        for (int j = 3 * hidden; j < n; ++j) a[j] = FastSigmoid(a[j]);
+        for (int j = 0; j < hidden; ++j) {
+          cp.at(i, j) = c[j];
+          c[j] = a[hidden + j] * c[j] + a[j] * a[2 * hidden + j];
+        }
+        for (int j = 0; j < hidden; ++j) {
+          tc.at(i, j) = FastTanh(c[j]);
+          h[j] = a[3 * hidden + j] * tc.at(i, j);
+        }
+        for (int j = 0; j < n; ++j) {
+          ASSERT_EQ(gates.at(i, j), a[j]) << "gates at " << i << "," << j;
+        }
+      }
+      for (int j = 0; j < hidden; ++j) {
+        ASSERT_EQ(h_final.at(b, j), h[j]) << "h at " << b << "," << j;
+      }
+
+      std::vector<float> dh(dh_final.row(b).begin(), dh_final.row(b).end());
+      std::vector<float> dc(hidden, 0.0f), dp(n);
+      for (int i = end - 1; i >= begin; --i) {
+        const float* g = act.data() + static_cast<size_t>(i) * n;
+        for (int j = 0; j < hidden; ++j) {
+          const float i_g = g[j], f_g = g[hidden + j];
+          const float g_g = g[2 * hidden + j], o_g = g[3 * hidden + j];
+          const float t = tc.at(i, j);
+          const float dcj = dh[j] * o_g * (1.0f - t * t) + dc[j];
+          dp[j] = dcj * g_g * i_g * (1.0f - i_g);
+          dp[hidden + j] = dcj * cp.at(i, j) * f_g * (1.0f - f_g);
+          dp[2 * hidden + j] = dcj * i_g * (1.0f - g_g * g_g);
+          dp[3 * hidden + j] = dh[j] * t * o_g * (1.0f - o_g);
+          dc[j] = dcj * f_g;
+        }
+        for (int j = 0; j < n; ++j) {
+          ASSERT_EQ(dpre.at(i, j), dp[j]) << "dpre at " << i << "," << j;
+        }
+        for (int p = 0; p < hidden; ++p) {
+          float acc = 0.0f;
+          for (int j = 0; j < n; ++j) acc = MulAdd(dp[j], w_h.at(p, j), acc);
+          dh[p] = acc;
+        }
       }
     }
   }
