@@ -26,7 +26,7 @@
 namespace tpuperf::nn {
 namespace {
 
-// ---- Shared dispatch heuristics (unchanged from the pre-backend code) ------
+// ---- Parallel dispatch ------------------------------------------------------
 
 // Parallel dispatch threshold, in multiply-adds. Below this the GEMM
 // finishes faster than the fork/join overhead costs.
@@ -34,9 +34,7 @@ constexpr std::int64_t kParallelFlops = 1 << 18;
 
 // Row grain for parallel GEMMs: large enough that a chunk amortizes task
 // dispatch, aligned to the 4-row register tile so every chunk boundary
-// falls between full row blocks (the per-row code path — tiled kernel vs
-// remainder loop — is then identical to the serial kernel's for every row,
-// keeping parallel outputs bit-identical to serial ones).
+// falls between full row blocks.
 std::int64_t RowGrain(int m, std::int64_t flops_per_row) {
   std::int64_t rows = kParallelFlops / std::max<std::int64_t>(1, flops_per_row);
   rows = std::max<std::int64_t>(4, (rows + 3) / 4 * 4);
@@ -48,45 +46,34 @@ bool ShouldParallelize(std::int64_t m, std::int64_t k, std::int64_t n) {
          core::ThreadPool::Global().size() > 1;
 }
 
-// Shared mostly-zero dispatch heuristic: operands at >=70% exact zeros
-// (masked attention weights, adjacency-like matrices) are cheaper through
-// the zero-skip kernels than the dense tiled ones. The scan is O(size),
-// ~1/n of the GEMM cost; tiny operands skip it.
-bool MostlyZero(const Matrix& a) {
-  if (a.size() < 256) return false;
-  std::size_t zeros = 0;
-  for (const float v : a.flat()) zeros += v == 0.0f;
-  return zeros * 10 >= a.size() * 7;
-}
+// ---- Built-in kernels --------------------------------------------------------
 
-// ---- Built-in kernels (verbatim from the pre-backend nn/matrix.cpp) --------
-
-void MatMulSparseARowRange(const Matrix& a, const Matrix& b, Matrix& out,
-                           int i0, int i1);
-
-// Rows [i0, i1) of out = a @ b.
+// Rows [i0, i1) of out = A @ b, where row i of A is the k floats
+// a[i * row_stride + p * step]: a itself (row_stride k, step 1) or a^T
+// (row_stride 1, step m, the backward's weight gradients).
 //
-// Register-tiled main kernel: 4 rows x 2 native-width vectors (then one
-// vector, then scalar columns; see nn/simd.h) accumulated over the full k
-// extent in registers — each b row is loaded once per 4 output rows and
-// every output element is written exactly once. Batched inference lives on
-// this path. EVERY row runs through this one loop body, including the
-// trailing partial block when (i1-i0) % 4 != 0: its missing lanes alias the
-// last real row (identical arithmetic, stores masked off), instead of
-// falling back to a separately compiled remainder kernel. That matters for
-// bit-exactness, not just tidiness — the optimizer contracts the tiled body
-// and a scalar remainder loop into different FMA sequences, so the same row
-// used to get different low bits depending on whether its position put it in
-// a full block. With one body, a row's value depends only on its own
-// contents and b, never on its position or on the total row count; packed
-// batches match per-kernel runs exactly (the serve::PredictionService parity
+// Register-tiled: 4 rows x 2 native-width vectors (then one vector; see
+// nn/simd.h) accumulated over the full k extent in registers — each b row
+// is loaded once per 4 output rows and every output element is written
+// exactly once. The n % lanes leftover columns run as one more vector tile
+// over a zero-padded panel of b with a masked store, so every element is
+// the same MulAdd chain over ascending p, whatever the operands' values
+// (there is no density dispatch). EVERY row runs through this one loop
+// body, including the trailing partial block when (i1-i0) % 4 != 0: its
+// missing lanes alias the last real row (identical arithmetic, stores
+// masked off). A row's value therefore depends only on its own contents
+// and b, never on its position or on the total row count; packed batches
+// match per-kernel runs exactly (the serve::PredictionService parity
 // contract), and parallel row chunks match the serial kernel at any
-// boundary. With Accum the register partial sums are added onto `out` (fused
-// backward).
+// boundary. With Accum the register sums are added onto `out` (fused
+// backward accumulation).
 template <bool Accum>
-void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix& out, int i0,
-                    int i1) {
-  const int k = a.cols(), n = b.cols();
+void TiledRowRange(const float* a, std::size_t row_stride, std::size_t step,
+                   int k, const Matrix& b, Matrix& out, int i0, int i1) {
+  const int n = b.cols();
+  const int j_left = n - n % simd::kLanes;
+  const float* panel =
+      j_left < n ? simd::LeftoverPanel(b.data(), n, k, j_left, n) : nullptr;
   constexpr int kRowBlock = 4;
   for (int i = i0; i < i1; i += kRowBlock) {
     const int valid = std::min(kRowBlock, i1 - i);
@@ -96,191 +83,55 @@ void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix& out, int i0,
     float* o_rows[kRowBlock];
     for (int r = 0; r < kRowBlock; ++r) {
       const size_t row = i + std::min(r, valid - 1);
-      a_rows[r] = a.data() + row * k;
+      a_rows[r] = a + row * row_stride;
       o_rows[r] = out.data() + row * n;
     }
-    int j = simd::MulAddVectorCols<kRowBlock, 2, Accum>(
-        a_rows, 1, b.data(), n, k, n, o_rows, valid);
-    for (; j < n; ++j) {
-      simd::MulAddTile<float, kRowBlock, 1, Accum>(a_rows, 1, b.data(), n, k,
-                                                   j, o_rows, valid);
+    simd::MulAddVectorCols<kRowBlock, 2, Accum>(a_rows, step, b.data(), n, k,
+                                                n, o_rows, valid);
+    if (panel != nullptr) {
+      float* o_left[kRowBlock];
+      for (int r = 0; r < kRowBlock; ++r) o_left[r] = o_rows[r] + j_left;
+      simd::MulAddTile<kRowBlock, 1, Accum>(a_rows, step, panel, simd::kLanes,
+                                            k, 0, o_left, valid, n - j_left);
     }
   }
 }
 
-// Rows [i0, i1) of the zero-skip kernel.
-void MatMulSparseARowRange(const Matrix& a, const Matrix& b, Matrix& out,
-                           int i0, int i1) {
-  const int k = a.cols(), n = b.cols();
-  for (int i = i0; i < i1; ++i) {
-    float* __restrict out_row = out.data() + static_cast<size_t>(i) * n;
-    const float* __restrict a_row = a.data() + static_cast<size_t>(i) * k;
-    for (int p = 0; p < k; ++p) {
-      const float av = a_row[p];
-      if (av == 0.0f) continue;
-      const float* __restrict b_row = b.data() + static_cast<size_t>(p) * n;
-      for (int j = 0; j < n; ++j) out_row[j] += av * b_row[j];
-    }
-  }
-}
-
-// Fills pre-zeroed `out` with a @ b through the zero-skip kernel.
-void MatMulSparseADispatch(Matrix& out, const Matrix& a, const Matrix& b) {
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  // Rows are independent, so row partitioning is bit-exact at any thread
-  // count. The flops heuristic over-estimates sparse work; it still only
-  // fires on operands big enough that even ~10% density pays for dispatch.
+// Row-partitions `range(lo, hi)` across the pool when the product is large.
+// Chunk boundaries are aligned to the 4-row register tile and every row's
+// arithmetic is independent of its chunk, so the result is bit-identical
+// at any thread count.
+template <typename Range>
+void ForRows(int m, std::int64_t k, std::int64_t n, const Range& range) {
   if (ShouldParallelize(m, k, n)) {
     core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
                       [&](std::int64_t lo, std::int64_t hi) {
-                        MatMulSparseARowRange(a, b, out, static_cast<int>(lo),
-                                              static_cast<int>(hi));
+                        range(static_cast<int>(lo), static_cast<int>(hi));
                       });
   } else {
-    MatMulSparseARowRange(a, b, out, 0, m);
+    range(0, m);
   }
 }
 
-// Fills pre-zeroed `out` with a @ b, `sparse_a` being the caller's
-// (already computed) MostlyZero verdict — the routed backends share their
-// scan with this dispatch instead of paying it twice.
-void MatMulDispatchKnown(Matrix& out, const Matrix& a, const Matrix& b,
-                         bool sparse_a) {
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-
-  // Mostly-zero left operands (e.g. masked attention weights) take the
-  // zero-skip row kernel. Dispatch is per-matrix and row values are
-  // independent of it (skipping exact-zero terms), so packed batches still
-  // match per-kernel runs.
-  if (sparse_a) {
-    MatMulSparseADispatch(out, a, b);
-    return;
-  }
-
-  // Large GEMMs are partitioned by output row across the worker pool. Each
-  // row's value is computed by exactly one worker with the identical
-  // per-row instruction sequence as the serial kernel (chunk boundaries are
-  // aligned to the 4-row register tile), so the result is bit-identical at
-  // any thread count.
-  if (ShouldParallelize(m, k, n)) {
-    core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        MatMulRowRange<false>(a, b, out, static_cast<int>(lo),
-                                              static_cast<int>(hi));
-                      });
-  } else {
-    MatMulRowRange<false>(a, b, out, 0, m);
-  }
-}
-
-// Fills pre-zeroed `out` with a @ b (the shared body of MatMul/MatMulInto).
+// out = (or += with Accum) a @ b.
+template <bool Accum>
 void MatMulDispatch(Matrix& out, const Matrix& a, const Matrix& b) {
-  MatMulDispatchKnown(out, a, b, MostlyZero(a));
+  ForRows(a.rows(), a.cols(), b.cols(), [&](int lo, int hi) {
+    TiledRowRange<Accum>(a.data(), a.cols(), 1, a.cols(), b, out, lo, hi);
+  });
 }
 
-// Rows [i0, i1) of out = a^T @ b through the register-tiled kernel: 4
-// output rows (= columns of a) x 2 native-width vectors accumulated over the
-// full k extent in registers, ascending p per element — the backward-pass
-// analogue of MatMulRowRange. With Accum the register partial sums are added
-// onto `out` instead of stored (out op= acc), fusing the backward's
-// grad-accumulation into the GEMM.
-template <bool Accum>
-void MatMulTransposeADenseRange(const Matrix& a, const Matrix& b, Matrix& out,
-                                int i0, int i1) {
-  const int k = a.rows(), m = a.cols(), n = b.cols();
-  constexpr int kRowBlock = 4;
-  int i = i0;
-  for (; i + kRowBlock <= i1; i += kRowBlock) {
-    const float* a_cols[kRowBlock];
-    float* o_rows[kRowBlock];
-    for (int r = 0; r < kRowBlock; ++r) {
-      a_cols[r] = a.data() + i + r;
-      o_rows[r] = out.data() + static_cast<size_t>(i + r) * n;
-    }
-    int j = simd::MulAddVectorCols<kRowBlock, 2, Accum>(
-        a_cols, m, b.data(), n, k, n, o_rows, kRowBlock);
-    for (; j < n; ++j) {
-      simd::MulAddTile<float, kRowBlock, 1, Accum>(a_cols, m, b.data(), n, k,
-                                                   j, o_rows, kRowBlock);
-    }
-  }
-  for (; i < i1; ++i) {
-    float* __restrict out_row = out.data() + static_cast<size_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const float av = a.data()[static_cast<size_t>(p) * m + i];
-      const float* __restrict b_row = b.data() + static_cast<size_t>(p) * n;
-      for (int j = 0; j < n; ++j) out_row[j] += av * b_row[j];
-    }
-  }
-}
-
-// Columns [j0, j1) of out = a^T @ b with the zero-skip p-outer kernel —
-// kept for sparse left operands (masked or adjacency-like matrices).
-// Column partitioning preserves the serial
-// per-element accumulation order exactly.
-void MatMulTransposeASparseCols(const Matrix& a, const Matrix& b, Matrix& out,
-                                int j0, int j1) {
-  const int k = a.rows(), m = a.cols(), n = b.cols();
-  for (int p = 0; p < k; ++p) {
-    const float* __restrict a_row = a.data() + static_cast<size_t>(p) * m;
-    const float* __restrict b_row = b.data() + static_cast<size_t>(p) * n;
-    for (int i = 0; i < m; ++i) {
-      const float av = a_row[i];
-      if (av == 0.0f) continue;
-      float* __restrict out_row = out.data() + static_cast<size_t>(i) * n;
-      for (int j = j0; j < j1; ++j) out_row[j] += av * b_row[j];
-    }
-  }
-}
-
-// Shared body of MatMulTransposeA / MatMulTransposeAAccum, taking the
-// caller's precomputed MostlyZero verdict. For the non-accumulating call
-// `out` must arrive zero-filled (the sparse kernel and the dense remainder
-// rows accumulate in place).
-template <bool Accum>
-void MatMulTransposeADispatchKnown(const Matrix& a, const Matrix& b,
-                                   Matrix& out, bool sparse_a) {
-  const int k = a.rows(), m = a.cols(), n = b.cols();
-
-  // Same density dispatch as MatMul: mostly-zero left operands keep the
-  // zero-skip kernel; dense operands (activation/grad GEMMs of the backward
-  // pass) get the register-tiled kernel.
-  if (sparse_a) {
-    // The zero-skip kernel is accumulate-natural (+=): it serves both modes.
-    if (ShouldParallelize(m, k, n)) {
-      core::ParallelFor(0, n, RowGrain(n, 2ll * k * m),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          MatMulTransposeASparseCols(
-                              a, b, out, static_cast<int>(lo),
-                              static_cast<int>(hi));
-                        });
-    } else {
-      MatMulTransposeASparseCols(a, b, out, 0, n);
-    }
-    return;
-  }
-  if (ShouldParallelize(m, k, n)) {
-    core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        MatMulTransposeADenseRange<Accum>(
-                            a, b, out, static_cast<int>(lo),
-                            static_cast<int>(hi));
-                      });
-  } else {
-    MatMulTransposeADenseRange<Accum>(a, b, out, 0, m);
-  }
-}
-
+// out = (or += with Accum) a^T @ b.
 template <bool Accum>
 void MatMulTransposeADispatch(const Matrix& a, const Matrix& b, Matrix& out) {
-  MatMulTransposeADispatchKnown<Accum>(a, b, out, MostlyZero(a));
+  ForRows(a.cols(), a.rows(), b.cols(), [&](int lo, int hi) {
+    TiledRowRange<Accum>(a.data(), 1, a.cols(), a.rows(), b, out, lo, hi);
+  });
 }
 
 // Rows [i0, i1) of out = a @ b^T: 4x4 blocks of independent dot products
 // give the ILP the single-accumulator loop lacked; every element is still
-// one dot over ascending p, bitwise identical to the naive kernel. With
-// Accum the dots are added onto `out` (fused backward accumulation).
-template <bool Accum>
+// one dot over ascending p, bitwise identical to the naive kernel.
 void MatMulTransposeBRowRange(const Matrix& a, const Matrix& b, Matrix& out,
                               int i0, int i1) {
   const int k = a.cols(), n = b.rows();
@@ -311,13 +162,7 @@ void MatMulTransposeBRowRange(const Matrix& a, const Matrix& b, Matrix& out,
         acc[3][2] += av3 * bv2; acc[3][3] += av3 * bv3;
       }
       for (int ii = 0; ii < kBlock; ++ii) {
-        for (int jj = 0; jj < kBlock; ++jj) {
-          if constexpr (Accum) {
-            out.at(i + ii, j + jj) += acc[ii][jj];
-          } else {
-            out.at(i + ii, j + jj) = acc[ii][jj];
-          }
-        }
+        for (int jj = 0; jj < kBlock; ++jj) out.at(i + ii, j + jj) = acc[ii][jj];
       }
     }
     for (; j < n; ++j) {
@@ -330,17 +175,10 @@ void MatMulTransposeBRowRange(const Matrix& a, const Matrix& b, Matrix& out,
         s2 += a2[p] * bv;
         s3 += a3[p] * bv;
       }
-      if constexpr (Accum) {
-        out.at(i, j) += s0;
-        out.at(i + 1, j) += s1;
-        out.at(i + 2, j) += s2;
-        out.at(i + 3, j) += s3;
-      } else {
-        out.at(i, j) = s0;
-        out.at(i + 1, j) = s1;
-        out.at(i + 2, j) = s2;
-        out.at(i + 3, j) = s3;
-      }
+      out.at(i, j) = s0;
+      out.at(i + 1, j) = s1;
+      out.at(i + 2, j) = s2;
+      out.at(i + 3, j) = s3;
     }
   }
   for (; i < i1; ++i) {
@@ -350,69 +188,32 @@ void MatMulTransposeBRowRange(const Matrix& a, const Matrix& b, Matrix& out,
       const float* __restrict b_row = b.data() + static_cast<size_t>(j) * k;
       float acc = 0.0f;
       for (int p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      if constexpr (Accum) {
-        out_row[j] += acc;
-      } else {
-        out_row[j] = acc;
-      }
+      out_row[j] = acc;
     }
   }
 }
 
-template <bool Accum>
 void MatMulTransposeBDispatch(const Matrix& a, const Matrix& b, Matrix& out) {
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  if (ShouldParallelize(m, k, n)) {
-    core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        MatMulTransposeBRowRange<Accum>(
-                            a, b, out, static_cast<int>(lo),
-                            static_cast<int>(hi));
-                      });
-  } else {
-    MatMulTransposeBRowRange<Accum>(a, b, out, 0, m);
-  }
+  ForRows(a.rows(), a.cols(), b.rows(), [&](int lo, int hi) {
+    MatMulTransposeBRowRange(a, b, out, lo, hi);
+  });
 }
 
-// dst += a @ b^T, taking the caller's precomputed MostlyZero verdict for
-// `a`. The transpose-the-small-operand trick: transposing b once lets the
-// vectorized j-inner row kernel carry the GEMM instead of the scalar 4x4
+// dst += a @ b^T. The transpose-the-small-operand trick: transposing b once
+// lets the vectorized row kernel carry the GEMM instead of the scalar 4x4
 // dot kernel — the backward's hottest product runs at forward-kernel
-// throughput. Each element still accumulates over ascending p, so values
-// match the dot kernel up to FP contraction (~1 ulp). The transpose lives
-// in a thread-local scratch (the same weight shapes recur step after
-// step), so steady-state training allocates nothing here.
-void TransposeBAccumKnown(Matrix& dst, const Matrix& a, const Matrix& b,
-                          bool sparse_a) {
+// throughput. Each element is the tiled kernel's MulAdd chain over
+// ascending p, added onto dst. The transpose lives in a thread-local
+// scratch (the same weight shapes recur step after step), so steady-state
+// training allocates nothing here.
+void MatMulTransposeBAccumDispatch(Matrix& dst, const Matrix& a,
+                                   const Matrix& b) {
   static thread_local Matrix bt_scratch;
   Matrix bt(b.cols(), b.rows(), bt_scratch.TakeStorage(), Matrix::Uninit{});
   for (int i = 0; i < b.rows(); ++i) {
     for (int j = 0; j < b.cols(); ++j) bt.at(j, i) = b.at(i, j);
   }
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  // Same density dispatch as MatMul: mostly-zero gradients (post-ReLU)
-  // keep the zero-skip row kernel, which accumulates natively.
-  if (sparse_a) {
-    if (ShouldParallelize(m, k, n)) {
-      core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          MatMulSparseARowRange(a, bt, dst,
-                                                static_cast<int>(lo),
-                                                static_cast<int>(hi));
-                        });
-    } else {
-      MatMulSparseARowRange(a, bt, dst, 0, m);
-    }
-  } else if (ShouldParallelize(m, k, n)) {
-    core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        MatMulRowRange<true>(a, bt, dst,
-                                             static_cast<int>(lo),
-                                             static_cast<int>(hi));
-                      });
-  } else {
-    MatMulRowRange<true>(a, bt, dst, 0, m);
-  }
+  MatMulDispatch<true>(dst, a, bt);
   bt_scratch = std::move(bt);  // hand the buffer back for the next call
 }
 
@@ -423,7 +224,7 @@ class BuiltinBackend final : public GemmBackend {
   std::string_view name() const noexcept override { return "builtin"; }
 
   void MatMul(Matrix& out, const Matrix& a, const Matrix& b) override {
-    MatMulDispatch(out, a, b);
+    MatMulDispatch<false>(out, a, b);
   }
   void MatMulTransposeA(Matrix& out, const Matrix& a,
                         const Matrix& b) override {
@@ -431,7 +232,7 @@ class BuiltinBackend final : public GemmBackend {
   }
   void MatMulTransposeB(Matrix& out, const Matrix& a,
                         const Matrix& b) override {
-    MatMulTransposeBDispatch<false>(a, b, out);
+    MatMulTransposeBDispatch(a, b, out);
   }
   void MatMulTransposeAAccum(Matrix& dst, const Matrix& a,
                              const Matrix& b) override {
@@ -439,7 +240,7 @@ class BuiltinBackend final : public GemmBackend {
   }
   void MatMulTransposeBAccum(Matrix& dst, const Matrix& a,
                              const Matrix& b) override {
-    TransposeBAccumKnown(dst, a, b, MostlyZero(a));
+    MatMulTransposeBAccumDispatch(dst, a, b);
   }
 };
 
@@ -449,25 +250,30 @@ class BuiltinBackend final : public GemmBackend {
 
 namespace {
 
-bool WorthExternalCall(std::int64_t m, std::int64_t k, std::int64_t n) {
-  return m * k * n >= RoutedGemmBackend::kExternalDispatchFlops;
+// The routing policy's density check: left operands at >=70% exact zeros
+// (masked attention weights, post-ReLU gradients) stay on the built-in
+// kernels. The scan is O(size), ~1/n of the GEMM cost; tiny operands skip
+// it.
+bool MostlyZero(const Matrix& a) {
+  if (a.size() < 256) return false;
+  std::size_t zeros = 0;
+  for (const float v : a.flat()) zeros += v == 0.0f;
+  return zeros * 10 >= a.size() * 7;
+}
+
+// True when a product with left operand `a` and m*k*n multiply-adds goes to
+// the library: large enough to pay for the call and not mostly zero.
+bool RouteToLibrary(const Matrix& a, std::int64_t m, std::int64_t k,
+                    std::int64_t n) {
+  return m * k * n >= RoutedGemmBackend::kExternalDispatchFlops &&
+         !MostlyZero(a);
 }
 
 }  // namespace
 
-// The fallback paths call the built-in dispatch internals directly with
-// the density verdict the router just computed, so no operand is ever
-// MostlyZero-scanned twice. Products below the external threshold skip
-// the scan here entirely — the builtin dispatch performs its own single
-// scan, exactly as if it had been selected.
-
 void RoutedGemmBackend::MatMul(Matrix& out, const Matrix& a, const Matrix& b) {
-  if (!WorthExternalCall(a.rows(), a.cols(), b.cols())) {
-    MatMulDispatch(out, a, b);
-    return;
-  }
-  if (MostlyZero(a)) {
-    MatMulDispatchKnown(out, a, b, /*sparse_a=*/true);
+  if (!RouteToLibrary(a, a.rows(), a.cols(), b.cols())) {
+    MatMulDispatch<false>(out, a, b);
     return;
   }
   DenseMatMul(out, a, b, /*accumulate=*/false);
@@ -475,12 +281,8 @@ void RoutedGemmBackend::MatMul(Matrix& out, const Matrix& a, const Matrix& b) {
 
 void RoutedGemmBackend::MatMulTransposeA(Matrix& out, const Matrix& a,
                                          const Matrix& b) {
-  if (!WorthExternalCall(a.cols(), a.rows(), b.cols())) {
+  if (!RouteToLibrary(a, a.cols(), a.rows(), b.cols())) {
     MatMulTransposeADispatch<false>(a, b, out);
-    return;
-  }
-  if (MostlyZero(a)) {
-    MatMulTransposeADispatchKnown<false>(a, b, out, /*sparse_a=*/true);
     return;
   }
   DenseTransposeA(out, a, b, /*accumulate=*/false);
@@ -488,10 +290,10 @@ void RoutedGemmBackend::MatMulTransposeA(Matrix& out, const Matrix& a,
 
 void RoutedGemmBackend::MatMulTransposeB(Matrix& out, const Matrix& a,
                                          const Matrix& b) {
-  // No density check: the built-in TransposeB has no zero-skip path, so a
-  // large product always goes to the library regardless of sparsity.
-  if (!WorthExternalCall(a.rows(), a.cols(), b.rows())) {
-    MatMulTransposeBDispatch<false>(a, b, out);
+  // No density check: a large product always goes to the library.
+  if (a.rows() * static_cast<std::int64_t>(a.cols()) * b.rows() <
+      kExternalDispatchFlops) {
+    MatMulTransposeBDispatch(a, b, out);
     return;
   }
   DenseTransposeB(out, a, b, /*accumulate=*/false);
@@ -499,12 +301,8 @@ void RoutedGemmBackend::MatMulTransposeB(Matrix& out, const Matrix& a,
 
 void RoutedGemmBackend::MatMulTransposeAAccum(Matrix& dst, const Matrix& a,
                                               const Matrix& b) {
-  if (!WorthExternalCall(a.cols(), a.rows(), b.cols())) {
+  if (!RouteToLibrary(a, a.cols(), a.rows(), b.cols())) {
     MatMulTransposeADispatch<true>(a, b, dst);
-    return;
-  }
-  if (MostlyZero(a)) {
-    MatMulTransposeADispatchKnown<true>(a, b, dst, /*sparse_a=*/true);
     return;
   }
   DenseTransposeA(dst, a, b, /*accumulate=*/true);
@@ -512,12 +310,8 @@ void RoutedGemmBackend::MatMulTransposeAAccum(Matrix& dst, const Matrix& a,
 
 void RoutedGemmBackend::MatMulTransposeBAccum(Matrix& dst, const Matrix& a,
                                               const Matrix& b) {
-  if (!WorthExternalCall(a.rows(), a.cols(), b.rows())) {
-    TransposeBAccumKnown(dst, a, b, MostlyZero(a));
-    return;
-  }
-  if (MostlyZero(a)) {
-    TransposeBAccumKnown(dst, a, b, /*sparse_a=*/true);
+  if (!RouteToLibrary(a, a.rows(), a.cols(), b.rows())) {
+    MatMulTransposeBAccumDispatch(dst, a, b);
     return;
   }
   DenseTransposeB(dst, a, b, /*accumulate=*/true);
@@ -531,7 +325,7 @@ namespace {
 // Routes large dense products to cblas_sgemm. All operands are row-major;
 // the transpose flags map straight onto CBLAS op arguments, so no copies
 // are made. Accumulation is beta=1 (`out` holds prior gradients); the
-// non-accumulating calls use beta=0 on the pre-zeroed output.
+// non-accumulating calls use beta=0, which overwrites `out`.
 class BlasBackend final : public RoutedGemmBackend {
  public:
   std::string_view name() const noexcept override { return "blas"; }
@@ -924,7 +718,8 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 
 void MatMulInto(Matrix& out, const Matrix& a, const Matrix& b) {
   CheckMatMulShapes(a, b, "MatMulInto");
-  out = Matrix(a.rows(), b.cols(), out.TakeStorage());  // reshape + zero
+  // Reshape only: MatMul overwrites every element.
+  out = Matrix(a.rows(), b.cols(), out.TakeStorage(), Matrix::Uninit{});
   Dispatch(&GemmBackend::MatMul, "MatMulInto", out, a, b, a.cols());
 }
 

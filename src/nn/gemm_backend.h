@@ -11,18 +11,16 @@
 /// libraries.
 ///
 /// Backends:
-///   * `"builtin"` — always registered. The hand-written kernels: zero-skip
-///     sparse path, 4x16 register tiling, deterministic `core::ThreadPool`
-///     row partitioning. Selecting it reproduces the pre-backend results
-///     bit for bit.
+///   * `"builtin"` — always registered. The hand-written kernels: native-width
+///     register tiles for every product whatever its density (nn/simd.h),
+///     deterministic `core::ThreadPool` row partitioning.
 ///   * `"blas"`   — compiled when CMake is configured with
 ///     `-DTPUPERF_WITH_BLAS=ON` and a CBLAS (e.g. OpenBLAS) is found.
 ///   * `"eigen"`  — compiled with `-DTPUPERF_WITH_EIGEN=ON` and Eigen3.
 ///
 /// External backends are *routed* (see RoutedGemmBackend): only dense
-/// products above a flops threshold go to the library; mostly-zero operands
-/// keep the built-in zero-skip kernels and tiny operands skip the library
-/// call overhead.
+/// products above a flops threshold go to the library; mostly-zero and tiny
+/// operands stay on the built-in kernels.
 ///
 /// Selection:
 ///   * `nn::SetGemmBackend("name")` — programmatic, takes effect for every
@@ -81,7 +79,9 @@ struct GemmParityTolerance {
 /// One GEMM implementation covering all five entry points of nn/matrix.h.
 ///
 /// Contract (shapes are pre-validated by the nn::MatMul* wrappers; `out`
-/// arrives already shaped and zero-filled for the non-accumulating calls):
+/// arrives already shaped, and the non-accumulating calls must overwrite
+/// every element of it: MatMulInto hands over a recycled buffer with
+/// unspecified contents):
 ///   * MatMul:          out  = a @ b           a:[m,k] b:[k,n] out:[m,n]
 ///   * MatMulTransposeA: out = a^T @ b         a:[k,m] b:[k,n] out:[m,n]
 ///   * MatMulTransposeB: out = a @ b^T         a:[m,k] b:[n,k] out:[m,n]
@@ -125,13 +125,9 @@ class GemmBackend {
 /// Implements the five entry points with the routing policy described in the
 /// file comment: dense operands whose product exceeds
 /// `kExternalDispatchFlops` multiply-adds go to the subclass's Dense*
-/// hooks; mostly-zero left operands (the same >=70%-zeros heuristic the
-/// built-in dispatch uses) and small products fall back to the built-in
-/// kernels, whose zero-skip / low-overhead paths beat a library call
-/// there. Each operand is density-scanned at most once per call (the
-/// verdict is forwarded into the built-in dispatch). Large
-/// `MatMulTransposeB` products always go to the library (the built-in
-/// kernel has no zero-skip path there).
+/// hooks; mostly-zero left operands and small products run on the
+/// built-in kernels instead, bit-identical to the "builtin" backend. Large
+/// `MatMulTransposeB` products always go to the library.
 class RoutedGemmBackend : public GemmBackend {
  public:
   /// Minimum m*k*n (multiply-adds) before a product is worth a library
@@ -148,9 +144,9 @@ class RoutedGemmBackend : public GemmBackend {
                              const Matrix& b) final;
 
  protected:
-  /// Library hooks. `accumulate=false`: overwrite `out` (it arrives
-  /// zero-filled, so beta=0 and beta=1 are both correct); `accumulate=true`:
-  /// out += product. Shapes as in the GemmBackend contract.
+  /// Library hooks. `accumulate=false`: overwrite `out` (beta=0; its
+  /// contents are unspecified); `accumulate=true`: out += product. Shapes
+  /// as in the GemmBackend contract.
   virtual void DenseMatMul(Matrix& out, const Matrix& a, const Matrix& b,
                            bool accumulate) = 0;
   virtual void DenseTransposeA(Matrix& out, const Matrix& a, const Matrix& b,

@@ -120,26 +120,25 @@ class Matrix {
 /// core::ThreadPool; the partitioning is bit-exact (each row is produced by
 /// the same instruction sequence at any thread count).
 Matrix MatMul(const Matrix& a, const Matrix& b);
-/// out = a^T @ b. Shapes: [k,m] x [k,n] -> [m,n]. Dense operands run the
-/// register-tiled kernel (backward-pass GEMMs); mostly-zero operands keep a
-/// zero-skip kernel. Both row/column-partition across the pool when large.
+/// out = a^T @ b. Shapes: [k,m] x [k,n] -> [m,n]. The register-tiled
+/// kernel of MatMul over a's columns (backward-pass GEMMs), row-partitioned
+/// across the pool when large.
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 /// out = a @ b^T. Shapes: [m,k] x [n,k] -> [m,n]. 4x4 register blocks of
 /// dot products, row-partitioned across the pool when large.
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 
 /// In-place variant of MatMul writing into a caller-provided (typically
-/// arena-recycled) matrix: `out` is reshaped/zeroed first, then filled
-/// exactly like the allocating version — same kernels, same per-element
-/// float sequence.
+/// arena-recycled) matrix: `out` is reshaped (not zeroed: every element is
+/// overwritten), then filled exactly like the allocating version — same
+/// kernels, same per-element float sequence.
 void MatMulInto(Matrix& out, const Matrix& a, const Matrix& b);
 
 /// Fused backward accumulation: dst += a^T @ b without materializing the
-/// product. Each output element's partial sum is formed in registers over
-/// ascending p and added to `dst` once — the same values as
-/// AccumulateInto(dst, MatMulTransposeA(a, b)) up to FP contraction
-/// (~1 ulp) — while skipping the temporary allocation and the extra O(mn)
-/// add pass.
+/// product. On the built-in backend each output element's sum is formed in
+/// registers over ascending p and added to `dst` once — bit-identical to
+/// AccumulateInto(dst, MatMulTransposeA(a, b)) — while skipping the
+/// temporary allocation and the extra O(mn) add pass.
 void MatMulTransposeAAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 /// dst += a @ b^T (see MatMulTransposeAAccum). The built-in backend
 /// additionally transposes the (typically small) right operand once so the

@@ -70,14 +70,14 @@ int MaxSegmentLength(std::span<const int> offsets) {
 
 void RowL2NormalizeForward(Matrix& y, const Matrix& x, float eps,
                            float* inv_norms) {
+  const int cols = x.cols();
   for (int i = 0; i < x.rows(); ++i) {
-    double acc = 0;
-    for (int j = 0; j < x.cols(); ++j) {
-      acc += static_cast<double>(x.at(i, j)) * x.at(i, j);
-    }
-    const float inv = 1.0f / (std::sqrt(static_cast<float>(acc)) + eps);
+    const float* xi = x.data() + static_cast<size_t>(i) * cols;
+    const float sq = simd::Dot(xi, xi, static_cast<size_t>(cols));
+    const float inv = 1.0f / (std::sqrt(sq) + eps);
     if (inv_norms != nullptr) inv_norms[static_cast<size_t>(i)] = inv;
-    for (int j = 0; j < x.cols(); ++j) y.at(i, j) = x.at(i, j) * inv;
+    float* yi = y.data() + static_cast<size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) yi[j] = xi[j] * inv;
   }
 }
 
@@ -205,7 +205,9 @@ bool EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
           const float* __restrict xk =
               x.data() +
               static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
-          for (int j = 0; j < cols; ++j) yi[j] += w * xk[j];
+          for (int j = 0; j < cols; ++j) {
+            yi[j] = simd::MulAdd(w, xk[j], yi[j]);
+          }
         }
       }
     }
@@ -233,7 +235,9 @@ void EdgeAggregateBackward(Matrix& dx, std::span<const EdgeList* const> blocks,
           float* __restrict dxk =
               dx.data() +
               static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
-          for (int j = 0; j < cols; ++j) dxk[j] += w * dyi[j];
+          for (int j = 0; j < cols; ++j) {
+            dxk[j] = simd::MulAdd(w, dyi[j], dxk[j]);
+          }
         }
       }
     }
@@ -354,7 +358,7 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
           std::copy(lrow.begin(), lrow.begin() + len,
                     p_seg + static_cast<std::int64_t>(i) * len);
         }
-        // y_i = sum_j P_ij wh_j — zero-skip, as the masked MatMul would.
+        // y_i = sum_j P_ij wh_j, skipping the masked (zero) weights.
         float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * dim;
         for (int j = 0; j < len; ++j) {
           const float pij = lrow[static_cast<size_t>(j)];

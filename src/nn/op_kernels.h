@@ -27,8 +27,8 @@ namespace tpuperf::nn {
 // A constant sparse aggregation operator (a graph adjacency) as a
 // row-sorted edge list: row i sums weight[e] * x[col[e], :] over
 // e in [row_begin[i], row_begin[i+1]), with col strictly ascending inside a
-// row. Visiting a row's neighbours in ascending order is the FMA sequence of
-// a zero-skip scan over the equivalent dense row.
+// row. Visiting a row's neighbours in ascending order gives each output the
+// MulAdd chain of the equivalent dense row with its zero terms skipped.
 struct EdgeList {
   std::vector<int> row_begin = {0};  // rows() + 1 entries
   std::vector<int> col;
@@ -67,7 +67,8 @@ void SquaredSegmentOffsetsInto(std::span<const int> offsets,
 
 int MaxSegmentLength(std::span<const int> offsets);
 
-// y[i, :] = x[i, :] / (|x[i, :]| + eps). `inv_norms`, when non-null, must
+// y[i, :] = x[i, :] / (|x[i, :]| + eps), the squared norm a float
+// simd::Dot (lane sums in a fixed order). `inv_norms`, when non-null, must
 // hold x.rows() floats and receives each row's reciprocal norm.
 void RowL2NormalizeForward(Matrix& y, const Matrix& x, float eps,
                            float* inv_norms);
@@ -98,13 +99,13 @@ bool SegmentMaxForward(Matrix& y, const Matrix& x,
                        std::span<const int> offsets, int* argmax);
 
 // y[seg b] += blocks[b] @ x[seg b], each row summing its edges in
-// ascending column order. `y` must be pre-shaped [x.rows(), x.cols()] and
-// zero-filled. Validates block row counts; returns the parallel decision.
+// ascending column order, one simd::MulAdd per edge and column. `y` must
+// be pre-shaped [x.rows(), x.cols()] and zero-filled. Validates block row counts; returns the parallel decision.
 bool EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
                           std::span<const int> offsets, const Matrix& x);
 // The transposed scatter: dx[seg b] += blocks[b]^T @ dy[seg b], visiting
-// rows and their edges in ascending order; `parallel` shards segments as
-// the forward did.
+// rows and their edges in ascending order, one simd::MulAdd each;
+// `parallel` shards segments as the forward did.
 void EdgeAggregateBackward(Matrix& dx, std::span<const EdgeList* const> blocks,
                            std::span<const int> offsets, const Matrix& dy,
                            bool parallel);

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
 #include "core/thread_pool.h"
 #include "nn/fastmath.h"
 #include "nn/op_kernels.h"
+#include "nn/simd.h"
 
 namespace tpuperf::nn {
 namespace {
@@ -203,17 +205,41 @@ Tensor LogOp(Tape& tape, Tensor x, float eps) {
       [eps](float v, float) { return 1.0f / (v + eps); });
 }
 
+namespace {
+
+// Element i's keep bit under `key`: a counter-based hash of (key, i), two
+// rounds of the 32-bit murmur3-style finalizer with one key half mixed in
+// before each, compared against the keep threshold. It depends only on the
+// key and the flat index, so the mask loop vectorizes.
+inline bool DropoutKeep(std::uint64_t key, std::uint32_t threshold,
+                        std::uint32_t i) {
+  std::uint32_t h = i * 0x9E3779B9u ^ static_cast<std::uint32_t>(key);
+  h = (h ^ h >> 16) * 0x85EBCA6Bu;
+  h = (h ^ h >> 13) * 0xC2B2AE35u;
+  h ^= h >> 16 ^ static_cast<std::uint32_t>(key >> 32);
+  h = (h ^ h >> 16) * 0x7FEB352Du;
+  h = (h ^ h >> 15) * 0x846CA68Bu;
+  return (h ^ h >> 16) < threshold;
+}
+
+}  // namespace
+
 Tensor DropoutOp(Tape& tape, Tensor x, float rate, std::mt19937_64& rng) {
   if (rate <= 0.0f) return x;
   if (rate >= 1.0f) throw std::invalid_argument("DropoutOp: rate must be < 1");
   const Matrix& xv = x.value();
-  Matrix mask = tape.NewMatrixUninit(xv.rows(), xv.cols());
-  std::bernoulli_distribution keep(1.0 - rate);
+  // One draw per call; P(keep) = threshold / 2^32 = 1 - rate.
+  const std::uint64_t key = rng();
+  const auto threshold = static_cast<std::uint32_t>(
+      std::min(std::ldexp(1.0 - rate, 32), 4294967295.0));
   const float scale = 1.0f / (1.0f - rate);
-  for (float& m : mask.flat()) m = keep(rng) ? scale : 0.0f;
+  Matrix mask = tape.NewMatrixUninit(xv.rows(), xv.cols());
   Matrix y = tape.NewMatrixUninit(xv.rows(), xv.cols());
-  for (size_t i = 0; i < xv.size(); ++i) {
-    y.data()[i] = xv.data()[i] * mask.data()[i];
+  const std::uint32_t size = static_cast<std::uint32_t>(xv.size());
+  for (std::uint32_t i = 0; i < size; ++i) {
+    const float m = DropoutKeep(key, threshold, i) ? scale : 0.0f;
+    mask.data()[i] = m;
+    y.data()[i] = xv.data()[i] * m;
   }
   TapeNode* xn = x.node();
   // Stash the mask on the tape (arena-recycled) instead of in the closure.
@@ -232,16 +258,14 @@ void RowL2NormalizeBackward(const Matrix& yv,
                             const std::vector<float>& inv_norms, TapeNode* xn,
                             TapeNode& self) {
   // d/dx (x/|x|) = (G - y (y . G)) / |x|.
+  const int cols = self.grad.cols();
   for (int i = 0; i < self.grad.rows(); ++i) {
-    double dot = 0;
-    for (int j = 0; j < self.grad.cols(); ++j) {
-      dot += static_cast<double>(self.grad.at(i, j)) * yv.at(i, j);
-    }
+    const float* g = self.grad.data() + static_cast<size_t>(i) * cols;
+    const float* y = yv.data() + static_cast<size_t>(i) * cols;
+    const float dot = simd::Dot(g, y, static_cast<size_t>(cols));
     const float inv = inv_norms[static_cast<size_t>(i)];
-    for (int j = 0; j < self.grad.cols(); ++j) {
-      xn->grad.at(i, j) +=
-          (self.grad.at(i, j) - static_cast<float>(dot) * yv.at(i, j)) * inv;
-    }
+    float* dx = xn->grad.data() + static_cast<size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) dx[j] += (g[j] - dot * y[j]) * inv;
   }
 }
 

@@ -3,12 +3,15 @@
 // graph-structure construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "core/thread_pool.h"
 #include "nn/fastmath.h"
 #include "nn/gnn.h"
 #include "nn/layers.h"
@@ -17,9 +20,21 @@
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
+#include "nn/simd.h"
 
 namespace tpuperf::nn {
 namespace {
+
+// The kernels' per-element arithmetic (Adam, edge aggregation, the
+// recurrent products): a multiply-add, fused exactly when the target has
+// FMA.
+float MulAdd(float a, float b, float acc) {
+#ifdef __FMA__
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
 
 TEST(Matrix, MatMulKnownValues) {
   Matrix a(2, 3);
@@ -140,6 +155,146 @@ TEST(Adam, LearningRateDecay) {
   EXPECT_DOUBLE_EQ(adam.learning_rate(), 0.25);
 }
 
+// One tensor of the scalar float reference for Adam: the update the vector
+// code must reproduce bit for bit (bias corrections hoisted into lr_t and
+// inv_sqrt_bc2, each multiply-add one MulAdd).
+struct AdamFloatReference {
+  std::vector<float> value, m, v;
+
+  void Step(const AdamConfig& c, long step, double scale,
+            const std::vector<float>& grad) {
+    const double bc1 = 1.0 - std::pow(c.beta1, step);
+    const double bc2 = 1.0 - std::pow(c.beta2, step);
+    const float lr_t = static_cast<float>(c.learning_rate / bc1);
+    const float inv_sqrt_bc2 = static_cast<float>(1.0 / std::sqrt(bc2));
+    for (size_t i = 0; i < value.size(); ++i) {
+      const float g = grad[i] * static_cast<float>(scale);
+      m[i] = MulAdd(static_cast<float>(c.beta1), m[i],
+                    static_cast<float>(1.0 - c.beta1) * g);
+      v[i] = MulAdd(static_cast<float>(c.beta2), v[i],
+                    static_cast<float>(1.0 - c.beta2) * g * g);
+      const float den = MulAdd(std::sqrt(v[i]), inv_sqrt_bc2,
+                               static_cast<float>(c.epsilon));
+      value[i] = value[i] - lr_t * m[i] / den;
+    }
+  }
+};
+
+// The update computed in double, as Adam did before it ran in float
+// lanes: the accuracy reference the float update must track.
+struct AdamDoubleReference {
+  std::vector<float> value, m, v;
+
+  void Step(const AdamConfig& c, long step, double scale,
+            const std::vector<float>& grad) {
+    const double bc1 = 1.0 - std::pow(c.beta1, step);
+    const double bc2 = 1.0 - std::pow(c.beta2, step);
+    for (size_t i = 0; i < value.size(); ++i) {
+      const double g = static_cast<double>(grad[i]) * scale;
+      const double m_new = c.beta1 * m[i] + (1.0 - c.beta1) * g;
+      const double v_new = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
+      m[i] = static_cast<float>(m_new);
+      v[i] = static_cast<float>(v_new);
+      value[i] -= static_cast<float>(c.learning_rate * (m_new / bc1) /
+                                     (std::sqrt(v_new / bc2) + c.epsilon));
+    }
+  }
+};
+
+// The clip scale Adam::Step applies for the norm it reports.
+double ClipScale(const AdamConfig& c, double norm) {
+  return c.clip == GradClip::kNorm && norm > c.clip_norm && norm > 0
+             ? c.clip_norm / norm
+             : 1.0;
+}
+
+// Vector body and padded tail equal the scalar float reference bit for bit
+// at sizes around the lane width, with and without clipping; the reported
+// norm is the global gradient norm before clipping; grads end zeroed.
+TEST(Adam, VectorUpdateEqualsScalarFloatReference) {
+  const int sizes[] = {1, simd::kLanes - 1, simd::kLanes + 3, 4096};
+  for (const bool clip : {false, true}) {
+    SCOPED_TRACE(clip ? "clip" : "no clip");
+    AdamConfig config;
+    config.learning_rate = 3e-3;
+    config.clip = clip ? GradClip::kNorm : GradClip::kNone;
+    config.clip_norm = 2.0;
+    Adam adam(config);
+    ParamStore store;
+    std::mt19937_64 rng(5);
+    std::normal_distribution<float> normal(0.0f, 1.0f);
+    std::vector<AdamFloatReference> refs;
+    for (size_t t = 0; t < std::size(sizes); ++t) {
+      Parameter* p = store.Create("p" + std::to_string(t), 1, sizes[t],
+                                  Init::kXavierUniform, rng);
+      refs.push_back({{p->value.flat().begin(), p->value.flat().end()},
+                      std::vector<float>(p->value.size()),
+                      std::vector<float>(p->value.size())});
+    }
+    const auto params = store.params();
+    for (long step = 1; step <= 6; ++step) {
+      std::vector<std::vector<float>> grads;
+      double norm_sq = 0;
+      for (Parameter* p : params) {
+        for (float& g : p->grad.flat()) {
+          g = normal(rng) * (step % 2 == 0 ? 0.01f : 1.0f);
+          norm_sq += static_cast<double>(g) * g;
+        }
+        grads.emplace_back(p->grad.flat().begin(), p->grad.flat().end());
+      }
+      adam.Step(params);
+      EXPECT_NEAR(adam.last_grad_norm(), std::sqrt(norm_sq),
+                  1e-5 * std::sqrt(norm_sq));
+      const double scale = ClipScale(config, adam.last_grad_norm());
+      if (clip) {
+        EXPECT_EQ(scale != 1.0, step % 2 == 1) << step;
+      }
+      for (size_t t = 0; t < params.size(); ++t) {
+        refs[t].Step(config, step, scale, grads[t]);
+        const Parameter& p = *params[t];
+        for (size_t i = 0; i < p.value.size(); ++i) {
+          ASSERT_EQ(p.value.data()[i], refs[t].value[i]) << t << ":" << i;
+          ASSERT_EQ(p.adam_m.data()[i], refs[t].m[i]) << t << ":" << i;
+          ASSERT_EQ(p.adam_v.data()[i], refs[t].v[i]) << t << ":" << i;
+          ASSERT_EQ(p.grad.data()[i], 0.0f) << t << ":" << i;
+        }
+      }
+    }
+  }
+}
+
+// Over 100 steps (clipping on, engaged on the large-gradient steps) the
+// float update stays within 1e-5 relative of the double update.
+TEST(Adam, FloatUpdateTracksDoubleUpdate) {
+  AdamConfig config;
+  config.clip = GradClip::kNorm;
+  config.clip_norm = 5.0;
+  Adam adam(config);
+  ParamStore store;
+  std::mt19937_64 rng(9);
+  Parameter* p = store.Create("w", 37, 29, Init::kZero, rng);
+  std::uniform_real_distribution<float> init(0.5f, 1.5f);
+  for (float& x : p->value.flat()) x = init(rng) * (rng() % 2 ? 1.0f : -1.0f);
+  AdamDoubleReference ref{{p->value.flat().begin(), p->value.flat().end()},
+                          std::vector<float>(p->value.size()),
+                          std::vector<float>(p->value.size())};
+  std::normal_distribution<float> normal(0.0f, 1.0f);
+  const std::vector<Parameter*> params = {p};
+  double worst = 0;
+  for (long step = 1; step <= 100; ++step) {
+    for (float& g : p->grad.flat()) g = normal(rng) * (step % 3 ? 0.1f : 1.0f);
+    const std::vector<float> grad(p->grad.flat().begin(), p->grad.flat().end());
+    adam.Step(params);
+    ref.Step(config, step, ClipScale(config, adam.last_grad_norm()), grad);
+    for (size_t i = 0; i < ref.value.size(); ++i) {
+      worst = std::max(worst, std::abs(static_cast<double>(p->value.data()[i]) -
+                                       ref.value[i]) /
+                                  std::abs(ref.value[i]));
+    }
+  }
+  EXPECT_LE(worst, 1e-5);
+}
+
 TEST(Dropout, InvertedScalingPreservesMeanAndZeroes) {
   Tape tape(true);
   std::mt19937_64 rng(7);
@@ -155,6 +310,60 @@ TEST(Dropout, InvertedScalingPreservesMeanAndZeroes) {
   EXPECT_NEAR(zeros / n, 0.3, 0.05);
   EXPECT_NEAR(total / n, 1.0, 0.08);  // inverted dropout keeps expectation
   EXPECT_THROW(DropoutOp(tape, x, 1.0f, rng), std::invalid_argument);
+}
+
+// The mask depends only on the rng's draw and the element index: the same
+// at pool widths 1 and 4, and the backward applies the forward's mask.
+TEST(Dropout, MaskIsPoolWidthIndependentAndBackwardAppliesIt) {
+  std::mt19937_64 init(13);
+  std::uniform_real_distribution<float> dist(0.5f, 1.5f);
+  Matrix x0(97, 61), w(97, 61);
+  for (float& v : x0.flat()) v = dist(init);
+  for (float& v : w.flat()) v = dist(init) - 1.0f;
+  const float rate = 0.4f, scale = 1.0f / (1.0f - rate);
+  std::vector<Matrix> ys, dxs;
+  for (const int width : {1, 4}) {
+    core::ThreadPool::SetNumThreads(width);
+    std::mt19937_64 rng(21);
+    Tape tape(/*grad_enabled=*/true);
+    Tensor x = tape.Leaf(x0, /*requires_grad=*/true);
+    Tensor y = DropoutOp(tape, x, rate, rng);
+    tape.Backward(SumAllOp(tape, MulOp(tape, y, tape.Leaf(w))));
+    for (size_t i = 0; i < x0.size(); ++i) {
+      const bool kept = y.value().data()[i] != 0.0f;
+      ASSERT_EQ(y.value().data()[i], kept ? x0.data()[i] * scale : 0.0f);
+      ASSERT_EQ(x.grad().data()[i], kept ? w.data()[i] * scale : 0.0f) << i;
+    }
+    ys.push_back(y.value());
+    dxs.push_back(x.grad());
+  }
+  core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
+  EXPECT_EQ(MaxAbsDiff(ys[0], ys[1]), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(dxs[0], dxs[1]), 0.0f);
+}
+
+// Over several calls (one key each) and rates, the kept count lies within
+// 4 sigma of the binomial's mean, and successive calls draw different masks.
+TEST(Dropout, KeptFractionWithinFourSigmaOfBinomial) {
+  std::mt19937_64 rng(17);
+  Tape tape(/*grad_enabled=*/false);
+  Tensor x = tape.Leaf(Matrix::Constant(200, 150, 1.0f));
+  const double n = 200.0 * 150.0;
+  for (const float rate : {0.05f, 0.1f, 0.3f, 0.5f, 0.9f}) {
+    std::vector<float> previous;
+    for (int call = 0; call < 4; ++call) {
+      const Tensor y = DropoutOp(tape, x, rate, rng);
+      double kept = 0;
+      for (const float v : y.value().flat()) kept += v != 0.0f;
+      const double p = 1.0 - rate;
+      EXPECT_LE(std::abs(kept - n * p), 4.0 * std::sqrt(n * p * (1.0 - p)))
+          << "rate " << rate << " call " << call;
+      const std::vector<float> mask(y.value().flat().begin(),
+                                    y.value().flat().end());
+      EXPECT_NE(mask, previous) << "rate " << rate << " call " << call;
+      previous = mask;
+    }
+  }
 }
 
 TEST(ParamStore, SaveLoadRoundTrip) {
@@ -253,7 +462,8 @@ DenseAdjacency BuildDenseAdjacency(
 }
 
 // Edge-list aggregation (forward and its transposed-scatter backward) must
-// equal the dense zero-skip scan exactly, on random graphs with repeated
+// equal the dense scan that skips zero weights exactly, one MulAdd per
+// term, on random graphs with repeated
 // operands and nodes without operands, packed as one block-diagonal batch.
 TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
   std::mt19937_64 rng(41);
@@ -307,20 +517,20 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
           const float av = a.at(i, k);
           if (av == 0.0f) continue;
           for (int j = 0; j < cols; ++j) {
-            want_dx.at(begin + k, j) += av * dy.at(begin + i, j);
+            want_dx.at(begin + k, j) =
+                MulAdd(av, dy.at(begin + i, j), want_dx.at(begin + k, j));
           }
         }
       }
-      // The zero-skip product, in the kernel's row-axpy form.
+      // The product, skipping zero weights, in the kernel's row-axpy form.
       for (int i = 0; i < a.rows(); ++i) {
-        float* __restrict yi =
-            want_y.data() + static_cast<size_t>(begin + i) * cols;
         for (int k = 0; k < a.cols(); ++k) {
           const float av = a.at(i, k);
           if (av == 0.0f) continue;
-          const float* __restrict xk =
-              x0.data() + static_cast<size_t>(begin + k) * cols;
-          for (int j = 0; j < cols; ++j) yi[j] += av * xk[j];
+          for (int j = 0; j < cols; ++j) {
+            want_y.at(begin + i, j) =
+                MulAdd(av, x0.at(begin + k, j), want_y.at(begin + i, j));
+          }
         }
       }
     }
@@ -331,16 +541,6 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
       }
     }
   }
-}
-
-// The recurrent products' per-element arithmetic: a multiply-add, fused
-// exactly when the target has FMA.
-float MulAdd(float a, float b, float acc) {
-#ifdef __FMA__
-  return std::fma(a, b, acc);
-#else
-  return acc + a * b;
-#endif
 }
 
 // LstmSequenceForward's traced gates and h, and LstmSequenceBackward's dpre,
