@@ -16,10 +16,7 @@
 #include "dataset/datasets.h"
 #include "bench/common.h"
 #include "dataset/families.h"
-#include "eval/metrics.h"
 #include "features/featurizer.h"
-#include "nn/gemm_backend.h"
-#include "nn/quant.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
@@ -321,34 +318,6 @@ void BM_TrainStepMse32(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepMse32);
 
-// ---- Per-GEMM-backend variants ---------------------------------------------
-// One BM_ModelInferenceBatch32 / BM_TrainStep* row per registered GEMM
-// backend (nn/gemm_backend.h), registered dynamically in main() because the
-// backend list is only known at runtime (builtin always; blas/eigen when
-// compiled in). Each run selects its backend for the timed region and
-// restores the previous selection afterwards.
-
-void BM_ModelInferenceBatch32Backend(benchmark::State& state,
-                                     const std::string& backend) {
-  auto& f = F();
-  auto& b = B32();
-  const std::string previous = nn::CurrentGemmBackendName();
-  nn::SetGemmBackend(backend);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model.PredictBatch(b.packed));
-  }
-  nn::SetGemmBackend(previous);
-  state.SetItemsProcessed(state.iterations() * Batch32::kBatch);
-}
-
-void BM_TrainStepBackend(benchmark::State& state, TrainBatch32& b,
-                         const std::string& backend) {
-  const std::string previous = nn::CurrentGemmBackendName();
-  nn::SetGemmBackend(backend);
-  TrainStepBenchmark(state, b);
-  nn::SetGemmBackend(previous);
-}
-
 void BM_TileEnumeration(benchmark::State& state) {
   auto& f = F();
   for (auto _ : state) {
@@ -485,28 +454,6 @@ void PrintTrainTaskJson(FILE* json, const char* prefix,
 
 }  // namespace
 
-// One BM_ModelInferenceBatch32 / BM_TrainStep* row per registered GEMM
-// backend (nn/gemm_backend.h), registered dynamically because the backend
-// list is only known at runtime (builtin always; blas/eigen when compiled
-// in and found). Called from main() between Initialize and run.
-void RegisterPerBackendBenchmarks() {
-  for (const std::string& backend : nn::GemmBackendNames()) {
-    benchmark::RegisterBenchmark(
-        ("BM_ModelInferenceBatch32/backend:" + backend).c_str(),
-        BM_ModelInferenceBatch32Backend, backend);
-    benchmark::RegisterBenchmark(
-        ("BM_TrainStepRank32/backend:" + backend).c_str(),
-        [backend](benchmark::State& state) {
-          BM_TrainStepBackend(state, RankTrain32(), backend);
-        });
-    benchmark::RegisterBenchmark(
-        ("BM_TrainStepMse32/backend:" + backend).c_str(),
-        [backend](benchmark::State& state) {
-          BM_TrainStepBackend(state, MseTrain32(), backend);
-        });
-  }
-}
-
 // Times batch-32 prediction against 32 sequential predictions on the same
 // inputs — single-threaded AND on the worker pool — plus batch-32 TRAINING
 // steps (forward + loss + backward + Adam) with the fused backward + tape
@@ -592,66 +539,6 @@ void ReportBatchedThroughput() {
   const TrainTaskReport mse_report = ReportTrainingTask(MseTrain32(), threads);
   PrintTrainTask("log-MSE (GraphSAGE + Transformer)", mse_report, threads);
 
-  // ---- Per-GEMM-backend throughput (batch-32 inference + train steps) ------
-  // Like-for-like single-threaded rates for every registered backend, with
-  // the max prediction deviation from the builtin kernels (0 for builtin by
-  // construction; external backends are bounded by nn::kGemmParityRtol per
-  // GEMM).
-  struct BackendReport {
-    std::string name;
-    double preds_per_sec = 0;
-    double rank_steps_per_sec = 0;
-    double mse_steps_per_sec = 0;
-    double max_abs_diff_vs_builtin = 0;
-  };
-  const std::string default_backend = nn::CurrentGemmBackendName();
-  std::vector<BackendReport> backend_reports;
-  std::vector<double> builtin_preds;  // "builtin" is always listed first
-  core::ThreadPool::SetNumThreads(1);
-  std::printf("\n--- GEMM backend report (batch=%d, 1 thread) ---\n",
-              Batch32::kBatch);
-  for (const std::string& name : nn::GemmBackendNames()) {
-    nn::SetGemmBackend(name);
-    BackendReport r;
-    r.name = name;
-    std::vector<double> preds;
-    r.preds_per_sec =
-        Batch32::kBatch / time_reps([&] { preds = f.model.PredictBatch(b.packed); });
-    if (name == "builtin") builtin_preds = preds;
-    for (int i = 0; i < Batch32::kBatch && !builtin_preds.empty(); ++i) {
-      r.max_abs_diff_vs_builtin =
-          std::max(r.max_abs_diff_vs_builtin,
-                   std::abs(preds[static_cast<size_t>(i)] -
-                            builtin_preds[static_cast<size_t>(i)]));
-    }
-    {
-      auto& tb = RankTrain32();
-      core::LearnedCostModel model = tb.MakeModel(f);
-      nn::Adam adam(nn::AdamConfig{});
-      nn::TapeArena arena;
-      nn::Tape tape(/*grad_enabled=*/true, &arena);
-      r.rank_steps_per_sec =
-          1.0 / TimeReps([&] { tb.Step(model, adam, tape); });
-    }
-    {
-      auto& tb = MseTrain32();
-      core::LearnedCostModel model = tb.MakeModel(f);
-      nn::Adam adam(nn::AdamConfig{});
-      nn::TapeArena arena;
-      nn::Tape tape(/*grad_enabled=*/true, &arena);
-      r.mse_steps_per_sec =
-          1.0 / TimeReps([&] { tb.Step(model, adam, tape); });
-    }
-    std::printf(
-        "%-10s %10.0f preds/s  rank %7.1f steps/s  mse %7.1f steps/s  "
-        "max|pred - builtin| = %.3g\n",
-        name.c_str(), r.preds_per_sec, r.rank_steps_per_sec,
-        r.mse_steps_per_sec, r.max_abs_diff_vs_builtin);
-    backend_reports.push_back(std::move(r));
-  }
-  nn::SetGemmBackend(default_backend);
-  core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
-
   // This writer regenerates the file wholesale; carry the other sections'
   // numbers (written by the table benches / bench_serve) across the rewrite.
   const std::string dataset_store = bench::PreservedTopLevelJson("dataset_store");
@@ -661,7 +548,6 @@ void ReportBatchedThroughput() {
   const std::string plan_section = bench::PreservedTopLevelJson("plan");
   const std::string streaming =
       bench::PreservedTopLevelJson("dataset_streaming");
-  const std::string quant_section = bench::PreservedTopLevelJson("quant");
   FILE* json = std::fopen("BENCH_results.json", "w");
   if (json == nullptr) {
     std::printf("could not write BENCH_results.json\n");
@@ -691,23 +577,7 @@ void ReportBatchedThroughput() {
   std::fprintf(json, "  \"train_batch_size\": %d,\n", TrainBatch32::kBatch);
   PrintTrainTaskJson(json, "train_rank", rank_report);
   PrintTrainTaskJson(json, "train_mse", mse_report);
-  std::fprintf(json, "  \"train_pool_threads\": %d,\n", threads);
-  std::fprintf(json, "  \"gemm_backend_default\": \"%s\",\n",
-               default_backend.c_str());
-  std::fprintf(json, "  \"gemm_backends\": {");
-  for (std::size_t i = 0; i < backend_reports.size(); ++i) {
-    const BackendReport& r = backend_reports[i];
-    std::fprintf(json,
-                 "%s\n    \"%s\": {\n"
-                 "      \"batched_1thread_predictions_per_sec\": %.1f,\n"
-                 "      \"train_rank_steps_per_sec\": %.2f,\n"
-                 "      \"train_mse_steps_per_sec\": %.2f,\n"
-                 "      \"max_abs_diff_vs_builtin\": %.3g\n    }",
-                 i == 0 ? "" : ",", r.name.c_str(), r.preds_per_sec,
-                 r.rank_steps_per_sec, r.mse_steps_per_sec,
-                 r.max_abs_diff_vs_builtin);
-  }
-  std::fprintf(json, "\n  }");
+  std::fprintf(json, "  \"train_pool_threads\": %d", threads);
   if (!dataset_store.empty()) {
     std::fprintf(json, ",\n  \"dataset_store\": %s", dataset_store.c_str());
   }
@@ -722,9 +592,6 @@ void ReportBatchedThroughput() {
   }
   if (!streaming.empty()) {
     std::fprintf(json, ",\n  \"dataset_streaming\": %s", streaming.c_str());
-  }
-  if (!quant_section.empty()) {
-    std::fprintf(json, ",\n  \"quant\": %s", quant_section.c_str());
   }
   std::fprintf(json, "\n}\n");
   std::fclose(json);
@@ -806,168 +673,14 @@ void ReportPlanLatency() {
   std::printf("merged \"plan\" into BENCH_results.json\n");
 }
 
-// Reduced-precision ranking-accuracy gate (nn/quant.h). Trains the tile
-// task's rank model briefly in-process, then scores every enumerated tile
-// of the fused eval kernels at f32, at calibrated int8, and at fp16:
-// per-kernel Kendall tau against simulator ground truth, Tile-Size APE
-// (Eq. 2) over the model-chosen tiles, and the batched predictions/s of
-// each precision. Merges a "quant" section into BENCH_results.json and
-// returns nonzero when a reduced precision degrades the mean tau by more
-// than nn::kQuantTauDegradationBound — the CI accuracy gate.
-int ReportQuantAccuracy() {
-  auto& f = F();
-  core::ThreadPool::SetNumThreads(1);
-
-  auto& tb = RankTrain32();
-  core::LearnedCostModel model = tb.MakeModel(f);
-  {
-    nn::Adam adam(nn::AdamConfig{});
-    nn::TapeArena arena;
-    nn::Tape tape(/*grad_enabled=*/true, &arena);
-    const int steps =
-        std::max(20, static_cast<int>(150 * bench::ReproScale()));
-    for (int i = 0; i < steps; ++i) tb.Step(model, adam, tape);
-  }
-
-  // Eval set: distinct fused kernels with >= 2 tile candidates, with
-  // simulator ground truth per tile.
-  struct EvalKernel {
-    const ir::Graph* graph = nullptr;
-    std::vector<ir::TileConfig> tiles;
-    std::vector<double> truths;
-  };
-  std::vector<EvalKernel> eval_set;
-  for (const auto& k : f.kernels) {
-    if (eval_set.size() >= 6) break;
-    EvalKernel e;
-    e.graph = &k.graph;
-    e.tiles = f.simulator.EnumerateTiles(k.graph, 16);
-    if (e.tiles.size() < 2) continue;
-    for (const auto& t : e.tiles) {
-      e.truths.push_back(f.simulator.Measure(k.graph, t));
-    }
-    eval_set.push_back(std::move(e));
-  }
-  if (eval_set.empty()) {
-    std::printf("quant gate: no eval kernels with multiple tiles; skipped\n");
-    return 0;
-  }
-
-  struct PrecisionEval {
-    std::vector<core::PreparedKernel> prepared;  // precision-specific
-    double mean_tau = 0;
-    double tile_ape = 0;
-    double preds_per_sec = 0;
-  };
-  const auto evaluate = [&](nn::Precision p) {
-    model.SetPrecision(p);
-    PrecisionEval r;
-    r.prepared.reserve(eval_set.size());
-    for (const EvalKernel& e : eval_set) {
-      r.prepared.push_back(model.Prepare(*e.graph));
-    }
-    std::vector<core::BatchItem> items;
-    for (std::size_t ki = 0; ki < eval_set.size(); ++ki) {
-      for (const ir::TileConfig& t : eval_set[ki].tiles) {
-        items.push_back({&r.prepared[ki], &t});
-      }
-    }
-    const core::PreparedBatch packed = model.PrepareBatch(items);
-    std::vector<double> preds;
-    const double sec = TimeReps([&] { preds = model.PredictBatch(packed); });
-    r.preds_per_sec = static_cast<double>(items.size()) / sec;
-
-    std::vector<double> taus;
-    std::vector<eval::KernelTileRuntimes> ape_rows;
-    std::size_t off = 0;
-    for (const EvalKernel& e : eval_set) {
-      const std::size_t n = e.tiles.size();
-      const std::span<const double> pred(preds.data() + off, n);
-      taus.push_back(eval::KendallTau(pred, e.truths));
-      std::size_t chosen = 0, best = 0;
-      for (std::size_t i = 1; i < n; ++i) {
-        if (pred[i] < pred[chosen]) chosen = i;
-        if (e.truths[i] < e.truths[best]) best = i;
-      }
-      ape_rows.push_back({e.truths[chosen], e.truths[best]});
-      off += n;
-    }
-    r.mean_tau = eval::Mean(taus);
-    r.tile_ape = eval::TileSizeApe(ape_rows);
-    return r;
-  };
-
-  const PrecisionEval f32 = evaluate(nn::Precision::kFloat32);
-  {
-    // Calibrate the int8 grid on the f32-prepared eval kernels (requires
-    // f32 precision, which evaluate() just restored).
-    std::vector<const core::PreparedKernel*> sample;
-    for (const core::PreparedKernel& pk : f32.prepared) {
-      sample.push_back(&pk);
-    }
-    model.CalibrateQuantization(sample);
-  }
-  const PrecisionEval int8 = evaluate(nn::Precision::kInt8);
-  const PrecisionEval fp16 = evaluate(nn::Precision::kFp16);
-  model.SetPrecision(nn::Precision::kFloat32);
-  core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
-
-  const double tau_delta_int8 = f32.mean_tau - int8.mean_tau;
-  const double tau_delta_fp16 = f32.mean_tau - fp16.mean_tau;
-  const bool gate_ok =
-      tau_delta_int8 <= nn::kQuantTauDegradationBound &&
-      tau_delta_fp16 <= nn::kQuantTauDegradationBound;
-
-  std::printf("\n--- Reduced-precision accuracy report (%zu kernels) ---\n",
-              eval_set.size());
-  std::printf("%-6s mean tau %+.4f   tile APE %6.2f%%   %8.0f preds/s\n",
-              "f32", f32.mean_tau, f32.tile_ape, f32.preds_per_sec);
-  std::printf("%-6s mean tau %+.4f   tile APE %6.2f%%   %8.0f preds/s\n",
-              "int8", int8.mean_tau, int8.tile_ape, int8.preds_per_sec);
-  std::printf("%-6s mean tau %+.4f   tile APE %6.2f%%   %8.0f preds/s\n",
-              "fp16", fp16.mean_tau, fp16.tile_ape, fp16.preds_per_sec);
-  std::printf("tau delta: int8 %+.4f, fp16 %+.4f (bound %.3f) -> %s\n",
-              tau_delta_int8, tau_delta_fp16, nn::kQuantTauDegradationBound,
-              gate_ok ? "PASS" : "FAIL");
-
-  char value[768];
-  std::snprintf(
-      value, sizeof(value),
-      "{\n"
-      "    \"eval_kernels\": %zu,\n"
-      "    \"tau_f32\": %.5f,\n"
-      "    \"tau_int8\": %.5f,\n"
-      "    \"tau_fp16\": %.5f,\n"
-      "    \"tau_delta_int8\": %.5f,\n"
-      "    \"tau_delta_fp16\": %.5f,\n"
-      "    \"tile_ape_f32\": %.3f,\n"
-      "    \"tile_ape_int8\": %.3f,\n"
-      "    \"tile_ape_fp16\": %.3f,\n"
-      "    \"ape_delta_int8\": %.3f,\n"
-      "    \"int8_speedup_vs_f32\": %.3f,\n"
-      "    \"fp16_speedup_vs_f32\": %.3f,\n"
-      "    \"tau_degradation_bound\": %.3f,\n"
-      "    \"gate_passed\": %s\n  }",
-      eval_set.size(), f32.mean_tau, int8.mean_tau, fp16.mean_tau,
-      tau_delta_int8, tau_delta_fp16, f32.tile_ape, int8.tile_ape,
-      fp16.tile_ape, int8.tile_ape - f32.tile_ape,
-      int8.preds_per_sec / f32.preds_per_sec,
-      fp16.preds_per_sec / f32.preds_per_sec, nn::kQuantTauDegradationBound,
-      gate_ok ? "true" : "false");
-  bench::MergeTopLevelJsonKey("BENCH_results.json", "quant", value);
-  std::printf("merged \"quant\" into BENCH_results.json\n");
-  return gate_ok ? 0 : 1;
-}
-
 }  // namespace tpuperf
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  tpuperf::RegisterPerBackendBenchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   tpuperf::ReportBatchedThroughput();
   tpuperf::ReportPlanLatency();
-  return tpuperf::ReportQuantAccuracy();
+  return 0;
 }

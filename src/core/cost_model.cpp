@@ -166,16 +166,6 @@ PreparedKernel LearnedCostModel::Prepare(
   pk.structure = nn::BuildGraphStructure(kf.operand_lists, need_sym_norm);
   pk.static_perf.resize(feat::kStaticPerfFeatures);
   perf_scaler_.TransformRow(kf.static_perf, pk.static_perf);
-  // Reduced precision quantizes at the feature boundary, so everything
-  // downstream — tape, plan replay, serve's prepared cache — sees the same
-  // quantized inputs.
-  if (precision_ == nn::Precision::kInt8) {
-    nn::FakeQuantColumns(pk.node_features, node_quant_scales_);
-    nn::FakeQuantRow(pk.static_perf, perf_quant_scales_);
-  } else if (precision_ == nn::Precision::kFp16) {
-    nn::Fp16RoundInPlace(pk.node_features);
-    nn::Fp16RoundRow(pk.static_perf);
-  }
   return pk;
 }
 
@@ -184,11 +174,6 @@ std::vector<float> LearnedCostModel::ScaledTileFeatures(
   const std::vector<double> raw = feat::TileFeatures(tile);
   std::vector<float> scaled(raw.size());
   tile_scaler_.TransformRow(raw, scaled);
-  if (precision_ == nn::Precision::kInt8) {
-    nn::FakeQuantRow(scaled, tile_quant_scales_);
-  } else if (precision_ == nn::Precision::kFp16) {
-    nn::Fp16RoundRow(scaled);
-  }
   return scaled;
 }
 
@@ -271,7 +256,6 @@ double LearnedCostModel::PredictSeconds(const PreparedKernel& kernel,
 
 std::vector<double> LearnedCostModel::PredictBatch(
     const PreparedBatch& batch) const {
-  const nn::ScopedPrecision scoped(precision_);
   nn::Tape tape(/*grad_enabled=*/false, &InferenceArena());
   const nn::Tensor out =
       ForwardBatchImpl(tape, batch, /*training=*/false, dropout_rng_);
@@ -294,11 +278,6 @@ std::vector<double> LearnedCostModel::PredictBatchSeconds(
 nn::Tensor LearnedCostModel::ForwardBatch(nn::Tape& tape,
                                           const PreparedBatch& batch,
                                           bool training) {
-  if (training && precision_ != nn::Precision::kFloat32) {
-    throw std::logic_error(
-        "ForwardBatch: training requires Precision::kFloat32 (reduced "
-        "precision is inference-only)");
-  }
   return ForwardBatchImpl(tape, batch, training, dropout_rng_);
 }
 
@@ -414,86 +393,7 @@ void LearnedCostModel::SetOutputBias(float value) {
   if (bias != nullptr) bias->value.Fill(value);
 }
 
-void LearnedCostModel::SetPrecision(nn::Precision p) {
-  if (p != nn::Precision::kFloat32 && !fitted_) {
-    throw std::logic_error("SetPrecision: scalers not fitted");
-  }
-  // The table is quantized in place but the Matrix *object* stays put, so
-  // compiled plans — which bind the parameter matrices by address — replay
-  // against whatever the current precision left there.
-  nn::Matrix& table = opcode_embedding_.table_param()->value;
-  if (precision_ != nn::Precision::kFloat32) {
-    table = embedding_f32_;  // undo the previous fake-quant
-  }
-  if (p != nn::Precision::kFloat32) {
-    embedding_f32_ = table;  // snapshot the current f32 parameters
-  }
-  switch (p) {
-    case nn::Precision::kFloat32:
-      break;
-    case nn::Precision::kInt8:
-      if (!calibrated_) {
-        node_quant_scales_ = nn::PerFeatureInt8Scales(node_scaler_.mins(),
-                                                      node_scaler_.maxs());
-        perf_quant_scales_ = nn::PerFeatureInt8Scales(perf_scaler_.mins(),
-                                                      perf_scaler_.maxs());
-      }
-      tile_quant_scales_ = nn::PerFeatureInt8Scales(tile_scaler_.mins(),
-                                                    tile_scaler_.maxs());
-      // The embedding rows are learned (not scaler-bounded): per-column
-      // dynamic scales, like the GEMM backend uses for activations.
-      nn::FakeQuantColumnsDynamic(table);
-      break;
-    case nn::Precision::kFp16:
-      nn::Fp16RoundInPlace(table);
-      break;
-  }
-  precision_ = p;
-}
-
-void LearnedCostModel::CalibrateQuantization(
-    std::span<const PreparedKernel* const> sample) {
-  if (precision_ != nn::Precision::kFloat32) {
-    throw std::logic_error(
-        "CalibrateQuantization: call at Precision::kFloat32 (the sample's "
-        "features must be unquantized)");
-  }
-  if (sample.empty()) {
-    throw std::invalid_argument("CalibrateQuantization: empty sample");
-  }
-  std::vector<float> node_amax(feat::kNodeScalarFeatures, 0.0f);
-  std::vector<float> perf_amax(feat::kStaticPerfFeatures, 0.0f);
-  for (const PreparedKernel* pk : sample) {
-    if (pk == nullptr) {
-      throw std::invalid_argument("CalibrateQuantization: null kernel");
-    }
-    for (int i = 0; i < pk->node_features.rows(); ++i) {
-      const auto row = pk->node_features.row(i);
-      for (size_t j = 0; j < node_amax.size(); ++j) {
-        node_amax[j] = std::max(node_amax[j], std::fabs(row[j]));
-      }
-    }
-    for (size_t j = 0; j < perf_amax.size(); ++j) {
-      perf_amax[j] = std::max(perf_amax[j], std::fabs(pk->static_perf[j]));
-    }
-  }
-  node_quant_scales_.resize(node_amax.size());
-  for (size_t j = 0; j < node_amax.size(); ++j) {
-    node_quant_scales_[j] = nn::QuantScaleForAmax(node_amax[j]);
-  }
-  perf_quant_scales_.resize(perf_amax.size());
-  for (size_t j = 0; j < perf_amax.size(); ++j) {
-    perf_quant_scales_[j] = nn::QuantScaleForAmax(perf_amax[j]);
-  }
-  calibrated_ = true;
-}
-
 void LearnedCostModel::Save(std::ostream& os) const {
-  if (precision_ != nn::Precision::kFloat32) {
-    throw std::logic_error(
-        "Save: reduced precision active — snapshots store f32 parameters; "
-        "SetPrecision(kFloat32) first");
-  }
   const char magic[8] = {'T', 'P', 'U', 'P', 'E', 'R', 'F', '1'};
   os.write(magic, sizeof(magic));
   node_scaler_.Save(os);
@@ -513,11 +413,6 @@ void LearnedCostModel::Load(std::istream& is) {
   perf_scaler_.Load(is);
   store_->Load(is);
   fitted_ = true;
-  // Snapshots store f32 parameters: the loaded model starts at f32 and
-  // callers re-apply SetPrecision (the stale pre-Load quantization state
-  // must not survive the parameter swap).
-  precision_ = nn::Precision::kFloat32;
-  calibrated_ = false;
 }
 
 void LearnedCostModel::SaveToFile(const std::string& path) const {

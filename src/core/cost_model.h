@@ -22,7 +22,6 @@
 #include "nn/attention.h"
 #include "nn/gnn.h"
 #include "nn/layers.h"
-#include "nn/quant.h"
 #include "nn/rnn.h"
 
 namespace tpuperf::plan {
@@ -145,30 +144,6 @@ class LearnedCostModel {
   // regression starts centered instead of ~10 nats away.
   void SetOutputBias(float value);
 
-  // ---- Reduced-precision inference (nn/quant.h) ----------------------------
-  // Switches the model's inference precision. For kInt8/kFp16 this
-  // fake-quantizes the opcode-embedding table in place (the pristine f32
-  // table is snapshotted and restored on any later SetPrecision call, so
-  // switching back to kFloat32 is bit-exact), derives per-feature int8
-  // scales from the fitted FeatureScaler stats unless CalibrateQuantization
-  // set them, and arms every Predict* entry point — tape and compiled-plan
-  // replay alike — with the matching GEMM backend ("quant-int8"/"fp16")
-  // via a thread-local dispatch override. Plans compiled before or after
-  // the switch replay the same instruction schedule against the current
-  // (quantized) parameter bindings. Call after training/Load: Forward and
-  // ForwardBatch throw std::logic_error when invoked with training=true at
-  // a reduced precision, and Save refuses while one is active.
-  void SetPrecision(nn::Precision p);
-  nn::Precision precision() const noexcept { return precision_; }
-
-  // Optional calibration pass (precision must be kFloat32): records the
-  // per-feature max-abs of the sample's scaled node features and static
-  // perf rows and derives the int8 scales from those instead of the
-  // scaler-stat default of 1/127. Values outside the calibrated range
-  // saturate at the grid edge. Tile-feature scales keep the scaler-stat
-  // default (tile rows are tiny and already in [0, 1]).
-  void CalibrateQuantization(std::span<const PreparedKernel* const> sample);
-
   // ---- Parameters ----------------------------------------------------------
   nn::ParamStore& params() noexcept { return *store_; }
   std::size_t parameter_scalars() const { return store_->scalar_count(); }
@@ -196,14 +171,6 @@ class LearnedCostModel {
   feat::FeatureScaler tile_scaler_;
   feat::FeatureScaler perf_scaler_;
   bool fitted_ = false;
-
-  // ---- Reduced-precision state (see SetPrecision) ---------------------------
-  nn::Precision precision_ = nn::Precision::kFloat32;
-  nn::Matrix embedding_f32_;  // pristine table; valid while precision_ != f32
-  std::vector<float> node_quant_scales_;  // per-feature int8 scales
-  std::vector<float> perf_quant_scales_;
-  std::vector<float> tile_quant_scales_;
-  bool calibrated_ = false;
 
   // ---- Modules (built at construction from config_) -------------------------
   nn::Embedding opcode_embedding_;

@@ -1,7 +1,6 @@
 // Matrix storage plus the elementwise/reduction helpers. The six GEMM
 // entry points declared in nn/matrix.h are implemented in
-// nn/gemm_backend.cpp, where the built-in register-tiled kernels and the
-// pluggable backend dispatch live.
+// nn/gemm_backend.cpp, next to the register-tiled kernels they call.
 #include "nn/matrix.h"
 
 #include <algorithm>

@@ -4,12 +4,9 @@
 /// forward/backward passes bottoms out here.
 ///
 /// The five GEMM entry points (MatMul/MatMulInto, MatMulTransposeA/B and
-/// their Accum variants) dispatch through the
-/// process-global backend selected in nn/gemm_backend.h: the built-in
-/// register-tiled kernels by default, an external library (CBLAS, Eigen)
-/// when one is compiled in and selected. The "builtin" backend reproduces
-/// the historical results bit for bit; external backends agree within the
-/// FP-contraction tolerance documented at nn::kGemmParityRtol.
+/// their Accum variants) check shapes, throwing std::invalid_argument on a
+/// mismatch, and call the register-tiled kernels in nn/gemm_backend.cpp
+/// directly. Their values do not depend on the core::ThreadPool width.
 #pragma once
 
 #include <cassert>
@@ -113,10 +110,10 @@ class Matrix {
   std::vector<float> data_;
 };
 
-// ---- GEMM entry points (dispatched through nn/gemm_backend.h) ---------------
+// ---- GEMM entry points (kernels in nn/gemm_backend.cpp) ---------------------
 
-/// out = a @ b. Shapes: [m,k] x [k,n] -> [m,n]. On the built-in backend,
-/// large products are partitioned by output row across the global
+/// out = a @ b. Shapes: [m,k] x [k,n] -> [m,n]. Large products are
+/// partitioned by output row across the global
 /// core::ThreadPool; the partitioning is bit-exact (each row is produced by
 /// the same instruction sequence at any thread count).
 Matrix MatMul(const Matrix& a, const Matrix& b);
@@ -135,15 +132,15 @@ Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 void MatMulInto(Matrix& out, const Matrix& a, const Matrix& b);
 
 /// Fused backward accumulation: dst += a^T @ b without materializing the
-/// product. On the built-in backend each output element's sum is formed in
-/// registers over ascending p and added to `dst` once — bit-identical to
+/// product. Each output element's sum is formed in registers over
+/// ascending p and added to `dst` once — bit-identical to
 /// AccumulateInto(dst, MatMulTransposeA(a, b)) — while skipping the
 /// temporary allocation and the extra O(mn) add pass.
 void MatMulTransposeAAccum(Matrix& dst, const Matrix& a, const Matrix& b);
-/// dst += a @ b^T (see MatMulTransposeAAccum). The built-in backend
-/// additionally transposes the (typically small) right operand once so the
-/// vectorized row kernel carries the product instead of the scalar dot
-/// kernel: the backward's hottest GEMM runs at forward throughput.
+/// dst += a @ b^T (see MatMulTransposeAAccum). Transposes the (typically
+/// small) right operand once so the vectorized row kernel carries the
+/// product instead of the scalar dot kernel: the backward's hottest GEMM
+/// runs at forward throughput.
 void MatMulTransposeBAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 
 // ---- Elementwise / reduction helpers ----------------------------------------

@@ -51,9 +51,8 @@ Tensor MatMulOp(Tape& tape, Tensor a, Tensor b) {
   TapeNode* bn = b.node();
   if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {an, bn}, nullptr);
   return tape.NewNode(std::move(y), {an, bn}, [an, bn](TapeNode& self) {
-    // The accumulate entry points (dispatched through the selected GEMM
-    // backend, nn/gemm_backend.h) add the product straight into the grad:
-    // no temporary, no extra add pass.
+    // The accumulate entry points (nn/matrix.h) add the product straight
+    // into the grad: no temporary, no extra add pass.
     if (an->requires_grad) {
       MatMulTransposeBAccum(an->grad, self.grad, bn->value);
     }

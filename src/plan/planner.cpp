@@ -444,7 +444,6 @@ std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::CompilePlan(
 
 std::vector<double> LearnedCostModel::PredictBatchWithPlan(
     const plan::CompiledPlan& plan, const PreparedBatch& batch) const {
-  const nn::ScopedPrecision scoped(precision_);
   std::vector<double> scores(static_cast<size_t>(batch.num_kernels()));
   plan.Run(plan::PlanInput::FromBatch(batch), scores);
   return scores;
@@ -456,7 +455,6 @@ double LearnedCostModel::PredictWithPlan(const plan::CompiledPlan& plan,
   if (config_.use_tile_features && tile == nullptr) {
     throw std::invalid_argument("PredictWithPlan: model expects a tile config");
   }
-  const nn::ScopedPrecision scoped(precision_);
   // Grow-only per-thread staging for the single-kernel view: offsets {0, n},
   // [1, w] feature rows, and the one-element score span.
   struct SingleKernelStage {

@@ -50,7 +50,6 @@ ServiceConfig ServiceConfig::FromEnv() {
   c.breaker_cooldown_us = static_cast<long>(core::EnvInt(
       "TPUPERF_SERVE_BREAKER_COOLDOWN_US", c.breaker_cooldown_us, 0,
       60000000));
-  c.precision = nn::PrecisionFromEnv();
   return c;
 }
 
@@ -168,20 +167,11 @@ struct ServiceImpl {
   std::atomic<std::uint64_t> expired{0};
   std::atomic<std::uint64_t> degraded{0};
   std::atomic<std::uint64_t> breaker_transitions{0};
-  std::atomic<std::uint64_t> reduced_precision_batches{0};
 };
 
 namespace {
 
 using BreakerState = PredictionService::BreakerState;
-
-// Counts a batch scored while the model runs at a reduced precision.
-void NoteReducedPrecision(const core::LearnedCostModel& model,
-                          ServiceImpl& impl) {
-  if (model.precision() != nn::Precision::kFloat32) {
-    impl.reduced_precision_batches.fetch_add(1, std::memory_order_relaxed);
-  }
-}
 
 // Scores a packed batch, preferring a cached compiled plan (compiling one
 // for the batch's shape bucket on a miss). Any plan-path failure — a model
@@ -209,12 +199,8 @@ std::vector<double> ScorePacked(const core::LearnedCostModel& model,
         plan = nullptr;  // fall through to the tape path
       }
     }
-    if (plan != nullptr) {
-      NoteReducedPrecision(model, impl);
-      return model.PredictBatchWithPlan(*plan, packed);
-    }
+    if (plan != nullptr) return model.PredictBatchWithPlan(*plan, packed);
   }
-  NoteReducedPrecision(model, impl);
   return model.PredictBatch(packed);
 }
 
@@ -413,11 +399,6 @@ PredictionService::PredictionService(
   if (config_.request_timeout_us < 0) config_.request_timeout_us = 0;
   if (config_.breaker_failures < 0) config_.breaker_failures = 0;
   if (config_.breaker_cooldown_us < 0) config_.breaker_cooldown_us = 0;
-  // Quantize before the prepared cache exists, so every cached
-  // featurization is prepared (fake-quantized) at the serving precision.
-  if (config_.precision != nn::Precision::kFloat32) {
-    model_->SetPrecision(config_.precision);
-  }
   cache_ = std::make_unique<core::PreparedCache>(*model_);
   fallback_ =
       std::make_unique<analytical::AnalyticalModel>(sim::TpuTarget::V2());
@@ -608,8 +589,6 @@ ServiceStats PredictionService::stats() const {
   s.degraded = impl.degraded.load(std::memory_order_relaxed);
   s.breaker_transitions =
       impl.breaker_transitions.load(std::memory_order_relaxed);
-  s.reduced_precision_batches =
-      impl.reduced_precision_batches.load(std::memory_order_relaxed);
   return s;
 }
 

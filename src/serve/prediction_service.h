@@ -153,16 +153,6 @@ struct ServiceConfig {
   // How long an open breaker degrades before probing the model again.
   // Env: TPUPERF_SERVE_BREAKER_COOLDOWN_US.
   long breaker_cooldown_us = 50000;
-  // Inference precision (nn/quant.h): the service applies
-  // model->SetPrecision(precision) at construction, so every served score
-  // runs the reduced-precision path. Under a reduced precision, batched
-  // scores match the quantized model's own PredictScore within the
-  // documented quantization tolerance (the f32 bit-exactness contract
-  // applies only at kFloat32 — batching can change the sparse/dense
-  // routing verdicts of the quantized GEMMs).
-  // Env: TPUPERF_PRECISION = f32 | int8 | fp16 (shared with the
-  // non-serving paths, read via nn::PrecisionFromEnv).
-  nn::Precision precision = nn::Precision::kFloat32;
 
   static ServiceConfig FromEnv();
 };
@@ -230,9 +220,6 @@ struct ServiceStats {
   std::uint64_t degraded = 0;          // analytical-fallback answers (these
                                        // also count in `completed`)
   std::uint64_t breaker_transitions = 0;  // every breaker state change
-  std::uint64_t reduced_precision_batches = 0;  // batches scored while the
-                                       // model ran at a reduced precision
-                                       // (subset of `batches`)
 
   double mean_batch_size() const noexcept {
     return batches == 0 ? 0.0

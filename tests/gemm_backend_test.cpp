@@ -1,29 +1,28 @@
-// GEMM backend dispatch (src/nn/gemm_backend.h): registry semantics,
-// TPUPERF_GEMM_BACKEND env selection, six-entry-point parity of every
-// registered backend against the built-in kernels (including empty, 1-row,
-// and non-multiple-of-tile shapes), routed fallback for sparse/tiny
-// operands, threaded parity at pool widths 1 and 4, and the parity-check
-// mode. Parity tolerances are per backend (GemmBackend::ParityBound): the
-// reduced-precision backends are checked against their own derived bounds
-// while the f32 backends keep the strict kGemmParityRtol default, so one
-// shared constant can never silently relax the strict checks.
+// The GEMM entry points of nn/matrix.h on the builtin kernels
+// (src/nn/gemm_backend.cpp): all five against a double-accumulating
+// reference (including empty, 1-row, and non-multiple-of-tile shapes),
+// every element as one scalar FMA chain, and bit-identity across pool
+// widths 1 and 4.
 #include "nn/gemm_backend.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/thread_pool.h"
 #include "nn/matrix.h"
-#include "nn/quant.h"
-#include "nn/simd.h"
 
 namespace tpuperf::nn {
 namespace {
+
+// Relative bound of the reference comparison: the double-accumulating
+// reference sums in a different association than the f32 kernels; for the
+// operand magnitudes and k <= 128 here the drift stays well under 1e-4.
+constexpr float kReferenceRtol = 1e-4f;
 
 Matrix PseudoRandom(int rows, int cols, std::uint64_t seed,
                     int zero_out_of_10 = 0) {
@@ -43,16 +42,14 @@ Matrix PseudoRandom(int rows, int cols, std::uint64_t seed,
   return m;
 }
 
-// Per-backend comparison: |got - want| <= max(atol, rtol * |want|). The
-// default GemmParityTolerance is the strict f32 bound, identical to the
-// historical shared kGemmParityRtol * max(1, |want|) check.
-void ExpectNear(const Matrix& got, const Matrix& want, const char* what,
-                GemmParityTolerance tol = GemmParityTolerance{}) {
+// |got - want| <= kReferenceRtol * max(1, |want|).
+void ExpectNear(const Matrix& got, const Matrix& want, const char* what) {
   ASSERT_TRUE(got.same_shape(want)) << what;
   for (int i = 0; i < got.rows(); ++i) {
     for (int j = 0; j < got.cols(); ++j) {
       const float g = got.at(i, j), w = want.at(i, j);
-      ASSERT_LE(std::abs(g - w), std::max(tol.atol, tol.rtol * std::abs(w)))
+      ASSERT_LE(std::abs(g - w),
+                kReferenceRtol * std::max(1.0f, std::abs(w)))
           << what << " at (" << i << "," << j << "): " << g << " vs " << w;
     }
   }
@@ -65,320 +62,79 @@ void ExpectBitEqual(const Matrix& got, const Matrix& want, const char* what) {
   }
 }
 
-// A second "external library": double-accumulating triple loops behind the
-// RoutedGemmBackend policy. The double accumulation intentionally produces
-// a *different* float sequence than the built-in kernels (like a real BLAS
-// would), so parity here genuinely exercises the documented tolerance.
-class NaiveBackend : public RoutedGemmBackend {
- public:
-  std::string_view name() const noexcept override { return "naive-test"; }
-
- protected:
-  void DenseMatMul(Matrix& out, const Matrix& a, const Matrix& b,
-                   bool accumulate) override {
-    for (int i = 0; i < a.rows(); ++i) {
-      for (int j = 0; j < b.cols(); ++j) {
-        double acc = 0;
-        for (int p = 0; p < a.cols(); ++p) {
-          acc += static_cast<double>(a.at(i, p)) * b.at(p, j);
-        }
-        Store(out, i, j, acc, accumulate);
+// dst + op(a) @ op(b), each element summed in double over ascending p, where
+// op transposes its operand when the flag is set.
+Matrix Reference(const Matrix& a, bool transpose_a, const Matrix& b,
+                 bool transpose_b, Matrix dst) {
+  const int k = transpose_a ? a.rows() : a.cols();
+  for (int i = 0; i < dst.rows(); ++i) {
+    for (int j = 0; j < dst.cols(); ++j) {
+      double acc = 0;
+      for (int p = 0; p < k; ++p) {
+        const float av = transpose_a ? a.at(p, i) : a.at(i, p);
+        const float bv = transpose_b ? b.at(j, p) : b.at(p, j);
+        acc += static_cast<double>(av) * bv;
       }
+      dst.at(i, j) += static_cast<float>(acc);
     }
   }
-  void DenseTransposeA(Matrix& out, const Matrix& a, const Matrix& b,
-                       bool accumulate) override {
-    for (int i = 0; i < a.cols(); ++i) {
-      for (int j = 0; j < b.cols(); ++j) {
-        double acc = 0;
-        for (int p = 0; p < a.rows(); ++p) {
-          acc += static_cast<double>(a.at(p, i)) * b.at(p, j);
-        }
-        Store(out, i, j, acc, accumulate);
-      }
-    }
-  }
-  void DenseTransposeB(Matrix& out, const Matrix& a, const Matrix& b,
-                       bool accumulate) override {
-    for (int i = 0; i < a.rows(); ++i) {
-      for (int j = 0; j < b.rows(); ++j) {
-        double acc = 0;
-        for (int p = 0; p < a.cols(); ++p) {
-          acc += static_cast<double>(a.at(i, p)) * b.at(j, p);
-        }
-        Store(out, i, j, acc, accumulate);
-      }
-    }
-  }
-
- private:
-  static void Store(Matrix& out, int i, int j, double acc, bool accumulate) {
-    if (accumulate) {
-      out.at(i, j) += static_cast<float>(acc);
-    } else {
-      out.at(i, j) = static_cast<float>(acc);
-    }
-  }
-};
-
-// Deliberately wrong on the dense (library) path only: the routed
-// sparse/tiny fallbacks still give correct answers, which is exactly what
-// the routing tests rely on.
-class BrokenBackend : public NaiveBackend {
- public:
-  std::string_view name() const noexcept override { return "broken-test"; }
-
- protected:
-  void DenseMatMul(Matrix& out, const Matrix& a, const Matrix& b,
-                   bool accumulate) override {
-    NaiveBackend::DenseMatMul(out, a, b, accumulate);
-    for (float& v : out.flat()) v *= 1.01f;
-  }
-};
-
-void EnsureTestBackendsRegistered() {
-  static const bool registered = [] {
-    RegisterGemmBackend(std::make_unique<NaiveBackend>());
-    RegisterGemmBackend(std::make_unique<BrokenBackend>());
-    return true;
-  }();
-  (void)registered;
+  return dst;
 }
 
 class GemmBackendTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    EnsureTestBackendsRegistered();
-    SetGemmBackend("builtin");
-    SetGemmParityCheck(false);
-  }
-  void TearDown() override {
-    unsetenv("TPUPERF_GEMM_BACKEND");
-    unsetenv("TPUPERF_GEMM_PARITY");
-    SetGemmBackend("builtin");
-    SetGemmParityCheck(false);
-    core::ThreadPool::SetNumThreads(1);
-  }
+  void TearDown() override { core::ThreadPool::SetNumThreads(1); }
 };
 
-// ---- Registry semantics -----------------------------------------------------
-
-TEST_F(GemmBackendTest, BuiltinIsAlwaysRegisteredAndFirst) {
-  const std::vector<std::string> names = GemmBackendNames();
-  ASSERT_FALSE(names.empty());
-  EXPECT_EQ(names.front(), "builtin");
-  EXPECT_TRUE(HasGemmBackend("builtin"));
-  EXPECT_EQ(BuiltinGemmBackend().name(), "builtin");
-}
-
-TEST_F(GemmBackendTest, RegisteredBackendsAreListed) {
-  EXPECT_TRUE(HasGemmBackend("naive-test"));
-  EXPECT_TRUE(HasGemmBackend("broken-test"));
-  EXPECT_FALSE(HasGemmBackend("no-such-backend"));
-}
-
-TEST_F(GemmBackendTest, ReducedPrecisionBackendsAreAlwaysRegistered) {
-  EXPECT_TRUE(HasGemmBackend("quant-int8"));
-  EXPECT_TRUE(HasGemmBackend("fp16"));
-  EXPECT_EQ(ReducedPrecisionBackend(Precision::kInt8)->name(), "quant-int8");
-  EXPECT_EQ(ReducedPrecisionBackend(Precision::kFp16)->name(), "fp16");
-  EXPECT_EQ(ReducedPrecisionBackend(Precision::kFloat32), nullptr);
-}
-
-TEST_F(GemmBackendTest, ParityTolerancesAreSplitPerBackend) {
-  // Widening the int8 bound must not touch what the strict backends are
-  // held to. Every f32 backend keeps the default bound...
-  const Matrix a = PseudoRandom(64, 48, 30);
-  const Matrix b = PseudoRandom(48, 32, 31);
-  for (const char* name : {"builtin", "naive-test", "broken-test"}) {
-    const GemmParityTolerance tol =
-        GemmBackendByName(name).ParityBound(a, b, 48);
-    EXPECT_EQ(tol.rtol, kGemmParityRtol) << name;
-    EXPECT_EQ(tol.atol, kGemmParityRtol) << name;
-  }
-  // ...while the reduced-precision backends widen only their own, by a
-  // derived error bound that scales with the contraction extent.
-  const GemmParityTolerance int8_tol =
-      GemmBackendByName("quant-int8").ParityBound(a, b, 48);
-  EXPECT_EQ(int8_tol.rtol, kQuantInt8ParityRtol);
-  EXPECT_GT(int8_tol.atol,
-            0.9 * QuantGemmErrorBound(48, MaxAbs(a), MaxAbs(b)));
-  const GemmParityTolerance longer =
-      GemmBackendByName("quant-int8").ParityBound(a, b, 480);
-  EXPECT_GT(longer.atol, 5.0f * int8_tol.atol);
-  const GemmParityTolerance fp16_tol =
-      GemmBackendByName("fp16").ParityBound(a, b, 48);
-  EXPECT_EQ(fp16_tol.rtol, kFp16ParityRtol);
-  EXPECT_LT(fp16_tol.atol, int8_tol.atol);  // fp16 is the tighter mode
-}
-
-TEST_F(GemmBackendTest, DuplicateRegistrationThrows) {
-  EXPECT_THROW(RegisterGemmBackend(std::make_unique<NaiveBackend>()),
-               std::invalid_argument);
-}
-
-TEST_F(GemmBackendTest, SelectionRoundTrips) {
-  EXPECT_EQ(CurrentGemmBackendName(), "builtin");
-  SetGemmBackend("naive-test");
-  EXPECT_EQ(CurrentGemmBackendName(), "naive-test");
-  SetGemmBackend("builtin");
+TEST_F(GemmBackendTest, NameIsBuiltin) {
   EXPECT_EQ(CurrentGemmBackendName(), "builtin");
 }
 
-TEST_F(GemmBackendTest, UnknownSelectionThrowsListingRegistered) {
-  try {
-    SetGemmBackend("no-such-backend");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("builtin"), std::string::npos)
-        << "error should list registered backends: " << e.what();
-  }
-}
-
-TEST_F(GemmBackendTest, UnregisterSemantics) {
-  EXPECT_THROW(UnregisterGemmBackend("builtin"), std::invalid_argument);
-  EXPECT_THROW(UnregisterGemmBackend("no-such-backend"),
-               std::invalid_argument);
-
-  class Throwaway : public NaiveBackend {
-   public:
-    std::string_view name() const noexcept override { return "throwaway"; }
-  };
-  RegisterGemmBackend(std::make_unique<Throwaway>());
-  SetGemmBackend("throwaway");
-  UnregisterGemmBackend("throwaway");
-  // Removing the selected backend falls back to builtin.
-  EXPECT_EQ(CurrentGemmBackendName(), "builtin");
-  EXPECT_FALSE(HasGemmBackend("throwaway"));
-}
-
-// ---- Env selection ----------------------------------------------------------
-
-TEST_F(GemmBackendTest, EnvSelectsBackend) {
-  setenv("TPUPERF_GEMM_BACKEND", "naive-test", 1);
-  ResetGemmBackendSelectionForTest();
-  EXPECT_EQ(CurrentGemmBackendName(), "naive-test");
-}
-
-TEST_F(GemmBackendTest, EnvUnsetDefaultsToBuiltin) {
-  unsetenv("TPUPERF_GEMM_BACKEND");
-  ResetGemmBackendSelectionForTest();
-  EXPECT_EQ(CurrentGemmBackendName(), "builtin");
-}
-
-TEST_F(GemmBackendTest, EnvUnknownBackendThrows) {
-  setenv("TPUPERF_GEMM_BACKEND", "no-such-backend", 1);
-  ResetGemmBackendSelectionForTest();
-  EXPECT_THROW(CurrentGemmBackend(), std::invalid_argument);
-  unsetenv("TPUPERF_GEMM_BACKEND");
-  ResetGemmBackendSelectionForTest();
-}
-
-TEST_F(GemmBackendTest, ProgrammaticSelectionBeatsEnv) {
-  setenv("TPUPERF_GEMM_BACKEND", "naive-test", 1);
-  ResetGemmBackendSelectionForTest();
-  SetGemmBackend("builtin");
-  EXPECT_EQ(CurrentGemmBackendName(), "builtin");
-}
-
-TEST_F(GemmBackendTest, EnvArmsParityCheck) {
-  setenv("TPUPERF_GEMM_PARITY", "1", 1);
-  ResetGemmBackendSelectionForTest();
-  CurrentGemmBackend();  // lazy env read
-  EXPECT_TRUE(GemmParityCheckEnabled());
-}
-
-// ---- Six-entry-point parity -------------------------------------------------
+// ---- Five entry points against the reference --------------------------------
 
 struct GemmShape {
   int m, k, n;
   int sparsity;  // zero_out_of_10 applied to the left operand
 };
 
-// The parity grid: empty extents, single rows, shapes straddling the 4x16
-// register tile, and products large enough to cross both the external
-// dispatch threshold and the thread-pool threshold; the sparse rows
-// exercise the routed backends' mostly-zero fallback.
+// Empty extents, single rows, shapes straddling the register tile, and
+// products large enough to cross the thread-pool threshold.
 const GemmShape kShapes[] = {
     {0, 4, 3, 0},   {4, 0, 3, 0},    {4, 3, 0, 0},     {1, 1, 1, 0},
     {1, 16, 16, 0}, {5, 7, 3, 0},    {33, 17, 29, 0},  {64, 48, 32, 0},
     {96, 64, 80, 8}, {200, 128, 160, 0},
 };
 
-// Runs all six entry points (plus the Into variants) of the *selected*
-// backend and compares against the built-in backend invoked directly,
-// within the selected backend's own ParityBound for each product (the
-// contraction extent is s.k for every entry in this grid).
-void CheckAllEntryPointsAgainstBuiltin(const GemmShape& s) {
-  GemmBackend& builtin = BuiltinGemmBackend();
-  GemmBackend& selected = CurrentGemmBackend();
-  const Matrix a = PseudoRandom(s.m, s.k, 1, s.sparsity);
-  const Matrix b = PseudoRandom(s.k, s.n, 2);
-  const Matrix ta_a = PseudoRandom(s.k, s.m, 3, s.sparsity);  // [k,m]
-  const Matrix tb_b = PseudoRandom(s.n, s.k, 4);              // [n,k]
+TEST_F(GemmBackendTest, EveryEntryPointMatchesReferenceOnAllShapes) {
+  for (const GemmShape& s : kShapes) {
+    SCOPED_TRACE("shape=" + std::to_string(s.m) + "x" + std::to_string(s.k) +
+                 "x" + std::to_string(s.n) + " sparsity=" +
+                 std::to_string(s.sparsity));
+    const Matrix a = PseudoRandom(s.m, s.k, 1, s.sparsity);
+    const Matrix b = PseudoRandom(s.k, s.n, 2);
+    const Matrix ta_a = PseudoRandom(s.k, s.m, 3, s.sparsity);  // [k,m]
+    const Matrix tb_b = PseudoRandom(s.n, s.k, 4);              // [n,k]
+    const Matrix zeros(s.m, s.n);
 
-  {
-    const GemmParityTolerance tol = selected.ParityBound(a, b, s.k);
-    Matrix want(s.m, s.n);
-    builtin.MatMul(want, a, b);
-    ExpectNear(MatMul(a, b), want, "MatMul", tol);
+    const Matrix ab = Reference(a, false, b, false, zeros);
+    ExpectNear(MatMul(a, b), ab, "MatMul");
     Matrix into = PseudoRandom(2, 2, 99);  // wrong shape: must reshape
     MatMulInto(into, a, b);
-    ExpectNear(into, want, "MatMulInto", tol);
-  }
-  {
-    const GemmParityTolerance tol = selected.ParityBound(ta_a, b, s.k);
-    Matrix want(s.m, s.n);
-    builtin.MatMulTransposeA(want, ta_a, b);
-    ExpectNear(MatMulTransposeA(ta_a, b), want, "MatMulTransposeA", tol);
-  }
-  {
-    const GemmParityTolerance tol = selected.ParityBound(a, tb_b, s.k);
-    Matrix want(s.m, s.n);
-    builtin.MatMulTransposeB(want, a, tb_b);
-    ExpectNear(MatMulTransposeB(a, tb_b), want, "MatMulTransposeB", tol);
-  }
-  {
-    const GemmParityTolerance tol = selected.ParityBound(ta_a, b, s.k);
-    Matrix want = PseudoRandom(s.m, s.n, 5);
-    Matrix got = want;
-    builtin.MatMulTransposeAAccum(want, ta_a, b);
-    MatMulTransposeAAccum(got, ta_a, b);
-    ExpectNear(got, want, "MatMulTransposeAAccum", tol);
-  }
-  {
-    const GemmParityTolerance tol = selected.ParityBound(a, tb_b, s.k);
-    Matrix want = PseudoRandom(s.m, s.n, 6);
-    Matrix got = want;
-    builtin.MatMulTransposeBAccum(want, a, tb_b);
-    MatMulTransposeBAccum(got, a, tb_b);
-    ExpectNear(got, want, "MatMulTransposeBAccum", tol);
-  }
-}
+    ExpectNear(into, ab, "MatMulInto");
+    ExpectNear(MatMulTransposeA(ta_a, b),
+               Reference(ta_a, true, b, false, zeros), "MatMulTransposeA");
+    ExpectNear(MatMulTransposeB(a, tb_b),
+               Reference(a, false, tb_b, true, zeros), "MatMulTransposeB");
 
-TEST_F(GemmBackendTest, EveryRegisteredBackendMatchesBuiltinOnAllShapes) {
-  for (const std::string& name : GemmBackendNames()) {
-    if (name == "broken-test") continue;  // wrong on purpose
-    SCOPED_TRACE("backend=" + name);
-    SetGemmBackend(name);
-    for (const GemmShape& s : kShapes) {
-      SCOPED_TRACE("shape=" + std::to_string(s.m) + "x" + std::to_string(s.k) +
-                   "x" + std::to_string(s.n) + " sparsity=" +
-                   std::to_string(s.sparsity));
-      CheckAllEntryPointsAgainstBuiltin(s);
-    }
+    Matrix ta_acc = PseudoRandom(s.m, s.n, 5);
+    const Matrix ta_want = Reference(ta_a, true, b, false, ta_acc);
+    MatMulTransposeAAccum(ta_acc, ta_a, b);
+    ExpectNear(ta_acc, ta_want, "MatMulTransposeAAccum");
+    Matrix tb_acc = PseudoRandom(s.m, s.n, 6);
+    const Matrix tb_want = Reference(a, false, tb_b, true, tb_acc);
+    MatMulTransposeBAccum(tb_acc, a, tb_b);
+    ExpectNear(tb_acc, tb_want, "MatMulTransposeBAccum");
   }
-}
-
-TEST_F(GemmBackendTest, BuiltinDispatchIsBitIdenticalToDirectCall) {
-  // Dispatching through the wrapper must not change a single bit of the
-  // built-in results (the wrapper only adds shape checks + zeroing, which
-  // the direct path replicates here).
-  const Matrix a = PseudoRandom(33, 17, 1);
-  const Matrix b = PseudoRandom(17, 29, 2);
-  Matrix want(33, 29);
-  BuiltinGemmBackend().MatMul(want, a, b);
-  ExpectBitEqual(MatMul(a, b), want, "builtin MatMul");
 }
 
 // ---- Exactness against a scalar reference -----------------------------------
@@ -443,103 +199,34 @@ TEST_F(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
   }
 }
 
-// ---- Routed fallbacks -------------------------------------------------------
+// ---- Threaded exactness -----------------------------------------------------
 
-TEST_F(GemmBackendTest, RoutedBackendFallsBackToBuiltinForSparseOperands) {
-  // >=70% zeros and >=256 elements: the routed policy must use the builtin
-  // kernels, so the result is bit-identical, not merely close.
-  SetGemmBackend("naive-test");
-  const Matrix a = PseudoRandom(96, 64, 7, /*zero_out_of_10=*/8);
-  const Matrix b = PseudoRandom(64, 80, 8);
-  Matrix want(96, 80);
-  BuiltinGemmBackend().MatMul(want, a, b);
-  ExpectBitEqual(MatMul(a, b), want, "sparse fallback");
-}
-
-TEST_F(GemmBackendTest, RoutedBackendFallsBackToBuiltinForTinyOperands) {
-  // 5*7*3 multiply-adds is far below kExternalDispatchFlops: builtin path,
-  // bit-identical. The broken backend proves the library hook never ran.
-  SetGemmBackend("broken-test");
-  const Matrix a = PseudoRandom(5, 7, 9);
-  const Matrix b = PseudoRandom(7, 3, 10);
-  Matrix want(5, 3);
-  BuiltinGemmBackend().MatMul(want, a, b);
-  ExpectBitEqual(MatMul(a, b), want, "tiny fallback");
-}
-
-// ---- Threaded parity --------------------------------------------------------
-
-TEST_F(GemmBackendTest, PoolWidthDoesNotChangeAnyBackendsResults) {
-  // Shapes above the parallel threshold (m*k*n >= 2^19) so the builtin
-  // kernels actually shard. Builtin results must be bit-identical across
-  // widths; routed backends must be too (the library path never consults
-  // the pool, the fallback paths shard deterministically).
-  // The reduced-precision backends are covered too: int8 accumulates in
-  // exact int32 (so row partitioning cannot change a bit) and fp16
-  // delegates to the deterministic builtin kernels after operand rounding.
+TEST_F(GemmBackendTest, PoolWidthDoesNotChangeResults) {
+  // Shapes above the parallel threshold (m*k*n >= 2^19) so the kernels
+  // actually shard; the results must be bit-identical across widths.
   const Matrix a = PseudoRandom(200, 128, 13);
   const Matrix sparse_a = PseudoRandom(200, 128, 14, 8);
   const Matrix b = PseudoRandom(128, 160, 15);
-  for (const std::string& name :
-       {std::string("builtin"), std::string("naive-test"),
-        std::string("quant-int8"), std::string("fp16")}) {
-    SCOPED_TRACE("backend=" + name);
-    SetGemmBackend(name);
-    core::ThreadPool::SetNumThreads(1);
-    const Matrix dense1 = MatMul(a, b);
-    const Matrix sparse1 = MatMul(sparse_a, b);
-    Matrix accum1 = PseudoRandom(128, 160, 16);
-    MatMulTransposeAAccum(accum1, a, PseudoRandom(200, 160, 17));
-    core::ThreadPool::SetNumThreads(4);
-    const Matrix dense4 = MatMul(a, b);
-    const Matrix sparse4 = MatMul(sparse_a, b);
-    Matrix accum4 = PseudoRandom(128, 160, 16);
-    MatMulTransposeAAccum(accum4, a, PseudoRandom(200, 160, 17));
-    ExpectBitEqual(dense4, dense1, "dense MatMul across widths");
-    ExpectBitEqual(sparse4, sparse1, "sparse MatMul across widths");
-    ExpectBitEqual(accum4, accum1, "TransposeAAccum across widths");
+  const Matrix b_t = PseudoRandom(160, 128, 18);
+  const auto run = [&](int width) {
+    core::ThreadPool::SetNumThreads(width);
+    std::vector<Matrix> out;
+    out.push_back(MatMul(a, b));
+    out.push_back(MatMul(sparse_a, b));
+    out.push_back(MatMulTransposeB(a, b_t));
+    out.push_back(PseudoRandom(128, 160, 16));
+    MatMulTransposeAAccum(out.back(), a, PseudoRandom(200, 160, 17));
+    out.push_back(PseudoRandom(200, 160, 19));
+    MatMulTransposeBAccum(out.back(), a, b_t);
+    return out;
+  };
+  const std::vector<Matrix> one = run(1);
+  const std::vector<Matrix> four = run(4);
+  const char* what[] = {"dense MatMul", "sparse MatMul", "TransposeB",
+                        "TransposeAAccum", "TransposeBAccum"};
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    ExpectBitEqual(four[i], one[i], what[i]);
   }
-}
-
-TEST_F(GemmBackendTest, ThreadedBackendStaysWithinParityOfBuiltin) {
-  core::ThreadPool::SetNumThreads(4);
-  SetGemmBackend("naive-test");
-  for (const GemmShape& s : kShapes) {
-    SCOPED_TRACE("shape=" + std::to_string(s.m) + "x" + std::to_string(s.k) +
-                 "x" + std::to_string(s.n));
-    CheckAllEntryPointsAgainstBuiltin(s);
-  }
-}
-
-// ---- Parity-check mode ------------------------------------------------------
-
-TEST_F(GemmBackendTest, ParityModePassesCorrectBackends) {
-  SetGemmBackend("naive-test");
-  SetGemmParityCheck(true);
-  const Matrix a = PseudoRandom(64, 48, 18);
-  const Matrix b = PseudoRandom(48, 32, 19);
-  EXPECT_NO_THROW(MatMul(a, b));
-  Matrix dst(64, 32);
-  EXPECT_NO_THROW(MatMulTransposeBAccum(dst, a, PseudoRandom(32, 48, 20)));
-}
-
-TEST_F(GemmBackendTest, ParityModeCatchesWrongResults) {
-  SetGemmBackend("broken-test");
-  SetGemmParityCheck(true);
-  // Large + dense so the broken dense hook (not a fallback) runs.
-  const Matrix a = PseudoRandom(64, 48, 21);
-  const Matrix b = PseudoRandom(48, 32, 22);
-  EXPECT_THROW(MatMul(a, b), GemmParityError);
-}
-
-TEST_F(GemmBackendTest, ParityModeIsFreeOnBuiltin) {
-  SetGemmBackend("builtin");
-  SetGemmParityCheck(true);
-  const Matrix a = PseudoRandom(64, 48, 23);
-  const Matrix b = PseudoRandom(48, 32, 24);
-  Matrix want(64, 32);
-  BuiltinGemmBackend().MatMul(want, a, b);
-  ExpectBitEqual(MatMul(a, b), want, "builtin under parity mode");
 }
 
 }  // namespace

@@ -68,6 +68,24 @@ TEST(Matrix, TransposedMatMulsAgree) {
 
 TEST(Matrix, ShapeMismatchThrows) {
   EXPECT_THROW(MatMul(Matrix(2, 3), Matrix(2, 3)), std::invalid_argument);
+  Matrix into;
+  EXPECT_THROW(MatMulInto(into, Matrix(2, 3), Matrix(2, 3)),
+               std::invalid_argument);
+  // a^T @ b needs a.rows() == b.rows(); a @ b^T needs a.cols() == b.cols().
+  EXPECT_THROW(MatMulTransposeA(Matrix(2, 3), Matrix(3, 2)),
+               std::invalid_argument);
+  EXPECT_THROW(MatMulTransposeB(Matrix(2, 3), Matrix(3, 2)),
+               std::invalid_argument);
+  // The accumulating variants also check dst against the product's shape:
+  // [2,3]^T @ [2,4] is [3,4] and [2,3] @ [4,3]^T is [2,4].
+  Matrix wrong_dst(4, 3);
+  EXPECT_THROW(MatMulTransposeAAccum(wrong_dst, Matrix(2, 3), Matrix(2, 4)),
+               std::invalid_argument);
+  EXPECT_THROW(MatMulTransposeBAccum(wrong_dst, Matrix(2, 3), Matrix(4, 3)),
+               std::invalid_argument);
+  Matrix ta_dst(3, 4), tb_dst(2, 4);
+  EXPECT_NO_THROW(MatMulTransposeAAccum(ta_dst, Matrix(2, 3), Matrix(2, 4)));
+  EXPECT_NO_THROW(MatMulTransposeBAccum(tb_dst, Matrix(2, 3), Matrix(4, 3)));
   EXPECT_THROW(Add(Matrix(2, 3), Matrix(3, 2)), std::invalid_argument);
   EXPECT_THROW(Hadamard(Matrix(2, 3), Matrix(2, 2)), std::invalid_argument);
 }
