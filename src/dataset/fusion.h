@@ -48,9 +48,11 @@ struct FusionLimits {
   int max_group_nodes = 48;
 };
 
-// Derives the node -> group id partition induced by `config`. Returns
-// nullopt when the contracted group graph is cyclic or a group exceeds
-// `limits.max_group_nodes`.
+// Derives the node -> group id partition induced by `config`; groups are
+// numbered in order of their lowest node id. Returns nullopt when the
+// contracted group graph is cyclic or a group exceeds
+// `limits.max_group_nodes`. Throws std::invalid_argument when `config` does
+// not match `edges` or an edge endpoint is not a node of `graph`.
 std::optional<std::vector<int>> DerivePartition(const ir::Graph& graph,
                                                 const EdgeList& edges,
                                                 const FusionConfig& config,
@@ -59,7 +61,10 @@ std::optional<std::vector<int>> DerivePartition(const ir::Graph& graph,
 // Materializes kernels from a partition. Cross-group values become
 // parameters of the consumer kernel and outputs of the producer kernel;
 // parameter/constant nodes are inlined (duplicated) into every consuming
-// kernel. Groups containing only inlined inputs produce no kernel.
+// kernel. Groups containing only inlined inputs produce no kernel; the
+// others yield one kernel each, in group id order. Throws
+// std::invalid_argument unless `group_of` has one id in [0, num_nodes())
+// per node.
 std::vector<ir::Kernel> ExtractKernels(const ir::Graph& graph,
                                        const std::vector<int>& group_of);
 
@@ -74,7 +79,11 @@ std::vector<ir::Kernel> ApplyFusion(const ir::Graph& graph,
 // producer->consumer edges that save memory traffic — elementwise /
 // data-movement / reduction producers with a single consumer, and
 // dot/convolution outputs into elementwise epilogues — as long as the
-// configuration stays valid.
+// configuration stays valid. Edges are tried in list order. Validity is
+// checked incrementally (group sizes, plus a walk over groups for a path
+// that the merge would close into a cycle) and accepts exactly the edges
+// that re-deriving the partition with DerivePartition would accept. Throws
+// std::invalid_argument when an edge endpoint is not a node of `graph`.
 FusionConfig DefaultFusion(const ir::Graph& graph, const EdgeList& edges,
                            const FusionLimits& limits = {});
 

@@ -76,6 +76,13 @@ double HaloFactor(const Graph& g, const TileConfig& tile) {
 
 SimResult TpuSimulator::Simulate(const Graph& kernel,
                                  const TileConfig& tile) const {
+  std::uint64_t fingerprint = 0;
+  return SimulateAndFingerprint(kernel, tile, &fingerprint);
+}
+
+SimResult TpuSimulator::SimulateAndFingerprint(
+    const Graph& kernel, const TileConfig& tile,
+    std::uint64_t* fingerprint) const {
   SimResult r;
   const NodeId root = kernel.RootId();
   if (root == ir::kInvalidNode) return r;
@@ -184,7 +191,11 @@ SimResult TpuSimulator::Simulate(const Graph& kernel,
     }
   }
 
+  // Hashed here, between the terms above and below: where the call sits
+  // decides which multiply-adds the compiler contracts, and so the
+  // runtimes' last bits.
   const std::uint64_t fp = kernel.Fingerprint();
+  *fingerprint = fp;
   const std::uint64_t th = TileHash(tile);
   // Scheduling jitter: issue stalls the compiler backend produces for this
   // exact (kernel, tile) pair. Deterministic but feature-opaque.
@@ -212,8 +223,9 @@ SimResult TpuSimulator::Simulate(const Graph& kernel,
 
 double TpuSimulator::Measure(const Graph& kernel, const TileConfig& tile,
                              int runs) const {
-  const SimResult base = Simulate(kernel, tile);
-  const std::uint64_t fp = kernel.Fingerprint();
+  // A kernel without a root simulates to 0 s, whatever the fingerprint.
+  std::uint64_t fp = 0;
+  const SimResult base = SimulateAndFingerprint(kernel, tile, &fp);
   const std::uint64_t th = TileHash(tile);
   double best = std::numeric_limits<double>::infinity();
   for (int run = 0; run < std::max(1, runs); ++run) {

@@ -77,6 +77,13 @@ class TpuSimulator {
                                              int max_configs = 1024) const;
 
  private:
+  // Simulate that also stores the kernel's Fingerprint() in `*fingerprint`
+  // (left untouched for a kernel without a root), so that Measure hashes
+  // the graph once.
+  SimResult SimulateAndFingerprint(const ir::Graph& kernel,
+                                   const ir::TileConfig& tile,
+                                   std::uint64_t* fingerprint) const;
+
   TpuTarget target_;
 };
 

@@ -1,9 +1,13 @@
 // Tests for the fusion machinery: edge lists, partition validity (cycle
 // detection, group size bounds), kernel extraction semantics, the default
-// heuristic, and random-configuration sampling (parameterized over seeds).
+// heuristic (checked against a per-edge reference), and random-configuration
+// sampling (parameterized over seeds).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <stdexcept>
 
 #include "dataset/families.h"
 #include "dataset/fusion.h"
@@ -36,6 +40,51 @@ ir::Graph DiamondGraph() {
   const NodeId right = b.Unary(OpCode::kTanh, a);
   const NodeId mid = b.Unary(OpCode::kNegate, left);
   b.Binary(OpCode::kAdd, mid, right);
+  return std::move(b).Build();
+}
+
+// The default heuristic as a per-edge greedy over whole-partition checks:
+// set each candidate edge, re-derive the partition, and undo the edge if
+// the configuration became invalid. DefaultFusion must match it exactly.
+FusionConfig ReferenceDefaultFusion(const ir::Graph& graph,
+                                    const EdgeList& edges,
+                                    const FusionLimits& limits) {
+  FusionConfig config;
+  config.fuse_edge.assign(edges.edges.size(), false);
+  std::vector<int> user_count(static_cast<size_t>(graph.num_nodes()), 0);
+  for (const auto& node : graph.nodes()) {
+    for (const NodeId operand : node.operands) {
+      ++user_count[static_cast<size_t>(operand)];
+    }
+  }
+  for (size_t e = 0; e < edges.edges.size(); ++e) {
+    const auto& edge = edges.edges[e];
+    const auto& producer = graph.node(edge.producer);
+    const auto& consumer = graph.node(edge.consumer);
+    const bool producer_cheap = ir::IsElementwise(producer.op) ||
+                                ir::IsDataMovement(producer.op) ||
+                                producer.op == OpCode::kReduce ||
+                                producer.op == OpCode::kBatchNormInference;
+    const bool epilogue_fusion =
+        ir::UsesMatrixUnit(producer.op) &&
+        (ir::IsElementwise(consumer.op) ||
+         consumer.op == OpCode::kBatchNormInference ||
+         consumer.op == OpCode::kReduce);
+    if (user_count[static_cast<size_t>(edge.producer)] != 1) continue;
+    if (!producer_cheap && !epilogue_fusion) continue;
+    config.fuse_edge[e] = true;
+    if (!DerivePartition(graph, edges, config, limits).has_value()) {
+      config.fuse_edge[e] = false;
+    }
+  }
+  return config;
+}
+
+// param -> exp -> tanh -> negate.
+ir::Graph ThreeOpChain() {
+  GraphBuilder b;
+  const NodeId p = b.Parameter(Shape({16, 16}));
+  b.Unary(OpCode::kNegate, b.Unary(OpCode::kTanh, b.Unary(OpCode::kExp, p)));
   return std::move(b).Build();
 }
 
@@ -117,6 +166,39 @@ TEST(DerivePartition, RejectsGroupCycles) {
   EXPECT_TRUE(DerivePartition(g, edges, all).has_value());
 }
 
+TEST(DerivePartition, GroupIdsFollowFirstNodeOrder) {
+  const auto g = DiamondGraph();  // 0 param, 1 exp, 2 abs, 3 tanh, 4 neg, 5 add
+  const EdgeList edges = EdgeList::FromGraph(g);
+  FusionConfig config;
+  config.fuse_edge.assign(static_cast<size_t>(edges.size()), false);
+  for (int e = 0; e < edges.size(); ++e) {
+    const auto& edge = edges.edges[static_cast<size_t>(e)];
+    if ((edge.producer == 1 && edge.consumer == 3) ||
+        (edge.producer == 4 && edge.consumer == 5)) {
+      config.fuse_edge[static_cast<size_t>(e)] = true;
+    }
+  }
+  const auto partition = DerivePartition(g, edges, config);
+  ASSERT_TRUE(partition.has_value());
+  // Groups are numbered by their lowest node id: ExtractKernels emits
+  // kernels in this order.
+  EXPECT_EQ(*partition, (std::vector<int>{0, 1, 2, 1, 3, 3}));
+}
+
+TEST(DerivePartition, ThrowsOnEdgesOfAnotherGraph) {
+  const auto small = ChainGraph();
+  const auto large = DiamondGraph();
+  const EdgeList edges = EdgeList::FromGraph(large);
+  FusionConfig config;
+  config.fuse_edge.assign(static_cast<size_t>(edges.size()), false);
+  EXPECT_THROW(DerivePartition(small, edges, config), std::invalid_argument);
+  EdgeList negative;
+  negative.edges.push_back({-1, 1});
+  FusionConfig one;
+  one.fuse_edge = {false};
+  EXPECT_THROW(DerivePartition(small, negative, one), std::invalid_argument);
+}
+
 TEST(DerivePartition, EnforcesGroupSizeBound) {
   const auto g = DiamondGraph();
   const EdgeList edges = EdgeList::FromGraph(g);
@@ -164,6 +246,19 @@ TEST(ExtractKernels, FusedChainYieldsOneKernel) {
   EXPECT_EQ(compute_nodes, 2);  // exp + tanh
 }
 
+TEST(ExtractKernels, ThrowsOnPartitionOfAnotherGraph) {
+  const auto g = DiamondGraph();
+  EXPECT_THROW(ExtractKernels(g, std::vector<int>{0, 1, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(ExtractKernels(g, std::vector<int>{0, 1, 2, 3, 4, 5, 6}),
+               std::invalid_argument);
+  EXPECT_THROW(ExtractKernels(g, std::vector<int>{0, 1, -1, 3, 4, 5}),
+               std::invalid_argument);
+  EXPECT_THROW(ExtractKernels(g, std::vector<int>{0, 1, 2, 3, 4, 6}),
+               std::invalid_argument);
+  EXPECT_EQ(ExtractKernels(g, std::vector<int>{0, 1, 2, 3, 4, 5}).size(), 5u);
+}
+
 TEST(ExtractKernels, PreservesComputeNodeCount) {
   const ir::Program program = BuildProgram("NMT", 0);
   const EdgeList edges = EdgeList::FromGraph(program.graph);
@@ -207,6 +302,111 @@ TEST(DefaultFusion, IsValidAndFusesSomething) {
   none.fuse_edge.assign(config.fuse_edge.size(), false);
   EXPECT_LT(ApplyFusion(program.graph, edges, config).size(),
             ApplyFusion(program.graph, edges, none).size());
+}
+
+TEST(DefaultFusion, MatchesPerEdgeReferenceOnCorpus) {
+  int programs = 0;
+  for (const ir::Program& program : GenerateCorpus()) {
+    const EdgeList edges = EdgeList::FromGraph(program.graph);
+    for (const int max_nodes : {1, 2, 3, 8, 48}) {
+      FusionLimits limits;
+      limits.max_group_nodes = max_nodes;
+      ASSERT_EQ(DefaultFusion(program.graph, edges, limits).fuse_edge,
+                ReferenceDefaultFusion(program.graph, edges, limits).fuse_edge)
+          << program.name << " max_group_nodes=" << max_nodes;
+    }
+    ++programs;
+  }
+  EXPECT_GT(programs, 50);
+}
+
+// Hand-built edge lists may pair nodes that are not producer and consumer
+// and may list edges in any order; the cycle check must still accept
+// exactly what DerivePartition accepts.
+TEST(DefaultFusion, MatchesPerEdgeReferenceOnShuffledAndExtraEdges) {
+  std::mt19937_64 rng(11);
+  const auto corpus = GenerateCorpus();
+  for (size_t i = 0; i < corpus.size(); i += 4) {
+    const ir::Graph& graph = corpus[i].graph;
+    EdgeList edges = EdgeList::FromGraph(graph);
+    std::uniform_int_distribution<NodeId> node(0, graph.num_nodes() - 1);
+    for (int k = 0; k < edges.size() / 2; ++k) {
+      NodeId a = node(rng);
+      NodeId b = node(rng);
+      if (a == b) continue;
+      edges.edges.push_back({a, b});
+    }
+    std::shuffle(edges.edges.begin(), edges.edges.end(), rng);
+    for (const int max_nodes : {3, 48}) {
+      FusionLimits limits;
+      limits.max_group_nodes = max_nodes;
+      const FusionConfig config = DefaultFusion(graph, edges, limits);
+      ASSERT_EQ(config.fuse_edge,
+                ReferenceDefaultFusion(graph, edges, limits).fuse_edge)
+          << corpus[i].name << " max_group_nodes=" << max_nodes;
+      EXPECT_TRUE(DerivePartition(graph, edges, config, limits).has_value());
+    }
+  }
+}
+
+// Diamond p -> x -> c plus a p/c pair: fusing the pair alone would put
+// x's group both after and before {p, c}.
+TEST(DefaultFusion, RefusesMergeThatClosesACycle) {
+  GraphBuilder b;
+  const NodeId param = b.Parameter(Shape({16, 16}));
+  const NodeId p = b.Unary(OpCode::kExp, param);
+  const NodeId x = b.Unary(OpCode::kAbs, p);
+  const NodeId c = b.Unary(OpCode::kTanh, x);
+  b.Unary(OpCode::kNegate, c);
+  const ir::Graph g = std::move(b).Build();
+  FusionConfig pair;
+  pair.fuse_edge = {true};
+  // The pair in either order: the path runs from the producer's group to
+  // the consumer's, or back from the consumer's to the producer's.
+  for (const EdgeList::Edge edge :
+       {EdgeList::Edge{p, c}, EdgeList::Edge{c, p}}) {
+    EdgeList edges;
+    edges.edges = {edge};
+    ASSERT_FALSE(DerivePartition(g, edges, pair).has_value());
+    EXPECT_EQ(DefaultFusion(g, edges).fuse_edge, std::vector<bool>{false});
+  }
+  // Listing the path's edges first grows one group that the pair joins.
+  EdgeList edges;
+  edges.edges = {{p, x}, {x, c}, {p, c}};
+  EXPECT_EQ(DefaultFusion(g, edges).fuse_edge,
+            (std::vector<bool>{true, true, true}));
+}
+
+TEST(DefaultFusion, FusesEdgeInsideOneGroup) {
+  const auto g = ThreeOpChain();
+  EdgeList edges = EdgeList::FromGraph(g);
+  ASSERT_EQ(edges.size(), 2);
+  edges.edges.push_back(edges.edges[0]);  // already merged when reached
+  EXPECT_EQ(DefaultFusion(g, edges).fuse_edge,
+            (std::vector<bool>{true, true, true}));
+  FusionLimits one;
+  one.max_group_nodes = 1;
+  EXPECT_EQ(DefaultFusion(g, edges, one).fuse_edge,
+            (std::vector<bool>{false, false, false}));
+}
+
+TEST(DefaultFusion, RefusesMergeOverSizeBound) {
+  const auto g = ThreeOpChain();
+  const EdgeList edges = EdgeList::FromGraph(g);
+  FusionLimits limits;
+  limits.max_group_nodes = 2;
+  // exp+tanh fill the bound; negate stays alone.
+  EXPECT_EQ(DefaultFusion(g, edges, limits).fuse_edge,
+            (std::vector<bool>{true, false}));
+  limits.max_group_nodes = 3;
+  EXPECT_EQ(DefaultFusion(g, edges, limits).fuse_edge,
+            (std::vector<bool>{true, true}));
+}
+
+TEST(DefaultFusion, ThrowsOnEdgesOfAnotherGraph) {
+  const auto large = DiamondGraph();
+  const EdgeList edges = EdgeList::FromGraph(large);
+  EXPECT_THROW(DefaultFusion(ChainGraph(), edges), std::invalid_argument);
 }
 
 // Property: RandomFusion always yields a valid configuration, across seeds
