@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -24,15 +25,15 @@ class UnionFeatureSource final : public feat::KernelFeatureSource {
     stores_.push_back(std::move(store));
   }
 
-  const feat::KernelFeatures* Lookup(
+  std::optional<feat::KernelFeatures> Lookup(
       std::uint64_t fingerprint, std::uint64_t structural_sig) const override {
     for (const auto& store : stores_) {
-      if (const feat::KernelFeatures* kf =
+      if (std::optional<feat::KernelFeatures> kf =
               store->Lookup(fingerprint, structural_sig)) {
         return kf;
       }
     }
-    return nullptr;
+    return std::nullopt;
   }
 
  private:

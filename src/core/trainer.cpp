@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <random>
 #include <unordered_set>
 
@@ -59,7 +60,7 @@ void FitNodeScalerVia(LearnedCostModel& model,
                       const feat::KernelFeatureSource* source,
                       const ir::Graph& kernel, std::uint64_t fingerprint) {
   if (source != nullptr) {
-    if (const feat::KernelFeatures* cached =
+    if (const std::optional<feat::KernelFeatures> cached =
             source->Lookup(fingerprint, kernel.StructuralSignature())) {
       model.FitNodeScaler(*cached);
       return;
@@ -120,10 +121,10 @@ const PreparedKernel& PreparedCache::Get(const ir::Graph& kernel,
   // Models a throwing featurization (the hazard the guard above exists
   // for); placed after the claim so injection exercises the release path.
   MaybeInjectFault("featurize.throw");
-  const feat::KernelFeatures* cached =
-      features_ != nullptr ? features_->Lookup(fingerprint, sig) : nullptr;
+  const std::optional<feat::KernelFeatures> cached =
+      features_ != nullptr ? features_->Lookup(fingerprint, sig) : std::nullopt;
   PreparedKernel prepared =
-      cached != nullptr ? model_.Prepare(*cached) : model_.Prepare(kernel);
+      cached ? model_.Prepare(*cached) : model_.Prepare(kernel);
   lock.lock();
   guard.locked = true;
   std::deque<Entry>& chain = cache_[fingerprint];

@@ -522,25 +522,32 @@ void FillStats(StoreLoadStats* stats, bool hit, std::string path,
 // ---- StoredFeatures --------------------------------------------------------
 
 void StoredFeatures::Add(FeaturizedKernel kernel) {
-  if (Lookup(kernel.fingerprint, kernel.structural_sig) != nullptr) return;
+  if (Find(kernel.fingerprint, kernel.structural_sig) != nullptr) return;
   entries_.push_back(std::move(kernel));
   const FeaturizedKernel& stored = entries_.back();
   by_fingerprint_[stored.fingerprint].push_back(&stored);
 }
 
-const feat::KernelFeatures* StoredFeatures::Lookup(
+const FeaturizedKernel* StoredFeatures::Find(
     std::uint64_t fingerprint, std::uint64_t structural_sig) const {
   const auto it = by_fingerprint_.find(fingerprint);
   if (it == by_fingerprint_.end()) return nullptr;
   for (const FeaturizedKernel* fk : it->second) {
-    if (fk->structural_sig == structural_sig) return &fk->features;
+    if (fk->structural_sig == structural_sig) return fk;
   }
   return nullptr;
 }
 
+std::optional<feat::KernelFeatures> StoredFeatures::Lookup(
+    std::uint64_t fingerprint, std::uint64_t structural_sig) const {
+  const FeaturizedKernel* fk = Find(fingerprint, structural_sig);
+  if (fk == nullptr) return std::nullopt;
+  return fk->features;
+}
+
 // ---- GraphDict -------------------------------------------------------------
 
-void GraphDict::Add(const RecordView& record) {
+GraphDict::Entry GraphDict::Decode(const RecordView& record) {
   Dec d(record.payload.data(), record.payload.size(), record.context);
   Entry entry;
   entry.kernel.graph = DecodeGraph(d);
@@ -552,18 +559,44 @@ void GraphDict::Add(const RecordView& record) {
            "(serialization drift or tampering)");
   }
   entry.structural_sig = entry.kernel.graph.StructuralSignature();
-  entries_.push_back(std::move(entry));
+  return entry;
+}
+
+void GraphDict::Add(const RecordView& record) {
+  Put(static_cast<std::uint32_t>(entries_.size()), Decode(record));
+}
+
+void GraphDict::Put(std::uint32_t index, Entry entry) {
+  entries_.insert_or_assign(index, std::move(entry));
 }
 
 const GraphDict::Entry& GraphDict::At(std::uint32_t index,
                                       const std::string& context) const {
-  if (index >= entries_.size()) {
+  const auto it = entries_.find(index);
+  if (it != entries_.end()) return it->second;
+  // A file-order dictionary holds exactly the entries that precede the
+  // record, so its misses are references past them.
+  CheckDictIndexPrecedes(index, entries_.size(), context);
+  throw StoreError(context + ": graph-dictionary index " +
+                   std::to_string(index) + " was not loaded");
+}
+
+std::optional<std::uint32_t> PeekKernelDictIndex(const RecordView& record,
+                                                 std::uint32_t version) {
+  if (version < 3) return std::nullopt;
+  Dec d(record.payload.data(), record.payload.size(), record.context);
+  if (d.U8() != kKernelDictRefTag) return std::nullopt;
+  return d.U32();
+}
+
+void CheckDictIndexPrecedes(std::uint32_t index, std::size_t preceding,
+                            const std::string& context) {
+  if (index >= preceding) {
     throw StoreError(context + ": kernel record references graph-dictionary "
                      "index " + std::to_string(index) + " but only " +
-                     std::to_string(entries_.size()) +
+                     std::to_string(preceding) +
                      " dictionary records precede it (corrupt store)");
   }
-  return entries_[index];
 }
 
 // ---- Record-level decode entry points --------------------------------------

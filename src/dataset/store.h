@@ -82,6 +82,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -141,14 +142,13 @@ struct FeaturizedKernel {
 
 /// Loaded featurized records, servable as a feat::KernelFeatureSource so
 /// PreparedCache and the trainers skip FeaturizeKernel on warm runs. Safe
-/// for concurrent Lookup once populated; pointers stay valid for the
-/// object's lifetime.
+/// for concurrent Lookup once populated; Lookup copies the record out.
 class StoredFeatures final : public feat::KernelFeatureSource {
  public:
   // Appends one record (first entry wins on exact duplicates).
   void Add(FeaturizedKernel kernel);
 
-  const feat::KernelFeatures* Lookup(
+  std::optional<feat::KernelFeatures> Lookup(
       std::uint64_t fingerprint, std::uint64_t structural_sig) const override;
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -159,6 +159,9 @@ class StoredFeatures final : public feat::KernelFeatureSource {
   }
 
  private:
+  const FeaturizedKernel* Find(std::uint64_t fingerprint,
+                               std::uint64_t structural_sig) const;
+
   std::deque<FeaturizedKernel> entries_;  // stable addresses
   std::unordered_map<std::uint64_t, std::vector<const FeaturizedKernel*>>
       by_fingerprint_;
@@ -368,7 +371,10 @@ StoreContents ReadStoreContents(const std::string& path,
 
 /// ---- Record-level decode (shared with dataset/streaming) -------------------
 
-/// The shared kernel graphs of one store file, in dictionary-record order.
+/// The shared kernel graphs of one store file, by dictionary index. The
+/// whole-file readers (ReadAll, ReadStoreContents) Add every dictionary
+/// record in file order; a streaming window Puts only the entries its
+/// records reference.
 class GraphDict {
  public:
   struct Entry {
@@ -377,18 +383,39 @@ class GraphDict {
     std::uint64_t structural_sig = 0;
   };
 
-  // Decodes and appends one kGraphDictRecordType record.
+  // Decodes one kGraphDictRecordType record, rejecting trailing bytes and a
+  // stored fingerprint that does not match the decoded graph.
+  static Entry Decode(const RecordView& record);
+
+  // Decodes one record as the next index (file order).
   void Add(const RecordView& record);
+  // Stores `entry` as dictionary index `index`.
+  void Put(std::uint32_t index, Entry entry);
+  bool contains(std::uint32_t index) const {
+    return entries_.contains(index);
+  }
+  // Throws StoreError, naming `context`, when `index` is absent.
   const Entry& At(std::uint32_t index, const std::string& context) const;
-  std::size_t size() const noexcept { return entries_.size(); }
 
  private:
-  std::deque<Entry> entries_;
+  std::unordered_map<std::uint32_t, Entry> entries_;
 };
+
+/// The graph-dictionary index a tile-kernel or fusion-sample record
+/// references, or std::nullopt when its kernel is stored inline (all
+/// pre-v3 records). Reads only the layout tag and the index.
+std::optional<std::uint32_t> PeekKernelDictIndex(const RecordView& record,
+                                                 std::uint32_t version);
+
+/// Throws the corrupt-store StoreError for a record (named by `context`)
+/// that references dictionary index `index` when only `preceding`
+/// dictionary records come before it in its file.
+void CheckDictIndexPrecedes(std::uint32_t index, std::size_t preceding,
+                            const std::string& context);
 
 /// Decode one record of the given type; `version` is the file's format
 /// version (kernel-bearing payloads gained a layout tag in v3), `dict` the
-/// file's graph dictionary populated from earlier records.
+/// file's graph-dictionary entries — at least the one the record references.
 TileKernelData DecodeTileKernelRecord(const RecordView& record,
                                       std::uint32_t version,
                                       const GraphDict& dict);

@@ -11,11 +11,6 @@
 namespace tpuperf::data {
 namespace {
 
-// How many part dictionaries stay decoded at once. Windows touch parts in
-// contiguous runs, so a tiny cache already makes eviction rare; the bound
-// keeps dictionary memory O(1) in the part count.
-constexpr std::size_t kDictCacheParts = 4;
-
 // SplitMix64: a tiny, implementation-independent generator for the window
 // shuffle (std::mt19937_64 would work, but hand-rolling keeps the entire
 // shuffle spec'd by this file, and std::shuffle is out anyway — its
@@ -39,23 +34,15 @@ using Clock = std::chrono::steady_clock;
 
 // ---- StreamedFeatures ------------------------------------------------------
 
-const feat::KernelFeatures* StreamedFeatures::Lookup(
+std::optional<feat::KernelFeatures> StreamedFeatures::Lookup(
     std::uint64_t fingerprint, std::uint64_t structural_sig) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto key = std::make_pair(fingerprint, structural_sig);
-  if (const auto hit = cache_.find(key); hit != cache_.end()) {
-    return hit->second;
-  }
   const auto it = index_.find(fingerprint);
-  if (it == index_.end()) return nullptr;
-  const Loc* loc = nullptr;
-  for (const Loc& candidate : it->second) {
-    if (candidate.structural_sig == structural_sig) {
-      loc = &candidate;
-      break;
-    }
-  }
-  if (loc == nullptr) return nullptr;
+  if (it == index_.end()) return std::nullopt;
+  const auto loc = std::find_if(
+      it->second.begin(), it->second.end(),
+      [&](const Loc& l) { return l.structural_sig == structural_sig; });
+  if (loc == it->second.end()) return std::nullopt;
+  std::lock_guard<std::mutex> lock(mu_);
   if (readers_.size() < part_paths_.size()) {
     readers_.resize(part_paths_.size());
   }
@@ -64,16 +51,10 @@ const feat::KernelFeatures* StreamedFeatures::Lookup(
     reader = std::make_unique<DatasetReader>(part_paths_[loc->part],
                                              ReadMode::kStream);
   }
-  const RecordView view = reader->ReadRecordAt(loc->offset);
-  loaded_.push_back(DecodeFeaturizedRecord(view));
-  const feat::KernelFeatures* features = &loaded_.back().features;
-  cache_.emplace(key, features);
-  return features;
-}
-
-std::size_t StreamedFeatures::loaded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return loaded_.size();
+  FeaturizedKernel record =
+      DecodeFeaturizedRecord(reader->ReadRecordAt(loc->offset));
+  ++decoded_;
+  return std::move(record.features);
 }
 
 // ---- StreamingSampler ------------------------------------------------------
@@ -174,25 +155,6 @@ void StreamingSampler::ReshuffleOrder() {
   }
 }
 
-std::shared_ptr<const GraphDict> StreamingSampler::DictFor(
-    std::uint32_t part) const {
-  std::lock_guard<std::mutex> lock(dict_mu_);
-  for (const auto& [cached_part, dict] : dict_cache_) {
-    if (cached_part == part) return dict;
-  }
-  auto dict = std::make_shared<GraphDict>();
-  const PartIndex& index = parts_[part];
-  if (!index.dict_offsets.empty()) {
-    DatasetReader reader(index.path, ReadMode::kStream);
-    for (const std::uint64_t offset : index.dict_offsets) {
-      dict->Add(reader.ReadRecordAt(offset));
-    }
-  }
-  dict_cache_.emplace_back(part, dict);
-  if (dict_cache_.size() > kDictCacheParts) dict_cache_.pop_front();
-  return dict;
-}
-
 StreamWindow StreamingSampler::LoadWindow(std::size_t w,
                                           std::uint64_t epoch) const {
   StreamWindow out;
@@ -206,26 +168,42 @@ StreamWindow StreamingSampler::LoadWindow(std::size_t w,
     out.fusion.reserve(out.size());
   }
   // Records are in stream order, so the slice touches each part in one
-  // contiguous run; one stream reader per run keeps open descriptors and
-  // resident memory O(1).
+  // contiguous run. Per run: one stream reader for the records, one for
+  // the dictionary entries they reference (decoded once each into a table
+  // local to the run), so open descriptors stay O(1) and dictionary memory
+  // follows the window, not the part.
   std::unique_ptr<DatasetReader> reader;
-  std::shared_ptr<const GraphDict> dict;
+  std::unique_ptr<DatasetReader> dict_reader;
+  GraphDict dict;
   std::uint32_t current_part = 0;
   for (std::size_t i = out.begin; i < out.end; ++i) {
     const auto [part, offset] = records_[i];
+    const PartIndex& index = parts_[part];
     if (reader == nullptr || part != current_part) {
-      reader = std::make_unique<DatasetReader>(parts_[part].path,
-                                               ReadMode::kStream);
-      dict = DictFor(part);
+      reader = std::make_unique<DatasetReader>(index.path, ReadMode::kStream);
+      dict_reader =
+          std::make_unique<DatasetReader>(index.path, ReadMode::kStream);
+      dict = GraphDict();
       current_part = part;
     }
     const RecordView view = reader->ReadRecordAt(offset);
+    if (const auto entry = PeekKernelDictIndex(view, index.version);
+        entry && !dict.contains(*entry)) {
+      // The whole-file readers accept only dictionary records that precede
+      // the referencing record; the same count, by binary search here.
+      const auto preceding = static_cast<std::size_t>(
+          std::lower_bound(index.dict_offsets.begin(),
+                           index.dict_offsets.end(), offset) -
+          index.dict_offsets.begin());
+      CheckDictIndexPrecedes(*entry, preceding, view.context);
+      dict.Put(*entry, GraphDict::Decode(dict_reader->ReadRecordAt(
+                           index.dict_offsets[*entry])));
+    }
     if (task_ == StreamTask::kTile) {
-      out.tile.push_back(
-          DecodeTileKernelRecord(view, parts_[part].version, *dict));
+      out.tile.push_back(DecodeTileKernelRecord(view, index.version, dict));
     } else {
       out.fusion.push_back(
-          DecodeFusionSampleRecord(view, parts_[part].version, *dict));
+          DecodeFusionSampleRecord(view, index.version, dict));
     }
   }
   return out;

@@ -25,19 +25,25 @@
 ///
 /// ## Memory contract
 ///
-/// Windows are decoded through stream-mode readers (pread, reused scratch
-/// buffer) rather than mmap, so resident memory stays O(window + largest
-/// record). StreamedFeatures lazily decodes featurized records on Lookup
-/// and caches only the kernels actually touched — O(touched kernels), not
-/// O(corpus).
+/// Beyond the offset indexes built by the scan (a few words per record),
+/// the sampler holds one decoded window — two while the prefetch of the
+/// next one runs — and nothing that grows with the corpus:
+///
+/// * records are read through stream-mode readers (pread into one reused
+///   scratch buffer) rather than mmap;
+/// * a window decodes only the graph-dictionary entries its records
+///   reference, each once, through its own stream reader, into a table
+///   local to the window and freed with it;
+/// * StreamedFeatures decodes a featurized record on every Lookup and
+///   hands the caller an owning copy, keeping no decoded features.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -76,20 +82,20 @@ struct StreamWindow {
 
 /// Lazy feat::KernelFeatureSource over the featurized records of a store:
 /// the sampler indexes (fingerprint, signature) -> (part, offset) during
-/// its scan; Lookup preads and decodes a record on first use and caches
-/// the result (stable addresses, mutex-protected — safe for concurrent
-/// Lookup from pool workers). Warm streaming runs therefore keep
-/// feat::FeaturizeKernelInvocations() at zero without ever holding the
-/// full featurized corpus in memory.
+/// its scan; every Lookup preads and decodes the record and returns it,
+/// retaining nothing (mutex-protected per-part readers — safe for
+/// concurrent Lookup from pool workers). Warm streaming runs therefore
+/// keep feat::FeaturizeKernelInvocations() at zero without ever holding
+/// the featurized corpus in memory.
 class StreamedFeatures final : public feat::KernelFeatureSource {
  public:
-  const feat::KernelFeatures* Lookup(
+  std::optional<feat::KernelFeatures> Lookup(
       std::uint64_t fingerprint, std::uint64_t structural_sig) const override;
 
   // Featurized records indexed across all parts.
   std::size_t indexed() const noexcept { return indexed_; }
-  // Records decoded and cached so far (the O(touched) working set).
-  std::size_t loaded() const;
+  // Records decoded by Lookup so far.
+  std::size_t decoded() const noexcept { return decoded_.load(); }
 
  private:
   friend class StreamingSampler;
@@ -104,11 +110,8 @@ class StreamedFeatures final : public feat::KernelFeatureSource {
   std::unordered_map<std::uint64_t, std::vector<Loc>> index_;
   std::size_t indexed_ = 0;
 
-  mutable std::mutex mu_;
-  mutable std::deque<FeaturizedKernel> loaded_;  // stable addresses
-  mutable std::map<std::pair<std::uint64_t, std::uint64_t>,
-                   const feat::KernelFeatures*>
-      cache_;
+  mutable std::atomic<std::size_t> decoded_{0};
+  mutable std::mutex mu_;  // guards readers_ (shared scratch buffers)
   mutable std::vector<std::unique_ptr<DatasetReader>> readers_;  // per part
 };
 
@@ -158,9 +161,6 @@ class StreamingSampler {
   };
 
   StreamWindow LoadWindow(std::size_t w, std::uint64_t epoch) const;
-  // The part's graph dictionary, decoded on demand and cached for a few
-  // parts (windows touch parts in runs, so eviction is rare).
-  std::shared_ptr<const GraphDict> DictFor(std::uint32_t part) const;
   void ReshuffleOrder();
   void LaunchPrefetch();
 
@@ -173,11 +173,6 @@ class StreamingSampler {
   std::size_t windows_ = 0;
   double scan_seconds_ = 0;
   std::shared_ptr<StreamedFeatures> features_;
-
-  mutable std::mutex dict_mu_;
-  mutable std::deque<std::pair<std::uint32_t,
-                               std::shared_ptr<const GraphDict>>>
-      dict_cache_;
 
   std::uint64_t epoch_ = 0;
   std::size_t next_in_epoch_ = 0;

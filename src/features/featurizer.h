@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ir/analysis.h"
@@ -64,12 +65,14 @@ void ResetFeaturizeKernelInvocations() noexcept;
 // hashes are opaque here; ir::Graph defines them). Implemented by the
 // on-disk dataset store; consulted by core::PreparedCache and the trainers
 // so warm-cache runs skip FeaturizeKernel entirely. Lookup must be safe to
-// call concurrently and return nullptr when the kernel is absent; returned
-// pointers stay valid for the source's lifetime.
+// call concurrently and return std::nullopt when the kernel is absent. The
+// caller owns the returned features, so a source need not keep what it
+// hands out: a streaming source decodes each lookup from disk and retains
+// nothing.
 class KernelFeatureSource {
  public:
   virtual ~KernelFeatureSource() = default;
-  virtual const KernelFeatures* Lookup(
+  virtual std::optional<KernelFeatures> Lookup(
       std::uint64_t fingerprint, std::uint64_t structural_sig) const = 0;
 };
 

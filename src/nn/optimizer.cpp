@@ -18,11 +18,15 @@ struct AdamLanes {
 
 // m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
 // value -= lr_t m / (sqrt(v) inv_sqrt_bc2 + eps) for one vector of
-// elements (g = grad * scale), each multiply-add one simd::MulAdd.
+// elements (g = grad * scale), each multiply-add one simd::MulAdd. A first
+// moment below FLT_MIN in magnitude is flushed to +0: once a parameter's
+// gradient stops, m decays by beta1 per step into the subnormal range,
+// where every later multiply takes the CPU's slow microcoded path, while
+// its share of the update, lr_t m / den, is far below value's precision.
 inline simd::VecF AdamUpdate(const AdamLanes& c, simd::VecF value,
                              simd::VecF& m, simd::VecF& v, simd::VecF grad) {
   const simd::VecF g = grad * c.scale;
-  m = simd::MulAdd(c.beta1, m, c.one_minus_beta1 * g);
+  m = simd::FlushTiny(simd::MulAdd(c.beta1, m, c.one_minus_beta1 * g));
   v = simd::MulAdd(c.beta2, v, c.one_minus_beta2 * g * g);
   const simd::VecF den = simd::MulAdd(simd::Sqrt(v), c.inv_sqrt_bc2, c.epsilon);
   return value - c.lr_t * m / den;

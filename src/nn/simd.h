@@ -7,6 +7,7 @@
 // row count, so batched and single-row products stay bit-identical.
 #pragma once
 
+#include <cfloat>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -39,6 +40,13 @@ inline void Store(float* p, VecF v) { std::memcpy(p, &v, sizeof v); }
 
 // x in every lane (x - (+0) == x for every x, -0 included).
 inline VecF Broadcast(float x) { return x - VecF{}; }
+
+// v with every lane of magnitude below FLT_MIN (subnormals and -0) set to
+// +0; normal lanes, infinities and NaNs pass through unchanged.
+inline VecF FlushTiny(VecF v) {
+  const VecF min = Broadcast(FLT_MIN);
+  return (v > -min && v < min) ? VecF{} : v;
+}
 
 // The first n < kLanes floats of p in a zero-padded vector, and its inverse.
 inline VecF LoadPartial(const float* p, int n) {

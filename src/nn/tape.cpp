@@ -1,42 +1,48 @@
 #include "nn/tape.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 namespace tpuperf::nn {
 
+std::vector<float> TapeArena::TakeBestFit(std::size_t need) {
+  ++requests_;
+  ++outstanding_;
+  // Best fit: the smallest pooled buffer whose capacity covers the request.
+  if (const auto it = pool_.lower_bound(need); it != pool_.end()) {
+    std::vector<float> storage = std::move(it->second);
+    pooled_floats_ -= it->first;
+    pool_.erase(it);
+    return storage;
+  }
+  // Miss: the request outgrows every pooled buffer, so the largest one is
+  // released and a new buffer takes its place. The pool thus never holds
+  // more buffers than one step has outstanding at once.
+  ++heap_allocations_;
+  if (!pool_.empty()) {
+    const auto largest = std::prev(pool_.end());
+    pooled_floats_ -= largest->first;
+    pool_.erase(largest);
+  }
+  return {};
+}
+
 Matrix TapeArena::Acquire(int rows, int cols) {
   const std::size_t need =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   if (need == 0) return Matrix(rows, cols);
-  ++requests_;
-  ++outstanding_;
-  // Best fit: the smallest pooled buffer whose capacity covers the request.
-  const auto it = pool_.lower_bound(need);
-  if (it != pool_.end()) {
-    std::vector<float> storage = std::move(it->second);
-    pool_.erase(it);
-    return Matrix(rows, cols, std::move(storage));
-  }
-  ++heap_allocations_;
-  return Matrix(rows, cols);
+  return Matrix(rows, cols, TakeBestFit(need));
 }
 
 Matrix TapeArena::AcquireUninit(int rows, int cols) {
   const std::size_t need =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   if (need == 0) return Matrix(rows, cols);
-  ++requests_;
-  ++outstanding_;
-  const auto it = pool_.lower_bound(need);
-  if (it != pool_.end()) {
-    std::vector<float> storage = std::move(it->second);
-    pool_.erase(it);
-    return Matrix(rows, cols, std::move(storage), Matrix::Uninit{});
-  }
-  ++heap_allocations_;
-  return Matrix(rows, cols);
+  std::vector<float> storage = TakeBestFit(need);
+  if (storage.capacity() < need) return Matrix(rows, cols);
+  return Matrix(rows, cols, std::move(storage), Matrix::Uninit{});
 }
 
 void TapeArena::Recycle(Matrix&& m) {
@@ -46,6 +52,7 @@ void TapeArena::Recycle(Matrix&& m) {
   // on every step.
   if (storage.capacity() == 0 || outstanding_ == 0) return;
   --outstanding_;
+  pooled_floats_ += storage.capacity();
   pool_.emplace(storage.capacity(), std::move(storage));
 }
 

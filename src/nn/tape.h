@@ -65,10 +65,13 @@ class Tape;
 /// Recycles Matrix heap storage across tape clears and optimization steps.
 /// Buffers are pooled by capacity and handed back best-fit, so the shape
 /// mix may drift between steps (minibatches pack different node counts)
-/// without defeating reuse. Single-threaded by design: tapes
-/// acquire/recycle only from the thread that owns them (parallel backward
-/// bodies use stack-local scratch, never the arena). See the file comment
-/// for the lifecycle contract.
+/// without defeating reuse. A request larger than every pooled buffer
+/// releases the largest one and allocates afresh, so the pool never holds
+/// more buffers than one step acquires and its bytes follow the largest
+/// step rather than the sum of every shape seen. Single-threaded by
+/// design: tapes acquire/recycle only from the thread that owns them
+/// (parallel backward bodies use stack-local scratch, never the arena). See
+/// the file comment for the lifecycle contract.
 class TapeArena {
  public:
   TapeArena() = default;
@@ -95,13 +98,22 @@ class TapeArena {
     return requests_ - heap_allocations_;
   }
   std::size_t pooled_buffers() const noexcept { return pool_.size(); }
+  /// Bytes of capacity held by the pooled buffers.
+  std::size_t pooled_bytes() const noexcept {
+    return pooled_floats_ * sizeof(float);
+  }
   void ResetStats() noexcept {
     requests_ = 0;
     heap_allocations_ = 0;
   }
 
  private:
+  // The best-fit pooled buffer for `need` floats, or empty storage on a
+  // miss (after releasing the largest pooled buffer).
+  std::vector<float> TakeBestFit(std::size_t need);
+
   std::multimap<std::size_t, std::vector<float>> pool_;  // keyed by capacity
+  std::size_t pooled_floats_ = 0;  // sum of the pooled capacities
   std::size_t requests_ = 0;
   std::size_t heap_allocations_ = 0;
   std::size_t outstanding_ = 0;  // handed out and not yet recycled

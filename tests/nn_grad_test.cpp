@@ -560,6 +560,48 @@ TEST(TapeArenaTest, RecycledStepsAreExactAndAllocationFree) {
       << "warm steps should recycle every tape buffer";
 }
 
+// The pool holds no more buffers, and no more bytes, than one step of the
+// largest shape acquires, however step shapes alternate: a request that
+// outgrows every pooled buffer replaces the largest one instead of adding
+// to the pool.
+TEST(TapeArenaTest, PoolIsBoundedByTheLargestStep) {
+  std::mt19937_64 rng(36);
+  ParamStore store;
+  Mlp mlp(store, "mlp", 6, {8, 4}, Activation::kRelu, rng);
+  const Matrix small = RandomMatrix(3, 6, rng);
+  const Matrix large = RandomMatrix(40, 6, rng);
+  const auto step = [&](Tape& tape, const Matrix& x) {
+    tape.Clear();
+    store.ZeroGrad();
+    // The input comes from the arena too, so the pool holds only arena
+    // buffers (a foreign leaf's buffer may take an arena buffer's slot).
+    Matrix in = tape.NewMatrixUninit(x.rows(), x.cols());
+    std::copy(x.flat().begin(), x.flat().end(), in.data());
+    Tensor y = mlp.Forward(tape, tape.Leaf(std::move(in)));
+    tape.Backward(SumAllOp(tape, MulOp(tape, y, y)));
+    tape.Clear();
+  };
+
+  // What one large step acquires: a fresh arena's pool after it.
+  TapeArena fresh;
+  {
+    Tape tape(/*grad_enabled=*/true, &fresh);
+    step(tape, large);
+  }
+  const std::size_t large_buffers = fresh.pooled_buffers();
+  const std::size_t large_bytes = fresh.pooled_bytes();
+  ASSERT_GT(large_buffers, 0u);
+
+  TapeArena arena;
+  Tape tape(/*grad_enabled=*/true, &arena);
+  for (int i = 0; i < 12; ++i) {
+    step(tape, i % 2 == 0 ? small : large);
+    EXPECT_LE(arena.pooled_buffers(), large_buffers) << "step " << i;
+    EXPECT_LE(arena.pooled_bytes(), large_bytes) << "step " << i;
+  }
+  EXPECT_GT(arena.heap_allocations(), 0u);
+}
+
 // Arena-backed gradients also pass the numerical check (same CheckGradients
 // harness, but the analytic pass runs on an arena tape warmed by a prior
 // identical pass).

@@ -281,6 +281,62 @@ TEST(Adam, VectorUpdateEqualsScalarFloatReference) {
   }
 }
 
+// A parameter whose gradient stops keeps decaying its first moment by
+// beta1 per step; Adam flushes it to +0 below FLT_MIN instead of letting it
+// go subnormal. The flushed share of the update is below the value's
+// precision, so values stay bit-identical to the unflushed formula, and a
+// parameter whose moments stay normal matches it in every field.
+TEST(Adam, FirstMomentFlushesToZeroInsteadOfGoingSubnormal) {
+  AdamConfig config;
+  config.learning_rate = 1e-3;
+  Adam adam(config);
+  ParamStore store;
+  std::mt19937_64 rng(13);
+  const int n = simd::kLanes + 3;  // vector body and padded tail
+  Parameter* stopped = store.Create("stopped", 1, n, Init::kXavierUniform, rng);
+  Parameter* live = store.Create("live", 1, n, Init::kXavierUniform, rng);
+  const auto reference = [](const Parameter& p) {
+    return AdamFloatReference{{p.value.flat().begin(), p.value.flat().end()},
+                              std::vector<float>(p.value.size()),
+                              std::vector<float>(p.value.size())};
+  };
+  AdamFloatReference stopped_ref = reference(*stopped);
+  AdamFloatReference live_ref = reference(*live);
+  const auto subnormal = [](float x) {
+    return std::fpclassify(x) == FP_SUBNORMAL;
+  };
+  std::normal_distribution<float> normal(0.0f, 1.0f);
+  bool reference_went_subnormal = false;
+  for (long step = 1; step <= 1200; ++step) {
+    for (float& g : stopped->grad.flat()) g = step <= 5 ? normal(rng) : 0.0f;
+    for (float& g : live->grad.flat()) g = normal(rng);
+    const std::vector<float> stopped_grad(stopped->grad.flat().begin(),
+                                          stopped->grad.flat().end());
+    const std::vector<float> live_grad(live->grad.flat().begin(),
+                                       live->grad.flat().end());
+    adam.Step(store.params());
+    stopped_ref.Step(config, step, 1.0, stopped_grad);
+    live_ref.Step(config, step, 1.0, live_grad);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_FALSE(subnormal(stopped->adam_m.data()[i])) << step << ":" << i;
+      ASSERT_EQ(stopped->value.data()[i], stopped_ref.value[i])
+          << step << ":" << i;
+      ASSERT_EQ(stopped->adam_v.data()[i], stopped_ref.v[i])
+          << step << ":" << i;
+      reference_went_subnormal |= subnormal(stopped_ref.m[i]);
+      ASSERT_EQ(live->value.data()[i], live_ref.value[i]) << step << ":" << i;
+      ASSERT_EQ(live->adam_m.data()[i], live_ref.m[i]) << step << ":" << i;
+      ASSERT_EQ(live->adam_v.data()[i], live_ref.v[i]) << step << ":" << i;
+    }
+  }
+  EXPECT_TRUE(reference_went_subnormal)
+      << "the unflushed moments must reach the subnormal range";
+  for (const float m : stopped->adam_m.flat()) {
+    EXPECT_EQ(m, 0.0f);
+    EXPECT_FALSE(std::signbit(m)) << "flushed to +0";
+  }
+}
+
 // Over 100 steps (clipping on, engaged on the large-gradient steps) the
 // float update stays within 1e-5 relative of the double update.
 TEST(Adam, FloatUpdateTracksDoubleUpdate) {

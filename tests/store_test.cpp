@@ -10,8 +10,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault_injection.h"
@@ -271,10 +273,11 @@ TEST_F(StoreTest, FullDatasetsRoundTripBitExact) {
   // Duplicate featurized records collapse; every written one must be
   // retrievable and bit-exact.
   for (const FeaturizedKernel& fk : featurized) {
-    const feat::KernelFeatures* loaded =
+    std::optional<feat::KernelFeatures> loaded =
         contents.features->Lookup(fk.fingerprint, fk.structural_sig);
-    ASSERT_NE(loaded, nullptr);
-    FeaturizedKernel roundtripped{fk.fingerprint, fk.structural_sig, *loaded};
+    ASSERT_TRUE(loaded.has_value());
+    FeaturizedKernel roundtripped{fk.fingerprint, fk.structural_sig,
+                                  std::move(*loaded)};
     ExpectFeaturizedEqual(fk, roundtripped);
   }
   // KernelsOfPrograms/SamplesOfPrograms see identical membership: program

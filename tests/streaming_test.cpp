@@ -1,14 +1,18 @@
 // Tests for out-of-core dataset streaming (src/dataset/streaming.h):
 // deterministic shuffle-window sequences at thread-pool widths 1 and 4,
-// canonical single-window order, bit-identical streaming-vs-in-memory
-// training for both tasks, bounded windowed training, and the lazy
-// StreamedFeatures source.
+// canonical single-window order, windows equal to the whole-store read
+// field for field, the store's corruption checks on per-window dictionary
+// decode, bit-identical streaming-vs-in-memory training for both tasks,
+// bounded windowed training, and the retain-nothing StreamedFeatures
+// source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -223,6 +227,170 @@ TEST_F(StreamingTest, WindowOrderDependsOnSeedAndEpoch) {
   EXPECT_EQ(DrainFingerprints(replay, n), epoch1_seed1);
 }
 
+// ---- Windows against the whole-store read -----------------------------------
+
+void ExpectRecordsEqual(const KernelRecord& a, const KernelRecord& b) {
+  const ir::Graph& ga = a.kernel.graph;
+  const ir::Graph& gb = b.kernel.graph;
+  ASSERT_EQ(ga.num_nodes(), gb.num_nodes());
+  for (int i = 0; i < ga.num_nodes(); ++i) {
+    const ir::Node& na = ga.node(i);
+    const ir::Node& nb = gb.node(i);
+    EXPECT_EQ(na.op, nb.op) << "node " << i;
+    EXPECT_EQ(na.shape, nb.shape) << "node " << i;
+    EXPECT_EQ(na.shape.minor_to_major(), nb.shape.minor_to_major());
+    EXPECT_EQ(na.operands, nb.operands) << "node " << i;
+    EXPECT_EQ(na.window, nb.window) << "node " << i;
+    EXPECT_EQ(na.reduce_dims, nb.reduce_dims) << "node " << i;
+    EXPECT_EQ(na.feature_in, nb.feature_in) << "node " << i;
+    EXPECT_EQ(na.feature_out, nb.feature_out) << "node " << i;
+    EXPECT_EQ(na.is_output, nb.is_output) << "node " << i;
+  }
+  EXPECT_EQ(ga.StructuralSignature(), gb.StructuralSignature());
+  EXPECT_EQ(a.kernel.kind, b.kernel.kind);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.program_id, b.program_id);
+  EXPECT_EQ(a.family, b.family);
+}
+
+// Every window of a sharded store, decoded through its window-local
+// dictionary, equals the matching slice of ReadStoreContents (which
+// decodes each part's whole dictionary in file order), field for field.
+TEST_F(StreamingTest, WindowsEqualWholeStoreRecords) {
+  const std::string tile_path = WriteTileStore("tile.tpds", 2048);
+  const StoreContents tile = ReadStoreContents(tile_path);
+  StreamingSampler tiles(tile_path, StreamTask::kTile, {.window_records = 3});
+  ASSERT_GT(tiles.part_count(), 1u);
+  ASSERT_EQ(tiles.total_records(), tile.tile.kernels.size());
+  for (std::size_t w = 0; w < tiles.windows_per_epoch(); ++w) {
+    const StreamWindow window = tiles.Window(w);
+    ASSERT_EQ(window.tile.size(), window.size());
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      SCOPED_TRACE("tile record " + std::to_string(window.begin + i));
+      const TileKernelData& a = tile.tile.kernels[window.begin + i];
+      const TileKernelData& b = window.tile[i];
+      ExpectRecordsEqual(a.record, b.record);
+      EXPECT_EQ(a.configs, b.configs);
+      EXPECT_EQ(a.runtimes, b.runtimes);  // doubles: bit-exact decode
+    }
+  }
+
+  const std::string fusion_path = WriteFusionStore("fusion.tpds", 2048);
+  const StoreContents fusion = ReadStoreContents(fusion_path);
+  StreamingSampler samples(fusion_path, StreamTask::kFusion,
+                           {.window_records = 5});
+  ASSERT_GT(samples.part_count(), 1u);
+  ASSERT_EQ(samples.total_records(), fusion.fusion.samples.size());
+  for (std::size_t w = 0; w < samples.windows_per_epoch(); ++w) {
+    const StreamWindow window = samples.Window(w);
+    ASSERT_EQ(window.fusion.size(), window.size());
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      SCOPED_TRACE("fusion record " + std::to_string(window.begin + i));
+      const FusionSample& a = fusion.fusion.samples[window.begin + i];
+      const FusionSample& b = window.fusion[i];
+      ExpectRecordsEqual(a.record, b.record);
+      EXPECT_EQ(a.tile, b.tile);
+      EXPECT_EQ(a.runtime, b.runtime);
+      EXPECT_EQ(a.from_default_config, b.from_default_config);
+    }
+  }
+}
+
+// ---- Corruption checks on the per-window dictionary -------------------------
+
+void ExpectStoreError(const std::function<void()>& read,
+                      const std::string& fragment) {
+  try {
+    read();
+    ADD_FAILURE() << "expected StoreError mentioning \"" << fragment << "\"";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << "actual error: " << e.what();
+  }
+}
+
+class StreamingCorruptionTest : public StreamingTest {
+ protected:
+  // A single-file tile store of two kernels with distinct graphs, copied
+  // record for record (dictionary 0, tile 0, dictionary 1, tile 1) with
+  // `patch` applied to each payload, given its type and its ordinal among
+  // the records of that type.
+  std::string WriteForged(
+      const std::string& name,
+      const std::function<void(std::uint32_t type, int ordinal,
+                               std::string& payload)>& patch) {
+    const TileKernelData& first = tile_->kernels.front();
+    const auto second = std::find_if(
+        tile_->kernels.begin(), tile_->kernels.end(),
+        [&](const TileKernelData& k) {
+          return k.record.fingerprint != first.record.fingerprint;
+        });
+    if (second == tile_->kernels.end()) {
+      ADD_FAILURE() << "the corpus needs two distinct kernel graphs";
+      return {};
+    }
+    const std::string valid = Path("valid_" + name);
+    {
+      DatasetWriter writer(valid);
+      writer.Add(first);
+      writer.Add(*second);
+      writer.Finish();
+    }
+    const std::string path = Path(name);
+    DatasetWriter writer(path);
+    int ordinal[2] = {0, 0};
+    DatasetReader(valid).ForEachRecord([&](const RecordView& view) {
+      std::string payload(view.payload.begin(), view.payload.end());
+      patch(view.type, ordinal[view.type == kGraphDictRecordType]++, payload);
+      writer.AddRaw(view.type, payload);
+    });
+    writer.Finish();
+    return path;
+  }
+
+  // The whole-store read, Window(0) of a one-record-per-window sampler and
+  // Next() of a single-window sampler all fail with `fragment`.
+  static void ExpectRejectedEverywhere(const std::string& path,
+                                       const std::string& fragment) {
+    SCOPED_TRACE(fragment);
+    ExpectStoreError([&] { (void)ReadStoreContents(path); }, fragment);
+    StreamingSampler per_record(path, StreamTask::kTile,
+                                {.window_records = 1});
+    ASSERT_EQ(per_record.windows_per_epoch(), 2u);
+    ExpectStoreError([&] { (void)per_record.Window(0); }, fragment);
+    StreamingSampler single(path, StreamTask::kTile, {});
+    ExpectStoreError([&] { (void)single.Next(); }, fragment);
+  }
+};
+
+// Tile record 0 references dictionary index 1, which exists in the file
+// but only after it: the window must not resolve it.
+TEST_F(StreamingCorruptionTest, ForwardDictionaryReferenceFailsLoudly) {
+  const std::string path = WriteForged(
+      "forward_ref.tpds",
+      [](std::uint32_t type, int ordinal, std::string& payload) {
+        if (type != kTileKernelRecordType || ordinal != 0) return;
+        ASSERT_EQ(payload[0], 1) << "v3 dictionary-reference tag";
+        payload[1] = 1;  // u32 dictionary index, little-endian
+      });
+  ExpectRejectedEverywhere(
+      path, "references graph-dictionary index 1 but only 1 dictionary "
+            "records precede it (corrupt store)");
+}
+
+// Dictionary record 0 (referenced by tile record 0) stores a fingerprint
+// that does not match its graph.
+TEST_F(StreamingCorruptionTest, TamperedDictionaryFingerprintFailsLoudly) {
+  const std::string path = WriteForged(
+      "tampered_dict.tpds",
+      [](std::uint32_t type, int ordinal, std::string& payload) {
+        if (type != kGraphDictRecordType || ordinal != 0) return;
+        payload.back() = static_cast<char>(payload.back() ^ 0x01);
+      });
+  ExpectRejectedEverywhere(
+      path, "stored dictionary fingerprint does not match the decoded graph");
+}
+
 // ---- StreamedFeatures -------------------------------------------------------
 
 TEST_F(StreamingTest, StreamedFeaturesMatchInProcessFeaturization) {
@@ -230,24 +398,35 @@ TEST_F(StreamingTest, StreamedFeaturesMatchInProcessFeaturization) {
   StreamingSampler sampler(path, StreamTask::kTile, {});
   const std::shared_ptr<StreamedFeatures> features = sampler.features();
   ASSERT_GT(features->indexed(), 0u);
-  EXPECT_EQ(features->loaded(), 0u) << "nothing decoded before first Lookup";
+  EXPECT_EQ(features->decoded(), 0u) << "nothing decoded before first Lookup";
 
+  std::size_t lookups = 0;
   for (const auto& k : tile_->kernels) {
     const std::uint64_t sig = k.record.kernel.graph.StructuralSignature();
-    const feat::KernelFeatures* streamed =
+    // Value semantics: each Lookup decodes afresh and hands over its own
+    // copy, so a second lookup of the same kernel gives equal features.
+    const std::optional<feat::KernelFeatures> first =
         features->Lookup(k.record.fingerprint, sig);
-    ASSERT_NE(streamed, nullptr);
+    const std::optional<feat::KernelFeatures> second =
+        features->Lookup(k.record.fingerprint, sig);
+    lookups += 2;
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(second.has_value());
     const feat::KernelFeatures direct =
         feat::FeaturizeKernel(k.record.kernel.graph);
-    EXPECT_EQ(streamed->opcode_ids, direct.opcode_ids);
-    ASSERT_EQ(streamed->node_scalars.size(), direct.node_scalars.size());
-    for (std::size_t i = 0; i < direct.node_scalars.size(); ++i) {
-      EXPECT_EQ(streamed->node_scalars[i], direct.node_scalars[i]);
+    for (const feat::KernelFeatures* streamed : {&*first, &*second}) {
+      EXPECT_EQ(streamed->opcode_ids, direct.opcode_ids);
+      EXPECT_EQ(streamed->operand_lists, direct.operand_lists);
+      ASSERT_EQ(streamed->node_scalars.size(), direct.node_scalars.size());
+      for (std::size_t i = 0; i < direct.node_scalars.size(); ++i) {
+        EXPECT_EQ(streamed->node_scalars[i], direct.node_scalars[i]);
+      }
+      EXPECT_EQ(streamed->static_perf, direct.static_perf);
     }
-    EXPECT_EQ(streamed->static_perf, direct.static_perf);
   }
-  EXPECT_LE(features->loaded(), features->indexed());
-  EXPECT_EQ(features->Lookup(0xDEAD, 0xBEEF), nullptr);
+  EXPECT_EQ(features->decoded(), lookups) << "one decode per Lookup";
+  EXPECT_FALSE(features->Lookup(0xDEAD, 0xBEEF).has_value());
+  EXPECT_EQ(features->decoded(), lookups) << "a miss decodes nothing";
 }
 
 // ---- Training parity --------------------------------------------------------

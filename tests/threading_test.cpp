@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -335,16 +336,16 @@ TEST(PreparedCacheThreaded, ConcurrentCollisionKeepsBothEntries) {
 }
 
 // A feature source whose Lookup throws for the first `failures` calls, then
-// behaves as a permanent miss (nullptr -> in-process featurization).
+// behaves as a permanent miss (std::nullopt -> in-process featurization).
 class FlakyFeatureSource : public feat::KernelFeatureSource {
  public:
   explicit FlakyFeatureSource(int failures) : remaining_(failures) {}
-  const feat::KernelFeatures* Lookup(std::uint64_t,
-                                     std::uint64_t) const override {
+  std::optional<feat::KernelFeatures> Lookup(std::uint64_t,
+                                             std::uint64_t) const override {
     if (remaining_.fetch_sub(1) > 0) {
       throw std::runtime_error("flaky feature source");
     }
-    return nullptr;
+    return std::nullopt;
   }
   int lookups() const { return -remaining_.load(); }
 
