@@ -90,9 +90,6 @@ int main() {
               max_nodes);
 
   // Warm-cache runs must never re-simulate or re-featurize; the report
-  // enforces the featurizer-invocations==0 guarantee and records warm/cold
-  // dataset-ready times in BENCH_results.json.
-  const bool store_ok = ReportDatasetStore(/*enforce_warm=*/true);
-  WriteStoreReportJson();
-  return store_ok ? 0 : 1;
+  // enforces the featurizer-invocations==0 guarantee.
+  return ReportDatasetStore(/*enforce_warm=*/true) ? 0 : 1;
 }

@@ -167,7 +167,5 @@ int main() {
   // On a warm store, dataset builds AND all training/evaluation
   // featurization above must come from the cached records (featurizer
   // invocation count stays 0) — the report enforces it.
-  const bool store_ok = ReportDatasetStore(/*enforce_warm=*/true);
-  WriteStoreReportJson();
-  return store_ok ? 0 : 1;
+  return ReportDatasetStore(/*enforce_warm=*/true) ? 0 : 1;
 }

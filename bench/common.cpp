@@ -1,16 +1,14 @@
 #include "bench/common.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
+#include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 
-#include "core/env.h"
 #include "core/trainer.h"
 #include "features/featurizer.h"
 
@@ -45,7 +43,16 @@ UnionFeatureSource& Union() {
   return source;
 }
 
-std::vector<StoreBuildInfo>& MutableStoreBuilds() {
+// One dataset build/load that went through the store layer.
+struct StoreBuildInfo {
+  std::string task;    // "tile" | "fusion"
+  std::string target;  // e.g. "TPUv2"
+  bool cache_hit = false;
+  double seconds = 0;
+  std::string path;  // empty when no cache dir was configured
+};
+
+std::vector<StoreBuildInfo>& StoreBuilds() {
   static std::vector<StoreBuildInfo> builds;
   return builds;
 }
@@ -53,7 +60,7 @@ std::vector<StoreBuildInfo>& MutableStoreBuilds() {
 void NoteStoreBuild(const char* task, const std::string& target,
                     const data::StoreLoadStats& stats,
                     std::shared_ptr<data::StoredFeatures> features) {
-  MutableStoreBuilds().push_back(
+  StoreBuilds().push_back(
       {task, target, stats.cache_hit, stats.seconds, stats.path});
   if (stats.path.empty()) {
     std::printf("[dataset store] %s/%s: no TPUPERF_DATASET_DIR, built "
@@ -73,96 +80,29 @@ void NoteStoreBuild(const char* task, const std::string& target,
   }
 }
 
-std::string ReadFileIfExists(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return {};
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-// Finds `"key": <number>` in machine-written JSON; NaN when absent.
-double FindJsonNumber(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return std::nan("");
-  return std::atof(text.c_str() + pos + needle.size());
-}
-
-// Removes a top-level `"key": <object-or-scalar>` entry (plus the comma
-// that joined it) from machine-written JSON with no braces inside strings.
-std::string RemoveJsonKey(std::string text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t key_pos = text.find(needle);
-  if (key_pos == std::string::npos) return text;
-  std::size_t value_end = key_pos + needle.size();
-  while (value_end < text.size() && std::isspace(static_cast<unsigned char>(text[value_end]))) ++value_end;
-  if (value_end < text.size() && text[value_end] == '{') {
-    int depth = 0;
-    do {
-      if (text[value_end] == '{') ++depth;
-      if (text[value_end] == '}') --depth;
-      ++value_end;
-    } while (value_end < text.size() && depth > 0);
-  } else {
-    while (value_end < text.size() && text[value_end] != ',' &&
-           text[value_end] != '}') {
-      ++value_end;
-    }
-  }
-  std::size_t cut_begin = key_pos;
-  std::size_t cut_end = value_end;
-  // Swallow the separating comma: the one after the value, else the one
-  // before the key (when this entry was last).
-  std::size_t after = cut_end;
-  while (after < text.size() && std::isspace(static_cast<unsigned char>(text[after]))) ++after;
-  if (after < text.size() && text[after] == ',') {
-    cut_end = after + 1;
-  } else {
-    std::size_t before = cut_begin;
-    while (before > 0 && std::isspace(static_cast<unsigned char>(text[before - 1]))) --before;
-    if (before > 0 && text[before - 1] == ',') cut_begin = before - 1;
-  }
-  text.erase(cut_begin, cut_end - cut_begin);
-  return text;
-}
-
-// The machine-written report never puts braces inside strings, so a quick
-// balance scan is enough to spot a file truncated by an interrupted run.
-// `empty` text is fine (first write).
-bool JsonLooksWellFormed(const std::string& text) {
-  if (text.empty()) return true;
-  std::size_t first = 0;
-  while (first < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[first]))) {
-    ++first;
-  }
-  if (first >= text.size() || text[first] != '{') return false;
-  int depth = 0;
-  std::size_t close = std::string::npos;
-  for (std::size_t i = first; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}') {
-      --depth;
-      if (depth < 0) return false;
-      if (depth == 0) close = i;
-    }
-  }
-  if (depth != 0 || close == std::string::npos) return false;
-  // Nothing but whitespace may follow the closing brace.
-  for (std::size_t i = close + 1; i < text.size(); ++i) {
-    if (!std::isspace(static_cast<unsigned char>(text[i]))) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 double ReproScale() {
+  constexpr double kMaxScale = 64.0;
   const char* env = std::getenv("REPRO_SCALE");
   if (env == nullptr) return 1.0;
-  const double v = std::atof(env);
-  return v > 0 ? v : 1.0;
+  const std::string_view text(env);
+  double v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  // NaN fails both comparisons and infinity fails the upper bound.
+  if (ec == std::errc() && end == text.data() + text.size() && v > 0 &&
+      v <= kMaxScale) {
+    return v;
+  }
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true)) {
+    std::fprintf(stderr,
+                 "[tpuperf] warning: ignoring REPRO_SCALE=\"%s\" (not a "
+                 "number in (0, %g]); using 1\n",
+                 env, kMaxScale);
+  }
+  return 1.0;
 }
 
 std::string DatasetDir() {
@@ -186,8 +126,6 @@ Env MakeEnv() {
   // not hashed).
   env.options.corpus_scale = std::max(1.0, env.scale);
   env.options.corpus_seed = env.options.seed;
-  env.options.store_part_bytes = static_cast<std::uint64_t>(core::EnvInt(
-      "TPUPERF_STORE_PART_BYTES", 0, 0, std::int64_t{1} << 40));
   env.corpus = data::GenerateCorpus(
       {.scale = env.options.corpus_scale, .seed = env.options.corpus_seed});
   env.random_split = data::RandomSplit(env.corpus, /*seed=*/1234);
@@ -218,12 +156,8 @@ data::FusionDataset BuildFusion(const Env& env, const sim::TpuSimulator& sim,
   return dataset;
 }
 
-const std::vector<StoreBuildInfo>& StoreBuilds() {
-  return MutableStoreBuilds();
-}
-
 bool ReportDatasetStore(bool enforce_warm) {
-  const auto& builds = MutableStoreBuilds();
+  const auto& builds = StoreBuilds();
   if (builds.empty()) return true;
   double total = 0;
   bool all_hit = true;
@@ -246,136 +180,6 @@ bool ReportDatasetStore(bool enforce_warm) {
     return false;
   }
   return true;
-}
-
-std::string PreservedTopLevelJson(const std::string& key) {
-  return ExtractJsonObject(ReadFileIfExists("BENCH_results.json"), key);
-}
-
-std::string ExtractJsonObject(const std::string& text,
-                              const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t key_pos = text.find(needle);
-  if (key_pos == std::string::npos) return {};
-  std::size_t begin = key_pos + needle.size();
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  if (begin >= text.size() || text[begin] != '{') return {};
-  std::size_t end = begin;
-  int depth = 0;
-  do {
-    if (text[end] == '{') ++depth;
-    if (text[end] == '}') --depth;
-    ++end;
-  } while (end < text.size() && depth > 0);
-  if (depth != 0) return {};
-  return text.substr(begin, end - begin);
-}
-
-void WriteStoreReportJson() {
-  const auto& builds = MutableStoreBuilds();
-  if (builds.empty() || DatasetDir().empty()) return;
-  double total = 0;
-  bool all_hit = true;
-  bool all_miss = true;
-  for (const auto& b : builds) {
-    total += b.seconds;
-    all_hit = all_hit && b.cache_hit;
-    all_miss = all_miss && !b.cache_hit;
-  }
-  const std::string path = "BENCH_results.json";
-  const std::string old_text = ReadFileIfExists(path);
-  // The cold numbers survive warm reruns so the file shows the pair; a
-  // mixed run (some hits, some misses — e.g. a bench that needs stores a
-  // previous bench did not populate) records neither total, and the
-  // speedup is only emitted when the warm and cold runs covered the same
-  // number of builds (same workload shape).
-  double cold = FindJsonNumber(old_text, "cold_dataset_ready_seconds");
-  double warm = FindJsonNumber(old_text, "warm_dataset_ready_seconds");
-  double cold_builds = FindJsonNumber(old_text, "cold_builds");
-  double warm_builds = FindJsonNumber(old_text, "warm_builds");
-  if (all_hit) {
-    warm = total;
-    warm_builds = static_cast<double>(builds.size());
-  } else if (all_miss) {
-    cold = total;
-    cold_builds = static_cast<double>(builds.size());
-  }
-
-  std::ostringstream value;
-  value << "{\n";
-  value << "    \"builds\": " << builds.size() << ",\n";
-  value << "    \"repro_scale\": " << ReproScale() << ",\n";
-  value << "    \"last_run_warm\": " << (all_hit ? "true" : "false") << ",\n";
-  if (!std::isnan(cold)) {
-    value << "    \"cold_builds\": " << cold_builds << ",\n";
-    value << "    \"cold_dataset_ready_seconds\": " << cold << ",\n";
-  }
-  if (!std::isnan(warm)) {
-    value << "    \"warm_builds\": " << warm_builds << ",\n";
-    value << "    \"warm_dataset_ready_seconds\": " << warm << ",\n";
-  }
-  if (!std::isnan(cold) && !std::isnan(warm) && warm > 0 &&
-      cold_builds == warm_builds) {
-    value << "    \"warm_vs_cold_speedup\": " << cold / warm << ",\n";
-  }
-  value << "    \"featurizer_invocations\": "
-        << feat::FeaturizeKernelInvocations() << "\n  }";
-
-  MergeTopLevelJsonKey(path, "dataset_store", value.str());
-}
-
-void MergeTopLevelJsonKey(const std::string& path, const std::string& key,
-                          const std::string& value_json) {
-  std::string existing = ReadFileIfExists(path);
-  if (!JsonLooksWellFormed(existing)) {
-    // An interrupted run left a torn file. Merging into it used to
-    // silently drop whichever keys fell after the tear; start over loudly
-    // instead so the loss is visible (and bounded to this one file).
-    std::fprintf(stderr,
-                 "[bench] WARNING: %s is malformed (interrupted run?) — "
-                 "rewriting it from scratch; previous sections are lost\n",
-                 path.c_str());
-    existing.clear();
-  }
-  std::string text = RemoveJsonKey(std::move(existing), key);
-  const std::string entry = "  \"" + key + "\": " + value_json;
-  std::string out;
-  const std::size_t end = text.rfind('}');
-  if (text.empty() || text[0] != '{' || end == std::string::npos) {
-    out = "{\n" + entry + "\n}\n";
-  } else {
-    std::string head = text.substr(0, end);
-    while (!head.empty() && std::isspace(static_cast<unsigned char>(head.back()))) head.pop_back();
-    const bool has_other_keys = head.find(':') != std::string::npos;
-    if (!head.empty() && head.back() == ',') head.pop_back();
-    out = head + (has_other_keys ? ",\n" : "\n") + entry + "\n}\n";
-  }
-  std::ofstream os(path, std::ios::trunc);
-  os << out;
-}
-
-std::string MergeIntoJsonObject(const std::string& object_json,
-                                const std::string& key,
-                                const std::string& value_json) {
-  std::string text = object_json;
-  if (!JsonLooksWellFormed(text)) text.clear();
-  text = RemoveJsonKey(std::move(text), key);
-  const std::string entry = "    \"" + key + "\": " + value_json;
-  const std::size_t end = text.rfind('}');
-  if (text.empty() || text[0] != '{' || end == std::string::npos) {
-    return "{\n" + entry + "\n  }";
-  }
-  std::string head = text.substr(0, end);
-  while (!head.empty() &&
-         std::isspace(static_cast<unsigned char>(head.back()))) {
-    head.pop_back();
-  }
-  const bool has_other_keys = head.find(':') != std::string::npos;
-  if (!head.empty() && head.back() == ',') head.pop_back();
-  return head + (has_other_keys ? ",\n" : "\n") + entry + "\n  }";
 }
 
 void CalibrateAnalytical(analytical::AnalyticalModel& analytical,

@@ -2,19 +2,17 @@
 // TPUs, datasets, splits, trained models, and table-printing helpers.
 //
 // Every bench binary regenerates what it needs deterministically; the
-// REPRO_SCALE environment variable (default 1.0) scales dataset budgets and
-// training steps so the full suite can be run quickly (e.g. REPRO_SCALE=0.3)
-// or more thoroughly (2.0). Scales above 1 also grow the program corpus
-// itself (~REPRO_SCALE x variants per family, see data::CorpusOptions).
+// REPRO_SCALE environment variable (default 1.0, range (0, 64]) scales
+// dataset budgets and training steps so the full suite can be run quickly
+// (e.g. REPRO_SCALE=0.3) or more thoroughly (2.0). Scales above 1 also grow
+// the program corpus itself (~REPRO_SCALE x variants per family, see
+// data::CorpusOptions).
 //
 // When TPUPERF_DATASET_DIR is set, BuildTile/BuildFusion route through the
 // on-disk dataset store (src/dataset/store.h): the first run builds and
 // writes each dataset, later runs load it back — including every kernel's
 // raw featurization, which is registered process-globally so trainers and
 // evaluators never call feat::FeaturizeKernel on a warm cache.
-// TPUPERF_STORE_PART_BYTES > 0 shards newly written stores into part files
-// of roughly that size behind a manifest (store format v3); readers handle
-// both layouts, and the setting does not enter the cache key.
 #pragma once
 
 #include <memory>
@@ -30,6 +28,9 @@
 
 namespace tpuperf::bench {
 
+// REPRO_SCALE parsed strictly: the whole string must be a finite number in
+// (0, 64]. Unset returns 1.0; anything else (trailing garbage, "inf",
+// "nan", out of range) warns once on stderr and returns 1.0.
 double ReproScale();
 
 // TPUPERF_DATASET_DIR, or empty when unset (in-process generation).
@@ -48,64 +49,11 @@ struct Env {
 
 Env MakeEnv();
 
-// One dataset build/load that went through the store layer.
-struct StoreBuildInfo {
-  std::string task;    // "tile" | "fusion"
-  std::string target;  // e.g. "TPUv2"
-  bool cache_hit = false;
-  double seconds = 0;
-  std::string path;  // empty when no cache dir was configured
-};
-
-// Store activity of this process, in build order.
-const std::vector<StoreBuildInfo>& StoreBuilds();
-
 // Prints the dataset-store summary (per-build hit/miss and timings plus the
 // featurizer invocation count). With `enforce_warm`, a run whose every
 // build was a cache hit must never have invoked feat::FeaturizeKernel —
 // returns false (and says why) when that warm-path guarantee is violated.
 bool ReportDatasetStore(bool enforce_warm);
-
-// Records the store summary under the "dataset_store" key of
-// ./BENCH_results.json, preserving the other keys (bench_micro's report).
-// All-miss runs record cold_dataset_ready_seconds, all-hit runs record
-// warm_dataset_ready_seconds (mixed runs record neither total), and the
-// warm-vs-cold speedup is emitted once both totals from same-shaped runs
-// are in the file. No-op when no cache dir is configured.
-void WriteStoreReportJson();
-
-// The current brace-matched JSON object value of a top-level `key` in
-// ./BENCH_results.json, or "" when absent. Writers that regenerate the
-// whole file (bench_micro) re-emit the other sections' values
-// ("dataset_store", "serving") so they survive the rewrite.
-std::string PreservedTopLevelJson(const std::string& key);
-
-// Replaces (or inserts) one top-level `"key": <value>` entry of the
-// machine-written JSON report at `path`, preserving every other key.
-// `value_json` is the already-serialized value (object or scalar). The
-// section writers (dataset_store, bench_serve's "serving") all merge
-// through here so none clobbers another's results. A malformed existing
-// file (e.g. a run interrupted mid-write left unbalanced braces) is
-// detected, reported on stderr, and rewritten from scratch with just this
-// key instead of silently merging into — and propagating — the damage.
-void MergeTopLevelJsonKey(const std::string& path, const std::string& key,
-                          const std::string& value_json);
-
-// Replaces (or inserts) `"key": <value>` inside an already-serialized JSON
-// object `object_json` (pass "" or "{}" to start fresh). Used by benches
-// that accumulate per-scale subobjects (e.g. "dataset_streaming") across
-// separate runs: pull the object with PreservedTopLevelJson, merge the new
-// scale's entry here, write back with MergeTopLevelJsonKey.
-std::string MergeIntoJsonObject(const std::string& object_json,
-                                const std::string& key,
-                                const std::string& value_json);
-
-// The brace-matched `{...}` value of `"key"` inside already-serialized
-// JSON `text` (first occurrence, any nesting), or "" when absent or not an
-// object. With MergeIntoJsonObject this lets a bench update individual
-// fields of a nested section without discarding what other runs recorded.
-std::string ExtractJsonObject(const std::string& text,
-                              const std::string& key);
 
 // Builds datasets on the given simulator (defaults target TPU v2).
 data::TileDataset BuildTile(const Env& env, const sim::TpuSimulator& sim,

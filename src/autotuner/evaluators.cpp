@@ -123,8 +123,8 @@ std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(
     // Packed inference amortizes per-graph overhead, but only across the
     // queries actually packed together: charge one full sequential cost for
     // the chunk plus a quarter for each additional query. A chunk of 1 pays
-    // the sequential price; a chunk of 32 pays ~8.75x (matching the >=3.5x
-    // batch-32 amortization measured by bench_micro).
+    // the sequential price; a chunk of 32 pays ~8.75x (a >=3.5x batch-32
+    // amortization).
     spent_ += inference_sec_ * (0.75 + 0.25 * static_cast<double>(end - begin));
   }
   // Fan the deduplicated predictions out to any duplicate queries.

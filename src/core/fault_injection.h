@@ -24,7 +24,7 @@
 ///
 /// Cost when disarmed: ONE relaxed atomic load (a global three-state flag),
 /// no map lookup, no lock — cheap enough to leave in every hot path
-/// (bench_serve's non-overload profiles gate this).
+/// (tpubench's serve_poisson runs with every point compiled in, disarmed).
 ///
 /// Points currently compiled in:
 ///   featurize.throw     PreparedCache::Get, miss path (core/trainer.cpp)

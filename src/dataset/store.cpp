@@ -145,25 +145,9 @@ ir::KernelKind DecodeKernelKind(Dec& d) {
   return static_cast<ir::KernelKind>(kind);
 }
 
-// Inline (tag 0 / pre-v3) kernel record: the full graph in place. The v3
-// writer always dictionary-compresses, so only the decoder survives.
-KernelRecord DecodeKernelRecordInline(Dec& d) {
-  KernelRecord record;
-  record.kernel.graph = DecodeGraph(d);
-  record.kernel.kind = DecodeKernelKind(d);
-  record.fingerprint = d.U64();
-  record.program_id = d.I32();
-  record.family = d.Str();
-  if (record.fingerprint != record.kernel.graph.Fingerprint()) {
-    d.Fail("stored fingerprint does not match the decoded graph "
-           "(serialization drift or tampering)");
-  }
-  return record;
-}
-
-// v3 layout tags for kernel-bearing payloads. The writer always emits
-// dictionary references; inline stays decodable for forward flexibility.
-constexpr std::uint8_t kKernelInlineTag = 0;
+// Layout tag of kernel-bearing payloads: the kernel is a reference into the
+// file's graph dictionary. Tag 0 (the kernel stored inline) was never
+// written by a v3 writer and is rejected like any other unknown tag.
 constexpr std::uint8_t kKernelDictRefTag = 1;
 
 // Dictionary reference (tag 1): graph + kind + fingerprint live in a
@@ -177,16 +161,17 @@ void EncodeKernelRecordRef(Enc& e, const KernelRecord& record,
   e.Str(record.family);
 }
 
-// Version-aware kernel-record decode: pre-v3 payloads have no tag byte.
-KernelRecord DecodeKernelRecord(Dec& d, std::uint32_t version,
-                                const GraphDict& dict) {
-  if (version < 3) return DecodeKernelRecordInline(d);
+// Reads the layout tag and the dictionary index it carries.
+std::uint32_t DecodeKernelDictIndex(Dec& d) {
   const std::uint8_t tag = d.U8();
-  if (tag == kKernelInlineTag) return DecodeKernelRecordInline(d);
   if (tag != kKernelDictRefTag) {
     d.Fail("unknown kernel-record layout tag " + std::to_string(tag));
   }
-  const std::uint32_t index = d.U32();
+  return d.U32();
+}
+
+KernelRecord DecodeKernelRecord(Dec& d, const GraphDict& dict) {
+  const std::uint32_t index = DecodeKernelDictIndex(d);
   const GraphDict::Entry& entry = dict.At(index, d.context());
   KernelRecord record;
   record.kernel = entry.kernel;
@@ -239,10 +224,9 @@ std::string EncodeTileKernelPayload(const TileKernelData& k,
   return e.bytes();
 }
 
-TileKernelData DecodeTileKernelPayload(Dec& d, std::uint32_t version,
-                                       const GraphDict& dict) {
+TileKernelData DecodeTileKernelPayload(Dec& d, const GraphDict& dict) {
   TileKernelData k;
-  k.record = DecodeKernelRecord(d, version, dict);
+  k.record = DecodeKernelRecord(d, dict);
   const std::uint32_t count = d.U32();
   k.configs.reserve(count);
   k.runtimes.reserve(count);
@@ -263,10 +247,9 @@ std::string EncodeFusionSamplePayload(const FusionSample& s,
   return e.bytes();
 }
 
-FusionSample DecodeFusionSamplePayload(Dec& d, std::uint32_t version,
-                                       const GraphDict& dict) {
+FusionSample DecodeFusionSamplePayload(Dec& d, const GraphDict& dict) {
   FusionSample s;
-  s.record = DecodeKernelRecord(d, version, dict);
+  s.record = DecodeKernelRecord(d, dict);
   s.tile = DecodeTile(d);
   s.runtime = d.F64();
   s.from_default_config = d.U8() != 0;
@@ -395,7 +378,7 @@ std::pair<std::string, feat::FeatureScaler> DecodeScalerPayload(Dec& d) {
 // dictionary. Shared by ReadAll (single file) and ReadStoreContents
 // (per part, merging in record order).
 void DecodeRecordInto(StoreContents& out, const RecordView& view,
-                      std::uint32_t version, GraphDict& dict) {
+                      GraphDict& dict) {
   Dec d(view.payload.data(), view.payload.size(), view.context);
   try {
     switch (view.type) {
@@ -403,11 +386,10 @@ void DecodeRecordInto(StoreContents& out, const RecordView& view,
         out.programs.push_back(DecodeProgramPayload(d));
         break;
       case kTileKernelRecordType:
-        out.tile.kernels.push_back(DecodeTileKernelPayload(d, version, dict));
+        out.tile.kernels.push_back(DecodeTileKernelPayload(d, dict));
         break;
       case kFusionSampleRecordType:
-        out.fusion.samples.push_back(
-            DecodeFusionSamplePayload(d, version, dict));
+        out.fusion.samples.push_back(DecodeFusionSamplePayload(d, dict));
         break;
       case kFeaturizedRecordType:
         out.features->Add(DecodeFeaturizedPayload(d));
@@ -581,12 +563,9 @@ const GraphDict::Entry& GraphDict::At(std::uint32_t index,
                    std::to_string(index) + " was not loaded");
 }
 
-std::optional<std::uint32_t> PeekKernelDictIndex(const RecordView& record,
-                                                 std::uint32_t version) {
-  if (version < 3) return std::nullopt;
+std::uint32_t PeekKernelDictIndex(const RecordView& record) {
   Dec d(record.payload.data(), record.payload.size(), record.context);
-  if (d.U8() != kKernelDictRefTag) return std::nullopt;
-  return d.U32();
+  return DecodeKernelDictIndex(d);
 }
 
 void CheckDictIndexPrecedes(std::uint32_t index, std::size_t preceding,
@@ -602,19 +581,17 @@ void CheckDictIndexPrecedes(std::uint32_t index, std::size_t preceding,
 // ---- Record-level decode entry points --------------------------------------
 
 TileKernelData DecodeTileKernelRecord(const RecordView& record,
-                                      std::uint32_t version,
                                       const GraphDict& dict) {
   Dec d(record.payload.data(), record.payload.size(), record.context);
-  TileKernelData k = DecodeTileKernelPayload(d, version, dict);
+  TileKernelData k = DecodeTileKernelPayload(d, dict);
   if (!d.AtEnd()) d.Fail("trailing bytes inside record payload");
   return k;
 }
 
 FusionSample DecodeFusionSampleRecord(const RecordView& record,
-                                      std::uint32_t version,
                                       const GraphDict& dict) {
   Dec d(record.payload.data(), record.payload.size(), record.context);
-  FusionSample s = DecodeFusionSamplePayload(d, version, dict);
+  FusionSample s = DecodeFusionSamplePayload(d, dict);
   if (!d.AtEnd()) d.Fail("trailing bytes inside record payload");
   return s;
 }
@@ -1014,8 +991,11 @@ DatasetReader::DatasetReader(std::string path, ReadMode mode)
     throw StoreError(path_ + ": bad magic — not a tpuperf dataset store");
   }
   version_ = ReadU32At(hdr + 8);
-  if (version_ == 0) {
-    throw StoreError(path_ + ": invalid format version 0");
+  if (version_ < kStoreFormatVersion) {
+    throw StoreError(path_ + ": format version " + std::to_string(version_) +
+                     " predates this build's version " +
+                     std::to_string(kStoreFormatVersion) +
+                     "; regenerate the store");
   }
   if (version_ > kStoreFormatVersion) {
     throw StoreError(path_ + ": format version " + std::to_string(version_) +
@@ -1206,7 +1186,7 @@ StoreContents DatasetReader::ReadAll() const {
   StoreContents out;
   GraphDict dict;
   ForEachRecord([&](const RecordView& view) {
-    DecodeRecordInto(out, view, version_, dict);
+    DecodeRecordInto(out, view, dict);
   });
   return out;
 }
@@ -1290,7 +1270,7 @@ StoreContents ReadStoreContents(const std::string& path, ReadMode mode) {
       region_fnv =
           Fnv1a64Continue(region_fnv, view.payload.data(),
                           view.payload.size());
-      DecodeRecordInto(out, view, part.format_version(), dict);
+      DecodeRecordInto(out, view, dict);
     });
     if (region_fnv != info.records_fnv) {
       throw StoreError(part_path +

@@ -25,7 +25,7 @@
 /// f64 + adjacency in CSR form + static perf), named feature-scaler
 /// statistics, shared kernel-graph dictionary entries, and the shard
 /// manifest. Unknown record types are a read error (not skipped): a
-/// store is only readable by a format version >= the one that wrote it.
+/// store is only readable by the format version that wrote it.
 ///
 /// ## Sharding (format v3)
 ///
@@ -51,7 +51,7 @@
 ///
 /// ## Corruption guarantees
 ///
-/// Readers verify the magic, reject files written by a NEWER format
+/// Readers verify the magic, reject files written by any other format
 /// version, reject mismatched feature-config hashes (the featurizer
 /// layout changed; cached matrices would be meaningless), and verify
 /// every decoded record's size and checksum — truncation, bit flips,
@@ -99,8 +99,8 @@ namespace tpuperf::data {
 // Version 2 added the model-snapshot record types (6, 7). Version 3 added
 // sharded stores (manifest record type 9) and the shared kernel-graph
 // dictionary (record type 8, plus a layout tag byte in the kernel-bearing
-// record payloads). Version-1/2 dataset stores and version-2 model
-// snapshots remain readable.
+// record payloads). Readers accept version 3 only: older files are
+// rejected, like newer ones, with a StoreError.
 inline constexpr std::uint32_t kStoreFormatVersion = 3;
 inline constexpr char kStoreMagic[8] = {'T', 'P', 'U', 'P',
                                         'E', 'R', 'F', 'D'};
@@ -271,7 +271,7 @@ struct RecordView {
 };
 
 /// Validates the header on construction and decodes records on ReadAll().
-/// Any inconsistency — bad magic, future format version, feature-config
+/// Any inconsistency — bad magic, another format version, feature-config
 /// mismatch, truncation, checksum or structural corruption — throws
 /// StoreError with the file name and failing offset/record. Not
 /// thread-safe (stream readers share one scratch buffer).
@@ -402,10 +402,9 @@ class GraphDict {
 };
 
 /// The graph-dictionary index a tile-kernel or fusion-sample record
-/// references, or std::nullopt when its kernel is stored inline (all
-/// pre-v3 records). Reads only the layout tag and the index.
-std::optional<std::uint32_t> PeekKernelDictIndex(const RecordView& record,
-                                                 std::uint32_t version);
+/// references. Reads only the layout tag and the index; throws StoreError
+/// on an unknown tag.
+std::uint32_t PeekKernelDictIndex(const RecordView& record);
 
 /// Throws the corrupt-store StoreError for a record (named by `context`)
 /// that references dictionary index `index` when only `preceding`
@@ -413,14 +412,11 @@ std::optional<std::uint32_t> PeekKernelDictIndex(const RecordView& record,
 void CheckDictIndexPrecedes(std::uint32_t index, std::size_t preceding,
                             const std::string& context);
 
-/// Decode one record of the given type; `version` is the file's format
-/// version (kernel-bearing payloads gained a layout tag in v3), `dict` the
-/// file's graph-dictionary entries — at least the one the record references.
+/// Decode one record of the given type; `dict` holds the file's
+/// graph-dictionary entries — at least the one the record references.
 TileKernelData DecodeTileKernelRecord(const RecordView& record,
-                                      std::uint32_t version,
                                       const GraphDict& dict);
 FusionSample DecodeFusionSampleRecord(const RecordView& record,
-                                      std::uint32_t version,
                                       const GraphDict& dict);
 FeaturizedKernel DecodeFeaturizedRecord(const RecordView& record);
 /// The (fingerprint, structural signature) key of a featurized record,

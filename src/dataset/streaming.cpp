@@ -87,10 +87,10 @@ StreamingSampler::StreamingSampler(std::string store_path, StreamTask task,
                          " bytes but the part is " + std::to_string(actual) +
                          " — truncated or swapped part file");
       }
-      parts_.push_back(PartIndex{part_path, 0, {}});
+      parts_.push_back(PartIndex{part_path, {}});
     }
   } else {
-    parts_.push_back(PartIndex{store_path, 0, {}});
+    parts_.push_back(PartIndex{store_path, {}});
   }
 
   // One streaming pass per part: index task records and dictionary records
@@ -102,7 +102,6 @@ StreamingSampler::StreamingSampler(std::string store_path, StreamTask task,
   for (std::uint32_t p = 0; p < parts_.size(); ++p) {
     PartIndex& part = parts_[p];
     DatasetReader reader(part.path, ReadMode::kStream);
-    part.version = reader.format_version();
     reader.ForEachRecord(
         [&](const RecordView& view) {
           if (view.type == kGraphDictRecordType) {
@@ -187,23 +186,22 @@ StreamWindow StreamingSampler::LoadWindow(std::size_t w,
       current_part = part;
     }
     const RecordView view = reader->ReadRecordAt(offset);
-    if (const auto entry = PeekKernelDictIndex(view, index.version);
-        entry && !dict.contains(*entry)) {
+    if (const std::uint32_t entry = PeekKernelDictIndex(view);
+        !dict.contains(entry)) {
       // The whole-file readers accept only dictionary records that precede
       // the referencing record; the same count, by binary search here.
       const auto preceding = static_cast<std::size_t>(
           std::lower_bound(index.dict_offsets.begin(),
                            index.dict_offsets.end(), offset) -
           index.dict_offsets.begin());
-      CheckDictIndexPrecedes(*entry, preceding, view.context);
-      dict.Put(*entry, GraphDict::Decode(dict_reader->ReadRecordAt(
-                           index.dict_offsets[*entry])));
+      CheckDictIndexPrecedes(entry, preceding, view.context);
+      dict.Put(entry, GraphDict::Decode(dict_reader->ReadRecordAt(
+                          index.dict_offsets[entry])));
     }
     if (task_ == StreamTask::kTile) {
-      out.tile.push_back(DecodeTileKernelRecord(view, index.version, dict));
+      out.tile.push_back(DecodeTileKernelRecord(view, dict));
     } else {
-      out.fusion.push_back(
-          DecodeFusionSampleRecord(view, index.version, dict));
+      out.fusion.push_back(DecodeFusionSampleRecord(view, dict));
     }
   }
   return out;

@@ -156,7 +156,6 @@ class StreamingSampler {
  private:
   struct PartIndex {
     std::string path;
-    std::uint32_t version = 0;
     std::vector<std::uint64_t> dict_offsets;  // dictionary records, in order
   };
 

@@ -88,7 +88,7 @@ class TapeArena {
   /// pool again holds every buffer the arena handed out).
   void Recycle(Matrix&& m);
 
-  // ---- Instrumentation (the measurable win; see bench_micro) ---------------
+  // ---- Instrumentation ------------------------------------------------------
   /// Buffer requests served since construction / last ResetStats().
   std::size_t requests() const noexcept { return requests_; }
   /// Requests that had to hit the heap (pool misses). In steady state a

@@ -32,8 +32,6 @@ ServiceConfig ServiceConfig::FromEnv() {
       core::EnvInt("TPUPERF_SERVE_DEADLINE_US", c.deadline_us, 0, 10000000));
   c.num_threads =
       static_cast<int>(core::EnvInt("TPUPERF_SERVE_THREADS", 0, 0, 4096));
-  c.plan_enable = static_cast<int>(
-      core::EnvInt("TPUPERF_PLAN_ENABLE", c.plan_enable, 0, 1));
   c.plan_cache = static_cast<int>(
       core::EnvInt("TPUPERF_PLAN_CACHE", c.plan_cache, 0, 64));
   c.queue_cap = static_cast<int>(
@@ -406,7 +404,7 @@ PredictionService::PredictionService(
                           ? config_.num_threads
                           : core::ThreadPool::DefaultNumThreads();
   impl_ = std::make_unique<ServiceImpl>(threads);
-  if (config_.plan_enable != 0 && config_.plan_cache > 0) {
+  if (config_.plan_cache > 0) {
     impl_->plan_cache =
         std::make_unique<PlanCache>(static_cast<std::size_t>(config_.plan_cache));
   }

@@ -7,7 +7,8 @@
 /// Triton) face the same shape of load and answer it the same way this
 /// service does: coalesce concurrent single predictions into one batched
 /// forward pass, because PredictBatch amortizes every dense layer into one
-/// large GEMM (bench_batch measures the per-item speedup).
+/// large GEMM (tpubench's serve_poisson workload measures the per-query
+/// cost).
 ///
 /// ## Batching policy
 ///
@@ -128,13 +129,12 @@ struct ServiceConfig {
   // Worker threads processing flushed batches; 0 means
   // core::ThreadPool::DefaultNumThreads(). Env: TPUPERF_SERVE_THREADS.
   int num_threads = 0;
-  // Plan-compiled inference (src/plan): when nonzero, flushed batches are
-  // scored through a cached CompiledPlan (compiled once per batch-shape
-  // bucket, replayed thereafter) instead of building a tape per batch.
-  // Results are bit-identical either way. Env: TPUPERF_PLAN_ENABLE (0 or 1).
-  int plan_enable = 1;
-  // Capacity of the per-service plan cache, in distinct batch-shape buckets
-  // (LRU beyond that); 0 also disables the plan path. Env: TPUPERF_PLAN_CACHE.
+  // Plan-compiled inference (src/plan): flushed batches are scored through
+  // a cached CompiledPlan (compiled once per batch-shape bucket, replayed
+  // thereafter) instead of building a tape per batch. This is the capacity
+  // of the per-service plan cache, in distinct buckets (LRU beyond that);
+  // 0 disables the plan path. Results are bit-identical either way.
+  // Env: TPUPERF_PLAN_CACHE.
   int plan_cache = 8;
   // Admission control: queued-request cap (0 = unbounded, the pre-robustness
   // behavior). Env: TPUPERF_SERVE_QUEUE_CAP.

@@ -7,7 +7,9 @@
 #     docs/BENCHMARKS.md;
 #   * every environment variable the sources read via getenv(),
 #     core::EnvInt(), or core::EnvEnum() must be documented in
-#     docs/BENCHMARKS.md's env-var matrix;
+#     docs/BENCHMARKS.md's env-var matrix, and every TPUPERF_*/REPRO_*
+#     variable that matrix lists must be read by some source in src/ or
+#     bench/, so a deleted knob cannot linger in the docs;
 #   * every backticked namespaced identifier in README/docs (`nn::X`,
 #     `core::X`, `serve::X`, ...) must still appear as a word in src/, so
 #     docs cannot keep naming a deleted symbol;
@@ -79,14 +81,15 @@ endforeach()
 # ---- Every environment variable the sources read is documented --------------
 # Reads happen through raw getenv(), the strict numeric parser
 # core::EnvInt("NAME", ...), or the strict token parser
-# core::EnvEnum("NAME", ...); all three spellings are scanned.
+# core::EnvEnum("NAME", ...); all three spellings are scanned, with the
+# name on the call's line or wrapped onto the next.
 file(GLOB_RECURSE source_files
      "${REPO_ROOT}/src/*.cpp" "${REPO_ROOT}/src/*.h"
      "${REPO_ROOT}/bench/*.cpp" "${REPO_ROOT}/bench/*.h")
 set(env_vars "")
 foreach(source_file IN LISTS source_files)
   file(READ "${source_file}" content)
-  string(REGEX MATCHALL "(getenv|EnvInt|EnvEnum)\\(\"[A-Z_]+\"" reads "${content}")
+  string(REGEX MATCHALL "(getenv|EnvInt|EnvEnum)\\([ \t\r\n]*\"[A-Z_]+\"" reads "${content}")
   foreach(read IN LISTS reads)
     string(REGEX REPLACE ".*\"([A-Z_]+)\".*" "\\1" var "${read}")
     list(APPEND env_vars "${var}")
@@ -102,6 +105,20 @@ foreach(var IN LISTS env_vars)
   if(var_idx EQUAL -1)
     list(APPEND failures
          "env var ${var} (read by the sources) is not documented in docs/BENCHMARKS.md")
+  endif()
+endforeach()
+
+# ...and every variable the matrix lists (first column) is still read.
+string(REGEX MATCHALL "\n\\| `(TPUPERF|REPRO)_[A-Z_]+` \\|" rows "${benchdoc}")
+if(rows STREQUAL "")
+  list(APPEND failures "env-var matrix scan found nothing: the scan itself is broken")
+endif()
+foreach(row IN LISTS rows)
+  string(REGEX REPLACE ".*`([A-Z_]+)`.*" "\\1" var "${row}")
+  list(FIND env_vars "${var}" read_idx)
+  if(read_idx EQUAL -1)
+    list(APPEND failures
+         "docs/BENCHMARKS.md documents env var ${var}, but no source in src/ or bench/ reads it")
   endif()
 endforeach()
 

@@ -3,10 +3,10 @@
 // small slice, asserting the paper's qualitative relationships end to end.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "autotuner/fusion_tuner.h"
 #include "autotuner/tile_tuner.h"
@@ -185,68 +185,35 @@ TEST_F(IntegrationTest, BenchEnvironmentIsConstructible) {
   EXPECT_EQ(names.size(), 18u);
 }
 
-// ---- Machine-written JSON report merging ------------------------------------
+// REPRO_SCALE scales budgets through static_cast<int> and std::lround, so
+// only a full-string finite value in (0, 64] may get through; anything else
+// falls back to 1.0.
+TEST_F(IntegrationTest, ReproScaleParsesStrictly) {
+  const char* saved = std::getenv("REPRO_SCALE");
+  const std::string restore = saved == nullptr ? "" : saved;
 
-std::string Slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-TEST_F(IntegrationTest, MergeTopLevelJsonKeyPreservesOtherSections) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tpuperf_merge_test.json")
-          .string();
-  std::filesystem::remove(path);
-  bench::MergeTopLevelJsonKey(path, "alpha", "{\n    \"x\": 1\n  }");
-  bench::MergeTopLevelJsonKey(path, "beta", "2");
-  bench::MergeTopLevelJsonKey(path, "alpha", "{\n    \"x\": 3\n  }");
-  const std::string text = Slurp(path);
-  EXPECT_NE(text.find("\"beta\": 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"x\": 3"), std::string::npos) << text;
-  EXPECT_EQ(text.find("\"x\": 1"), std::string::npos)
-      << "the replaced value must be gone: " << text;
-  std::filesystem::remove(path);
-}
-
-// Regression: a run interrupted mid-write leaves a torn report (unbalanced
-// braces). Merging used to splice into the damage and silently drop keys;
-// now the torn file is detected and rewritten from scratch — the merged key
-// must always survive, and the output must be well-formed again.
-TEST_F(IntegrationTest, MergeTopLevelJsonKeyRecoversFromTornFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tpuperf_torn_test.json")
-          .string();
-  {
-    std::ofstream os(path, std::ios::trunc);
-    os << "{\n  \"serving\": {\n    \"p99_us\": 12";  // interrupted mid-value
+  ::unsetenv("REPRO_SCALE");
+  EXPECT_EQ(bench::ReproScale(), 1.0);
+  for (const auto& [text, expected] :
+       std::vector<std::pair<const char*, double>>{{"0.5", 0.5},
+                                                   {"8", 8.0},
+                                                   {"64", 64.0},
+                                                   {"1e-3", 1e-3}}) {
+    ::setenv("REPRO_SCALE", text, 1);
+    EXPECT_EQ(bench::ReproScale(), expected) << text;
   }
-  bench::MergeTopLevelJsonKey(path, "gamma", "7");
-  const std::string text = Slurp(path);
-  EXPECT_NE(text.find("\"gamma\": 7"), std::string::npos) << text;
-  // Balanced again: count braces.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '{'),
-            std::count(text.begin(), text.end(), '}'))
-      << text;
-  // And the next merge keeps gamma.
-  bench::MergeTopLevelJsonKey(path, "delta", "8");
-  const std::string text2 = Slurp(path);
-  EXPECT_NE(text2.find("\"gamma\": 7"), std::string::npos) << text2;
-  EXPECT_NE(text2.find("\"delta\": 8"), std::string::npos) << text2;
-  std::filesystem::remove(path);
-}
+  for (const char* rejected :
+       {"0.1x", "", " 2", "2 ", "x", "inf", "-inf", "nan", "1e12", "64.5",
+        "0", "-1"}) {
+    ::setenv("REPRO_SCALE", rejected, 1);
+    EXPECT_EQ(bench::ReproScale(), 1.0) << '"' << rejected << '"';
+  }
 
-TEST_F(IntegrationTest, MergeIntoJsonObjectAccumulatesScaleEntries) {
-  std::string obj = bench::MergeIntoJsonObject("", "scale_1", "{ \"a\": 1 }");
-  obj = bench::MergeIntoJsonObject(obj, "scale_4", "{ \"a\": 4 }");
-  obj = bench::MergeIntoJsonObject(obj, "scale_1", "{ \"a\": 2 }");
-  EXPECT_NE(obj.find("\"scale_4\""), std::string::npos) << obj;
-  EXPECT_NE(obj.find("\"a\": 2"), std::string::npos) << obj;
-  EXPECT_EQ(obj.find("\"a\": 1"), std::string::npos) << obj;
-  EXPECT_EQ(std::count(obj.begin(), obj.end(), '{'),
-            std::count(obj.begin(), obj.end(), '}'))
-      << obj;
+  if (saved == nullptr) {
+    ::unsetenv("REPRO_SCALE");
+  } else {
+    ::setenv("REPRO_SCALE", restore.c_str(), 1);
+  }
 }
 
 }  // namespace

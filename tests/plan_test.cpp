@@ -489,11 +489,11 @@ TEST(PlanService, SmallerBatchReusesCachedLargerPlan) {
   EXPECT_EQ(stats.plan_hits, 1u);
 }
 
-// plan_enable=0 must bypass the plan path entirely — and stay bit-identical.
+// plan_cache=0 must bypass the plan path entirely — and stay bit-identical.
 TEST(PlanService, DisabledPlanPathStillExact) {
   Fixture fx(SmallConfig(), 3);
   serve::ServiceConfig config;
-  config.plan_enable = 0;
+  config.plan_cache = 0;
   auto served_model = std::make_unique<LearnedCostModel>(SmallConfig());
   for (const auto& kernel : fx.kernels) served_model->FitNodeScaler(kernel);
   for (const auto& tile : fx.tiles) served_model->FitTileScaler(tile);
@@ -514,27 +514,20 @@ TEST(PlanService, DisabledPlanPathStillExact) {
 // ---- Config knobs ----------------------------------------------------------
 
 TEST(PlanConfig, FromEnvParsesStrictly) {
-  ::setenv("TPUPERF_PLAN_ENABLE", "0", 1);
   ::setenv("TPUPERF_PLAN_CACHE", "16", 1);
   serve::ServiceConfig c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_enable, 0);
   EXPECT_EQ(c.plan_cache, 16);
 
   // Malformed values are ignored (strict full-string parse), keeping the
-  // defaults; well-formed out-of-range values clamp.
-  ::setenv("TPUPERF_PLAN_ENABLE", "yes", 1);
+  // default; well-formed out-of-range values clamp.
   ::setenv("TPUPERF_PLAN_CACHE", "8x", 1);
   c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_enable, serve::ServiceConfig{}.plan_enable);
   EXPECT_EQ(c.plan_cache, serve::ServiceConfig{}.plan_cache);
 
-  ::setenv("TPUPERF_PLAN_ENABLE", "", 1);
   ::setenv("TPUPERF_PLAN_CACHE", "100", 1);
   c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_enable, serve::ServiceConfig{}.plan_enable);
   EXPECT_EQ(c.plan_cache, 64);  // clamped to the cap
 
-  ::unsetenv("TPUPERF_PLAN_ENABLE");
   ::unsetenv("TPUPERF_PLAN_CACHE");
 }
 

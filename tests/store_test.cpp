@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -21,6 +22,7 @@
 #include "core/trainer.h"
 #include "dataset/families.h"
 #include "dataset/store.h"
+#include "dataset/wire.h"
 #include "features/featurizer.h"
 
 namespace tpuperf::data {
@@ -170,6 +172,18 @@ void CorruptByte(const std::string& path, std::uint64_t offset) {
 
 void TruncateFile(const std::string& path, std::uint64_t size) {
   fs::resize_file(path, size);
+}
+
+// Overwrites the header's format-version field, bytes [8, 12).
+void WriteFormatVersion(const std::string& path, std::uint32_t version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<char>((version >> (8 * i)) & 0xff);
+  }
+  f.seekp(8);
+  f.write(bytes, 4);
 }
 
 // ---- Round trips ------------------------------------------------------------
@@ -391,17 +405,49 @@ TEST_F(StoreCorruptionTest, FlippedMagicFailsLoudly) {
 
 TEST_F(StoreCorruptionTest, FutureFormatVersionIsRejected) {
   const std::string path = WriteValid("future.tpds");
-  // The version lives at bytes [8, 12); bump it far past the current one.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  const std::uint32_t future = kStoreFormatVersion + 3;
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>((future >> (8 * i)) & 0xff);
-  }
-  f.seekp(8);
-  f.write(bytes, 4);
-  f.close();
+  WriteFormatVersion(path, kStoreFormatVersion + 3);
   ExpectRejected(path, "newer tpuperf");
+}
+
+// Version 2 had no graph dictionary and no layout tag; this build reads v3
+// only, and says so instead of misparsing the records.
+TEST_F(StoreCorruptionTest, OlderFormatVersionIsRejected) {
+  const std::string path = WriteValid("v2.tpds");
+  WriteFormatVersion(path, 2);
+  ExpectRejected(path, "predates");
+}
+
+// Layout tag 0 (a kernel stored inline, never written in v3) is rejected as
+// an unknown tag. The checksum is recomputed, so only the tag check can
+// catch it.
+TEST_F(StoreCorruptionTest, InlineKernelLayoutTagIsRejected) {
+  const std::string path = WriteValid("tag0.tpds");
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  std::uint64_t offset = kStoreHeaderSize;
+  for (;;) {
+    char header[kStoreRecordHeaderSize];
+    f.seekg(static_cast<std::streamoff>(offset));
+    f.read(header, sizeof(header));
+    ASSERT_TRUE(f) << "no tile-kernel record in the store";
+    std::uint32_t type = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&type, header, 4);  // little-endian, like the format
+    std::memcpy(&size, header + 4, 8);
+    if (type == kTileKernelRecordType) {
+      std::string payload(size, '\0');
+      f.read(payload.data(), static_cast<std::streamsize>(size));
+      ASSERT_EQ(payload[0], 1) << "expected a dictionary-reference tag";
+      payload[0] = 0;
+      const std::uint64_t checksum = Fnv1a64(payload.data(), payload.size());
+      f.seekp(static_cast<std::streamoff>(offset + 12));
+      f.write(reinterpret_cast<const char*>(&checksum), 8);
+      f.write(payload.data(), 1);
+      break;
+    }
+    offset += kStoreRecordHeaderSize + size;
+  }
+  f.close();
+  ExpectRejected(path, "unknown kernel-record layout tag 0");
 }
 
 TEST_F(StoreCorruptionTest, FeatureConfigHashMismatchIsRejected) {

@@ -502,6 +502,7 @@ TEST_F(StreamingTest, WindowedTrainingCompletesAllSteps) {
   config.opcode_embedding_dim = 8;
   config.train_steps = 40;
 
+  feat::ResetFeaturizeKernelInvocations();
   StreamingSampler sampler(path, StreamTask::kTile,
                            {.window_records = 3, .seed = 99});
   ASSERT_GT(sampler.windows_per_epoch(), 1u);
@@ -509,6 +510,9 @@ TEST_F(StreamingTest, WindowedTrainingCompletesAllSteps) {
   core::PreparedCache cache(model, sampler.features().get());
   const core::TrainStats stats =
       core::TrainTileTaskStreaming(model, sampler, ids, cache);
+  // Every window's features come from the store's featurized records.
+  EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
+      << "windowed streaming training touched the featurizer";
   EXPECT_EQ(stats.steps, config.train_steps);
   EXPECT_TRUE(std::isfinite(stats.first_loss));
   EXPECT_TRUE(std::isfinite(stats.final_loss));
