@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   std::printf("snapshot written to %s\n", path.c_str());
 
   // ---- Serve from the snapshot file ---------------------------------------
-  serve::ServiceConfig service_config = serve::ServiceConfig::FromEnv();
-  serve::PredictionService service(path, service_config);
+  serve::PredictionService service(path, serve::ServiceConfig{});
   std::printf("service up: max_batch=%d deadline_us=%ld\n",
               service.config().max_batch, service.config().deadline_us);
 

@@ -71,8 +71,7 @@ LearnedCostModel::LearnedCostModel(ModelConfig config)
                                     config_.opcode_embedding_dim, init_rng_);
   const int input_width = config_.opcode_embedding_dim +
                           feat::kNodeScalarFeatures + NodeExtraWidth(config_);
-  f1_ = nn::Mlp(*store_, "f1", input_width, {hidden}, nn::Activation::kRelu,
-                init_rng_);
+  f1_ = nn::Mlp(*store_, "f1", input_width, {hidden}, init_rng_);
 
   switch (config_.gnn) {
     case GnnKind::kGraphSage:
@@ -95,7 +94,7 @@ LearnedCostModel::LearnedCostModel(ModelConfig config)
   std::vector<int> final_sizes(
       static_cast<size_t>(std::max(0, config_.node_final_layers)), hidden);
   node_final_ = nn::Mlp(*store_, "node_final", hidden, std::move(final_sizes),
-                        nn::Activation::kRelu, init_rng_);
+                        init_rng_);
 
   switch (config_.reduction) {
     case ReductionKind::kPerNode:

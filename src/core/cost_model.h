@@ -124,10 +124,6 @@ class LearnedCostModel {
   std::shared_ptr<const plan::CompiledPlan> CompilePlan(
       int max_kernels, int max_total_nodes,
       bool poison_dead_buffers = false) const;
-  // PredictScore through a compiled plan: same result, no tape.
-  double PredictWithPlan(const plan::CompiledPlan& plan,
-                         const PreparedKernel& kernel,
-                         const ir::TileConfig* tile = nullptr) const;
   // PredictBatch through a compiled plan: same results, no tape.
   std::vector<double> PredictBatchWithPlan(const plan::CompiledPlan& plan,
                                            const PreparedBatch& batch) const;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <string>
 
 namespace tpuperf::core {
 
@@ -44,26 +43,6 @@ std::int64_t EnvInt(const char* name, std::int64_t fallback,
     return fallback;
   }
   return std::clamp(*parsed, min_value, max_value);
-}
-
-int EnvEnum(const char* name, int fallback,
-            std::initializer_list<EnvEnumOption> options) noexcept {
-  const char* text = std::getenv(name);
-  if (text == nullptr) return fallback;
-  const std::string_view value(text);
-  for (const EnvEnumOption& option : options) {
-    if (value == option.token) return option.value;
-  }
-  std::string accepted;
-  for (const EnvEnumOption& option : options) {
-    if (!accepted.empty()) accepted += "|";
-    accepted += option.token;
-  }
-  std::fprintf(stderr,
-               "[tpuperf] warning: ignoring %s=\"%s\" (not one of %s); "
-               "keeping the default\n",
-               name, text, accepted.c_str());
-  return fallback;
 }
 
 }  // namespace tpuperf::core

@@ -1,15 +1,14 @@
 // Strict parsing of TPUPERF_* numeric environment variables.
 //
 // std::stoi-style parsing silently accepts trailing garbage ("4x" -> 4) and
-// relies on exceptions for overflow; every numeric knob in the repo
-// (TPUPERF_NUM_THREADS, the serve::PredictionService knobs) goes through the
-// full-string parser here instead. Malformed values are ignored with a
-// one-line warning to stderr — a typo'd override must never silently
-// configure something the user did not ask for.
+// relies on exceptions for overflow; the library's one numeric knob
+// (TPUPERF_NUM_THREADS) goes through the full-string parser here instead.
+// Malformed values are ignored with a one-line warning to stderr — a typo'd
+// override must never silently configure something the user did not ask
+// for.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string_view>
 
@@ -26,19 +25,5 @@ std::optional<std::int64_t> ParseIntStrict(std::string_view text) noexcept;
 // [min_value, max_value].
 std::int64_t EnvInt(const char* name, std::int64_t fallback,
                     std::int64_t min_value, std::int64_t max_value) noexcept;
-
-// One accepted token of an enumerated environment variable.
-struct EnvEnumOption {
-  std::string_view token;
-  int value = 0;
-};
-
-// Reads the enumerated environment variable `name` with the same contract as
-// EnvInt: unset returns `fallback` silently; an unknown token warns on
-// stderr (listing the accepted tokens) and returns `fallback`. Matching is
-// exact and case-sensitive — "Reject" or "reject " is a warning, never a
-// guess.
-int EnvEnum(const char* name, int fallback,
-            std::initializer_list<EnvEnumOption> options) noexcept;
 
 }  // namespace tpuperf::core

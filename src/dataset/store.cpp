@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <utility>
 
@@ -15,13 +14,13 @@
 #include "core/thread_pool.h"
 #include "sim/hash.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define TPUPERF_STORE_HAS_MMAP 1
+#if !defined(__unix__) && !defined(__APPLE__)
+#error "the dataset store needs POSIX file I/O (open/pread/mmap)"
+#endif
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace tpuperf::data {
 namespace {
@@ -624,22 +623,17 @@ std::uint64_t FeatureConfigHash() {
 
 // ---- DatasetWriter ---------------------------------------------------------
 //
-// On POSIX builds the writer drives a raw file descriptor with explicit
-// short-write/EINTR loops: ::write may transfer fewer bytes than asked (or
-// fail with EINTR when a signal lands mid-call), and std::ofstream gives no
-// way to retry the remainder — it just poisons the stream. Every syscall
-// result is checked; failures throw StoreError naming the file and errno.
-// Non-unix builds keep a buffered std::ofstream.
+// The writer drives a raw file descriptor with explicit short-write/EINTR
+// loops: ::write may transfer fewer bytes than asked (or fail with EINTR
+// when a signal lands mid-call), and std::ofstream gives no way to retry
+// the remainder — it just poisons the stream. Every syscall result is
+// checked; failures throw StoreError naming the file and errno.
 
 struct DatasetWriter::Part {
   std::string tmp_path;
   std::string final_path;
   std::string file;  // final basename, for the manifest
-#if defined(TPUPERF_STORE_HAS_MMAP)
   int fd = -1;
-#else
-  std::unique_ptr<std::ofstream> os;
-#endif
   std::uint64_t records = 0;
   std::uint64_t bytes = kHeaderSize;
   std::uint64_t fnv = kFnv1a64Seed;  // running hash of the records region
@@ -648,8 +642,6 @@ struct DatasetWriter::Part {
 };
 
 namespace {
-
-#if defined(TPUPERF_STORE_HAS_MMAP)
 
 int OpenForWrite(const std::string& path) {
   int fd;
@@ -687,8 +679,6 @@ void WarnClose(int fd, const std::string& path) {
   }
 }
 
-#endif
-
 // Unique temporary suffix per writer part: concurrent cold builds of the
 // same key (shared cache dirs) each complete their own file, and the atomic
 // rename makes the last finisher win with a consistent store.
@@ -702,12 +692,7 @@ std::string TmpSuffix(const void* self) {
 }  // namespace
 
 void DatasetWriter::Part::Write(const char* data, std::size_t size) {
-#if defined(TPUPERF_STORE_HAS_MMAP)
   WriteAll(fd, data, size, tmp_path);
-#else
-  os->write(data, static_cast<std::streamsize>(size));
-  if (!*os) throw StoreError(tmp_path + ": write failed");
-#endif
 }
 
 DatasetWriter::DatasetWriter(std::string path, std::uint64_t max_part_bytes)
@@ -717,11 +702,7 @@ DatasetWriter::DatasetWriter(std::string path, std::uint64_t max_part_bytes)
 
 DatasetWriter::~DatasetWriter() {
   if (part_ != nullptr) {
-#if defined(TPUPERF_STORE_HAS_MMAP)
     WarnClose(part_->fd, part_->tmp_path);
-#else
-    part_->os.reset();
-#endif
     std::error_code ec;
     std::filesystem::remove(part_->tmp_path, ec);
     part_.reset();
@@ -752,7 +733,6 @@ void DatasetWriter::OpenPart() {
   e.U32(kStoreFormatVersion);
   e.U64(FeatureConfigHash());
   e.U64(0);  // record count, patched by ClosePart()
-#if defined(TPUPERF_STORE_HAS_MMAP)
   const int fd = OpenForWrite(part->tmp_path);
   if (fd < 0) {
     throw StoreError(part->tmp_path + ": cannot open for writing (" +
@@ -768,16 +748,6 @@ void DatasetWriter::OpenPart() {
     std::filesystem::remove(part->tmp_path, ec);
     throw;
   }
-#else
-  part->os = std::make_unique<std::ofstream>(
-      part->tmp_path, std::ios::binary | std::ios::trunc);
-  if (!*part->os) {
-    throw StoreError(part->tmp_path + ": cannot open for writing");
-  }
-  part->os->write(kStoreMagic, sizeof(kStoreMagic));
-  part->os->write(e.bytes().data(),
-                  static_cast<std::streamsize>(e.bytes().size()));
-#endif
   part_ = std::move(part);
   dict_.clear();  // dictionaries never span part files
 }
@@ -786,7 +756,6 @@ void DatasetWriter::ClosePart() {
   if (part_ == nullptr) throw StoreError(path_ + ": writer has no open file");
   Enc e;
   e.U64(part_->records);
-#if defined(TPUPERF_STORE_HAS_MMAP)
   const int fd = part_->fd;
   if (::lseek(fd, static_cast<off_t>(kRecordCountOffset), SEEK_SET) < 0) {
     throw StoreError(part_->tmp_path + ": seek to record count failed (" +
@@ -800,15 +769,6 @@ void DatasetWriter::ClosePart() {
     throw StoreError(part_->tmp_path + ": close failed (" +
                      std::string(std::strerror(errno)) + ")");
   }
-#else
-  auto& os = *part_->os;
-  os.seekp(static_cast<std::streamoff>(kRecordCountOffset));
-  os.write(e.bytes().data(), static_cast<std::streamsize>(e.bytes().size()));
-  os.flush();
-  const bool ok = static_cast<bool>(os);
-  part_->os.reset();
-  if (!ok) throw StoreError(part_->tmp_path + ": flush failed");
-#endif
   std::error_code ec;
   std::filesystem::rename(part_->tmp_path, part_->final_path, ec);
   if (ec) {
@@ -923,7 +883,6 @@ void DatasetWriter::Finish() {
 
 DatasetReader::DatasetReader(std::string path, ReadMode mode)
     : path_(std::move(path)) {
-#if defined(TPUPERF_STORE_HAS_MMAP)
   if (mode == ReadMode::kAuto || mode == ReadMode::kMmap) {
     const int fd = ::open(path_.c_str(), O_RDONLY);
     if (fd >= 0) {
@@ -942,16 +901,10 @@ DatasetReader::DatasetReader(std::string path, ReadMode mode)
       WarnClose(fd, path_);
     }
   }
-#else
-  if (mode == ReadMode::kMmap) {
-    throw StoreError(path_ + ": mmap reads are not supported on this platform");
-  }
-#endif
   if (!mapped_) {
     if (mode == ReadMode::kMmap) {
       throw StoreError(path_ + ": cannot mmap (missing or empty file?)");
     }
-#if defined(TPUPERF_STORE_HAS_MMAP)
     // Stream mode keeps the descriptor open and preads records on demand —
     // the file is never buffered whole, so memory stays O(largest record)
     // and filtered walks seek past unwanted payloads.
@@ -972,14 +925,6 @@ DatasetReader::DatasetReader(std::string path, ReadMode mode)
     }
     fd_ = fd;
     size_ = st.st_size > 0 ? static_cast<std::size_t>(st.st_size) : 0;
-#else
-    std::ifstream is(path_, std::ios::binary);
-    if (!is) throw StoreError(path_ + ": cannot open");
-    owned_.assign(std::istreambuf_iterator<char>(is),
-                  std::istreambuf_iterator<char>());
-    data_ = owned_.data();
-    size_ = owned_.size();
-#endif
   }
 
   if (size_ < kHeaderSize) {
@@ -1025,7 +970,6 @@ DatasetReader::DatasetReader(std::string path, ReadMode mode)
 }
 
 DatasetReader::~DatasetReader() {
-#if defined(TPUPERF_STORE_HAS_MMAP)
   // Destructors cannot throw; a failed unmap still must not pass silently
   // (it leaks the mapping and hides kernel-side trouble), so warn.
   if (map_base_ != nullptr && ::munmap(map_base_, map_size_) != 0) {
@@ -1033,14 +977,12 @@ DatasetReader::~DatasetReader() {
                  path_.c_str(), std::strerror(errno));
   }
   if (fd_ >= 0) WarnClose(fd_, path_);
-#endif
 }
 
 const unsigned char* DatasetReader::BytesAt(
     std::uint64_t offset, std::size_t size,
     std::vector<unsigned char>& scratch) const {
-  if (data_ != nullptr) return data_ + offset;  // mmap / owned buffer
-#if defined(TPUPERF_STORE_HAS_MMAP)
+  if (data_ != nullptr) return data_ + offset;  // mmap
   scratch.resize(size);
   std::size_t done = 0;
   while (done < size) {
@@ -1060,9 +1002,6 @@ const unsigned char* DatasetReader::BytesAt(
     done += static_cast<std::size_t>(n);
   }
   return scratch.data();
-#else
-  throw StoreError(path_ + ": internal error — no backing buffer");
-#endif
 }
 
 bool DatasetReader::sharded_manifest() const noexcept {

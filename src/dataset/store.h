@@ -223,7 +223,7 @@ class DatasetWriter {
   void Finish();
 
  private:
-  struct Part;  // one open part sink (platform I/O state), in the .cpp
+  struct Part;  // one open part sink (its file descriptor), in the .cpp
   struct PartInfo {
     std::string file;               // final basename
     std::uint64_t records = 0;      // framing record count
@@ -253,8 +253,8 @@ class DatasetWriter {
 };
 
 enum class ReadMode {
-  kAuto,   // mmap when the platform supports it, else stream
-  kMmap,   // require mmap (throws where unsupported)
+  kAuto,   // mmap when the mapping succeeds, else stream
+  kMmap,   // require mmap (throws when the file cannot be mapped)
   kStream  // incremental fd reads with a per-record scratch buffer
 };
 
@@ -325,12 +325,11 @@ class DatasetReader {
                                std::vector<unsigned char>& scratch) const;
 
   std::string path_;
-  std::vector<unsigned char> owned_;  // non-POSIX stream fallback buffer
   mutable std::vector<unsigned char> scratch_;         // payload buffer
   mutable std::vector<unsigned char> header_scratch_;  // record headers
-  const unsigned char* data_ = nullptr;  // mmap/owned base; null in fd mode
+  const unsigned char* data_ = nullptr;  // mmap base; null in fd mode
   std::size_t size_ = 0;                 // total file size
-  int fd_ = -1;                          // POSIX stream mode descriptor
+  int fd_ = -1;                          // stream mode descriptor
   void* map_base_ = nullptr;
   std::size_t map_size_ = 0;
   bool mapped_ = false;

@@ -66,7 +66,7 @@ TransformerEncoderLayer::TransformerEncoderLayer(ParamStore& store,
     : attention_(store, name + ".attn", dim, num_heads, rng),
       norm1_(store, name + ".ln1", dim, rng),
       norm2_(store, name + ".ln2", dim, rng),
-      ffn_(store, name + ".ffn", dim, {2 * dim, dim}, Activation::kRelu, rng,
+      ffn_(store, name + ".ffn", dim, {2 * dim, dim}, rng,
            /*activate_last=*/false) {}
 
 Tensor TransformerEncoderLayer::Forward(Tape& tape, Tensor x) const {

@@ -26,11 +26,9 @@ Tensor Linear::Forward(Tape& tape, Tensor x) const {
 }
 
 Mlp::Mlp(ParamStore& store, const std::string& name, int in_features,
-         std::vector<int> layer_sizes, Activation activation,
-         std::mt19937_64& rng, bool activate_last)
-    : activation_(activation),
-      activate_last_(activate_last),
-      in_features_(in_features) {
+         std::vector<int> layer_sizes, std::mt19937_64& rng,
+         bool activate_last)
+    : activate_last_(activate_last), in_features_(in_features) {
   int in = in_features;
   for (size_t i = 0; i < layer_sizes.size(); ++i) {
     layers_.emplace_back(store, name + ".l" + std::to_string(i), in,
@@ -45,16 +43,7 @@ Tensor Mlp::Forward(Tape& tape, Tensor x) const {
     h = layers_[i].Forward(tape, h);
     const bool last = i + 1 == layers_.size();
     if (last && !activate_last_) break;
-    switch (activation_) {
-      case Activation::kNone:
-        break;
-      case Activation::kRelu:
-        h = ReluOp(tape, h);
-        break;
-      case Activation::kTanh:
-        h = TanhOp(tape, h);
-        break;
-    }
+    h = ReluOp(tape, h);
   }
   return h;
 }

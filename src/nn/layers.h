@@ -33,16 +33,14 @@ class Linear {
   int out_features_ = 0;
 };
 
-enum class Activation { kNone, kRelu, kTanh };
-
-// A stack of Linear layers with an activation between (and optionally after)
-// them — the paper's "feedforward" modules (f1, f2, f3, node final layers).
+// A stack of Linear layers with a ReLU between (and optionally after) them —
+// the paper's "feedforward" modules (f1, f2, f3, node final layers).
 class Mlp {
  public:
   Mlp() = default;
   Mlp(ParamStore& store, const std::string& name, int in_features,
-      std::vector<int> layer_sizes, Activation activation,
-      std::mt19937_64& rng, bool activate_last = true);
+      std::vector<int> layer_sizes, std::mt19937_64& rng,
+      bool activate_last = true);
 
   Tensor Forward(Tape& tape, Tensor x) const;
   int out_features() const noexcept;
@@ -51,12 +49,10 @@ class Mlp {
   // Structural accessors for the plan compiler (src/plan), which re-emits
   // the exact Forward sequence as a static schedule.
   const std::vector<Linear>& layers() const noexcept { return layers_; }
-  Activation activation() const noexcept { return activation_; }
   bool activate_last() const noexcept { return activate_last_; }
 
  private:
   std::vector<Linear> layers_;
-  Activation activation_ = Activation::kRelu;
   bool activate_last_ = true;
   int in_features_ = 0;
 };

@@ -72,18 +72,7 @@ class PlanBuilder {
     const auto& layers = mlp.layers();
     for (size_t l = 0; l < layers.size(); ++l) {
       const bool last = l + 1 == layers.size();
-      int activation = 0;
-      if (!(last && !mlp.activate_last())) {
-        switch (mlp.activation()) {
-          case nn::Activation::kNone:
-            break;
-          case nn::Activation::kRelu:
-            activation = 1;
-            break;
-          case nn::Activation::kTanh:
-            throw std::logic_error("CompilePlan: tanh MLPs not supported");
-        }
-      }
+      const int activation = last && !mlp.activate_last() ? 0 : 1;
       h = EmitLinear(layers[l], h, rows, activation);
     }
     return h;
@@ -288,8 +277,9 @@ int EmitLstm(PlanBuilder& b, const nn::Lstm& lstm, int h) {
 
 std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::CompilePlan(
     int max_kernels, int max_total_nodes, bool poison_dead_buffers) const {
-  // Models a planner rejection; every caller must survive it, because the
-  // tape path can always score what a plan can (serve falls back there).
+  // Models a planner failure. The serving engine has no other scoring path,
+  // so it treats this like any model error: the batch fails, the circuit
+  // breaker counts it, and the batch is answered analytically.
   MaybeInjectFault("plan.compile_fail");
   if (!fitted_) {
     throw std::logic_error("CompilePlan: scalers not fitted");
@@ -447,48 +437,6 @@ std::vector<double> LearnedCostModel::PredictBatchWithPlan(
   std::vector<double> scores(static_cast<size_t>(batch.num_kernels()));
   plan.Run(plan::PlanInput::FromBatch(batch), scores);
   return scores;
-}
-
-double LearnedCostModel::PredictWithPlan(const plan::CompiledPlan& plan,
-                                         const PreparedKernel& kernel,
-                                         const ir::TileConfig* tile) const {
-  if (config_.use_tile_features && tile == nullptr) {
-    throw std::invalid_argument("PredictWithPlan: model expects a tile config");
-  }
-  // Grow-only per-thread staging for the single-kernel view: offsets {0, n},
-  // [1, w] feature rows, and the one-element score span.
-  struct SingleKernelStage {
-    std::vector<int> offsets = {0, 0};
-    nn::Matrix static_perf;
-    nn::Matrix tile_features;
-    std::vector<const nn::GraphStructure*> blocks = {nullptr};
-    double score[1] = {0};
-  };
-  static thread_local SingleKernelStage stage;
-  stage.offsets[1] = kernel.num_nodes;
-  stage.blocks[0] = &kernel.structure;
-  stage.static_perf =
-      nn::Matrix(1, static_cast<int>(kernel.static_perf.size()),
-                 stage.static_perf.TakeStorage(), nn::Matrix::Uninit{});
-  std::copy(kernel.static_perf.begin(), kernel.static_perf.end(),
-            stage.static_perf.row(0).begin());
-
-  plan::PlanInput input;
-  input.opcode_ids = kernel.opcode_ids;
-  input.node_features = &kernel.node_features;
-  input.static_perf = &stage.static_perf;
-  input.blocks = stage.blocks;
-  input.offsets = stage.offsets;
-  if (config_.use_tile_features) {
-    const std::vector<float> row = ScaledTileFeatures(*tile);
-    stage.tile_features =
-        nn::Matrix(1, static_cast<int>(row.size()),
-                   stage.tile_features.TakeStorage(), nn::Matrix::Uninit{});
-    std::copy(row.begin(), row.end(), stage.tile_features.row(0).begin());
-    input.tile_features = &stage.tile_features;
-  }
-  plan.Run(input, stage.score);
-  return stage.score[0];
 }
 
 }  // namespace tpuperf::core

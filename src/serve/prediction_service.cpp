@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/env.h"
 #include "core/fault_injection.h"
 #include "core/thread_pool.h"
 #include "plan/plan.h"
@@ -24,32 +23,9 @@ namespace tpuperf::serve {
 
 using Clock = std::chrono::steady_clock;
 
-ServiceConfig ServiceConfig::FromEnv() {
-  ServiceConfig c;
-  c.max_batch = static_cast<int>(
-      core::EnvInt("TPUPERF_SERVE_MAX_BATCH", c.max_batch, 1, 4096));
-  c.deadline_us = static_cast<long>(
-      core::EnvInt("TPUPERF_SERVE_DEADLINE_US", c.deadline_us, 0, 10000000));
-  c.num_threads =
-      static_cast<int>(core::EnvInt("TPUPERF_SERVE_THREADS", 0, 0, 4096));
-  c.plan_cache = static_cast<int>(
-      core::EnvInt("TPUPERF_PLAN_CACHE", c.plan_cache, 0, 64));
-  c.queue_cap = static_cast<int>(
-      core::EnvInt("TPUPERF_SERVE_QUEUE_CAP", c.queue_cap, 0, 1 << 20));
-  c.overload_policy = static_cast<OverloadPolicy>(core::EnvEnum(
-      "TPUPERF_SERVE_OVERLOAD_POLICY", static_cast<int>(c.overload_policy),
-      {{"reject", static_cast<int>(OverloadPolicy::kReject)},
-       {"block", static_cast<int>(OverloadPolicy::kBlock)},
-       {"shed_oldest", static_cast<int>(OverloadPolicy::kShedOldest)}}));
-  c.request_timeout_us = static_cast<long>(core::EnvInt(
-      "TPUPERF_SERVE_REQUEST_TIMEOUT_US", c.request_timeout_us, 0, 60000000));
-  c.breaker_failures = static_cast<int>(core::EnvInt(
-      "TPUPERF_SERVE_BREAKER_FAILURES", c.breaker_failures, 0, 1000000));
-  c.breaker_cooldown_us = static_cast<long>(core::EnvInt(
-      "TPUPERF_SERVE_BREAKER_COOLDOWN_US", c.breaker_cooldown_us, 0,
-      60000000));
-  return c;
-}
+// Distinct batch-shape buckets each service keeps compiled plans for (LRU
+// beyond that).
+constexpr std::size_t kPlanCacheCapacity = 8;
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
 
@@ -118,12 +94,11 @@ struct PendingRequest {
 };
 
 struct ServiceImpl {
-  explicit ServiceImpl(int num_threads) : pool(num_threads) {}
+  explicit ServiceImpl(int num_threads)
+      : pool(num_threads), plan_cache(kPlanCacheCapacity) {}
 
   core::ThreadPool pool;
-
-  // Plan-compiled scoring (null when the plan path is disabled).
-  std::unique_ptr<PlanCache> plan_cache;
+  PlanCache plan_cache;  // every batch is scored by a compiled plan
 
   std::mutex mu;               // guards queue + stopping
   std::condition_variable cv;  // batcher wakeup (new request / shutdown)
@@ -171,35 +146,25 @@ namespace {
 
 using BreakerState = PredictionService::BreakerState;
 
-// Scores a packed batch, preferring a cached compiled plan (compiling one
-// for the batch's shape bucket on a miss). Any plan-path failure — a model
-// configuration the planner rejects, an injected plan.compile_fail — falls
-// back to the tape path, which is always available; the two paths are
-// bit-identical.
+// Scores a packed batch through the cached compiled plan for its shape
+// bucket, compiling one on a miss. A failed compile throws like any other
+// model error: ProcessBatch fails the batch and feeds the circuit breaker.
 std::vector<double> ScorePacked(const core::LearnedCostModel& model,
                                 const core::PreparedBatch& packed,
                                 ServiceImpl& impl) {
-  if (impl.plan_cache != nullptr) {
-    const int b = packed.num_kernels();
-    const int n = packed.total_nodes();
-    std::shared_ptr<const plan::CompiledPlan> plan =
-        impl.plan_cache->Lookup(b, n);
-    if (plan != nullptr) {
-      impl.plan_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      impl.plan_misses.fetch_add(1, std::memory_order_relaxed);
-      const std::pair<int, int> bucket = PlanCache::Bucket(b, n);
-      try {
-        plan = model.CompilePlan(bucket.first, bucket.second);
-        impl.plan_cache->Insert(b, n, plan);
-        impl.plan_compiles.fetch_add(1, std::memory_order_relaxed);
-      } catch (...) {
-        plan = nullptr;  // fall through to the tape path
-      }
-    }
-    if (plan != nullptr) return model.PredictBatchWithPlan(*plan, packed);
+  const int b = packed.num_kernels();
+  const int n = packed.total_nodes();
+  std::shared_ptr<const plan::CompiledPlan> plan = impl.plan_cache.Lookup(b, n);
+  if (plan != nullptr) {
+    impl.plan_hits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    impl.plan_misses.fetch_add(1, std::memory_order_relaxed);
+    const std::pair<int, int> bucket = PlanCache::Bucket(b, n);
+    plan = model.CompilePlan(bucket.first, bucket.second);
+    impl.plan_cache.Insert(b, n, plan);
+    impl.plan_compiles.fetch_add(1, std::memory_order_relaxed);
   }
-  return model.PredictBatch(packed);
+  return model.PredictBatchWithPlan(*plan, packed);
 }
 
 // How ProcessBatch answers this batch, decided once per batch against the
@@ -404,10 +369,6 @@ PredictionService::PredictionService(
                           ? config_.num_threads
                           : core::ThreadPool::DefaultNumThreads();
   impl_ = std::make_unique<ServiceImpl>(threads);
-  if (config_.plan_cache > 0) {
-    impl_->plan_cache =
-        std::make_unique<PlanCache>(static_cast<std::size_t>(config_.plan_cache));
-  }
   impl_->batcher = std::thread([this] { BatcherLoop(); });
 }
 

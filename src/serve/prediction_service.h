@@ -6,14 +6,16 @@
 /// volleys of cost queries (§5.3); production model servers (TF-Serving,
 /// Triton) face the same shape of load and answer it the same way this
 /// service does: coalesce concurrent single predictions into one batched
-/// forward pass, because PredictBatch amortizes every dense layer into one
-/// large GEMM (tpubench's serve_poisson workload measures the per-query
-/// cost).
+/// forward pass, because a packed batch runs every dense layer as one large
+/// GEMM (tpubench's serve_poisson workload measures the per-query cost).
 ///
 /// ## Batching policy
 ///
 /// Requests enter a queue; a dedicated batcher thread drains it into
-/// LearnedCostModel::PredictBatch calls. A batch is flushed when EITHER
+/// batches, and each batch is packed (LearnedCostModel::PrepareBatch) and
+/// scored by replaying a plan::CompiledPlan compiled once per batch-shape
+/// bucket (PlanCache). Plan replay is the only scoring path. A batch is
+/// flushed when EITHER
 ///   * size trigger   — max_batch requests are waiting (default 64, the
 ///     packed-batch sweet spot the autotuner evaluators also use), or
 ///   * deadline trigger — deadline_us elapsed since the oldest queued
@@ -116,45 +118,30 @@ struct PredictResult {
   bool degraded = false;
 };
 
-/// Service knobs. Every field has a TPUPERF_SERVE_* environment override
-/// (strict integer parse via core::EnvInt, token parse via core::EnvEnum;
-/// malformed values warn and keep the default).
+/// Service settings, set in code by the caller (the library reads no
+/// environment for them). The constructor clamps negative values to 0 and
+/// max_batch to at least 1.
 struct ServiceConfig {
   // Size trigger: flush when this many requests are waiting.
-  // Env: TPUPERF_SERVE_MAX_BATCH.
   int max_batch = 64;
   // Deadline trigger: flush at most this long (microseconds) after the
-  // oldest queued request was seen. Env: TPUPERF_SERVE_DEADLINE_US.
+  // oldest queued request was seen.
   long deadline_us = 200;
   // Worker threads processing flushed batches; 0 means
-  // core::ThreadPool::DefaultNumThreads(). Env: TPUPERF_SERVE_THREADS.
+  // core::ThreadPool::DefaultNumThreads().
   int num_threads = 0;
-  // Plan-compiled inference (src/plan): flushed batches are scored through
-  // a cached CompiledPlan (compiled once per batch-shape bucket, replayed
-  // thereafter) instead of building a tape per batch. This is the capacity
-  // of the per-service plan cache, in distinct buckets (LRU beyond that);
-  // 0 disables the plan path. Results are bit-identical either way.
-  // Env: TPUPERF_PLAN_CACHE.
-  int plan_cache = 8;
-  // Admission control: queued-request cap (0 = unbounded, the pre-robustness
-  // behavior). Env: TPUPERF_SERVE_QUEUE_CAP.
+  // Admission control: queued-request cap (0 = unbounded).
   int queue_cap = 4096;
   // What a full queue does to the next arrival.
-  // Env: TPUPERF_SERVE_OVERLOAD_POLICY = reject | block | shed_oldest.
   OverloadPolicy overload_policy = OverloadPolicy::kReject;
   // Default per-request deadline, microseconds from enqueue (0 = none);
   // PredictOptions::deadline overrides per request.
-  // Env: TPUPERF_SERVE_REQUEST_TIMEOUT_US.
   long request_timeout_us = 0;
   // Circuit breaker: consecutive model-level batch failures that open it
   // (0 disables the breaker — failures keep failing futures).
-  // Env: TPUPERF_SERVE_BREAKER_FAILURES.
   int breaker_failures = 3;
   // How long an open breaker degrades before probing the model again.
-  // Env: TPUPERF_SERVE_BREAKER_COOLDOWN_US.
   long breaker_cooldown_us = 50000;
-
-  static ServiceConfig FromEnv();
 };
 
 /// An LRU cache of compiled plans keyed by batch-shape bucket. Shapes are
@@ -204,15 +191,16 @@ struct ServiceStats {
   std::uint64_t completed = 0;         // futures resolved with a value
   std::uint64_t failed = 0;            // futures resolved with a model or
                                        // featurization error
-  std::uint64_t batches = 0;           // PredictBatch calls issued
+  std::uint64_t batches = 0;           // batches flushed to the workers
   std::uint64_t size_flushes = 0;      // flushed because max_batch waiting
   std::uint64_t deadline_flushes = 0;  // flushed because deadline_us elapsed
   std::uint64_t shutdown_flushes = 0;  // flushed by Shutdown() draining
   std::uint64_t batched_items = 0;     // requests summed over all batches
   std::uint64_t plan_hits = 0;         // batches scored via a cached plan
   std::uint64_t plan_misses = 0;       // batches whose bucket had no plan yet
-  std::uint64_t plan_compiles = 0;     // CompilePlan calls (== misses unless
-                                       // a compile failed and fell back)
+  std::uint64_t plan_compiles = 0;     // plans compiled and cached (== misses
+                                       // unless a compile failed, which fails
+                                       // its batch as a model error)
   std::uint64_t rejected = 0;          // PredictAsync threw OverloadedError
                                        // (never counted in `requests`)
   std::uint64_t shed = 0;              // accepted, then failed by shed_oldest

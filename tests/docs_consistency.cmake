@@ -5,11 +5,12 @@
 #     number of CTest C++ suites (SUITE_COUNT, from TPUPERF_TEST_SUITES);
 #   * every bench binary the build defines must be documented in
 #     docs/BENCHMARKS.md;
-#   * every environment variable the sources read via getenv(),
-#     core::EnvInt(), or core::EnvEnum() must be documented in
+#   * every environment variable the sources (src/, bench/, examples/) read
+#     via getenv() or core::EnvInt() must be documented in
 #     docs/BENCHMARKS.md's env-var matrix, and every TPUPERF_*/REPRO_*
-#     variable that matrix lists must be read by some source in src/ or
-#     bench/, so a deleted knob cannot linger in the docs;
+#     variable that matrix lists must be read by some source there, so a
+#     deleted knob cannot linger in the docs and a knob moved into an
+#     example cannot go undocumented;
 #   * every backticked namespaced identifier in README/docs (`nn::X`,
 #     `core::X`, `serve::X`, ...) must still appear as a word in src/, so
 #     docs cannot keep naming a deleted symbol;
@@ -79,17 +80,17 @@ foreach(bench IN LISTS BENCH_LIST)
 endforeach()
 
 # ---- Every environment variable the sources read is documented --------------
-# Reads happen through raw getenv(), the strict numeric parser
-# core::EnvInt("NAME", ...), or the strict token parser
-# core::EnvEnum("NAME", ...); all three spellings are scanned, with the
-# name on the call's line or wrapped onto the next.
+# Reads happen through raw getenv() or the strict numeric parser
+# core::EnvInt("NAME", ...); both spellings are scanned, with the name on
+# the call's line or wrapped onto the next.
 file(GLOB_RECURSE source_files
      "${REPO_ROOT}/src/*.cpp" "${REPO_ROOT}/src/*.h"
-     "${REPO_ROOT}/bench/*.cpp" "${REPO_ROOT}/bench/*.h")
+     "${REPO_ROOT}/bench/*.cpp" "${REPO_ROOT}/bench/*.h"
+     "${REPO_ROOT}/examples/*.cpp" "${REPO_ROOT}/examples/*.h")
 set(env_vars "")
 foreach(source_file IN LISTS source_files)
   file(READ "${source_file}" content)
-  string(REGEX MATCHALL "(getenv|EnvInt|EnvEnum)\\([ \t\r\n]*\"[A-Z_]+\"" reads "${content}")
+  string(REGEX MATCHALL "(getenv|EnvInt)\\([ \t\r\n]*\"[A-Z_]+\"" reads "${content}")
   foreach(read IN LISTS reads)
     string(REGEX REPLACE ".*\"([A-Z_]+)\".*" "\\1" var "${read}")
     list(APPEND env_vars "${var}")
@@ -118,7 +119,7 @@ foreach(row IN LISTS rows)
   list(FIND env_vars "${var}" read_idx)
   if(read_idx EQUAL -1)
     list(APPEND failures
-         "docs/BENCHMARKS.md documents env var ${var}, but no source in src/ or bench/ reads it")
+         "docs/BENCHMARKS.md documents env var ${var}, but no source in src/, bench/ or examples/ reads it")
   endif()
 endforeach()
 

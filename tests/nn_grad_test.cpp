@@ -334,7 +334,7 @@ void CheckParamGradients(ParamStore& store,
 TEST(GradCheck, LinearAndMlpParams) {
   std::mt19937_64 rng(20);
   ParamStore store;
-  Mlp mlp(store, "mlp", 4, {5, 3}, Activation::kRelu, rng);
+  Mlp mlp(store, "mlp", 4, {5, 3}, rng);
   const Matrix x = RandomMatrix(3, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
@@ -529,7 +529,7 @@ TEST(GradCheck, BlockDiagGatAttentionMatchesOpChain) {
 TEST(TapeArenaTest, RecycledStepsAreExactAndAllocationFree) {
   std::mt19937_64 rng(34);
   ParamStore store;
-  Mlp mlp(store, "mlp", 6, {8, 4}, Activation::kRelu, rng);
+  Mlp mlp(store, "mlp", 6, {8, 4}, rng);
   const Matrix x = RandomMatrix(5, 6, rng);
 
   TapeArena arena;
@@ -567,7 +567,7 @@ TEST(TapeArenaTest, RecycledStepsAreExactAndAllocationFree) {
 TEST(TapeArenaTest, PoolIsBoundedByTheLargestStep) {
   std::mt19937_64 rng(36);
   ParamStore store;
-  Mlp mlp(store, "mlp", 6, {8, 4}, Activation::kRelu, rng);
+  Mlp mlp(store, "mlp", 6, {8, 4}, rng);
   const Matrix small = RandomMatrix(3, 6, rng);
   const Matrix large = RandomMatrix(40, 6, rng);
   const auto step = [&](Tape& tape, const Matrix& x) {

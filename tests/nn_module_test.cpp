@@ -720,7 +720,7 @@ TEST(Lstm, ShapesAndDeterminism) {
 TEST(Mlp, DepthAndWidth) {
   std::mt19937_64 rng(5);
   ParamStore store;
-  Mlp mlp(store, "m", 4, {8, 8, 2}, Activation::kRelu, rng);
+  Mlp mlp(store, "m", 4, {8, 8, 2}, rng);
   EXPECT_EQ(mlp.num_layers(), 3);
   EXPECT_EQ(mlp.out_features(), 2);
   Tape tape(false);

@@ -2,8 +2,7 @@
 // CompiledPlan replay and the tape path across the full GNN × reduction
 // grid at pool widths 1 and 4, allocation-free replay after warm-up, the
 // NaN-poison validation of the liveness plan, PlanCache bucketing, covering
-// lookup and LRU eviction, the service's compile-once-replay-many path, and
-// the TPUPERF_PLAN_* env knobs.
+// lookup and LRU eviction, and the service's compile-once-replay-many path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -130,6 +129,14 @@ struct Fixture {
     }
     return model->PrepareBatch(items);
   }
+
+  // Kernel i scored through `plan` as a one-item batch, the structure
+  // PredictScore uses for the tape.
+  double PlanScore(const plan::CompiledPlan& plan, size_t i) const {
+    const BatchItem item{&prepared[i], &tiles[i]};
+    return model->PredictBatchWithPlan(plan, model->PrepareBatch({&item, 1}))
+        .front();
+  }
 };
 
 // Restores the global pool width on scope exit.
@@ -170,7 +177,7 @@ TEST_P(PlanParityTest, BitExactVsTape) {
         << ToString(reduction) << ", width " << width << ")";
   }
   for (size_t i = 0; i < fx.prepared.size(); ++i) {
-    EXPECT_EQ(fx.model->PredictWithPlan(*plan, fx.prepared[i], &fx.tiles[i]),
+    EXPECT_EQ(fx.PlanScore(*plan, i),
               fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]))
         << "single kernel " << i;
   }
@@ -333,10 +340,7 @@ TEST(PlanReplay, ConcurrentReplayOfSharedPlan) {
           }
         } else {
           const size_t i = static_cast<size_t>(t + r) % fx.prepared.size();
-          if (fx.model->PredictWithPlan(*plan, fx.prepared[i],
-                                        &fx.tiles[i]) != single[i]) {
-            mismatches.fetch_add(1);
-          }
+          if (fx.PlanScore(*plan, i) != single[i]) mismatches.fetch_add(1);
         }
       }
     });
@@ -487,48 +491,6 @@ TEST(PlanService, SmallerBatchReusesCachedLargerPlan) {
   EXPECT_EQ(stats.plan_compiles, 1u);
   EXPECT_EQ(stats.plan_misses, 1u);
   EXPECT_EQ(stats.plan_hits, 1u);
-}
-
-// plan_cache=0 must bypass the plan path entirely — and stay bit-identical.
-TEST(PlanService, DisabledPlanPathStillExact) {
-  Fixture fx(SmallConfig(), 3);
-  serve::ServiceConfig config;
-  config.plan_cache = 0;
-  auto served_model = std::make_unique<LearnedCostModel>(SmallConfig());
-  for (const auto& kernel : fx.kernels) served_model->FitNodeScaler(kernel);
-  for (const auto& tile : fx.tiles) served_model->FitTileScaler(tile);
-  served_model->FinishFitting();
-  serve::PredictionService service(std::move(served_model), config);
-
-  for (size_t i = 0; i < fx.kernels.size(); ++i) {
-    EXPECT_EQ(service.Predict(fx.kernels[i], &fx.tiles[i]),
-              fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]));
-  }
-  service.Shutdown();
-  const serve::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.plan_hits, 0u);
-  EXPECT_EQ(stats.plan_misses, 0u);
-  EXPECT_EQ(stats.plan_compiles, 0u);
-}
-
-// ---- Config knobs ----------------------------------------------------------
-
-TEST(PlanConfig, FromEnvParsesStrictly) {
-  ::setenv("TPUPERF_PLAN_CACHE", "16", 1);
-  serve::ServiceConfig c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_cache, 16);
-
-  // Malformed values are ignored (strict full-string parse), keeping the
-  // default; well-formed out-of-range values clamp.
-  ::setenv("TPUPERF_PLAN_CACHE", "8x", 1);
-  c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_cache, serve::ServiceConfig{}.plan_cache);
-
-  ::setenv("TPUPERF_PLAN_CACHE", "100", 1);
-  c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_cache, 64);  // clamped to the cap
-
-  ::unsetenv("TPUPERF_PLAN_CACHE");
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -429,6 +428,54 @@ TEST(ServeBreaker, DisabledBreakerFailsFuturesLikeBefore) {
   EXPECT_EQ(stats.breaker_transitions, 0u);
 }
 
+// Plan replay is the only scoring path, so a failed CompilePlan is a
+// model-level batch failure. With the breaker disabled the whole batch's
+// futures carry the error and no plan is cached; the next batch compiles
+// afresh and serves PredictScore's exact values.
+TEST(ServeBreaker, FailedPlanCompileFailsTheBatchThenRecompiles) {
+  Fixture fx(2);
+  auto model = fx.MakeModel();
+  std::vector<double> direct;
+  for (size_t i = 0; i < fx.kernels.size(); ++i) {
+    direct.push_back(
+        model->PredictScore(model->Prepare(fx.kernels[i]), &fx.tiles[i]));
+  }
+  ServiceConfig config;
+  config.max_batch = 2;           // both requests flush as one batch...
+  config.deadline_us = 10000000;  // ...on size, never on the deadline
+  config.num_threads = 1;
+  config.breaker_failures = 0;
+  PredictionService service(std::move(model), config);
+
+  ScopedFaults faults("plan.compile_fail:every=1,times=1");
+  std::vector<std::future<PredictResult>> first;
+  for (size_t i = 0; i < fx.kernels.size(); ++i) {
+    first.push_back(service.PredictAsync(fx.kernels[i], &fx.tiles[i]));
+  }
+  for (auto& f : first) EXPECT_THROW(f.get(), core::FaultInjected);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.plan_misses, 1u);
+  EXPECT_EQ(stats.plan_compiles, 0u);
+  EXPECT_EQ(stats.failed, 2u);
+
+  std::vector<std::future<PredictResult>> second;
+  for (size_t i = 0; i < fx.kernels.size(); ++i) {
+    second.push_back(service.PredictAsync(fx.kernels[i], &fx.tiles[i]));
+  }
+  for (size_t i = 0; i < second.size(); ++i) {
+    const PredictResult r = second[i].get();
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.value, direct[i]) << "kernel " << i;
+  }
+  service.Shutdown();
+  stats = service.stats();
+  EXPECT_EQ(stats.plan_misses, 2u);
+  EXPECT_EQ(stats.plan_compiles, 1u);
+  EXPECT_EQ(stats.plan_hits, 0u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.degraded, 0u);
+}
+
 // Degraded answers are the analytical model's deterministic estimates — the
 // same value on every ask, and exactly what a direct AnalyticalModel call
 // returns for the same (kernel, tile).
@@ -523,38 +570,6 @@ TEST(SnapshotRetry, ServiceSnapshotConstructorSurvivesATransientFailure) {
   std::filesystem::remove(path);
 }
 
-// ---- Config knobs ----------------------------------------------------------
-
-TEST(ServeConfigRobustness, FromEnvParsesTheRobustnessKnobs) {
-  ::setenv("TPUPERF_SERVE_QUEUE_CAP", "128", 1);
-  ::setenv("TPUPERF_SERVE_OVERLOAD_POLICY", "shed_oldest", 1);
-  ::setenv("TPUPERF_SERVE_REQUEST_TIMEOUT_US", "2500", 1);
-  ::setenv("TPUPERF_SERVE_BREAKER_FAILURES", "5", 1);
-  ::setenv("TPUPERF_SERVE_BREAKER_COOLDOWN_US", "7000", 1);
-  ServiceConfig c = ServiceConfig::FromEnv();
-  EXPECT_EQ(c.queue_cap, 128);
-  EXPECT_EQ(c.overload_policy, OverloadPolicy::kShedOldest);
-  EXPECT_EQ(c.request_timeout_us, 2500);
-  EXPECT_EQ(c.breaker_failures, 5);
-  EXPECT_EQ(c.breaker_cooldown_us, 7000);
-
-  // An unknown policy token warns and keeps the default (EnvEnum is strict:
-  // it never guesses from a typo).
-  ::setenv("TPUPERF_SERVE_OVERLOAD_POLICY", "shed-oldest", 1);
-  c = ServiceConfig::FromEnv();
-  EXPECT_EQ(c.overload_policy, ServiceConfig{}.overload_policy);
-
-  ::setenv("TPUPERF_SERVE_OVERLOAD_POLICY", "block", 1);
-  c = ServiceConfig::FromEnv();
-  EXPECT_EQ(c.overload_policy, OverloadPolicy::kBlock);
-
-  ::unsetenv("TPUPERF_SERVE_QUEUE_CAP");
-  ::unsetenv("TPUPERF_SERVE_OVERLOAD_POLICY");
-  ::unsetenv("TPUPERF_SERVE_REQUEST_TIMEOUT_US");
-  ::unsetenv("TPUPERF_SERVE_BREAKER_FAILURES");
-  ::unsetenv("TPUPERF_SERVE_BREAKER_COOLDOWN_US");
-}
-
 // ---- Shutdown under fire ---------------------------------------------------
 
 // Every issued future must be ready after Shutdown — resolved with a value
@@ -613,10 +628,10 @@ std::vector<std::future<PredictResult>> HammerService(
 class FaultPointDrainTest : public ::testing::TestWithParam<const char*> {};
 
 // Arm each compiled-in fault point in turn and prove Shutdown still resolves
-// every future. featurize.throw fails individual requests,
-// plan.compile_fail silently falls back to the tape path,
-// model.predict_throw exercises breaker + degradation, batch.slow stalls
-// workers while deadlines keep running.
+// every future. featurize.throw fails individual requests;
+// plan.compile_fail and model.predict_throw fail whole batches, which
+// exercises breaker + degradation; batch.slow stalls workers while
+// deadlines keep running.
 TEST_P(FaultPointDrainTest, ShutdownStrandsNoFutures) {
   ScopedFaults faults(GetParam());
   Fixture fx;

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <filesystem>
 #include <fstream>
@@ -382,31 +381,7 @@ TEST(ServeSnapshot, MissingRecordsThrow) {
   std::filesystem::remove(path);
 }
 
-// ---- Config knobs ----------------------------------------------------------
-
-TEST(ServeConfig, FromEnvParsesStrictly) {
-  ::setenv("TPUPERF_SERVE_MAX_BATCH", "17", 1);
-  ::setenv("TPUPERF_SERVE_DEADLINE_US", "1234", 1);
-  ::setenv("TPUPERF_SERVE_THREADS", "3", 1);
-  ServiceConfig c = ServiceConfig::FromEnv();
-  EXPECT_EQ(c.max_batch, 17);
-  EXPECT_EQ(c.deadline_us, 1234);
-  EXPECT_EQ(c.num_threads, 3);
-
-  // Malformed values are ignored (strict full-string parse), keeping the
-  // defaults; well-formed out-of-range values clamp.
-  ::setenv("TPUPERF_SERVE_MAX_BATCH", "64x", 1);
-  ::setenv("TPUPERF_SERVE_DEADLINE_US", "", 1);
-  ::setenv("TPUPERF_SERVE_THREADS", "-2", 1);
-  c = ServiceConfig::FromEnv();
-  EXPECT_EQ(c.max_batch, ServiceConfig{}.max_batch);
-  EXPECT_EQ(c.deadline_us, ServiceConfig{}.deadline_us);
-  EXPECT_EQ(c.num_threads, 0);
-
-  ::unsetenv("TPUPERF_SERVE_MAX_BATCH");
-  ::unsetenv("TPUPERF_SERVE_DEADLINE_US");
-  ::unsetenv("TPUPERF_SERVE_THREADS");
-}
+// ---- Construction ----------------------------------------------------------
 
 // An unfitted model cannot be served.
 TEST(ServeConfig, RejectsUnfittedModel) {

@@ -442,35 +442,6 @@ TEST(EnvParsing, EnvIntFallsBackOnMalformedAndClamps) {
   EXPECT_EQ(EnvInt(kVar, 7, 0, 100), 7);  // int64 overflow -> fallback
 }
 
-TEST(EnvParsing, EnvEnumMatchesTokensStrictly) {
-  const char* kVar = "TPUPERF_TEST_ENV_ENUM";
-  struct Cleanup {
-    const char* var;
-    ~Cleanup() { ::unsetenv(var); }
-  } cleanup{kVar};
-  const std::initializer_list<EnvEnumOption> options = {
-      {"reject", 1}, {"block", 2}, {"shed_oldest", 3}};
-
-  ::unsetenv(kVar);
-  EXPECT_EQ(EnvEnum(kVar, 9, options), 9);  // unset -> fallback, silently
-
-  ::setenv(kVar, "block", 1);
-  EXPECT_EQ(EnvEnum(kVar, 9, options), 2);
-  ::setenv(kVar, "shed_oldest", 1);
-  EXPECT_EQ(EnvEnum(kVar, 9, options), 3);
-
-  // Strict and case-sensitive: near-misses warn and keep the default
-  // instead of guessing.
-  ::setenv(kVar, "Block", 1);
-  EXPECT_EQ(EnvEnum(kVar, 9, options), 9);
-  ::setenv(kVar, "shed-oldest", 1);
-  EXPECT_EQ(EnvEnum(kVar, 9, options), 9);
-  ::setenv(kVar, "", 1);
-  EXPECT_EQ(EnvEnum(kVar, 9, options), 9);
-  ::setenv(kVar, " block", 1);
-  EXPECT_EQ(EnvEnum(kVar, 9, options), 9);
-}
-
 // ---- Parallel-vs-serial model parity ---------------------------------------
 
 // PredictBatch must produce EXACTLY the single-thread scores for every GNN
