@@ -15,10 +15,9 @@
 #include "sim/hash.h"
 
 #if !defined(__unix__) && !defined(__APPLE__)
-#error "the dataset store needs POSIX file I/O (open/pread/mmap)"
+#error "the dataset store needs POSIX file I/O (open/pread)"
 #endif
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -710,7 +709,7 @@ DatasetWriter::~DatasetWriter() {
   if (!finished_) {
     // Sharded mode: parts already renamed into place are orphans without a
     // manifest; remove them so an aborted build leaves nothing behind.
-    for (const PartInfo& info : parts_) {
+    for (const StorePartInfo& info : parts_) {
       std::error_code ec;
       std::filesystem::remove(
           StorePartPath(path_, info.file), ec);
@@ -775,8 +774,8 @@ void DatasetWriter::ClosePart() {
     throw StoreError(part_->final_path + ": rename from temporary failed (" +
                      ec.message() + ")");
   }
-  parts_.push_back(PartInfo{part_->file, part_->records, part_->bytes,
-                            part_->fnv});
+  parts_.push_back(StorePartInfo{part_->file, part_->records, part_->bytes,
+                                 part_->fnv});
   part_.reset();
 }
 
@@ -866,7 +865,7 @@ void DatasetWriter::Finish() {
     // only after every part. Until then readers see no store at all.
     Enc e;
     e.U32(static_cast<std::uint32_t>(parts_.size()));
-    for (const PartInfo& info : parts_) {
+    for (const StorePartInfo& info : parts_) {
       e.Str(info.file);
       e.U64(info.records);
       e.U64(info.bytes);
@@ -880,58 +879,43 @@ void DatasetWriter::Finish() {
 }
 
 // ---- DatasetReader ---------------------------------------------------------
+//
+// Every read is a pread into memory the reader owns: the file is never
+// buffered whole (memory stays O(largest record)), filtered walks seek past
+// unwanted payloads, and a file that shrinks under the reader makes the
+// read throw at end of file instead of faulting.
 
-DatasetReader::DatasetReader(std::string path, ReadMode mode)
-    : path_(std::move(path)) {
-  if (mode == ReadMode::kAuto || mode == ReadMode::kMmap) {
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        void* base = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                            PROT_READ, MAP_PRIVATE, fd, 0);
-        if (base != MAP_FAILED) {
-          map_base_ = base;
-          map_size_ = static_cast<std::size_t>(st.st_size);
-          data_ = static_cast<const unsigned char*>(base);
-          size_ = map_size_;
-          mapped_ = true;
-        }
-      }
-      WarnClose(fd, path_);
-    }
+DatasetReader::DatasetReader(std::string path) : path_(std::move(path)) {
+  do {
+    fd_ = ::open(path_.c_str(), O_RDONLY);
+  } while (fd_ < 0 && errno == EINTR);
+  if (fd_ < 0) {
+    throw StoreError(path_ + ": cannot open (" +
+                     std::string(std::strerror(errno)) + ")");
   }
-  if (!mapped_) {
-    if (mode == ReadMode::kMmap) {
-      throw StoreError(path_ + ": cannot mmap (missing or empty file?)");
-    }
-    // Stream mode keeps the descriptor open and preads records on demand —
-    // the file is never buffered whole, so memory stays O(largest record)
-    // and filtered walks seek past unwanted payloads.
-    int fd;
-    do {
-      fd = ::open(path_.c_str(), O_RDONLY);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) {
-      throw StoreError(path_ + ": cannot open (" +
+  try {
+    struct stat st{};
+    if (::fstat(fd_, &st) != 0) {
+      throw StoreError(path_ + ": fstat failed (" +
                        std::string(std::strerror(errno)) + ")");
     }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      const int saved = errno;
-      WarnClose(fd, path_);
-      throw StoreError(path_ + ": fstat failed (" +
-                       std::string(std::strerror(saved)) + ")");
-    }
-    fd_ = fd;
-    size_ = st.st_size > 0 ? static_cast<std::size_t>(st.st_size) : 0;
+    size_ = st.st_size > 0 ? static_cast<std::uint64_t>(st.st_size) : 0;
+    ReadFileHeader();
+  } catch (...) {
+    WarnClose(fd_, path_);  // the destructor does not run for a throw here
+    throw;
   }
+}
 
+DatasetReader::~DatasetReader() { WarnClose(fd_, path_); }
+
+void DatasetReader::ReadFileHeader() {
   if (size_ < kHeaderSize) {
     throw StoreError(path_ + ": truncated header (" + std::to_string(size_) +
                      " bytes, need " + std::to_string(kHeaderSize) + ")");
   }
-  const unsigned char* hdr = BytesAt(0, kHeaderSize, header_scratch_);
+  unsigned char hdr[kHeaderSize];
+  ReadBytes(0, kHeaderSize, hdr);
   if (std::memcmp(hdr, kStoreMagic, sizeof(kStoreMagic)) != 0) {
     throw StoreError(path_ + ": bad magic — not a tpuperf dataset store");
   }
@@ -964,29 +948,17 @@ DatasetReader::DatasetReader(std::string path, ReadMode mode)
   count_ = ReadU64At(hdr + kRecordCountOffset);
   // Peek the first record's type for manifest detection (cheap: 4 bytes).
   if (count_ > 0 && size_ >= kHeaderSize + 4) {
-    first_record_type_ =
-        ReadU32At(BytesAt(kHeaderSize, 4, header_scratch_));
+    unsigned char type[4];
+    ReadBytes(kHeaderSize, sizeof(type), type);
+    first_record_type_ = ReadU32At(type);
   }
 }
 
-DatasetReader::~DatasetReader() {
-  // Destructors cannot throw; a failed unmap still must not pass silently
-  // (it leaks the mapping and hides kernel-side trouble), so warn.
-  if (map_base_ != nullptr && ::munmap(map_base_, map_size_) != 0) {
-    std::fprintf(stderr, "[tpuperf] warning: munmap(%s) failed: %s\n",
-                 path_.c_str(), std::strerror(errno));
-  }
-  if (fd_ >= 0) WarnClose(fd_, path_);
-}
-
-const unsigned char* DatasetReader::BytesAt(
-    std::uint64_t offset, std::size_t size,
-    std::vector<unsigned char>& scratch) const {
-  if (data_ != nullptr) return data_ + offset;  // mmap
-  scratch.resize(size);
+void DatasetReader::ReadBytes(std::uint64_t offset, std::size_t size,
+                              unsigned char* out) const {
   std::size_t done = 0;
   while (done < size) {
-    const ssize_t n = ::pread(fd_, scratch.data() + done, size - done,
+    const ssize_t n = ::pread(fd_, out + done, size - done,
                               static_cast<off_t>(offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -1001,7 +973,68 @@ const unsigned char* DatasetReader::BytesAt(
     }
     done += static_cast<std::size_t>(n);
   }
-  return scratch.data();
+}
+
+std::string DatasetReader::RecordContext(std::uint64_t r,
+                                         std::uint64_t offset) const {
+  return r == kByOffset ? path_ + ": record at byte " + std::to_string(offset)
+                        : path_ + ": record " + std::to_string(r);
+}
+
+DatasetReader::RecordHeader DatasetReader::ReadHeader(
+    std::uint64_t r, std::uint64_t offset) const {
+  if (offset > size_ || size_ - offset < kRecordHeaderSize) {
+    throw StoreError(RecordContext(r, offset) +
+                     ": record header runs past end of file "
+                     "(truncated store)");
+  }
+  unsigned char bytes[kRecordHeaderSize];
+  ReadBytes(offset, kRecordHeaderSize, bytes);
+  const RecordHeader header{ReadU32At(bytes), ReadU64At(bytes + 4),
+                            ReadU64At(bytes + 12)};
+  if (header.payload_size > size_ - (offset + kRecordHeaderSize)) {
+    throw StoreError(RecordContext(r, offset) + ": payload of " +
+                     std::to_string(header.payload_size) +
+                     " bytes runs past end of file (truncated store)");
+  }
+  return header;
+}
+
+RecordView DatasetReader::ReadPayload(std::uint64_t r, std::uint64_t offset,
+                                      const RecordHeader& header) const {
+  RecordView view;
+  view.type = header.type;
+  view.offset = offset;
+  view.context = RecordContext(r, offset);
+  const auto size = static_cast<std::size_t>(header.payload_size);
+  if (scratch_.size() < size) scratch_.resize(size);
+  ReadBytes(offset + kRecordHeaderSize, size, scratch_.data());
+  if (Fnv1a64(scratch_.data(), size) != header.checksum) {
+    throw StoreError(view.context + " (type " + std::to_string(header.type) +
+                     "): checksum mismatch — corrupted store");
+  }
+  view.payload = std::span<const unsigned char>(scratch_.data(), size);
+  return view;
+}
+
+template <typename Fn>
+void DatasetReader::WalkHeaders(Fn&& fn) const {
+  std::uint64_t off = kHeaderSize;
+  for (std::uint64_t r = 0; r < count_; ++r) {
+    // Models mid-stream truncation: the read aborts with the same diagnostic
+    // StoreError contract as a real short file, never a partial load.
+    if (core::FaultPointFires("store.short_read")) {
+      throw StoreError(RecordContext(r, off) +
+                       ": injected short read (fault point store.short_read)");
+    }
+    const RecordHeader header = ReadHeader(r, off);
+    fn(r, off, header);
+    off += kRecordHeaderSize + header.payload_size;
+  }
+  if (off != size_) {
+    throw StoreError(path_ + ": " + std::to_string(size_ - off) +
+                     " trailing bytes after the last record");
+  }
 }
 
 bool DatasetReader::sharded_manifest() const noexcept {
@@ -1011,135 +1044,58 @@ bool DatasetReader::sharded_manifest() const noexcept {
 void DatasetReader::ForEachRecord(
     const std::function<void(const RecordView&)>& fn,
     std::span<const std::uint32_t> types) const {
-  std::uint64_t off = kHeaderSize;
-  for (std::uint64_t r = 0; r < count_; ++r) {
-    // Models mid-stream truncation: the read aborts with the same diagnostic
-    // StoreError contract as a real short file, never a partial load.
-    if (core::FaultPointFires("store.short_read")) {
-      throw StoreError(path_ + ": record " + std::to_string(r) +
-                       ": injected short read (fault point store.short_read)");
+  WalkHeaders([&](std::uint64_t r, std::uint64_t off,
+                  const RecordHeader& header) {
+    // Filtered-out records are skipped by advancing the offset: their
+    // payloads are never read (nor checksummed).
+    if (types.empty() ||
+        std::find(types.begin(), types.end(), header.type) != types.end()) {
+      fn(ReadPayload(r, off, header));
     }
-    if (off + kRecordHeaderSize > size_) {
-      throw StoreError(path_ + ": record " + std::to_string(r) +
-                       ": record header runs past end of file "
-                       "(truncated store)");
-    }
-    const unsigned char* hdr =
-        BytesAt(off, kRecordHeaderSize, header_scratch_);
-    const std::uint32_t type = ReadU32At(hdr);
-    const std::uint64_t payload_size = ReadU64At(hdr + 4);
-    const std::uint64_t checksum = ReadU64At(hdr + 12);
-    if (payload_size > size_ - (off + kRecordHeaderSize)) {
-      throw StoreError(path_ + ": record " + std::to_string(r) +
-                       ": payload of " + std::to_string(payload_size) +
-                       " bytes runs past end of file (truncated store)");
-    }
-    const bool wanted =
-        types.empty() ||
-        std::find(types.begin(), types.end(), type) != types.end();
-    if (wanted) {
-      RecordView view;
-      view.type = type;
-      view.offset = off;
-      view.context = path_ + ": record " + std::to_string(r);
-      const unsigned char* payload = BytesAt(
-          off + kRecordHeaderSize, static_cast<std::size_t>(payload_size),
-          scratch_);
-      if (Fnv1a64(payload, payload_size) != checksum) {
-        throw StoreError(view.context + " (type " + std::to_string(type) +
-                         "): checksum mismatch — corrupted store");
-      }
-      view.payload = std::span<const unsigned char>(
-          payload, static_cast<std::size_t>(payload_size));
-      fn(view);
-    }
-    // Filtered-out records are skipped by advancing the offset — a stream
-    // reader never buffers (or checksums) payloads nobody asked for.
-    off += kRecordHeaderSize + payload_size;
-  }
-  if (off != size_) {
-    throw StoreError(path_ + ": " + std::to_string(size_ - off) +
-                     " trailing bytes after the last record");
-  }
+  });
 }
 
 void DatasetReader::ScanRecords(
     const std::function<void(std::uint32_t, std::uint64_t, std::uint64_t)>&
         fn) const {
-  std::uint64_t off = kHeaderSize;
-  for (std::uint64_t r = 0; r < count_; ++r) {
-    if (off + kRecordHeaderSize > size_) {
-      throw StoreError(path_ + ": record " + std::to_string(r) +
-                       ": record header runs past end of file "
-                       "(truncated store)");
-    }
-    const unsigned char* hdr =
-        BytesAt(off, kRecordHeaderSize, header_scratch_);
-    const std::uint32_t type = ReadU32At(hdr);
-    const std::uint64_t payload_size = ReadU64At(hdr + 4);
-    if (payload_size > size_ - (off + kRecordHeaderSize)) {
-      throw StoreError(path_ + ": record " + std::to_string(r) +
-                       ": payload of " + std::to_string(payload_size) +
-                       " bytes runs past end of file (truncated store)");
-    }
-    fn(type, off, payload_size);
-    off += kRecordHeaderSize + payload_size;
-  }
-  if (off != size_) {
-    throw StoreError(path_ + ": " + std::to_string(size_ - off) +
-                     " trailing bytes after the last record");
-  }
+  WalkHeaders([&](std::uint64_t, std::uint64_t off,
+                  const RecordHeader& header) {
+    fn(header.type, off, header.payload_size);
+  });
 }
 
 RecordView DatasetReader::ReadRecordAt(std::uint64_t offset) const {
-  if (offset + kRecordHeaderSize > size_) {
-    throw StoreError(path_ + ": record offset " + std::to_string(offset) +
-                     " runs past end of file");
-  }
-  const unsigned char* hdr =
-      BytesAt(offset, kRecordHeaderSize, header_scratch_);
-  RecordView view;
-  view.type = ReadU32At(hdr);
-  view.offset = offset;
-  const std::uint64_t payload_size = ReadU64At(hdr + 4);
-  const std::uint64_t checksum = ReadU64At(hdr + 12);
-  if (payload_size > size_ - (offset + kRecordHeaderSize)) {
-    throw StoreError(path_ + ": record at byte " + std::to_string(offset) +
-                     ": payload of " + std::to_string(payload_size) +
-                     " bytes runs past end of file (truncated store)");
-  }
-  view.context = path_ + ": record at byte " + std::to_string(offset);
-  const unsigned char* payload =
-      BytesAt(offset + kRecordHeaderSize,
-              static_cast<std::size_t>(payload_size), scratch_);
-  if (Fnv1a64(payload, payload_size) != checksum) {
-    throw StoreError(view.context + " (type " + std::to_string(view.type) +
-                     "): checksum mismatch — corrupted store");
-  }
-  view.payload = std::span<const unsigned char>(
-      payload, static_cast<std::size_t>(payload_size));
-  return view;
+  return ReadPayload(kByOffset, offset, ReadHeader(kByOffset, offset));
 }
 
-StoreContents DatasetReader::ReadAll() const {
-  StoreContents out;
+namespace {
+
+// Decodes every record of one file into `out`, threading the file's graph
+// dictionary. With `region_fnv` it also accumulates the FNV-1a-64 of the
+// records region, re-deriving each framing header from its (deterministic)
+// encoding so the manifest's checksum needs no second pass over the file.
+void DecodeFileInto(StoreContents& out, const DatasetReader& reader,
+                    std::uint64_t* region_fnv) {
   GraphDict dict;
-  ForEachRecord([&](const RecordView& view) {
+  reader.ForEachRecord([&](const RecordView& view) {
+    if (region_fnv != nullptr) {
+      Enc hdr;
+      hdr.U32(view.type);
+      hdr.U64(view.payload.size());
+      hdr.U64(Fnv1a64(view.payload.data(), view.payload.size()));
+      *region_fnv = Fnv1a64Continue(*region_fnv, hdr.bytes().data(),
+                                    hdr.bytes().size());
+      *region_fnv = Fnv1a64Continue(*region_fnv, view.payload.data(),
+                                    view.payload.size());
+    }
     DecodeRecordInto(out, view, dict);
   });
-  return out;
 }
 
-// ---- Sharded stores --------------------------------------------------------
-
-StoreManifest ReadStoreManifest(const DatasetReader& reader) {
-  if (!reader.sharded_manifest()) {
-    throw StoreError(reader.path() +
-                     ": not a sharded-store manifest (expected a single "
-                     "manifest record)");
-  }
-  StoreManifest manifest;
-  reader.ForEachRecord([&manifest](const RecordView& view) {
+// Decodes the manifest record of a sharded store.
+std::vector<StorePartInfo> ReadStoreManifest(const DatasetReader& reader) {
+  std::vector<StorePartInfo> parts;
+  reader.ForEachRecord([&parts](const RecordView& view) {
     Dec d(view.payload.data(), view.payload.size(), view.context);
     const std::uint32_t n = d.U32();
     // Str(>=4) + records(8) + bytes(8) + fnv(8) per part.
@@ -1154,12 +1110,22 @@ StoreManifest ReadStoreManifest(const DatasetReader& reader) {
         d.Fail("manifest part name \"" + part.file +
                "\" is not a plain sibling file name");
       }
-      manifest.parts.push_back(std::move(part));
+      parts.push_back(std::move(part));
     }
     if (!d.AtEnd()) d.Fail("trailing bytes inside record payload");
   });
-  return manifest;
+  return parts;
 }
+
+}  // namespace
+
+StoreContents DatasetReader::ReadAll() const {
+  StoreContents out;
+  DecodeFileInto(out, *this, nullptr);
+  return out;
+}
+
+// ---- Sharded stores --------------------------------------------------------
 
 std::string StorePartPath(const std::string& manifest_path,
                           const std::string& part_file) {
@@ -1167,12 +1133,16 @@ std::string StorePartPath(const std::string& manifest_path,
       .string();
 }
 
-StoreContents ReadStoreContents(const std::string& path, ReadMode mode) {
-  DatasetReader reader(path, mode);
-  if (!reader.sharded_manifest()) return reader.ReadAll();
-  const StoreManifest manifest = ReadStoreManifest(reader);
-  StoreContents out;
-  for (const StorePartInfo& info : manifest.parts) {
+void ForEachStorePart(
+    const std::string& path,
+    const std::function<void(const DatasetReader& reader,
+                             const StorePartInfo* listed)>& fn) {
+  const DatasetReader root(path);
+  if (!root.sharded_manifest()) {
+    fn(root, nullptr);
+    return;
+  }
+  for (const StorePartInfo& info : ReadStoreManifest(root)) {
     const std::string part_path = StorePartPath(path, info.file);
     std::error_code ec;
     if (!std::filesystem::exists(part_path, ec) || ec) {
@@ -1187,36 +1157,29 @@ StoreContents ReadStoreContents(const std::string& path, ReadMode mode) {
                        std::to_string(actual_bytes) +
                        " — truncated or swapped part file");
     }
-    DatasetReader part(part_path, mode);
+    const DatasetReader part(part_path);
     if (part.record_count() != info.records) {
       throw StoreError(part_path + ": manifest lists " +
                        std::to_string(info.records) +
                        " records but the part holds " +
                        std::to_string(part.record_count()));
     }
-    GraphDict dict;
+    fn(part, &info);
+  }
+}
+
+StoreContents ReadStoreContents(const std::string& path) {
+  StoreContents out;
+  ForEachStorePart(path, [&out](const DatasetReader& part,
+                                const StorePartInfo* listed) {
     std::uint64_t region_fnv = kFnv1a64Seed;
-    part.ForEachRecord([&](const RecordView& view) {
-      // Re-derive the framing header bytes (deterministic encoding) so the
-      // manifest's records-region checksum can be verified without a second
-      // pass over the raw file.
-      Enc hdr;
-      hdr.U32(view.type);
-      hdr.U64(view.payload.size());
-      hdr.U64(Fnv1a64(view.payload.data(), view.payload.size()));
-      region_fnv = Fnv1a64Continue(region_fnv, hdr.bytes().data(),
-                                   hdr.bytes().size());
-      region_fnv =
-          Fnv1a64Continue(region_fnv, view.payload.data(),
-                          view.payload.size());
-      DecodeRecordInto(out, view, dict);
-    });
-    if (region_fnv != info.records_fnv) {
-      throw StoreError(part_path +
+    DecodeFileInto(out, part, listed != nullptr ? &region_fnv : nullptr);
+    if (listed != nullptr && region_fnv != listed->records_fnv) {
+      throw StoreError(part.path() +
                        ": records-region checksum does not match the "
                        "manifest — corrupted or swapped part file");
     }
-  }
+  });
   return out;
 }
 
@@ -1258,33 +1221,43 @@ std::string StorePath(const std::string& dir, std::string_view task,
   return path;
 }
 
-TileDataset LoadOrBuildTileDataset(const std::string& cache_dir,
-                                   std::span<const ir::Program> corpus,
-                                   const sim::TpuSimulator& simulator,
-                                   const DatasetOptions& options,
-                                   std::shared_ptr<StoredFeatures>* features,
-                                   StoreLoadStats* stats) {
+namespace {
+
+// The body LoadOrBuildTileDataset and LoadOrBuildFusionDataset share.
+// `build` generates the dataset in-process; `loaded` picks it out of a
+// store's contents; `items` is its vector of records (each a DatasetWriter
+// record type with a `record` member).
+template <typename Dataset, typename Item, typename Build>
+Dataset LoadOrBuild(std::string_view task, const std::string& cache_dir,
+                    std::span<const ir::Program> corpus,
+                    const sim::TpuSimulator& simulator,
+                    const DatasetOptions& options,
+                    const Build& build,
+                    Dataset StoreContents::*loaded,
+                    std::vector<Item> Dataset::*items,
+                    std::shared_ptr<StoredFeatures>* features,
+                    StoreLoadStats* stats) {
   const auto start = Clock::now();
   if (features != nullptr) features->reset();
   if (cache_dir.empty()) {
-    TileDataset dataset = BuildTileDataset(corpus, simulator, options);
+    Dataset dataset = build();
     FillStats(stats, false, "", start);
     return dataset;
   }
   const std::uint64_t key =
-      DatasetCacheKey("tile", simulator.target().name, corpus, options);
-  const std::string path = StorePath(cache_dir, "tile", key);
+      DatasetCacheKey(task, simulator.target().name, corpus, options);
+  const std::string path = StorePath(cache_dir, task, key);
   if (std::filesystem::exists(path)) {
     StoreContents contents = ReadStoreContents(path);
     VerifyPrograms(contents, corpus, path);
     if (features != nullptr) *features = contents.features;
     FillStats(stats, true, path, start);
-    return std::move(contents.tile);
+    return std::move(contents.*loaded);
   }
-  TileDataset dataset = BuildTileDataset(corpus, simulator, options);
+  Dataset dataset = build();
   std::vector<const KernelRecord*> records;
-  records.reserve(dataset.kernels.size());
-  for (const TileKernelData& k : dataset.kernels) records.push_back(&k.record);
+  records.reserve((dataset.*items).size());
+  for (const Item& item : dataset.*items) records.push_back(&item.record);
   auto stored = FeaturizeUnique(records);
   std::filesystem::create_directories(cache_dir);
   DatasetWriter writer(path, options.store_part_bytes);
@@ -1292,12 +1265,26 @@ TileDataset LoadOrBuildTileDataset(const std::string& cache_dir,
     writer.Add(ProgramInfo{static_cast<int>(i), corpus[i].name,
                            corpus[i].family});
   }
-  for (const TileKernelData& k : dataset.kernels) writer.Add(k);
+  for (const Item& item : dataset.*items) writer.Add(item);
   for (const FeaturizedKernel& fk : stored->entries()) writer.Add(fk);
   writer.Finish();
   if (features != nullptr) *features = std::move(stored);
   FillStats(stats, false, path, start);
   return dataset;
+}
+
+}  // namespace
+
+TileDataset LoadOrBuildTileDataset(const std::string& cache_dir,
+                                   std::span<const ir::Program> corpus,
+                                   const sim::TpuSimulator& simulator,
+                                   const DatasetOptions& options,
+                                   std::shared_ptr<StoredFeatures>* features,
+                                   StoreLoadStats* stats) {
+  return LoadOrBuild<TileDataset>(
+      "tile", cache_dir, corpus, simulator, options,
+      [&] { return BuildTileDataset(corpus, simulator, options); },
+      &StoreContents::tile, &TileDataset::kernels, features, stats);
 }
 
 FusionDataset LoadOrBuildFusionDataset(
@@ -1306,42 +1293,12 @@ FusionDataset LoadOrBuildFusionDataset(
     const analytical::AnalyticalModel& analytical,
     const DatasetOptions& options,
     std::shared_ptr<StoredFeatures>* features, StoreLoadStats* stats) {
-  const auto start = Clock::now();
-  if (features != nullptr) features->reset();
-  if (cache_dir.empty()) {
-    FusionDataset dataset =
-        BuildFusionDataset(corpus, simulator, analytical, options);
-    FillStats(stats, false, "", start);
-    return dataset;
-  }
-  const std::uint64_t key =
-      DatasetCacheKey("fusion", simulator.target().name, corpus, options);
-  const std::string path = StorePath(cache_dir, "fusion", key);
-  if (std::filesystem::exists(path)) {
-    StoreContents contents = ReadStoreContents(path);
-    VerifyPrograms(contents, corpus, path);
-    if (features != nullptr) *features = contents.features;
-    FillStats(stats, true, path, start);
-    return std::move(contents.fusion);
-  }
-  FusionDataset dataset =
-      BuildFusionDataset(corpus, simulator, analytical, options);
-  std::vector<const KernelRecord*> records;
-  records.reserve(dataset.samples.size());
-  for (const FusionSample& s : dataset.samples) records.push_back(&s.record);
-  auto stored = FeaturizeUnique(records);
-  std::filesystem::create_directories(cache_dir);
-  DatasetWriter writer(path, options.store_part_bytes);
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    writer.Add(ProgramInfo{static_cast<int>(i), corpus[i].name,
-                           corpus[i].family});
-  }
-  for (const FusionSample& s : dataset.samples) writer.Add(s);
-  for (const FeaturizedKernel& fk : stored->entries()) writer.Add(fk);
-  writer.Finish();
-  if (features != nullptr) *features = std::move(stored);
-  FillStats(stats, false, path, start);
-  return dataset;
+  return LoadOrBuild<FusionDataset>(
+      "fusion", cache_dir, corpus, simulator, options,
+      [&] {
+        return BuildFusionDataset(corpus, simulator, analytical, options);
+      },
+      &StoreContents::fusion, &FusionDataset::samples, features, stats);
 }
 
 }  // namespace tpuperf::data

@@ -19,7 +19,10 @@
 ///              payload u64 | payload bytes
 ///
 /// Records are written back to back after the header; the record count is
-/// patched into the header by DatasetWriter::Finish(). Record types:
+/// patched into the header by DatasetWriter::Finish(). Readers check the
+/// framing of every record in one place: its header and its payload must
+/// lie inside the file, the records must end exactly at end of file, and
+/// every payload handed to a caller must match its checksum. Record types:
 /// program info, tile-task kernels (graph + measured tile configs +
 /// runtimes), fusion samples, featurized kernels (raw node features as
 /// f64 + adjacency in CSR form + static perf), named feature-scaler
@@ -54,8 +57,9 @@
 /// Readers verify the magic, reject files written by any other format
 /// version, reject mismatched feature-config hashes (the featurizer
 /// layout changed; cached matrices would be meaningless), and verify
-/// every decoded record's size and checksum — truncation, bit flips,
-/// trailing garbage, and structural nonsense all fail loudly with a
+/// every decoded record's size and checksum — truncation (also of a file
+/// that shrinks under an open reader), bit flips, trailing garbage, and
+/// structural nonsense all fail loudly with a
 /// diagnostic StoreError naming the file and failing offset/record, never
 /// a silent partial load. Sharded reads additionally verify each part's
 /// byte size, record count, and records-region checksum against the
@@ -68,13 +72,11 @@
 /// ## Zero-copy lifetime contract
 ///
 /// ForEachRecord / ReadRecordAt hand out RecordView spans instead of
-/// copies. For an mmap-backed reader the span points straight into the
-/// mapping and stays valid for the reader's lifetime. For a stream-mode
-/// reader the span points into a scratch buffer owned by the reader that
-/// is REUSED by the next record read: the span is valid only until the
-/// next ForEachRecord callback / ReadRecordAt call (decode before moving
-/// on — ReadAll and the streaming layer do). Readers are not thread-safe;
-/// use one reader per thread.
+/// copies. Every reader preads each payload into one scratch buffer it
+/// owns and REUSES for the next record read, so a span is valid only until
+/// the next ForEachRecord callback / ReadRecordAt call (decode before
+/// moving on — ReadAll and the streaming layer do). Readers are not
+/// thread-safe; use one reader per thread.
 #pragma once
 
 #include <cstdint>
@@ -188,6 +190,14 @@ struct StoreContents {
   std::map<std::string, feat::FeatureScaler> scalers;
 };
 
+/// One part of a sharded store, as its manifest lists it.
+struct StorePartInfo {
+  std::string file;               // basename, sibling of the manifest
+  std::uint64_t records = 0;      // framing record count of the part
+  std::uint64_t bytes = 0;        // part file size in bytes
+  std::uint64_t records_fnv = 0;  // FNV-1a-64 of bytes [header, end)
+};
+
 /// Streams records to `path`. Writes go to temporary sibling files
 /// atomically renamed into place by Finish(), so readers never observe a
 /// half-written store; an unfinished writer removes its temporaries on
@@ -224,16 +234,10 @@ class DatasetWriter {
 
  private:
   struct Part;  // one open part sink (its file descriptor), in the .cpp
-  struct PartInfo {
-    std::string file;               // final basename
-    std::uint64_t records = 0;      // framing record count
-    std::uint64_t bytes = 0;        // total file size
-    std::uint64_t records_fnv = 0;  // FNV-1a-64 of bytes [header, end)
-  };
 
   void OpenPart();
   // Patches the open part's record count, closes and renames it, and
-  // appends its PartInfo.
+  // appends its manifest entry.
   void ClosePart();
   // Sharded mode: rolls to a new part when the open one is full.
   void MaybeRoll();
@@ -245,24 +249,17 @@ class DatasetWriter {
   std::string path_;
   std::uint64_t max_part_bytes_ = 0;  // 0 = unsharded single file
   std::unique_ptr<Part> part_;
-  std::vector<PartInfo> parts_;  // closed parts (sharded mode)
+  std::vector<StorePartInfo> parts_;  // closed parts (sharded mode)
   // (fingerprint, structural signature) -> dict index, per open part.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> dict_;
   std::uint64_t count_ = 0;
   bool finished_ = false;
 };
 
-enum class ReadMode {
-  kAuto,   // mmap when the mapping succeeds, else stream
-  kMmap,   // require mmap (throws when the file cannot be mapped)
-  kStream  // incremental fd reads with a per-record scratch buffer
-};
-
 /// One record of a store file, as handed to ForEachRecord callbacks and
 /// returned by ReadRecordAt. See the zero-copy lifetime contract in the
-/// file comment: `payload` aliases the mapping (mmap readers, valid for
-/// the reader's lifetime) or the reader's reusable scratch buffer (stream
-/// readers, valid until the next record is read).
+/// file comment: `payload` aliases the reader's reusable scratch buffer
+/// and is valid until the next record is read.
 struct RecordView {
   std::uint32_t type = 0;
   std::span<const unsigned char> payload;
@@ -273,11 +270,13 @@ struct RecordView {
 /// Validates the header on construction and decodes records on ReadAll().
 /// Any inconsistency — bad magic, another format version, feature-config
 /// mismatch, truncation, checksum or structural corruption — throws
-/// StoreError with the file name and failing offset/record. Not
-/// thread-safe (stream readers share one scratch buffer).
+/// StoreError with the file name and failing offset/record. Reads go
+/// through pread on a descriptor held open for the reader's lifetime (a
+/// read that hits end of file throws, even if the file shrank after it was
+/// opened). Not thread-safe (one scratch buffer per reader).
 class DatasetReader {
  public:
-  explicit DatasetReader(std::string path, ReadMode mode = ReadMode::kAuto);
+  explicit DatasetReader(std::string path);
   ~DatasetReader();
   DatasetReader(const DatasetReader&) = delete;
   DatasetReader& operator=(const DatasetReader&) = delete;
@@ -285,11 +284,10 @@ class DatasetReader {
   std::uint32_t format_version() const noexcept { return version_; }
   std::uint64_t feature_config_hash() const noexcept { return feature_hash_; }
   std::uint64_t record_count() const noexcept { return count_; }
-  bool mapped() const noexcept { return mapped_; }
   const std::string& path() const noexcept { return path_; }
 
   // True when this file is a sharded-store manifest (a single manifest
-  // record). Read it with ReadStoreContents / ReadStoreManifest — ReadAll
+  // record). Read it with ReadStoreContents or ForEachStorePart — ReadAll
   // on a manifest throws with that pointer.
   bool sharded_manifest() const noexcept;
 
@@ -300,15 +298,14 @@ class DatasetReader {
   // Walks records in file order, validating framing bounds for every
   // record and the payload checksum for every DELIVERED record, invoking
   // fn(view) for records whose type is in `types` (empty = all). Records
-  // filtered out are skipped without reading their payload — a stream
-  // reader seeks past them instead of buffering them.
+  // filtered out are skipped without reading their payload: the walk seeks
+  // past them instead of buffering them.
   void ForEachRecord(const std::function<void(const RecordView&)>& fn,
                      std::span<const std::uint32_t> types = {}) const;
 
-  // Framing-only walk: validates record-header bounds and invokes
+  // Framing-only walk: validates record bounds and invokes
   // fn(type, offset, payload_size) without reading, checksumming, or
-  // buffering any payload. The streaming layer builds its record index
-  // with this.
+  // buffering any payload.
   void ScanRecords(
       const std::function<void(std::uint32_t type, std::uint64_t offset,
                                std::uint64_t payload_size)>& fn) const;
@@ -319,20 +316,40 @@ class DatasetReader {
   RecordView ReadRecordAt(std::uint64_t offset) const;
 
  private:
-  // Returns a pointer to `size` bytes at `offset`, either directly into
-  // the mapping or via pread into the given scratch vector.
-  const unsigned char* BytesAt(std::uint64_t offset, std::size_t size,
-                               std::vector<unsigned char>& scratch) const;
+  // The framing prefix of one record.
+  struct RecordHeader {
+    std::uint32_t type = 0;
+    std::uint64_t payload_size = 0;
+    std::uint64_t checksum = 0;
+  };
+
+  // Validates the file header (magic, version, feature-config hash).
+  void ReadFileHeader();
+  // Preads exactly `size` bytes at `offset` into `out`; throws StoreError
+  // on a read error or on end of file.
+  void ReadBytes(std::uint64_t offset, std::size_t size,
+                 unsigned char* out) const;
+  // "<path>: record <r>", or "<path>: record at byte <offset>" for a
+  // random-access read (r == kByOffset).
+  std::string RecordContext(std::uint64_t r, std::uint64_t offset) const;
+  // Reads the record header at `offset` and checks that the header and its
+  // payload lie inside the file.
+  RecordHeader ReadHeader(std::uint64_t r, std::uint64_t offset) const;
+  // Reads the payload of the record `header` frames into scratch_ and
+  // verifies its checksum.
+  RecordView ReadPayload(std::uint64_t r, std::uint64_t offset,
+                         const RecordHeader& header) const;
+  // Reads every record header in file order, calling fn(r, offset,
+  // header), then checks that the last record ends at end of file.
+  template <typename Fn>
+  void WalkHeaders(Fn&& fn) const;
+
+  static constexpr std::uint64_t kByOffset = ~std::uint64_t{0};
 
   std::string path_;
-  mutable std::vector<unsigned char> scratch_;         // payload buffer
-  mutable std::vector<unsigned char> header_scratch_;  // record headers
-  const unsigned char* data_ = nullptr;  // mmap base; null in fd mode
-  std::size_t size_ = 0;                 // total file size
-  int fd_ = -1;                          // stream mode descriptor
-  void* map_base_ = nullptr;
-  std::size_t map_size_ = 0;
-  bool mapped_ = false;
+  mutable std::vector<unsigned char> scratch_;  // payload buffer
+  std::uint64_t size_ = 0;  // file size when opened
+  int fd_ = -1;
   std::uint32_t version_ = 0;
   std::uint64_t feature_hash_ = 0;
   std::uint64_t count_ = 0;
@@ -341,32 +358,29 @@ class DatasetReader {
 
 /// ---- Sharded stores --------------------------------------------------------
 
-struct StorePartInfo {
-  std::string file;               // basename, sibling of the manifest
-  std::uint64_t records = 0;      // framing record count of the part
-  std::uint64_t bytes = 0;        // part file size in bytes
-  std::uint64_t records_fnv = 0;  // FNV-1a-64 of bytes [header, end)
-};
-
-struct StoreManifest {
-  std::vector<StorePartInfo> parts;
-};
-
-/// Decodes the manifest record of a sharded store. Throws StoreError when
-/// `reader` is not a sharded manifest.
-StoreManifest ReadStoreManifest(const DatasetReader& reader);
-
 /// Resolves a manifest part's file name next to the manifest itself.
 std::string StorePartPath(const std::string& manifest_path,
                           const std::string& part_file);
+
+/// Opens the files of the dataset store at `path` one at a time, in order,
+/// and calls fn(reader, listed) on each: a single-file store is its own
+/// only file (`listed` null); a sharded store's files are its manifest's
+/// parts (`listed` their manifest entry). Before it opens a part it checks
+/// that the part exists and has the listed byte size, and before it calls
+/// fn that the part holds the listed record count; any mismatch or missing
+/// part throws StoreError. The records-region checksum is fn's to verify,
+/// since only a full read can.
+void ForEachStorePart(
+    const std::string& path,
+    const std::function<void(const DatasetReader& reader,
+                             const StorePartInfo* listed)>& fn);
 
 /// Reads a dataset store — sharded or single-file — into StoreContents.
 /// For sharded stores every part's existence, byte size, record count, and
 /// records-region checksum are verified against the manifest; any mismatch
 /// or missing part throws StoreError. This is the load path LoadOrBuild*
 /// uses.
-StoreContents ReadStoreContents(const std::string& path,
-                                ReadMode mode = ReadMode::kAuto);
+StoreContents ReadStoreContents(const std::string& path);
 
 /// ---- Record-level decode (shared with dataset/streaming) -------------------
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 
@@ -48,8 +47,7 @@ std::optional<feat::KernelFeatures> StreamedFeatures::Lookup(
   }
   std::unique_ptr<DatasetReader>& reader = readers_[loc->part];
   if (reader == nullptr) {
-    reader = std::make_unique<DatasetReader>(part_paths_[loc->part],
-                                             ReadMode::kStream);
+    reader = std::make_unique<DatasetReader>(part_paths_[loc->part]);
   }
   FeaturizedKernel record =
       DecodeFeaturizedRecord(reader->ReadRecordAt(loc->offset));
@@ -65,43 +63,17 @@ StreamingSampler::StreamingSampler(std::string store_path, StreamTask task,
       features_(std::make_shared<StreamedFeatures>()) {
   const auto start = Clock::now();
 
-  // Resolve the store into its part files. A sharded store's parts are
-  // verified against the manifest's byte sizes and record counts here; the
-  // per-record checksums are verified as records stream.
-  DatasetReader root(store_path, ReadMode::kStream);
-  if (root.sharded_manifest()) {
-    const StoreManifest manifest = ReadStoreManifest(root);
-    for (const StorePartInfo& info : manifest.parts) {
-      const std::string part_path = StorePartPath(store_path, info.file);
-      std::error_code ec;
-      if (!std::filesystem::exists(part_path, ec) || ec) {
-        throw StoreError(store_path + ": part file " + info.file +
-                         " listed in the manifest is missing — the sharded "
-                         "store is incomplete; delete the manifest and "
-                         "rebuild");
-      }
-      const auto actual = std::filesystem::file_size(part_path, ec);
-      if (!ec && actual != info.bytes) {
-        throw StoreError(part_path + ": manifest lists " +
-                         std::to_string(info.bytes) +
-                         " bytes but the part is " + std::to_string(actual) +
-                         " — truncated or swapped part file");
-      }
-      parts_.push_back(PartIndex{part_path, {}});
-    }
-  } else {
-    parts_.push_back(PartIndex{store_path, {}});
-  }
-
-  // One streaming pass per part: index task records and dictionary records
-  // by offset, and the featurized records by (fingerprint, signature).
-  // Program and scaler records are seeked past without buffering.
+  // One pass per part file (ForEachStorePart checks each part's byte size
+  // and record count against the manifest first): index task records and
+  // dictionary records by offset, and the featurized records by
+  // (fingerprint, signature). Program and scaler records are seeked past
+  // without buffering; the checksums of indexed records are verified here.
   const std::uint32_t wanted[] = {kGraphDictRecordType, TaskRecordType(task_),
                                   kFeaturizedRecordType};
-  features_->part_paths_.reserve(parts_.size());
-  for (std::uint32_t p = 0; p < parts_.size(); ++p) {
-    PartIndex& part = parts_[p];
-    DatasetReader reader(part.path, ReadMode::kStream);
+  ForEachStorePart(store_path, [&](const DatasetReader& reader,
+                                   const StorePartInfo*) {
+    const auto p = static_cast<std::uint32_t>(parts_.size());
+    PartIndex& part = parts_.emplace_back(PartIndex{reader.path(), {}});
     reader.ForEachRecord(
         [&](const RecordView& view) {
           if (view.type == kGraphDictRecordType) {
@@ -117,7 +89,7 @@ StreamingSampler::StreamingSampler(std::string store_path, StreamTask task,
         },
         wanted);
     features_->part_paths_.push_back(part.path);
-  }
+  });
 
   window_records_ =
       (options_.window_records == 0 || options_.window_records >= records_.size())
@@ -167,7 +139,7 @@ StreamWindow StreamingSampler::LoadWindow(std::size_t w,
     out.fusion.reserve(out.size());
   }
   // Records are in stream order, so the slice touches each part in one
-  // contiguous run. Per run: one stream reader for the records, one for
+  // contiguous run. Per run: one reader for the records, one for
   // the dictionary entries they reference (decoded once each into a table
   // local to the run), so open descriptors stay O(1) and dictionary memory
   // follows the window, not the part.
@@ -179,9 +151,8 @@ StreamWindow StreamingSampler::LoadWindow(std::size_t w,
     const auto [part, offset] = records_[i];
     const PartIndex& index = parts_[part];
     if (reader == nullptr || part != current_part) {
-      reader = std::make_unique<DatasetReader>(index.path, ReadMode::kStream);
-      dict_reader =
-          std::make_unique<DatasetReader>(index.path, ReadMode::kStream);
+      reader = std::make_unique<DatasetReader>(index.path);
+      dict_reader = std::make_unique<DatasetReader>(index.path);
       dict = GraphDict();
       current_part = part;
     }

@@ -29,10 +29,10 @@
 /// the sampler holds one decoded window — two while the prefetch of the
 /// next one runs — and nothing that grows with the corpus:
 ///
-/// * records are read through stream-mode readers (pread into one reused
-///   scratch buffer) rather than mmap;
+/// * records are read through DatasetReaders, which pread each record into
+///   one reused scratch buffer and never hold the file whole;
 /// * a window decodes only the graph-dictionary entries its records
-///   reference, each once, through its own stream reader, into a table
+///   reference, each once, through its own reader, into a table
 ///   local to the window and freed with it;
 /// * StreamedFeatures decodes a featurized record on every Lookup and
 ///   hands the caller an owning copy, keeping no decoded features.
@@ -116,9 +116,9 @@ class StreamedFeatures final : public feat::KernelFeatureSource {
 };
 
 /// Prefetching shuffle-window iterator over a dataset store (sharded or
-/// single-file). Construction scans every part once in stream mode —
-/// validating framing and the checksums of the records it indexes — and
-/// builds the record/dictionary/featurized offset indexes; Next() then
+/// single-file). Construction scans every part once — validating framing
+/// and the checksums of the records it indexes — and builds the
+/// record/dictionary/featurized offset indexes; Next() then
 /// serves windows per the determinism contract above. Not thread-safe
 /// itself (one trainer drives it); the features() source is.
 class StreamingSampler {

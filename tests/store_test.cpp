@@ -1,6 +1,7 @@
 // Tests for the on-disk featurized dataset store (src/dataset/store.h):
 // bit-exact round trips for every record type, loud rejection of corrupted
-// or incompatible files, program identity across serialization, and
+// or incompatible files (by the whole-store read and, for sharded stores,
+// the streaming sampler too), program identity across serialization, and
 // training-parity from a warm store at pool widths 1 and 4.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "core/trainer.h"
 #include "dataset/families.h"
 #include "dataset/store.h"
+#include "dataset/streaming.h"
 #include "dataset/wire.h"
 #include "features/featurizer.h"
 
@@ -337,25 +339,6 @@ TEST_F(StoreTest, ScalerStatsRoundTripBitExact) {
   EXPECT_EQ(empty.num_features(), feat::kTileFeatures);
 }
 
-TEST_F(StoreTest, MmapAndStreamReadsAgree) {
-  const std::string path = Path("modes.tpds");
-  {
-    DatasetWriter writer(path);
-    writer.Add(tile_->kernels.front());
-    writer.Add(Featurize(tile_->kernels.front().record));
-    writer.Finish();
-  }
-  DatasetReader stream_reader(path, ReadMode::kStream);
-  EXPECT_FALSE(stream_reader.mapped());
-  const StoreContents via_stream = stream_reader.ReadAll();
-  DatasetReader auto_reader(path, ReadMode::kAuto);
-  const StoreContents via_auto = auto_reader.ReadAll();
-  ASSERT_EQ(via_stream.tile.kernels.size(), via_auto.tile.kernels.size());
-  ExpectTileKernelsEqual(via_stream.tile.kernels.front(),
-                         via_auto.tile.kernels.front());
-  EXPECT_EQ(via_stream.features->size(), via_auto.features->size());
-}
-
 // ---- Adversarial corruption -------------------------------------------------
 
 class StoreCorruptionTest : public StoreTest {
@@ -481,6 +464,32 @@ TEST_F(StoreCorruptionTest, TrailingGarbageFailsLoudly) {
   f.write("junk", 4);
   f.close();
   ExpectRejected(path, "trailing bytes");
+}
+
+// The reader sizes the file when it opens it; a file that then shrinks
+// (another process truncating or rewriting it) must make the read throw at
+// end of file, never fault on the missing pages.
+TEST_F(StoreCorruptionTest, FileShrunkAfterOpenThrows) {
+  const std::string path = Path("shrunk.tpds");
+  {
+    DatasetWriter writer(path);
+    for (const TileKernelData& k : tile_->kernels) {
+      writer.Add(k);
+      writer.Add(Featurize(k.record));
+    }
+    writer.Finish();
+  }
+  // Large enough that the lost half spans whole pages at any page size.
+  ASSERT_GT(fs::file_size(path), 256u * 1024u);
+  DatasetReader reader(path);
+  TruncateFile(path, fs::file_size(path) / 2);
+  try {
+    (void)reader.ReadAll();
+    FAIL() << "expected StoreError for a file that shrank after open";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << "actual error: " << e.what();
+  }
 }
 
 TEST_F(StoreCorruptionTest, MissingFileFailsLoudly) {
@@ -719,23 +728,30 @@ class ShardedStoreTest : public StoreTest {
     return manifest + suffix;
   }
 
+  // Both readers of a sharded store — the whole-store read and the
+  // streaming sampler's scan — reject it with `message_fragment`.
   static void ExpectShardedRejected(const std::string& path,
                                     const std::string& message_fragment) {
-    try {
-      (void)ReadStoreContents(path);
-      FAIL() << "expected StoreError mentioning \"" << message_fragment
-             << "\"";
-    } catch (const StoreError& e) {
-      EXPECT_NE(std::string(e.what()).find(message_fragment),
-                std::string::npos)
-          << "actual error: " << e.what();
-    }
+    const auto expect = [&](const char* reader, const auto& read) {
+      try {
+        read();
+        ADD_FAILURE() << reader << ": expected StoreError mentioning \""
+                      << message_fragment << "\"";
+      } catch (const StoreError& e) {
+        EXPECT_NE(std::string(e.what()).find(message_fragment),
+                  std::string::npos)
+            << reader << ": actual error: " << e.what();
+      }
+    };
+    expect("ReadStoreContents", [&] { (void)ReadStoreContents(path); });
+    expect("StreamingSampler",
+           [&] { StreamingSampler sampler(path, StreamTask::kTile); });
   }
 
   std::size_t parts_written_ = 0;
 };
 
-TEST_F(ShardedStoreTest, ShardedRoundTripBitExactAndModeAgnostic) {
+TEST_F(ShardedStoreTest, ShardedRoundTripBitExact) {
   const std::string path = WriteSharded("sharded.tpds");
   ASSERT_GT(parts_written_, 1u) << "2 KiB parts must shard this corpus";
   for (std::size_t p = 0; p < parts_written_; ++p) {
@@ -745,14 +761,10 @@ TEST_F(ShardedStoreTest, ShardedRoundTripBitExactAndModeAgnostic) {
   EXPECT_TRUE(manifest.sharded_manifest());
   EXPECT_EQ(manifest.record_count(), 1u);
 
-  const StoreContents via_mmap = ReadStoreContents(path, ReadMode::kMmap);
-  const StoreContents via_stream = ReadStoreContents(path, ReadMode::kStream);
-  ASSERT_EQ(via_mmap.tile.kernels.size(), tile_->kernels.size());
-  ASSERT_EQ(via_stream.tile.kernels.size(), tile_->kernels.size());
+  const StoreContents contents = ReadStoreContents(path);
+  ASSERT_EQ(contents.tile.kernels.size(), tile_->kernels.size());
   for (std::size_t i = 0; i < tile_->kernels.size(); ++i) {
-    ExpectTileKernelsEqual(tile_->kernels[i], via_mmap.tile.kernels[i]);
-    ExpectTileKernelsEqual(via_mmap.tile.kernels[i],
-                           via_stream.tile.kernels[i]);
+    ExpectTileKernelsEqual(tile_->kernels[i], contents.tile.kernels[i]);
   }
 }
 
