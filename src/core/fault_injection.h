@@ -29,8 +29,8 @@
 /// Points currently compiled in:
 ///   featurize.throw     PreparedCache::Get, miss path (core/trainer.cpp)
 ///   plan.compile_fail   LearnedCostModel::CompilePlan (plan/planner.cpp)
-///   store.short_read    DatasetReader record walks (ForEachRecord,
-///                       ScanRecords; dataset/store.cpp);
+///   store.short_read    DatasetReader::ForEachRecord record walks
+///                       (dataset/store.cpp);
 ///                       throws data::StoreError, modeling mid-stream
 ///                       truncation (also covers snapshot loads)
 ///   snapshot.load_fail  serve::LoadModelSnapshot; throws data::StoreError,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <optional>
 #include <random>
@@ -22,16 +23,17 @@ double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Family name -> indices into the dataset, for balanced sampling.
-template <typename GetFamily>
-std::vector<std::vector<int>> GroupByFamily(int count, GetFamily get_family,
+// Family name -> indices of the training records, for balanced sampling.
+// `family(i)` and `program_id(i)` describe record i of `count`.
+template <typename Family, typename ProgramId>
+std::vector<std::vector<int>> GroupByFamily(std::size_t count, Family family,
+                                            ProgramId program_id,
                                             std::span<const int> keep) {
   std::unordered_set<int> wanted(keep.begin(), keep.end());
   std::map<std::string, std::vector<int>> groups;
-  for (int i = 0; i < count; ++i) {
-    const auto [family, program_id] = get_family(i);
-    if (!wanted.contains(program_id)) continue;
-    groups[family].push_back(i);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!wanted.contains(program_id(i))) continue;
+    groups[family(i)].push_back(static_cast<int>(i));
   }
   std::vector<std::vector<int>> out;
   out.reserve(groups.size());
@@ -155,6 +157,14 @@ namespace {
 // the SAME step code on the same state. That sharing is what makes streaming
 // losses bit-identical to in-memory losses when the sampler serves a single
 // canonical window.
+//
+// RunSteps reads records through a RecordAt accessor: index i of the family
+// grouping -> the record. A dataset vector returns its element; a streaming
+// window decodes the record the first time a step draws it, so a window
+// decodes only the records its steps use.
+
+template <typename Record>
+using RecordAt = std::function<const Record&(std::size_t)>;
 
 struct TileTrainLoop {
   LearnedCostModel& model;
@@ -178,16 +188,16 @@ struct TileTrainLoop {
       : model(m), cfg(m.config()), cache(c), rng(cfg.seed ^ 0x7e11ull),
         adam(MakeAdamConfig(cfg)), params(m.params().params()) {}
 
-  // Runs `steps` training steps drawing from `kernels` via the family
-  // grouping (indices into `kernels`).
-  void RunSteps(std::span<const data::TileKernelData> kernels,
+  // Runs `steps` training steps drawing from `kernel` via the family
+  // grouping (indices it accepts).
+  void RunSteps(const RecordAt<data::TileKernelData>& kernel,
                 const std::vector<std::vector<int>>& families, int steps) {
     for (int s = 0; s < steps; ++s, ++step) {
       // Balanced sampling: cycle families, pick a random kernel inside.
       const auto& family =
           families[static_cast<size_t>(step) % families.size()];
       std::uniform_int_distribution<size_t> pick(0, family.size() - 1);
-      const auto& kdata = kernels[static_cast<size_t>(family[pick(rng)])];
+      const auto& kdata = kernel(static_cast<size_t>(family[pick(rng)]));
       if (kdata.configs.size() < 2) continue;
 
       const PreparedKernel& pk =
@@ -265,12 +275,13 @@ struct FusionTrainLoop {
       : model(m), cfg(m.config()), cache(c), rng(cfg.seed ^ 0xF007ull),
         adam(MakeAdamConfig(cfg)), params(m.params().params()) {}
 
-  void RunSteps(std::span<const data::FusionSample> samples,
+  void RunSteps(const RecordAt<data::FusionSample>& sample,
                 const std::vector<std::vector<int>>& families, int steps) {
     for (int s = 0; s < steps; ++s, ++step) {
-      // Assemble the minibatch: the RNG draws stay serial (so sampling is
-      // identical at any pool width), then the picked kernels featurize
-      // concurrently through the thread-safe cache.
+      // Assemble the minibatch: the RNG draws and the record reads stay
+      // serial (so sampling is identical at any pool width, and a window's
+      // records are resolved on this thread only), then the picked kernels
+      // featurize concurrently through the thread-safe cache.
       std::vector<const data::FusionSample*> picked;
       picked.reserve(static_cast<size_t>(cfg.kernels_per_batch));
       for (int b = 0; b < cfg.kernels_per_batch; ++b) {
@@ -278,7 +289,7 @@ struct FusionTrainLoop {
             families[(static_cast<size_t>(step) * cfg.kernels_per_batch + b) %
                      families.size()];
         std::uniform_int_distribution<size_t> pick(0, family.size() - 1);
-        picked.push_back(&samples[static_cast<size_t>(family[pick(rng)])]);
+        picked.push_back(&sample(static_cast<size_t>(family[pick(rng)])));
       }
       std::vector<const PreparedKernel*> prepared(picked.size());
       const auto featurize = [&](std::int64_t b0, std::int64_t b1) {
@@ -338,28 +349,28 @@ struct FusionTrainLoop {
   }
 };
 
-std::vector<std::vector<int>> TileFamilies(
-    std::span<const data::TileKernelData> kernels,
-    std::span<const int> train_program_ids) {
+// The family grouping of an in-memory dataset's records (TileKernelData
+// or FusionSample).
+template <typename Record>
+std::vector<std::vector<int>> Families(std::span<const Record> records,
+                                       std::span<const int> train_program_ids) {
   return GroupByFamily(
-      static_cast<int>(kernels.size()),
-      [&](int i) {
-        const auto& rec = kernels[static_cast<size_t>(i)].record;
-        return std::pair(rec.family, rec.program_id);
+      records.size(),
+      [&](std::size_t i) -> const std::string& {
+        return records[i].record.family;
       },
+      [&](std::size_t i) { return records[i].record.program_id; },
       train_program_ids);
 }
 
-std::vector<std::vector<int>> FusionFamilies(
-    std::span<const data::FusionSample> samples,
-    std::span<const int> train_program_ids) {
+// The family grouping of a window's records, from the sampler's scan:
+// nothing is decoded.
+std::vector<std::vector<int>> Families(const data::StreamWindow& window,
+                                       std::span<const int> train_program_ids) {
   return GroupByFamily(
-      static_cast<int>(samples.size()),
-      [&](int i) {
-        const auto& rec = samples[static_cast<size_t>(i)].record;
-        return std::pair(rec.family, rec.program_id);
-      },
-      train_program_ids);
+      window.size(),
+      [&](std::size_t i) -> const std::string& { return window.family(i); },
+      [&](std::size_t i) { return window.program_id(i); }, train_program_ids);
 }
 
 // Default per-window step budget for the streaming trainers.
@@ -394,13 +405,17 @@ TrainStats TrainTileTask(LearnedCostModel& model,
     model.FinishFitting();
   }
 
-  const auto families = TileFamilies(dataset.kernels, train_program_ids);
+  const auto families =
+      Families(std::span(dataset.kernels), train_program_ids);
   if (families.empty()) {
     throw std::invalid_argument("TrainTileTask: no training kernels");
   }
 
   TileTrainLoop loop(model, cache);
-  loop.RunSteps(dataset.kernels, families, loop.cfg.train_steps);
+  loop.RunSteps([&](std::size_t i) -> const data::TileKernelData& {
+                  return dataset.kernels[i];
+                },
+                families, loop.cfg.train_steps);
   return loop.Finish(start);
 }
 
@@ -430,13 +445,17 @@ TrainStats TrainFusionTask(LearnedCostModel& model,
     }
   }
 
-  const auto families = FusionFamilies(dataset.samples, train_program_ids);
+  const auto families =
+      Families(std::span(dataset.samples), train_program_ids);
   if (families.empty()) {
     throw std::invalid_argument("TrainFusionTask: no training samples");
   }
 
   FusionTrainLoop loop(model, cache);
-  loop.RunSteps(dataset.samples, families, cfg.train_steps);
+  loop.RunSteps([&](std::size_t i) -> const data::FusionSample& {
+                  return dataset.samples[i];
+                },
+                families, cfg.train_steps);
   return loop.Finish(start);
 }
 
@@ -462,9 +481,10 @@ TrainStats TrainTileTaskStreaming(LearnedCostModel& model,
     std::unordered_set<int> wanted(train_program_ids.begin(),
                                    train_program_ids.end());
     for (std::size_t w = 0; w < sampler.windows_per_epoch(); ++w) {
-      const data::StreamWindow window = sampler.Window(w);
-      for (const auto& k : window.tile) {
-        if (!wanted.contains(k.record.program_id)) continue;
+      data::StreamWindow window = sampler.Window(w);
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        if (!wanted.contains(window.program_id(i))) continue;
+        const data::TileKernelData& k = window.tile(i);
         if (!seen.insert(k.record.fingerprint).second) continue;
         FitNodeScalerVia(model, cache.feature_source(), k.record.kernel.graph,
                          k.record.fingerprint);
@@ -482,8 +502,8 @@ TrainStats TrainTileTaskStreaming(LearnedCostModel& model,
   // data at all, the in-memory trainers' invalid_argument case.
   std::size_t consecutive_empty = 0;
   while (loop.step < cfg.train_steps) {
-    const data::StreamWindow window = sampler.Next();
-    const auto families = TileFamilies(window.tile, train_program_ids);
+    data::StreamWindow window = sampler.Next();
+    const auto families = Families(window, train_program_ids);
     if (families.empty()) {
       if (++consecutive_empty >= sampler.windows_per_epoch()) {
         throw std::invalid_argument(
@@ -492,8 +512,11 @@ TrainStats TrainTileTaskStreaming(LearnedCostModel& model,
       continue;
     }
     consecutive_empty = 0;
-    loop.RunSteps(window.tile, families,
-                  std::min(per_window, cfg.train_steps - loop.step));
+    loop.RunSteps(
+        [&](std::size_t i) -> const data::TileKernelData& {
+          return window.tile(i);
+        },
+        families, std::min(per_window, cfg.train_steps - loop.step));
   }
   return loop.Finish(start);
 }
@@ -516,9 +539,10 @@ TrainStats TrainFusionTaskStreaming(LearnedCostModel& model,
     double log_sum = 0;
     long log_count = 0;
     for (std::size_t w = 0; w < sampler.windows_per_epoch(); ++w) {
-      const data::StreamWindow window = sampler.Window(w);
-      for (const auto& s : window.fusion) {
-        if (!wanted.contains(s.record.program_id)) continue;
+      data::StreamWindow window = sampler.Window(w);
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        if (!wanted.contains(window.program_id(i))) continue;
+        const data::FusionSample& s = window.fusion(i);
         FitNodeScalerVia(model, cache.feature_source(), s.record.kernel.graph,
                          s.record.fingerprint);
         model.FitTileScaler(s.tile);
@@ -537,8 +561,8 @@ TrainStats TrainFusionTaskStreaming(LearnedCostModel& model,
   FusionTrainLoop loop(model, cache);
   std::size_t consecutive_empty = 0;
   while (loop.step < cfg.train_steps) {
-    const data::StreamWindow window = sampler.Next();
-    const auto families = FusionFamilies(window.fusion, train_program_ids);
+    data::StreamWindow window = sampler.Next();
+    const auto families = Families(window, train_program_ids);
     if (families.empty()) {
       if (++consecutive_empty >= sampler.windows_per_epoch()) {
         throw std::invalid_argument(
@@ -547,8 +571,11 @@ TrainStats TrainFusionTaskStreaming(LearnedCostModel& model,
       continue;
     }
     consecutive_empty = 0;
-    loop.RunSteps(window.fusion, families,
-                  std::min(per_window, cfg.train_steps - loop.step));
+    loop.RunSteps(
+        [&](std::size_t i) -> const data::FusionSample& {
+          return window.fusion(i);
+        },
+        families, std::min(per_window, cfg.train_steps - loop.step));
   }
   return loop.Finish(start);
 }

@@ -107,14 +107,17 @@ TrainStats TrainFusionTask(LearnedCostModel& model,
                            PreparedCache& cache);
 
 // Out-of-core variants: train from a dataset::StreamingSampler instead of a
-// materialized dataset, holding only one shuffle window (plus its prefetched
-// successor) in memory. The step logic is the SAME code as the in-memory
+// materialized dataset, holding only the records of one shuffle window that
+// the steps have drawn so far: a window decodes a record when a step first
+// draws it, and the family grouping comes from the sampler's scan. The step
+// logic is the SAME code as the in-memory
 // trainers (shared loop structs in trainer.cpp), so with a single window
 // (sampler window_records = 0, i.e. window >= corpus) the loss sequence is
 // bit-identical to TrainTileTask / TrainFusionTask — the streaming_test
-// suite holds this with EXPECT_EQ. The scaler pre-pass streams the windows
-// in canonical order with the exact in-memory dedupe (fingerprint-only, in
-// dataset order), so fitted scalers match bit for bit too.
+// suite holds this with EXPECT_EQ. The scaler pre-pass decodes every
+// training record, window by window in canonical order, with the exact
+// in-memory dedupe (fingerprint-only, in dataset order), so fitted scalers
+// match bit for bit too.
 //
 // `steps_per_window` <= 0 picks the default: all steps when the sampler has
 // one window, otherwise ceil(train_steps / windows_per_epoch) so one pass

@@ -561,9 +561,13 @@ const GraphDict::Entry& GraphDict::At(std::uint32_t index,
                    std::to_string(index) + " was not loaded");
 }
 
-std::uint32_t PeekKernelDictIndex(const RecordView& record) {
+KernelRecordHead PeekKernelRecordHead(const RecordView& record) {
   Dec d(record.payload.data(), record.payload.size(), record.context);
-  return DecodeKernelDictIndex(d);
+  KernelRecordHead head;
+  head.dict_index = DecodeKernelDictIndex(d);
+  head.program_id = d.I32();
+  head.family = d.Str();
+  return head;
 }
 
 void CheckDictIndexPrecedes(std::uint32_t index, std::size_t preceding,
@@ -1052,15 +1056,6 @@ void DatasetReader::ForEachRecord(
         std::find(types.begin(), types.end(), header.type) != types.end()) {
       fn(ReadPayload(r, off, header));
     }
-  });
-}
-
-void DatasetReader::ScanRecords(
-    const std::function<void(std::uint32_t, std::uint64_t, std::uint64_t)>&
-        fn) const {
-  WalkHeaders([&](std::uint64_t, std::uint64_t off,
-                  const RecordHeader& header) {
-    fn(header.type, off, header.payload_size);
   });
 }
 

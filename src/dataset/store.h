@@ -303,16 +303,9 @@ class DatasetReader {
   void ForEachRecord(const std::function<void(const RecordView&)>& fn,
                      std::span<const std::uint32_t> types = {}) const;
 
-  // Framing-only walk: validates record bounds and invokes
-  // fn(type, offset, payload_size) without reading, checksumming, or
-  // buffering any payload.
-  void ScanRecords(
-      const std::function<void(std::uint32_t type, std::uint64_t offset,
-                               std::uint64_t payload_size)>& fn) const;
-
   // Random access: reads and checksum-verifies the record whose header
-  // starts at `offset` (an offset previously produced by ScanRecords /
-  // ForEachRecord). Subject to the same lifetime contract as ForEachRecord.
+  // starts at `offset` (an offset previously produced by ForEachRecord).
+  // Subject to the same lifetime contract as ForEachRecord.
   RecordView ReadRecordAt(std::uint64_t offset) const;
 
  private:
@@ -414,10 +407,17 @@ class GraphDict {
   std::unordered_map<std::uint32_t, Entry> entries_;
 };
 
-/// The graph-dictionary index a tile-kernel or fusion-sample record
-/// references. Reads only the layout tag and the index; throws StoreError
-/// on an unknown tag.
-std::uint32_t PeekKernelDictIndex(const RecordView& record);
+/// The leading fields of a tile-kernel or fusion-sample record payload: the
+/// graph-dictionary index it references and its program id and family.
+struct KernelRecordHead {
+  std::uint32_t dict_index = 0;
+  int program_id = -1;
+  std::string family;
+};
+
+/// Reads only a kernel-bearing record's head; throws StoreError on an
+/// unknown layout tag or a payload too short to hold the head.
+KernelRecordHead PeekKernelRecordHead(const RecordView& record);
 
 /// Throws the corrupt-store StoreError for a record (named by `context`)
 /// that references dictionary index `index` when only `preceding`

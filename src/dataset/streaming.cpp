@@ -4,8 +4,8 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 
-#include "core/thread_pool.h"
 
 namespace tpuperf::data {
 namespace {
@@ -31,6 +31,22 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
+// ---- PartReaders ----------------------------------------------------------
+
+const DatasetReader& PartReaders::Get(std::uint32_t part,
+                                      const std::string& path) {
+  auto it = std::find_if(open_.begin(), open_.end(), [&](const auto& entry) {
+    return entry.first == part;
+  });
+  if (it == open_.end()) {
+    if (open_.size() == kCapacity) open_.erase(open_.begin());
+    open_.emplace_back(part, std::make_unique<DatasetReader>(path));
+  } else if (it != open_.end() - 1) {
+    std::rotate(it, it + 1, open_.end());
+  }
+  return *open_.back().second;
+}
+
 // ---- StreamedFeatures ------------------------------------------------------
 
 std::optional<feat::KernelFeatures> StreamedFeatures::Lookup(
@@ -42,17 +58,81 @@ std::optional<feat::KernelFeatures> StreamedFeatures::Lookup(
       [&](const Loc& l) { return l.structural_sig == structural_sig; });
   if (loc == it->second.end()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  if (readers_.size() < part_paths_.size()) {
-    readers_.resize(part_paths_.size());
-  }
-  std::unique_ptr<DatasetReader>& reader = readers_[loc->part];
-  if (reader == nullptr) {
-    reader = std::make_unique<DatasetReader>(part_paths_[loc->part]);
-  }
+  const DatasetReader& reader =
+      readers_.Get(loc->part, part_paths_[loc->part]);
   FeaturizedKernel record =
-      DecodeFeaturizedRecord(reader->ReadRecordAt(loc->offset));
+      DecodeFeaturizedRecord(reader.ReadRecordAt(loc->offset));
   ++decoded_;
   return std::move(record.features);
+}
+
+// ---- StreamWindow ----------------------------------------------------------
+
+StreamWindow::StreamWindow(const StreamingSampler& sampler, std::size_t w)
+    : sampler_(&sampler),
+      begin_(w * sampler.window_records_),
+      end_(std::min(sampler.records_.size(),
+                    begin_ + sampler.window_records_)) {}
+
+int StreamWindow::program_id(std::size_t i) const {
+  return sampler_->records_[begin_ + i].program_id;
+}
+
+const std::string& StreamWindow::family(std::size_t i) const {
+  return sampler_->families_[sampler_->records_[begin_ + i].family];
+}
+
+template <typename Record, typename Decode>
+const Record& StreamWindow::Resolve(std::vector<std::unique_ptr<Record>>& memo,
+                                    std::size_t i, Decode decode) {
+  if (i >= size()) {
+    throw std::out_of_range("StreamWindow: record " + std::to_string(i) +
+                            " of " + std::to_string(size()));
+  }
+  if (memo.empty()) memo.resize(size());
+  std::unique_ptr<Record>& slot = memo[i];
+  if (slot != nullptr) return *slot;
+
+  const StreamingSampler::RecordRef& ref = sampler_->records_[begin_ + i];
+  const StreamingSampler::PartIndex& part = sampler_->parts_[ref.part];
+  const DatasetReader& reader = readers_.Get(ref.part, part.path);
+  RecordView view = reader.ReadRecordAt(ref.offset);
+  GraphDict& dict = dicts_[ref.part];
+  const std::uint32_t entry = PeekKernelRecordHead(view).dict_index;
+  if (!dict.contains(entry)) {
+    // The whole-file readers accept only dictionary records that precede
+    // the referencing record; the same count, by binary search here.
+    const auto preceding = static_cast<std::size_t>(
+        std::lower_bound(part.dict_offsets.begin(), part.dict_offsets.end(),
+                         ref.offset) -
+        part.dict_offsets.begin());
+    CheckDictIndexPrecedes(entry, preceding, view.context);
+    // The dictionary read reuses the reader's scratch buffer: keep the
+    // record's payload across it.
+    held_.assign(view.payload.begin(), view.payload.end());
+    view.payload = held_;
+    dict.Put(entry, GraphDict::Decode(
+                        reader.ReadRecordAt(part.dict_offsets[entry])));
+  }
+  slot = std::make_unique<Record>(decode(view, dict));
+  ++sampler_->decoded_;
+  return *slot;
+}
+
+const TileKernelData& StreamWindow::tile(std::size_t i) {
+  if (sampler_->task_ != StreamTask::kTile) {
+    throw std::logic_error("StreamWindow::tile: the sampler streams fusion "
+                           "samples");
+  }
+  return Resolve(tile_, i, DecodeTileKernelRecord);
+}
+
+const FusionSample& StreamWindow::fusion(std::size_t i) {
+  if (sampler_->task_ != StreamTask::kFusion) {
+    throw std::logic_error("StreamWindow::fusion: the sampler streams tile "
+                           "kernels");
+  }
+  return Resolve(fusion_, i, DecodeFusionSampleRecord);
 }
 
 // ---- StreamingSampler ------------------------------------------------------
@@ -64,12 +144,14 @@ StreamingSampler::StreamingSampler(std::string store_path, StreamTask task,
   const auto start = Clock::now();
 
   // One pass per part file (ForEachStorePart checks each part's byte size
-  // and record count against the manifest first): index task records and
-  // dictionary records by offset, and the featurized records by
-  // (fingerprint, signature). Program and scaler records are seeked past
-  // without buffering; the checksums of indexed records are verified here.
+  // and record count against the manifest first): index task records (with
+  // the program id and family of their payload heads) and dictionary
+  // records by offset, and the featurized records by (fingerprint,
+  // signature). Program and scaler records are seeked past without
+  // buffering; the checksums of indexed records are verified here.
   const std::uint32_t wanted[] = {kGraphDictRecordType, TaskRecordType(task_),
                                   kFeaturizedRecordType};
+  std::unordered_map<std::string, std::uint32_t> family_ids;
   ForEachStorePart(store_path, [&](const DatasetReader& reader,
                                    const StorePartInfo*) {
     const auto p = static_cast<std::uint32_t>(parts_.size());
@@ -84,7 +166,12 @@ StreamingSampler::StreamingSampler(std::string store_path, StreamTask task,
                 StreamedFeatures::Loc{sig, p, view.offset});
             ++features_->indexed_;
           } else {
-            records_.emplace_back(p, view.offset);
+            KernelRecordHead head = PeekKernelRecordHead(view);
+            const auto [family, added] = family_ids.try_emplace(
+                head.family, static_cast<std::uint32_t>(families_.size()));
+            if (added) families_.push_back(std::move(head.family));
+            records_.push_back(
+                RecordRef{view.offset, p, family->second, head.program_id});
           }
         },
         wanted);
@@ -101,18 +188,6 @@ StreamingSampler::StreamingSampler(std::string store_path, StreamTask task,
       std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-StreamingSampler::~StreamingSampler() {
-  if (prefetch_valid_) {
-    try {
-      prefetched_.get();
-    } catch (...) {
-      // The prefetch's error would have surfaced on the next Next(); the
-      // sampler is being destroyed, so there is no caller left to rethrow
-      // to.
-    }
-  }
-}
-
 void StreamingSampler::ReshuffleOrder() {
   order_.resize(windows_);
   std::iota(order_.begin(), order_.end(), 0u);
@@ -126,73 +201,13 @@ void StreamingSampler::ReshuffleOrder() {
   }
 }
 
-StreamWindow StreamingSampler::LoadWindow(std::size_t w,
-                                          std::uint64_t epoch) const {
-  StreamWindow out;
-  out.window_index = w;
-  out.epoch = epoch;
-  out.begin = w * window_records_;
-  out.end = std::min(records_.size(), out.begin + window_records_);
-  if (task_ == StreamTask::kTile) {
-    out.tile.reserve(out.size());
-  } else {
-    out.fusion.reserve(out.size());
-  }
-  // Records are in stream order, so the slice touches each part in one
-  // contiguous run. Per run: one reader for the records, one for
-  // the dictionary entries they reference (decoded once each into a table
-  // local to the run), so open descriptors stay O(1) and dictionary memory
-  // follows the window, not the part.
-  std::unique_ptr<DatasetReader> reader;
-  std::unique_ptr<DatasetReader> dict_reader;
-  GraphDict dict;
-  std::uint32_t current_part = 0;
-  for (std::size_t i = out.begin; i < out.end; ++i) {
-    const auto [part, offset] = records_[i];
-    const PartIndex& index = parts_[part];
-    if (reader == nullptr || part != current_part) {
-      reader = std::make_unique<DatasetReader>(index.path);
-      dict_reader = std::make_unique<DatasetReader>(index.path);
-      dict = GraphDict();
-      current_part = part;
-    }
-    const RecordView view = reader->ReadRecordAt(offset);
-    if (const std::uint32_t entry = PeekKernelDictIndex(view);
-        !dict.contains(entry)) {
-      // The whole-file readers accept only dictionary records that precede
-      // the referencing record; the same count, by binary search here.
-      const auto preceding = static_cast<std::size_t>(
-          std::lower_bound(index.dict_offsets.begin(),
-                           index.dict_offsets.end(), offset) -
-          index.dict_offsets.begin());
-      CheckDictIndexPrecedes(entry, preceding, view.context);
-      dict.Put(entry, GraphDict::Decode(dict_reader->ReadRecordAt(
-                          index.dict_offsets[entry])));
-    }
-    if (task_ == StreamTask::kTile) {
-      out.tile.push_back(DecodeTileKernelRecord(view, dict));
-    } else {
-      out.fusion.push_back(DecodeFusionSampleRecord(view, dict));
-    }
-  }
-  return out;
-}
-
 StreamWindow StreamingSampler::Window(std::size_t w) const {
   if (w >= windows_) {
     throw std::out_of_range("StreamingSampler::Window: index " +
                             std::to_string(w) + " of " +
                             std::to_string(windows_));
   }
-  return LoadWindow(w, epoch_);
-}
-
-void StreamingSampler::LaunchPrefetch() {
-  const std::size_t w = order_[next_in_epoch_];
-  const std::uint64_t ep = epoch_;
-  prefetched_ = core::ThreadPool::Global().Submit(
-      [this, w, ep] { return LoadWindow(w, ep); });
-  prefetch_valid_ = true;
+  return StreamWindow(*this, w);
 }
 
 StreamWindow StreamingSampler::Next() {
@@ -200,15 +215,12 @@ StreamWindow StreamingSampler::Next() {
     throw StoreError("StreamingSampler::Next: the store holds no records "
                      "for this task");
   }
-  if (!prefetch_valid_) LaunchPrefetch();
-  StreamWindow window = prefetched_.get();
-  prefetch_valid_ = false;
+  StreamWindow window(*this, order_[next_in_epoch_]);
   if (++next_in_epoch_ == windows_) {
     next_in_epoch_ = 0;
     ++epoch_;
     ReshuffleOrder();
   }
-  if (options_.prefetch) LaunchPrefetch();
   return window;
 }
 

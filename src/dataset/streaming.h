@@ -1,46 +1,51 @@
 /// \file
-/// Out-of-core dataset streaming (ISSUE 9 tentpole).
+/// Out-of-core dataset streaming.
 ///
 /// The paper's datasets (25M tile / 208M fusion samples, §4) never fit in
 /// one host's memory; production training streams shuffled shards instead.
 /// StreamingSampler reproduces that shape over the sharded dataset stores
 /// of dataset/store.h: it scans the part files once at construction
-/// (recording byte offsets, never materializing payloads), then serves
-/// shuffle windows — contiguous chunks of the record stream decoded on
-/// demand with a one-window prefetch on core::ThreadPool — so training
-/// memory is O(window), not O(corpus).
+/// (recording each task record's byte offset, program id and family, never
+/// materializing payloads), then serves shuffle windows — contiguous chunks
+/// of the record stream. A window is a view: building one does no I/O, and
+/// each record is read and decoded when the trainer first draws it, so a
+/// training step pays for the records it uses and no more.
 ///
 /// ## Determinism contract
 ///
 /// The ORDER of windows within an epoch is shuffled with a hand-rolled
 /// Fisher-Yates keyed only by (seed, epoch) — never std::shuffle, whose
 /// output is implementation-defined. Record order INSIDE a window stays
-/// canonical (store order). Construction of every window is a pure
-/// function of the store bytes and those two integers, so the sequence of
-/// windows is bit-identical at any thread-pool width, and with a single
-/// window (window_records = 0 or >= the corpus) the stream degenerates to
-/// the canonical in-memory order — the streaming trainers then draw
-/// exactly the RNG sequence of the in-memory trainers and reproduce their
-/// losses bit for bit (tests/streaming_test.cpp holds this with EXPECT_EQ).
+/// canonical (store order). Every window, and every record it decodes, is
+/// a pure function of the store bytes and those two integers, so the
+/// sequence of windows is bit-identical at any thread-pool width, and with
+/// a single window (window_records = 0 or >= the corpus) the stream
+/// degenerates to the canonical in-memory order — the streaming trainers
+/// then draw exactly the RNG sequence of the in-memory trainers and
+/// reproduce their losses bit for bit (tests/streaming_test.cpp holds this
+/// with EXPECT_EQ).
 ///
 /// ## Memory contract
 ///
-/// Beyond the offset indexes built by the scan (a few words per record),
-/// the sampler holds one decoded window — two while the prefetch of the
-/// next one runs — and nothing that grows with the corpus:
+/// Beyond the indexes built by the scan (a few words per record), the
+/// sampler holds nothing that grows with the corpus; a live window holds
+/// only the records drawn from it so far:
 ///
 /// * records are read through DatasetReaders, which pread each record into
 ///   one reused scratch buffer and never hold the file whole;
-/// * a window decodes only the graph-dictionary entries its records
-///   reference, each once, through its own reader, into a table
-///   local to the window and freed with it;
+/// * a window decodes a record on first access and keeps it for the
+///   window's lifetime, together with the graph-dictionary entries its
+///   decoded records reference, each decoded once;
+/// * a window and the StreamedFeatures source each keep at most
+///   PartReaders::kCapacity part files open, so open descriptors do not
+///   grow with the part count;
 /// * StreamedFeatures decodes a featurized record on every Lookup and
 ///   hands the caller an owning copy, keeping no decoded features.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -62,28 +67,71 @@ struct StreamingOptions {
   std::size_t window_records = 0;
   // Keys the per-epoch window shuffle (with the epoch number).
   std::uint64_t seed = 0;
-  // Prefetch the next window on core::ThreadPool::Global() while the
-  // caller trains on the current one.
-  bool prefetch = true;
 };
 
-/// One decoded shuffle window. Exactly one of `tile` / `fusion` is
-/// populated, matching the sampler's task.
-struct StreamWindow {
-  std::vector<TileKernelData> tile;
-  std::vector<FusionSample> fusion;
-  std::size_t begin = 0;  // record range [begin, end) in stream order
-  std::size_t end = 0;
-  std::size_t window_index = 0;  // canonical window number
-  std::uint64_t epoch = 0;
+/// The open part-file readers of one window or feature source: at most
+/// kCapacity, the least recently used closed first. Not thread-safe.
+class PartReaders {
+ public:
+  static constexpr std::size_t kCapacity = 4;
 
-  std::size_t size() const noexcept { return end - begin; }
+  // The reader of part `part` (whose file is `path`), opening it if it is
+  // not open. The reference is valid until the next Get.
+  const DatasetReader& Get(std::uint32_t part, const std::string& path);
+
+ private:
+  // Most recently used last.
+  std::vector<std::pair<std::uint32_t, std::unique_ptr<DatasetReader>>> open_;
+};
+
+class StreamingSampler;
+
+/// One shuffle window: a view of records [first_record(), first_record() +
+/// size()) of its sampler's stream. Program ids and families come from the
+/// sampler's scan; tile()/fusion() read and decode record i on first access
+/// and return the same object on every later access, for the window's
+/// lifetime. The sampler must outlive its windows. Not thread-safe: one
+/// trainer resolves a window's records.
+class StreamWindow {
+ public:
+  std::size_t size() const noexcept { return end_ - begin_; }
+  std::size_t first_record() const noexcept { return begin_; }
+
+  // Scanned metadata of record i (0 <= i < size()); no I/O.
+  int program_id(std::size_t i) const;
+  const std::string& family(std::size_t i) const;
+
+  // Record i, decoded on first access. tile() needs a tile-task sampler
+  // and fusion() a fusion-task one (std::logic_error otherwise).
+  const TileKernelData& tile(std::size_t i);
+  const FusionSample& fusion(std::size_t i);
+
+ private:
+  friend class StreamingSampler;
+
+  StreamWindow(const StreamingSampler& sampler, std::size_t w);
+
+  // Record i of `memo`; on first access reads it (and the graph-dictionary
+  // entry it references, into dicts_) and stores decode(view, dict).
+  template <typename Record, typename Decode>
+  const Record& Resolve(std::vector<std::unique_ptr<Record>>& memo,
+                        std::size_t i, Decode decode);
+
+  const StreamingSampler* sampler_;
+  std::size_t begin_ = 0;  // record range [begin_, end_) in stream order
+  std::size_t end_ = 0;
+  PartReaders readers_;
+  std::map<std::uint32_t, GraphDict> dicts_;  // per part touched
+  std::vector<unsigned char> held_;  // a record payload kept across a read
+  // Decoded records by window position; only the task's vector is used.
+  std::vector<std::unique_ptr<TileKernelData>> tile_;
+  std::vector<std::unique_ptr<FusionSample>> fusion_;
 };
 
 /// Lazy feat::KernelFeatureSource over the featurized records of a store:
 /// the sampler indexes (fingerprint, signature) -> (part, offset) during
 /// its scan; every Lookup preads and decodes the record and returns it,
-/// retaining nothing (mutex-protected per-part readers — safe for
+/// retaining nothing (its PartReaders are mutex-protected — safe for
 /// concurrent Lookup from pool workers). Warm streaming runs therefore
 /// keep feat::FeaturizeKernelInvocations() at zero without ever holding
 /// the featurized corpus in memory.
@@ -112,20 +160,19 @@ class StreamedFeatures final : public feat::KernelFeatureSource {
 
   mutable std::atomic<std::size_t> decoded_{0};
   mutable std::mutex mu_;  // guards readers_ (shared scratch buffers)
-  mutable std::vector<std::unique_ptr<DatasetReader>> readers_;  // per part
+  mutable PartReaders readers_;
 };
 
-/// Prefetching shuffle-window iterator over a dataset store (sharded or
-/// single-file). Construction scans every part once — validating framing
-/// and the checksums of the records it indexes — and builds the
-/// record/dictionary/featurized offset indexes; Next() then
-/// serves windows per the determinism contract above. Not thread-safe
-/// itself (one trainer drives it); the features() source is.
+/// Shuffle-window iterator over a dataset store (sharded or single-file).
+/// Construction scans every part once — validating framing and the
+/// checksums of the records it indexes — and builds the record, dictionary
+/// and featurized offset indexes; Next() then serves windows per the
+/// determinism contract above. Not thread-safe itself (one trainer drives
+/// it); the features() source is.
 class StreamingSampler {
  public:
   StreamingSampler(std::string store_path, StreamTask task,
                    StreamingOptions options = {});
-  ~StreamingSampler();
   StreamingSampler(const StreamingSampler&) = delete;
   StreamingSampler& operator=(const StreamingSampler&) = delete;
 
@@ -137,14 +184,15 @@ class StreamingSampler {
   std::size_t windows_per_epoch() const noexcept { return windows_; }
   std::uint64_t epoch() const noexcept { return epoch_; }
   double scan_seconds() const noexcept { return scan_seconds_; }
+  // Task records decoded by this sampler's windows so far.
+  std::size_t decoded() const noexcept { return decoded_.load(); }
 
-  // The next window in the deterministic per-epoch shuffled order,
-  // prefetching its successor before returning.
+  // The next window in the deterministic per-epoch shuffled order.
   StreamWindow Next();
 
-  // Synchronous canonical accessor: window w in store order, no shuffle,
-  // no prefetch. The streaming trainers' scaler pre-pass walks these so
-  // scaler statistics match the in-memory fit exactly.
+  // Canonical accessor: window w in store order, no shuffle. The streaming
+  // trainers' scaler pre-pass walks these so scaler statistics match the
+  // in-memory fit exactly.
   StreamWindow Window(std::size_t w) const;
 
   // Lazy feature source over the store's featurized records; register it
@@ -154,30 +202,36 @@ class StreamingSampler {
   }
 
  private:
+  friend class StreamWindow;
+
   struct PartIndex {
     std::string path;
     std::vector<std::uint64_t> dict_offsets;  // dictionary records, in order
   };
+  // One task record, as the scan found it.
+  struct RecordRef {
+    std::uint64_t offset = 0;  // of the record header in its part
+    std::uint32_t part = 0;
+    std::uint32_t family = 0;  // index into families_
+    std::int32_t program_id = -1;
+  };
 
-  StreamWindow LoadWindow(std::size_t w, std::uint64_t epoch) const;
   void ReshuffleOrder();
-  void LaunchPrefetch();
 
   StreamTask task_;
   StreamingOptions options_;
   std::vector<PartIndex> parts_;
-  // (part, record offset) of every task record, in stream order.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> records_;
+  std::vector<RecordRef> records_;  // every task record, in stream order
+  std::vector<std::string> families_;  // distinct family names
   std::size_t window_records_ = 0;
   std::size_t windows_ = 0;
   double scan_seconds_ = 0;
   std::shared_ptr<StreamedFeatures> features_;
+  mutable std::atomic<std::size_t> decoded_{0};
 
   std::uint64_t epoch_ = 0;
   std::size_t next_in_epoch_ = 0;
   std::vector<std::uint32_t> order_;  // window order for epoch_
-  std::future<StreamWindow> prefetched_;
-  bool prefetch_valid_ = false;
 };
 
 }  // namespace tpuperf::data

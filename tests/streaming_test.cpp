@@ -6,6 +6,7 @@
 // bounded windowed training, and the retain-nothing StreamedFeatures
 // source.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cmath>
@@ -141,9 +142,12 @@ std::vector<std::uint64_t> DrainFingerprints(StreamingSampler& sampler,
                                              std::size_t count) {
   std::vector<std::uint64_t> out;
   for (std::size_t i = 0; i < count; ++i) {
-    const StreamWindow w = sampler.Next();
-    for (const auto& k : w.tile) out.push_back(k.record.fingerprint);
-    for (const auto& s : w.fusion) out.push_back(s.record.fingerprint);
+    StreamWindow w = sampler.Next();
+    for (std::size_t r = 0; r < w.size(); ++r) {
+      out.push_back(sampler.task() == StreamTask::kTile
+                        ? w.tile(r).record.fingerprint
+                        : w.fusion(r).record.fingerprint);
+    }
   }
   return out;
 }
@@ -157,11 +161,11 @@ TEST_F(StreamingTest, SingleWindowIsCanonicalOrder) {
   EXPECT_EQ(sampler.windows_per_epoch(), 1u);
   EXPECT_EQ(sampler.part_count(), 1u);
 
-  const StreamWindow window = sampler.Next();
-  ASSERT_EQ(window.tile.size(), tile_->kernels.size());
+  StreamWindow window = sampler.Next();
+  ASSERT_EQ(window.size(), tile_->kernels.size());
   for (std::size_t i = 0; i < tile_->kernels.size(); ++i) {
     const TileKernelData& a = tile_->kernels[i];
-    const TileKernelData& b = window.tile[i];
+    const TileKernelData& b = window.tile(i);
     EXPECT_EQ(a.record.fingerprint, b.record.fingerprint) << "record " << i;
     EXPECT_EQ(a.record.program_id, b.record.program_id);
     EXPECT_EQ(a.record.family, b.record.family);
@@ -263,12 +267,13 @@ TEST_F(StreamingTest, WindowsEqualWholeStoreRecords) {
   ASSERT_GT(tiles.part_count(), 1u);
   ASSERT_EQ(tiles.total_records(), tile.tile.kernels.size());
   for (std::size_t w = 0; w < tiles.windows_per_epoch(); ++w) {
-    const StreamWindow window = tiles.Window(w);
-    ASSERT_EQ(window.tile.size(), window.size());
+    StreamWindow window = tiles.Window(w);
     for (std::size_t i = 0; i < window.size(); ++i) {
-      SCOPED_TRACE("tile record " + std::to_string(window.begin + i));
-      const TileKernelData& a = tile.tile.kernels[window.begin + i];
-      const TileKernelData& b = window.tile[i];
+      SCOPED_TRACE("tile record " + std::to_string(window.first_record() + i));
+      const TileKernelData& a = tile.tile.kernels[window.first_record() + i];
+      const TileKernelData& b = window.tile(i);
+      EXPECT_EQ(window.program_id(i), a.record.program_id);
+      EXPECT_EQ(window.family(i), a.record.family);
       ExpectRecordsEqual(a.record, b.record);
       EXPECT_EQ(a.configs, b.configs);
       EXPECT_EQ(a.runtimes, b.runtimes);  // doubles: bit-exact decode
@@ -282,18 +287,112 @@ TEST_F(StreamingTest, WindowsEqualWholeStoreRecords) {
   ASSERT_GT(samples.part_count(), 1u);
   ASSERT_EQ(samples.total_records(), fusion.fusion.samples.size());
   for (std::size_t w = 0; w < samples.windows_per_epoch(); ++w) {
-    const StreamWindow window = samples.Window(w);
-    ASSERT_EQ(window.fusion.size(), window.size());
+    StreamWindow window = samples.Window(w);
     for (std::size_t i = 0; i < window.size(); ++i) {
-      SCOPED_TRACE("fusion record " + std::to_string(window.begin + i));
-      const FusionSample& a = fusion.fusion.samples[window.begin + i];
-      const FusionSample& b = window.fusion[i];
+      SCOPED_TRACE("fusion record " +
+                   std::to_string(window.first_record() + i));
+      const FusionSample& a =
+          fusion.fusion.samples[window.first_record() + i];
+      const FusionSample& b = window.fusion(i);
+      EXPECT_EQ(window.program_id(i), a.record.program_id);
+      EXPECT_EQ(window.family(i), a.record.family);
       ExpectRecordsEqual(a.record, b.record);
       EXPECT_EQ(a.tile, b.tile);
       EXPECT_EQ(a.runtime, b.runtime);
       EXPECT_EQ(a.from_default_config, b.from_default_config);
     }
   }
+}
+
+// 0, size-1, 1, size-2, ...: the n-th index of a walk from both ends.
+std::size_t AlternateEnds(std::size_t n, std::size_t size) {
+  return n % 2 == 0 ? n / 2 : size - 1 - n / 2;
+}
+
+// A single window over a sharded store spans every part boundary. Its
+// records, drawn alternately from both ends so that consecutive reads
+// change parts, decode bit-equal to ReadStoreContents: each record is read
+// from its own part and resolves its dictionary index in that part's
+// dictionary.
+TEST_F(StreamingTest, WindowAcrossPartBoundariesMatchesWholeStore) {
+  const std::string tile_path = WriteTileStore("tile.tpds", 2048);
+  const StoreContents tile = ReadStoreContents(tile_path);
+  StreamingSampler tiles(tile_path, StreamTask::kTile, {});
+  ASSERT_GT(tiles.part_count(), PartReaders::kCapacity);
+  StreamWindow window = tiles.Window(0);
+  ASSERT_EQ(window.size(), tile.tile.kernels.size());
+  for (std::size_t n = 0; n < window.size(); ++n) {
+    const std::size_t i = AlternateEnds(n, window.size());
+    SCOPED_TRACE("tile record " + std::to_string(i));
+    const TileKernelData& a = tile.tile.kernels[i];
+    const TileKernelData& b = window.tile(i);
+    ExpectRecordsEqual(a.record, b.record);
+    EXPECT_EQ(a.configs, b.configs);
+    EXPECT_EQ(a.runtimes, b.runtimes);
+  }
+  EXPECT_EQ(tiles.decoded(), window.size());
+
+  const std::string fusion_path = WriteFusionStore("fusion.tpds", 2048);
+  const StoreContents fusion = ReadStoreContents(fusion_path);
+  StreamingSampler samples(fusion_path, StreamTask::kFusion, {});
+  ASSERT_GT(samples.part_count(), PartReaders::kCapacity);
+  StreamWindow fusion_window = samples.Window(0);
+  ASSERT_EQ(fusion_window.size(), fusion.fusion.samples.size());
+  for (std::size_t n = 0; n < fusion_window.size(); ++n) {
+    const std::size_t i = AlternateEnds(n, fusion_window.size());
+    SCOPED_TRACE("fusion record " + std::to_string(i));
+    const FusionSample& a = fusion.fusion.samples[i];
+    const FusionSample& b = fusion_window.fusion(i);
+    ExpectRecordsEqual(a.record, b.record);
+    EXPECT_EQ(a.tile, b.tile);
+    EXPECT_EQ(a.runtime, b.runtime);
+    EXPECT_EQ(a.from_default_config, b.from_default_config);
+  }
+  EXPECT_EQ(samples.decoded(), fusion_window.size());
+}
+
+// ---- Lazy decode ------------------------------------------------------------
+
+// Building a window decodes nothing; touching every record of a window
+// decodes each exactly once, however often it is touched; a training run
+// of S steps over one window decodes at most S records.
+TEST_F(StreamingTest, WindowsDecodeOnlyTheRecordsTheyServe) {
+  const std::string path = WriteTileStore("tile.tpds", 2048);
+  StreamingSampler sampler(path, StreamTask::kTile,
+                           {.window_records = 8, .seed = 5});
+  ASSERT_GT(sampler.windows_per_epoch(), 2u);
+  (void)sampler.Next();
+  StreamWindow window = sampler.Window(1);
+  EXPECT_EQ(sampler.decoded(), 0u) << "Next() and Window() decode nothing";
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const TileKernelData& first = window.tile(i);
+      EXPECT_EQ(&first, &window.tile(i)) << "a record decodes once";
+    }
+  }
+  EXPECT_EQ(sampler.decoded(), window.size());
+
+  // A fitted model skips the scaler pre-pass, so the second run's records
+  // are only the ones its steps draw, all from one window.
+  const std::vector<int> ids = AllProgramIds();
+  core::ModelConfig config = core::ModelConfig::TileTaskDefault();
+  config.hidden_dim = 16;
+  config.opcode_embedding_dim = 8;
+  config.train_steps = 5;
+  core::LearnedCostModel model(config);
+  core::PreparedCache cache(model, sampler.features().get());
+  core::TrainTileTaskStreaming(model, sampler, ids, cache,
+                               /*steps_per_window=*/5);
+  ASSERT_TRUE(model.fitted());
+  const std::size_t before = sampler.decoded();
+  const core::TrainStats stats = core::TrainTileTaskStreaming(
+      model, sampler, ids, cache, /*steps_per_window=*/config.train_steps);
+  EXPECT_EQ(stats.steps, config.train_steps);
+  EXPECT_GT(sampler.decoded(), before);
+  EXPECT_LE(sampler.decoded() - before,
+            static_cast<std::size_t>(config.train_steps))
+      << "one decode per step at most";
 }
 
 // ---- Corruption checks on the per-window dictionary -------------------------
@@ -348,8 +447,14 @@ class StreamingCorruptionTest : public StreamingTest {
     return path;
   }
 
-  // The whole-store read, Window(0) of a one-record-per-window sampler and
-  // Next() of a single-window sampler all fail with `fragment`.
+  // Decodes every record of `window`.
+  static void TouchAll(StreamWindow window) {
+    for (std::size_t i = 0; i < window.size(); ++i) (void)window.tile(i);
+  }
+
+  // The whole-store read, the records of Window(0) of a
+  // one-record-per-window sampler and the records of Next() of a
+  // single-window sampler all fail with `fragment`.
   static void ExpectRejectedEverywhere(const std::string& path,
                                        const std::string& fragment) {
     SCOPED_TRACE(fragment);
@@ -357,9 +462,9 @@ class StreamingCorruptionTest : public StreamingTest {
     StreamingSampler per_record(path, StreamTask::kTile,
                                 {.window_records = 1});
     ASSERT_EQ(per_record.windows_per_epoch(), 2u);
-    ExpectStoreError([&] { (void)per_record.Window(0); }, fragment);
+    ExpectStoreError([&] { TouchAll(per_record.Window(0)); }, fragment);
     StreamingSampler single(path, StreamTask::kTile, {});
-    ExpectStoreError([&] { (void)single.Next(); }, fragment);
+    ExpectStoreError([&] { TouchAll(single.Next()); }, fragment);
   }
 };
 
@@ -427,6 +532,69 @@ TEST_F(StreamingTest, StreamedFeaturesMatchInProcessFeaturization) {
   EXPECT_EQ(features->decoded(), lookups) << "one decode per Lookup";
   EXPECT_FALSE(features->Lookup(0xDEAD, 0xBEEF).has_value());
   EXPECT_EQ(features->decoded(), lookups) << "a miss decodes nothing";
+}
+
+// Entries of /proc/self/fd, and one past the highest open descriptor.
+struct OpenDescriptors {
+  std::size_t count = 0;
+  int limit = 0;
+};
+
+OpenDescriptors CountOpenDescriptors() {
+  OpenDescriptors out;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    ++out.count;
+    out.limit = std::max(out.limit,
+                         std::stoi(entry.path().filename().string()) + 1);
+  }
+  return out;
+}
+
+// A full lookup pass over a store of many small parts keeps at most
+// PartReaders::kCapacity more descriptors open, and so runs under a
+// descriptor limit only a few above what the process already holds. (A
+// source holding one reader per part would exhaust the limit.)
+TEST_F(StreamingTest, FeatureLookupKeepsFewPartsOpen) {
+  DatasetOptions options = *options_;
+  options.store_part_bytes = 64 << 10;
+  StoreLoadStats stats;
+  const TileDataset dataset = LoadOrBuildTileDataset(
+      dir_.string(), GenerateCorpus(), *simulator_, options, nullptr, &stats);
+  StreamingSampler sampler(stats.path, StreamTask::kTile, {});
+  const std::shared_ptr<StreamedFeatures> features = sampler.features();
+  constexpr std::size_t kHeadroom = PartReaders::kCapacity + 4;
+  ASSERT_GT(sampler.part_count(), 2 * kHeadroom);
+
+  const OpenDescriptors before = CountOpenDescriptors();
+  struct rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct LimitGuard {
+    const struct rlimit& saved;
+    ~LimitGuard() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  };
+  std::string error;
+  std::size_t hits = 0;
+  {
+    struct rlimit low = saved;
+    low.rlim_cur = static_cast<rlim_t>(before.limit) + kHeadroom;
+    ASSERT_LT(low.rlim_cur, saved.rlim_cur);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    const LimitGuard restore{saved};
+    try {
+      for (const auto& k : dataset.kernels) {
+        hits += features
+                    ->Lookup(k.record.fingerprint,
+                             k.record.kernel.graph.StructuralSignature())
+                    .has_value();
+      }
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  }
+  EXPECT_EQ(error, "") << "the lookup pass ran out of descriptors";
+  EXPECT_EQ(hits, dataset.kernels.size());
+  const OpenDescriptors after = CountOpenDescriptors();
+  EXPECT_LE(after.count, before.count + PartReaders::kCapacity);
 }
 
 // ---- Training parity --------------------------------------------------------
