@@ -31,20 +31,16 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-// ---- PartReaders ----------------------------------------------------------
+// ---- PartReader -----------------------------------------------------------
 
-const DatasetReader& PartReaders::Get(std::uint32_t part,
-                                      const std::string& path) {
-  auto it = std::find_if(open_.begin(), open_.end(), [&](const auto& entry) {
-    return entry.first == part;
-  });
-  if (it == open_.end()) {
-    if (open_.size() == kCapacity) open_.erase(open_.begin());
-    open_.emplace_back(part, std::make_unique<DatasetReader>(path));
-  } else if (it != open_.end() - 1) {
-    std::rotate(it, it + 1, open_.end());
+const DatasetReader& PartReader::Get(std::uint32_t part,
+                                     const std::string& path) {
+  if (reader_ == nullptr || part_ != part) {
+    reader_.reset();  // close the open part before opening the next
+    reader_ = std::make_unique<DatasetReader>(path);
+    part_ = part;
   }
-  return *open_.back().second;
+  return *reader_;
 }
 
 // ---- StreamedFeatures ------------------------------------------------------
@@ -58,8 +54,7 @@ std::optional<feat::KernelFeatures> StreamedFeatures::Lookup(
       [&](const Loc& l) { return l.structural_sig == structural_sig; });
   if (loc == it->second.end()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  const DatasetReader& reader =
-      readers_.Get(loc->part, part_paths_[loc->part]);
+  const DatasetReader& reader = reader_.Get(loc->part, part_paths_[loc->part]);
   FeaturizedKernel record =
       DecodeFeaturizedRecord(reader.ReadRecordAt(loc->offset));
   ++decoded_;
@@ -95,18 +90,19 @@ const Record& StreamWindow::Resolve(std::vector<std::unique_ptr<Record>>& memo,
 
   const StreamingSampler::RecordRef& ref = sampler_->records_[begin_ + i];
   const StreamingSampler::PartIndex& part = sampler_->parts_[ref.part];
-  const DatasetReader& reader = readers_.Get(ref.part, part.path);
+  const DatasetReader& reader = reader_.Get(ref.part, part.path);
   RecordView view = reader.ReadRecordAt(ref.offset);
-  GraphDict& dict = dicts_[ref.part];
+  // The whole-file readers accept only dictionary records that precede the
+  // referencing record; the same count, by binary search here. Records are
+  // drawn in any order, so every record is checked, cached entry or not.
   const std::uint32_t entry = PeekKernelRecordHead(view).dict_index;
+  const auto preceding = static_cast<std::size_t>(
+      std::lower_bound(part.dict_offsets.begin(), part.dict_offsets.end(),
+                       ref.offset) -
+      part.dict_offsets.begin());
+  CheckDictIndexPrecedes(entry, preceding, view.context);
+  GraphDict& dict = dicts_[ref.part];
   if (!dict.contains(entry)) {
-    // The whole-file readers accept only dictionary records that precede
-    // the referencing record; the same count, by binary search here.
-    const auto preceding = static_cast<std::size_t>(
-        std::lower_bound(part.dict_offsets.begin(), part.dict_offsets.end(),
-                         ref.offset) -
-        part.dict_offsets.begin());
-    CheckDictIndexPrecedes(entry, preceding, view.context);
     // The dictionary read reuses the reader's scratch buffer: keep the
     // record's payload across it.
     held_.assign(view.payload.begin(), view.payload.end());

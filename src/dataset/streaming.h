@@ -36,9 +36,8 @@
 /// * a window decodes a record on first access and keeps it for the
 ///   window's lifetime, together with the graph-dictionary entries its
 ///   decoded records reference, each decoded once;
-/// * a window and the StreamedFeatures source each keep at most
-///   PartReaders::kCapacity part files open, so open descriptors do not
-///   grow with the part count;
+/// * a window and the StreamedFeatures source each keep one part file
+///   open at a time, so open descriptors do not grow with the part count;
 /// * StreamedFeatures decodes a featurized record on every Lookup and
 ///   hands the caller an owning copy, keeping no decoded features.
 #pragma once
@@ -69,19 +68,17 @@ struct StreamingOptions {
   std::uint64_t seed = 0;
 };
 
-/// The open part-file readers of one window or feature source: at most
-/// kCapacity, the least recently used closed first. Not thread-safe.
-class PartReaders {
+/// The one part-file reader a window or feature source keeps open: a read
+/// from another part closes it and opens that part's. Not thread-safe.
+class PartReader {
  public:
-  static constexpr std::size_t kCapacity = 4;
-
-  // The reader of part `part` (whose file is `path`), opening it if it is
-  // not open. The reference is valid until the next Get.
+  // The reader of part `part` (whose file is `path`), opening it if another
+  // part (or none) is open. The reference is valid until the next Get.
   const DatasetReader& Get(std::uint32_t part, const std::string& path);
 
  private:
-  // Most recently used last.
-  std::vector<std::pair<std::uint32_t, std::unique_ptr<DatasetReader>>> open_;
+  std::uint32_t part_ = 0;
+  std::unique_ptr<DatasetReader> reader_;  // of part_; null until a Get
 };
 
 class StreamingSampler;
@@ -120,7 +117,7 @@ class StreamWindow {
   const StreamingSampler* sampler_;
   std::size_t begin_ = 0;  // record range [begin_, end_) in stream order
   std::size_t end_ = 0;
-  PartReaders readers_;
+  PartReader reader_;
   std::map<std::uint32_t, GraphDict> dicts_;  // per part touched
   std::vector<unsigned char> held_;  // a record payload kept across a read
   // Decoded records by window position; only the task's vector is used.
@@ -131,7 +128,7 @@ class StreamWindow {
 /// Lazy feat::KernelFeatureSource over the featurized records of a store:
 /// the sampler indexes (fingerprint, signature) -> (part, offset) during
 /// its scan; every Lookup preads and decodes the record and returns it,
-/// retaining nothing (its PartReaders are mutex-protected — safe for
+/// retaining nothing (its PartReader is mutex-protected — safe for
 /// concurrent Lookup from pool workers). Warm streaming runs therefore
 /// keep feat::FeaturizeKernelInvocations() at zero without ever holding
 /// the featurized corpus in memory.
@@ -159,8 +156,8 @@ class StreamedFeatures final : public feat::KernelFeatureSource {
   std::size_t indexed_ = 0;
 
   mutable std::atomic<std::size_t> decoded_{0};
-  mutable std::mutex mu_;  // guards readers_ (shared scratch buffers)
-  mutable PartReaders readers_;
+  mutable std::mutex mu_;  // guards reader_ (its shared scratch buffer)
+  mutable PartReader reader_;
 };
 
 /// Shuffle-window iterator over a dataset store (sharded or single-file).

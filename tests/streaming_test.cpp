@@ -318,7 +318,7 @@ TEST_F(StreamingTest, WindowAcrossPartBoundariesMatchesWholeStore) {
   const std::string tile_path = WriteTileStore("tile.tpds", 2048);
   const StoreContents tile = ReadStoreContents(tile_path);
   StreamingSampler tiles(tile_path, StreamTask::kTile, {});
-  ASSERT_GT(tiles.part_count(), PartReaders::kCapacity);
+  ASSERT_GT(tiles.part_count(), 1u);
   StreamWindow window = tiles.Window(0);
   ASSERT_EQ(window.size(), tile.tile.kernels.size());
   for (std::size_t n = 0; n < window.size(); ++n) {
@@ -335,7 +335,7 @@ TEST_F(StreamingTest, WindowAcrossPartBoundariesMatchesWholeStore) {
   const std::string fusion_path = WriteFusionStore("fusion.tpds", 2048);
   const StoreContents fusion = ReadStoreContents(fusion_path);
   StreamingSampler samples(fusion_path, StreamTask::kFusion, {});
-  ASSERT_GT(samples.part_count(), PartReaders::kCapacity);
+  ASSERT_GT(samples.part_count(), 1u);
   StreamWindow fusion_window = samples.Window(0);
   ASSERT_EQ(fusion_window.size(), fusion.fusion.samples.size());
   for (std::size_t n = 0; n < fusion_window.size(); ++n) {
@@ -447,14 +447,22 @@ class StreamingCorruptionTest : public StreamingTest {
     return path;
   }
 
-  // Decodes every record of `window`.
+  // Decodes every record of `window`, in store order.
   static void TouchAll(StreamWindow window) {
     for (std::size_t i = 0; i < window.size(); ++i) (void)window.tile(i);
   }
 
+  // Decodes every record of `window`, last first: a later record's
+  // dictionary entry is then decoded before an earlier record that
+  // references it.
+  static void TouchAllReversed(StreamWindow window) {
+    for (std::size_t i = window.size(); i-- > 0;) (void)window.tile(i);
+  }
+
   // The whole-store read, the records of Window(0) of a
   // one-record-per-window sampler and the records of Next() of a
-  // single-window sampler all fail with `fragment`.
+  // single-window sampler, touched in store order and in reverse, all fail
+  // with `fragment`.
   static void ExpectRejectedEverywhere(const std::string& path,
                                        const std::string& fragment) {
     SCOPED_TRACE(fragment);
@@ -465,6 +473,7 @@ class StreamingCorruptionTest : public StreamingTest {
     ExpectStoreError([&] { TouchAll(per_record.Window(0)); }, fragment);
     StreamingSampler single(path, StreamTask::kTile, {});
     ExpectStoreError([&] { TouchAll(single.Next()); }, fragment);
+    ExpectStoreError([&] { TouchAllReversed(single.Window(0)); }, fragment);
   }
 };
 
@@ -550,10 +559,10 @@ OpenDescriptors CountOpenDescriptors() {
   return out;
 }
 
-// A full lookup pass over a store of many small parts keeps at most
-// PartReaders::kCapacity more descriptors open, and so runs under a
-// descriptor limit only a few above what the process already holds. (A
-// source holding one reader per part would exhaust the limit.)
+// A full lookup pass over a store of many small parts keeps at most one
+// more descriptor open, and so runs under a descriptor limit only a few
+// above what the process already holds. (A source holding one reader per
+// part would exhaust the limit.)
 TEST_F(StreamingTest, FeatureLookupKeepsFewPartsOpen) {
   DatasetOptions options = *options_;
   options.store_part_bytes = 64 << 10;
@@ -562,7 +571,7 @@ TEST_F(StreamingTest, FeatureLookupKeepsFewPartsOpen) {
       dir_.string(), GenerateCorpus(), *simulator_, options, nullptr, &stats);
   StreamingSampler sampler(stats.path, StreamTask::kTile, {});
   const std::shared_ptr<StreamedFeatures> features = sampler.features();
-  constexpr std::size_t kHeadroom = PartReaders::kCapacity + 4;
+  constexpr std::size_t kHeadroom = 4;
   ASSERT_GT(sampler.part_count(), 2 * kHeadroom);
 
   const OpenDescriptors before = CountOpenDescriptors();
@@ -594,7 +603,7 @@ TEST_F(StreamingTest, FeatureLookupKeepsFewPartsOpen) {
   EXPECT_EQ(error, "") << "the lookup pass ran out of descriptors";
   EXPECT_EQ(hits, dataset.kernels.size());
   const OpenDescriptors after = CountOpenDescriptors();
-  EXPECT_LE(after.count, before.count + PartReaders::kCapacity);
+  EXPECT_LE(after.count, before.count + 1);
 }
 
 // ---- Training parity --------------------------------------------------------
