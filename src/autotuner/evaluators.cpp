@@ -52,7 +52,9 @@ std::optional<double> LearnedEvaluator::EstimateKernel(
   if (it != memo_.end()) return it->second;
 
   spent_ += inference_sec_;
-  const core::PreparedKernel& pk = cache_.Get(kernel, kernel.Fingerprint());
+  const ir::Graph::Hashes hashes = kernel.FingerprintAndSignature();
+  const core::PreparedKernel& pk =
+      cache_.Get(kernel, hashes.fingerprint, hashes.signature);
   const ir::TileConfig* tile_arg =
       model_.config().use_tile_features ? &tile : nullptr;
   const double estimate = model_.PredictSeconds(pk, tile_arg);
@@ -96,8 +98,9 @@ std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(
       batch_items.reserve(end - begin);
       for (size_t p = begin; p < end; ++p) {
         const KernelTileRef& item = items[pending[p]];
+        const ir::Graph::Hashes hashes = item.kernel->FingerprintAndSignature();
         const core::PreparedKernel& pk =
-            cache_.Get(*item.kernel, item.kernel->Fingerprint());
+            cache_.Get(*item.kernel, hashes.fingerprint, hashes.signature);
         batch_items.push_back({&pk, use_tiles ? item.tile : nullptr});
       }
       const core::PreparedBatch batch = model_.PrepareBatch(batch_items);

@@ -74,8 +74,8 @@ void FitNodeScalerVia(LearnedCostModel& model,
 }  // namespace
 
 const PreparedKernel& PreparedCache::Get(const ir::Graph& kernel,
-                                         std::uint64_t fingerprint) {
-  const std::uint64_t sig = kernel.StructuralSignature();
+                                         std::uint64_t fingerprint,
+                                         std::uint64_t sig) {
   const auto find_entry = [&]() -> const PreparedKernel* {
     const auto it = cache_.find(fingerprint);
     if (it == cache_.end()) return nullptr;

@@ -54,7 +54,15 @@ class PreparedCache {
                              feat::GlobalKernelFeatureSource())
       : model_(model), features_(features) {}
 
-  const PreparedKernel& Get(const ir::Graph& kernel, std::uint64_t fingerprint);
+  // The prepared kernel for `kernel`, keyed by its Fingerprint() and told
+  // apart from colliding graphs by its StructuralSignature(). Callers that
+  // hold both hashes (ir::Graph::FingerprintAndSignature) pass them in.
+  const PreparedKernel& Get(const ir::Graph& kernel, std::uint64_t fingerprint,
+                            std::uint64_t signature);
+  const PreparedKernel& Get(const ir::Graph& kernel,
+                            std::uint64_t fingerprint) {
+    return Get(kernel, fingerprint, kernel.StructuralSignature());
+  }
 
   // The raw-feature source consulted on miss (nullptr when none).
   const feat::KernelFeatureSource* feature_source() const noexcept {

@@ -140,60 +140,49 @@ std::vector<NodeId> Graph::TopologicalOrder() const {
   return order;
 }
 
-std::uint64_t Graph::Fingerprint() const {
-  std::uint64_t h = kFnvOffset;
-  for (const Node& n : nodes_) {
-    HashMix(h, static_cast<std::uint64_t>(n.op));
-    HashMix(h, static_cast<std::uint64_t>(n.shape.element_type()));
-    for (const auto d : n.shape.dims()) {
-      HashMix(h, static_cast<std::uint64_t>(d));
-    }
+// Calls mix(v) for every structural field of every node, in the order
+// that both hashes walk them.
+template <typename Mix>
+void WalkStructure(const std::vector<Node>& nodes, Mix&& mix) {
+  for (const Node& n : nodes) {
+    mix(static_cast<std::uint64_t>(n.op));
+    mix(static_cast<std::uint64_t>(n.shape.element_type()));
+    for (const auto d : n.shape.dims()) mix(static_cast<std::uint64_t>(d));
     for (const int l : n.shape.minor_to_major()) {
-      HashMix(h, static_cast<std::uint64_t>(l) + 17);
+      mix(static_cast<std::uint64_t>(l) + 17);
     }
     for (const NodeId operand : n.operands) {
-      HashMix(h, static_cast<std::uint64_t>(operand) + 1000003);
+      mix(static_cast<std::uint64_t>(operand) + 1000003);
     }
     for (const auto& w : n.window.dims) {
-      HashMix(h, static_cast<std::uint64_t>(w.size));
-      HashMix(h, static_cast<std::uint64_t>(w.stride) + 3);
-      HashMix(h, static_cast<std::uint64_t>(w.padding_low) + 7);
+      mix(static_cast<std::uint64_t>(w.size));
+      mix(static_cast<std::uint64_t>(w.stride) + 3);
+      mix(static_cast<std::uint64_t>(w.padding_low) + 7);
     }
-    for (const int d : n.reduce_dims) {
-      HashMix(h, static_cast<std::uint64_t>(d) + 31);
-    }
-    HashMix(h, n.is_output ? 2 : 1);
+    for (const int d : n.reduce_dims) mix(static_cast<std::uint64_t>(d) + 31);
+    mix(n.is_output ? 2 : 1);
   }
+}
+
+std::uint64_t Graph::Fingerprint() const {
+  std::uint64_t h = kFnvOffset;
+  WalkStructure(nodes_, [&h](std::uint64_t v) { HashMix(h, v); });
   return h;
 }
 
-// Walks the same fields as Fingerprint (keep the two in sync) through an
-// independent mixer; see the header for why both exist.
 std::uint64_t Graph::StructuralSignature() const {
   std::uint64_t h = static_cast<std::uint64_t>(nodes_.size());
-  for (const Node& n : nodes_) {
-    SigMix(h, static_cast<std::uint64_t>(n.op));
-    SigMix(h, static_cast<std::uint64_t>(n.shape.element_type()));
-    for (const auto d : n.shape.dims()) {
-      SigMix(h, static_cast<std::uint64_t>(d));
-    }
-    for (const int l : n.shape.minor_to_major()) {
-      SigMix(h, static_cast<std::uint64_t>(l) + 17);
-    }
-    for (const NodeId operand : n.operands) {
-      SigMix(h, static_cast<std::uint64_t>(operand) + 1000003);
-    }
-    for (const auto& w : n.window.dims) {
-      SigMix(h, static_cast<std::uint64_t>(w.size));
-      SigMix(h, static_cast<std::uint64_t>(w.stride) + 3);
-      SigMix(h, static_cast<std::uint64_t>(w.padding_low) + 7);
-    }
-    for (const int d : n.reduce_dims) {
-      SigMix(h, static_cast<std::uint64_t>(d) + 31);
-    }
-    SigMix(h, n.is_output ? 2 : 1);
-  }
+  WalkStructure(nodes_, [&h](std::uint64_t v) { SigMix(h, v); });
   return h;
+}
+
+Graph::Hashes Graph::FingerprintAndSignature() const {
+  Hashes out{kFnvOffset, static_cast<std::uint64_t>(nodes_.size())};
+  WalkStructure(nodes_, [&out](std::uint64_t v) {
+    HashMix(out.fingerprint, v);
+    SigMix(out.signature, v);
+  });
+  return out;
 }
 
 std::string Graph::ToString() const {

@@ -60,9 +60,16 @@ class Graph {
   // Second structural hash over the same fields with an independent mixing
   // scheme. Callers that key by Fingerprint (e.g. core::PreparedCache) use
   // it to detect fingerprint collisions between distinct graphs — a joint
-  // collision of both hashes is astronomically unlikely. Keep its field
-  // walk in sync with Fingerprint's.
+  // collision of both hashes is astronomically unlikely. Both hashes walk
+  // the same fields in the same order.
   std::uint64_t StructuralSignature() const;
+
+  // Fingerprint() and StructuralSignature() from one walk of the graph.
+  struct Hashes {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t signature = 0;
+  };
+  Hashes FingerprintAndSignature() const;
 
   // Multi-line textual dump for debugging, one node per line.
   std::string ToString() const;

@@ -11,20 +11,72 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tpuperf::nn {
 
+/// A 64-byte-aligned allocator (a cache line, one AVX-512 vector) whose
+/// value-initialization is a no-op: growing a vector with resize() leaves
+/// the new elements uninitialized, while assign() and the fill constructor
+/// still write their value.
+///
+/// It over-allocates from plain operator new by one alignment and keeps the
+/// raw pointer just below the aligned block: the aligned operator new
+/// (glibc memalign) splits a chunk per call and fragmented the heap by
+/// ~3 MB of peak RSS in a streamed training run.
+template <typename T>
+struct AlignedUninitAllocator {
+  using value_type = T;
+  static constexpr std::size_t kAlignment = 64;
+
+  AlignedUninitAllocator() = default;
+  template <typename U>
+  AlignedUninitAllocator(const AlignedUninitAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    void* raw = ::operator new(n * sizeof(T) + kAlignment);
+    // At least sizeof(void*) bytes below the aligned block hold `raw`:
+    // operator new aligns to 16 bytes.
+    const std::uintptr_t aligned =
+        (reinterpret_cast<std::uintptr_t>(raw) + kAlignment) &
+        ~(std::uintptr_t{kAlignment} - 1);
+    reinterpret_cast<void**>(aligned)[-1] = raw;
+    return reinterpret_cast<T*>(aligned);
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
+  }
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  template <typename U>
+  bool operator==(const AlignedUninitAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 /// Dense row-major float matrix owning contiguous heap storage.
 ///
-/// Storage is a plain `std::vector<float>` so the TapeArena (nn/tape.h) can
+/// Storage is a 64-byte-aligned vector so the TapeArena (nn/tape.h) can
 /// recycle it across optimization steps via TakeStorage() and the recycling
-/// constructors. Rows are contiguous: element (r, c) lives at
+/// constructors, and the GEMM kernels read rows of a lane-multiple width in
+/// place. Rows are contiguous: element (r, c) lives at
 /// `data()[r * cols() + c]`.
 class Matrix {
  public:
+  using Storage = std::vector<float, AlignedUninitAllocator<float>>;
+
   Matrix() = default;
   Matrix(int rows, int cols)
       : rows_(rows), cols_(cols),
@@ -33,20 +85,27 @@ class Matrix {
   }
   /// Zero matrix reusing `recycled`'s heap storage when its capacity
   /// suffices (the TapeArena recycling path; see nn/tape.h).
-  Matrix(int rows, int cols, std::vector<float>&& recycled)
+  Matrix(int rows, int cols, Storage&& recycled)
       : rows_(rows), cols_(cols), data_(std::move(recycled)) {
     assert(rows >= 0 && cols >= 0);
     data_.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0f);
   }
   /// Tag type selecting the no-zero-fill recycling constructor.
   struct Uninit {};
-  /// As the recycling constructor but WITHOUT the zero-fill: contents are
-  /// unspecified. For outputs every element of which is about to be
-  /// overwritten — skips a full memset per recycled buffer.
-  Matrix(int rows, int cols, std::vector<float>&& recycled, Uninit)
+  /// As the recycling constructor but WITHOUT any fill: the contents are
+  /// unspecified, both the stale elements of `recycled` and the new ones
+  /// past its old size (empty storage gives a fresh uninitialized matrix).
+  /// For outputs every element of which is about to be overwritten. Under
+  /// AddressSanitizer every element is set to quiet NaN instead, so an op
+  /// that reads such an output before writing it fails its tests rather
+  /// than reading a stale value.
+  Matrix(int rows, int cols, Storage&& recycled, Uninit)
       : rows_(rows), cols_(cols), data_(std::move(recycled)) {
     assert(rows >= 0 && cols >= 0);
     data_.resize(static_cast<size_t>(rows) * static_cast<size_t>(cols));
+#if defined(__SANITIZE_ADDRESS__)
+    Fill(std::numeric_limits<float>::quiet_NaN());
+#endif
   }
 
   /// A [rows, cols] matrix with every element set to `value`.
@@ -95,7 +154,7 @@ class Matrix {
 
   /// Releases the underlying heap storage (for recycling); the matrix is
   /// left empty (0 x 0).
-  std::vector<float> TakeStorage() noexcept {
+  Storage TakeStorage() noexcept {
     rows_ = 0;
     cols_ = 0;
     return std::move(data_);
@@ -107,28 +166,29 @@ class Matrix {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<float> data_;
+  Storage data_;
 };
 
 // ---- GEMM entry points (kernels in nn/gemm_backend.cpp) ---------------------
 
-/// out = a @ b. Shapes: [m,k] x [k,n] -> [m,n]. Large products are
-/// partitioned by output row across the global
-/// core::ThreadPool; the partitioning is bit-exact (each row is produced by
-/// the same instruction sequence at any thread count).
+/// out = a @ b. Shapes: [m,k] x [k,n] -> [m,n]. Every output element is
+/// one MulAdd chain from zero over ascending k, whatever the operands'
+/// values, the row's position or the number of rows; large products are
+/// partitioned by output row across the global core::ThreadPool, which
+/// therefore changes no value.
 Matrix MatMul(const Matrix& a, const Matrix& b);
-/// out = a^T @ b. Shapes: [k,m] x [k,n] -> [m,n]. The register-tiled
-/// kernel of MatMul over a's columns (backward-pass GEMMs), row-partitioned
-/// across the pool when large.
+/// out = a^T @ b. Shapes: [k,m] x [k,n] -> [m,n]. The same kernel as
+/// MatMul, reading a's columns as its rows (backward-pass GEMMs).
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
-/// out = a @ b^T. Shapes: [m,k] x [n,k] -> [m,n]. 4x4 register blocks of
-/// dot products, row-partitioned across the pool when large.
+/// out = a @ b^T. Shapes: [m,k] x [n,k] -> [m,n]. The same kernel as
+/// MatMul over b packed transposed, so every element is the same MulAdd
+/// chain as MatMul(a, Transpose(b)).
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 
 /// In-place variant of MatMul writing into a caller-provided (typically
 /// arena-recycled) matrix: `out` is reshaped (not zeroed: every element is
 /// overwritten), then filled exactly like the allocating version — same
-/// kernels, same per-element float sequence.
+/// kernel, same per-element float sequence.
 void MatMulInto(Matrix& out, const Matrix& a, const Matrix& b);
 
 /// Fused backward accumulation: dst += a^T @ b without materializing the
@@ -137,10 +197,9 @@ void MatMulInto(Matrix& out, const Matrix& a, const Matrix& b);
 /// AccumulateInto(dst, MatMulTransposeA(a, b)) — while skipping the
 /// temporary allocation and the extra O(mn) add pass.
 void MatMulTransposeAAccum(Matrix& dst, const Matrix& a, const Matrix& b);
-/// dst += a @ b^T (see MatMulTransposeAAccum). Transposes the (typically
-/// small) right operand once so the vectorized row kernel carries the
-/// product instead of the scalar dot kernel: the backward's hottest GEMM
-/// runs at forward throughput.
+/// dst += a @ b^T (see MatMulTransposeAAccum): bit-identical to
+/// AccumulateInto(dst, MatMulTransposeB(a, b)). b is packed transposed once
+/// per call into a thread-local panel.
 void MatMulTransposeBAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 
 // ---- Elementwise / reduction helpers ----------------------------------------

@@ -375,19 +375,12 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
 
 namespace {
 
-// One LSTM step for one row (see LstmSequenceForward). `act` receives the
-// pre-activations and then, in place, the gate activations. h_in may alias
-// h_out and c_in may alias c_out: h_in is fully consumed by the recurrent
-// product before h_out is written, and c is updated elementwise.
-void LstmStep(const float* h_in, const float* c_in, const float* xw_row,
-              const Matrix& w_h, const float* bias, int hidden, float* act,
-              float* h_out, float* c_out, float* tanh_c) {
+// The gate activations and the new c and h rows of one LSTM step, from
+// `act` holding the step's pre-activations (replaced in place by the gate
+// activations). c_in may alias c_out: c is updated elementwise.
+void LstmGates(float* act, const float* c_in, int hidden, float* h_out,
+               float* c_out, float* tanh_c) {
   const int n = 4 * hidden;
-  // pre[j] = (xw[j] + bias[j]) + sum_p h[p] * w_h[p, j] (ascending p, from
-  // zero — the MatMul row kernel's per-element FMA chain), all 4h columns in
-  // one pass of 8 vector accumulators at 512-bit lanes.
-  for (int j = 0; j < n; ++j) act[j] = xw_row[j] + bias[j];
-  simd::MulAddRow<true>(h_in, w_h.data(), n, hidden, n, act);
   // Activations in contiguous per-gate runs, so the loops vectorize.
   for (int j = 0; j < 2 * hidden; ++j) act[j] = FastSigmoid(act[j]);
   for (int j = 2 * hidden; j < 3 * hidden; ++j) act[j] = FastTanh(act[j]);
@@ -400,6 +393,35 @@ void LstmStep(const float* h_in, const float* c_in, const float* xw_row,
     h_out[j] = act[3 * hidden + j] * t;
     if (tanh_c != nullptr) tanh_c[j] = t;
   }
+}
+
+// One BPTT step of one node: the gate pre-activation gradients `dp` from
+// the carried dh and dc rows and the step's trace (gate activations `g`,
+// tanh(c) `tc`, the state `cp` the step read); dc is carried in place.
+void LstmGateGrads(const float* __restrict g, const float* __restrict tc,
+                   const float* __restrict cp, int hidden,
+                   const float* __restrict dh, float* __restrict dc,
+                   float* __restrict dp) {
+  for (int j = 0; j < hidden; ++j) {
+    const float i_g = g[j], f_g = g[hidden + j];
+    const float g_g = g[2 * hidden + j], o_g = g[3 * hidden + j];
+    const float t = tc[j];
+    // dc combines the h path (through tanh) and the carried c grad.
+    const float dcj = dh[j] * o_g * (1.0f - t * t) + dc[j];
+    dp[j] = dcj * g_g * i_g * (1.0f - i_g);
+    dp[hidden + j] = dcj * cp[j] * f_g * (1.0f - f_g);
+    dp[2 * hidden + j] = dcj * i_g * (1.0f - g_g * g_g);
+    dp[3 * hidden + j] = dh[j] * t * o_g * (1.0f - o_g);
+    dc[j] = dcj * f_g;
+  }
+}
+
+// Grow-only thread_local row pointers for the lockstep LSTM tiles: `count`
+// left-operand rows followed by `count` output rows.
+float** ScratchRowPointers(size_t count) {
+  static thread_local std::vector<float*> pointers;
+  if (pointers.size() < 2 * count) pointers.resize(2 * count);
+  return pointers.data();
 }
 
 }  // namespace
@@ -422,42 +444,77 @@ bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
     }
   }
   const size_t h = static_cast<size_t>(hidden);
+  const int n = 4 * hidden;
   const bool parallel =
       batch > 1 && UseParallelOpWork(static_cast<std::int64_t>(xw.rows()) *
                                      4 * hidden * (hidden + 10));
+  const auto [w_panel, ldw] =
+      simd::PackedPanel(w_h.data(), w_h.cols(), hidden, n, false);
   ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    // Inference state: h, c rows updated in place, plus the gate row.
-    std::vector<float>& scratch = ScratchRow(6 * h);
-    float* hs = scratch.data();
-    float* cs = hs + h;
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const int begin = offsets[static_cast<size_t>(b)];
-      const int end = offsets[static_cast<size_t>(b) + 1];
-      float* out = h_final.data() + static_cast<size_t>(b) * h;
+    const int segs = static_cast<int>(b1 - b0);
+    // Per segment: the untraced h and c state rows, the gate row, and the
+    // traced run's final c row.
+    float* state = ScratchRow(6 * h * static_cast<size_t>(segs)).data();
+    float** rows = ScratchRowPointers(static_cast<size_t>(segs));
+    // Where segment s's step t reads and writes its state. Untraced, the
+    // state rows update in place; traced, each step reads its own
+    // h_prev/c_prev rows and writes the next step's. The last step's h goes
+    // to h_final.
+    struct StepRows {
+      float *h_in, *c_in, *act, *h_out, *c_out, *tanh_c;
+    };
+    const auto step_rows = [&](int s, int t) {
+      const size_t b = static_cast<size_t>(b0 + s);
+      const size_t i = static_cast<size_t>(offsets[b] + t);
+      const bool last = offsets[b] + t + 1 == offsets[b + 1];
+      float* hs = state + static_cast<size_t>(s) * 6 * h;
+      float* out = h_final.data() + b * h;
       if (trace == nullptr) {
-        std::fill(hs, hs + 2 * h, 0.0f);
-        for (int i = begin; i < end; ++i) {
-          LstmStep(hs, cs, xw.data() + static_cast<size_t>(i) * 4 * h,
-                   w_h, bias.data(), hidden, cs + h, hs, cs, nullptr);
-        }
-        std::copy(hs, hs + h, out);
-        continue;
+        return StepRows{hs, hs + h, hs + 2 * h, last ? out : hs, hs + h,
+                        nullptr};
       }
-      // Traced: each step reads its state from its own h_prev/c_prev rows
-      // and writes the next step's (the last step's h goes to h_final).
       float* hp = trace->h_prev->data();
       float* cp = trace->c_prev->data();
-      std::fill(hp + begin * h, hp + (begin + 1) * h, 0.0f);
-      std::fill(cp + begin * h, cp + (begin + 1) * h, 0.0f);
-      for (int i = begin; i < end; ++i) {
-        const bool last = i + 1 == end;
-        LstmStep(hp + i * h, cp + i * h, xw.data() + i * 4 * h, w_h,
-                 bias.data(), hidden, trace->gates->data() + i * 4 * h,
-                 last ? out : hp + (i + 1) * h, last ? cs : cp + (i + 1) * h,
-                 trace->tanh_c->data() + i * h);
+      return StepRows{hp + i * h,
+                      cp + i * h,
+                      trace->gates->data() + i * 4 * h,
+                      last ? out : hp + (i + 1) * h,
+                      last ? hs + h : cp + (i + 1) * h,
+                      trace->tanh_c->data() + i * h};
+    };
+    for (int s = 0; s < segs; ++s) {
+      const StepRows r = step_rows(s, 0);
+      std::fill(r.h_in, r.h_in + h, 0.0f);
+      std::fill(r.c_in, r.c_in + h, 0.0f);
+    }
+    const int max_len = MaxSegmentLength(offsets.subspan(
+        static_cast<size_t>(b0), static_cast<size_t>(segs) + 1));
+    for (int t = 0; t < max_len; ++t) {
+      // pre = (xw[i] + bias) + h_in @ w_h for every live segment: one tile
+      // product whose elements are each one MulAdd chain from zero over
+      // ascending p, added onto the input projection.
+      int live = 0;
+      for (int s = 0; s < segs; ++s) {
+        const size_t b = static_cast<size_t>(b0 + s);
+        if (offsets[b] + t >= offsets[b + 1]) continue;
+        const StepRows r = step_rows(s, t);
+        const float* xw_row =
+            xw.data() + static_cast<size_t>(offsets[b] + t) * n;
+        for (int j = 0; j < n; ++j) r.act[j] = xw_row[j] + bias.data()[j];
+        rows[live] = r.h_in;
+        rows[segs + live] = r.act;
+        ++live;
+      }
+      simd::MulAddRows<true>(rows, 1, w_panel, ldw, hidden, n, rows + segs,
+                             live);
+      for (int s = 0; s < segs; ++s) {
+        const size_t b = static_cast<size_t>(b0 + s);
+        if (offsets[b] + t >= offsets[b + 1]) continue;
+        const StepRows r = step_rows(s, t);
+        LstmGates(r.act, r.c_in, hidden, r.h_out, r.c_out, r.tanh_c);
       }
     }
-  });
+  }, simd::kTileRows);
   return parallel;
 }
 
@@ -467,46 +524,47 @@ void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
   const int hidden = w_h.rows();
   const size_t h = static_cast<size_t>(hidden);
   const int n = 4 * hidden;
-  // dh_prev = dpre @ w_h^T runs over rows of the transpose, so a block of
-  // hidden units is contiguous in each row.
-  const Matrix w_t = Transpose(w_h);  // [4h, h]
+  // dh_prev = dpre @ w_h^T: the transposed panel is [4h, h].
+  const auto [wt_panel, ldwt] =
+      simd::PackedPanel(w_h.data(), w_h.cols(), n, hidden, true);
   const int batch = static_cast<int>(offsets.size()) - 1;
   ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    std::vector<float>& scratch = ScratchRow(3 * h);
-    float* dh = scratch.data();
-    float* dc = dh + h;
-    float* dh_prev = dc + h;
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const int begin = offsets[static_cast<size_t>(b)];
-      const int end = offsets[static_cast<size_t>(b) + 1];
-      const float* dout = dh_final.data() + static_cast<size_t>(b) * h;
+    const int segs = static_cast<int>(b1 - b0);
+    // Per segment: the carried dh and dc rows.
+    float* state = ScratchRow(2 * h * static_cast<size_t>(segs)).data();
+    float** rows = ScratchRowPointers(static_cast<size_t>(segs));
+    for (int s = 0; s < segs; ++s) {
+      const float* dout = dh_final.data() + static_cast<size_t>(b0 + s) * h;
+      float* dh = state + static_cast<size_t>(s) * 2 * h;
       std::copy(dout, dout + h, dh);
-      std::fill(dc, dc + h, 0.0f);
-      for (int i = end - 1; i >= begin; --i) {
-        const float* __restrict g = trace.gates->data() + i * 4 * h;
-        const float* __restrict tc = trace.tanh_c->data() + i * h;
-        const float* __restrict cp = trace.c_prev->data() + i * h;
-        float* __restrict dp = dpre.data() + i * 4 * h;
-        for (int j = 0; j < hidden; ++j) {
-          const float i_g = g[j], f_g = g[hidden + j];
-          const float g_g = g[2 * hidden + j], o_g = g[3 * hidden + j];
-          const float t = tc[j];
-          // dc combines the h path (through tanh) and the carried c grad.
-          const float dcj = dh[j] * o_g * (1.0f - t * t) + dc[j];
-          dp[j] = dcj * g_g * i_g * (1.0f - i_g);
-          dp[hidden + j] = dcj * cp[j] * f_g * (1.0f - f_g);
-          dp[2 * hidden + j] = dcj * i_g * (1.0f - g_g * g_g);
-          dp[3 * hidden + j] = dh[j] * t * o_g * (1.0f - o_g);
-          dc[j] = dcj * f_g;
-        }
-        if (i == begin) break;  // the zero initial state takes no gradient
-        // Register accumulators per vector block of hidden units, over
-        // ascending j from zero.
-        simd::MulAddRow<false>(dp, w_t.data(), h, n, hidden, dh_prev);
-        std::swap(dh, dh_prev);
-      }
+      std::fill(dh + h, dh + 2 * h, 0.0f);
     }
-  });
+    const int max_len = MaxSegmentLength(offsets.subspan(
+        static_cast<size_t>(b0), static_cast<size_t>(segs) + 1));
+    // Step u runs node end - 1 - u of every segment that long.
+    for (int u = 0; u < max_len; ++u) {
+      int live = 0;
+      for (int s = 0; s < segs; ++s) {
+        const size_t b = static_cast<size_t>(b0 + s);
+        const int i = offsets[b + 1] - 1 - u;
+        if (i < offsets[b]) continue;
+        float* dh = state + static_cast<size_t>(s) * 2 * h;
+        float* dp = dpre.data() + i * 4 * h;
+        LstmGateGrads(trace.gates->data() + i * 4 * h,
+                      trace.tanh_c->data() + i * h,
+                      trace.c_prev->data() + i * h, hidden, dh, dh + h, dp);
+        // The zero initial state takes no gradient.
+        if (i == offsets[b]) continue;
+        rows[live] = dp;
+        rows[segs + live] = dh;
+        ++live;
+      }
+      // dh_prev = dpre[i] @ w_h^T into dh (fully consumed above): each
+      // element one MulAdd chain from zero over ascending gate column.
+      simd::MulAddRows<false>(rows, 1, wt_panel, ldwt, n, hidden, rows + segs,
+                              live);
+    }
+  }, simd::kTileRows);
 }
 
 void GatherRowsForward(Matrix& y, const Matrix& table,

@@ -37,14 +37,15 @@ struct EdgeList {
   int rows() const noexcept { return static_cast<int>(row_begin.size()) - 1; }
 };
 
-// Runs `body(b0, b1)` over segments [0, batch), sharded across the pool when
-// `parallel`. Every segment kernel writes disjoint output row ranges per
-// segment, so the partitioning (which never depends on pool width) is
-// bit-exact at any thread count.
+// Runs `body(b0, b1)` over segments [0, batch), sharded across the pool in
+// chunks of `grain` segments when `parallel`. Every segment kernel writes
+// disjoint output row ranges per segment, so the partitioning (which never
+// depends on pool width) is bit-exact at any thread count.
 template <typename Body>
-void ForEachSegment(int batch, bool parallel, const Body& body) {
+void ForEachSegment(int batch, bool parallel, const Body& body,
+                    int grain = 1) {
   if (parallel) {
-    core::ParallelFor(0, batch, 1, body);
+    core::ParallelFor(0, batch, grain, body);
   } else {
     body(0, batch);
   }
@@ -137,8 +138,11 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
 //   pre = h_prev @ w_h + (xw[i, :] + bias)     gate order i|f|g|o
 //   c   = sigmoid(f) * c_prev + sigmoid(i) * tanh(g)
 //   h   = sigmoid(o) * tanh(c)
-// from zero state, one row at a time: no per-step GEMM dispatch, no
-// [h | c] split. `xw` [N, 4h] is the input-side projection of every node,
+// from zero state. The segments step in lockstep: step t's recurrent
+// products of every segment still running form one multi-row register
+// tile product (no per-step GEMM dispatch, no [h | c] split), and a row's
+// value does not depend on its tile-mates. `xw` [N, 4h] is the input-side
+// projection of every node,
 // `w_h` [h, 4h] the recurrent weight, `bias` [1, 4h]. Writes segment b's
 // final hidden state to row b of `h_final` (pre-shaped [B, h]).
 //
@@ -160,7 +164,9 @@ bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
 // ([B, h]) and the forward's trace, writes every node's gate
 // pre-activation gradient into `dpre` (pre-shaped [N, 4h]; row i is also
 // d xw[i, :]). The weight and bias gradients follow from it as one GEMM
-// (h_prev^T @ dpre) and one column sum. W_h is transposed once per call.
+// (h_prev^T @ dpre) and one column sum. The segments step back in lockstep
+// from their last nodes, with dh_prev = dpre @ W_h^T as one multi-row
+// tile product over the live segments; W_h^T is packed once per call.
 void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
                           const Matrix& w_h, std::span<const int> offsets,
                           const LstmTrace& trace, bool parallel);

@@ -2,16 +2,21 @@
 //
 // The lane width follows the compile target: a vector type wider than the
 // target's registers is emulated by the compiler and runs many times slower,
-// so there is no runtime dispatch and no wider fallback. The column blocking
-// of a product depends only on its width n (and the target), never on the
-// row count, so batched and single-row products stay bit-identical.
+// so there is no runtime dispatch and no wider fallback. The kernels spell
+// every multiply-add out (MulAdd), so a product element's value is its own
+// FMA chain whatever tile computes it: tile shapes change speed, never
+// values, and batched and single-row products stay bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
-#include <vector>
+#include <utility>
+
+#include "nn/matrix.h"
 
 #if defined(__SSE__)
 #include <immintrin.h>
@@ -48,14 +53,25 @@ inline VecF FlushTiny(VecF v) {
   return (v > -min && v < min) ? VecF{} : v;
 }
 
-// The first n < kLanes floats of p in a zero-padded vector, and its inverse.
+// The first n < kLanes floats of p in a zero-padded vector, and its inverse
+// (masked moves under AVX-512; neither touches memory past p + n).
 inline VecF LoadPartial(const float* p, int n) {
+#if defined(__AVX512F__)
+  return reinterpret_cast<VecF>(
+      _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1), p));
+#else
   VecF v = {};
   std::memcpy(&v, p, sizeof(float) * static_cast<std::size_t>(n));
   return v;
+#endif
 }
 inline void StorePartial(float* p, VecF v, int n) {
+#if defined(__AVX512F__)
+  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1),
+                        reinterpret_cast<__m512>(v));
+#else
   std::memcpy(p, &v, sizeof(float) * static_cast<std::size_t>(n));
+#endif
 }
 
 // a * b + c, one rounding where the target has FMA. Explicit rather than
@@ -122,87 +138,133 @@ inline float Dot(const float* x, const float* y, std::size_t n) {
   return ReduceAdd(acc);
 }
 
-// One register tile: for rows r < kRows and the kVecs * kLanes columns
+// Rows of a GEMM register tile: 8 on AVX-512's 32 vector registers (16
+// accumulators, two b vectors and a broadcast), 4 on 16-register targets.
+#if defined(__AVX512F__)
+inline constexpr int kTileRows = 8;
+#else
+inline constexpr int kTileRows = 4;
+#endif
+
+// n rounded up to whole vectors: the row stride of a packed panel.
+inline constexpr int PaddedCols(int n) {
+  return (n + kLanes - 1) / kLanes * kLanes;
+}
+
+inline VecF LoadAligned(const float* p) {
+  VecF v;
+  std::memcpy(&v, __builtin_assume_aligned(p, kBytes), sizeof v);
+  return v;
+}
+
+// The right operand of a product as a [k, PaddedCols(n)] row-major panel
+// that the tiles read with aligned whole-vector loads, returned with its
+// row stride. That is b itself (row stride ldb) when b is 64-byte aligned
+// and n and ldb are lane multiples; otherwise a copy, zero-padded to whole
+// vectors, in a thread-local buffer that the thread's next call reuses.
+// With `transposed`, b is [n, k] and the panel holds its transpose.
+inline std::pair<const float*, std::size_t> PackedPanel(const float* b,
+                                                        std::size_t ldb,
+                                                        int k, int n,
+                                                        bool transposed) {
+  if (!transposed && n % kLanes == 0 && ldb % kLanes == 0 &&
+      reinterpret_cast<std::uintptr_t>(b) % kBytes == 0) {
+    return {b, ldb};
+  }
+  static thread_local Matrix::Storage panel;
+  const std::size_t ld = static_cast<std::size_t>(PaddedCols(n));
+  panel.resize(static_cast<std::size_t>(k) * ld);
+  for (int p = 0; p < k; ++p) {
+    float* row = panel.data() + static_cast<std::size_t>(p) * ld;
+    for (int j = 0; j < n; ++j) {
+      row[j] = transposed ? b[static_cast<std::size_t>(j) * ldb + p]
+                          : b[static_cast<std::size_t>(p) * ldb + j];
+    }
+    std::fill(row + n, row + ld, 0.0f);
+  }
+  return {panel.data(), ld};
+}
+
+// One register tile: for rows r < kRows and the kVecs vectors of columns
 // from j, out[r][j..] = (or += with Accum) sum_p a[r][p * a_step] *
 // b[p * ldb + j..], each element one MulAdd chain over ascending p from
-// zero, whatever the tile shape. Rows r >= valid are computed but not
-// stored (callers alias them to a real row). Only the first `cols` columns
-// are stored: a masked store for the leftover-column panel.
+// zero, whatever the tile shape. The accumulators live in registers for
+// the whole k extent. Only the columns below n are stored.
 template <int kRows, int kVecs, bool Accum>
-inline void MulAddTile(const float* const* a, std::size_t a_step,
-                       const float* b, std::size_t ldb, int k, int j,
-                       float* const* out, int valid,
-                       int cols = kVecs * kLanes) {
-  VecF acc[kRows][kVecs] = {};
+[[gnu::always_inline]] inline void MulAddTile(const float* const* a,
+                                              std::size_t a_step,
+                                              const float* b, std::size_t ldb,
+                                              int k, int j, int n,
+                                              float* const* out) {
+  VecF acc[kRows][kVecs];
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) acc[r][v] = VecF{};
+  }
   for (int p = 0; p < k; ++p) {
     const float* b_row = b + static_cast<std::size_t>(p) * ldb + j;
     VecF bv[kVecs];
-    for (int v = 0; v < kVecs; ++v) bv[v] = Load(b_row + v * kLanes);
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) bv[v] = LoadAligned(b_row + v * kLanes);
+#pragma GCC unroll 16
     for (int r = 0; r < kRows; ++r) {
       const VecF av = Broadcast(a[r][static_cast<std::size_t>(p) * a_step]);
+#pragma GCC unroll 8
       for (int v = 0; v < kVecs; ++v) acc[r][v] = MulAdd(av, bv[v], acc[r][v]);
     }
   }
-  for (int r = 0; r < kRows && r < valid; ++r) {
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
     for (int v = 0; v < kVecs; ++v) {
       float* o = out[r] + j + v * kLanes;
-      const int n = cols - v * kLanes;
-      if (n >= kLanes) {
+      const int cols = n - j - v * kLanes;
+      if (cols >= kLanes) {
         Store(o, Accum ? Load(o) + acc[r][v] : acc[r][v]);
       } else {
-        StorePartial(o, Accum ? LoadPartial(o, n) + acc[r][v] : acc[r][v], n);
+        StorePartial(o, Accum ? LoadPartial(o, cols) + acc[r][v] : acc[r][v],
+                     cols);
       }
     }
   }
 }
 
-// The full-vector columns from j through vector tiles of kVecs vectors,
-// then halving widths down to one vector. Returns the first column left,
-// n - n % kLanes: the blocking depends only on n.
+// The columns [j, PaddedCols(n)) of kRows rows in tiles of kVecs vectors,
+// then halving widths down to one vector.
 template <int kRows, int kVecs, bool Accum>
-inline int MulAddVectorCols(const float* const* a, std::size_t a_step,
-                            const float* b, std::size_t ldb, int k, int n,
-                            float* const* out, int valid, int j = 0) {
-  for (; j + kVecs * kLanes <= n; j += kVecs * kLanes) {
-    MulAddTile<kRows, kVecs, Accum>(a, a_step, b, ldb, k, j, out, valid);
+inline void MulAddCols(const float* const* a, std::size_t a_step,
+                       const float* b, std::size_t ldb, int k, int n,
+                       float* const* out, int j = 0) {
+  for (; j + kVecs * kLanes <= PaddedCols(n); j += kVecs * kLanes) {
+    MulAddTile<kRows, kVecs, Accum>(a, a_step, b, ldb, k, j, n, out);
   }
   if constexpr (kVecs > 1) {
-    return MulAddVectorCols<kRows, kVecs / 2, Accum>(a, a_step, b, ldb, k, n,
-                                                     out, valid, j);
+    MulAddCols<kRows, kVecs / 2, Accum>(a, a_step, b, ldb, k, n, out, j);
   }
-  return j;
 }
 
-// The leftover columns [j, n) of b (row stride ldb, n - j < kLanes) as a
-// zero-padded [k, kLanes] panel in thread-local scratch, so one vector
-// tile (ldb = kLanes, storing n - j columns) covers them without reading
-// past b.
-inline const float* LeftoverPanel(const float* b, std::size_t ldb, int k,
-                                  int j, int n) {
-  static thread_local std::vector<float> panel;
-  panel.assign(static_cast<std::size_t>(k) * kLanes, 0.0f);
-  for (int p = 0; p < k; ++p) {
-    std::memcpy(panel.data() + static_cast<std::size_t>(p) * kLanes,
-                b + static_cast<std::size_t>(p) * ldb + j,
-                sizeof(float) * static_cast<std::size_t>(n - j));
+// out[r][0, n) = (or += with Accum) sum_p a[r][p * a_step] * b[p, 0, n)
+// for rows r < rows, over a [k, PaddedCols(n)] panel b (PackedPanel).
+// Rows run in blocks of kTileRows, then halving heights down to one row,
+// each in column tiles as wide as the registers allow at that height (two
+// vectors at kTileRows, up to eight for a single row), then halving. Every
+// element is one MulAdd chain from zero over ascending p (an Accum product
+// adds the finished chain onto out), whatever tile it falls in, so a row's
+// value depends only on its own operand and b: never on its position or on
+// the other rows.
+template <bool Accum, int kRows = kTileRows>
+inline void MulAddRows(const float* const* a, std::size_t a_step,
+                       const float* b, std::size_t ldb, int k, int n,
+                       float* const* out, int rows) {
+  constexpr int kVecs = std::min(8, 2 * kTileRows / kRows);
+  for (; rows >= kRows; rows -= kRows, a += kRows, out += kRows) {
+    MulAddCols<kRows, kVecs, Accum>(a, a_step, b, ldb, k, n, out);
   }
-  return panel.data();
-}
-
-// out[0, n) = (or += with Accum) x[0, k) @ b (row stride ldb) for one row:
-// vector tiles of up to 8 accumulators, then the leftover columns as
-// explicit MulAdd chains, so every element is an FMA chain from zero over
-// ascending p (where the target has FMA).
-template <bool Accum>
-inline void MulAddRow(const float* x, const float* b, std::size_t ldb, int k,
-                      int n, float* out) {
-  int j = MulAddVectorCols<1, 8, Accum>(&x, 1, b, ldb, k, n, &out, 1);
-  for (; j < n; ++j) {
-    float acc = 0.0f;
-    for (int p = 0; p < k; ++p) {
-      acc = MulAdd(x[p], b[static_cast<std::size_t>(p) * ldb + j], acc);
+  if constexpr (kRows > 1) {
+    if (rows > 0) {
+      MulAddRows<Accum, kRows / 2>(a, a_step, b, ldb, k, n, out, rows);
     }
-    out[j] = Accum ? out[j] + acc : acc;
   }
 }
 

@@ -7,12 +7,12 @@
 
 namespace tpuperf::nn {
 
-std::vector<float> TapeArena::TakeBestFit(std::size_t need) {
+Matrix::Storage TapeArena::TakeBestFit(std::size_t need) {
   ++requests_;
   ++outstanding_;
   // Best fit: the smallest pooled buffer whose capacity covers the request.
   if (const auto it = pool_.lower_bound(need); it != pool_.end()) {
-    std::vector<float> storage = std::move(it->second);
+    Matrix::Storage storage = std::move(it->second);
     pooled_floats_ -= it->first;
     pool_.erase(it);
     return storage;
@@ -40,13 +40,11 @@ Matrix TapeArena::AcquireUninit(int rows, int cols) {
   const std::size_t need =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   if (need == 0) return Matrix(rows, cols);
-  std::vector<float> storage = TakeBestFit(need);
-  if (storage.capacity() < need) return Matrix(rows, cols);
-  return Matrix(rows, cols, std::move(storage), Matrix::Uninit{});
+  return Matrix(rows, cols, TakeBestFit(need), Matrix::Uninit{});
 }
 
 void TapeArena::Recycle(Matrix&& m) {
-  std::vector<float> storage = m.TakeStorage();
+  Matrix::Storage storage = m.TakeStorage();
   // Pool at most as many buffers as the arena handed out: a tape also holds
   // leaves allocated elsewhere, and pooling those too would grow the pool
   // on every step.

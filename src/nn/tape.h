@@ -81,8 +81,9 @@ class TapeArena {
   /// A zero-filled [rows, cols] matrix, reusing pooled storage when a
   /// buffer with sufficient capacity is available.
   Matrix Acquire(int rows, int cols);
-  /// As Acquire but without the zero-fill (contents unspecified) — for
-  /// outputs that are fully overwritten by their op.
+  /// As Acquire but without any fill (Matrix::Uninit: contents
+  /// unspecified, on a pool miss too) — for outputs that are fully
+  /// overwritten by their op.
   Matrix AcquireUninit(int rows, int cols);
   /// Returns a matrix's heap storage to the pool (or frees it, once the
   /// pool again holds every buffer the arena handed out).
@@ -110,9 +111,9 @@ class TapeArena {
  private:
   // The best-fit pooled buffer for `need` floats, or empty storage on a
   // miss (after releasing the largest pooled buffer).
-  std::vector<float> TakeBestFit(std::size_t need);
+  Matrix::Storage TakeBestFit(std::size_t need);
 
-  std::multimap<std::size_t, std::vector<float>> pool_;  // keyed by capacity
+  std::multimap<std::size_t, Matrix::Storage> pool_;  // keyed by capacity
   std::size_t pooled_floats_ = 0;  // sum of the pooled capacities
   std::size_t requests_ = 0;
   std::size_t heap_allocations_ = 0;
@@ -171,12 +172,13 @@ class Tape {
     return arena_ != nullptr ? arena_->Acquire(rows, cols)
                              : Matrix(rows, cols);
   }
-  /// As NewMatrix but with unspecified contents on the recycled path — for
-  /// op outputs that overwrite every element (or hand the buffer straight
-  /// to a MatMul*Into kernel, which reshapes and zeroes it itself).
+  /// As NewMatrix but with unspecified contents (Matrix::Uninit) — for op
+  /// outputs that overwrite every element (or hand the buffer straight to
+  /// MatMulInto, which reshapes it and writes every element).
   Matrix NewMatrixUninit(int rows, int cols) {
-    return arena_ != nullptr ? arena_->AcquireUninit(rows, cols)
-                             : Matrix(rows, cols);
+    return arena_ != nullptr
+               ? arena_->AcquireUninit(rows, cols)
+               : Matrix(rows, cols, Matrix::Storage(), Matrix::Uninit{});
   }
 
   /// A constant (or trainable-by-itself) leaf. With requires_grad=false

@@ -193,8 +193,10 @@ std::unique_ptr<CompiledPlan::ExecutionContext> CompiledPlan::AcquireContext()
   auto ctx = std::make_unique<ExecutionContext>();
   ctx->phys.reserve(physical_capacity_.size());
   for (const std::size_t cap : physical_capacity_) {
-    // Construct at full capacity so every later Reshape reuses the storage.
-    ctx->phys.emplace_back(static_cast<int>(cap), 1);
+    // Allocate at full capacity so every later Reshape reuses the storage;
+    // each buffer's defining write reshapes it, so nothing is filled here.
+    ctx->phys.emplace_back(static_cast<int>(cap), 1, nn::Matrix::Storage(),
+                           nn::Matrix::Uninit{});
   }
   return ctx;
 }
@@ -306,7 +308,8 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
     const int dst_cols = spec_.buffer_cols[static_cast<size_t>(ins.dst)];
     // The defining write reshapes (and, for accumulate kernels, clears) the
     // destination; later writers to the same buffer fill other columns.
-    // kGemm destinations are reshaped/zeroed by MatMulInto itself.
+    // kGemm destinations are reshaped by MatMulInto, which writes every
+    // element.
     if (ins.first_write && ins.kind != OpKind::kGemm) {
       Reshape(d, dst_rows, dst_cols, ins.zero_dst);
     }

@@ -87,7 +87,7 @@ std::size_t PlanCache::size() const {
 // by an overloaded PredictAsync (shedding).
 struct PendingRequest {
   const ir::Graph* kernel = nullptr;
-  std::uint64_t fingerprint = 0;
+  ir::Graph::Hashes hashes;  // the kernel's fingerprint and signature
   std::optional<ir::TileConfig> tile;
   std::optional<Clock::time_point> deadline;
   std::promise<PredictResult> promise;
@@ -303,7 +303,7 @@ void ProcessBatch(const core::LearnedCostModel& model,
   for (PendingRequest& p : batch) {
     try {
       const core::PreparedKernel& prepared =
-          cache.Get(*p.kernel, p.fingerprint);
+          cache.Get(*p.kernel, p.hashes.fingerprint, p.hashes.signature);
       items.push_back(core::BatchItem{
           &prepared, p.tile.has_value() ? &*p.tile : nullptr});
       live.push_back(&p);
@@ -383,7 +383,7 @@ std::future<PredictResult> PredictionService::PredictAsync(
     PredictOptions options) {
   PendingRequest p;
   p.kernel = &kernel;
-  p.fingerprint = kernel.Fingerprint();
+  p.hashes = kernel.FingerprintAndSignature();
   if (tile != nullptr) p.tile = *tile;
   if (options.deadline.has_value()) {
     p.deadline = *options.deadline;

@@ -11,10 +11,12 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/thread_pool.h"
 #include "nn/matrix.h"
+#include "nn/tape.h"
 
 namespace tpuperf::nn {
 namespace {
@@ -151,19 +153,20 @@ float MulAdd(float a, float b, float acc) {
 
 // Every output element is one MulAdd chain over ascending p: a plain
 // product starts it from zero, and an accumulating one adds the finished
-// chain onto dst. That holds in every column (the n % simd::kLanes leftover
-// columns run as a vector tile over a zero-padded panel) and every row (the
-// partial row block aliases a real row). The shapes straddle every column
-// block width (1, 2 and 4 vectors at 16-, 32- and 64-byte lanes) and the
-// partial row block. The left operands are dense or 80% zeros: the
-// builtin kernels have no density dispatch, so zeros change no element's
-// chain.
+// chain onto dst. That holds for all five entry points, in every column (a
+// right operand with leftover columns, or one read transposed, is packed
+// into a zero-padded panel) and every row (row blocks of every height). The
+// shapes straddle every column block width (1, 2 and 4 vectors at 16-, 32-
+// and 64-byte lanes) and row block height, and include the training
+// step's shapes (k = 203; n = 69 and 96). The left operands are dense or
+// 80% zeros: the builtin kernels have no density dispatch, so zeros change
+// no element's chain.
 TEST_F(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
   std::uint64_t seed = 100;
   for (const int zeros : {0, 8}) {
     for (const int m : {1, 3, 4, 5, 13}) {
-      for (const int n : {1, 15, 16, 17, 31, 32, 33, 48, 128}) {
-        for (const int k : {1, 7, 69}) {
+      for (const int n : {1, 15, 16, 17, 31, 32, 33, 48, 69, 96, 128}) {
+        for (const int k : {1, 7, 69, 203}) {
           SCOPED_TRACE("zeros=" + std::to_string(zeros) + "/10 m=" +
                        std::to_string(m) + " n=" + std::to_string(n) +
                        " k=" + std::to_string(k));
@@ -173,7 +176,10 @@ TEST_F(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
           const Matrix b_t = PseudoRandom(n, k, ++seed);
           const Matrix dst = PseudoRandom(m, n, ++seed);
           const Matrix mm = MatMul(a, b);
+          Matrix into = PseudoRandom(m + 1, n, ++seed);  // must reshape
+          MatMulInto(into, a, b);
           const Matrix ta = MatMulTransposeA(a_t, b);
+          const Matrix tb = MatMulTransposeB(a, b_t);
           Matrix ta_acc = dst, tb_acc = dst;
           MatMulTransposeAAccum(ta_acc, a_t, b);
           MatMulTransposeBAccum(tb_acc, a, b_t);
@@ -186,7 +192,9 @@ TEST_F(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
                 abt = MulAdd(a.at(i, p), b_t.at(j, p), abt);
               }
               ASSERT_EQ(mm.at(i, j), ab) << "MatMul at " << i << "," << j;
+              ASSERT_EQ(into.at(i, j), ab) << "MatMulInto at " << i << "," << j;
               ASSERT_EQ(ta.at(i, j), atb) << "TransposeA at " << i << "," << j;
+              ASSERT_EQ(tb.at(i, j), abt) << "TransposeB at " << i << "," << j;
               ASSERT_EQ(ta_acc.at(i, j), dst.at(i, j) + atb)
                   << "TransposeAAccum at " << i << "," << j;
               ASSERT_EQ(tb_acc.at(i, j), dst.at(i, j) + abt)
@@ -197,6 +205,38 @@ TEST_F(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
       }
     }
   }
+}
+
+// ---- Storage alignment ------------------------------------------------------
+
+bool Aligned64(const Matrix& m) {
+  return reinterpret_cast<std::uintptr_t>(m.data()) % 64 == 0;
+}
+
+// Matrix storage is 64-byte aligned however it was made: fresh, recycled
+// through a TapeArena (zeroed or not), or reshaped by MatMulInto, so the
+// kernels read whole-vector rows of lane-multiple width in place.
+TEST_F(GemmBackendTest, OutputsAre64ByteAligned) {
+  const Matrix a = PseudoRandom(13, 203, 31);
+  const Matrix b = PseudoRandom(203, 96, 32);
+  EXPECT_TRUE(Aligned64(Matrix(3, 5)));
+  EXPECT_TRUE(Aligned64(MatMul(a, b)));
+  EXPECT_TRUE(Aligned64(MatMulTransposeB(a, PseudoRandom(69, 203, 33))));
+  Matrix into(1, 1);
+  MatMulInto(into, a, b);
+  EXPECT_TRUE(Aligned64(into));
+  TapeArena arena;
+  for (int step = 0; step < 3; ++step) {
+    Matrix zeroed = arena.Acquire(7, 33);
+    Matrix uninit = arena.AcquireUninit(13, 96);
+    EXPECT_TRUE(Aligned64(zeroed)) << "step " << step;
+    EXPECT_TRUE(Aligned64(uninit)) << "step " << step;
+    MatMulInto(uninit, a, b);
+    EXPECT_TRUE(Aligned64(uninit)) << "step " << step;
+    arena.Recycle(std::move(zeroed));
+    arena.Recycle(std::move(uninit));
+  }
+  EXPECT_GT(arena.recycled(), 0u);
 }
 
 // ---- Threaded exactness -----------------------------------------------------

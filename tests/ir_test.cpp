@@ -218,6 +218,11 @@ TEST(Graph, FingerprintMatchesByteSerialFnvOverCorpus) {
              program.graph, edges, data::DefaultFusion(program.graph, edges))) {
       ASSERT_EQ(kernel.graph.Fingerprint(), ByteSerialFingerprint(kernel.graph))
           << program.name;
+      // The one-walk pair equals the two separate walks.
+      const Graph::Hashes hashes = kernel.graph.FingerprintAndSignature();
+      ASSERT_EQ(hashes.fingerprint, kernel.graph.Fingerprint()) << program.name;
+      ASSERT_EQ(hashes.signature, kernel.graph.StructuralSignature())
+          << program.name;
       ++graphs;
     }
   }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <random>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
 #include "nn/simd.h"
+#include "nn/tape.h"
 
 namespace tpuperf::nn {
 namespace {
@@ -89,6 +91,23 @@ TEST(Matrix, ShapeMismatchThrows) {
   EXPECT_THROW(Add(Matrix(2, 3), Matrix(3, 2)), std::invalid_argument);
   EXPECT_THROW(Hadamard(Matrix(2, 3), Matrix(2, 2)), std::invalid_argument);
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+// Under AddressSanitizer, Uninit storage (fresh, or recycled with stale
+// values) reads as quiet NaN, so an op that reads an output before writing
+// it fails the sanitizer suites instead of reading a stale value.
+TEST(Matrix, UninitStorageIsNanUnderAsan) {
+  TapeArena arena;
+  Matrix used = arena.Acquire(4, 8);
+  used.Fill(1.0f);
+  arena.Recycle(std::move(used));
+  for (const Matrix& m :
+       {Matrix(3, 5, Matrix::Storage(), Matrix::Uninit{}),
+        arena.AcquireUninit(2, 8)}) {
+    for (const float v : m.flat()) EXPECT_TRUE(std::isnan(v));
+  }
+}
+#endif
 
 TEST(Matrix, ColumnReductions) {
   Matrix m(3, 2);
@@ -617,86 +636,125 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
   }
 }
 
-// LstmSequenceForward's traced gates and h, and LstmSequenceBackward's dpre,
-// against a scalar reference: each recurrent product element is one MulAdd
-// chain from zero (over ascending p forward, ascending gate column j for
-// dh_prev), and the gate arithmetic uses the kernels' own expressions.
-TEST(LstmSequence, MatchesScalarReferenceBitForBit) {
-  std::mt19937_64 rng(29);
+// Runs LstmSequenceForward (traced and untraced) and LstmSequenceBackward
+// over segments of the given lengths and checks the traced gates, both runs'
+// h and the dpre rows against a per-segment scalar reference. Returns the
+// forward's parallel decision.
+bool ExpectLstmMatchesScalarReference(const std::vector<int>& lengths,
+                                      int hidden, std::mt19937_64& rng) {
   std::uniform_real_distribution<float> dist(-1, 1);
-  const std::vector<int> offsets = {0, 3, 4, 9, 11};  // lengths 3, 1, 5, 2
+  std::vector<int> offsets = {0};
+  for (const int len : lengths) offsets.push_back(offsets.back() + len);
   const int rows = offsets.back();
-  const int batch = static_cast<int>(offsets.size()) - 1;
-  for (const int hidden : {4, 20, 32}) {
-    SCOPED_TRACE("hidden=" + std::to_string(hidden));
-    const int n = 4 * hidden;
-    Matrix xw(rows, n), w_h(hidden, n), bias(1, n), dh_final(batch, hidden);
-    for (Matrix* m : {&xw, &w_h, &bias, &dh_final}) {
-      for (float& v : m->flat()) v = dist(rng);
-    }
-    Matrix h_final(batch, hidden), gates(rows, n), h_prev(rows, hidden),
-        c_prev(rows, hidden), tanh_c(rows, hidden), dpre(rows, n);
-    const LstmTrace trace{&h_prev, &c_prev, &gates, &tanh_c};
-    LstmSequenceForward(h_final, xw, w_h, bias, offsets, &trace);
-    LstmSequenceBackward(dpre, dh_final, w_h, offsets, trace,
-                         /*parallel=*/false);
+  const int batch = static_cast<int>(lengths.size());
+  const int n = 4 * hidden;
+  Matrix xw(rows, n), w_h(hidden, n), bias(1, n), dh_final(batch, hidden);
+  for (Matrix* m : {&xw, &w_h, &bias, &dh_final}) {
+    for (float& v : m->flat()) v = dist(rng);
+  }
+  Matrix h_final(batch, hidden), h_untraced(batch, hidden), gates(rows, n),
+      h_prev(rows, hidden), c_prev(rows, hidden), tanh_c(rows, hidden),
+      dpre(rows, n);
+  const LstmTrace trace{&h_prev, &c_prev, &gates, &tanh_c};
+  const bool parallel =
+      LstmSequenceForward(h_final, xw, w_h, bias, offsets, &trace);
+  LstmSequenceForward(h_untraced, xw, w_h, bias, offsets, nullptr);
+  LstmSequenceBackward(dpre, dh_final, w_h, offsets, trace, parallel);
 
-    for (int b = 0; b < batch; ++b) {
-      const int begin = offsets[b], end = offsets[b + 1];
-      Matrix act(rows, n), tc(rows, hidden), cp(rows, hidden);
-      std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
-      for (int i = begin; i < end; ++i) {
-        float* a = act.data() + static_cast<size_t>(i) * n;
-        for (int j = 0; j < n; ++j) {
-          float pre = 0.0f;
-          for (int p = 0; p < hidden; ++p) pre = MulAdd(h[p], w_h.at(p, j), pre);
-          a[j] = (xw.at(i, j) + bias.at(0, j)) + pre;
-        }
-        for (int j = 0; j < 2 * hidden; ++j) a[j] = FastSigmoid(a[j]);
-        for (int j = 2 * hidden; j < 3 * hidden; ++j) a[j] = FastTanh(a[j]);
-        for (int j = 3 * hidden; j < n; ++j) a[j] = FastSigmoid(a[j]);
-        for (int j = 0; j < hidden; ++j) {
-          cp.at(i, j) = c[j];
-          c[j] = a[hidden + j] * c[j] + a[j] * a[2 * hidden + j];
-        }
-        for (int j = 0; j < hidden; ++j) {
-          tc.at(i, j) = FastTanh(c[j]);
-          h[j] = a[3 * hidden + j] * tc.at(i, j);
-        }
-        for (int j = 0; j < n; ++j) {
-          ASSERT_EQ(gates.at(i, j), a[j]) << "gates at " << i << "," << j;
-        }
+  for (int b = 0; b < batch; ++b) {
+    SCOPED_TRACE("segment " + std::to_string(b));
+    const int begin = offsets[b], end = offsets[b + 1];
+    Matrix act(rows, n), tc(rows, hidden), cp(rows, hidden);
+    std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
+    for (int i = begin; i < end; ++i) {
+      float* a = act.data() + static_cast<size_t>(i) * n;
+      for (int j = 0; j < n; ++j) {
+        float pre = 0.0f;
+        for (int p = 0; p < hidden; ++p) pre = MulAdd(h[p], w_h.at(p, j), pre);
+        a[j] = (xw.at(i, j) + bias.at(0, j)) + pre;
+      }
+      for (int j = 0; j < 2 * hidden; ++j) a[j] = FastSigmoid(a[j]);
+      for (int j = 2 * hidden; j < 3 * hidden; ++j) a[j] = FastTanh(a[j]);
+      for (int j = 3 * hidden; j < n; ++j) a[j] = FastSigmoid(a[j]);
+      for (int j = 0; j < hidden; ++j) {
+        cp.at(i, j) = c[j];
+        c[j] = a[hidden + j] * c[j] + a[j] * a[2 * hidden + j];
       }
       for (int j = 0; j < hidden; ++j) {
-        ASSERT_EQ(h_final.at(b, j), h[j]) << "h at " << b << "," << j;
+        tc.at(i, j) = FastTanh(c[j]);
+        h[j] = a[3 * hidden + j] * tc.at(i, j);
       }
+      for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(gates.at(i, j), a[j]) << "gates at " << i << "," << j;
+      }
+    }
+    for (int j = 0; j < hidden; ++j) {
+      EXPECT_EQ(h_final.at(b, j), h[j]) << "traced h at " << b << "," << j;
+      EXPECT_EQ(h_untraced.at(b, j), h[j]) << "h at " << b << "," << j;
+    }
 
-      std::vector<float> dh(dh_final.row(b).begin(), dh_final.row(b).end());
-      std::vector<float> dc(hidden, 0.0f), dp(n);
-      for (int i = end - 1; i >= begin; --i) {
-        const float* g = act.data() + static_cast<size_t>(i) * n;
-        for (int j = 0; j < hidden; ++j) {
-          const float i_g = g[j], f_g = g[hidden + j];
-          const float g_g = g[2 * hidden + j], o_g = g[3 * hidden + j];
-          const float t = tc.at(i, j);
-          const float dcj = dh[j] * o_g * (1.0f - t * t) + dc[j];
-          dp[j] = dcj * g_g * i_g * (1.0f - i_g);
-          dp[hidden + j] = dcj * cp.at(i, j) * f_g * (1.0f - f_g);
-          dp[2 * hidden + j] = dcj * i_g * (1.0f - g_g * g_g);
-          dp[3 * hidden + j] = dh[j] * t * o_g * (1.0f - o_g);
-          dc[j] = dcj * f_g;
-        }
-        for (int j = 0; j < n; ++j) {
-          ASSERT_EQ(dpre.at(i, j), dp[j]) << "dpre at " << i << "," << j;
-        }
-        for (int p = 0; p < hidden; ++p) {
-          float acc = 0.0f;
-          for (int j = 0; j < n; ++j) acc = MulAdd(dp[j], w_h.at(p, j), acc);
-          dh[p] = acc;
-        }
+    std::vector<float> dh(dh_final.row(b).begin(), dh_final.row(b).end());
+    std::vector<float> dc(hidden, 0.0f), dp(n);
+    for (int i = end - 1; i >= begin; --i) {
+      const float* g = act.data() + static_cast<size_t>(i) * n;
+      for (int j = 0; j < hidden; ++j) {
+        const float i_g = g[j], f_g = g[hidden + j];
+        const float g_g = g[2 * hidden + j], o_g = g[3 * hidden + j];
+        const float t = tc.at(i, j);
+        const float dcj = dh[j] * o_g * (1.0f - t * t) + dc[j];
+        dp[j] = dcj * g_g * i_g * (1.0f - i_g);
+        dp[hidden + j] = dcj * cp.at(i, j) * f_g * (1.0f - f_g);
+        dp[2 * hidden + j] = dcj * i_g * (1.0f - g_g * g_g);
+        dp[3 * hidden + j] = dh[j] * t * o_g * (1.0f - o_g);
+        dc[j] = dcj * f_g;
+      }
+      for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(dpre.at(i, j), dp[j]) << "dpre at " << i << "," << j;
+      }
+      for (int p = 0; p < hidden; ++p) {
+        float acc = 0.0f;
+        for (int j = 0; j < n; ++j) acc = MulAdd(dp[j], w_h.at(p, j), acc);
+        dh[p] = acc;
       }
     }
   }
+  return parallel;
+}
+
+// The lockstep recurrence against the scalar reference: each recurrent
+// product element is one MulAdd chain from zero (over ascending p forward,
+// ascending gate column j for dh_prev), and the gate arithmetic uses the
+// kernels' own expressions. The segment lengths cover single steps, equal
+// lengths (a tile step's batch), and live sets that shrink from the end
+// (ascending) or from the start (descending) of the batch, at pool widths 1
+// and 4; the 12-segment batches are large enough to shard at width 4.
+TEST(LstmSequence, MatchesScalarReferenceBitForBit) {
+  std::mt19937_64 rng(29);
+  const std::vector<std::vector<int>> length_sets = {
+      {3, 1, 5, 2},
+      {1, 1, 1, 1, 1},
+      std::vector<int>(12, 8),
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+      {12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1},
+  };
+  bool sharded = false;
+  for (const int width : {1, 4}) {
+    core::ThreadPool::SetNumThreads(width);
+    for (const int hidden : {4, 20, 32}) {
+      for (const std::vector<int>& lengths : length_sets) {
+        SCOPED_TRACE("width=" + std::to_string(width) + " hidden=" +
+                     std::to_string(hidden) + " segments=" +
+                     std::to_string(lengths.size()) + " first length=" +
+                     std::to_string(lengths.front()));
+        const bool parallel =
+            ExpectLstmMatchesScalarReference(lengths, hidden, rng);
+        EXPECT_TRUE(width > 1 || !parallel);
+        sharded = sharded || parallel;
+      }
+    }
+  }
+  core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
+  EXPECT_TRUE(sharded) << "no case sharded its segments across the pool";
 }
 
 TEST(Lstm, ShapesAndDeterminism) {
