@@ -4,9 +4,11 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/fault_injection.h"
 #include "core/thread_pool.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
+#include "plan/plan.h"
 
 namespace tpuperf::core {
 namespace {
@@ -20,11 +22,13 @@ nn::TapeArena& InferenceArena() {
   return arena;
 }
 
-// A constant leaf holding a copy of `m`, allocated through the tape's arena.
-nn::Tensor ArenaLeaf(nn::Tape& tape, const nn::Matrix& m) {
+// A batch-input leaf holding a copy of `m`, allocated through the tape's
+// arena.
+nn::Tensor ArenaInput(nn::Tape& tape, const nn::Matrix& m,
+                      nn::InputKind input) {
   nn::Matrix copy = tape.NewMatrixUninit(m.rows(), m.cols());
   std::copy(m.flat().begin(), m.flat().end(), copy.data());
-  return tape.Leaf(std::move(copy));
+  return tape.InputLeaf(std::move(copy), input);
 }
 
 // Width of the option-1 extras appended to every node's features.
@@ -265,6 +269,51 @@ std::vector<double> LearnedCostModel::PredictBatch(
   return scores;
 }
 
+std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::CompilePlan(
+    int max_kernels, int max_total_nodes, bool poison_dead_buffers) const {
+  // Models a plan-compile failure, before any recording work. The serving
+  // engine has no other scoring path, so it treats this like any model
+  // error: the batch fails, the circuit breaker counts it, and the batch is
+  // answered analytically.
+  MaybeInjectFault("plan.compile_fail");
+  if (!fitted_) {
+    throw std::logic_error("CompilePlan: scalers not fitted");
+  }
+  if (max_kernels < 1 || max_total_nodes < max_kernels) {
+    throw std::invalid_argument("CompilePlan: bad capacities");
+  }
+
+  // The schedule is the inference forward itself, recorded over a synthetic
+  // batch of one kernel with two nodes (so node and kernel row counts
+  // differ).
+  const nn::GraphStructure graph = nn::BuildGraphStructure({{}, {0}});
+  const nn::GraphStructure* const blocks[] = {&graph};
+  PreparedBatch batch;
+  batch.structure = nn::PackGraphStructures(blocks);
+  batch.opcode_ids = {0, 0};
+  batch.node_features = nn::Matrix(2, feat::kNodeScalarFeatures);
+  batch.static_perf = nn::Matrix(1, feat::kStaticPerfFeatures);
+  if (config_.use_tile_features) {
+    batch.tile_features = nn::Matrix(1, feat::kTileFeatures);
+  }
+  nn::ScheduleRecorder recorder(batch.structure, batch.opcode_ids);
+  nn::Tape tape(/*grad_enabled=*/false, &InferenceArena(), &recorder);
+  const nn::Tensor out =
+      ForwardBatchImpl(tape, batch, /*training=*/false, dropout_rng_);
+
+  plan::CompiledPlan::Options options;
+  options.poison_dead_buffers = poison_dead_buffers;
+  return std::make_shared<const plan::CompiledPlan>(
+      recorder.Finish(out.node()), max_kernels, max_total_nodes, options);
+}
+
+std::vector<double> LearnedCostModel::PredictBatchWithPlan(
+    const plan::CompiledPlan& plan, const PreparedBatch& batch) const {
+  std::vector<double> scores(static_cast<size_t>(batch.num_kernels()));
+  plan.Run(plan::PlanInput::FromBatch(batch), scores);
+  return scores;
+}
+
 std::vector<double> LearnedCostModel::PredictBatchSeconds(
     const PreparedBatch& batch) const {
   std::vector<double> scores = PredictBatch(batch);
@@ -296,29 +345,23 @@ nn::Tensor LearnedCostModel::ForwardBatchImpl(
   // ---- Node inputs: opcode embedding ++ scalars (++ option-1 extras) ------
   // One gather / one leaf over all nodes of the batch.
   nn::Tensor embed = opcode_embedding_.Forward(tape, batch.opcode_ids);
-  nn::Tensor scalars = ArenaLeaf(tape, batch.node_features);
+  nn::Tensor scalars =
+      ArenaInput(tape, batch.node_features, nn::InputKind::kNodeFeatures);
   std::vector<nn::Tensor> parts = {embed, scalars};
 
-  // Expands per-kernel feature rows to one row per node of that kernel.
-  const auto broadcast_segments = [&](const nn::Matrix& per_kernel) {
-    nn::Matrix m = tape.NewMatrixUninit(total, per_kernel.cols());
-    for (int b = 0; b < num_kernels; ++b) {
-      const auto src = per_kernel.row(b);
-      for (int i = offsets[static_cast<size_t>(b)];
-           i < offsets[static_cast<size_t>(b) + 1]; ++i) {
-        std::copy(src.begin(), src.end(), m.row(i).begin());
-      }
-    }
-    return tape.Leaf(std::move(m));
-  };
-
+  // Per-kernel feature rows, expanded to one row per node of the kernel.
   if (config_.use_tile_features &&
       config_.tile_placement == FeaturePlacement::kNodeFeatures) {
-    parts.push_back(broadcast_segments(batch.tile_features));
+    parts.push_back(nn::BroadcastSegmentsOp(
+        tape,
+        ArenaInput(tape, batch.tile_features, nn::InputKind::kTileFeatures),
+        offsets));
   }
   if (config_.use_static_perf &&
       config_.static_perf_placement == FeaturePlacement::kNodeFeatures) {
-    parts.push_back(broadcast_segments(batch.static_perf));
+    parts.push_back(nn::BroadcastSegmentsOp(
+        tape, ArenaInput(tape, batch.static_perf, nn::InputKind::kStaticPerf),
+        offsets));
   }
 
   nn::Tensor x = nn::ConcatColsOp(tape, parts);
@@ -374,11 +417,13 @@ nn::Tensor LearnedCostModel::ForwardBatchImpl(
   std::vector<nn::Tensor> kparts = {kernel_embedding};
   if (config_.use_tile_features &&
       config_.tile_placement == FeaturePlacement::kKernelEmbedding) {
-    kparts.push_back(ArenaLeaf(tape, batch.tile_features));
+    kparts.push_back(ArenaInput(tape, batch.tile_features,
+                                nn::InputKind::kTileFeatures));
   }
   if (config_.use_static_perf &&
       config_.static_perf_placement == FeaturePlacement::kKernelEmbedding) {
-    kparts.push_back(ArenaLeaf(tape, batch.static_perf));
+    kparts.push_back(
+        ArenaInput(tape, batch.static_perf, nn::InputKind::kStaticPerf));
   }
   nn::Tensor merged = kparts.size() == 1 ? kparts.front()
                                          : nn::ConcatColsOp(tape, kparts);

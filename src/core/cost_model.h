@@ -112,13 +112,16 @@ class LearnedCostModel {
   std::vector<double> PredictBatchSeconds(const PreparedBatch& batch) const;
 
   // ---- Plan-compiled inference (src/plan) ----------------------------------
-  // Compiles the model's exact inference op sequence into a static schedule
-  // with liveness-planned buffers, valid for batches of up to `max_kernels`
-  // kernels and `max_total_nodes` packed nodes. The plan holds pointers into
-  // this model's parameters (AOT semantics: the model must outlive the plan,
+  // Records the schedule of one inference forward (ForwardBatchImpl on a
+  // record-mode tape, see nn/schedule.h) and compiles it with
+  // liveness-planned buffers, valid for batches of up to `max_kernels`
+  // kernels and `max_total_nodes` packed nodes. The plan reads this model's
+  // parameters through live pointers and holds values computed from them
+  // alone as folded copies (AOT semantics: the model must outlive the plan,
   // and the plan must be recompiled after parameter updates). Replay is
   // bit-identical to PredictBatch/PredictScore at any thread-pool width.
-  // Requires fitted scalers; throws std::logic_error otherwise.
+  // Requires fitted scalers; throws std::logic_error otherwise, and when
+  // the forward uses an op with no replay form.
   // `poison_dead_buffers` enables the plan_test debug mode that NaN-fills
   // retired buffers.
   std::shared_ptr<const plan::CompiledPlan> CompilePlan(
@@ -150,8 +153,8 @@ class LearnedCostModel {
   void LoadFromFile(const std::string& path);
 
  private:
-  // The model's one tape forward: every Predict* tape path and ForwardBatch
-  // build the model through it.
+  // The model's one forward: every Predict* tape path and ForwardBatch
+  // build the model through it, and CompilePlan records its schedule.
   nn::Tensor ForwardBatchImpl(nn::Tape& tape, const PreparedBatch& batch,
                               bool training,
                               std::mt19937_64& dropout_rng) const;

@@ -28,7 +28,7 @@
 ///
 /// Points currently compiled in:
 ///   featurize.throw     PreparedCache::Get, miss path (core/trainer.cpp)
-///   plan.compile_fail   LearnedCostModel::CompilePlan (plan/planner.cpp)
+///   plan.compile_fail   LearnedCostModel::CompilePlan (core/cost_model.cpp)
 ///   store.short_read    DatasetReader::ForEachRecord record walks
 ///                       (dataset/store.cpp);
 ///                       throws data::StoreError, modeling mid-stream

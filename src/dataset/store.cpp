@@ -534,11 +534,14 @@ GraphDict::Entry GraphDict::Decode(const RecordView& record) {
   entry.kernel.kind = DecodeKernelKind(d);
   entry.fingerprint = d.U64();
   if (!d.AtEnd()) d.Fail("trailing bytes inside record payload");
-  if (entry.fingerprint != entry.kernel.graph.Fingerprint()) {
+  // One walk of the graph yields both hashes.
+  const ir::Graph::Hashes hashes =
+      entry.kernel.graph.FingerprintAndSignature();
+  if (entry.fingerprint != hashes.fingerprint) {
     d.Fail("stored dictionary fingerprint does not match the decoded graph "
            "(serialization drift or tampering)");
   }
-  entry.structural_sig = entry.kernel.graph.StructuralSignature();
+  entry.structural_sig = hashes.signature;
   return entry;
 }
 

@@ -22,24 +22,6 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(ParamStore& store,
   out_ = Linear(store, name + ".out", dim, dim, rng);
 }
 
-Tensor MultiHeadSelfAttention::Forward(Tape& tape, Tensor x) const {
-  if (heads_.empty()) throw std::logic_error("MHSA: uninitialized");
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(heads_.size());
-  for (const Head& head : heads_) {
-    Tensor q = head.q.Forward(tape, x);
-    Tensor k = head.k.Forward(tape, x);
-    Tensor v = head.v.Forward(tape, x);
-    Tensor scores =
-        ScaleOp(tape, MatMulOp(tape, q, TransposeOp(tape, k)), scale);
-    Tensor attn = SoftmaxRowsOp(tape, scores);
-    head_outputs.push_back(MatMulOp(tape, attn, v));
-  }
-  Tensor merged = ConcatColsOp(tape, head_outputs);
-  return out_.Forward(tape, merged);
-}
-
 Tensor MultiHeadSelfAttention::Forward(Tape& tape, Tensor x,
                                        std::span<const int> offsets) const {
   if (heads_.empty()) throw std::logic_error("MHSA: uninitialized");
@@ -69,13 +51,6 @@ TransformerEncoderLayer::TransformerEncoderLayer(ParamStore& store,
       ffn_(store, name + ".ffn", dim, {2 * dim, dim}, rng,
            /*activate_last=*/false) {}
 
-Tensor TransformerEncoderLayer::Forward(Tape& tape, Tensor x) const {
-  Tensor attn = attention_.Forward(tape, norm1_.Forward(tape, x));
-  Tensor h = AddOp(tape, x, attn);
-  Tensor ffn = ffn_.Forward(tape, norm2_.Forward(tape, h));
-  return AddOp(tape, h, ffn);
-}
-
 Tensor TransformerEncoderLayer::Forward(Tape& tape, Tensor x,
                                         std::span<const int> offsets) const {
   // Layer norms and the FFN are row-wise, so they run packed; only the
@@ -94,12 +69,6 @@ TransformerEncoder::TransformerEncoder(ParamStore& store,
     layers_.emplace_back(store, name + ".layer" + std::to_string(l), dim,
                          num_heads, rng);
   }
-}
-
-Tensor TransformerEncoder::Forward(Tape& tape, Tensor x) const {
-  Tensor h = x;
-  for (const auto& layer : layers_) h = layer.Forward(tape, h);
-  return h;
 }
 
 Tensor TransformerEncoder::Forward(Tape& tape, Tensor x,

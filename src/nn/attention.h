@@ -1,15 +1,14 @@
 // Multi-head self-attention and the Transformer encoder layer used as the
 // global kernel-embedding reduction (paper §3.2, reduction option 3).
 //
-// Each class has two Forward overloads: the single-sequence form over an
-// [n, dim] input, and a batched form over a packed [N, dim] input whose row
-// segments (delimited by `offsets`, B+1 entries) are independent sequences.
-// In the batched form all dense transforms (q/k/v projections, layer norms,
-// the FFN) run as single GEMMs over the whole packed batch, and attention is
-// applied block-diagonally through BlockDiagSelfAttentionOp so sequences
-// never attend across segments — one differentiable op whose forward AND
-// backward shard segments across core::ThreadPool. Row-for-row identical to
-// running the single-sequence Forward per segment.
+// Each Forward runs over a packed [N, dim] input whose row segments
+// (delimited by `offsets`, B+1 entries) are independent sequences; one
+// sequence is the one-segment case. All dense transforms (q/k/v
+// projections, layer norms, the FFN) run as single GEMMs over the whole
+// packed batch, and attention is applied block-diagonally through
+// BlockDiagSelfAttentionOp so sequences never attend across segments — one
+// differentiable op whose forward AND backward shard segments across
+// core::ThreadPool.
 #pragma once
 
 #include <random>
@@ -29,20 +28,13 @@ class MultiHeadSelfAttention {
   MultiHeadSelfAttention(ParamStore& store, const std::string& name, int dim,
                          int num_heads, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor x) const;
-  // Batched: block-diagonal attention over the packed segments of `x`.
   Tensor Forward(Tape& tape, Tensor x, std::span<const int> offsets) const;
 
+ private:
   struct Head {
     Linear q, k, v;
   };
 
-  // Structural accessors for the plan compiler (src/plan).
-  const std::vector<Head>& heads() const noexcept { return heads_; }
-  const Linear& out() const noexcept { return out_; }
-  int head_dim() const noexcept { return head_dim_; }
-
- private:
   std::vector<Head> heads_;
   Linear out_;
   int head_dim_ = 0;
@@ -55,16 +47,7 @@ class TransformerEncoderLayer {
   TransformerEncoderLayer(ParamStore& store, const std::string& name, int dim,
                           int num_heads, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor x) const;
   Tensor Forward(Tape& tape, Tensor x, std::span<const int> offsets) const;
-
-  // Structural accessors for the plan compiler (src/plan).
-  const MultiHeadSelfAttention& attention() const noexcept {
-    return attention_;
-  }
-  const LayerNorm& norm1() const noexcept { return norm1_; }
-  const LayerNorm& norm2() const noexcept { return norm2_; }
-  const Mlp& ffn() const noexcept { return ffn_; }
 
  private:
   MultiHeadSelfAttention attention_;
@@ -80,12 +63,7 @@ class TransformerEncoder {
   TransformerEncoder(ParamStore& store, const std::string& name, int dim,
                      int num_heads, int num_layers, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor x) const;
   Tensor Forward(Tape& tape, Tensor x, std::span<const int> offsets) const;
-
-  const std::vector<TransformerEncoderLayer>& layers() const noexcept {
-    return layers_;
-  }
 
  private:
   std::vector<TransformerEncoderLayer> layers_;

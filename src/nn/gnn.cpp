@@ -118,14 +118,6 @@ GraphSageLayer::GraphSageLayer(ParamStore& store, const std::string& name,
 }
 
 Tensor GraphSageLayer::Forward(Tape& tape, Tensor h,
-                               const GraphStructure& gs) const {
-  BatchedGraphStructure single;
-  single.blocks = {&gs};
-  single.offsets = {0, h.rows()};
-  return Forward(tape, h, single);
-}
-
-Tensor GraphSageLayer::Forward(Tape& tape, Tensor h,
                                const BatchedGraphStructure& gs) const {
   const auto aggregate = [&](EdgeList GraphStructure::*op, const Linear& f2) {
     std::vector<const EdgeList*> blocks;
@@ -157,35 +149,18 @@ GatLayer::GatLayer(ParamStore& store, const std::string& name, int dim,
   if (num_heads <= 0 || dim % num_heads != 0) {
     throw std::invalid_argument("GatLayer: dim must be divisible by heads");
   }
-  head_dim_ = dim / num_heads;
+  const int head_dim = dim / num_heads;
   for (int h = 0; h < num_heads; ++h) {
     const std::string prefix = name + ".h" + std::to_string(h);
     Head head;
-    head.w = Linear(store, prefix + ".w", dim, head_dim_, rng);
-    head.a_src = store.Create(prefix + ".a_src", head_dim_, 1,
+    head.w = Linear(store, prefix + ".w", dim, head_dim, rng);
+    head.a_src = store.Create(prefix + ".a_src", head_dim, 1,
                               Init::kXavierUniform, rng);
-    head.a_dst = store.Create(prefix + ".a_dst", head_dim_, 1,
+    head.a_dst = store.Create(prefix + ".a_dst", head_dim, 1,
                               Init::kXavierUniform, rng);
     heads_.push_back(std::move(head));
   }
   merge_ = Linear(store, name + ".merge", dim, dim, rng);
-}
-
-Tensor GatLayer::Forward(Tape& tape, Tensor h,
-                         const GraphStructure& gs) const {
-  if (heads_.empty()) throw std::logic_error("GatLayer: uninitialized");
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(heads_.size());
-  for (const Head& head : heads_) {
-    Tensor wh = head.w.Forward(tape, h);  // [n, head_dim]
-    Tensor s = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_src));  // [n, 1]
-    Tensor d = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_dst));  // [n, 1]
-    Tensor logits = LeakyReluOp(tape, OuterSumOp(tape, s, d), 0.2f);
-    Tensor attn = MaskedSoftmaxRowsOp(tape, logits, gs.sym_mask);
-    head_outputs.push_back(MatMulOp(tape, attn, wh));
-  }
-  Tensor merged = ConcatColsOp(tape, head_outputs);
-  return ReluOp(tape, merge_.Forward(tape, merged));
 }
 
 Tensor GatLayer::Forward(Tape& tape, Tensor h,

@@ -1,8 +1,9 @@
 // Graph neural network layers: GraphSAGE (paper §3.2) and GAT (§6.2 Q3).
 //
-// Both operate on per-kernel inputs: a node-feature matrix [n, d] and the
-// graph's adjacency. Mean aggregation runs over row-sorted edge lists; the
-// GAT edge mask stays dense, since its attention is O(n^2) per graph anyway.
+// Both operate on a packed batch of kernel graphs: a node-feature matrix
+// [N, d] and the block-diagonal adjacency. Mean aggregation runs over
+// row-sorted edge lists; the GAT edge mask stays dense, since its attention
+// is O(n^2) per graph anyway.
 #pragma once
 
 #include <random>
@@ -65,19 +66,11 @@ class GraphSageLayer {
   GraphSageLayer(ParamStore& store, const std::string& name, int dim,
                  bool directed, bool l2_normalize, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor h, const GraphStructure& gs) const;
-  // Batched forward over a packed batch: dense transforms (f2, f3) run as
-  // single large GEMMs over all nodes; aggregation applies each block of the
-  // block-diagonal adjacency to its row segment. Row-for-row identical to
-  // running Forward per kernel.
+  // Forward over a packed batch (one graph is the one-block case): dense
+  // transforms (f2, f3) run as single large GEMMs over all nodes;
+  // aggregation applies each block of the block-diagonal adjacency to its
+  // row segment, so a kernel's rows never depend on its batch-mates.
   Tensor Forward(Tape& tape, Tensor h, const BatchedGraphStructure& gs) const;
-
-  // Structural accessors for the plan compiler (src/plan).
-  const Linear& f2_in() const noexcept { return f2_in_; }
-  const Linear& f2_out() const noexcept { return f2_out_; }
-  const Linear& f3() const noexcept { return f3_; }
-  bool directed() const noexcept { return directed_; }
-  bool l2_normalize() const noexcept { return l2_normalize_; }
 
  private:
   Linear f2_in_, f2_out_, f3_;
@@ -94,27 +87,20 @@ class GatLayer {
   GatLayer(ParamStore& store, const std::string& name, int dim, int num_heads,
            std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor h, const GraphStructure& gs) const;
-  // Batched forward: the per-head projections run as single GEMMs over all
-  // nodes; attention (inherently O(n^2) per graph) is applied per segment so
-  // nodes never attend across kernels.
+  // Forward over a packed batch: the per-head projections run as single
+  // GEMMs over all nodes; attention (inherently O(n^2) per graph) is applied
+  // per segment so nodes never attend across kernels.
   Tensor Forward(Tape& tape, Tensor h, const BatchedGraphStructure& gs) const;
 
+ private:
   struct Head {
     Linear w;
     Parameter* a_src = nullptr;
     Parameter* a_dst = nullptr;
   };
 
-  // Structural accessors for the plan compiler (src/plan).
-  const std::vector<Head>& heads() const noexcept { return heads_; }
-  const Linear& merge() const noexcept { return merge_; }
-  int head_dim() const noexcept { return head_dim_; }
-
- private:
   std::vector<Head> heads_;
   Linear merge_;
-  int head_dim_ = 0;
 };
 
 // Builds the adjacency operators from operand lists.

@@ -46,11 +46,6 @@ class Mlp {
   int out_features() const noexcept;
   int num_layers() const noexcept { return static_cast<int>(layers_.size()); }
 
-  // Structural accessors for the plan compiler (src/plan), which re-emits
-  // the exact Forward sequence as a static schedule.
-  const std::vector<Linear>& layers() const noexcept { return layers_; }
-  bool activate_last() const noexcept { return activate_last_; }
-
  private:
   std::vector<Linear> layers_;
   bool activate_last_ = true;
@@ -67,7 +62,6 @@ class Embedding {
   // ids -> [len(ids), dim].
   Tensor Forward(Tape& tape, std::span<const int> ids) const;
   int dim() const noexcept { return dim_; }
-  Parameter* table_param() const noexcept { return table_; }
 
  private:
   Parameter* table_ = nullptr;
@@ -82,8 +76,6 @@ class LayerNorm {
             std::mt19937_64& rng);
 
   Tensor Forward(Tape& tape, Tensor x) const;
-  Parameter* gamma_param() const noexcept { return gamma_; }
-  Parameter* beta_param() const noexcept { return beta_; }
 
  private:
   Parameter* gamma_ = nullptr;

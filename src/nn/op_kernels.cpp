@@ -568,14 +568,44 @@ void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
 }
 
 void GatherRowsForward(Matrix& y, const Matrix& table,
-                       std::span<const int> ids) {
+                       std::span<const int> ids, int col_off) {
   for (size_t i = 0; i < ids.size(); ++i) {
     const int r = ids[i];
     if (r < 0 || r >= table.rows()) {
       throw std::out_of_range("GatherRowsOp: id out of range");
     }
     const auto src = table.row(r);
-    std::copy(src.begin(), src.end(), y.row(static_cast<int>(i)).begin());
+    std::copy(src.begin(), src.end(),
+              y.row(static_cast<int>(i)).begin() + col_off);
+  }
+}
+
+void AddRowBroadcastForward(Matrix& y, const Matrix& x, const Matrix& bias) {
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int j = 0; j < x.cols(); ++j) y.at(i, j) = x.at(i, j) + bias.at(0, j);
+  }
+}
+
+void ReluForward(Matrix& y, const Matrix& x) {
+  for (size_t i = 0; i < x.size(); ++i) {
+    y.data()[i] = x.data()[i] > 0 ? x.data()[i] : 0.0f;
+  }
+}
+
+void CopyColsForward(Matrix& y, const Matrix& x, int col_off) {
+  for (int i = 0; i < x.rows(); ++i) {
+    const auto src = x.row(i);
+    std::copy(src.begin(), src.end(), y.row(i).begin() + col_off);
+  }
+}
+
+void BroadcastSegmentsForward(Matrix& y, const Matrix& x,
+                              std::span<const int> offsets, int col_off) {
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
+    const auto src = x.row(static_cast<int>(b));
+    for (int i = offsets[b]; i < offsets[b + 1]; ++i) {
+      std::copy(src.begin(), src.end(), y.row(i).begin() + col_off);
+    }
   }
 }
 

@@ -171,8 +171,20 @@ void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
                           const Matrix& w_h, std::span<const int> offsets,
                           const LstmTrace& trace, bool parallel);
 
-// y[i, :] = table[ids[i], :]; throws std::out_of_range on a bad id.
+// y[i, :] = x[i, :] + bias[0, :]; y may be x (the plan's GEMM epilogue).
+void AddRowBroadcastForward(Matrix& y, const Matrix& x, const Matrix& bias);
+// y = max(x, 0) elementwise; y may be x.
+void ReluForward(Matrix& y, const Matrix& x);
+
+// The copy kernels write columns [col_off, col_off + width) of each output
+// row: a concat is one call per part.
+// y[i, col_off:] = table[ids[i], :]; throws std::out_of_range on a bad id.
 void GatherRowsForward(Matrix& y, const Matrix& table,
-                       std::span<const int> ids);
+                       std::span<const int> ids, int col_off = 0);
+// y[i, col_off:] = x[i, :].
+void CopyColsForward(Matrix& y, const Matrix& x, int col_off);
+// y[i, col_off:] = x[b, :] for every row i of segment b.
+void BroadcastSegmentsForward(Matrix& y, const Matrix& x,
+                              std::span<const int> offsets, int col_off = 0);
 
 }  // namespace tpuperf::nn

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <source_location>
 #include <stdexcept>
 
 #include "core/thread_pool.h"
@@ -26,13 +28,19 @@ void CheckSame(const Matrix& a, const Matrix& b, const char* op) {
 // value and self.value stay alive on the tape), so no matrix copies are
 // captured. On grad-disabled tapes no closure is built — inference pays
 // for the forward values only.
+// `replay` and `op` are forwarded to NewNode (the defaults name the calling
+// op).
 template <typename Fwd, typename Bwd>
-Tensor Unary(Tape& tape, Tensor x, Fwd fwd, Bwd bwd) {
+Tensor Unary(Tape& tape, Tensor x, Fwd fwd, Bwd bwd,
+             std::optional<Replay> replay = std::nullopt,
+             std::source_location op = std::source_location::current()) {
   const Matrix& xv = x.value();
   Matrix y = tape.NewMatrixUninit(xv.rows(), xv.cols());
   for (size_t i = 0; i < xv.size(); ++i) y.data()[i] = fwd(xv.data()[i]);
   TapeNode* xn = x.node();
-  if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {xn}, nullptr);
+  if (!tape.grad_enabled()) {
+    return tape.NewNode(std::move(y), {xn}, nullptr, replay, op);
+  }
   return tape.NewNode(std::move(y), {xn}, [xn, bwd](TapeNode& self) {
     const float* __restrict xd = xn->value.data();
     const float* __restrict yd = self.value.data();
@@ -49,7 +57,9 @@ Tensor MatMulOp(Tape& tape, Tensor a, Tensor b) {
   MatMulInto(y, a.value(), b.value());
   TapeNode* an = a.node();
   TapeNode* bn = b.node();
-  if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {an, bn}, nullptr);
+  if (!tape.grad_enabled()) {
+    return tape.NewNode(std::move(y), {an, bn}, nullptr, Replay{OpKind::kGemm});
+  }
   return tape.NewNode(std::move(y), {an, bn}, [an, bn](TapeNode& self) {
     // The accumulate entry points (nn/matrix.h) add the product straight
     // into the grad: no temporary, no extra add pass.
@@ -72,6 +82,9 @@ Tensor AddOp(Tape& tape, Tensor a, Tensor b) {
   }
   TapeNode* an = a.node();
   TapeNode* bn = b.node();
+  if (!tape.grad_enabled()) {
+    return tape.NewNode(std::move(y), {an, bn}, nullptr, Replay{OpKind::kAdd});
+  }
   return tape.NewNode(std::move(y), {an, bn}, [an, bn](TapeNode& self) {
     if (an->requires_grad) AccumulateInto(an->grad, self.grad);
     if (bn->requires_grad) AccumulateInto(bn->grad, self.grad);
@@ -149,11 +162,13 @@ Tensor AddRowBroadcastOp(Tape& tape, Tensor x, Tensor bias) {
     throw std::invalid_argument("AddRowBroadcastOp: bias must be [1, cols]");
   }
   Matrix y = tape.NewMatrixUninit(xv.rows(), xv.cols());
-  for (int i = 0; i < xv.rows(); ++i) {
-    for (int j = 0; j < xv.cols(); ++j) y.at(i, j) = xv.at(i, j) + bv.at(0, j);
-  }
+  AddRowBroadcastForward(y, xv, bv);
   TapeNode* xn = x.node();
   TapeNode* bn = bias.node();
+  if (!tape.grad_enabled()) {
+    return tape.NewNode(std::move(y), {xn, bn}, nullptr,
+                        Replay{OpKind::kAddBias});
+  }
   return tape.NewNode(std::move(y), {xn, bn}, [xn, bn](TapeNode& self) {
     if (xn->requires_grad) AccumulateInto(xn->grad, self.grad);
     if (bn->requires_grad) {
@@ -171,7 +186,8 @@ Tensor AddRowBroadcastOp(Tape& tape, Tensor x, Tensor bias) {
 Tensor ReluOp(Tape& tape, Tensor x) {
   return Unary(
       tape, x, [](float v) { return v > 0 ? v : 0.0f; },
-      [](float v, float) { return v > 0 ? 1.0f : 0.0f; });
+      [](float v, float) { return v > 0 ? 1.0f : 0.0f; },
+      Replay{OpKind::kRelu});
 }
 
 Tensor LeakyReluOp(Tape& tape, Tensor x, float alpha) {
@@ -276,7 +292,8 @@ Tensor RowL2NormalizeOp(Tape& tape, Tensor x, float eps) {
   TapeNode* xn = x.node();
   if (!tape.grad_enabled()) {
     RowL2NormalizeForward(y, xv, eps, nullptr);
-    return tape.NewNode(std::move(y), {xn}, nullptr);
+    return tape.NewNode(std::move(y), {xn}, nullptr,
+                        Replay{OpKind::kRowL2Norm, eps});
   }
   std::vector<float> inv_norms(static_cast<size_t>(xv.rows()));
   RowL2NormalizeForward(y, xv, eps, inv_norms.data());
@@ -344,7 +361,8 @@ Tensor LayerNormRowsOp(Tape& tape, Tensor x, Tensor gamma, Tensor beta,
   if (!tape.grad_enabled()) {
     // Backward state (xhat, inv_std) is skipped for inference.
     LayerNormRowsForward(y, xv, gv, bv, eps, nullptr, nullptr);
-    return tape.NewNode(std::move(y), {xn, gn, bn}, nullptr);
+    return tape.NewNode(std::move(y), {xn, gn, bn}, nullptr,
+                        Replay{OpKind::kLayerNorm, eps});
   }
   Matrix xhat = tape.NewMatrixUninit(n, c);
   std::vector<float> inv_std(static_cast<size_t>(n));
@@ -432,14 +450,10 @@ Tensor ConcatColsOp(Tape& tape, std::span<const Tensor> parts) {
   std::vector<int> offsets;
   int off = 0;
   for (const Tensor& t : parts) {
-    const Matrix& v = t.value();
-    for (int i = 0; i < n; ++i) {
-      const auto src = v.row(i);
-      std::copy(src.begin(), src.end(), y.row(i).begin() + off);
-    }
+    CopyColsForward(y, t.value(), off);
     parents.push_back(t.node());
     offsets.push_back(off);
-    off += v.cols();
+    off += t.cols();
   }
   return tape.NewNode(
       std::move(y), parents,
@@ -454,7 +468,8 @@ Tensor ConcatColsOp(Tape& tape, std::span<const Tensor> parts) {
             }
           }
         }
-      });
+      },
+      Replay{OpKind::kCopyCols});
 }
 
 Tensor ConcatRowsOp(Tape& tape, std::span<const Tensor> parts) {
@@ -560,7 +575,8 @@ Tensor LstmSequenceOp(Tape& tape, Tensor xw, Tensor w_h, Tensor bias,
     LstmSequenceForward(y, xw.value(), w_h.value(), bias.value(), offsets,
                         nullptr);
     return tape.NewNode(std::move(y), {xw.node(), w_h.node(), bias.node()},
-                        nullptr);
+                        nullptr,
+                        Replay{OpKind::kLstmReduce, 0.0f, offsets.data()});
   }
   // The trace lives on the tape as stash leaves (arena-recycled).
   TapeNode* h_prev = tape.Leaf(tape.NewMatrixUninit(nodes, hidden)).node();
@@ -629,7 +645,8 @@ Tensor SegmentSumOp(Tape& tape, Tensor x, std::span<const int> offsets) {
                 }
               }
             });
-      });
+      },
+      Replay{OpKind::kSegmentSum, 0.0f, offsets.data()});
 }
 
 Tensor SegmentMeanOp(Tape& tape, Tensor x, std::span<const int> offsets) {
@@ -658,7 +675,8 @@ Tensor SegmentMeanOp(Tape& tape, Tensor x, std::span<const int> offsets) {
                 }
               }
             });
-      });
+      },
+      Replay{OpKind::kSegmentMean, 0.0f, offsets.data()});
 }
 
 Tensor SegmentMaxOp(Tape& tape, Tensor x, std::span<const int> offsets) {
@@ -685,7 +703,31 @@ Tensor SegmentMaxOp(Tape& tape, Tensor x, std::span<const int> offsets) {
                 }
               }
             });
-      });
+      },
+      Replay{OpKind::kSegmentMax, 0.0f, offsets.data()});
+}
+
+Tensor BroadcastSegmentsOp(Tape& tape, Tensor x,
+                           std::span<const int> offsets) {
+  const Matrix& xv = x.value();
+  const int batch = static_cast<int>(offsets.size()) - 1;
+  if (batch != xv.rows()) {
+    throw std::invalid_argument("BroadcastSegmentsOp: one row per segment");
+  }
+  CheckSegmentOffsetsFor(offsets.back(), offsets, "BroadcastSegmentsOp");
+  Matrix y = tape.NewMatrixUninit(offsets.back(), xv.cols());
+  BroadcastSegmentsForward(y, xv, offsets);
+  TapeNode* xn = x.node();
+  std::vector<int> offs(offsets.begin(), offsets.end());
+  return tape.NewNode(
+      std::move(y), {xn},
+      [xn, offs = std::move(offs)](TapeNode& self) {
+        // d x[b] = the column sums of segment b's output gradient.
+        Matrix sums(xn->grad.rows(), xn->grad.cols());
+        SegmentSumForward(sums, self.grad, offs);
+        AccumulateInto(xn->grad, sums);
+      },
+      Replay{OpKind::kBroadcastSegments, 0.0f, offsets.data()});
 }
 
 Tensor BlockDiagMatMulConstA(Tape& tape,
@@ -706,7 +748,8 @@ Tensor BlockDiagMatMulConstA(Tape& tape,
       [xn, blocks = std::move(blocks_copy), offs = std::move(offs),
        parallel](TapeNode& self) {
         EdgeAggregateBackward(xn->grad, blocks, offs, self.grad, parallel);
-      });
+      },
+      Replay{OpKind::kBlockAgg, 0.0f, blocks.front()});
 }
 
 // ---- Fused block-diagonal attention ----------------------------------------
@@ -750,7 +793,10 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
   TapeNode* qn = q.node();
   TapeNode* kn = k.node();
   TapeNode* vn = v.node();
-  if (!save) return tape.NewNode(std::move(y), {qn, kn, vn}, nullptr);
+  if (!save) {
+    return tape.NewNode(std::move(y), {qn, kn, vn}, nullptr,
+                        Replay{OpKind::kSelfAttention, scale, offsets.data()});
+  }
   TapeNode* probs_node = tape.Leaf(std::move(probs)).node();
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
@@ -874,7 +920,10 @@ Tensor BlockDiagGatAttentionOp(Tape& tape, Tensor s, Tensor d, Tensor wh,
   TapeNode* sn = s.node();
   TapeNode* dn = d.node();
   TapeNode* whn = wh.node();
-  if (!save) return tape.NewNode(std::move(y), {sn, dn, whn}, nullptr);
+  if (!save) {
+    return tape.NewNode(std::move(y), {sn, dn, whn}, nullptr,
+                        Replay{OpKind::kGatAttention, alpha, masks.front()});
+  }
   TapeNode* probs_node = tape.Leaf(std::move(probs)).node();
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
@@ -1015,15 +1064,16 @@ Tensor GatherRowsOp(Tape& tape, Tensor table, std::span<const int> ids) {
   GatherRowsForward(y, tv, ids);
   TapeNode* tn = table.node();
   std::vector<int> ids_copy(ids.begin(), ids.end());
-  return tape.NewNode(std::move(y), {tn},
-                      [tn, ids = std::move(ids_copy)](TapeNode& self) {
-                        for (size_t i = 0; i < ids.size(); ++i) {
-                          for (int j = 0; j < self.grad.cols(); ++j) {
-                            tn->grad.at(ids[i], j) +=
-                                self.grad.at(static_cast<int>(i), j);
-                          }
-                        }
-                      });
+  return tape.NewNode(
+      std::move(y), {tn},
+      [tn, ids = std::move(ids_copy)](TapeNode& self) {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          for (int j = 0; j < self.grad.cols(); ++j) {
+            tn->grad.at(ids[i], j) += self.grad.at(static_cast<int>(i), j);
+          }
+        }
+      },
+      Replay{OpKind::kGatherEmbed, 0.0f, ids.data()});
 }
 
 Tensor OuterSumOp(Tape& tape, Tensor a, Tensor b) {

@@ -2,7 +2,8 @@
 //
 // Each op computes the forward value eagerly and records a closure that
 // pushes d(out) into d(inputs). Every op here is covered by a numerical
-// gradient check in tests/nn_grad_test.cpp.
+// gradient check in tests/nn_grad_test.cpp. Ops that a compiled plan can
+// replay pass their replay form to Tape::NewNode (see nn/schedule.h).
 #pragma once
 
 #include <random>
@@ -80,6 +81,9 @@ Tensor ColMaxOp(Tape& tape, Tensor x);
 Tensor SegmentSumOp(Tape& tape, Tensor x, std::span<const int> offsets);
 Tensor SegmentMeanOp(Tape& tape, Tensor x, std::span<const int> offsets);
 Tensor SegmentMaxOp(Tape& tape, Tensor x, std::span<const int> offsets);
+// The inverse shape: [B, c] -> [n, c], every row of segment b a copy of
+// row b of x (per-kernel features expanded to the kernel's nodes).
+Tensor BroadcastSegmentsOp(Tape& tape, Tensor x, std::span<const int> offsets);
 
 // y = blockdiag(blocks[0], ..., blocks[B-1]) @ x for constant edge-list
 // blocks (graph adjacency operators): rows [offsets[b], offsets[b+1]) of y

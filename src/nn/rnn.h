@@ -40,13 +40,6 @@ class Lstm {
 
   int hidden() const noexcept { return hidden_; }
 
-  // Gate accessors for the plan compiler (src/plan), which materializes the
-  // fused [in+hidden, 4*hidden] weight exactly as ForwardBatched does.
-  const Linear& input_gate() const noexcept { return input_gate_; }
-  const Linear& forget_gate() const noexcept { return forget_gate_; }
-  const Linear& cell_gate() const noexcept { return cell_gate_; }
-  const Linear& output_gate() const noexcept { return output_gate_; }
-
  private:
   // Separate weight matrices per gate ([in+hidden, hidden] each) instead of
   // one fused matrix, to avoid column slicing on the tape.

@@ -54,6 +54,13 @@ void TapeArena::Recycle(Matrix&& m) {
   pool_.emplace(storage.capacity(), std::move(storage));
 }
 
+Tape::Tape(bool grad_enabled, TapeArena* arena, ScheduleRecorder* recorder)
+    : grad_enabled_(grad_enabled), arena_(arena), recorder_(recorder) {
+  if (recorder_ != nullptr && grad_enabled_) {
+    throw std::invalid_argument("Tape: record mode needs grads disabled");
+  }
+}
+
 TapeNode& Tape::AllocNode() {
   if (next_ < nodes_.size()) {
     // Reuse a shell left by Clear(): its matrices were already recycled and
@@ -91,6 +98,12 @@ Tensor Tape::Leaf(Matrix value, bool requires_grad) {
   return Tensor(&node);
 }
 
+Tensor Tape::InputLeaf(Matrix value, InputKind input) {
+  Tensor leaf = Leaf(std::move(value));
+  if (recorder_ != nullptr) recorder_->OnInputLeaf(leaf.node(), input);
+  return leaf;
+}
+
 Tensor Tape::ParamLeaf(Parameter& param) {
   TapeNode& node = AllocNode();
   // Snapshot through the arena so the copy's buffer recycles across steps.
@@ -103,11 +116,13 @@ Tensor Tape::ParamLeaf(Parameter& param) {
     Parameter* p = &param;
     node.backward = [p](TapeNode& self) { AccumulateInto(p->grad, self.grad); };
   }
+  if (recorder_ != nullptr) recorder_->OnParamLeaf(&node, &param.value);
   return Tensor(&node);
 }
 
 Tensor Tape::NewNode(Matrix value, std::span<TapeNode* const> parents,
-                     std::function<void(TapeNode&)> backward) {
+                     std::function<void(TapeNode&)> backward,
+                     std::optional<Replay> replay, std::source_location op) {
   TapeNode& node = AllocNode();
   node.value = std::move(value);
   if (grad_enabled_) {
@@ -123,14 +138,19 @@ Tensor Tape::NewNode(Matrix value, std::span<TapeNode* const> parents,
   }
   // Inference tapes (and dead subgraphs) skip the parent-list copy and the
   // closure entirely.
+  if (recorder_ != nullptr) {
+    recorder_->OnNode(&node, parents, replay ? &*replay : nullptr,
+                      op.function_name());
+  }
   return Tensor(&node);
 }
 
 Tensor Tape::NewNode(Matrix value, std::initializer_list<TapeNode*> parents,
-                     std::function<void(TapeNode&)> backward) {
+                     std::function<void(TapeNode&)> backward,
+                     std::optional<Replay> replay, std::source_location op) {
   return NewNode(std::move(value),
                  std::span<TapeNode* const>(parents.begin(), parents.size()),
-                 std::move(backward));
+                 std::move(backward), replay, op);
 }
 
 void Tape::Backward(Tensor loss) {

@@ -45,6 +45,13 @@
 /// backward reads it — node pointers stay valid until Clear(), which is
 /// exactly the closure's lifetime; leave requires_grad false so Backward
 /// skips it.
+///
+/// ## Record mode
+///
+/// A grad-disabled tape given a ScheduleRecorder also records the replay
+/// schedule of the forward it runs (see nn/schedule.h): ops that have a
+/// replay form pass a Replay to NewNode, batch data enters through
+/// InputLeaf.
 #pragma once
 
 #include <cstddef>
@@ -52,11 +59,14 @@
 #include <functional>
 #include <initializer_list>
 #include <map>
+#include <optional>
+#include <source_location>
 #include <span>
 #include <vector>
 
 #include "nn/matrix.h"
 #include "nn/parameters.h"
+#include "nn/schedule.h"
 
 namespace tpuperf::nn {
 
@@ -155,8 +165,9 @@ class Tensor {
 /// steps (with Clear()) + a TapeArena is the zero-allocation steady state.
 class Tape {
  public:
-  explicit Tape(bool grad_enabled = true, TapeArena* arena = nullptr)
-      : grad_enabled_(grad_enabled), arena_(arena) {}
+  /// `recorder` (record mode) requires grad_enabled == false.
+  explicit Tape(bool grad_enabled = true, TapeArena* arena = nullptr,
+                ScheduleRecorder* recorder = nullptr);
   ~Tape() { Clear(); }
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
@@ -185,17 +196,29 @@ class Tape {
   /// this is also the stash-leaf primitive (see the file comment).
   Tensor Leaf(Matrix value, bool requires_grad = false);
 
+  /// A leaf holding batch data; in record mode it is bound to the plan
+  /// input `input`.
+  Tensor InputLeaf(Matrix value, InputKind input);
+
   /// A leaf view of a persistent Parameter; backward accumulates into
   /// param.grad.
   Tensor ParamLeaf(Parameter& param);
 
   /// Records an op result. `backward` may be empty for non-differentiable
   /// ops; it — and the parent list — are dropped when no parent requires
-  /// grad or grads are disabled (inference tapes store neither).
-  Tensor NewNode(Matrix value, std::span<TapeNode* const> parents,
-                 std::function<void(TapeNode&)> backward);
-  Tensor NewNode(Matrix value, std::initializer_list<TapeNode*> parents,
-                 std::function<void(TapeNode&)> backward);
+  /// grad or grads are disabled (inference tapes store neither). `replay`
+  /// is the op's replay form, if it has one; `op` names the op in record
+  /// mode's errors.
+  Tensor NewNode(
+      Matrix value, std::span<TapeNode* const> parents,
+      std::function<void(TapeNode&)> backward,
+      std::optional<Replay> replay = std::nullopt,
+      std::source_location op = std::source_location::current());
+  Tensor NewNode(
+      Matrix value, std::initializer_list<TapeNode*> parents,
+      std::function<void(TapeNode&)> backward,
+      std::optional<Replay> replay = std::nullopt,
+      std::source_location op = std::source_location::current());
 
   /// Seeds d(loss)=1 and runs all backward closures in reverse order.
   /// `loss` must be a 1x1 tensor recorded on this tape.
@@ -213,6 +236,7 @@ class Tape {
   std::size_t next_ = 0;        // nodes_[0, next_) are live
   bool grad_enabled_;
   TapeArena* arena_ = nullptr;
+  ScheduleRecorder* recorder_ = nullptr;
 };
 
 }  // namespace tpuperf::nn

@@ -1,5 +1,6 @@
-// CompiledPlan: liveness-planned buffer assignment (constructor) and the
-// schedule replay loop (Run). See plan/plan.h for the determinism contract.
+// CompiledPlan: the generic rewrites of a recorded schedule, liveness-planned
+// buffer assignment (constructor) and the schedule replay loop (Run). See
+// plan/plan.h for the determinism contract.
 #include "plan/plan.h"
 
 #include <algorithm>
@@ -13,6 +14,29 @@
 
 namespace tpuperf::plan {
 namespace {
+
+using nn::InputKind;
+using nn::Instr;
+using nn::OpKind;
+using nn::Rows;
+
+// Kinds whose kernel accumulates into its destination, which must start
+// zeroed (the tape ops allocate it with NewMatrix).
+bool ZeroesDst(OpKind kind) {
+  return kind == OpKind::kBlockAgg || kind == OpKind::kSegmentSum ||
+         kind == OpKind::kSegmentMean || kind == OpKind::kSelfAttention ||
+         kind == OpKind::kGatAttention;
+}
+
+// Kinds that can write their output at a column offset of a wider buffer.
+bool WritesAtColumnOffset(OpKind kind) {
+  return kind == OpKind::kGatherEmbed || kind == OpKind::kBroadcastSegments ||
+         kind == OpKind::kCopyCols;
+}
+
+const nn::Matrix* InputMatrix(const PlanInput& input, InputKind kind) {
+  return input.matrices[static_cast<size_t>(kind)];
+}
 
 // Reshapes a pooled matrix to [rows, cols] reusing its storage. The physical
 // buffer was sized for the largest logical user at compile time, so this
@@ -32,7 +56,7 @@ void PoisonMatrix(nn::Matrix& m, std::size_t capacity) {
   m.Fill(std::numeric_limits<float>::quiet_NaN());
 }
 
-// Enumerates the logical buffers an instruction reads / writes.
+// Enumerates the logical buffers an instruction reads (it writes dst).
 template <typename Fn>
 void ForEachRead(const Instr& ins, Fn&& fn) {
   if (ins.a >= 0) fn(ins.a);
@@ -40,20 +64,14 @@ void ForEachRead(const Instr& ins, Fn&& fn) {
   if (ins.c >= 0) fn(ins.c);
 }
 
-template <typename Fn>
-void ForEachWrite(const Instr& ins, Fn&& fn) {
-  fn(ins.dst);
-}
-
 }  // namespace
 
 PlanInput PlanInput::FromBatch(const core::PreparedBatch& batch) {
   PlanInput input;
   input.opcode_ids = batch.opcode_ids;
-  input.node_features = &batch.node_features;
-  input.static_perf = &batch.static_perf;
-  input.tile_features =
-      batch.tile_features.empty() ? nullptr : &batch.tile_features;
+  input.matrices = {
+      &batch.node_features, &batch.static_perf,
+      batch.tile_features.empty() ? nullptr : &batch.tile_features};
   input.blocks = batch.structure.blocks;
   input.offsets = batch.structure.offsets;
   return input;
@@ -70,24 +88,100 @@ struct CompiledPlan::ExecutionContext {
   bool sq_valid = false;
 };
 
-CompiledPlan::CompiledPlan(Spec spec, const Options& options)
-    : spec_(std::move(spec)), options_(options) {
-  const int num_buffers = static_cast<int>(spec_.buffer_rows.size());
-  const int num_instrs = static_cast<int>(spec_.instrs.size());
-  if (num_instrs == 0 || spec_.output_buffer < 0 ||
-      spec_.output_buffer >= num_buffers) {
-    throw std::invalid_argument("CompiledPlan: empty or inconsistent spec");
+// The recording has one instruction per tape op; two rewrites restore the
+// fused forms the tape computes in separate passes, without changing a
+// float. A bias add or ReLU folds into the GEMM epilogue when it alone reads
+// the GEMM's output. A concatenated part is written straight into its
+// concat when the concat alone reads it and its writer can write at a column
+// offset. Buffers no instruction touches any more are then dropped.
+void CompiledPlan::Rewrite() {
+  std::vector<Instr>& instrs = schedule_.instrs;
+  const size_t num_buffers = schedule_.buffer_rows.size();
+  std::vector<int> readers(num_buffers, 0), writers(num_buffers, 0);
+  std::vector<int> writer(num_buffers, -1);
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    ForEachRead(instrs[i],
+                [&](int buf) { ++readers[static_cast<size_t>(buf)]; });
+    ++writers[static_cast<size_t>(instrs[i].dst)];
+    writer[static_cast<size_t>(instrs[i].dst)] = static_cast<int>(i);
   }
+  std::vector<bool> folded(instrs.size(), false);
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    const Instr& ins = instrs[i];
+    if (ins.a < 0 || ins.a == schedule_.output_buffer) continue;
+    const auto a = static_cast<size_t>(ins.a);
+    if (readers[a] != 1 || writers[a] != 1) continue;
+    Instr& producer = instrs[static_cast<size_t>(writer[a])];
+    const bool gemm = producer.kind == OpKind::kGemm && !producer.relu;
+    if (ins.kind == OpKind::kAddBias && gemm && producer.w2 == nullptr) {
+      producer.w2 = ins.w;
+    } else if (ins.kind == OpKind::kRelu && gemm) {
+      producer.relu = true;
+    } else if (ins.kind == OpKind::kCopyCols &&
+               WritesAtColumnOffset(producer.kind)) {
+      producer.col_off += ins.col_off;
+    } else {
+      continue;
+    }
+    producer.dst = ins.dst;
+    writer[static_cast<size_t>(ins.dst)] = writer[a];
+    folded[i] = true;
+  }
+
+  std::vector<int> renumber(num_buffers, -1);
+  std::vector<Rows> rows;
+  std::vector<int> cols;
+  const auto keep = [&](int& buf) {
+    if (buf < 0) return;
+    int& id = renumber[static_cast<size_t>(buf)];
+    if (id < 0) {
+      id = static_cast<int>(rows.size());
+      rows.push_back(schedule_.buffer_rows[static_cast<size_t>(buf)]);
+      cols.push_back(schedule_.buffer_cols[static_cast<size_t>(buf)]);
+    }
+    buf = id;
+  };
+  std::vector<Instr> kept;
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    if (folded[i]) continue;
+    Instr ins = instrs[i];
+    keep(ins.a);
+    keep(ins.b);
+    keep(ins.c);
+    keep(ins.dst);
+    kept.push_back(ins);
+  }
+  keep(schedule_.output_buffer);
+  instrs = std::move(kept);
+  schedule_.buffer_rows = std::move(rows);
+  schedule_.buffer_cols = std::move(cols);
+}
+
+CompiledPlan::CompiledPlan(nn::Schedule schedule, int batch_capacity,
+                           int node_capacity, const Options& options)
+    : schedule_(std::move(schedule)),
+      batch_capacity_(batch_capacity),
+      node_capacity_(node_capacity),
+      options_(options) {
+  const int num_recorded = static_cast<int>(schedule_.buffer_rows.size());
+  if (schedule_.instrs.empty() || schedule_.output_buffer < 0 ||
+      schedule_.output_buffer >= num_recorded ||
+      schedule_.buffer_rows[static_cast<size_t>(schedule_.output_buffer)] !=
+          Rows::kBatch) {
+    throw std::invalid_argument("CompiledPlan: empty or inconsistent schedule");
+  }
+  Rewrite();
+  const int num_buffers = static_cast<int>(schedule_.buffer_rows.size());
+  const int num_instrs = static_cast<int>(schedule_.instrs.size());
 
   // ---- Liveness: first definition and last use of every logical buffer ----
   std::vector<int> def(static_cast<size_t>(num_buffers), -1);
   last_use_.assign(static_cast<size_t>(num_buffers), -1);
   for (int i = 0; i < num_instrs; ++i) {
-    const Instr& ins = spec_.instrs[static_cast<size_t>(i)];
-    ForEachWrite(ins, [&](int buf) {
-      if (def[static_cast<size_t>(buf)] < 0) def[static_cast<size_t>(buf)] = i;
-      last_use_[static_cast<size_t>(buf)] = i;
-    });
+    const Instr& ins = schedule_.instrs[static_cast<size_t>(i)];
+    const auto dst = static_cast<size_t>(ins.dst);
+    if (def[dst] < 0) def[dst] = i;
+    last_use_[dst] = i;
     ForEachRead(ins, [&](int buf) {
       if (def[static_cast<size_t>(buf)] < 0) {
         throw std::invalid_argument("CompiledPlan: read before write");
@@ -96,10 +190,10 @@ CompiledPlan::CompiledPlan(Spec spec, const Options& options)
     });
   }
   // The score buffer is read after the replay loop finishes.
-  last_use_[static_cast<size_t>(spec_.output_buffer)] = num_instrs;
-  for (auto& ins : spec_.instrs) {
+  last_use_[static_cast<size_t>(schedule_.output_buffer)] = num_instrs;
+  for (auto& ins : schedule_.instrs) {
     ins.first_write = def[static_cast<size_t>(ins.dst)] ==
-                      static_cast<int>(&ins - spec_.instrs.data());
+                      static_cast<int>(&ins - schedule_.instrs.data());
   }
 
   // ---- Physical assignment: greedy free-list over the schedule ------------
@@ -108,22 +202,18 @@ CompiledPlan::CompiledPlan(Spec spec, const Options& options)
   // define), so an instruction's output never aliases its inputs.
   const auto cap_elems = [&](int buf) {
     const std::size_t rows =
-        spec_.buffer_rows[static_cast<size_t>(buf)] == Rows::kBatch
-            ? static_cast<std::size_t>(spec_.batch_capacity)
-            : static_cast<std::size_t>(spec_.node_capacity);
+        schedule_.buffer_rows[static_cast<size_t>(buf)] == Rows::kBatch
+            ? static_cast<std::size_t>(batch_capacity_)
+            : static_cast<std::size_t>(node_capacity_);
     return rows * static_cast<std::size_t>(
-                      spec_.buffer_cols[static_cast<size_t>(buf)]);
+                      schedule_.buffer_cols[static_cast<size_t>(buf)]);
   };
   physical_of_.assign(static_cast<size_t>(num_buffers), -1);
   std::vector<int> free_list;
   for (int i = 0; i < num_instrs; ++i) {
-    const Instr& ins = spec_.instrs[static_cast<size_t>(i)];
-    ForEachWrite(ins, [&](int buf) {
-      if (def[static_cast<size_t>(buf)] != i ||
-          physical_of_[static_cast<size_t>(buf)] >= 0) {
-        return;
-      }
-      const std::size_t need = cap_elems(buf);
+    const int dst = schedule_.instrs[static_cast<size_t>(i)].dst;
+    if (def[static_cast<size_t>(dst)] == i) {
+      const std::size_t need = cap_elems(dst);
       // Smallest sufficient free buffer; else grow the largest free one.
       int best = -1, largest = -1;
       for (size_t f = 0; f < free_list.size(); ++f) {
@@ -152,8 +242,8 @@ CompiledPlan::CompiledPlan(Spec spec, const Options& options)
         phys = static_cast<int>(physical_capacity_.size());
         physical_capacity_.push_back(need);
       }
-      physical_of_[static_cast<size_t>(buf)] = phys;
-    });
+      physical_of_[static_cast<size_t>(dst)] = phys;
+    }
     // Release buffers whose last reader just retired.
     for (int buf = 0; buf < num_buffers; ++buf) {
       if (last_use_[static_cast<size_t>(buf)] == i) {
@@ -169,13 +259,6 @@ CompiledPlan::CompiledPlan(Spec spec, const Options& options)
     slab_bytes_ += cap * sizeof(float);
   }
 
-  for (const Instr& ins : spec_.instrs) {
-    if (ins.kind == OpKind::kCopyInput ||
-        ins.kind == OpKind::kBroadcastSegments) {
-      if (ins.input_kind == 1) needs_static_perf_ = true;
-      if (ins.input_kind == 2) needs_tile_ = true;
-    }
-  }
 }
 
 CompiledPlan::~CompiledPlan() = default;
@@ -208,12 +291,12 @@ void CompiledPlan::ReleaseContext(std::unique_ptr<ExecutionContext> ctx) const {
 
 void CompiledPlan::ValidateInput(const PlanInput& input, int batch,
                                  int nodes) const {
-  if (batch < 1 || batch > spec_.batch_capacity) {
+  if (batch < 1 || batch > batch_capacity_) {
     throw std::invalid_argument("CompiledPlan: batch size " +
                                 std::to_string(batch) +
                                 " outside compiled capacity");
   }
-  if (nodes < 1 || nodes > spec_.node_capacity) {
+  if (nodes < 1 || nodes > node_capacity_) {
     throw std::invalid_argument("CompiledPlan: total nodes " +
                                 std::to_string(nodes) +
                                 " outside compiled capacity");
@@ -222,24 +305,21 @@ void CompiledPlan::ValidateInput(const PlanInput& input, int batch,
   if (static_cast<int>(input.opcode_ids.size()) != nodes) {
     throw std::invalid_argument("CompiledPlan: opcode_ids size mismatch");
   }
-  if (input.node_features == nullptr ||
-      input.node_features->rows() != nodes ||
-      input.node_features->cols() != spec_.node_feature_cols) {
-    throw std::invalid_argument("CompiledPlan: node feature shape mismatch");
-  }
   if (static_cast<int>(input.blocks.size()) != batch) {
     throw std::invalid_argument("CompiledPlan: adjacency block count");
   }
-  if (needs_static_perf_ &&
-      (input.static_perf == nullptr || input.static_perf->rows() != batch ||
-       input.static_perf->cols() != spec_.static_perf_cols)) {
-    throw std::invalid_argument("CompiledPlan: static perf shape mismatch");
-  }
-  if (needs_tile_ &&
-      (input.tile_features == nullptr ||
-       input.tile_features->rows() != batch ||
-       input.tile_features->cols() != spec_.tile_cols)) {
-    throw std::invalid_argument("CompiledPlan: tile feature shape mismatch");
+  static constexpr const char* kInputNames[nn::kNumInputKinds] = {
+      "node feature", "static perf", "tile feature"};
+  for (int k = 0; k < nn::kNumInputKinds; ++k) {
+    const nn::InputShape& shape = schedule_.inputs[static_cast<size_t>(k)];
+    if (shape.cols == 0) continue;  // the schedule never reads it
+    const nn::Matrix* m = InputMatrix(input, static_cast<InputKind>(k));
+    if (m == nullptr ||
+        m->rows() != (shape.rows == Rows::kBatch ? batch : nodes) ||
+        m->cols() != shape.cols) {
+      throw std::invalid_argument(std::string("CompiledPlan: ") +
+                                  kInputNames[k] + " shape mismatch");
+    }
   }
 }
 
@@ -255,7 +335,7 @@ void CompiledPlan::Run(const PlanInput& input, std::span<double> out) const {
     Execute(*ctx, input, batch, nodes);
     const nn::Matrix& scores =
         ctx->phys[static_cast<size_t>(
-            physical_of_[static_cast<size_t>(spec_.output_buffer)])];
+            physical_of_[static_cast<size_t>(schedule_.output_buffer)])];
     for (int b = 0; b < batch; ++b) {
       out[static_cast<size_t>(b)] = static_cast<double>(scores.at(b, 0));
     }
@@ -272,18 +352,13 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
     return ctx.phys[static_cast<size_t>(physical_of_[static_cast<size_t>(id)])];
   };
   const auto rows_of = [&](int id) {
-    return spec_.buffer_rows[static_cast<size_t>(id)] == Rows::kBatch ? batch
-                                                                      : nodes;
+    return schedule_.buffer_rows[static_cast<size_t>(id)] == Rows::kBatch
+               ? batch
+               : nodes;
   };
-  const auto input_matrix = [&](int kind) -> const nn::Matrix& {
-    switch (kind) {
-      case 1:
-        return *input.static_perf;
-      case 2:
-        return *input.tile_features;
-      default:
-        return *input.node_features;
-    }
+  // The source of a copy or broadcast: buffer a, or the batch input.
+  const auto source = [&](const Instr& ins) -> const nn::Matrix& {
+    return ins.a >= 0 ? buf(ins.a) : *InputMatrix(input, ins.input);
   };
   const auto ensure_sq = [&] {
     if (!ctx.sq_valid) {
@@ -300,75 +375,42 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
     }
   }
 
-  const int num_instrs = static_cast<int>(spec_.instrs.size());
+  const int num_instrs = static_cast<int>(schedule_.instrs.size());
   for (int i = 0; i < num_instrs; ++i) {
-    const Instr& ins = spec_.instrs[static_cast<size_t>(i)];
+    const Instr& ins = schedule_.instrs[static_cast<size_t>(i)];
     nn::Matrix& d = buf(ins.dst);
     const int dst_rows = rows_of(ins.dst);
-    const int dst_cols = spec_.buffer_cols[static_cast<size_t>(ins.dst)];
+    const int dst_cols = schedule_.buffer_cols[static_cast<size_t>(ins.dst)];
     // The defining write reshapes (and, for accumulate kernels, clears) the
     // destination; later writers to the same buffer fill other columns.
     // kGemm destinations are reshaped by MatMulInto, which writes every
     // element.
     if (ins.first_write && ins.kind != OpKind::kGemm) {
-      Reshape(d, dst_rows, dst_cols, ins.zero_dst);
+      Reshape(d, dst_rows, dst_cols, ZeroesDst(ins.kind));
     }
     switch (ins.kind) {
-      case OpKind::kGatherEmbed: {
-        const nn::Matrix& table = *ins.w;
-        const int width = table.cols();
-        for (int r = 0; r < nodes; ++r) {
-          const int id = input.opcode_ids[static_cast<size_t>(r)];
-          if (id < 0 || id >= table.rows()) {
-            throw std::out_of_range("CompiledPlan: opcode id out of range");
-          }
-          const auto src = table.row(id);
-          std::copy(src.begin(), src.end(),
-                    d.row(r).begin() + ins.col_off);
-          (void)width;
-        }
+      case OpKind::kGatherEmbed:
+        nn::GatherRowsForward(d, *ins.w, input.opcode_ids, ins.col_off);
         break;
-      }
-      case OpKind::kCopyInput: {
-        const nn::Matrix& src = input_matrix(ins.input_kind);
-        for (int r = 0; r < src.rows(); ++r) {
-          const auto s = src.row(r);
-          std::copy(s.begin(), s.end(), d.row(r).begin() + ins.col_off);
-        }
+      case OpKind::kBroadcastSegments:
+        nn::BroadcastSegmentsForward(d, source(ins), input.offsets,
+                                     ins.col_off);
         break;
-      }
-      case OpKind::kBroadcastSegments: {
-        const nn::Matrix& src = input_matrix(ins.input_kind);
-        for (int b = 0; b < batch; ++b) {
-          const auto s = src.row(b);
-          for (int r = input.offsets[static_cast<size_t>(b)];
-               r < input.offsets[static_cast<size_t>(b) + 1]; ++r) {
-            std::copy(s.begin(), s.end(), d.row(r).begin() + ins.col_off);
-          }
-        }
+      case OpKind::kCopyCols:
+        nn::CopyColsForward(d, source(ins), ins.col_off);
         break;
-      }
-      case OpKind::kCopyCols: {
-        const nn::Matrix& src = buf(ins.a);
-        for (int r = 0; r < src.rows(); ++r) {
-          const auto s = src.row(r);
-          std::copy(s.begin(), s.end(), d.row(r).begin() + ins.col_off);
-        }
-        break;
-      }
-      case OpKind::kGemm: {
+      case OpKind::kGemm:
+        // The fused epilogues run in place, in the tape's op order.
         nn::MatMulInto(d, buf(ins.a), *ins.w);
-        if (ins.w2 != nullptr) {
-          const nn::Matrix& bias = *ins.w2;
-          for (int r = 0; r < d.rows(); ++r) {
-            for (int j = 0; j < d.cols(); ++j) d.at(r, j) += bias.at(0, j);
-          }
-        }
-        if (ins.activation == 1) {
-          for (float& v : d.flat()) v = v > 0 ? v : 0.0f;
-        }
+        if (ins.w2 != nullptr) nn::AddRowBroadcastForward(d, d, *ins.w2);
+        if (ins.relu) nn::ReluForward(d, d);
         break;
-      }
+      case OpKind::kAddBias:
+        nn::AddRowBroadcastForward(d, buf(ins.a), *ins.w);
+        break;
+      case OpKind::kRelu:
+        nn::ReluForward(d, buf(ins.a));
+        break;
       case OpKind::kBlockAgg: {
         nn::EdgeList nn::GraphStructure::*op =
             ins.block_kind == 0   ? &nn::GraphStructure::in_agg
@@ -432,8 +474,8 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
         break;
       }
       case OpKind::kLstmReduce:
-        nn::LstmSequenceForward(d, buf(ins.a), ins.lstm->w_h, ins.lstm->b_all,
-                                input.offsets, nullptr);
+        nn::LstmSequenceForward(d, buf(ins.a), *ins.w, *ins.w2, input.offsets,
+                                nullptr);
         break;
     }
     if (options_.poison_dead_buffers) {
@@ -441,7 +483,7 @@ void CompiledPlan::Execute(ExecutionContext& ctx, const PlanInput& input,
       // of it is a liveness-plan bug and must surface as NaN output.
       for (int b = 0; b < static_cast<int>(last_use_.size()); ++b) {
         if (last_use_[static_cast<size_t>(b)] == i &&
-            b != spec_.output_buffer) {
+            b != schedule_.output_buffer) {
           const int phys = physical_of_[static_cast<size_t>(b)];
           PoisonMatrix(ctx.phys[static_cast<size_t>(phys)],
                        physical_capacity_[static_cast<size_t>(phys)]);

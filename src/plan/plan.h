@@ -3,26 +3,28 @@
 // plan, then replayed per request with zero per-op dispatch, zero tape-node
 // bookkeeping and zero heap allocations.
 //
-// The split mirrors AOT tensor compilers (XLA tfcompile): the planner
-// (plan/planner.cpp, LearnedCostModel::CompilePlan) traces the exact
-// ForwardBatchImpl op sequence for the model's configuration and emits one
-// Instr per fused kernel call — GEMMs with their bias/ReLU epilogues folded
-// in, block-diagonal aggregations, segment reductions, the LSTM recurrence as
-// a single instruction. A liveness pass then assigns every intermediate a
-// physical buffer in a small recycled pool (buffers whose last reader has
-// retired are reused), so a replay touches a fixed slab of memory.
+// The split mirrors AOT tensor compilers (XLA tfcompile). The schedule is
+// not written by hand: LearnedCostModel::CompilePlan runs the model's one
+// tape forward (ForwardBatchImpl) in record mode (nn/schedule.h), where each
+// op appends the instruction that replays it. CompiledPlan then rewrites the
+// recording generically — a bias add or ReLU folds into the GEMM whose
+// output it alone reads, and a concatenated part is written straight into
+// its concat when the concat alone reads it — and a liveness pass assigns
+// every intermediate a physical buffer in a small recycled pool (buffers
+// whose last reader has retired are reused), so a replay touches a fixed
+// slab of memory.
 //
 // Determinism contract: CompiledPlan::Run produces bit-identical outputs to
 // the tape path (LearnedCostModel::PredictBatch / PredictScore) at any
 // core::ThreadPool width — every instruction bottoms out in the same
 // nn/op_kernels.h entry points the tape ops call, in the same order, with
-// the same operand values. The only compile-time materialization is the
-// LSTM's fused gate weight (an exact concatenation-of-copies, as
-// Lstm::ForwardBatched builds per call); like every weight pointer captured
-// in the schedule, it snapshots AOT semantics — recompile the plan after
+// the same operand values. Parameters are read through live pointers;
+// values computed from parameters alone (the LSTM's fused gate weight) were
+// folded at compile time. Both are AOT semantics: recompile the plan after
 // parameter updates.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -31,6 +33,7 @@
 
 #include "nn/gnn.h"
 #include "nn/matrix.h"
+#include "nn/schedule.h"
 
 namespace tpuperf::core {
 struct PreparedBatch;
@@ -38,67 +41,15 @@ struct PreparedBatch;
 
 namespace tpuperf::plan {
 
-// Symbolic row count of a logical buffer: resolved per Run against the
-// request's (batch, total-node) shape; capacities are fixed at compile time.
-enum class Rows { kBatch, kNodes };
-
-enum class OpKind {
-  kGatherEmbed,        // dst[:, col_off:+w.cols] = w.row(opcode_ids[i])
-  kCopyInput,          // dst[:, col_off:+width] = input matrix (input_kind)
-  kBroadcastSegments,  // per-kernel input rows broadcast to node rows
-  kCopyCols,           // dst[:, col_off:+a.cols] = buffer a (concat part)
-  kGemm,               // dst = a @ w [+ w2 row-broadcast] [then ReLU]
-  kBlockAgg,           // dst = blockdiag(adjacency blocks) @ a
-  kRowL2Norm,          // dst = row-L2-normalized a (eps in scale)
-  kLayerNorm,          // dst = layernorm(a) * w + w2 (eps in scale)
-  kAdd,                // dst = a + b
-  kSegmentSum,         // dst[b] = sum over segment b of a
-  kSegmentMean,        // dst[b] = mean over segment b of a
-  kSegmentMax,         // dst[b] = colwise max over segment b of a
-  kSelfAttention,      // dst = blockdiag softmax(a b^T * scale) @ c
-  kGatAttention,       // dst = blockdiag GAT attention (s=a, d=b, wh=c)
-  kLstmReduce,         // dst = final LSTM hidden states over xw = buffer a
-};
-
-// Compile-time state of the LSTM reduction: the exact gate-weight
-// concatenation Lstm::ForwardBatched builds on the tape per call
-// ([in+hidden, 4h] split into input-side and recurrent blocks, plus the
-// fused [1, 4h] bias), materialized once. The input-side block feeds a
-// plain kGemm; kLstmReduce runs nn::LstmSequenceForward over its output.
-struct LstmPlanData {
-  nn::Matrix w_x;    // [in_features, 4*hidden]
-  nn::Matrix w_h;    // [hidden, 4*hidden]
-  nn::Matrix b_all;  // [1, 4*hidden]
-};
-
-// One schedule entry. `dst`/`a`/`b`/`c` are logical buffer ids; `w`/`w2`
-// point at live Parameter value matrices in the model's ParamStore (the
-// model must outlive the plan).
-struct Instr {
-  OpKind kind = OpKind::kAdd;
-  int dst = -1, a = -1, b = -1, c = -1;
-  int col_off = 0;               // column offset for the copy/concat kinds
-  const nn::Matrix* w = nullptr;
-  const nn::Matrix* w2 = nullptr;
-  float scale = 0.0f;            // eps / attention scale / LeakyReLU alpha
-  int activation = 0;            // kGemm epilogue: 0 none, 1 ReLU
-  int block_kind = 0;            // kBlockAgg: 0 in_agg, 1 out_agg, 2 sym_norm
-  int input_kind = 0;            // 0 node features, 1 static perf, 2 tile
-  bool first_write = false;      // set by the memory planner
-  bool zero_dst = false;         // accumulate kernel: zero dst on define
-  // kLstmReduce's weights; the xw kGemm shares it to keep `w` alive.
-  std::shared_ptr<const LstmPlanData> lstm;
-};
-
 // The per-request view a compiled plan replays over. Non-owning: everything
 // must outlive the Run call. FromBatch adapts a PreparedBatch in place.
 struct PlanInput {
-  std::span<const int> opcode_ids;                       // [total_nodes]
-  const nn::Matrix* node_features = nullptr;             // [N, 35]
-  const nn::Matrix* static_perf = nullptr;               // [B, 4] (if used)
-  const nn::Matrix* tile_features = nullptr;             // [B, kTile] (if used)
-  std::span<const nn::GraphStructure* const> blocks;     // B adjacency blocks
-  std::span<const int> offsets;                          // B+1 entries
+  std::span<const int> opcode_ids;                    // [total_nodes]
+  // By nn::InputKind: node features [N, 35], static perf [B, 4], tile
+  // features [B, kTile] (null when the model has none).
+  std::array<const nn::Matrix*, nn::kNumInputKinds> matrices{};
+  std::span<const nn::GraphStructure* const> blocks;  // B adjacency blocks
+  std::span<const int> offsets;                       // B+1 entries
 
   static PlanInput FromBatch(const core::PreparedBatch& batch);
 };
@@ -115,22 +66,11 @@ class CompiledPlan {
     bool poison_dead_buffers = false;
   };
 
-  // Everything the planner emits; the constructor runs liveness analysis and
-  // physical-buffer assignment over it.
-  struct Spec {
-    std::vector<Instr> instrs;
-    std::vector<Rows> buffer_rows;        // per logical buffer
-    std::vector<int> buffer_cols;         // per logical buffer
-    int output_buffer = -1;               // final [B, 1] scores
-    int batch_capacity = 0;
-    int node_capacity = 0;
-    int node_feature_cols = 0;
-    int static_perf_cols = 0;             // 0 when the model ignores them
-    int tile_cols = 0;                    // 0 when the model has no tiles
-    int opcode_vocab = 0;
-  };
-
-  CompiledPlan(Spec spec, const Options& options);
+  // Rewrites the recorded `schedule` (see the file comment), then runs
+  // liveness analysis and physical-buffer assignment for batches of up to
+  // `batch_capacity` kernels and `node_capacity` nodes.
+  CompiledPlan(nn::Schedule schedule, int batch_capacity, int node_capacity,
+               const Options& options);
   ~CompiledPlan();
 
   CompiledPlan(const CompiledPlan&) = delete;
@@ -142,13 +82,13 @@ class CompiledPlan {
   // first (warm-up) call per concurrent caller at pool width 1.
   void Run(const PlanInput& input, std::span<double> out) const;
 
-  int batch_capacity() const noexcept { return spec_.batch_capacity; }
-  int node_capacity() const noexcept { return spec_.node_capacity; }
+  int batch_capacity() const noexcept { return batch_capacity_; }
+  int node_capacity() const noexcept { return node_capacity_; }
   int num_instructions() const noexcept {
-    return static_cast<int>(spec_.instrs.size());
+    return static_cast<int>(schedule_.instrs.size());
   }
   int num_buffers() const noexcept {
-    return static_cast<int>(spec_.buffer_rows.size());
+    return static_cast<int>(schedule_.buffer_rows.size());
   }
   int num_physical_buffers() const noexcept {
     return static_cast<int>(physical_capacity_.size());
@@ -165,14 +105,16 @@ class CompiledPlan {
   void Execute(ExecutionContext& ctx, const PlanInput& input, int batch,
                int nodes) const;
 
-  Spec spec_;
+  void Rewrite();
+
+  nn::Schedule schedule_;
+  int batch_capacity_ = 0;
+  int node_capacity_ = 0;
   Options options_;
   std::vector<int> physical_of_;               // logical -> physical buffer
   std::vector<std::size_t> physical_capacity_; // elements per physical buffer
   std::vector<int> last_use_;                  // per logical buffer
   std::size_t slab_bytes_ = 0;
-  bool needs_static_perf_ = false;
-  bool needs_tile_ = false;
 
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<ExecutionContext>> context_pool_;

@@ -380,9 +380,10 @@ TEST(GradCheck, TransformerParams) {
   ParamStore store;
   TransformerEncoder enc(store, "tx", 4, 2, 1, rng);
   const Matrix x = RandomMatrix(3, 4, rng);
+  const std::vector<int> offsets = {0, 3};  // one sequence
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
-    Tensor y = enc.Forward(tape, in);
+    Tensor y = enc.Forward(tape, in, offsets);
     Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
     if (tape.grad_enabled()) tape.Backward(loss);
     return static_cast<double>(loss.scalar());
@@ -396,7 +397,9 @@ TEST(GradCheck, GraphSageParams) {
   GraphSageLayer layer(store, "sage", 4, /*directed=*/true,
                        /*l2_normalize=*/true, rng);
   const std::vector<std::vector<int>> operands = {{}, {0}, {0, 1}, {2}};
-  const GraphStructure gs = BuildGraphStructure(operands);
+  const GraphStructure graph = BuildGraphStructure(operands);
+  const GraphStructure* const blocks[] = {&graph};
+  const BatchedGraphStructure gs = PackGraphStructures(blocks);
   const Matrix x = RandomMatrix(4, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
@@ -413,7 +416,9 @@ TEST(GradCheck, GatParams) {
   ParamStore store;
   GatLayer layer(store, "gat", 4, /*num_heads=*/2, rng);
   const std::vector<std::vector<int>> operands = {{}, {0}, {0, 1}, {2}};
-  const GraphStructure gs = BuildGraphStructure(operands);
+  const GraphStructure graph = BuildGraphStructure(operands);
+  const GraphStructure* const blocks[] = {&graph};
+  const BatchedGraphStructure gs = PackGraphStructures(blocks);
   const Matrix x = RandomMatrix(4, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
@@ -442,6 +447,16 @@ TEST(GradCheck, SegmentReductions) {
                      return SumAllOp(t, MulOp(t, y, y));
                    });
   }
+}
+
+TEST(GradCheck, BroadcastSegments) {
+  std::mt19937_64 rng(34);
+  const std::vector<int> offsets = {0, 3, 4, 7};
+  CheckGradients({RandomMatrix(3, 2, rng)},
+                 [offsets](Tape& t, std::vector<Tensor>& in) {
+                   Tensor y = BroadcastSegmentsOp(t, in[0], offsets);
+                   return SumAllOp(t, MulOp(t, y, y));
+                 });
 }
 
 TEST(GradCheck, BlockDiagSelfAttention) {
@@ -650,7 +665,9 @@ TEST(GradCheck, UndirectedGraphSageParams) {
   GraphSageLayer layer(store, "sage_u", 4, /*directed=*/false,
                        /*l2_normalize=*/true, rng);
   const std::vector<std::vector<int>> operands = {{}, {0}, {0, 1}, {1, 2}};
-  const GraphStructure gs = BuildGraphStructure(operands);
+  const GraphStructure graph = BuildGraphStructure(operands);
+  const GraphStructure* const blocks[] = {&graph};
+  const BatchedGraphStructure gs = PackGraphStructures(blocks);
   const Matrix x = RandomMatrix(4, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);

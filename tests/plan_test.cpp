@@ -1,12 +1,15 @@
 // Tests for plan-compiled inference (src/plan): bit-exact parity between
 // CompiledPlan replay and the tape path across the full GNN × reduction
 // grid at pool widths 1 and 4, allocation-free replay after warm-up, the
-// NaN-poison validation of the liveness plan, PlanCache bucketing, covering
-// lookup and LRU eviction, and the service's compile-once-replay-many path.
+// NaN-poison validation of the liveness plan, the shape of the recorded
+// schedule (its fused instruction counts and memory plan), record mode's
+// refusal of what it cannot replay, PlanCache bucketing, covering lookup and
+// LRU eviction, and the service's compile-once-replay-many path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -19,7 +22,9 @@
 #include "core/cost_model.h"
 #include "core/thread_pool.h"
 #include "ir/builder.h"
+#include "nn/gnn.h"
 #include "nn/ops.h"
+#include "nn/schedule.h"
 #include "plan/plan.h"
 #include "serve/prediction_service.h"
 
@@ -209,6 +214,38 @@ TEST(PlanParity, UndirectedGraphSage) {
   }
 }
 
+// An untrained model has zero biases and unit layer-norm gains, so a plan
+// that dropped a bias or a gain would still match it: perturb every
+// parameter and compare again, over the whole GNN × reduction grid.
+TEST(PlanParity, PerturbedParameters) {
+  for (const GnnKind gnn :
+       {GnnKind::kNone, GnnKind::kGraphSage, GnnKind::kGat}) {
+    for (const ReductionKind reduction :
+         {ReductionKind::kPerNode, ReductionKind::kColumnWise,
+          ReductionKind::kLstm, ReductionKind::kTransformer}) {
+      ModelConfig config = SmallConfig();
+      config.gnn = gnn;
+      config.reduction = reduction;
+      Fixture fx(config);
+      std::mt19937_64 rng(7);
+      std::normal_distribution<float> noise(0.0f, 0.1f);
+      for (nn::Parameter* p : fx.model->params().params()) {
+        for (float& v : p->value.flat()) v += noise(rng);
+      }
+      const auto plan = fx.model->CompilePlan(8, 512);
+      const PreparedBatch batch = fx.MakeBatch();
+      const std::vector<double> tape = fx.model->PredictBatch(batch);
+      const std::vector<double> planned =
+          fx.model->PredictBatchWithPlan(*plan, batch);
+      for (size_t i = 0; i < tape.size(); ++i) {
+        EXPECT_EQ(planned[i], tape[i]) << ToString(gnn) << " + "
+                                       << ToString(reduction) << " kernel "
+                                       << i;
+      }
+    }
+  }
+}
+
 // Kernel-embedding feature placement (option 2) routes the per-kernel rows
 // through the post-reduction concat instead of the node broadcast.
 TEST(PlanParity, KernelEmbeddingPlacement) {
@@ -347,6 +384,113 @@ TEST(PlanReplay, ConcurrentReplayOfSharedPlan) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---- Recorded schedule -----------------------------------------------------
+
+// The recorded plan must keep the fused schedule: each bound is the fully
+// fused plan's count for the same model at capacity (8, 512), so a rewrite
+// that stops firing fails here instead of slowing replay silently.
+TEST(PlanShape, ServedModelKeepsFusedPlan) {
+  Fixture fx(ModelConfig::TileTaskDefault());
+  const auto plan = fx.model->CompilePlan(8, 512);
+  EXPECT_LE(plan->num_instructions(), 37);
+  EXPECT_LE(plan->num_buffers(), 28);
+  EXPECT_LE(plan->num_physical_buffers(), 4);
+  EXPECT_LE(plan->slab_bytes(), 720896u);
+}
+
+TEST(PlanShape, GridKeepsFusedInstructionCounts) {
+  struct Bound {
+    GnnKind gnn;
+    int per_node, column_wise, lstm, transformer;
+  };
+  for (const Bound& bound : {Bound{GnnKind::kNone, 10, 12, 10, 36},
+                             Bound{GnnKind::kGraphSage, 28, 30, 28, 54},
+                             Bound{GnnKind::kGat, 32, 34, 32, 58}}) {
+    for (const auto& [reduction, limit] :
+         {std::pair{ReductionKind::kPerNode, bound.per_node},
+          std::pair{ReductionKind::kColumnWise, bound.column_wise},
+          std::pair{ReductionKind::kLstm, bound.lstm},
+          std::pair{ReductionKind::kTransformer, bound.transformer}}) {
+      ModelConfig config = SmallConfig();
+      config.gnn = bound.gnn;
+      config.reduction = reduction;
+      Fixture fx(config, 1);
+      EXPECT_LE(fx.model->CompilePlan(8, 512)->num_instructions(), limit)
+          << ToString(bound.gnn) << " + " << ToString(reduction);
+    }
+  }
+}
+
+// A recording tape over a one-kernel batch of two nodes, the shape
+// CompilePlan records over.
+struct Recording {
+  nn::GraphStructure graph = nn::BuildGraphStructure({{}, {0}});
+  nn::BatchedGraphStructure structure;
+  std::vector<int> opcode_ids = {0, 0};
+  std::unique_ptr<nn::ScheduleRecorder> recorder;
+  std::unique_ptr<nn::Tape> tape;
+
+  Recording() {
+    const nn::GraphStructure* const blocks[] = {&graph};
+    structure = nn::PackGraphStructures(blocks);
+    recorder = std::make_unique<nn::ScheduleRecorder>(structure, opcode_ids);
+    tape = std::make_unique<nn::Tape>(/*grad_enabled=*/false, nullptr,
+                                      recorder.get());
+  }
+  nn::Tensor Input() {
+    return tape->InputLeaf(nn::Matrix(2, 2), nn::InputKind::kNodeFeatures);
+  }
+};
+
+// Reaching an op that has no replay form, or a GEMM whose right operand is
+// batch data, fails the recording with an error naming the op.
+TEST(PlanRecord, RefusesWhatItCannotReplay) {
+  const auto expect_refused = [](const std::string& op, const auto& build) {
+    Recording rec;
+    try {
+      build(*rec.tape, rec.Input());
+      ADD_FAILURE() << op << " was recorded";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(op), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused("TransposeOp",
+                 [](nn::Tape& t, nn::Tensor x) { nn::TransposeOp(t, x); });
+  expect_refused("SliceColsOp", [](nn::Tape& t, nn::Tensor x) {
+    nn::SliceColsOp(t, x, 0, 1);
+  });
+  expect_refused("DropoutOp", [](nn::Tape& t, nn::Tensor x) {
+    std::mt19937_64 rng(1);
+    nn::DropoutOp(t, x, 0.5f, rng);
+  });
+  expect_refused("TanhOp",
+                 [](nn::Tape& t, nn::Tensor x) { nn::TanhOp(t, x); });
+  expect_refused("MatMulOp", [](nn::Tape& t, nn::Tensor x) {
+    nn::MatMulOp(t, x, nn::ReluOp(t, x));
+  });
+}
+
+// Nodes computed from parameters alone fold into constants the schedule
+// owns, whatever op computed them; parameters stay live pointers.
+TEST(PlanRecord, FoldsParameterOnlyNodes) {
+  std::mt19937_64 rng(3);
+  nn::ParamStore store;
+  nn::Parameter* w =
+      store.Create("w", 3, 2, nn::Init::kXavierUniform, rng);
+  Recording rec;
+  nn::Tape& t = *rec.tape;
+  nn::Tensor x = rec.Input();
+  nn::Tensor folded = nn::TransposeOp(t, t.ParamLeaf(*w));  // [2, 3]
+  nn::Tensor y = nn::MatMulOp(t, nn::MatMulOp(t, x, folded), t.ParamLeaf(*w));
+  const nn::Schedule schedule = rec.recorder->Finish(y.node());
+  ASSERT_EQ(schedule.instrs.size(), 3u);  // the input copy and two GEMMs
+  ASSERT_EQ(schedule.constants.size(), 1u);
+  EXPECT_EQ(schedule.instrs[1].w, schedule.constants[0].get());
+  EXPECT_TRUE(schedule.constants[0]->same_shape(folded.value()));
+  EXPECT_EQ(schedule.instrs[2].w, &w->value);
 }
 
 // ---- Compile-time validation -----------------------------------------------
