@@ -8,19 +8,9 @@
 #include "core/thread_pool.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
-#include "plan/plan.h"
 
 namespace tpuperf::core {
 namespace {
-
-// Inference tapes recycle their buffers through a per-thread arena, so a
-// stream of forwards keeps its working set instead of handing it back to
-// the allocator (which may return it to the OS and fault it back in on the
-// next call).
-nn::TapeArena& InferenceArena() {
-  static thread_local nn::TapeArena arena;
-  return arena;
-}
 
 // A batch-input leaf holding a copy of `m`, allocated through the tape's
 // arena.
@@ -137,11 +127,13 @@ void LearnedCostModel::FitNodeScaler(const ir::Graph& kernel) {
 }
 
 void LearnedCostModel::FitNodeScaler(const feat::KernelFeatures& features) {
+  plan_cache_.Clear();
   for (const auto& row : features.node_scalars) node_scaler_.Observe(row);
   perf_scaler_.Observe(features.static_perf);
 }
 
 void LearnedCostModel::FitTileScaler(const ir::TileConfig& tile) {
+  plan_cache_.Clear();
   tile_scaler_.Observe(feat::TileFeatures(tile));
 }
 
@@ -259,22 +251,24 @@ double LearnedCostModel::PredictSeconds(const PreparedKernel& kernel,
 
 std::vector<double> LearnedCostModel::PredictBatch(
     const PreparedBatch& batch) const {
-  nn::Tape tape(/*grad_enabled=*/false, &InferenceArena());
-  const nn::Tensor out =
-      ForwardBatchImpl(tape, batch, /*training=*/false, dropout_rng_);
-  std::vector<double> scores(static_cast<size_t>(out.rows()));
-  for (int b = 0; b < out.rows(); ++b) {
-    scores[static_cast<size_t>(b)] = out.value().at(b, 0);
+  const int b = batch.num_kernels();
+  const int n = batch.total_nodes();
+  std::shared_ptr<const plan::CompiledPlan> plan = plan_cache_.Lookup(b, n);
+  if (plan == nullptr) {
+    const auto [max_kernels, max_nodes] = plan::PlanCache::Bucket(b, n);
+    plan = CompilePlan(max_kernels, max_nodes);
+    plan_cache_.Insert(b, n, plan);
   }
-  return scores;
+  return PredictBatchWithPlan(*plan, batch);
 }
 
 std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::CompilePlan(
     int max_kernels, int max_total_nodes, bool poison_dead_buffers) const {
-  // Models a plan-compile failure, before any recording work. The serving
-  // engine has no other scoring path, so it treats this like any model
-  // error: the batch fails, the circuit breaker counts it, and the batch is
-  // answered analytically.
+  // Models a plan-compile failure, before any recording work. Every
+  // Predict* compiles through here on a plan-cache miss, and there is no
+  // other scoring path: the call throws, and the serving engine treats it
+  // like any model error (the batch fails, the circuit breaker counts it,
+  // and the batch is answered analytically).
   MaybeInjectFault("plan.compile_fail");
   if (!fitted_) {
     throw std::logic_error("CompilePlan: scalers not fitted");
@@ -297,7 +291,7 @@ std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::CompilePlan(
     batch.tile_features = nn::Matrix(1, feat::kTileFeatures);
   }
   nn::ScheduleRecorder recorder(batch.structure, batch.opcode_ids);
-  nn::Tape tape(/*grad_enabled=*/false, &InferenceArena(), &recorder);
+  nn::Tape tape(/*arena=*/nullptr, &recorder);
   const nn::Tensor out =
       ForwardBatchImpl(tape, batch, /*training=*/false, dropout_rng_);
 
@@ -326,6 +320,7 @@ std::vector<double> LearnedCostModel::PredictBatchSeconds(
 nn::Tensor LearnedCostModel::ForwardBatch(nn::Tape& tape,
                                           const PreparedBatch& batch,
                                           bool training) {
+  plan_cache_.Clear();
   return ForwardBatchImpl(tape, batch, training, dropout_rng_);
 }
 
@@ -433,6 +428,7 @@ nn::Tensor LearnedCostModel::ForwardBatchImpl(
 }
 
 void LearnedCostModel::SetOutputBias(float value) {
+  plan_cache_.Clear();
   nn::Parameter* bias = output_head_.bias_param();
   if (bias != nullptr) bias->value.Fill(value);
 }
@@ -452,6 +448,7 @@ void LearnedCostModel::Load(std::istream& is) {
   if (std::string_view(magic, 8) != "TPUPERF1") {
     throw std::runtime_error("LearnedCostModel::Load: bad magic");
   }
+  plan_cache_.Clear();
   node_scaler_.Load(is);
   tile_scaler_.Load(is);
   perf_scaler_.Load(is);

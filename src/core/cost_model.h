@@ -23,10 +23,7 @@
 #include "nn/gnn.h"
 #include "nn/layers.h"
 #include "nn/rnn.h"
-
-namespace tpuperf::plan {
-class CompiledPlan;
-}  // namespace tpuperf::plan
+#include "plan/plan.h"
 
 namespace tpuperf::core {
 
@@ -79,7 +76,10 @@ class LearnedCostModel {
   // state is bit-identical to featurizing the graph in-process.
   void FitNodeScaler(const feat::KernelFeatures& features);
   void FitTileScaler(const ir::TileConfig& tile); // observe one tile config
-  void FinishFitting() { fitted_ = true; }
+  void FinishFitting() {
+    plan_cache_.Clear();
+    fitted_ = true;
+  }
   bool fitted() const noexcept { return fitted_; }
 
   PreparedKernel Prepare(const ir::Graph& kernel) const;
@@ -93,6 +93,12 @@ class LearnedCostModel {
   PreparedBatch PrepareBatch(std::span<const BatchItem> items) const;
 
   // ---- Prediction ----------------------------------------------------------
+  // Every prediction replays a compiled plan (src/plan) from the model's own
+  // plan cache: PredictBatch looks up a plan covering the batch shape,
+  // compiles one on a miss (CompilePlan, so a plan.compile_fail fault fires
+  // here) and replays it. Concurrent const calls are safe. Every non-const
+  // member drops the cached plans (see params()).
+
   // Raw model output for a kernel (+ optional tile config). For rank-loss
   // models this is a unitless score (lower = faster); for log-target models
   // it is log(seconds). Scores the kernel as a one-item PredictBatch; throws
@@ -103,10 +109,12 @@ class LearnedCostModel {
   double PredictSeconds(const PreparedKernel& kernel,
                         const ir::TileConfig* tile = nullptr) const;
 
-  // Batched prediction: one forward pass over the packed batch, with all
-  // dense layers running as single large GEMMs. Element i of the result is
-  // bit-identical to PredictScore(kernel_i, tile_i): the packed ops reduce
-  // each segment independently of its batch-mates.
+  // Batched prediction: one replay over the packed batch, with all dense
+  // layers running as single large GEMMs. Element i of the result is
+  // bit-identical to PredictScore(kernel_i, tile_i) and to row i of the
+  // training forward (ForwardBatch, training off): the packed ops reduce
+  // each segment independently of its batch-mates, and replay calls the
+  // tape ops' kernels.
   std::vector<double> PredictBatch(const PreparedBatch& batch) const;
   // As PredictBatch, but in seconds (applies exp() for log-target models).
   std::vector<double> PredictBatchSeconds(const PreparedBatch& batch) const;
@@ -118,23 +126,25 @@ class LearnedCostModel {
   // kernels and `max_total_nodes` packed nodes. The plan reads this model's
   // parameters through live pointers and holds values computed from them
   // alone as folded copies (AOT semantics: the model must outlive the plan,
-  // and the plan must be recompiled after parameter updates). Replay is
-  // bit-identical to PredictBatch/PredictScore at any thread-pool width.
-  // Requires fitted scalers; throws std::logic_error otherwise, and when
-  // the forward uses an op with no replay form.
-  // `poison_dead_buffers` enables the plan_test debug mode that NaN-fills
-  // retired buffers.
+  // and the plan is stale after a parameter write). Requires fitted
+  // scalers; throws std::logic_error otherwise, and when the forward uses
+  // an op with no replay form. `poison_dead_buffers` enables the plan_test
+  // debug mode that NaN-fills retired buffers.
   std::shared_ptr<const plan::CompiledPlan> CompilePlan(
       int max_kernels, int max_total_nodes,
       bool poison_dead_buffers = false) const;
-  // PredictBatch through a compiled plan: same results, no tape.
+  // Replays `plan` over `batch`, bypassing the plan cache.
   std::vector<double> PredictBatchWithPlan(const plan::CompiledPlan& plan,
                                            const PreparedBatch& batch) const;
+  // The cache PredictBatch scores through (its counters feed the serving
+  // engine's plan statistics).
+  const plan::PlanCache& plan_cache() const noexcept { return plan_cache_; }
 
   // Differentiable forward pass used by the trainer: returns a [B, 1]
   // tensor of scores. `tape` must outlive the returned tensor, and `batch`
   // must outlive `tape` (the tape's closures reference its adjacency
-  // blocks). `training` enables dropout.
+  // blocks). `training` enables dropout. Drops the cached plans: a trainer
+  // writes parameters only after its step's ForwardBatch.
   nn::Tensor ForwardBatch(nn::Tape& tape, const PreparedBatch& batch,
                           bool training);
 
@@ -144,7 +154,15 @@ class LearnedCostModel {
   void SetOutputBias(float value);
 
   // ---- Parameters ----------------------------------------------------------
-  nn::ParamStore& params() noexcept { return *store_; }
+  // Mutable access drops the cached plans, as every non-const member does,
+  // so no folded constant outlives a parameter write. A caller that keeps
+  // the reference and writes through it later must not call Predict* in
+  // between without calling a non-const member again (the trainers write
+  // through Adam only after their step's ForwardBatch).
+  nn::ParamStore& params() {
+    plan_cache_.Clear();
+    return *store_;
+  }
   std::size_t parameter_scalars() const { return store_->scalar_count(); }
 
   void Save(std::ostream& os) const;
@@ -153,8 +171,8 @@ class LearnedCostModel {
   void LoadFromFile(const std::string& path);
 
  private:
-  // The model's one forward: every Predict* tape path and ForwardBatch
-  // build the model through it, and CompilePlan records its schedule.
+  // The model's one forward: ForwardBatch trains through it, and
+  // CompilePlan records its schedule.
   nn::Tensor ForwardBatchImpl(nn::Tape& tape, const PreparedBatch& batch,
                               bool training,
                               std::mt19937_64& dropout_rng) const;
@@ -182,6 +200,9 @@ class LearnedCostModel {
   nn::Linear per_node_head_;
   nn::Linear output_head_;
   int kernel_embedding_dim_ = 0;
+
+  // Plans PredictBatch replays: up to 8 batch-shape buckets, LRU beyond.
+  mutable plan::PlanCache plan_cache_{8};
 };
 
 }  // namespace tpuperf::core

@@ -28,7 +28,8 @@
 ///
 /// Points currently compiled in:
 ///   featurize.throw     PreparedCache::Get, miss path (core/trainer.cpp)
-///   plan.compile_fail   LearnedCostModel::CompilePlan (core/cost_model.cpp)
+///   plan.compile_fail   LearnedCostModel::CompilePlan (core/cost_model.cpp),
+///                       reached by every Predict* on a plan-cache miss
 ///   store.short_read    DatasetReader::ForEachRecord record walks
 ///                       (dataset/store.cpp);
 ///                       throws data::StoreError, modeling mid-stream

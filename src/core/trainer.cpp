@@ -178,7 +178,7 @@ struct TileTrainLoop {
   // steps run with (near) zero tape heap allocations instead of rebuilding
   // the whole tape from malloc each minibatch.
   nn::TapeArena arena;
-  nn::Tape tape{/*grad_enabled=*/true, &arena};
+  nn::Tape tape{&arena};
   TrainStats stats;
   double window_loss = 0;
   int window_count = 0;
@@ -265,7 +265,7 @@ struct FusionTrainLoop {
   std::vector<nn::Parameter*> params;
   // Persistent arena-backed tape — see TileTrainLoop.
   nn::TapeArena arena;
-  nn::Tape tape{/*grad_enabled=*/true, &arena};
+  nn::Tape tape{&arena};
   TrainStats stats;
   double window_loss = 0;
   int window_count = 0;

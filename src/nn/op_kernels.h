@@ -3,7 +3,7 @@
 // caller-shaped output matrix and performs EXACTLY the float sequence of the
 // corresponding tape op's forward — same accumulation order, same parallel
 // predicate, same grain — so a plan replaying these kernels is bit-identical
-// to the tape path at any core::ThreadPool width.
+// to the tape's training forward at any core::ThreadPool width.
 //
 // Backward by-products (inverse norms, layer-norm xhat, attention
 // probabilities, the LSTM trace) are optional out-parameters: the tape ops

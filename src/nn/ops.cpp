@@ -26,10 +26,8 @@ void CheckSame(const Matrix& a, const Matrix& b, const char* op) {
 // Shorthand: elementwise unary op with dy/dx computable from x and y.
 // The backward reads x and y from the tape nodes themselves (the parent's
 // value and self.value stay alive on the tape), so no matrix copies are
-// captured. On grad-disabled tapes no closure is built — inference pays
-// for the forward values only.
-// `replay` and `op` are forwarded to NewNode (the defaults name the calling
-// op).
+// captured. `replay` and `op` are forwarded to NewNode (the defaults name
+// the calling op).
 template <typename Fwd, typename Bwd>
 Tensor Unary(Tape& tape, Tensor x, Fwd fwd, Bwd bwd,
              std::optional<Replay> replay = std::nullopt,
@@ -38,16 +36,16 @@ Tensor Unary(Tape& tape, Tensor x, Fwd fwd, Bwd bwd,
   Matrix y = tape.NewMatrixUninit(xv.rows(), xv.cols());
   for (size_t i = 0; i < xv.size(); ++i) y.data()[i] = fwd(xv.data()[i]);
   TapeNode* xn = x.node();
-  if (!tape.grad_enabled()) {
-    return tape.NewNode(std::move(y), {xn}, nullptr, replay, op);
-  }
-  return tape.NewNode(std::move(y), {xn}, [xn, bwd](TapeNode& self) {
-    const float* __restrict xd = xn->value.data();
-    const float* __restrict yd = self.value.data();
-    for (size_t i = 0; i < self.grad.size(); ++i) {
-      xn->grad.data()[i] += self.grad.data()[i] * bwd(xd[i], yd[i]);
-    }
-  });
+  return tape.NewNode(
+      std::move(y), {xn},
+      [xn, bwd](TapeNode& self) {
+        const float* __restrict xd = xn->value.data();
+        const float* __restrict yd = self.value.data();
+        for (size_t i = 0; i < self.grad.size(); ++i) {
+          xn->grad.data()[i] += self.grad.data()[i] * bwd(xd[i], yd[i]);
+        }
+      },
+      replay, op);
 }
 
 }  // namespace
@@ -57,19 +55,19 @@ Tensor MatMulOp(Tape& tape, Tensor a, Tensor b) {
   MatMulInto(y, a.value(), b.value());
   TapeNode* an = a.node();
   TapeNode* bn = b.node();
-  if (!tape.grad_enabled()) {
-    return tape.NewNode(std::move(y), {an, bn}, nullptr, Replay{OpKind::kGemm});
-  }
-  return tape.NewNode(std::move(y), {an, bn}, [an, bn](TapeNode& self) {
-    // The accumulate entry points (nn/matrix.h) add the product straight
-    // into the grad: no temporary, no extra add pass.
-    if (an->requires_grad) {
-      MatMulTransposeBAccum(an->grad, self.grad, bn->value);
-    }
-    if (bn->requires_grad) {
-      MatMulTransposeAAccum(bn->grad, an->value, self.grad);
-    }
-  });
+  return tape.NewNode(
+      std::move(y), {an, bn},
+      [an, bn](TapeNode& self) {
+        // The accumulate entry points (nn/matrix.h) add the product
+        // straight into the grad: no temporary, no extra add pass.
+        if (an->requires_grad) {
+          MatMulTransposeBAccum(an->grad, self.grad, bn->value);
+        }
+        if (bn->requires_grad) {
+          MatMulTransposeAAccum(bn->grad, an->value, self.grad);
+        }
+      },
+      Replay{OpKind::kGemm});
 }
 
 Tensor AddOp(Tape& tape, Tensor a, Tensor b) {
@@ -82,13 +80,13 @@ Tensor AddOp(Tape& tape, Tensor a, Tensor b) {
   }
   TapeNode* an = a.node();
   TapeNode* bn = b.node();
-  if (!tape.grad_enabled()) {
-    return tape.NewNode(std::move(y), {an, bn}, nullptr, Replay{OpKind::kAdd});
-  }
-  return tape.NewNode(std::move(y), {an, bn}, [an, bn](TapeNode& self) {
-    if (an->requires_grad) AccumulateInto(an->grad, self.grad);
-    if (bn->requires_grad) AccumulateInto(bn->grad, self.grad);
-  });
+  return tape.NewNode(
+      std::move(y), {an, bn},
+      [an, bn](TapeNode& self) {
+        if (an->requires_grad) AccumulateInto(an->grad, self.grad);
+        if (bn->requires_grad) AccumulateInto(bn->grad, self.grad);
+      },
+      Replay{OpKind::kAdd});
 }
 
 Tensor SubOp(Tape& tape, Tensor a, Tensor b) {
@@ -165,22 +163,21 @@ Tensor AddRowBroadcastOp(Tape& tape, Tensor x, Tensor bias) {
   AddRowBroadcastForward(y, xv, bv);
   TapeNode* xn = x.node();
   TapeNode* bn = bias.node();
-  if (!tape.grad_enabled()) {
-    return tape.NewNode(std::move(y), {xn, bn}, nullptr,
-                        Replay{OpKind::kAddBias});
-  }
-  return tape.NewNode(std::move(y), {xn, bn}, [xn, bn](TapeNode& self) {
-    if (xn->requires_grad) AccumulateInto(xn->grad, self.grad);
-    if (bn->requires_grad) {
-      // Column sums accumulated straight into the bias grad (ascending-row
-      // order; no [1, c] temporary).
-      for (int i = 0; i < self.grad.rows(); ++i) {
-        for (int j = 0; j < self.grad.cols(); ++j) {
-          bn->grad.at(0, j) += self.grad.at(i, j);
+  return tape.NewNode(
+      std::move(y), {xn, bn},
+      [xn, bn](TapeNode& self) {
+        if (xn->requires_grad) AccumulateInto(xn->grad, self.grad);
+        if (bn->requires_grad) {
+          // Column sums accumulated straight into the bias grad
+          // (ascending-row order; no [1, c] temporary).
+          for (int i = 0; i < self.grad.rows(); ++i) {
+            for (int j = 0; j < self.grad.cols(); ++j) {
+              bn->grad.at(0, j) += self.grad.at(i, j);
+            }
+          }
         }
-      }
-    }
-  });
+      },
+      Replay{OpKind::kAddBias});
 }
 
 Tensor ReluOp(Tape& tape, Tensor x) {
@@ -290,19 +287,16 @@ Tensor RowL2NormalizeOp(Tape& tape, Tensor x, float eps) {
   const Matrix& xv = x.value();
   Matrix y = tape.NewMatrixUninit(xv.rows(), xv.cols());
   TapeNode* xn = x.node();
-  if (!tape.grad_enabled()) {
-    RowL2NormalizeForward(y, xv, eps, nullptr);
-    return tape.NewNode(std::move(y), {xn}, nullptr,
-                        Replay{OpKind::kRowL2Norm, eps});
-  }
   std::vector<float> inv_norms(static_cast<size_t>(xv.rows()));
   RowL2NormalizeForward(y, xv, eps, inv_norms.data());
   // y is read back from self.value in the backward; only the per-row norms
   // are captured.
-  return tape.NewNode(std::move(y), {xn},
-                      [xn, inv_norms = std::move(inv_norms)](TapeNode& self) {
-                        RowL2NormalizeBackward(self.value, inv_norms, xn, self);
-                      });
+  return tape.NewNode(
+      std::move(y), {xn},
+      [xn, inv_norms = std::move(inv_norms)](TapeNode& self) {
+        RowL2NormalizeBackward(self.value, inv_norms, xn, self);
+      },
+      Replay{OpKind::kRowL2Norm, eps});
 }
 
 namespace {
@@ -358,12 +352,6 @@ Tensor LayerNormRowsOp(Tape& tape, Tensor x, Tensor gamma, Tensor beta,
   TapeNode* xn = x.node();
   TapeNode* gn = gamma.node();
   TapeNode* bn = beta.node();
-  if (!tape.grad_enabled()) {
-    // Backward state (xhat, inv_std) is skipped for inference.
-    LayerNormRowsForward(y, xv, gv, bv, eps, nullptr, nullptr);
-    return tape.NewNode(std::move(y), {xn, gn, bn}, nullptr,
-                        Replay{OpKind::kLayerNorm, eps});
-  }
   Matrix xhat = tape.NewMatrixUninit(n, c);
   std::vector<float> inv_std(static_cast<size_t>(n));
   LayerNormRowsForward(y, xv, gv, bv, eps, &xhat, inv_std.data());
@@ -373,7 +361,8 @@ Tensor LayerNormRowsOp(Tape& tape, Tensor x, Tensor gamma, Tensor beta,
       std::move(y), {xn, gn, bn},
       [xn, gn, bn, xhat_node, inv_std = std::move(inv_std)](TapeNode& self) {
         LayerNormBackward(xhat_node->value, inv_std, xn, gn, bn, self);
-      });
+      },
+      Replay{OpKind::kLayerNorm, eps});
 }
 
 namespace {
@@ -418,7 +407,6 @@ Tensor SoftmaxImpl(Tape& tape, Tensor x, const Matrix* mask) {
     }
   }
   TapeNode* xn = x.node();
-  if (!tape.grad_enabled()) return tape.NewNode(std::move(y), {xn}, nullptr);
   return tape.NewNode(std::move(y), {xn}, [xn](TapeNode& self) {
     SoftmaxBackward(self.value, xn, self);
   });
@@ -570,14 +558,6 @@ Tensor LstmSequenceOp(Tape& tape, Tensor xw, Tensor w_h, Tensor bias,
   const int nodes = xw.rows();
   const int hidden = w_h.rows();
   Matrix y = tape.NewMatrixUninit(std::max(batch, 0), hidden);
-  if (!tape.grad_enabled() || !(xw.requires_grad() || w_h.requires_grad() ||
-                                bias.requires_grad())) {
-    LstmSequenceForward(y, xw.value(), w_h.value(), bias.value(), offsets,
-                        nullptr);
-    return tape.NewNode(std::move(y), {xw.node(), w_h.node(), bias.node()},
-                        nullptr,
-                        Replay{OpKind::kLstmReduce, 0.0f, offsets.data()});
-  }
   // The trace lives on the tape as stash leaves (arena-recycled).
   TapeNode* h_prev = tape.Leaf(tape.NewMatrixUninit(nodes, hidden)).node();
   TapeNode* c_prev = tape.Leaf(tape.NewMatrixUninit(nodes, hidden)).node();
@@ -611,7 +591,8 @@ Tensor LstmSequenceOp(Tape& tape, Tensor xw, Tensor w_h, Tensor bias,
             }
           }
         }
-      });
+      },
+      Replay{OpKind::kLstmReduce, 0.0f, offsets.data()});
 }
 
 namespace {
@@ -781,22 +762,15 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
   const int vdim = vv.cols();
   const std::vector<std::int64_t> sq = SquaredOffsets(offsets);
   const int max_len = MaxSegmentLength(offsets);
-  const bool save = tape.grad_enabled();
   // The attention probabilities, saved for the backward on the tape itself
   // (arena-recycled) rather than in a closure capture.
-  Matrix probs = save ? tape.NewMatrixUninit(1, static_cast<int>(sq.back()))
-                      : Matrix();
+  Matrix probs = tape.NewMatrixUninit(1, static_cast<int>(sq.back()));
   Matrix y = tape.NewMatrix(qv.rows(), vdim);
   const bool parallel = BlockDiagSelfAttentionForward(
-      y, qv, kv, vv, offsets, sq, max_len, scale,
-      save ? probs.data() : nullptr);
+      y, qv, kv, vv, offsets, sq, max_len, scale, probs.data());
   TapeNode* qn = q.node();
   TapeNode* kn = k.node();
   TapeNode* vn = v.node();
-  if (!save) {
-    return tape.NewNode(std::move(y), {qn, kn, vn}, nullptr,
-                        Replay{OpKind::kSelfAttention, scale, offsets.data()});
-  }
   TapeNode* probs_node = tape.Leaf(std::move(probs)).node();
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
@@ -880,7 +854,8 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
                 }
               }
             });
-      });
+      },
+      Replay{OpKind::kSelfAttention, scale, offsets.data()});
 }
 
 Tensor BlockDiagGatAttentionOp(Tape& tape, Tensor s, Tensor d, Tensor wh,
@@ -910,20 +885,13 @@ Tensor BlockDiagGatAttentionOp(Tape& tape, Tensor s, Tensor d, Tensor wh,
   }
   const std::vector<std::int64_t> sq = SquaredOffsets(offsets);
   const int max_len = MaxSegmentLength(offsets);
-  const bool save = tape.grad_enabled();
-  Matrix probs = save ? tape.NewMatrixUninit(1, static_cast<int>(sq.back()))
-                      : Matrix();
+  Matrix probs = tape.NewMatrixUninit(1, static_cast<int>(sq.back()));
   Matrix y = tape.NewMatrix(whv.rows(), dim);
   const bool parallel = BlockDiagGatAttentionForward(
-      y, sv, dv, whv, masks, offsets, sq, max_len, alpha,
-      save ? probs.data() : nullptr);
+      y, sv, dv, whv, masks, offsets, sq, max_len, alpha, probs.data());
   TapeNode* sn = s.node();
   TapeNode* dn = d.node();
   TapeNode* whn = wh.node();
-  if (!save) {
-    return tape.NewNode(std::move(y), {sn, dn, whn}, nullptr,
-                        Replay{OpKind::kGatAttention, alpha, masks.front()});
-  }
   TapeNode* probs_node = tape.Leaf(std::move(probs)).node();
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
@@ -998,7 +966,8 @@ Tensor BlockDiagGatAttentionOp(Tape& tape, Tensor s, Tensor d, Tensor wh,
                 }
               }
             });
-      });
+      },
+      Replay{OpKind::kGatAttention, alpha, masks.front()});
 }
 
 Tensor ColSumOp(Tape& tape, Tensor x) {

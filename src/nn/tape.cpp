@@ -54,13 +54,6 @@ void TapeArena::Recycle(Matrix&& m) {
   pool_.emplace(storage.capacity(), std::move(storage));
 }
 
-Tape::Tape(bool grad_enabled, TapeArena* arena, ScheduleRecorder* recorder)
-    : grad_enabled_(grad_enabled), arena_(arena), recorder_(recorder) {
-  if (recorder_ != nullptr && grad_enabled_) {
-    throw std::invalid_argument("Tape: record mode needs grads disabled");
-  }
-}
-
 TapeNode& Tape::AllocNode() {
   if (next_ < nodes_.size()) {
     // Reuse a shell left by Clear(): its matrices were already recycled and
@@ -94,7 +87,7 @@ void Tape::Clear() {
 Tensor Tape::Leaf(Matrix value, bool requires_grad) {
   TapeNode& node = AllocNode();
   node.value = std::move(value);
-  node.requires_grad = requires_grad && grad_enabled_;
+  node.requires_grad = requires_grad && recorder_ == nullptr;
   return Tensor(&node);
 }
 
@@ -111,8 +104,8 @@ Tensor Tape::ParamLeaf(Parameter& param) {
   std::copy(param.value.flat().begin(), param.value.flat().end(),
             snapshot.data());
   node.value = std::move(snapshot);
-  node.requires_grad = grad_enabled_;
-  if (grad_enabled_) {
+  node.requires_grad = recorder_ == nullptr;
+  if (node.requires_grad) {
     Parameter* p = &param;
     node.backward = [p](TapeNode& self) { AccumulateInto(p->grad, self.grad); };
   }
@@ -125,19 +118,16 @@ Tensor Tape::NewNode(Matrix value, std::span<TapeNode* const> parents,
                      std::optional<Replay> replay, std::source_location op) {
   TapeNode& node = AllocNode();
   node.value = std::move(value);
-  if (grad_enabled_) {
-    bool any_grad = false;
-    for (const TapeNode* p : parents) {
-      if (p != nullptr && p->requires_grad) any_grad = true;
-    }
-    if (any_grad) {
+  // Record mode (where no leaf requires grad) and dead subgraphs skip the
+  // parent-list copy and the closure entirely.
+  for (const TapeNode* p : parents) {
+    if (p != nullptr && p->requires_grad) {
       node.requires_grad = true;
       node.parents.assign(parents.begin(), parents.end());
       node.backward = std::move(backward);
+      break;
     }
   }
-  // Inference tapes (and dead subgraphs) skip the parent-list copy and the
-  // closure entirely.
   if (recorder_ != nullptr) {
     recorder_->OnNode(&node, parents, replay ? &*replay : nullptr,
                       op.function_name());
@@ -154,8 +144,8 @@ Tensor Tape::NewNode(Matrix value, std::initializer_list<TapeNode*> parents,
 }
 
 void Tape::Backward(Tensor loss) {
-  if (!grad_enabled_) {
-    throw std::logic_error("Backward() on a grad-disabled tape");
+  if (recorder_ != nullptr) {
+    throw std::logic_error("Backward() on a record-mode tape");
   }
   if (!loss.defined() || loss.rows() != 1 || loss.cols() != 1) {
     throw std::invalid_argument("Backward() expects a defined 1x1 loss");

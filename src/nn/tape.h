@@ -9,17 +9,15 @@
 ///
 /// ## TapeArena lifecycle
 ///
-/// The tape is cleared after each optimization step; creating one with
-/// grad_enabled=false gives a cheap inference mode that records no
-/// backward closures (and no parent lists). Attaching a TapeArena makes
-/// Clear() recycle every node's value/grad heap buffer instead of freeing
-/// it, so a long-lived tape reused across minibatches reaches a steady
-/// state with (near) zero per-step heap allocations; the node shells
+/// The tape is cleared after each optimization step. Attaching a TapeArena
+/// makes Clear() recycle every node's value/grad heap buffer instead of
+/// freeing it, so a long-lived tape reused across minibatches reaches a
+/// steady state with (near) zero per-step heap allocations; the node shells
 /// themselves (including their parent-vector capacity) are reused in place
 /// as well. The intended pattern (both trainers follow it):
 ///
-///   1. construct one `TapeArena` and one `Tape(/*grad_enabled=*/true,
-///      &arena)` for the whole training run;
+///   1. construct one `TapeArena` and one `Tape(&arena)` for the whole
+///      training run;
 ///   2. per step: `tape.Clear()` (recycles last step's buffers into the
 ///      arena) → forward → `Backward` → optimizer step;
 ///   3. the arena must outlive the tape (the tape's destructor recycles
@@ -48,10 +46,14 @@
 ///
 /// ## Record mode
 ///
-/// A grad-disabled tape given a ScheduleRecorder also records the replay
-/// schedule of the forward it runs (see nn/schedule.h): ops that have a
-/// replay form pass a Replay to NewNode, batch data enters through
-/// InputLeaf.
+/// The tape trains, or, given a ScheduleRecorder, records: it runs one
+/// forward and also records its replay schedule (see nn/schedule.h). That
+/// is how LearnedCostModel::CompilePlan makes the plans every inference
+/// replays. Every op makes one NewNode call carrying both its backward and
+/// its Replay (if it has a replay form), so a recorded op and a trained op
+/// run the same code. Batch data enters through InputLeaf. Record mode is
+/// the only gradient-free mode: no leaf requires grad, so NewNode stores no
+/// closure or parent list, and Backward throws.
 #pragma once
 
 #include <cstddef>
@@ -161,18 +163,18 @@ class Tensor {
   TapeNode* node_ = nullptr;
 };
 
-/// The recording. One per training/inference step stream; reuse across
-/// steps (with Clear()) + a TapeArena is the zero-allocation steady state.
+/// The recording. One per training step stream; reuse across steps (with
+/// Clear()) + a TapeArena is the zero-allocation steady state.
 class Tape {
  public:
-  /// `recorder` (record mode) requires grad_enabled == false.
-  explicit Tape(bool grad_enabled = true, TapeArena* arena = nullptr,
-                ScheduleRecorder* recorder = nullptr);
+  /// A training tape, or a record-mode tape when `recorder` is given.
+  explicit Tape(TapeArena* arena = nullptr,
+                ScheduleRecorder* recorder = nullptr)
+      : arena_(arena), recorder_(recorder) {}
   ~Tape() { Clear(); }
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
-  bool grad_enabled() const noexcept { return grad_enabled_; }
   std::size_t size() const noexcept { return next_; }
   TapeArena* arena() const noexcept { return arena_; }
 
@@ -206,9 +208,8 @@ class Tape {
 
   /// Records an op result. `backward` may be empty for non-differentiable
   /// ops; it — and the parent list — are dropped when no parent requires
-  /// grad or grads are disabled (inference tapes store neither). `replay`
-  /// is the op's replay form, if it has one; `op` names the op in record
-  /// mode's errors.
+  /// grad (as in record mode). `replay` is the op's replay form, if it has
+  /// one; `op` names the op in record mode's errors.
   Tensor NewNode(
       Matrix value, std::span<TapeNode* const> parents,
       std::function<void(TapeNode&)> backward,
@@ -221,7 +222,8 @@ class Tape {
       std::source_location op = std::source_location::current());
 
   /// Seeds d(loss)=1 and runs all backward closures in reverse order.
-  /// `loss` must be a 1x1 tensor recorded on this tape.
+  /// `loss` must be a 1x1 tensor recorded on this tape; throws in record
+  /// mode.
   void Backward(Tensor loss);
 
   /// Drops all recorded nodes (recycling their buffers into the arena when
@@ -234,7 +236,6 @@ class Tape {
 
   std::deque<TapeNode> nodes_;  // deque: stable addresses
   std::size_t next_ = 0;        // nodes_[0, next_) are live
-  bool grad_enabled_;
   TapeArena* arena_ = nullptr;
   ScheduleRecorder* recorder_ = nullptr;
 };

@@ -15,20 +15,24 @@
 // slab of memory.
 //
 // Determinism contract: CompiledPlan::Run produces bit-identical outputs to
-// the tape path (LearnedCostModel::PredictBatch / PredictScore) at any
-// core::ThreadPool width — every instruction bottoms out in the same
+// the training forward (LearnedCostModel::ForwardBatch with training off) at
+// any core::ThreadPool width — every instruction bottoms out in the same
 // nn/op_kernels.h entry points the tape ops call, in the same order, with
 // the same operand values. Parameters are read through live pointers;
 // values computed from parameters alone (the LSTM's fused gate weight) were
-// folded at compile time. Both are AOT semantics: recompile the plan after
-// parameter updates.
+// folded at compile time. Both are AOT semantics: a plan is stale once a
+// parameter is written. LearnedCostModel scores every inference through
+// its own PlanCache and drops the cached plans on every non-const call, so
+// a folded constant never outlives a parameter write.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "nn/gnn.h"
@@ -118,6 +122,54 @@ class CompiledPlan {
 
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<ExecutionContext>> context_pool_;
+};
+
+// An LRU cache of compiled plans keyed by batch-shape bucket. Shapes are
+// bucketed to the next power of two in both dimensions (batch size and
+// packed node count). A plan compiled for capacity (2^a, 2^b) replays any
+// batch at or under that capacity, so a lookup is served by the smallest
+// cached plan covering the shape, whichever bucket it was compiled for.
+// Thread-safe.
+class PlanCache {
+ public:
+  // Monotonic since construction; Clear() keeps them.
+  struct Counters {
+    std::uint64_t hits = 0;      // lookups served by a cached plan
+    std::uint64_t misses = 0;    // lookups no cached plan covered
+    std::uint64_t compiles = 0;  // plans inserted (compiled and cached)
+  };
+
+  explicit PlanCache(std::size_t capacity);
+
+  // The bucket (plan capacity) covering a concrete batch shape.
+  static std::pair<int, int> Bucket(int num_kernels, int total_nodes);
+
+  // The smallest cached plan (by node, then batch capacity) covering
+  // (num_kernels, total_nodes), or null. A hit refreshes the entry's LRU
+  // position.
+  std::shared_ptr<const CompiledPlan> Lookup(int num_kernels,
+                                             int total_nodes);
+  // Inserts a plan under Bucket(num_kernels, total_nodes), evicting the
+  // least-recently-used entry when the cache is full.
+  void Insert(int num_kernels, int total_nodes,
+              std::shared_ptr<const CompiledPlan> plan);
+  // Drops every cached plan.
+  void Clear();
+
+  std::size_t size() const;
+  std::size_t capacity() const noexcept { return capacity_; }
+  Counters counters() const;
+
+ private:
+  struct Entry {
+    std::pair<int, int> bucket;
+    std::shared_ptr<const CompiledPlan> plan;
+  };
+
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  std::list<Entry> entries_;  // front = most recently used
+  Counters counters_;
 };
 
 }  // namespace tpuperf::plan

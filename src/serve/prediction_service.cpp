@@ -23,65 +23,6 @@ namespace tpuperf::serve {
 
 using Clock = std::chrono::steady_clock;
 
-// Distinct batch-shape buckets each service keeps compiled plans for (LRU
-// beyond that).
-constexpr std::size_t kPlanCacheCapacity = 8;
-
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
-
-std::pair<int, int> PlanCache::Bucket(int num_kernels, int total_nodes) {
-  const auto next_pow2 = [](int v) {
-    int p = 1;
-    while (p < v) p *= 2;
-    return p;
-  };
-  // node_capacity must cover at least one node per kernel (the planner
-  // rejects max_total_nodes < max_kernels).
-  const int b = next_pow2(num_kernels < 1 ? 1 : num_kernels);
-  const int n = next_pow2(total_nodes < b ? b : total_nodes);
-  return {b, n};
-}
-
-std::shared_ptr<const plan::CompiledPlan> PlanCache::Lookup(int num_kernels,
-                                                            int total_nodes) {
-  std::lock_guard lock(mu_);
-  // A plan's schedule does not depend on its capacities, so any plan whose
-  // bucket covers the shape replays it bit-identically; take the smallest.
-  auto best = entries_.end();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    const auto [b, n] = it->bucket;
-    if (b < num_kernels || n < total_nodes) continue;
-    if (best == entries_.end() ||
-        std::pair{n, b} < std::pair{best->bucket.second, best->bucket.first}) {
-      best = it;
-    }
-  }
-  if (best == entries_.end()) return nullptr;
-  entries_.splice(entries_.begin(), entries_, best);
-  return entries_.front().plan;
-}
-
-void PlanCache::Insert(int num_kernels, int total_nodes,
-                       std::shared_ptr<const plan::CompiledPlan> plan) {
-  if (capacity_ == 0) return;
-  const std::pair<int, int> bucket = Bucket(num_kernels, total_nodes);
-  std::lock_guard lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->bucket == bucket) {
-      it->plan = std::move(plan);
-      entries_.splice(entries_.begin(), entries_, it);
-      return;
-    }
-  }
-  entries_.push_front(Entry{bucket, std::move(plan)});
-  while (entries_.size() > capacity_) entries_.pop_back();
-}
-
-std::size_t PlanCache::size() const {
-  std::lock_guard lock(mu_);
-  return entries_.size();
-}
-
 // One queued prediction. The promise is fulfilled by whichever worker runs
 // the batch this request was flushed into — or by the batcher (expiry), or
 // by an overloaded PredictAsync (shedding).
@@ -94,11 +35,12 @@ struct PendingRequest {
 };
 
 struct ServiceImpl {
-  explicit ServiceImpl(int num_threads)
-      : pool(num_threads), plan_cache(kPlanCacheCapacity) {}
+  ServiceImpl(int num_threads, plan::PlanCache::Counters plan_base)
+      : pool(num_threads), plan_base(plan_base) {}
 
   core::ThreadPool pool;
-  PlanCache plan_cache;  // every batch is scored by a compiled plan
+  // The model's plan-cache counters when the service started.
+  const plan::PlanCache::Counters plan_base;
 
   std::mutex mu;               // guards queue + stopping
   std::condition_variable cv;  // batcher wakeup (new request / shutdown)
@@ -132,9 +74,6 @@ struct ServiceImpl {
   std::atomic<std::uint64_t> deadline_flushes{0};
   std::atomic<std::uint64_t> shutdown_flushes{0};
   std::atomic<std::uint64_t> batched_items{0};
-  std::atomic<std::uint64_t> plan_hits{0};
-  std::atomic<std::uint64_t> plan_misses{0};
-  std::atomic<std::uint64_t> plan_compiles{0};
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> expired{0};
@@ -145,27 +84,6 @@ struct ServiceImpl {
 namespace {
 
 using BreakerState = PredictionService::BreakerState;
-
-// Scores a packed batch through the cached compiled plan for its shape
-// bucket, compiling one on a miss. A failed compile throws like any other
-// model error: ProcessBatch fails the batch and feeds the circuit breaker.
-std::vector<double> ScorePacked(const core::LearnedCostModel& model,
-                                const core::PreparedBatch& packed,
-                                ServiceImpl& impl) {
-  const int b = packed.num_kernels();
-  const int n = packed.total_nodes();
-  std::shared_ptr<const plan::CompiledPlan> plan = impl.plan_cache.Lookup(b, n);
-  if (plan != nullptr) {
-    impl.plan_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    impl.plan_misses.fetch_add(1, std::memory_order_relaxed);
-    const std::pair<int, int> bucket = PlanCache::Bucket(b, n);
-    plan = model.CompilePlan(bucket.first, bucket.second);
-    impl.plan_cache.Insert(b, n, plan);
-    impl.plan_compiles.fetch_add(1, std::memory_order_relaxed);
-  }
-  return model.PredictBatchWithPlan(*plan, packed);
-}
 
 // How ProcessBatch answers this batch, decided once per batch against the
 // breaker. kProbe is the half-open trial: exactly one batch retries the
@@ -321,7 +239,7 @@ void ProcessBatch(const core::LearnedCostModel& model,
     // Models a model-side outage (the error class the breaker exists for).
     core::MaybeInjectFault("model.predict_throw");
     const core::PreparedBatch packed = model.PrepareBatch(items);
-    const std::vector<double> scores = ScorePacked(model, packed, impl);
+    const std::vector<double> scores = model.PredictBatch(packed);
     for (std::size_t i = 0; i < live.size(); ++i) {
       live[i]->promise.set_value(PredictResult{scores[i], /*degraded=*/false});
     }
@@ -368,7 +286,8 @@ PredictionService::PredictionService(
   const int threads = config_.num_threads > 0
                           ? config_.num_threads
                           : core::ThreadPool::DefaultNumThreads();
-  impl_ = std::make_unique<ServiceImpl>(threads);
+  impl_ = std::make_unique<ServiceImpl>(threads,
+                                        model_->plan_cache().counters());
   impl_->batcher = std::thread([this] { BatcherLoop(); });
 }
 
@@ -539,9 +458,10 @@ ServiceStats PredictionService::stats() const {
   s.deadline_flushes = impl.deadline_flushes.load(std::memory_order_relaxed);
   s.shutdown_flushes = impl.shutdown_flushes.load(std::memory_order_relaxed);
   s.batched_items = impl.batched_items.load(std::memory_order_relaxed);
-  s.plan_hits = impl.plan_hits.load(std::memory_order_relaxed);
-  s.plan_misses = impl.plan_misses.load(std::memory_order_relaxed);
-  s.plan_compiles = impl.plan_compiles.load(std::memory_order_relaxed);
+  const plan::PlanCache::Counters plans = model_->plan_cache().counters();
+  s.plan_hits = plans.hits - impl.plan_base.hits;
+  s.plan_misses = plans.misses - impl.plan_base.misses;
+  s.plan_compiles = plans.compiles - impl.plan_base.compiles;
   s.rejected = impl.rejected.load(std::memory_order_relaxed);
   s.shed = impl.shed.load(std::memory_order_relaxed);
   s.expired = impl.expired.load(std::memory_order_relaxed);

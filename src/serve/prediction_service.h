@@ -13,9 +13,9 @@
 ///
 /// Requests enter a queue; a dedicated batcher thread drains it into
 /// batches, and each batch is packed (LearnedCostModel::PrepareBatch) and
-/// scored by replaying a plan::CompiledPlan compiled once per batch-shape
-/// bucket (PlanCache). Plan replay is the only scoring path. A batch is
-/// flushed when EITHER
+/// scored by LearnedCostModel::PredictBatch, which replays a
+/// plan::CompiledPlan from the model's plan cache (one compile per
+/// batch-shape bucket). A batch is flushed when EITHER
 ///   * size trigger   — max_batch requests are waiting (default 64, the
 ///     packed-batch sweet spot the autotuner evaluators also use), or
 ///   * deadline trigger — deadline_us elapsed since the oldest queued
@@ -58,23 +58,16 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "analytical/analytical_model.h"
 #include "core/cost_model.h"
 #include "core/trainer.h"
 #include "ir/graph.h"
 #include "ir/tile.h"
-
-namespace tpuperf::plan {
-class CompiledPlan;
-}  // namespace tpuperf::plan
 
 namespace tpuperf::serve {
 
@@ -144,43 +137,6 @@ struct ServiceConfig {
   long breaker_cooldown_us = 50000;
 };
 
-/// An LRU cache of compiled plans keyed by batch-shape bucket. Shapes are
-/// bucketed to the next power of two in both dimensions (batch size and
-/// packed node count). A plan compiled for capacity (2^a, 2^b) replays any
-/// batch at or under that capacity, so a lookup is served by the smallest
-/// cached plan covering the shape, whichever bucket it was compiled for.
-/// Thread-safe; standalone so tests can exercise eviction directly.
-class PlanCache {
- public:
-  explicit PlanCache(std::size_t capacity);
-
-  /// The bucket (plan capacity) covering a concrete batch shape.
-  static std::pair<int, int> Bucket(int num_kernels, int total_nodes);
-
-  /// The smallest cached plan (by node, then batch capacity) covering
-  /// (num_kernels, total_nodes), or null. A hit refreshes the entry's LRU
-  /// position.
-  std::shared_ptr<const plan::CompiledPlan> Lookup(int num_kernels,
-                                                   int total_nodes);
-  /// Inserts a plan under Bucket(num_kernels, total_nodes), evicting the
-  /// least-recently-used entry when the cache is full.
-  void Insert(int num_kernels, int total_nodes,
-              std::shared_ptr<const plan::CompiledPlan> plan);
-
-  std::size_t size() const;
-  std::size_t capacity() const noexcept { return capacity_; }
-
- private:
-  struct Entry {
-    std::pair<int, int> bucket;
-    std::shared_ptr<const plan::CompiledPlan> plan;
-  };
-
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Entry> entries_;  // front = most recently used
-};
-
 /// Monotonic counters, readable at any time (atomics; a snapshot is not a
 /// consistent cut but every counter is exact once the service is idle).
 struct ServiceStats {
@@ -196,6 +152,8 @@ struct ServiceStats {
   std::uint64_t deadline_flushes = 0;  // flushed because deadline_us elapsed
   std::uint64_t shutdown_flushes = 0;  // flushed by Shutdown() draining
   std::uint64_t batched_items = 0;     // requests summed over all batches
+  // The model's plan-cache counters (plan::PlanCache::Counters) since the
+  // service started; any PredictBatch on the served model counts.
   std::uint64_t plan_hits = 0;         // batches scored via a cached plan
   std::uint64_t plan_misses = 0;       // batches whose bucket had no plan yet
   std::uint64_t plan_compiles = 0;     // plans compiled and cached (== misses

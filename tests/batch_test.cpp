@@ -191,7 +191,7 @@ TEST(BatchedLstm, MatchesSequentialPerSegment) {
   std::uniform_real_distribution<float> dist(-1, 1);
   for (float& v : x.flat()) v = dist(rng);
 
-  nn::Tape tape(/*grad_enabled=*/false);
+  nn::Tape tape;
   nn::Tensor packed = tape.Leaf(x);
   nn::Tensor batched = lstm.ForwardBatched(tape, packed, offsets);
   ASSERT_EQ(batched.rows(), static_cast<int>(lengths.size()));
@@ -234,11 +234,11 @@ TEST(BatchedLstm, NumericalGradient) {
       return nn::SumAllOp(tape, nn::MulOp(tape, out, tape.Leaf(weight)));
     };
     const auto loss_value = [&](const nn::Matrix& xv) {
-      nn::Tape tape(/*grad_enabled=*/false);
+      nn::Tape tape;
       return static_cast<double>(loss_of(tape, tape.Leaf(xv)).scalar());
     };
     store.ZeroGrad();
-    nn::Tape tape(/*grad_enabled=*/true);
+    nn::Tape tape;
     nn::Tensor x = tape.Leaf(x0, /*requires_grad=*/true);
     tape.Backward(loss_of(tape, x));
 
@@ -292,7 +292,7 @@ TEST(BatchedForward, GradientsReachParameters) {
   const std::vector<BatchItem> items = {{&pa, &tile}, {&pb, &tile}};
   const PreparedBatch batch = model.PrepareBatch(items);
 
-  nn::Tape tape(/*grad_enabled=*/true);
+  nn::Tape tape;
   nn::Tensor out = model.ForwardBatch(tape, batch, /*training=*/true);
   ASSERT_EQ(out.rows(), 2);
   nn::Tensor loss = nn::MeanAllOp(tape, out);
@@ -390,7 +390,7 @@ nn::Tensor StepLoss(nn::Tape& tape, LearnedCostModel& model,
 std::vector<nn::Matrix> StepGradients(LearnedCostModel& model,
                                       const Minibatch& mb, LossKind loss_kind,
                                       nn::TapeArena* arena) {
-  nn::Tape tape(/*grad_enabled=*/true, arena);
+  nn::Tape tape(arena);
   const int passes = arena != nullptr ? 2 : 1;
   for (int pass = 0; pass < passes; ++pass) {
     model.params().ZeroGrad();
@@ -413,7 +413,7 @@ void CheckModelGradients(LearnedCostModel& model, const Minibatch& mb) {
       StepGradients(model, mb, loss_kind, &arena);
   EXPECT_GT(arena.requests(), 0u);
   const auto loss_value = [&] {
-    nn::Tape tape(/*grad_enabled=*/false);
+    nn::Tape tape;
     return static_cast<double>(StepLoss(tape, model, mb, loss_kind).scalar());
   };
 
@@ -591,7 +591,7 @@ TEST(SegmentOps, MatchColumnReductionsPerSegment) {
   nn::Matrix x(9, 5);
   for (float& v : x.flat()) v = dist(rng);
 
-  nn::Tape tape(/*grad_enabled=*/false);
+  nn::Tape tape;
   nn::Tensor packed = tape.Leaf(x);
   nn::Tensor sum = nn::SegmentSumOp(tape, packed, offsets);
   nn::Tensor mean = nn::SegmentMeanOp(tape, packed, offsets);
@@ -618,7 +618,7 @@ TEST(SegmentOps, MatchColumnReductionsPerSegment) {
 }
 
 TEST(SegmentOps, RejectBadOffsets) {
-  nn::Tape tape(/*grad_enabled=*/false);
+  nn::Tape tape;
   nn::Tensor x = tape.Leaf(nn::Matrix(4, 2));
   {
     const std::vector<int> bad = {0, 5};  // past the end

@@ -1,6 +1,7 @@
 // Tests for the learned cost model: construction across the full
 // architecture grid (parameterized), forward determinism, feature-placement
-// options, save/load fidelity, and short-training behaviour.
+// options, save/load fidelity, the plan cache's drop on every write, and
+// short-training behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +13,8 @@
 #include "dataset/families.h"
 #include "dataset/fusion.h"
 #include "ir/builder.h"
+#include "nn/losses.h"
+#include "nn/optimizer.h"
 #include "sim/simulator.h"
 
 namespace tpuperf::core {
@@ -164,6 +167,81 @@ TEST(CostModel, SetOutputBiasShiftsPrediction) {
   model.SetOutputBias(static_cast<float>(before) + 5.0f);
   // Bias replacement moves the output (head weights unchanged).
   EXPECT_GT(model.PredictScore(pk), before);
+}
+
+// The training forward (ForwardBatch, training off, on a gradient tape),
+// the reference every prediction equals bit for bit.
+std::vector<double> TrainingForward(LearnedCostModel& model,
+                                    const PreparedBatch& batch) {
+  nn::Tape tape;
+  const nn::Tensor out = model.ForwardBatch(tape, batch, /*training=*/false);
+  std::vector<double> scores;
+  for (int b = 0; b < out.rows(); ++b) scores.push_back(out.value().at(b, 0));
+  return scores;
+}
+
+// A compiled plan folds the LSTM reduction's fused gate weight (the only
+// value computed from parameters alone) into a constant. Every write path
+// must drop the model's cached plans, so after each one PredictBatch equals
+// the training forward bit for bit. A plan is cached before each write.
+TEST(CostModel, EveryWriteDropsFoldedPlans) {
+  ModelConfig config = SmallConfig();
+  config.reduction = ReductionKind::kLstm;
+  LearnedCostModel model(config);
+  const auto kernel = SmallKernel();
+  FitOn(model, kernel);
+  const PreparedKernel pk = model.Prepare(kernel);
+  const std::vector<ir::TileConfig> tiles = {
+      ir::TileConfig{{8, 64}}, ir::TileConfig{{1, 8}},
+      ir::TileConfig{{16, 64}}};
+  std::vector<BatchItem> items;
+  for (const auto& tile : tiles) items.push_back({&pk, &tile});
+  const PreparedBatch batch = model.PrepareBatch(items);
+
+  // Taken before any plan is cached, as a trainer takes them.
+  const std::vector<nn::Parameter*> params = model.params().params();
+  const auto cache_plan = [&] {
+    (void)model.PredictBatch(batch);
+    ASSERT_EQ(model.plan_cache().size(), 1u);
+  };
+  const auto expect_refolded = [&](const char* write) {
+    const std::vector<double> predicted = model.PredictBatch(batch);
+    EXPECT_EQ(predicted, TrainingForward(model, batch)) << write;
+  };
+
+  cache_plan();
+  {
+    // One trainer step: forward, loss and backward, then the Adam write.
+    nn::AdamConfig adam_config;
+    adam_config.learning_rate = 0.05;
+    nn::Adam adam(adam_config);
+    nn::Tape tape;
+    const nn::Tensor out = model.ForwardBatch(tape, batch, /*training=*/true);
+    const std::vector<double> targets = {1e-5, 3e-6, 2e-5};
+    tape.Backward(nn::MseLogLoss(tape, out, targets));
+    adam.Step(params);
+  }
+  expect_refolded("trainer step");
+
+  cache_plan();
+  model.SetOutputBias(0.25f);
+  expect_refolded("SetOutputBias");
+
+  cache_plan();
+  ModelConfig other_config = config;
+  other_config.seed = 99;
+  LearnedCostModel other(other_config);
+  FitOn(other, kernel);
+  std::stringstream bytes;
+  other.Save(bytes);
+  model.Load(bytes);
+  expect_refolded("Load");
+
+  cache_plan();
+  for (nn::Parameter* p : model.params().params()) {
+    for (float& v : p->value.flat()) v *= 1.5f;
+  }
+  expect_refolded("params()");
 }
 
 TEST(PreparedCacheTest, ReusesPreparedKernels) {

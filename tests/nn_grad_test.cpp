@@ -40,7 +40,7 @@ using TapeFn =
 void CheckGradients(const std::vector<Matrix>& inputs, const TapeFn& build,
                     float tolerance = 2e-2f, float h = 1e-3f) {
   // Analytic gradients.
-  Tape tape(/*grad_enabled=*/true);
+  Tape tape;
   std::vector<Tensor> leaves;
   leaves.reserve(inputs.size());
   for (const Matrix& m : inputs) {
@@ -53,7 +53,7 @@ void CheckGradients(const std::vector<Matrix>& inputs, const TapeFn& build,
   tape.Backward(loss);
 
   const auto eval = [&](const std::vector<Matrix>& xs) {
-    Tape t(/*grad_enabled=*/false);
+    Tape t;
     std::vector<Tensor> ls;
     ls.reserve(xs.size());
     for (const Matrix& m : xs) ls.push_back(t.Leaf(m, false));
@@ -300,27 +300,26 @@ TEST(GradCheck, MseLogLoss) {
 
 // Wraps parameter gradients: builds the module once, then checks gradient of
 // loss wrt a chosen parameter numerically by perturbing param values.
+// `forward_loss` builds the 1x1 loss on the tape it is given.
 void CheckParamGradients(ParamStore& store,
-                         const std::function<double(Tape&)>& forward_loss,
+                         const std::function<Tensor(Tape&)>& forward_loss,
                          float tolerance = 3e-2f, float h = 1e-3f) {
   store.ZeroGrad();
   {
-    Tape tape(true);
-    // Rebuild loss and backprop.
-    Tape* tp = &tape;
-    Matrix loss(1, 1);
-    loss.at(0, 0) = static_cast<float>(forward_loss(*tp));
-    // forward_loss is expected to run Backward itself when grads enabled.
+    Tape tape;
+    tape.Backward(forward_loss(tape));
   }
+  const auto loss_value = [&] {
+    Tape tape;
+    return static_cast<double>(forward_loss(tape).scalar());
+  };
   for (Parameter* p : store.params()) {
     for (size_t i = 0; i < std::min<size_t>(p->value.size(), 4); ++i) {
       const float original = p->value.data()[i];
       p->value.data()[i] = original + h;
-      Tape tp(false);
-      const double plus = forward_loss(tp);
+      const double plus = loss_value();
       p->value.data()[i] = original - h;
-      Tape tm(false);
-      const double minus = forward_loss(tm);
+      const double minus = loss_value();
       p->value.data()[i] = original;
       const double numeric = (plus - minus) / (2.0 * h);
       const double got = p->grad.data()[i];
@@ -339,9 +338,7 @@ TEST(GradCheck, LinearAndMlpParams) {
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = mlp.Forward(tape, in);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
-    if (tape.grad_enabled()) tape.Backward(loss);
-    return static_cast<double>(loss.scalar());
+    return SumAllOp(tape, MulOp(tape, y, y));
   };
   CheckParamGradients(store, loss_fn);
 }
@@ -353,9 +350,7 @@ TEST(GradCheck, EmbeddingParams) {
   const std::vector<int> ids = {1, 3, 1, 5};
   const auto loss_fn = [&](Tape& tape) {
     Tensor y = emb.Forward(tape, ids);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
-    if (tape.grad_enabled()) tape.Backward(loss);
-    return static_cast<double>(loss.scalar());
+    return SumAllOp(tape, MulOp(tape, y, y));
   };
   CheckParamGradients(store, loss_fn);
 }
@@ -368,9 +363,7 @@ TEST(GradCheck, LstmParams) {
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     auto out = lstm.Forward(tape, in);
-    Tensor loss = SumAllOp(tape, MulOp(tape, out.final_hidden, out.final_hidden));
-    if (tape.grad_enabled()) tape.Backward(loss);
-    return static_cast<double>(loss.scalar());
+    return SumAllOp(tape, MulOp(tape, out.final_hidden, out.final_hidden));
   };
   CheckParamGradients(store, loss_fn);
 }
@@ -384,9 +377,7 @@ TEST(GradCheck, TransformerParams) {
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = enc.Forward(tape, in, offsets);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
-    if (tape.grad_enabled()) tape.Backward(loss);
-    return static_cast<double>(loss.scalar());
+    return SumAllOp(tape, MulOp(tape, y, y));
   };
   CheckParamGradients(store, loss_fn);
 }
@@ -404,9 +395,7 @@ TEST(GradCheck, GraphSageParams) {
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = layer.Forward(tape, in, gs);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
-    if (tape.grad_enabled()) tape.Backward(loss);
-    return static_cast<double>(loss.scalar());
+    return SumAllOp(tape, MulOp(tape, y, y));
   };
   CheckParamGradients(store, loss_fn);
 }
@@ -423,9 +412,7 @@ TEST(GradCheck, GatParams) {
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = layer.Forward(tape, in, gs);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
-    if (tape.grad_enabled()) tape.Backward(loss);
-    return static_cast<double>(loss.scalar());
+    return SumAllOp(tape, MulOp(tape, y, y));
   };
   CheckParamGradients(store, loss_fn);
 }
@@ -502,7 +489,7 @@ TEST(GradCheck, BlockDiagGatAttentionMatchesOpChain) {
   const Matrix d0 = RandomMatrix(7, 1, rng);
   const Matrix wh0 = RandomMatrix(7, 5, rng);
 
-  Tape fused_tape(/*grad_enabled=*/true);
+  Tape fused_tape;
   Tensor fs = fused_tape.Leaf(s0, true);
   Tensor fd = fused_tape.Leaf(d0, true);
   Tensor fwh = fused_tape.Leaf(wh0, true);
@@ -510,7 +497,7 @@ TEST(GradCheck, BlockDiagGatAttentionMatchesOpChain) {
       BlockDiagGatAttentionOp(fused_tape, fs, fd, fwh, masks, offsets, 0.2f);
   fused_tape.Backward(SumAllOp(fused_tape, MulOp(fused_tape, fy, fy)));
 
-  Tape seed_tape(/*grad_enabled=*/true);
+  Tape seed_tape;
   Tensor ss = seed_tape.Leaf(s0, true);
   Tensor sd = seed_tape.Leaf(d0, true);
   Tensor swh = seed_tape.Leaf(wh0, true);
@@ -548,7 +535,7 @@ TEST(TapeArenaTest, RecycledStepsAreExactAndAllocationFree) {
   const Matrix x = RandomMatrix(5, 6, rng);
 
   TapeArena arena;
-  Tape tape(/*grad_enabled=*/true, &arena);
+  Tape tape(&arena);
   std::vector<Matrix> first_grads;
   std::size_t warm_allocations = 0;
   for (int step = 0; step < 4; ++step) {
@@ -600,7 +587,7 @@ TEST(TapeArenaTest, PoolIsBoundedByTheLargestStep) {
   // What one large step acquires: a fresh arena's pool after it.
   TapeArena fresh;
   {
-    Tape tape(/*grad_enabled=*/true, &fresh);
+    Tape tape(&fresh);
     step(tape, large);
   }
   const std::size_t large_buffers = fresh.pooled_buffers();
@@ -608,7 +595,7 @@ TEST(TapeArenaTest, PoolIsBoundedByTheLargestStep) {
   ASSERT_GT(large_buffers, 0u);
 
   TapeArena arena;
-  Tape tape(/*grad_enabled=*/true, &arena);
+  Tape tape(&arena);
   for (int i = 0; i < 12; ++i) {
     step(tape, i % 2 == 0 ? small : large);
     EXPECT_LE(arena.pooled_buffers(), large_buffers) << "step " << i;
@@ -626,7 +613,7 @@ TEST(TapeArenaTest, NumericalGradientOnWarmArena) {
   const Matrix b = RandomMatrix(4, 2, rng);
 
   TapeArena arena;
-  Tape tape(/*grad_enabled=*/true, &arena);
+  Tape tape(&arena);
   Matrix da, db;
   for (int step = 0; step < 2; ++step) {  // second pass runs fully recycled
     tape.Clear();
@@ -639,7 +626,7 @@ TEST(TapeArenaTest, NumericalGradientOnWarmArena) {
   }
 
   const auto eval = [&](const Matrix& av, const Matrix& bv) {
-    Tape t(/*grad_enabled=*/false);
+    Tape t;
     return SumAllOp(t, MatMulOp(t, t.Leaf(av), t.Leaf(bv))).scalar();
   };
   const float h = 1e-2f;
@@ -672,9 +659,7 @@ TEST(GradCheck, UndirectedGraphSageParams) {
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = layer.Forward(tape, in, gs);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
-    if (tape.grad_enabled()) tape.Backward(loss);
-    return static_cast<double>(loss.scalar());
+    return SumAllOp(tape, MulOp(tape, y, y));
   };
   CheckParamGradients(store, loss_fn);
 }

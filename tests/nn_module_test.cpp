@@ -127,22 +127,34 @@ TEST(Matrix, ColumnReductions) {
   EXPECT_EQ(argmax[1], 0);
 }
 
-TEST(Tape, NoGradModeRecordsNoBackward) {
-  Tape tape(/*grad_enabled=*/false);
+// Record mode is the gradient-free mode: no leaf requires grad, ops store
+// no closure or parent list, and Backward refuses.
+TEST(Tape, RecordModeRecordsNoBackward) {
+  const GraphStructure graph = BuildGraphStructure({{}, {0}});
+  const GraphStructure* const blocks[] = {&graph};
+  const BatchedGraphStructure structure = PackGraphStructures(blocks);
+  const std::vector<int> opcode_ids = {0, 0};
+  ScheduleRecorder recorder(structure, opcode_ids);
+  Tape tape(/*arena=*/nullptr, &recorder);
   Tensor a = tape.Leaf(Matrix::Constant(2, 2, 1.0f), /*requires_grad=*/true);
-  Tensor b = MulOp(tape, a, a);
+  EXPECT_FALSE(a.requires_grad());
+  Tensor x = tape.InputLeaf(Matrix::Constant(2, 2, 1.0f),
+                            InputKind::kNodeFeatures);
+  Tensor b = AddOp(tape, x, x);
   EXPECT_FALSE(b.requires_grad());
-  EXPECT_THROW(tape.Backward(SumAllOp(tape, b)), std::logic_error);
+  EXPECT_TRUE(b.node()->parents.empty());
+  EXPECT_FALSE(b.node()->backward);
+  EXPECT_THROW(tape.Backward(tape.Leaf(Matrix(1, 1))), std::logic_error);
 }
 
 TEST(Tape, BackwardRequiresScalarLoss) {
-  Tape tape(true);
+  Tape tape;
   Tensor a = tape.Leaf(Matrix::Constant(2, 2, 1.0f), true);
   EXPECT_THROW(tape.Backward(a), std::invalid_argument);
 }
 
 TEST(Tape, GradientAccumulatesAcrossUses) {
-  Tape tape(true);
+  Tape tape;
   Tensor a = tape.Leaf(Matrix::Constant(1, 1, 3.0f), true);
   Tensor s = AddOp(tape, a, a);  // ds/da = 2
   tape.Backward(SumAllOp(tape, s));
@@ -389,7 +401,7 @@ TEST(Adam, FloatUpdateTracksDoubleUpdate) {
 }
 
 TEST(Dropout, InvertedScalingPreservesMeanAndZeroes) {
-  Tape tape(true);
+  Tape tape;
   std::mt19937_64 rng(7);
   Tensor x = tape.Leaf(Matrix::Constant(50, 50, 1.0f), true);
   Tensor y = DropoutOp(tape, x, 0.3f, rng);
@@ -418,7 +430,7 @@ TEST(Dropout, MaskIsPoolWidthIndependentAndBackwardAppliesIt) {
   for (const int width : {1, 4}) {
     core::ThreadPool::SetNumThreads(width);
     std::mt19937_64 rng(21);
-    Tape tape(/*grad_enabled=*/true);
+    Tape tape;
     Tensor x = tape.Leaf(x0, /*requires_grad=*/true);
     Tensor y = DropoutOp(tape, x, rate, rng);
     tape.Backward(SumAllOp(tape, MulOp(tape, y, tape.Leaf(w))));
@@ -439,7 +451,7 @@ TEST(Dropout, MaskIsPoolWidthIndependentAndBackwardAppliesIt) {
 // 4 sigma of the binomial's mean, and successive calls draw different masks.
 TEST(Dropout, KeptFractionWithinFourSigmaOfBinomial) {
   std::mt19937_64 rng(17);
-  Tape tape(/*grad_enabled=*/false);
+  Tape tape;
   Tensor x = tape.Leaf(Matrix::Constant(200, 150, 1.0f));
   const double n = 200.0 * 150.0;
   for (const float rate : {0.05f, 0.1f, 0.3f, 0.5f, 0.9f}) {
@@ -595,7 +607,7 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
   for (const auto& [edge_op, dense_op] : ops) {
     std::vector<const EdgeList*> blocks;
     for (const auto& gs : structures) blocks.push_back(&(gs.*edge_op));
-    Tape tape(/*grad_enabled=*/true);
+    Tape tape;
     Tensor x = tape.Leaf(x0, /*requires_grad=*/true);
     Tensor y = BlockDiagMatMulConstA(tape, blocks, offsets, x);
     tape.Backward(SumAllOp(tape, MulOp(tape, y, tape.Leaf(dy))));
@@ -761,7 +773,7 @@ TEST(Lstm, ShapesAndDeterminism) {
   std::mt19937_64 rng(5);
   ParamStore store;
   Lstm lstm(store, "lstm", 6, 8, rng);
-  Tape tape(false);
+  Tape tape;
   Matrix x(4, 6);
   std::uniform_real_distribution<float> dist(-1, 1);
   for (float& v : x.flat()) v = dist(rng);
@@ -769,7 +781,7 @@ TEST(Lstm, ShapesAndDeterminism) {
   EXPECT_EQ(out1.final_hidden.rows(), 1);
   EXPECT_EQ(out1.final_hidden.cols(), 8);
   EXPECT_EQ(out1.all_hidden.rows(), 4);
-  Tape tape2(false);
+  Tape tape2;
   const auto out2 = lstm.Forward(tape2, tape2.Leaf(x));
   EXPECT_LT(MaxAbsDiff(out1.final_hidden.value(), out2.final_hidden.value()),
             1e-9f);
@@ -781,7 +793,7 @@ TEST(Mlp, DepthAndWidth) {
   Mlp mlp(store, "m", 4, {8, 8, 2}, rng);
   EXPECT_EQ(mlp.num_layers(), 3);
   EXPECT_EQ(mlp.out_features(), 2);
-  Tape tape(false);
+  Tape tape;
   Tensor y = mlp.Forward(tape, tape.Leaf(Matrix(5, 4)));
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 2);
@@ -791,7 +803,7 @@ TEST(Embedding, OutOfRangeThrows) {
   std::mt19937_64 rng(5);
   ParamStore store;
   Embedding emb(store, "e", 4, 3, rng);
-  Tape tape(false);
+  Tape tape;
   const std::vector<int> bad = {5};
   EXPECT_THROW(emb.Forward(tape, bad), std::out_of_range);
 }

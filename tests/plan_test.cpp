@@ -1,10 +1,12 @@
 // Tests for plan-compiled inference (src/plan): bit-exact parity between
-// CompiledPlan replay and the tape path across the full GNN × reduction
-// grid at pool widths 1 and 4, allocation-free replay after warm-up, the
-// NaN-poison validation of the liveness plan, the shape of the recorded
-// schedule (its fused instruction counts and memory plan), record mode's
-// refusal of what it cannot replay, PlanCache bucketing, covering lookup and
-// LRU eviction, and the service's compile-once-replay-many path.
+// PredictBatch (which replays plans from the model's PlanCache), explicitly
+// compiled plans and the training forward (ForwardBatch, training off, on a
+// gradient tape) across the full GNN × reduction grid at pool widths 1 and
+// 4, allocation-free replay after warm-up, the NaN-poison validation of the
+// liveness plan, the shape of the recorded schedule (its fused instruction
+// counts and memory plan), record mode's refusal of what it cannot replay,
+// PlanCache bucketing, covering lookup, LRU eviction and counters, and the
+// service's compile-once-replay-many path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -135,14 +137,32 @@ struct Fixture {
     return model->PrepareBatch(items);
   }
 
-  // Kernel i scored through `plan` as a one-item batch, the structure
-  // PredictScore uses for the tape.
-  double PlanScore(const plan::CompiledPlan& plan, size_t i) const {
+  // Kernel i alone, the one-item batch PredictScore packs.
+  PreparedBatch MakeSingle(size_t i) const {
     const BatchItem item{&prepared[i], &tiles[i]};
-    return model->PredictBatchWithPlan(plan, model->PrepareBatch({&item, 1}))
-        .front();
+    return model->PrepareBatch({&item, 1});
+  }
+
+  // The training forward: ForwardBatch with training off on a gradient
+  // tape, the reference every inference path must equal bit for bit.
+  std::vector<double> TrainingForward(const PreparedBatch& batch) const {
+    nn::Tape tape;
+    const nn::Tensor out = model->ForwardBatch(tape, batch, /*training=*/false);
+    std::vector<double> scores(static_cast<size_t>(out.rows()));
+    for (int b = 0; b < out.rows(); ++b) {
+      scores[static_cast<size_t>(b)] = out.value().at(b, 0);
+    }
+    return scores;
   }
 };
+
+// Replays `plan` over `batch` directly, bypassing the model's cache.
+std::vector<double> ReplayPlan(const plan::CompiledPlan& plan,
+                               const PreparedBatch& batch) {
+  std::vector<double> out(static_cast<size_t>(batch.num_kernels()));
+  plan.Run(plan::PlanInput::FromBatch(batch), out);
+  return out;
+}
 
 // Restores the global pool width on scope exit.
 struct PoolWidthGuard {
@@ -158,8 +178,9 @@ class PlanParityTest
     : public ::testing::TestWithParam<
           std::tuple<int, GnnKind, ReductionKind>> {};
 
-// Replaying a compiled plan must be EXACTLY the tape path's output — batched
-// vs PredictBatch and single-kernel vs PredictScore — at every pool width.
+// Every inference must be EXACTLY the training forward's output — batched
+// PredictBatch, an explicitly compiled plan, and single-kernel PredictScore
+// against the one-item training forward — at every pool width.
 TEST_P(PlanParityTest, BitExactVsTape) {
   const auto [width, gnn, reduction] = GetParam();
   PoolWidthGuard pool(width);
@@ -171,20 +192,23 @@ TEST_P(PlanParityTest, BitExactVsTape) {
   const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
 
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
-  const std::vector<double> planned =
-      fx.model->PredictBatchWithPlan(*plan, batch);
-  ASSERT_EQ(planned.size(), tape.size());
+  const std::vector<double> tape = fx.TrainingForward(batch);
+  const std::vector<double> predicted = fx.model->PredictBatch(batch);
+  const std::vector<double> planned = ReplayPlan(*plan, batch);
+  ASSERT_EQ(predicted.size(), tape.size());
   for (size_t i = 0; i < tape.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(planned[i]));
-    EXPECT_EQ(planned[i], tape[i])
+    EXPECT_TRUE(std::isfinite(predicted[i]));
+    EXPECT_EQ(predicted[i], tape[i])
         << "kernel " << i << " (" << ToString(gnn) << " + "
         << ToString(reduction) << ", width " << width << ")";
+    EXPECT_EQ(planned[i], tape[i]) << "compiled plan, kernel " << i;
   }
   for (size_t i = 0; i < fx.prepared.size(); ++i) {
-    EXPECT_EQ(fx.PlanScore(*plan, i),
-              fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]))
+    const double single = fx.TrainingForward(fx.MakeSingle(i)).front();
+    EXPECT_EQ(fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]), single)
         << "single kernel " << i;
+    EXPECT_EQ(ReplayPlan(*plan, fx.MakeSingle(i)).front(), single)
+        << "compiled plan, single kernel " << i;
   }
 }
 
@@ -203,44 +227,44 @@ TEST(PlanParity, UndirectedGraphSage) {
   config.directed_edges = false;
   Fixture fx(config);
 
-  const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
-  const std::vector<double> planned =
-      fx.model->PredictBatchWithPlan(*plan, batch);
-  ASSERT_EQ(planned.size(), tape.size());
+  const std::vector<double> tape = fx.TrainingForward(batch);
+  const std::vector<double> predicted = fx.model->PredictBatch(batch);
+  ASSERT_EQ(predicted.size(), tape.size());
   for (size_t i = 0; i < tape.size(); ++i) {
-    EXPECT_EQ(planned[i], tape[i]) << "kernel " << i;
+    EXPECT_EQ(predicted[i], tape[i]) << "kernel " << i;
   }
 }
 
 // An untrained model has zero biases and unit layer-norm gains, so a plan
 // that dropped a bias or a gain would still match it: perturb every
-// parameter and compare again, over the whole GNN × reduction grid.
+// parameter and compare again, over the whole GNN × reduction grid at pool
+// widths 1 and 4.
 TEST(PlanParity, PerturbedParameters) {
-  for (const GnnKind gnn :
-       {GnnKind::kNone, GnnKind::kGraphSage, GnnKind::kGat}) {
-    for (const ReductionKind reduction :
-         {ReductionKind::kPerNode, ReductionKind::kColumnWise,
-          ReductionKind::kLstm, ReductionKind::kTransformer}) {
-      ModelConfig config = SmallConfig();
-      config.gnn = gnn;
-      config.reduction = reduction;
-      Fixture fx(config);
-      std::mt19937_64 rng(7);
-      std::normal_distribution<float> noise(0.0f, 0.1f);
-      for (nn::Parameter* p : fx.model->params().params()) {
-        for (float& v : p->value.flat()) v += noise(rng);
-      }
-      const auto plan = fx.model->CompilePlan(8, 512);
-      const PreparedBatch batch = fx.MakeBatch();
-      const std::vector<double> tape = fx.model->PredictBatch(batch);
-      const std::vector<double> planned =
-          fx.model->PredictBatchWithPlan(*plan, batch);
-      for (size_t i = 0; i < tape.size(); ++i) {
-        EXPECT_EQ(planned[i], tape[i]) << ToString(gnn) << " + "
-                                       << ToString(reduction) << " kernel "
-                                       << i;
+  for (const int width : {1, 4}) {
+    PoolWidthGuard pool(width);
+    for (const GnnKind gnn :
+         {GnnKind::kNone, GnnKind::kGraphSage, GnnKind::kGat}) {
+      for (const ReductionKind reduction :
+           {ReductionKind::kPerNode, ReductionKind::kColumnWise,
+            ReductionKind::kLstm, ReductionKind::kTransformer}) {
+        ModelConfig config = SmallConfig();
+        config.gnn = gnn;
+        config.reduction = reduction;
+        Fixture fx(config);
+        std::mt19937_64 rng(7);
+        std::normal_distribution<float> noise(0.0f, 0.1f);
+        for (nn::Parameter* p : fx.model->params().params()) {
+          for (float& v : p->value.flat()) v += noise(rng);
+        }
+        const PreparedBatch batch = fx.MakeBatch();
+        const std::vector<double> tape = fx.TrainingForward(batch);
+        const std::vector<double> predicted = fx.model->PredictBatch(batch);
+        for (size_t i = 0; i < tape.size(); ++i) {
+          EXPECT_EQ(predicted[i], tape[i])
+              << ToString(gnn) << " + " << ToString(reduction) << " kernel "
+              << i << " (width " << width << ")";
+        }
       }
     }
   }
@@ -254,18 +278,16 @@ TEST(PlanParity, KernelEmbeddingPlacement) {
   config.tile_placement = core::FeaturePlacement::kKernelEmbedding;
   Fixture fx(config);
 
-  const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
-  const std::vector<double> planned =
-      fx.model->PredictBatchWithPlan(*plan, batch);
+  const std::vector<double> tape = fx.TrainingForward(batch);
+  const std::vector<double> predicted = fx.model->PredictBatch(batch);
   for (size_t i = 0; i < tape.size(); ++i) {
-    EXPECT_EQ(planned[i], tape[i]) << "kernel " << i;
+    EXPECT_EQ(predicted[i], tape[i]) << "kernel " << i;
   }
 }
 
 // A plan replays any batch at or under its capacity: sub-batches and single
-// kernels through the same plan still match the tape exactly.
+// kernels through the same plan still match the training forward exactly.
 TEST(PlanParity, SmallerBatchesThroughOnePlan) {
   Fixture fx(SmallConfig());
   const auto plan = fx.model->CompilePlan(8, 512);
@@ -275,9 +297,8 @@ TEST(PlanParity, SmallerBatchesThroughOnePlan) {
       items.push_back({&fx.prepared[i], &fx.tiles[i]});
     }
     const PreparedBatch batch = fx.model->PrepareBatch(items);
-    const std::vector<double> tape = fx.model->PredictBatch(batch);
-    const std::vector<double> planned =
-        fx.model->PredictBatchWithPlan(*plan, batch);
+    const std::vector<double> tape = fx.TrainingForward(batch);
+    const std::vector<double> planned = ReplayPlan(*plan, batch);
     for (size_t i = 0; i < take; ++i) {
       EXPECT_EQ(planned[i], tape[i]) << "take " << take << " kernel " << i;
     }
@@ -302,9 +323,8 @@ TEST(PlanLiveness, PoisonedDeadBuffersNeverRead) {
     const auto poisoned =
         fx.model->CompilePlan(8, 512, /*poison_dead_buffers=*/true);
     const PreparedBatch batch = fx.MakeBatch();
-    const std::vector<double> tape = fx.model->PredictBatch(batch);
-    const std::vector<double> planned =
-        fx.model->PredictBatchWithPlan(*poisoned, batch);
+    const std::vector<double> tape = fx.TrainingForward(batch);
+    const std::vector<double> planned = ReplayPlan(*poisoned, batch);
     for (size_t i = 0; i < tape.size(); ++i) {
       EXPECT_TRUE(std::isfinite(planned[i]));
       EXPECT_EQ(planned[i], tape[i])
@@ -346,20 +366,22 @@ TEST(PlanReplay, ReplayIsAllocationFree) {
   g_count_allocations.store(false, std::memory_order_relaxed);
 
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
+  const std::vector<double> tape = fx.TrainingForward(batch);
   for (size_t i = 0; i < tape.size(); ++i) EXPECT_EQ(out[i], tape[i]);
 }
 
 // Concurrent Run calls on ONE shared plan (each borrowing a pooled context)
-// must all reproduce the tape scores. Runs under TSan in CI.
+// and concurrent PredictScore calls through the model's plan cache (which
+// compile, insert and look up concurrently) must all reproduce the training
+// forward's scores. Runs under TSan in CI.
 TEST(PlanReplay, ConcurrentReplayOfSharedPlan) {
   Fixture fx(SmallConfig());
   const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
+  const std::vector<double> tape = fx.TrainingForward(batch);
   std::vector<double> single(fx.prepared.size());
   for (size_t i = 0; i < fx.prepared.size(); ++i) {
-    single[i] = fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]);
+    single[i] = fx.TrainingForward(fx.MakeSingle(i)).front();
   }
 
   constexpr int kThreads = 4;
@@ -370,14 +392,16 @@ TEST(PlanReplay, ConcurrentReplayOfSharedPlan) {
     threads.emplace_back([&, t] {
       for (int r = 0; r < kIters; ++r) {
         if ((t + r) % 2 == 0) {
-          const std::vector<double> got =
-              fx.model->PredictBatchWithPlan(*plan, batch);
+          const std::vector<double> got = ReplayPlan(*plan, batch);
           for (size_t i = 0; i < tape.size(); ++i) {
             if (got[i] != tape[i]) mismatches.fetch_add(1);
           }
         } else {
           const size_t i = static_cast<size_t>(t + r) % fx.prepared.size();
-          if (fx.PlanScore(*plan, i) != single[i]) mismatches.fetch_add(1);
+          if (fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]) !=
+              single[i]) {
+            mismatches.fetch_add(1);
+          }
         }
       }
     });
@@ -436,8 +460,7 @@ struct Recording {
     const nn::GraphStructure* const blocks[] = {&graph};
     structure = nn::PackGraphStructures(blocks);
     recorder = std::make_unique<nn::ScheduleRecorder>(structure, opcode_ids);
-    tape = std::make_unique<nn::Tape>(/*grad_enabled=*/false, nullptr,
-                                      recorder.get());
+    tape = std::make_unique<nn::Tape>(/*arena=*/nullptr, recorder.get());
   }
   nn::Tensor Input() {
     return tape->InputLeaf(nn::Matrix(2, 2), nn::InputKind::kNodeFeatures);
@@ -509,20 +532,19 @@ TEST(PlanCompile, RunRejectsOverCapacityBatches) {
   // Capacity of 2 kernels / 32 nodes: the 6-kernel batch must be refused.
   const auto plan = fx.model->CompilePlan(2, 32);
   const PreparedBatch batch = fx.MakeBatch();
-  EXPECT_THROW(fx.model->PredictBatchWithPlan(*plan, batch),
-               std::invalid_argument);
+  EXPECT_THROW(ReplayPlan(*plan, batch), std::invalid_argument);
 }
 
 // ---- PlanCache -------------------------------------------------------------
 
 TEST(PlanCacheTest, BucketsRoundUpToPowersOfTwo) {
-  EXPECT_EQ(serve::PlanCache::Bucket(1, 1), (std::pair<int, int>{1, 1}));
-  EXPECT_EQ(serve::PlanCache::Bucket(3, 100), (std::pair<int, int>{4, 128}));
-  EXPECT_EQ(serve::PlanCache::Bucket(4, 128), (std::pair<int, int>{4, 128}));
-  EXPECT_EQ(serve::PlanCache::Bucket(5, 129), (std::pair<int, int>{8, 256}));
+  EXPECT_EQ(plan::PlanCache::Bucket(1, 1), (std::pair<int, int>{1, 1}));
+  EXPECT_EQ(plan::PlanCache::Bucket(3, 100), (std::pair<int, int>{4, 128}));
+  EXPECT_EQ(plan::PlanCache::Bucket(4, 128), (std::pair<int, int>{4, 128}));
+  EXPECT_EQ(plan::PlanCache::Bucket(5, 129), (std::pair<int, int>{8, 256}));
   // The node capacity is raised to at least the batch capacity so the
   // compiled plan is always valid.
-  EXPECT_EQ(serve::PlanCache::Bucket(8, 3), (std::pair<int, int>{8, 8}));
+  EXPECT_EQ(plan::PlanCache::Bucket(8, 3), (std::pair<int, int>{8, 8}));
 }
 
 TEST(PlanCacheTest, CoveringLookupAndLruEviction) {
@@ -531,7 +553,7 @@ TEST(PlanCacheTest, CoveringLookupAndLruEviction) {
   const auto mid = fx.model->CompilePlan(8, 256);
   const auto large = fx.model->CompilePlan(16, 512);
 
-  serve::PlanCache cache(2);
+  plan::PlanCache cache(2);
   EXPECT_EQ(cache.Lookup(3, 100), nullptr);
   cache.Insert(3, 100, small);  // bucket (4, 128)
   EXPECT_EQ(cache.size(), 1u);
@@ -554,6 +576,35 @@ TEST(PlanCacheTest, CoveringLookupAndLruEviction) {
   EXPECT_EQ(cache.Lookup(3, 100).get(), small.get());
   EXPECT_EQ(cache.Lookup(16, 512).get(), large.get());
   EXPECT_EQ(cache.Lookup(17, 512), nullptr);
+
+  // Clear drops the plans and keeps the counters.
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Lookup(1, 1), nullptr);
+  const plan::PlanCache::Counters counters = cache.counters();
+  EXPECT_EQ(counters.hits, 9u);
+  EXPECT_EQ(counters.misses, 5u);
+  EXPECT_EQ(counters.compiles, 3u);
+}
+
+// PredictBatch compiles one plan per batch-shape bucket into the model's
+// cache and replays it for every shape it covers; a write drops the plans.
+TEST(PlanCacheTest, ModelCompilesOncePerBucket) {
+  Fixture fx(SmallConfig());
+  const PreparedBatch batch = fx.MakeBatch();
+  const std::vector<double> first = fx.model->PredictBatch(batch);
+  EXPECT_EQ(fx.model->PredictBatch(batch), first);
+  // A one-kernel batch is covered by the full batch's plan.
+  EXPECT_EQ(fx.model->PredictScore(fx.prepared[0], &fx.tiles[0]), first[0]);
+  const plan::PlanCache& cache = fx.model->plan_cache();
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.counters().misses, 1u);
+  EXPECT_EQ(cache.counters().compiles, 1u);
+  EXPECT_EQ(cache.counters().hits, 2u);
+
+  fx.model->SetOutputBias(0.5f);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.counters().compiles, 1u);
 }
 
 // ---- Service integration ---------------------------------------------------

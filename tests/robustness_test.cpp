@@ -431,15 +431,21 @@ TEST(ServeBreaker, DisabledBreakerFailsFuturesLikeBefore) {
 // Plan replay is the only scoring path, so a failed CompilePlan is a
 // model-level batch failure. With the breaker disabled the whole batch's
 // futures carry the error and no plan is cached; the next batch compiles
-// afresh and serves PredictScore's exact values.
+// afresh and serves PredictScore's exact values. The references are scored
+// on the served model itself, so its plan cache has counted before the
+// service starts: the service's plan counters must start at zero anyway.
 TEST(ServeBreaker, FailedPlanCompileFailsTheBatchThenRecompiles) {
   Fixture fx(2);
   auto model = fx.MakeModel();
   std::vector<double> direct;
-  for (size_t i = 0; i < fx.kernels.size(); ++i) {
-    direct.push_back(
-        model->PredictScore(model->Prepare(fx.kernels[i]), &fx.tiles[i]));
+  {
+    ScopedFaults quiet("");  // PredictScore compiles plans too
+    for (size_t i = 0; i < fx.kernels.size(); ++i) {
+      direct.push_back(
+          model->PredictScore(model->Prepare(fx.kernels[i]), &fx.tiles[i]));
+    }
   }
+  ASSERT_GT(model->plan_cache().counters().misses, 0u);
   ServiceConfig config;
   config.max_batch = 2;           // both requests flush as one batch...
   config.deadline_us = 10000000;  // ...on size, never on the deadline
@@ -559,8 +565,11 @@ TEST(SnapshotRetry, ExhaustedAttemptsRethrowTheStoreError) {
 TEST(SnapshotRetry, ServiceSnapshotConstructorSurvivesATransientFailure) {
   Fixture fx(2);
   auto model = fx.MakeModel();
-  const double direct =
-      model->PredictScore(model->Prepare(fx.kernels[0]), &fx.tiles[0]);
+  double direct = 0.0;
+  {
+    ScopedFaults quiet("");  // PredictScore compiles a plan
+    direct = model->PredictScore(model->Prepare(fx.kernels[0]), &fx.tiles[0]);
+  }
   const std::string path = TempSnapshotPath("service_ctor");
   SaveModelSnapshot(path, *model);
 

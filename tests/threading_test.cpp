@@ -573,7 +573,9 @@ TEST(ParallelParity, FusionTrainerLossExact) {
 }
 
 // The learned evaluator splits candidate pools into sub-batches scored in
-// parallel; estimates must match the serial run exactly.
+// parallel; estimates must match the serial run exactly. The parallel run
+// goes first, so pool workers compile plans into the model's empty plan
+// cache and replay them concurrently (TSan checks the cache in CI).
 TEST(ParallelParity, EstimateBatchExact) {
   PoolGuard guard;
   ModelConfig config = SmallConfig();
@@ -594,15 +596,16 @@ TEST(ParallelParity, EstimateBatchExact) {
     for (const auto& tile : tiles) refs.push_back({&kernel, &tile});
   }
 
-  ThreadPool::SetNumThreads(1);
-  PreparedCache serial_cache(model);
-  tune::LearnedEvaluator serial_eval(model, serial_cache);
-  const auto serial = serial_eval.EstimateBatch(refs);
-
   ThreadPool::SetNumThreads(4);
   PreparedCache parallel_cache(model);
   tune::LearnedEvaluator parallel_eval(model, parallel_cache);
   const auto parallel = parallel_eval.EstimateBatch(refs);
+  EXPECT_GT(model.plan_cache().counters().compiles, 0u);
+
+  ThreadPool::SetNumThreads(1);
+  PreparedCache serial_cache(model);
+  tune::LearnedEvaluator serial_eval(model, serial_cache);
+  const auto serial = serial_eval.EstimateBatch(refs);
 
   ASSERT_EQ(serial.size(), refs.size());
   ASSERT_EQ(parallel.size(), refs.size());
