@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
+#include <concepts>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <random>
+#include <string>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/fault_injection.h"
@@ -23,17 +26,16 @@ double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Family name -> indices of the training records, for balanced sampling.
-// `family(i)` and `program_id(i)` describe record i of `count`.
-template <typename Family, typename ProgramId>
-std::vector<std::vector<int>> GroupByFamily(std::size_t count, Family family,
-                                            ProgramId program_id,
-                                            std::span<const int> keep) {
-  std::unordered_set<int> wanted(keep.begin(), keep.end());
+// Per family, in name order, the indices of a window's training records (its
+// program id is in `wanted`), for balanced sampling. Reads only the window's
+// metadata (a streaming window's scan): nothing is decoded.
+template <typename Window>
+std::vector<std::vector<int>> GroupByFamily(
+    const Window& window, const std::unordered_set<int>& wanted) {
   std::map<std::string, std::vector<int>> groups;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!wanted.contains(program_id(i))) continue;
-    groups[family(i)].push_back(static_cast<int>(i));
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    if (!wanted.contains(window.program_id(i))) continue;
+    groups[window.family(i)].push_back(static_cast<int>(i));
   }
   std::vector<std::vector<int>> out;
   out.reserve(groups.size());
@@ -148,25 +150,14 @@ std::size_t PreparedCache::collisions() const {
 
 namespace {
 
-// ---- Shared step loops ------------------------------------------------------
+// ---- The training loop -----------------------------------------------------
 //
-// One loop struct per task holds everything that must persist ACROSS shuffle
-// windows — the RNG, the Adam state, the global step counter, the loss
-// window — so the in-memory trainers (one RunSteps call over the whole
-// dataset) and the streaming trainers (one RunSteps call per window) execute
-// the SAME step code on the same state. That sharing is what makes streaming
-// losses bit-identical to in-memory losses when the sampler serves a single
-// canonical window.
-//
-// RunSteps reads records through a RecordAt accessor: index i of the family
-// grouping -> the record. A dataset vector returns its element; a streaming
-// window decodes the record the first time a step draws it, so a window
-// decodes only the records its steps use.
+// Everything a run keeps ACROSS shuffle windows: the RNG, the Adam state,
+// the tape, the global step counter and the loss window. Both tasks run
+// their steps through one TrainLoop, whose Step() is the shared epilogue
+// (forward, loss, backward, Adam, loss window, learning-rate decay).
 
-template <typename Record>
-using RecordAt = std::function<const Record&(std::size_t)>;
-
-struct TileTrainLoop {
+struct TrainLoop {
   LearnedCostModel& model;
   const ModelConfig& cfg;
   PreparedCache& cache;
@@ -179,201 +170,236 @@ struct TileTrainLoop {
   // the whole tape from malloc each minibatch.
   nn::TapeArena arena;
   nn::Tape tape{&arena};
+  // The current step's minibatch, filled by the task's Draw.
+  std::vector<BatchItem> items;
+  std::vector<double> targets;
   TrainStats stats;
   double window_loss = 0;
   int window_count = 0;
-  int step = 0;  // global step, monotone across RunSteps calls
+  int step = 0;  // global step, monotone across windows
 
-  TileTrainLoop(LearnedCostModel& m, PreparedCache& c)
-      : model(m), cfg(m.config()), cache(c), rng(cfg.seed ^ 0x7e11ull),
+  TrainLoop(LearnedCostModel& m, PreparedCache& c, std::uint64_t seed_salt)
+      : model(m), cfg(m.config()), cache(c), rng(cfg.seed ^ seed_salt),
         adam(MakeAdamConfig(cfg)), params(m.params().params()) {}
 
-  // Runs `steps` training steps drawing from `kernel` via the family
-  // grouping (indices it accepts).
-  void RunSteps(const RecordAt<data::TileKernelData>& kernel,
-                const std::vector<std::vector<int>>& families, int steps) {
-    for (int s = 0; s < steps; ++s, ++step) {
-      // Balanced sampling: cycle families, pick a random kernel inside.
+  // The drawn record's prepared kernel, by its stored fingerprint (the cache
+  // walks the graph for its structural signature). Safe from pool workers.
+  const PreparedKernel& Prepare(const data::KernelRecord& record) {
+    return cache.Get(record.kernel.graph, record.fingerprint);
+  }
+
+  // One optimizer step on the drawn minibatch. MSE on log runtimes is the
+  // fusion loss and the tile ablation row 'MSE loss (not rank)'.
+  void Step() {
+    const PreparedBatch batch = model.PrepareBatch(items);
+    tape.Clear();
+    nn::Tensor stacked = model.ForwardBatch(tape, batch, /*training=*/true);
+    const nn::Tensor loss =
+        cfg.loss == LossKind::kMse
+            ? nn::MseLogLoss(tape, stacked, targets)
+            : nn::PairwiseRankLoss(tape, stacked, targets, Surrogate(cfg.loss));
+    tape.Backward(loss);
+    adam.Step(params);
+
+    const double value = loss.scalar();
+    if (step == 0) stats.first_loss = value;
+    window_loss += value;
+    ++window_count;
+    if ((step + 1) % 100 == 0) {
+      adam.DecayLearningRate();
+      if (step + 1 < cfg.train_steps) {
+        window_loss = 0;
+        window_count = 0;
+      }
+    }
+  }
+
+  TrainStats Finish(Clock::time_point start) {
+    stats.steps = cfg.train_steps;
+    stats.final_loss = window_count > 0 ? window_loss / window_count : 0;
+    stats.wall_seconds = Seconds(start);
+    return stats;
+  }
+};
+
+using Families = std::vector<std::vector<int>>;
+
+// ---- The two tasks ---------------------------------------------------------
+//
+// What the loop and the driver leave open: how the scaler pre-pass observes
+// one training record (Fit, then FinishFit once), and how a step draws its
+// minibatch from a window's family grouping (Draw). Record i of a window is
+// At(window, i): a streaming window decodes it the first time it is drawn.
+
+// Tile-size task: a rank batch of one kernel's tile configs per step.
+struct TileTask {
+  static constexpr data::StreamTask kStream = data::StreamTask::kTile;
+  static constexpr std::uint64_t kSeedSalt = 0x7e11;
+  static constexpr const char* kRecords = "kernels";
+
+  template <typename Window>
+  static const data::TileKernelData& At(Window& window, std::size_t i) {
+    return window.tile(i);
+  }
+
+  // Each distinct kernel once (by fingerprint, first occurrence in
+  // canonical order): its node features and every tile config.
+  void Fit(LearnedCostModel& model, const feat::KernelFeatureSource* source,
+           const data::TileKernelData& k) {
+    if (!fitted.insert(k.record.fingerprint).second) return;
+    FitNodeScalerVia(model, source, k.record.kernel.graph,
+                     k.record.fingerprint);
+    for (const auto& tile : k.configs) model.FitTileScaler(tile);
+  }
+  void FinishFit(LearnedCostModel& model) { model.FinishFitting(); }
+
+  // Cycles families by step and draws a random kernel inside, then a batch
+  // of distinct tile configs of it. A kernel with fewer than 2 configs
+  // yields no batch (false): the step is skipped.
+  template <typename Window>
+  static bool Draw(TrainLoop& loop, Window& window, const Families& families) {
+    const auto& family =
+        families[static_cast<size_t>(loop.step) % families.size()];
+    std::uniform_int_distribution<size_t> pick(0, family.size() - 1);
+    const auto& kdata = At(window, static_cast<size_t>(family[pick(loop.rng)]));
+    if (kdata.configs.size() < 2) return false;
+
+    const PreparedKernel& pk = loop.Prepare(kdata.record);
+    const int m = std::min<int>(loop.cfg.configs_per_batch,
+                                static_cast<int>(kdata.configs.size()));
+    std::vector<int> chosen(kdata.configs.size());
+    std::iota(chosen.begin(), chosen.end(), 0);
+    std::shuffle(chosen.begin(), chosen.end(), loop.rng);
+    chosen.resize(static_cast<size_t>(m));
+
+    // One packed batch (same kernel, m tile configs) -> one forward pass.
+    loop.items.clear();
+    loop.targets.clear();
+    for (const int c : chosen) {
+      loop.items.push_back({&pk, &kdata.configs[static_cast<size_t>(c)]});
+      loop.targets.push_back(kdata.runtimes[static_cast<size_t>(c)]);
+    }
+    return true;
+  }
+
+  std::unordered_set<std::uint64_t> fitted;
+};
+
+// Fusion task: a batch of kernels_per_batch kernels per step, one per
+// family in turn, with runtime targets.
+struct FusionTask {
+  static constexpr data::StreamTask kStream = data::StreamTask::kFusion;
+  static constexpr std::uint64_t kSeedSalt = 0xF007;
+  static constexpr const char* kRecords = "samples";
+
+  template <typename Window>
+  static const data::FusionSample& At(Window& window, std::size_t i) {
+    return window.fusion(i);
+  }
+
+  // Every sample: its node features, its tile, and its log runtime for the
+  // output bias.
+  void Fit(LearnedCostModel& model, const feat::KernelFeatureSource* source,
+           const data::FusionSample& s) {
+    FitNodeScalerVia(model, source, s.record.kernel.graph,
+                     s.record.fingerprint);
+    model.FitTileScaler(s.tile);
+    log_sum += std::log(s.runtime + 1e-9);
+    ++log_count;
+  }
+  void FinishFit(LearnedCostModel& model) {
+    model.FinishFitting();
+    if (model.config().log_target && log_count > 0) {
+      model.SetOutputBias(static_cast<float>(log_sum / log_count));
+    }
+  }
+
+  // The RNG draws and the record reads stay serial (so sampling is
+  // identical at any pool width, and a window's records are resolved on
+  // this thread only); then the picked kernels featurize concurrently
+  // through the thread-safe cache.
+  template <typename Window>
+  static bool Draw(TrainLoop& loop, Window& window, const Families& families) {
+    const ModelConfig& cfg = loop.cfg;
+    std::vector<const data::FusionSample*> picked;
+    picked.reserve(static_cast<size_t>(cfg.kernels_per_batch));
+    for (int b = 0; b < cfg.kernels_per_batch; ++b) {
       const auto& family =
-          families[static_cast<size_t>(step) % families.size()];
+          families[(static_cast<size_t>(loop.step) * cfg.kernels_per_batch +
+                    b) %
+                   families.size()];
       std::uniform_int_distribution<size_t> pick(0, family.size() - 1);
-      const auto& kdata = kernel(static_cast<size_t>(family[pick(rng)]));
-      if (kdata.configs.size() < 2) continue;
-
-      const PreparedKernel& pk =
-          cache.Get(kdata.record.kernel.graph, kdata.record.fingerprint);
-
-      // Sample a batch of distinct tile configs of this kernel.
-      const int m = std::min<int>(cfg.configs_per_batch,
-                                  static_cast<int>(kdata.configs.size()));
-      std::vector<int> chosen(kdata.configs.size());
-      std::iota(chosen.begin(), chosen.end(), 0);
-      std::shuffle(chosen.begin(), chosen.end(), rng);
-      chosen.resize(static_cast<size_t>(m));
-
-      // One packed batch (same kernel, m tile configs) -> one forward pass.
-      std::vector<BatchItem> items;
-      std::vector<double> targets;
-      items.reserve(static_cast<size_t>(m));
-      targets.reserve(static_cast<size_t>(m));
-      for (const int c : chosen) {
-        items.push_back({&pk, &kdata.configs[static_cast<size_t>(c)]});
-        targets.push_back(kdata.runtimes[static_cast<size_t>(c)]);
-      }
-      const PreparedBatch batch = model.PrepareBatch(items);
-      tape.Clear();
-      nn::Tensor stacked = model.ForwardBatch(tape, batch, /*training=*/true);
-      nn::Tensor loss;
-      if (cfg.loss == LossKind::kMse) {
-        // Ablation row 'MSE loss (not rank)': regress log runtimes directly.
-        loss = nn::MseLogLoss(tape, stacked, targets);
-      } else {
-        loss =
-            nn::PairwiseRankLoss(tape, stacked, targets, Surrogate(cfg.loss));
-      }
-      tape.Backward(loss);
-      adam.Step(params);
-
-      const double value = loss.scalar();
-      if (step == 0) stats.first_loss = value;
-      window_loss += value;
-      ++window_count;
-      if ((step + 1) % 100 == 0) {
-        adam.DecayLearningRate();
-        if (step + 1 < cfg.train_steps) {
-          window_loss = 0;
-          window_count = 0;
-        }
-      }
+      picked.push_back(
+          &At(window, static_cast<size_t>(family[pick(loop.rng)])));
     }
+    std::vector<const PreparedKernel*> prepared(picked.size());
+    const auto featurize = [&](std::int64_t b0, std::int64_t b1) {
+      for (std::int64_t b = b0; b < b1; ++b) {
+        prepared[static_cast<size_t>(b)] =
+            &loop.Prepare(picked[static_cast<size_t>(b)]->record);
+      }
+    };
+    if (picked.size() > 1 && ThreadPool::Global().size() > 1) {
+      ParallelFor(0, static_cast<std::int64_t>(picked.size()), 1, featurize);
+    } else {
+      featurize(0, static_cast<std::int64_t>(picked.size()));
+    }
+    loop.items.clear();
+    loop.targets.clear();
+    for (size_t b = 0; b < picked.size(); ++b) {
+      loop.items.push_back(
+          {prepared[b], cfg.use_tile_features ? &picked[b]->tile : nullptr});
+      loop.targets.push_back(picked[b]->runtime);
+    }
+    return true;
   }
 
-  TrainStats Finish(Clock::time_point start) {
-    stats.steps = cfg.train_steps;
-    stats.final_loss = window_count > 0 ? window_loss / window_count : 0;
-    stats.wall_seconds = Seconds(start);
-    return stats;
-  }
+  double log_sum = 0;
+  long log_count = 0;
 };
 
-struct FusionTrainLoop {
-  LearnedCostModel& model;
-  const ModelConfig& cfg;
-  PreparedCache& cache;
-  std::mt19937_64 rng;
-  nn::Adam adam;
-  std::vector<nn::Parameter*> params;
-  // Persistent arena-backed tape — see TileTrainLoop.
-  nn::TapeArena arena;
-  nn::Tape tape{&arena};
-  TrainStats stats;
-  double window_loss = 0;
-  int window_count = 0;
-  int step = 0;
+// ---- The driver ------------------------------------------------------------
+//
+// One driver walks a record source: a data::StreamingSampler, or an
+// in-memory dataset viewed as a one-window stream (InMemoryStream). A source
+// has windows_per_epoch() windows; Window(w) is window w in canonical order
+// and Next() the next window to train on. A window has size(), program_id(i),
+// family(i) and tile(i) or fusion(i).
 
-  FusionTrainLoop(LearnedCostModel& m, PreparedCache& c)
-      : model(m), cfg(m.config()), cache(c), rng(cfg.seed ^ 0xF007ull),
-        adam(MakeAdamConfig(cfg)), params(m.params().params()) {}
-
-  void RunSteps(const RecordAt<data::FusionSample>& sample,
-                const std::vector<std::vector<int>>& families, int steps) {
-    for (int s = 0; s < steps; ++s, ++step) {
-      // Assemble the minibatch: the RNG draws and the record reads stay
-      // serial (so sampling is identical at any pool width, and a window's
-      // records are resolved on this thread only), then the picked kernels
-      // featurize concurrently through the thread-safe cache.
-      std::vector<const data::FusionSample*> picked;
-      picked.reserve(static_cast<size_t>(cfg.kernels_per_batch));
-      for (int b = 0; b < cfg.kernels_per_batch; ++b) {
-        const auto& family =
-            families[(static_cast<size_t>(step) * cfg.kernels_per_batch + b) %
-                     families.size()];
-        std::uniform_int_distribution<size_t> pick(0, family.size() - 1);
-        picked.push_back(&sample(static_cast<size_t>(family[pick(rng)])));
-      }
-      std::vector<const PreparedKernel*> prepared(picked.size());
-      const auto featurize = [&](std::int64_t b0, std::int64_t b1) {
-        for (std::int64_t b = b0; b < b1; ++b) {
-          const auto& sample = *picked[static_cast<size_t>(b)];
-          prepared[static_cast<size_t>(b)] = &cache.Get(
-              sample.record.kernel.graph, sample.record.fingerprint);
-        }
-      };
-      if (picked.size() > 1 && ThreadPool::Global().size() > 1) {
-        ParallelFor(0, static_cast<std::int64_t>(picked.size()), 1,
-                    featurize);
-      } else {
-        featurize(0, static_cast<std::int64_t>(picked.size()));
-      }
-      std::vector<BatchItem> items;
-      std::vector<double> targets;
-      items.reserve(picked.size());
-      targets.reserve(picked.size());
-      for (size_t b = 0; b < picked.size(); ++b) {
-        items.push_back(
-            {prepared[b], cfg.use_tile_features ? &picked[b]->tile : nullptr});
-        targets.push_back(picked[b]->runtime);
-      }
-      const PreparedBatch batch = model.PrepareBatch(items);
-      tape.Clear();
-      nn::Tensor stacked = model.ForwardBatch(tape, batch, /*training=*/true);
-      nn::Tensor loss;
-      if (cfg.loss == LossKind::kMse) {
-        loss = nn::MseLogLoss(tape, stacked, targets);
-      } else {
-        loss =
-            nn::PairwiseRankLoss(tape, stacked, targets, Surrogate(cfg.loss));
-      }
-      tape.Backward(loss);
-      adam.Step(params);
-
-      const double value = loss.scalar();
-      if (step == 0) stats.first_loss = value;
-      window_loss += value;
-      ++window_count;
-      if ((step + 1) % 100 == 0) {
-        adam.DecayLearningRate();
-        if (step + 1 < cfg.train_steps) {
-          window_loss = 0;
-          window_count = 0;
-        }
-      }
-    }
-  }
-
-  TrainStats Finish(Clock::time_point start) {
-    stats.steps = cfg.train_steps;
-    stats.final_loss = window_count > 0 ? window_loss / window_count : 0;
-    stats.wall_seconds = Seconds(start);
-    return stats;
-  }
-};
-
-// The family grouping of an in-memory dataset's records (TileKernelData
-// or FusionSample).
+// An in-memory dataset as a stream of one canonical window: Window(0) and
+// Next() both return the whole span. The view is its own window.
 template <typename Record>
-std::vector<std::vector<int>> Families(std::span<const Record> records,
-                                       std::span<const int> train_program_ids) {
-  return GroupByFamily(
-      records.size(),
-      [&](std::size_t i) -> const std::string& {
-        return records[i].record.family;
-      },
-      [&](std::size_t i) { return records[i].record.program_id; },
-      train_program_ids);
-}
+class InMemoryStream {
+ public:
+  explicit InMemoryStream(std::span<const Record> records)
+      : records_(records) {}
 
-// The family grouping of a window's records, from the sampler's scan:
-// nothing is decoded.
-std::vector<std::vector<int>> Families(const data::StreamWindow& window,
-                                       std::span<const int> train_program_ids) {
-  return GroupByFamily(
-      window.size(),
-      [&](std::size_t i) -> const std::string& { return window.family(i); },
-      [&](std::size_t i) { return window.program_id(i); }, train_program_ids);
-}
+  std::size_t windows_per_epoch() const noexcept { return 1; }
+  InMemoryStream Window(std::size_t) const { return *this; }
+  InMemoryStream Next() const { return *this; }
 
-// Default per-window step budget for the streaming trainers.
+  std::size_t size() const noexcept { return records_.size(); }
+  int program_id(std::size_t i) const { return records_[i].record.program_id; }
+  const std::string& family(std::size_t i) const {
+    return records_[i].record.family;
+  }
+  const Record& tile(std::size_t i) const
+    requires std::same_as<Record, data::TileKernelData>
+  {
+    return records_[i];
+  }
+  const Record& fusion(std::size_t i) const
+    requires std::same_as<Record, data::FusionSample>
+  {
+    return records_[i];
+  }
+
+ private:
+  std::span<const Record> records_;
+};
+
+// Default per-window step budget: all steps when the source has one window,
+// otherwise ceil(train_steps / windows_per_epoch).
 int ResolveStepsPerWindow(int requested, int train_steps,
                           std::size_t windows) {
   if (requested > 0) return requested;
@@ -382,143 +408,93 @@ int ResolveStepsPerWindow(int requested, int train_steps,
       (static_cast<std::size_t>(train_steps) + windows - 1) / windows);
 }
 
+// Fits the scalers (unless the model is fitted) over the source's windows in
+// canonical order, then trains cfg.train_steps steps, at most
+// `steps_per_window` per window drawn by Next(). A window with no training
+// records is skipped; a full epoch of them means the split has no training
+// data, and throws. `name` prefixes the error messages.
+template <typename Task, typename Source>
+TrainStats Train(const char* name, LearnedCostModel& model, Source&& source,
+                 std::span<const int> train_program_ids, PreparedCache& cache,
+                 int steps_per_window = 0) {
+  const auto start = Clock::now();
+  if constexpr (std::is_same_v<std::remove_cvref_t<Source>,
+                               data::StreamingSampler>) {
+    if (source.task() != Task::kStream) {
+      throw std::invalid_argument(
+          std::string(name) + ": sampler streams the " +
+          (source.task() == data::StreamTask::kTile ? "tile" : "fusion") +
+          " task");
+    }
+  }
+  const ModelConfig& cfg = model.config();
+  const std::unordered_set<int> wanted(train_program_ids.begin(),
+                                       train_program_ids.end());
+  const std::size_t windows = source.windows_per_epoch();
+
+  if (!model.fitted()) {
+    Task task;
+    for (std::size_t w = 0; w < windows; ++w) {
+      auto window = source.Window(w);
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        if (!wanted.contains(window.program_id(i))) continue;
+        task.Fit(model, cache.feature_source(), Task::At(window, i));
+      }
+    }
+    task.FinishFit(model);
+  }
+
+  const int per_window =
+      ResolveStepsPerWindow(steps_per_window, cfg.train_steps, windows);
+  TrainLoop loop(model, cache, Task::kSeedSalt);
+  std::size_t consecutive_empty = 0;
+  while (loop.step < cfg.train_steps) {
+    auto window = source.Next();
+    const Families families = GroupByFamily(window, wanted);
+    if (families.empty()) {
+      if (++consecutive_empty >= windows) {
+        throw std::invalid_argument(std::string(name) + ": no training " +
+                                    Task::kRecords);
+      }
+      continue;
+    }
+    consecutive_empty = 0;
+    const int end =
+        loop.step + std::min(per_window, cfg.train_steps - loop.step);
+    for (; loop.step < end; ++loop.step) {
+      if (Task::Draw(loop, window, families)) loop.Step();
+    }
+  }
+  return loop.Finish(start);
+}
+
 }  // namespace
 
 TrainStats TrainTileTask(LearnedCostModel& model,
                          const data::TileDataset& dataset,
                          std::span<const int> train_program_ids,
                          PreparedCache& cache) {
-  const auto start = Clock::now();
-
-  // ---- Fit feature scalers on the training slice ---------------------------
-  if (!model.fitted()) {
-    std::unordered_set<std::uint64_t> seen;
-    std::unordered_set<int> wanted(train_program_ids.begin(),
-                                   train_program_ids.end());
-    for (const auto& k : dataset.kernels) {
-      if (!wanted.contains(k.record.program_id)) continue;
-      if (!seen.insert(k.record.fingerprint).second) continue;
-      FitNodeScalerVia(model, cache.feature_source(), k.record.kernel.graph,
-                       k.record.fingerprint);
-      for (const auto& tile : k.configs) model.FitTileScaler(tile);
-    }
-    model.FinishFitting();
-  }
-
-  const auto families =
-      Families(std::span(dataset.kernels), train_program_ids);
-  if (families.empty()) {
-    throw std::invalid_argument("TrainTileTask: no training kernels");
-  }
-
-  TileTrainLoop loop(model, cache);
-  loop.RunSteps([&](std::size_t i) -> const data::TileKernelData& {
-                  return dataset.kernels[i];
-                },
-                families, loop.cfg.train_steps);
-  return loop.Finish(start);
+  return Train<TileTask>("TrainTileTask", model,
+                         InMemoryStream(std::span(dataset.kernels)),
+                         train_program_ids, cache);
 }
 
 TrainStats TrainFusionTask(LearnedCostModel& model,
                            const data::FusionDataset& dataset,
                            std::span<const int> train_program_ids,
                            PreparedCache& cache) {
-  const auto start = Clock::now();
-  const ModelConfig& cfg = model.config();
-
-  if (!model.fitted()) {
-    std::unordered_set<int> wanted(train_program_ids.begin(),
-                                   train_program_ids.end());
-    double log_sum = 0;
-    long log_count = 0;
-    for (const auto& s : dataset.samples) {
-      if (!wanted.contains(s.record.program_id)) continue;
-      FitNodeScalerVia(model, cache.feature_source(), s.record.kernel.graph,
-                       s.record.fingerprint);
-      model.FitTileScaler(s.tile);
-      log_sum += std::log(s.runtime + 1e-9);
-      ++log_count;
-    }
-    model.FinishFitting();
-    if (cfg.log_target && log_count > 0) {
-      model.SetOutputBias(static_cast<float>(log_sum / log_count));
-    }
-  }
-
-  const auto families =
-      Families(std::span(dataset.samples), train_program_ids);
-  if (families.empty()) {
-    throw std::invalid_argument("TrainFusionTask: no training samples");
-  }
-
-  FusionTrainLoop loop(model, cache);
-  loop.RunSteps([&](std::size_t i) -> const data::FusionSample& {
-                  return dataset.samples[i];
-                },
-                families, cfg.train_steps);
-  return loop.Finish(start);
+  return Train<FusionTask>("TrainFusionTask", model,
+                           InMemoryStream(std::span(dataset.samples)),
+                           train_program_ids, cache);
 }
-
-// ---- Streaming trainers ----------------------------------------------------
 
 TrainStats TrainTileTaskStreaming(LearnedCostModel& model,
                                   data::StreamingSampler& sampler,
                                   std::span<const int> train_program_ids,
                                   PreparedCache& cache,
                                   int steps_per_window) {
-  const auto start = Clock::now();
-  if (sampler.task() != data::StreamTask::kTile) {
-    throw std::invalid_argument(
-        "TrainTileTaskStreaming: sampler streams the fusion task");
-  }
-  const ModelConfig& cfg = model.config();
-
-  // Scaler pre-pass: stream the windows in CANONICAL order with the exact
-  // in-memory dedupe (fingerprint only, first occurrence in dataset order)
-  // so the fitted scalers match TrainTileTask bit for bit.
-  if (!model.fitted()) {
-    std::unordered_set<std::uint64_t> seen;
-    std::unordered_set<int> wanted(train_program_ids.begin(),
-                                   train_program_ids.end());
-    for (std::size_t w = 0; w < sampler.windows_per_epoch(); ++w) {
-      data::StreamWindow window = sampler.Window(w);
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        if (!wanted.contains(window.program_id(i))) continue;
-        const data::TileKernelData& k = window.tile(i);
-        if (!seen.insert(k.record.fingerprint).second) continue;
-        FitNodeScalerVia(model, cache.feature_source(), k.record.kernel.graph,
-                         k.record.fingerprint);
-        for (const auto& tile : k.configs) model.FitTileScaler(tile);
-      }
-    }
-    model.FinishFitting();
-  }
-
-  const int per_window = ResolveStepsPerWindow(
-      steps_per_window, cfg.train_steps, sampler.windows_per_epoch());
-  TileTrainLoop loop(model, cache);
-  // A window may hold no training kernels (every record filtered out); skip
-  // it — but a full epoch of empty windows means the split has no training
-  // data at all, the in-memory trainers' invalid_argument case.
-  std::size_t consecutive_empty = 0;
-  while (loop.step < cfg.train_steps) {
-    data::StreamWindow window = sampler.Next();
-    const auto families = Families(window, train_program_ids);
-    if (families.empty()) {
-      if (++consecutive_empty >= sampler.windows_per_epoch()) {
-        throw std::invalid_argument(
-            "TrainTileTaskStreaming: no training kernels");
-      }
-      continue;
-    }
-    consecutive_empty = 0;
-    loop.RunSteps(
-        [&](std::size_t i) -> const data::TileKernelData& {
-          return window.tile(i);
-        },
-        families, std::min(per_window, cfg.train_steps - loop.step));
-  }
-  return loop.Finish(start);
+  return Train<TileTask>("TrainTileTaskStreaming", model, sampler,
+                         train_program_ids, cache, steps_per_window);
 }
 
 TrainStats TrainFusionTaskStreaming(LearnedCostModel& model,
@@ -526,58 +502,8 @@ TrainStats TrainFusionTaskStreaming(LearnedCostModel& model,
                                     std::span<const int> train_program_ids,
                                     PreparedCache& cache,
                                     int steps_per_window) {
-  const auto start = Clock::now();
-  if (sampler.task() != data::StreamTask::kFusion) {
-    throw std::invalid_argument(
-        "TrainFusionTaskStreaming: sampler streams the tile task");
-  }
-  const ModelConfig& cfg = model.config();
-
-  if (!model.fitted()) {
-    std::unordered_set<int> wanted(train_program_ids.begin(),
-                                   train_program_ids.end());
-    double log_sum = 0;
-    long log_count = 0;
-    for (std::size_t w = 0; w < sampler.windows_per_epoch(); ++w) {
-      data::StreamWindow window = sampler.Window(w);
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        if (!wanted.contains(window.program_id(i))) continue;
-        const data::FusionSample& s = window.fusion(i);
-        FitNodeScalerVia(model, cache.feature_source(), s.record.kernel.graph,
-                         s.record.fingerprint);
-        model.FitTileScaler(s.tile);
-        log_sum += std::log(s.runtime + 1e-9);
-        ++log_count;
-      }
-    }
-    model.FinishFitting();
-    if (cfg.log_target && log_count > 0) {
-      model.SetOutputBias(static_cast<float>(log_sum / log_count));
-    }
-  }
-
-  const int per_window = ResolveStepsPerWindow(
-      steps_per_window, cfg.train_steps, sampler.windows_per_epoch());
-  FusionTrainLoop loop(model, cache);
-  std::size_t consecutive_empty = 0;
-  while (loop.step < cfg.train_steps) {
-    data::StreamWindow window = sampler.Next();
-    const auto families = Families(window, train_program_ids);
-    if (families.empty()) {
-      if (++consecutive_empty >= sampler.windows_per_epoch()) {
-        throw std::invalid_argument(
-            "TrainFusionTaskStreaming: no training samples");
-      }
-      continue;
-    }
-    consecutive_empty = 0;
-    loop.RunSteps(
-        [&](std::size_t i) -> const data::FusionSample& {
-          return window.fusion(i);
-        },
-        families, std::min(per_window, cfg.train_steps - loop.step));
-  }
-  return loop.Finish(start);
+  return Train<FusionTask>("TrainFusionTaskStreaming", model, sampler,
+                           train_program_ids, cache, steps_per_window);
 }
 
 }  // namespace tpuperf::core

@@ -117,15 +117,17 @@ TrainStats TrainFusionTask(LearnedCostModel& model,
 // Out-of-core variants: train from a dataset::StreamingSampler instead of a
 // materialized dataset, holding only the records of one shuffle window that
 // the steps have drawn so far: a window decodes a record when a step first
-// draws it, and the family grouping comes from the sampler's scan. The step
-// logic is the SAME code as the in-memory
-// trainers (shared loop structs in trainer.cpp), so with a single window
-// (sampler window_records = 0, i.e. window >= corpus) the loss sequence is
-// bit-identical to TrainTileTask / TrainFusionTask — the streaming_test
-// suite holds this with EXPECT_EQ. The scaler pre-pass decodes every
-// training record, window by window in canonical order, with the exact
-// in-memory dedupe (fingerprint-only, in dataset order), so fitted scalers
-// match bit for bit too.
+// draws it, and the family grouping comes from the sampler's scan. All four
+// trainers run one driver (trainer.cpp); the in-memory ones hand it the
+// dataset as a stream of one canonical window. So with a single window
+// (sampler window_records = 0, i.e. window >= corpus) the streaming trainers
+// are the in-memory ones run over decoded records, and reproduce their
+// losses and parameters bit for bit (tests/streaming_test.cpp). The driver's
+// scaler pre-pass walks the windows in canonical order with the in-memory
+// dedupe (fingerprint-only, in dataset order), so fitted scalers match too.
+// Windows the split leaves without training records are skipped; a full
+// epoch of them throws std::invalid_argument, as an empty in-memory split
+// does.
 //
 // `steps_per_window` <= 0 picks the default: all steps when the sampler has
 // one window, otherwise ceil(train_steps / windows_per_epoch) so one pass

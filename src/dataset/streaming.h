@@ -18,12 +18,12 @@
 /// output is implementation-defined. Record order INSIDE a window stays
 /// canonical (store order). Every window, and every record it decodes, is
 /// a pure function of the store bytes and those two integers, so the
-/// sequence of windows is bit-identical at any thread-pool width, and with
-/// a single window (window_records = 0 or >= the corpus) the stream
-/// degenerates to the canonical in-memory order — the streaming trainers
-/// then draw exactly the RNG sequence of the in-memory trainers and
-/// reproduce their losses bit for bit (tests/streaming_test.cpp holds this
-/// with EXPECT_EQ).
+/// sequence of windows is bit-identical at any thread-pool width. With a
+/// single window (window_records = 0 or >= the corpus) the stream is the
+/// canonical in-memory order: the in-memory trainers run the same driver
+/// over the dataset as one such window, so a streaming trainer then draws
+/// their RNG sequence and reproduces their losses and parameters bit for
+/// bit (tests/streaming_test.cpp checks this with exact equality).
 ///
 /// ## Memory contract
 ///

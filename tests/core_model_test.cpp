@@ -297,15 +297,33 @@ TEST(Trainer, ShortFusionTrainingReducesLoss) {
   EXPECT_LT(stats.final_loss, stats.first_loss);
 }
 
-TEST(Trainer, ThrowsWithoutTrainingData) {
-  sim::TpuSimulator simulator(sim::TpuTarget::V2());
-  data::TileDataset empty;
-  LearnedCostModel model(SmallConfig());
+// Both in-memory trainers reject an empty training split.
+class TrainerNoData : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TrainerNoData, ThrowsWithoutTrainingData) {
+  const bool tile = GetParam();
+  ModelConfig config = SmallConfig();
+  if (!tile) {
+    config = ModelConfig::FusionTaskDefault();
+    config.hidden_dim = 16;
+    config.opcode_embedding_dim = 8;
+  }
+  LearnedCostModel model(config);
   PreparedCache cache(model);
   const std::vector<int> none;
-  EXPECT_THROW(TrainTileTask(model, empty, none, cache),
-               std::invalid_argument);
+  if (tile) {
+    EXPECT_THROW(TrainTileTask(model, data::TileDataset{}, none, cache),
+                 std::invalid_argument);
+  } else {
+    EXPECT_THROW(TrainFusionTask(model, data::FusionDataset{}, none, cache),
+                 std::invalid_argument);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Trainer, TrainerNoData, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Tile" : "Fusion";
+                         });
 
 }  // namespace
 }  // namespace tpuperf::core

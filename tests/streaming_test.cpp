@@ -2,19 +2,22 @@
 // deterministic shuffle-window sequences at thread-pool widths 1 and 4,
 // canonical single-window order, windows equal to the whole-store read
 // field for field, the store's corruption checks on per-window dictionary
-// decode, bit-identical streaming-vs-in-memory training for both tasks,
-// bounded windowed training, and the retain-nothing StreamedFeatures
-// source.
+// decode, bit-identical streaming-vs-in-memory training (losses and every
+// parameter) for both tasks, windowed training of both tasks (windows the
+// split leaves empty are skipped; an epoch of them throws), and the
+// retain-nothing StreamedFeatures source.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -608,6 +611,22 @@ TEST_F(StreamingTest, FeatureLookupKeepsFewPartsOpen) {
 
 // ---- Training parity --------------------------------------------------------
 
+// Every trained parameter of `a` equals `b`'s, bit for bit.
+void ExpectSameParameters(core::LearnedCostModel& a, core::LearnedCostModel& b,
+                          int width) {
+  const std::vector<nn::Parameter*> pa = a.params().params();
+  const std::vector<nn::Parameter*> pb = b.params().params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i]->name, pb[i]->name);
+    ASSERT_EQ(pa[i]->value.size(), pb[i]->value.size()) << pa[i]->name;
+    EXPECT_EQ(std::memcmp(pa[i]->value.data(), pb[i]->value.data(),
+                          pa[i]->value.size() * sizeof(float)),
+              0)
+        << pa[i]->name << " differs (width " << width << ")";
+  }
+}
+
 TEST_F(StreamingTest, TileTrainingBitIdenticalToInMemory) {
   const std::string path = WriteTileStore("tile.tpds", 2048);
   const std::vector<int> ids = AllProgramIds();
@@ -634,11 +653,12 @@ TEST_F(StreamingTest, TileTrainingBitIdenticalToInMemory) {
         << "streaming training touched the featurizer (width " << width
         << ")";
 
-    // Bit-identical, not approximately equal: the streaming trainer runs
-    // the same step code over the same canonical record order.
+    // Bit-identical, not approximately equal: both trainers run one driver,
+    // and a single-window sampler serves the in-memory record order.
     EXPECT_EQ(a.first_loss, b.first_loss) << "width " << width;
     EXPECT_EQ(a.final_loss, b.final_loss) << "width " << width;
     EXPECT_EQ(a.steps, b.steps);
+    ExpectSameParameters(in_memory, streamed, width);
   }
 }
 
@@ -668,51 +688,115 @@ TEST_F(StreamingTest, FusionTrainingBitIdenticalToInMemory) {
 
     EXPECT_EQ(a.first_loss, b.first_loss) << "width " << width;
     EXPECT_EQ(a.final_loss, b.final_loss) << "width " << width;
+    ExpectSameParameters(in_memory, streamed, width);
   }
 }
 
-TEST_F(StreamingTest, WindowedTrainingCompletesAllSteps) {
-  const std::string path = WriteTileStore("tile.tpds", 2048);
-  const std::vector<int> ids = AllProgramIds();
-  core::ModelConfig config = core::ModelConfig::TileTaskDefault();
-  config.hidden_dim = 16;
-  config.opcode_embedding_dim = 8;
-  config.train_steps = 40;
+// ---- Streaming trainers, both tasks -----------------------------------------
 
-  feat::ResetFeaturizeKernelInvocations();
-  StreamingSampler sampler(path, StreamTask::kTile,
-                           {.window_records = 3, .seed = 99});
+class StreamingTrainerTest : public StreamingTest,
+                             public ::testing::WithParamInterface<StreamTask> {
+ protected:
+  // A store of the parameter's task (or of `task`).
+  std::string WriteStore(std::uint64_t part_bytes) {
+    return WriteStore(GetParam(), part_bytes);
+  }
+  std::string WriteStore(StreamTask task, std::uint64_t part_bytes) {
+    return task == StreamTask::kTile ? WriteTileStore("tile.tpds", part_bytes)
+                                     : WriteFusionStore("fusion.tpds",
+                                                        part_bytes);
+  }
+
+  core::ModelConfig SmallConfig(int train_steps) const {
+    core::ModelConfig config = GetParam() == StreamTask::kTile
+                                   ? core::ModelConfig::TileTaskDefault()
+                                   : core::ModelConfig::FusionTaskDefault();
+    config.hidden_dim = 16;
+    config.opcode_embedding_dim = 8;
+    config.train_steps = train_steps;
+    return config;
+  }
+
+  // A sampler over windows of 3 records of a store of the parameter's task.
+  StreamingSampler WindowedSampler() {
+    return StreamingSampler(WriteStore(2048), GetParam(),
+                            {.window_records = 3, .seed = 99});
+  }
+
+  // Trains a small model on `ids` with the parameter's streaming trainer.
+  core::TrainStats Train(StreamingSampler& sampler, std::span<const int> ids,
+                         int train_steps) const {
+    core::LearnedCostModel model(SmallConfig(train_steps));
+    core::PreparedCache cache(model, sampler.features().get());
+    return GetParam() == StreamTask::kTile
+               ? core::TrainTileTaskStreaming(model, sampler, ids, cache)
+               : core::TrainFusionTaskStreaming(model, sampler, ids, cache);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothTasks, StreamingTrainerTest,
+    ::testing::Values(StreamTask::kTile, StreamTask::kFusion),
+    [](const ::testing::TestParamInfo<StreamTask>& info) {
+      return info.param == StreamTask::kTile ? "Tile" : "Fusion";
+    });
+
+TEST_P(StreamingTrainerTest, WindowedTrainingCompletesAllSteps) {
+  StreamingSampler sampler = WindowedSampler();
   ASSERT_GT(sampler.windows_per_epoch(), 1u);
-  core::LearnedCostModel model(config);
-  core::PreparedCache cache(model, sampler.features().get());
-  const core::TrainStats stats =
-      core::TrainTileTaskStreaming(model, sampler, ids, cache);
+  feat::ResetFeaturizeKernelInvocations();
+  const core::TrainStats stats = Train(sampler, AllProgramIds(), 40);
   // Every window's features come from the store's featurized records.
   EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
       << "windowed streaming training touched the featurizer";
-  EXPECT_EQ(stats.steps, config.train_steps);
+  EXPECT_EQ(stats.steps, 40);
   EXPECT_TRUE(std::isfinite(stats.first_loss));
   EXPECT_TRUE(std::isfinite(stats.final_loss));
 }
 
-TEST_F(StreamingTest, TaskMismatchThrows) {
-  const std::string path = WriteFusionStore("fusion.tpds", 0);
-  const std::vector<int> ids = AllProgramIds();
-  StreamingSampler sampler(path, StreamTask::kFusion, {});
-  core::LearnedCostModel model(core::ModelConfig::TileTaskDefault());
-  core::PreparedCache cache(model, sampler.features().get());
-  EXPECT_THROW(core::TrainTileTaskStreaming(model, sampler, ids, cache),
-               std::invalid_argument);
+// Training on program 0 alone leaves every window of the other programs'
+// records empty. The default step budget spreads the steps over every
+// window of an epoch, so the trainer must skip empty windows to finish.
+TEST_P(StreamingTrainerTest, SomeEmptyWindowsAreSkipped) {
+  const std::vector<int> ids = {0};
+  StreamingSampler sampler = WindowedSampler();
+  std::size_t empty = 0;
+  for (std::size_t w = 0; w < sampler.windows_per_epoch(); ++w) {
+    const StreamWindow window = sampler.Window(w);
+    bool any = false;
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      any = any || window.program_id(i) == 0;
+    }
+    empty += !any;
+  }
+  ASSERT_GT(empty, 0u);
+  ASSERT_LT(empty, sampler.windows_per_epoch());
+
+  const core::TrainStats stats = Train(sampler, ids, 40);
+  EXPECT_EQ(stats.steps, 40);
+  EXPECT_TRUE(std::isfinite(stats.final_loss));
+  EXPECT_NE(stats.final_loss, 0.0) << "no step took a batch";
 }
 
-TEST_F(StreamingTest, NoTrainingProgramsThrows) {
-  const std::string path = WriteTileStore("tile.tpds", 0);
+TEST_P(StreamingTrainerTest, AllEmptyWindowsThrow) {
+  const std::vector<int> unknown = {static_cast<int>(corpus_->size())};
+  StreamingSampler sampler = WindowedSampler();
+  ASSERT_GT(sampler.windows_per_epoch(), 1u);
+  EXPECT_THROW(Train(sampler, unknown, 40), std::invalid_argument);
+}
+
+TEST_P(StreamingTrainerTest, TaskMismatchThrows) {
+  const StreamTask other = GetParam() == StreamTask::kTile
+                               ? StreamTask::kFusion
+                               : StreamTask::kTile;
+  StreamingSampler sampler(WriteStore(other, 0), other, {});
+  EXPECT_THROW(Train(sampler, AllProgramIds(), 10), std::invalid_argument);
+}
+
+TEST_P(StreamingTrainerTest, NoTrainingProgramsThrows) {
   const std::vector<int> none;  // no program ids -> every window empty
-  StreamingSampler sampler(path, StreamTask::kTile, {});
-  core::LearnedCostModel model(core::ModelConfig::TileTaskDefault());
-  core::PreparedCache cache(model, sampler.features().get());
-  EXPECT_THROW(core::TrainTileTaskStreaming(model, sampler, none, cache),
-               std::invalid_argument);
+  StreamingSampler sampler(WriteStore(0), GetParam(), {});
+  EXPECT_THROW(Train(sampler, none, 10), std::invalid_argument);
 }
 
 }  // namespace
