@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <concepts>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -383,16 +382,8 @@ class InMemoryStream {
   const std::string& family(std::size_t i) const {
     return records_[i].record.family;
   }
-  const Record& tile(std::size_t i) const
-    requires std::same_as<Record, data::TileKernelData>
-  {
-    return records_[i];
-  }
-  const Record& fusion(std::size_t i) const
-    requires std::same_as<Record, data::FusionSample>
-  {
-    return records_[i];
-  }
+  const Record& tile(std::size_t i) const { return records_[i]; }
+  const Record& fusion(std::size_t i) const { return records_[i]; }
 
  private:
   std::span<const Record> records_;
@@ -447,8 +438,10 @@ TrainStats Train(const char* name, LearnedCostModel& model, Source&& source,
   const int per_window =
       ResolveStepsPerWindow(steps_per_window, cfg.train_steps, windows);
   TrainLoop loop(model, cache, Task::kSeedSalt);
+  // The first window is drawn whatever the step count, so a split with no
+  // training records throws even when train_steps <= 0.
   std::size_t consecutive_empty = 0;
-  while (loop.step < cfg.train_steps) {
+  for (;;) {
     auto window = source.Next();
     const Families families = GroupByFamily(window, wanted);
     if (families.empty()) {
@@ -464,6 +457,7 @@ TrainStats Train(const char* name, LearnedCostModel& model, Source&& source,
     for (; loop.step < end; ++loop.step) {
       if (Task::Draw(loop, window, families)) loop.Step();
     }
+    if (loop.step >= cfg.train_steps) break;
   }
   return loop.Finish(start);
 }

@@ -127,7 +127,7 @@ TrainStats TrainFusionTask(LearnedCostModel& model,
 // dedupe (fingerprint-only, in dataset order), so fitted scalers match too.
 // Windows the split leaves without training records are skipped; a full
 // epoch of them throws std::invalid_argument, as an empty in-memory split
-// does.
+// does, whatever train_steps is.
 //
 // `steps_per_window` <= 0 picks the default: all steps when the sampler has
 // one window, otherwise ceil(train_steps / windows_per_epoch) so one pass

@@ -297,7 +297,8 @@ TEST(Trainer, ShortFusionTrainingReducesLoss) {
   EXPECT_LT(stats.final_loss, stats.first_loss);
 }
 
-// Both in-memory trainers reject an empty training split.
+// Both in-memory trainers reject an empty training split, whatever the
+// step count.
 class TrainerNoData : public ::testing::TestWithParam<bool> {};
 
 TEST_P(TrainerNoData, ThrowsWithoutTrainingData) {
@@ -308,15 +309,20 @@ TEST_P(TrainerNoData, ThrowsWithoutTrainingData) {
     config.hidden_dim = 16;
     config.opcode_embedding_dim = 8;
   }
-  LearnedCostModel model(config);
-  PreparedCache cache(model);
-  const std::vector<int> none;
-  if (tile) {
-    EXPECT_THROW(TrainTileTask(model, data::TileDataset{}, none, cache),
-                 std::invalid_argument);
-  } else {
-    EXPECT_THROW(TrainFusionTask(model, data::FusionDataset{}, none, cache),
-                 std::invalid_argument);
+  for (const int steps : {config.train_steps, 0}) {
+    config.train_steps = steps;
+    LearnedCostModel model(config);
+    PreparedCache cache(model);
+    const std::vector<int> none;
+    if (tile) {
+      EXPECT_THROW(TrainTileTask(model, data::TileDataset{}, none, cache),
+                   std::invalid_argument)
+          << "train_steps " << steps;
+    } else {
+      EXPECT_THROW(TrainFusionTask(model, data::FusionDataset{}, none, cache),
+                   std::invalid_argument)
+          << "train_steps " << steps;
+    }
   }
 }
 

@@ -717,10 +717,16 @@ class StreamingTrainerTest : public StreamingTest,
     return config;
   }
 
-  // A sampler over windows of 3 records of a store of the parameter's task.
-  StreamingSampler WindowedSampler() {
-    return StreamingSampler(WriteStore(2048), GetParam(),
+  // A store of the parameter's task split small enough for several windows.
+  std::string WriteWindowedStore() { return WriteStore(2048); }
+
+  // A sampler over windows of 3 records of `path`.
+  StreamingSampler WindowedSampler(const std::string& path) const {
+    return StreamingSampler(path, GetParam(),
                             {.window_records = 3, .seed = 99});
+  }
+  StreamingSampler WindowedSampler() {
+    return WindowedSampler(WriteWindowedStore());
   }
 
   // Trains a small model on `ids` with the parameter's streaming trainer.
@@ -742,13 +748,15 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(StreamingTrainerTest, WindowedTrainingCompletesAllSteps) {
-  StreamingSampler sampler = WindowedSampler();
-  ASSERT_GT(sampler.windows_per_epoch(), 1u);
+  // Writing the store featurizes; building the sampler and training must not.
+  const std::string path = WriteWindowedStore();
   feat::ResetFeaturizeKernelInvocations();
+  StreamingSampler sampler = WindowedSampler(path);
+  ASSERT_GT(sampler.windows_per_epoch(), 1u);
   const core::TrainStats stats = Train(sampler, AllProgramIds(), 40);
   // Every window's features come from the store's featurized records.
   EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
-      << "windowed streaming training touched the featurizer";
+      << "building the windowed sampler or training touched the featurizer";
   EXPECT_EQ(stats.steps, 40);
   EXPECT_TRUE(std::isfinite(stats.first_loss));
   EXPECT_TRUE(std::isfinite(stats.final_loss));
@@ -778,11 +786,16 @@ TEST_P(StreamingTrainerTest, SomeEmptyWindowsAreSkipped) {
   EXPECT_NE(stats.final_loss, 0.0) << "no step took a batch";
 }
 
+// An empty split throws after a full epoch of empty windows, also when no
+// step is asked for.
 TEST_P(StreamingTrainerTest, AllEmptyWindowsThrow) {
   const std::vector<int> unknown = {static_cast<int>(corpus_->size())};
   StreamingSampler sampler = WindowedSampler();
   ASSERT_GT(sampler.windows_per_epoch(), 1u);
-  EXPECT_THROW(Train(sampler, unknown, 40), std::invalid_argument);
+  for (const int steps : {40, 0}) {
+    EXPECT_THROW(Train(sampler, unknown, steps), std::invalid_argument)
+        << "train_steps " << steps;
+  }
 }
 
 TEST_P(StreamingTrainerTest, TaskMismatchThrows) {
