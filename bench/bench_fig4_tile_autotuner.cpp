@@ -25,7 +25,8 @@ int main() {
 
   Env env = MakeEnv();
   analytical::AnalyticalModel analytical(env.sim_v2.target());
-  const auto tile = BuildTile(env, env.sim_v2, analytical);
+  std::shared_ptr<data::StoredFeatures> features;
+  const auto tile = BuildTile(env, env.sim_v2, analytical, &features);
   const auto& split = env.random_split;
 
   PrintBanner("Figure 4 — tile-size autotuner speedup over compiler default",
@@ -33,7 +34,7 @@ int main() {
               "top-10 + hardware verification.");
 
   auto trained = TrainTile(core::ModelConfig::TileTaskDefault(), tile,
-                           split.train, env.scale);
+                           split.train, env.scale, features.get());
   std::printf("tile model trained: %ld steps, %.0fs\n", trained.stats.steps,
               trained.stats.wall_seconds);
 

@@ -45,7 +45,8 @@ int main() {
 
   Env env = MakeEnv();
   analytical::AnalyticalModel analytical(env.sim_v2.target());
-  auto fusion = BuildFusion(env, env.sim_v2, analytical);
+  std::shared_ptr<data::StoredFeatures> features;
+  auto fusion = BuildFusion(env, env.sim_v2, analytical, &features);
   const auto& split = env.random_split;
   CalibrateAnalytical(analytical, fusion, split.train);
 
@@ -55,7 +56,7 @@ int main() {
               "[min..max]).");
 
   auto trained = TrainFusion(core::ModelConfig::FusionTaskDefault(), fusion,
-                             split.train, env.scale);
+                             split.train, env.scale, features.get());
   std::printf("fusion model trained: %ld steps, %.0fs\n", trained.stats.steps,
               trained.stats.wall_seconds);
 

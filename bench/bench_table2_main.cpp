@@ -42,8 +42,9 @@ std::string FamilyOf(const Env& env, const std::string& program_name) {
 
 void RunTarget(Env& env, const sim::TpuSimulator& sim, const char* label) {
   analytical::AnalyticalModel analytical(sim.target());
-  const auto tile = BuildTile(env, sim, analytical);
-  auto fusion = BuildFusion(env, sim, analytical);
+  std::shared_ptr<data::StoredFeatures> tile_features, fusion_features;
+  const auto tile = BuildTile(env, sim, analytical, &tile_features);
+  auto fusion = BuildFusion(env, sim, analytical, &fusion_features);
   const auto& split = env.random_split;
   CalibrateAnalytical(analytical, fusion, split.test);
 
@@ -51,7 +52,7 @@ void RunTarget(Env& env, const sim::TpuSimulator& sim, const char* label) {
 
   // ---- Tile-size task -------------------------------------------------------
   auto tile_model = TrainTile(core::ModelConfig::TileTaskDefault(), tile,
-                              split.train, env.scale);
+                              split.train, env.scale, tile_features.get());
   std::printf("tile model:   %s  (%ld steps, %.0fs, loss %.3f -> %.3f)\n",
               tile_model.model->config().Summary().c_str(),
               tile_model.stats.steps, tile_model.stats.wall_seconds,
@@ -64,8 +65,9 @@ void RunTarget(Env& env, const sim::TpuSimulator& sim, const char* label) {
       core::MakeAnalyticalTileScorer(analytical));
 
   // ---- Fusion task ----------------------------------------------------------
-  auto fusion_model = TrainFusion(core::ModelConfig::FusionTaskDefault(),
-                                  fusion, split.train, env.scale);
+  auto fusion_model =
+      TrainFusion(core::ModelConfig::FusionTaskDefault(), fusion, split.train,
+                  env.scale, fusion_features.get());
   std::printf("fusion model: %s  (%ld steps, %.0fs, loss %.3f -> %.3f)\n",
               fusion_model.model->config().Summary().c_str(),
               fusion_model.stats.steps, fusion_model.stats.wall_seconds,

@@ -50,8 +50,9 @@ int main() {
 
   Env env = MakeEnv();
   analytical::AnalyticalModel analytical(env.sim_v2.target());
-  const auto tile = BuildTile(env, env.sim_v2, analytical);
-  auto fusion = BuildFusion(env, env.sim_v2, analytical);
+  std::shared_ptr<data::StoredFeatures> tile_features, fusion_features;
+  const auto tile = BuildTile(env, env.sim_v2, analytical, &tile_features);
+  auto fusion = BuildFusion(env, env.sim_v2, analytical, &fusion_features);
   const auto& split = env.random_split;
 
   PrintBanner("Table 3 — graph features and loss function ablations",
@@ -110,7 +111,8 @@ int main() {
     std::string tile_med = "   N/A", tile_mean = "   N/A";
     std::string fus_med = "   N/A", fus_mean = "   N/A";
     if (row.tile.has_value()) {
-      auto trained = TrainTile(*row.tile, tile, split.train, env.scale);
+      auto trained = TrainTile(*row.tile, tile, split.train, env.scale,
+                               tile_features.get());
       const auto results = core::EvaluateTileTask(
           tile, split.test, env.corpus,
           core::MakeLearnedTileScorer(*trained.model, *trained.cache));
@@ -119,7 +121,8 @@ int main() {
       tile_mean = Num(agg.mean);
     }
     if (row.fusion.has_value()) {
-      auto trained = TrainFusion(*row.fusion, fusion, split.train, env.scale);
+      auto trained = TrainFusion(*row.fusion, fusion, split.train, env.scale,
+                                 fusion_features.get());
       const auto results = core::EvaluateFusionTask(
           fusion, split.test, env.corpus,
           core::MakeLearnedFusionEstimator(*trained.model, *trained.cache));

@@ -36,8 +36,9 @@ int main() {
 
   Env env = MakeEnv();
   analytical::AnalyticalModel analytical(env.sim_v2.target());
-  const auto tile = BuildTile(env, env.sim_v2, analytical);
-  auto fusion = BuildFusion(env, env.sim_v2, analytical);
+  std::shared_ptr<data::StoredFeatures> tile_features, fusion_features;
+  const auto tile = BuildTile(env, env.sim_v2, analytical, &tile_features);
+  auto fusion = BuildFusion(env, env.sim_v2, analytical, &fusion_features);
   const auto& split = env.random_split;
 
   PrintBanner("Table 4 — model architecture ablation",
@@ -72,7 +73,8 @@ int main() {
         }
         double mean = 0, stddev = 0;
         if (fusion_task) {
-          auto trained = TrainFusion(config, fusion, split.train, env.scale);
+          auto trained = TrainFusion(config, fusion, split.train, env.scale,
+                                     fusion_features.get());
           const auto results = core::EvaluateFusionTask(
               fusion, split.test, env.corpus,
               core::MakeLearnedFusionEstimator(*trained.model,
@@ -81,7 +83,8 @@ int main() {
           mean = agg.mean;
           stddev = agg.stddev;
         } else {
-          auto trained = TrainTile(config, tile, split.train, env.scale);
+          auto trained = TrainTile(config, tile, split.train, env.scale,
+                                   tile_features.get());
           const auto results = core::EvaluateTileTask(
               tile, split.test, env.corpus,
               core::MakeLearnedTileScorer(*trained.model, *trained.cache));

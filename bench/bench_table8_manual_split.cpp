@@ -34,8 +34,9 @@ int main() {
 
   Env env = MakeEnv();
   analytical::AnalyticalModel analytical(env.sim_v2.target());
-  const auto tile = BuildTile(env, env.sim_v2, analytical);
-  auto fusion = BuildFusion(env, env.sim_v2, analytical);
+  std::shared_ptr<data::StoredFeatures> tile_features, fusion_features;
+  const auto tile = BuildTile(env, env.sim_v2, analytical, &tile_features);
+  auto fusion = BuildFusion(env, env.sim_v2, analytical, &fusion_features);
   const auto& split = env.manual_split;
   CalibrateAnalytical(analytical, fusion, split.test);
 
@@ -44,9 +45,10 @@ int main() {
               "families.");
 
   auto tile_model = TrainTile(core::ModelConfig::TileTaskDefault(), tile,
-                              split.train, env.scale);
-  auto fusion_model = TrainFusion(core::ModelConfig::FusionTaskDefault(),
-                                  fusion, split.train, env.scale);
+                              split.train, env.scale, tile_features.get());
+  auto fusion_model =
+      TrainFusion(core::ModelConfig::FusionTaskDefault(), fusion, split.train,
+                  env.scale, fusion_features.get());
 
   const auto tile_learned = core::EvaluateTileTask(
       tile, split.test, env.corpus,

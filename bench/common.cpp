@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -14,34 +13,6 @@
 
 namespace tpuperf::bench {
 namespace {
-
-// Loaded stores are registered here and served through one union source so
-// every PreparedCache (trainers, evaluators) sees all of them.
-class UnionFeatureSource final : public feat::KernelFeatureSource {
- public:
-  void Register(std::shared_ptr<const data::StoredFeatures> store) {
-    stores_.push_back(std::move(store));
-  }
-
-  std::optional<feat::KernelFeatures> Lookup(
-      std::uint64_t fingerprint, std::uint64_t structural_sig) const override {
-    for (const auto& store : stores_) {
-      if (std::optional<feat::KernelFeatures> kf =
-              store->Lookup(fingerprint, structural_sig)) {
-        return kf;
-      }
-    }
-    return std::nullopt;
-  }
-
- private:
-  std::vector<std::shared_ptr<const data::StoredFeatures>> stores_;
-};
-
-UnionFeatureSource& Union() {
-  static UnionFeatureSource source;
-  return source;
-}
 
 // One dataset build/load that went through the store layer.
 struct StoreBuildInfo {
@@ -58,8 +29,7 @@ std::vector<StoreBuildInfo>& StoreBuilds() {
 }
 
 void NoteStoreBuild(const char* task, const std::string& target,
-                    const data::StoreLoadStats& stats,
-                    std::shared_ptr<data::StoredFeatures> features) {
+                    const data::StoreLoadStats& stats) {
   StoreBuilds().push_back(
       {task, target, stats.cache_hit, stats.seconds, stats.path});
   if (stats.path.empty()) {
@@ -73,10 +43,6 @@ void NoteStoreBuild(const char* task, const std::string& target,
     std::printf("[dataset store] %s/%s: cold miss, built and wrote %s in "
                 "%.2fs\n",
                 task, target.c_str(), stats.path.c_str(), stats.seconds);
-  }
-  if (features != nullptr && !features->empty()) {
-    Union().Register(std::move(features));
-    feat::SetGlobalKernelFeatureSource(&Union());
   }
 }
 
@@ -134,25 +100,25 @@ Env MakeEnv() {
 }
 
 data::TileDataset BuildTile(const Env& env, const sim::TpuSimulator& sim,
-                            const analytical::AnalyticalModel& analytical) {
+                            const analytical::AnalyticalModel& analytical,
+                            std::shared_ptr<data::StoredFeatures>* features) {
   (void)analytical;
-  std::shared_ptr<data::StoredFeatures> features;
   data::StoreLoadStats stats;
-  auto dataset = data::LoadOrBuildTileDataset(env.dataset_dir, env.corpus,
-                                              sim, env.options, &features,
-                                              &stats);
-  NoteStoreBuild("tile", sim.target().name, stats, std::move(features));
+  auto dataset = data::LoadOrBuildTileDataset(
+      env.dataset_dir, env.corpus, sim, env.options, features, &stats);
+  NoteStoreBuild("tile", sim.target().name, stats);
   return dataset;
 }
 
-data::FusionDataset BuildFusion(const Env& env, const sim::TpuSimulator& sim,
-                                analytical::AnalyticalModel& analytical) {
-  std::shared_ptr<data::StoredFeatures> features;
+data::FusionDataset BuildFusion(
+    const Env& env, const sim::TpuSimulator& sim,
+    analytical::AnalyticalModel& analytical,
+    std::shared_ptr<data::StoredFeatures>* features) {
   data::StoreLoadStats stats;
   auto dataset = data::LoadOrBuildFusionDataset(env.dataset_dir, env.corpus,
                                                 sim, analytical, env.options,
-                                                &features, &stats);
-  NoteStoreBuild("fusion", sim.target().name, stats, std::move(features));
+                                                features, &stats);
+  NoteStoreBuild("fusion", sim.target().name, stats);
   return dataset;
 }
 
@@ -196,24 +162,26 @@ void CalibrateAnalytical(analytical::AnalyticalModel& analytical,
 }
 
 TrainedModel TrainTile(core::ModelConfig config, const data::TileDataset& ds,
-                       std::span<const int> train_ids, double scale) {
+                       std::span<const int> train_ids, double scale,
+                       const feat::KernelFeatureSource* features) {
   config.train_steps =
       std::max(200, static_cast<int>(config.train_steps * scale));
   TrainedModel out;
   out.model = std::make_unique<core::LearnedCostModel>(config);
-  out.cache = std::make_unique<core::PreparedCache>(*out.model);
+  out.cache = std::make_unique<core::PreparedCache>(*out.model, features);
   out.stats = core::TrainTileTask(*out.model, ds, train_ids, *out.cache);
   return out;
 }
 
 TrainedModel TrainFusion(core::ModelConfig config,
                          const data::FusionDataset& ds,
-                         std::span<const int> train_ids, double scale) {
+                         std::span<const int> train_ids, double scale,
+                         const feat::KernelFeatureSource* features) {
   config.train_steps =
       std::max(200, static_cast<int>(config.train_steps * scale));
   TrainedModel out;
   out.model = std::make_unique<core::LearnedCostModel>(config);
-  out.cache = std::make_unique<core::PreparedCache>(*out.model);
+  out.cache = std::make_unique<core::PreparedCache>(*out.model, features);
   out.stats = core::TrainFusionTask(*out.model, ds, train_ids, *out.cache);
   return out;
 }

@@ -11,7 +11,8 @@
 // When TPUPERF_DATASET_DIR is set, BuildTile/BuildFusion route through the
 // on-disk dataset store (src/dataset/store.h): the first run builds and
 // writes each dataset, later runs load it back — including every kernel's
-// raw featurization, which is registered process-globally so trainers and
+// raw featurization, which BuildTile/BuildFusion hand back and
+// TrainTile/TrainFusion give to the model's cache, so trainers and
 // evaluators never call feat::FeaturizeKernel on a warm cache.
 #pragma once
 
@@ -56,10 +57,16 @@ Env MakeEnv();
 bool ReportDatasetStore(bool enforce_warm);
 
 // Builds datasets on the given simulator (defaults target TPU v2).
-data::TileDataset BuildTile(const Env& env, const sim::TpuSimulator& sim,
-                            const analytical::AnalyticalModel& analytical);
-data::FusionDataset BuildFusion(const Env& env, const sim::TpuSimulator& sim,
-                                analytical::AnalyticalModel& analytical);
+// `features` (optional) receives the store's featurized kernels, or null
+// when no dataset directory is set.
+data::TileDataset BuildTile(
+    const Env& env, const sim::TpuSimulator& sim,
+    const analytical::AnalyticalModel& analytical,
+    std::shared_ptr<data::StoredFeatures>* features = nullptr);
+data::FusionDataset BuildFusion(
+    const Env& env, const sim::TpuSimulator& sim,
+    analytical::AnalyticalModel& analytical,
+    std::shared_ptr<data::StoredFeatures>* features = nullptr);
 
 // Calibrates the analytical model's fusion coefficients on the default-
 // config kernels of the given programs (paper §5.2 uses the test set).
@@ -68,17 +75,21 @@ void CalibrateAnalytical(analytical::AnalyticalModel& analytical,
                          std::span<const int> program_ids);
 
 // Trains a model (steps scaled by REPRO_SCALE) and returns it with its
-// prepared-kernel cache.
+// prepared-kernel cache, which reads raw features from `features` (the
+// dataset's store features from BuildTile/BuildFusion, or null). `features`
+// must outlive the returned cache.
 struct TrainedModel {
   std::unique_ptr<core::LearnedCostModel> model;
   std::unique_ptr<core::PreparedCache> cache;
   core::TrainStats stats;
 };
 TrainedModel TrainTile(core::ModelConfig config, const data::TileDataset& ds,
-                       std::span<const int> train_ids, double scale);
+                       std::span<const int> train_ids, double scale,
+                       const feat::KernelFeatureSource* features);
 TrainedModel TrainFusion(core::ModelConfig config,
                          const data::FusionDataset& ds,
-                         std::span<const int> train_ids, double scale);
+                         std::span<const int> train_ids, double scale,
+                         const feat::KernelFeatureSource* features);
 
 // ---- Output helpers --------------------------------------------------------
 void PrintBanner(const std::string& title, const std::string& description);

@@ -13,7 +13,7 @@
 #include "core/evaluation.h"
 #include "dataset/families.h"
 #include "dataset/store.h"
-#include "features/featurizer.h"
+#include "serve/snapshot.h"
 
 using namespace tpuperf;
 
@@ -46,9 +46,6 @@ int main(int argc, char** argv) {
     std::printf("dataset store: %s %s in %.3fs\n",
                 store_stats.cache_hit ? "loaded" : "built and wrote",
                 store_stats.path.c_str(), store_stats.seconds);
-    // Serve the cached featurizations to the trainer's PreparedCache: on a
-    // warm store the whole run below never calls feat::FeaturizeKernel.
-    if (features != nullptr) feat::SetGlobalKernelFeatureSource(features.get());
   }
   std::printf("dataset: %zu kernels, %zu samples (train %zu / test %zu "
               "programs)\n",
@@ -58,7 +55,9 @@ int main(int argc, char** argv) {
   core::ModelConfig config = core::ModelConfig::TileTaskDefault();
   config.train_steps = 2000;
   core::LearnedCostModel model(config);
-  core::PreparedCache cache(model);
+  // The cached featurizations feed both PreparedCaches: on a warm store the
+  // whole run never calls feat::FeaturizeKernel.
+  core::PreparedCache cache(model, features.get());
   const auto stats = core::TrainTileTask(model, dataset, train_ids, cache);
   std::printf("trained %zu-parameter model in %.1fs (loss %.3f -> %.3f)\n",
               model.parameter_scalars(), stats.wall_seconds, stats.first_loss,
@@ -78,14 +77,14 @@ int main(int argc, char** argv) {
   // Persist and reload; predictions must survive the round trip. The
   // reload check also goes through a PreparedCache so a warm dataset store
   // serves its featurization too.
-  model.SaveToFile(path);
-  core::LearnedCostModel reloaded(config);
-  reloaded.LoadFromFile(path);
-  core::PreparedCache reloaded_cache(reloaded);
-  const auto& kdata = dataset.kernels.front();
-  const core::PreparedKernel& pk =
-      reloaded_cache.Get(kdata.record.kernel.graph, kdata.record.fingerprint);
-  const double score = reloaded.PredictScore(pk, &kdata.configs.front());
+  serve::SaveModelSnapshot(path, model);
+  const auto reloaded = serve::LoadModelSnapshot(path);
+  core::PreparedCache reloaded_cache(*reloaded, features.get());
+  const data::KernelRecord& record = dataset.kernels.front().record;
+  const core::PreparedKernel& pk = reloaded_cache.Get(
+      record.kernel.graph, record.fingerprint, record.signature);
+  const double score =
+      reloaded->PredictScore(pk, &dataset.kernels.front().configs.front());
   std::printf("\nmodel saved to %s and reloaded (sample prediction %.4f)\n",
               path.c_str(), score);
   return 0;

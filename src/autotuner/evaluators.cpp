@@ -47,19 +47,8 @@ std::optional<double> HardwareEvaluator::EstimateKernel(
 
 std::optional<double> LearnedEvaluator::EstimateKernel(
     const ir::Graph& kernel, const ir::TileConfig& tile) {
-  const std::uint64_t key = KernelTileKey(kernel, tile);
-  const auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
-
-  spent_ += inference_sec_;
-  const ir::Graph::Hashes hashes = kernel.FingerprintAndSignature();
-  const core::PreparedKernel& pk =
-      cache_.Get(kernel, hashes.fingerprint, hashes.signature);
-  const ir::TileConfig* tile_arg =
-      model_.config().use_tile_features ? &tile : nullptr;
-  const double estimate = model_.PredictSeconds(pk, tile_arg);
-  memo_.emplace(key, estimate);
-  return estimate;
+  const KernelTileRef item{&kernel, &tile};
+  return EstimateBatch(std::span(&item, 1)).front();
 }
 
 std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(

@@ -88,6 +88,7 @@ class LearnedEvaluator : public CostEvaluator {
                    core::PreparedCache& cache, double inference_sec = 2e-4)
       : model_(model), cache_(cache), inference_sec_(inference_sec) {}
 
+  // A one-item EstimateBatch: same value, memo and charged cost.
   std::optional<double> EstimateKernel(const ir::Graph& kernel,
                                        const ir::TileConfig& tile) override;
   // Packs all un-memoized queries into PreparedBatch chunks and runs them

@@ -1,7 +1,8 @@
 #include "core/cost_model.h"
 
 #include <cmath>
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
 #include "core/fault_injection.h"
@@ -454,18 +455,6 @@ void LearnedCostModel::Load(std::istream& is) {
   perf_scaler_.Load(is);
   store_->Load(is);
   fitted_ = true;
-}
-
-void LearnedCostModel::SaveToFile(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  Save(os);
-}
-
-void LearnedCostModel::LoadFromFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open for read: " + path);
-  Load(is);
 }
 
 }  // namespace tpuperf::core

@@ -167,8 +167,6 @@ class LearnedCostModel {
 
   void Save(std::ostream& os) const;
   void Load(std::istream& is);
-  void SaveToFile(const std::string& path) const;
-  void LoadFromFile(const std::string& path);
 
  private:
   // The model's one forward: ForwardBatch trains through it, and

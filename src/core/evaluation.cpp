@@ -74,8 +74,9 @@ TileScorer MakeLearnedTileScorer(const LearnedCostModel& model,
                                  PreparedCache& cache) {
   return [&model, &cache](const data::TileKernelData& kernel,
                           int config_index) {
-    const PreparedKernel& pk =
-        cache.Get(kernel.record.kernel.graph, kernel.record.fingerprint);
+    const data::KernelRecord& record = kernel.record;
+    const PreparedKernel& pk = cache.Get(record.kernel.graph,
+                                         record.fingerprint, record.signature);
     return model.PredictScore(
         pk, &kernel.configs[static_cast<size_t>(config_index)]);
   };
@@ -100,8 +101,9 @@ FusionEstimator MakeLearnedFusionEstimator(const LearnedCostModel& model,
         sample.record.kernel.kind == ir::KernelKind::kDataFormatting) {
       return std::nullopt;
     }
-    const PreparedKernel& pk =
-        cache.Get(sample.record.kernel.graph, sample.record.fingerprint);
+    const data::KernelRecord& record = sample.record;
+    const PreparedKernel& pk = cache.Get(record.kernel.graph,
+                                         record.fingerprint, record.signature);
     const ir::TileConfig* tile =
         model.config().use_tile_features ? &sample.tile : nullptr;
     return model.PredictSeconds(pk, tile);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -54,22 +53,6 @@ nn::AdamConfig MakeAdamConfig(const ModelConfig& c) {
   a.clip = c.grad_clip;
   a.clip_norm = c.grad_clip_norm;
   return a;
-}
-
-// Observes one kernel's node features for scaler fitting, preferring the
-// cached raw features of the dataset store (no FeaturizeKernel call) when
-// the source holds them. The observed rows are identical either way.
-void FitNodeScalerVia(LearnedCostModel& model,
-                      const feat::KernelFeatureSource* source,
-                      const ir::Graph& kernel, std::uint64_t fingerprint) {
-  if (source != nullptr) {
-    if (const std::optional<feat::KernelFeatures> cached =
-            source->Lookup(fingerprint, kernel.StructuralSignature())) {
-      model.FitNodeScaler(*cached);
-      return;
-    }
-  }
-  model.FitNodeScaler(kernel);
 }
 
 }  // namespace
@@ -124,10 +107,8 @@ const PreparedKernel& PreparedCache::Get(const ir::Graph& kernel,
   // Models a throwing featurization (the hazard the guard above exists
   // for); placed after the claim so injection exercises the release path.
   MaybeInjectFault("featurize.throw");
-  const std::optional<feat::KernelFeatures> cached =
-      features_ != nullptr ? features_->Lookup(fingerprint, sig) : std::nullopt;
-  PreparedKernel prepared =
-      cached ? model_.Prepare(*cached) : model_.Prepare(kernel);
+  PreparedKernel prepared = model_.Prepare(
+      feat::LookupOrFeaturize(features_, kernel, fingerprint, sig));
   lock.lock();
   guard.locked = true;
   std::deque<Entry>& chain = cache_[fingerprint];
@@ -181,10 +162,11 @@ struct TrainLoop {
       : model(m), cfg(m.config()), cache(c), rng(cfg.seed ^ seed_salt),
         adam(MakeAdamConfig(cfg)), params(m.params().params()) {}
 
-  // The drawn record's prepared kernel, by its stored fingerprint (the cache
-  // walks the graph for its structural signature). Safe from pool workers.
+  // The drawn record's prepared kernel, by its stored hashes. Safe from
+  // pool workers.
   const PreparedKernel& Prepare(const data::KernelRecord& record) {
-    return cache.Get(record.kernel.graph, record.fingerprint);
+    return cache.Get(record.kernel.graph, record.fingerprint,
+                     record.signature);
   }
 
   // One optimizer step on the drawn minibatch. MSE on log runtimes is the
@@ -246,8 +228,9 @@ struct TileTask {
   void Fit(LearnedCostModel& model, const feat::KernelFeatureSource* source,
            const data::TileKernelData& k) {
     if (!fitted.insert(k.record.fingerprint).second) return;
-    FitNodeScalerVia(model, source, k.record.kernel.graph,
-                     k.record.fingerprint);
+    model.FitNodeScaler(feat::LookupOrFeaturize(
+        source, k.record.kernel.graph, k.record.fingerprint,
+        k.record.signature));
     for (const auto& tile : k.configs) model.FitTileScaler(tile);
   }
   void FinishFit(LearnedCostModel& model) { model.FinishFitting(); }
@@ -300,8 +283,9 @@ struct FusionTask {
   // output bias.
   void Fit(LearnedCostModel& model, const feat::KernelFeatureSource* source,
            const data::FusionSample& s) {
-    FitNodeScalerVia(model, source, s.record.kernel.graph,
-                     s.record.fingerprint);
+    model.FitNodeScaler(feat::LookupOrFeaturize(
+        source, s.record.kernel.graph, s.record.fingerprint,
+        s.record.signature));
     model.FitTileScaler(s.tile);
     log_sum += std::log(s.runtime + 1e-9);
     ++log_count;

@@ -39,30 +39,23 @@ namespace tpuperf::core {
 // re-claims and retries, and a deterministic error propagates to each caller
 // instead of stranding them. Returned references stay valid for the cache's
 // lifetime (entries live in per-fingerprint deques and are never erased).
-// Misses first consult the kernel-feature source (by default the process
-// global one, where benches register loaded dataset stores): when the raw
-// features are cached there, Prepare runs from them and the kernel graph is
-// never re-featurized — warm-store runs keep feat::FeaturizeKernelInvocations
-// at zero. The default argument snapshots the global at construction, so
-// register sources (load stores) BEFORE constructing caches; a cache built
-// earlier silently falls back to in-process featurization (correct, just
-// cold — bench_table1/2's warm check catches the regression).
+// Misses first consult `features`, the kernel-feature source the cache was
+// built with (a loaded dataset store, or none): when the raw features are
+// cached there, Prepare runs from them and the kernel graph is never
+// re-featurized — warm-store runs keep feat::FeaturizeKernelInvocations at
+// zero.
 class PreparedCache {
  public:
   explicit PreparedCache(const LearnedCostModel& model,
-                         const feat::KernelFeatureSource* features =
-                             feat::GlobalKernelFeatureSource())
+                         const feat::KernelFeatureSource* features = nullptr)
       : model_(model), features_(features) {}
 
-  // The prepared kernel for `kernel`, keyed by its Fingerprint() and told
-  // apart from colliding graphs by its StructuralSignature(). Callers that
-  // hold both hashes (ir::Graph::FingerprintAndSignature) pass them in.
+  // The prepared kernel for `kernel`, keyed by its fingerprint and told
+  // apart from colliding graphs by its structural signature. Callers pass
+  // both hashes: a data::KernelRecord carries them, and
+  // ir::Graph::FingerprintAndSignature computes them in one walk.
   const PreparedKernel& Get(const ir::Graph& kernel, std::uint64_t fingerprint,
                             std::uint64_t signature);
-  const PreparedKernel& Get(const ir::Graph& kernel,
-                            std::uint64_t fingerprint) {
-    return Get(kernel, fingerprint, kernel.StructuralSignature());
-  }
 
   // The raw-feature source consulted on miss (nullptr when none).
   const feat::KernelFeatureSource* feature_source() const noexcept {

@@ -154,7 +154,9 @@ TileDataset BuildTileDataset(std::span<const ir::Program> corpus,
 
     for (const ir::Kernel& kernel : kernels) {
       TileKernelData data;
-      data.record.fingerprint = kernel.graph.Fingerprint();
+      const ir::Graph::Hashes hashes = kernel.graph.FingerprintAndSignature();
+      data.record.fingerprint = hashes.fingerprint;
+      data.record.signature = hashes.signature;
       data.record.program_id = static_cast<int>(pid);
       data.record.family = program.family;
 
@@ -163,6 +165,7 @@ TileDataset BuildTileDataset(std::span<const ir::Program> corpus,
         const TileKernelData& prior =
             dataset.kernels[static_cast<size_t>(cached->second)];
         data.record.kernel = prior.record.kernel;
+        data.record.signature = prior.record.signature;
         data.configs = prior.configs;
         data.runtimes = prior.runtimes;
         dataset.kernels.push_back(std::move(data));
@@ -209,11 +212,13 @@ FusionDataset BuildFusionDataset(std::span<const ir::Program> corpus,
     const auto add_kernels = [&](const std::vector<ir::Kernel>& kernels,
                                  bool from_default) {
       for (const ir::Kernel& kernel : kernels) {
-        const std::uint64_t fp = kernel.graph.Fingerprint();
-        if (!seen.insert(fp).second) continue;  // duplicate elimination (§4)
+        const ir::Graph::Hashes hashes = kernel.graph.FingerprintAndSignature();
+        // duplicate elimination (§4)
+        if (!seen.insert(hashes.fingerprint).second) continue;
         FusionSample sample;
         sample.record.kernel = kernel;
-        sample.record.fingerprint = fp;
+        sample.record.fingerprint = hashes.fingerprint;
+        sample.record.signature = hashes.signature;
         sample.record.program_id = static_cast<int>(pid);
         sample.record.family = program.family;
         sample.tile = CompilerDefaultTile(kernel.graph, simulator, analytical,

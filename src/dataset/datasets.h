@@ -45,9 +45,13 @@ SplitSpec RandomSplit(std::span<const ir::Program> corpus, std::uint64_t seed);
 // matching Table 8's six test applications.
 SplitSpec ManualSplit(std::span<const ir::Program> corpus);
 
+// A kernel with both of its graph's hashes (ir::Graph::Fingerprint and
+// StructuralSignature, set together from one walk), so lookups keyed by
+// them never walk the graph again.
 struct KernelRecord {
   ir::Kernel kernel;
   std::uint64_t fingerprint = 0;
+  std::uint64_t signature = 0;
   int program_id = -1;
   std::string family;
 };

@@ -174,6 +174,7 @@ KernelRecord DecodeKernelRecord(Dec& d, const GraphDict& dict) {
   KernelRecord record;
   record.kernel = entry.kernel;
   record.fingerprint = entry.fingerprint;
+  record.signature = entry.structural_sig;
   record.program_id = d.I32();
   record.family = d.Str();
   return record;
@@ -439,13 +440,10 @@ double Seconds(Clock::time_point start) {
 std::shared_ptr<StoredFeatures> FeaturizeUnique(
     const std::vector<const KernelRecord*>& records) {
   std::vector<const KernelRecord*> unique;
-  std::vector<std::uint64_t> sigs;
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
   for (const KernelRecord* rec : records) {
-    const std::uint64_t sig = rec->kernel.graph.StructuralSignature();
-    if (seen.insert({rec->fingerprint, sig}).second) {
+    if (seen.insert({rec->fingerprint, rec->signature}).second) {
       unique.push_back(rec);
-      sigs.push_back(sig);
     }
   }
   std::vector<FeaturizedKernel> featurized(unique.size());
@@ -453,7 +451,7 @@ std::shared_ptr<StoredFeatures> FeaturizeUnique(
     for (std::int64_t i = b0; i < b1; ++i) {
       const auto u = static_cast<std::size_t>(i);
       featurized[u].fingerprint = unique[u]->fingerprint;
-      featurized[u].structural_sig = sigs[u];
+      featurized[u].structural_sig = unique[u]->signature;
       featurized[u].features =
           feat::FeaturizeKernel(unique[u]->kernel.graph);
     }
@@ -813,8 +811,7 @@ void DatasetWriter::WriteRecord(std::uint32_t type,
 }
 
 std::uint32_t DatasetWriter::DictIndexFor(const KernelRecord& record) {
-  const std::uint64_t sig = record.kernel.graph.StructuralSignature();
-  const auto key = std::make_pair(record.fingerprint, sig);
+  const auto key = std::make_pair(record.fingerprint, record.signature);
   const auto it = dict_.find(key);
   if (it != dict_.end()) return it->second;
   const auto index = static_cast<std::uint32_t>(dict_.size());

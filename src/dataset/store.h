@@ -468,8 +468,8 @@ struct StoreLoadStats {
 /// options.store_part_bytes > 0). An empty `cache_dir` means plain
 /// in-process generation with no I/O and no featurization. A present but
 /// corrupt store throws StoreError rather than silently rebuilding.
-/// `features` (optional) receives the featurized records for registration
-/// with feat::SetGlobalKernelFeatureSource.
+/// `features` (optional) receives the featurized records, to hand to a
+/// core::PreparedCache as its feature source.
 TileDataset LoadOrBuildTileDataset(
     const std::string& cache_dir, std::span<const ir::Program> corpus,
     const sim::TpuSimulator& simulator, const DatasetOptions& options,

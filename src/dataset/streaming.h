@@ -192,8 +192,8 @@ class StreamingSampler {
   // in-memory fit exactly.
   StreamWindow Window(std::size_t w) const;
 
-  // Lazy feature source over the store's featurized records; register it
-  // with feat::SetGlobalKernelFeatureSource for warm streaming training.
+  // Lazy feature source over the store's featurized records; hand it to
+  // the training core::PreparedCache for warm streaming training.
   std::shared_ptr<StreamedFeatures> features() const noexcept {
     return features_;
   }

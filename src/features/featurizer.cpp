@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 namespace tpuperf::feat {
 namespace {
 
 std::atomic<long> g_featurize_invocations{0};
-std::atomic<const KernelFeatureSource*> g_feature_source{nullptr};
 
 double Log1p(double v) { return std::log1p(std::max(0.0, v)); }
 
@@ -72,14 +72,6 @@ void ResetFeaturizeKernelInvocations() noexcept {
   g_featurize_invocations.store(0, std::memory_order_relaxed);
 }
 
-void SetGlobalKernelFeatureSource(const KernelFeatureSource* source) noexcept {
-  g_feature_source.store(source, std::memory_order_release);
-}
-
-const KernelFeatureSource* GlobalKernelFeatureSource() noexcept {
-  return g_feature_source.load(std::memory_order_acquire);
-}
-
 KernelFeatures FeaturizeKernel(const ir::Graph& kernel) {
   g_featurize_invocations.fetch_add(1, std::memory_order_relaxed);
   KernelFeatures kf;
@@ -109,6 +101,19 @@ KernelFeatures FeaturizeKernel(const ir::Graph& kernel) {
                     Log1p(static_cast<double>(cost.bytes_written)),
                     Log1p(cost.transcendental_ops)};
   return kf;
+}
+
+KernelFeatures LookupOrFeaturize(const KernelFeatureSource* source,
+                                 const ir::Graph& kernel,
+                                 std::uint64_t fingerprint,
+                                 std::uint64_t signature) {
+  if (source != nullptr) {
+    if (std::optional<KernelFeatures> cached =
+            source->Lookup(fingerprint, signature)) {
+      return std::move(*cached);
+    }
+  }
+  return FeaturizeKernel(kernel);
 }
 
 std::vector<double> TileFeatures(const ir::TileConfig& tile) {

@@ -63,8 +63,8 @@ void ResetFeaturizeKernelInvocations() noexcept;
 // Source of pre-computed raw kernel features, keyed by the kernel graph's
 // Fingerprint() with its StructuralSignature() as the collision check (both
 // hashes are opaque here; ir::Graph defines them). Implemented by the
-// on-disk dataset store; consulted by core::PreparedCache and the trainers
-// so warm-cache runs skip FeaturizeKernel entirely. Lookup must be safe to
+// on-disk dataset store and handed to core::PreparedCache by whoever loaded
+// it, so warm-cache runs skip FeaturizeKernel entirely. Lookup must be safe to
 // call concurrently and return std::nullopt when the kernel is absent. The
 // caller owns the returned features, so a source need not keep what it
 // hands out: a streaming source decodes each lookup from disk and retains
@@ -76,11 +76,13 @@ class KernelFeatureSource {
       std::uint64_t fingerprint, std::uint64_t structural_sig) const = 0;
 };
 
-// Process-global default source (non-owning; nullptr when unset). Benches
-// register loaded stores here before any training/evaluation starts; set-up
-// is expected to happen single-threaded, reads are atomic.
-void SetGlobalKernelFeatureSource(const KernelFeatureSource* source) noexcept;
-const KernelFeatureSource* GlobalKernelFeatureSource() noexcept;
+// The raw features of `kernel`, whose hashes are `fingerprint` and
+// `signature`: the copy `source` holds (no FeaturizeKernel call), else
+// FeaturizeKernel(kernel). Both give the same features. `source` may be null.
+KernelFeatures LookupOrFeaturize(const KernelFeatureSource* source,
+                                 const ir::Graph& kernel,
+                                 std::uint64_t fingerprint,
+                                 std::uint64_t signature);
 
 // Raw tile-size feature vector: dims padded/truncated to kMaxEncodedRank,
 // then sum and product of all (untruncated) values.

@@ -28,13 +28,6 @@ NodeId GraphBuilder::Constant(Shape shape) {
   return Add(std::move(n));
 }
 
-NodeId GraphBuilder::Iota(Shape shape) {
-  Node n;
-  n.op = OpCode::kIota;
-  n.shape = std::move(shape);
-  return Add(std::move(n));
-}
-
 NodeId GraphBuilder::Unary(OpCode op, NodeId x) {
   if (!IsElementwiseUnary(op)) {
     throw std::invalid_argument("Unary() requires an elementwise unary op");
@@ -62,14 +55,6 @@ NodeId GraphBuilder::Binary(OpCode op, NodeId a, NodeId b) {
     n.shape = Shape(shape_of(a).dims(), ElementType::kPred);
   }
   n.operands = {a, b};
-  return Add(std::move(n));
-}
-
-NodeId GraphBuilder::Select(NodeId pred, NodeId on_true, NodeId on_false) {
-  Node n;
-  n.op = OpCode::kSelect;
-  n.shape = shape_of(on_true);
-  n.operands = {pred, on_true, on_false};
   return Add(std::move(n));
 }
 
@@ -129,35 +114,6 @@ NodeId GraphBuilder::Concatenate(std::vector<NodeId> xs, int dim) {
   n.op = OpCode::kConcatenate;
   n.shape = Shape(std::move(dims), first.element_type());
   n.operands = std::move(xs);
-  return Add(std::move(n));
-}
-
-NodeId GraphBuilder::Slice(NodeId x, Shape to) {
-  const Shape& xs = shape_of(x);
-  if (to.rank() != xs.rank()) {
-    throw std::invalid_argument("Slice() rank mismatch");
-  }
-  for (int i = 0; i < to.rank(); ++i) {
-    if (to.dim(i) > xs.dim(i)) {
-      throw std::invalid_argument("Slice() result larger than input");
-    }
-  }
-  Node n;
-  n.op = OpCode::kSlice;
-  n.shape = std::move(to);
-  n.operands = {x};
-  return Add(std::move(n));
-}
-
-NodeId GraphBuilder::Pad(NodeId x, Shape to) {
-  const Shape& xs = shape_of(x);
-  if (to.rank() != xs.rank()) {
-    throw std::invalid_argument("Pad() rank mismatch");
-  }
-  Node n;
-  n.op = OpCode::kPad;
-  n.shape = std::move(to);
-  n.operands = {x};
   return Add(std::move(n));
 }
 

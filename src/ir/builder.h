@@ -19,14 +19,11 @@ class GraphBuilder {
 
   NodeId Parameter(Shape shape);
   NodeId Constant(Shape shape);
-  NodeId Iota(Shape shape);
 
   // Elementwise unary; output shape equals the operand shape.
   NodeId Unary(OpCode op, NodeId x);
   // Elementwise binary; operand shapes must match exactly.
   NodeId Binary(OpCode op, NodeId a, NodeId b);
-  // select(pred, on_true, on_false).
-  NodeId Select(NodeId pred, NodeId on_true, NodeId on_false);
 
   NodeId Broadcast(NodeId x, Shape to);
   // Broadcasts a rank-1 tensor along the last dimension of `like`'s shape
@@ -35,8 +32,6 @@ class GraphBuilder {
   NodeId Reshape(NodeId x, Shape to);
   NodeId Transpose(NodeId x, std::vector<int> permutation);
   NodeId Concatenate(std::vector<NodeId> xs, int dim);
-  NodeId Slice(NodeId x, Shape to);
-  NodeId Pad(NodeId x, Shape to);
 
   // dot(lhs[..., m, k], rhs[k, n]) -> [..., m, n].
   NodeId Dot(NodeId lhs, NodeId rhs);

@@ -133,13 +133,6 @@ std::optional<std::string> Graph::Validate() const {
   return std::nullopt;
 }
 
-std::vector<NodeId> Graph::TopologicalOrder() const {
-  // The construction invariant guarantees id order is topological.
-  std::vector<NodeId> order(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) order[i] = static_cast<NodeId>(i);
-  return order;
-}
-
 // Calls mix(v) for every structural field of every node, in the order
 // that both hashes walk them.
 template <typename Mix>

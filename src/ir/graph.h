@@ -49,10 +49,6 @@ class Graph {
   // non-empty). Returns an error description, or nullopt when valid.
   std::optional<std::string> Validate() const;
 
-  // Node ids in topological order (operands before users). With the
-  // construction invariant this is simply 0..n-1, but the function verifies.
-  std::vector<NodeId> TopologicalOrder() const;
-
   // Stable structural fingerprint covering opcodes, shapes, windows and
   // edges; used to deduplicate kernels in the fusion dataset (§4).
   std::uint64_t Fingerprint() const;

@@ -152,17 +152,6 @@ bool IsDataMovement(OpCode op) noexcept {
   }
 }
 
-bool IsReduction(OpCode op) noexcept {
-  switch (op) {
-    case OpCode::kReduce:
-    case OpCode::kReduceWindow:
-    case OpCode::kSoftmax:
-      return true;
-    default:
-      return false;
-  }
-}
-
 int ExpectedOperandCount(OpCode op) noexcept {
   if (IsElementwiseUnary(op)) return 1;
   if (IsElementwiseBinary(op)) return 2;

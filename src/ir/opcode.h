@@ -93,8 +93,6 @@ bool IsTranscendental(OpCode op) noexcept;
 bool UsesMatrixUnit(OpCode op) noexcept;
 // Pure data-movement / relabeling ops with ~zero compute cost.
 bool IsDataMovement(OpCode op) noexcept;
-// Ops that reduce over one or more dimensions.
-bool IsReduction(OpCode op) noexcept;
 // Number of operands the opcode expects (-1 for variadic).
 int ExpectedOperandCount(OpCode op) noexcept;
 

@@ -90,10 +90,4 @@ Tensor MseLogLoss(Tape& tape, Tensor preds, std::span<const double> targets,
   return SquaredErrorLoss(tape, preds, logs);
 }
 
-Tensor MseLoss(Tape& tape, Tensor preds, std::span<const double> targets) {
-  CheckPredictions(preds, targets.size());
-  std::vector<double> copy(targets.begin(), targets.end());
-  return SquaredErrorLoss(tape, preds, copy);
-}
-
 }  // namespace tpuperf::nn

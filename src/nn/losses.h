@@ -29,8 +29,4 @@ Tensor PairwiseRankLoss(Tape& tape, Tensor preds,
 Tensor MseLogLoss(Tape& tape, Tensor preds, std::span<const double> targets,
                   double eps = 1e-9);
 
-// Plain MSE against raw targets (the 'MSE loss (not rank)' ablation row of
-// Table 3 uses this on normalized runtimes).
-Tensor MseLoss(Tape& tape, Tensor preds, std::span<const double> targets);
-
 }  // namespace tpuperf::nn

@@ -25,12 +25,6 @@ Matrix Matrix::Constant(int rows, int cols, float value) {
   return m;
 }
 
-Matrix Matrix::FromRow(std::span<const float> values) {
-  Matrix m(1, static_cast<int>(values.size()));
-  std::copy(values.begin(), values.end(), m.data());
-  return m;
-}
-
 void Matrix::Fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }
@@ -124,21 +118,6 @@ Matrix ColMax(const Matrix& a, std::vector<int>* argmax_rows) {
     if (argmax_rows != nullptr) (*argmax_rows)[static_cast<size_t>(j)] = best_row;
   }
   return out;
-}
-
-double FrobeniusNorm(const Matrix& a) {
-  double acc = 0;
-  for (const float v : a.flat()) acc += static_cast<double>(v) * v;
-  return std::sqrt(acc);
-}
-
-double DotAll(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "DotAll");
-  double acc = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    acc += static_cast<double>(a.data()[i]) * b.data()[i];
-  }
-  return acc;
 }
 
 float MaxAbsDiff(const Matrix& a, const Matrix& b) {

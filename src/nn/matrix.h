@@ -110,8 +110,6 @@ class Matrix {
 
   /// A [rows, cols] matrix with every element set to `value`.
   static Matrix Constant(int rows, int cols, float value);
-  /// A [1, values.size()] row vector copying `values`.
-  static Matrix FromRow(std::span<const float> values);
 
   int rows() const noexcept { return rows_; }
   int cols() const noexcept { return cols_; }
@@ -221,11 +219,6 @@ Matrix ColSum(const Matrix& a);
 Matrix ColMean(const Matrix& a);
 /// Column-wise max with argmax row indices: [n,c] -> [1,c].
 Matrix ColMax(const Matrix& a, std::vector<int>* argmax_rows);
-
-/// Frobenius norm over all entries (accumulated in double).
-double FrobeniusNorm(const Matrix& a);
-/// Dot product over all entries (accumulated in double).
-double DotAll(const Matrix& a, const Matrix& b);
 
 /// Max |a - b| over entries; shapes must match. NaN differences propagate
 /// (the result is NaN) instead of being silently dropped.

@@ -77,6 +77,12 @@ void ParamStore::Load(std::istream& is) {
   for (const auto& p : params_) {
     std::uint64_t name_len = 0;
     is.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
+    // Checked before the name is read: the length comes from the stream,
+    // and allocating it unchecked lets a corrupt field ask for terabytes.
+    if (name_len != p->name.size()) {
+      throw std::runtime_error("ParamStore::Load: name length mismatch for " +
+                               p->name);
+    }
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
     if (name != p->name) {

@@ -31,8 +31,7 @@
 /// (kernel, tile) — batching is a throughput optimization, never an accuracy
 /// trade (tests/serve_test.cpp asserts bit-equality). Kernels are prepared
 /// through a shared core::PreparedCache, so duplicate kernels across
-/// requests featurize once, and a registered dataset-store feature source is
-/// honored. Per-request failures (a throwing featurization) fail that
+/// requests featurize once. Per-request failures (a throwing featurization) fail that
 /// request's future; other requests in the same batch complete normally.
 ///
 /// The caller's Graph must stay alive until its future resolves (the service

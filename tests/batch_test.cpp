@@ -542,9 +542,11 @@ TEST(PreparedCache, ReusesEntries) {
   model.FinishFitting();
 
   PreparedCache cache(model);
-  const std::uint64_t fp = kernel.Fingerprint();
-  const PreparedKernel& first = cache.Get(kernel, fp);
-  const PreparedKernel& second = cache.Get(kernel, fp);
+  const ir::Graph::Hashes hashes = kernel.FingerprintAndSignature();
+  const PreparedKernel& first =
+      cache.Get(kernel, hashes.fingerprint, hashes.signature);
+  const PreparedKernel& second =
+      cache.Get(kernel, hashes.fingerprint, hashes.signature);
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.collisions(), 0u);
@@ -565,8 +567,10 @@ TEST(PreparedCache, FingerprintCollisionKeepsBothEntries) {
   PreparedCache cache(model);
   // Force a collision: both graphs presented under the same key.
   const std::uint64_t shared_key = 0xDEADBEEFull;
-  const PreparedKernel& a = cache.Get(small, shared_key);
-  const PreparedKernel& b = cache.Get(large, shared_key);
+  const std::uint64_t small_sig = small.StructuralSignature();
+  const std::uint64_t large_sig = large.StructuralSignature();
+  const PreparedKernel& a = cache.Get(small, shared_key, small_sig);
+  const PreparedKernel& b = cache.Get(large, shared_key, large_sig);
   EXPECT_EQ(a.num_nodes, small.num_nodes());
   EXPECT_EQ(b.num_nodes, large.num_nodes());
   EXPECT_NE(&a, &b);
@@ -575,8 +579,8 @@ TEST(PreparedCache, FingerprintCollisionKeepsBothEntries) {
 
   // The reference returned before the collision was appended stays usable
   // and the chain resolves to the right entries on re-lookup.
-  EXPECT_EQ(&cache.Get(small, shared_key), &a);
-  EXPECT_EQ(&cache.Get(large, shared_key), &b);
+  EXPECT_EQ(&cache.Get(small, shared_key, small_sig), &a);
+  EXPECT_EQ(&cache.Get(large, shared_key, large_sig), &b);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.collisions(), 1u);
   EXPECT_EQ(a.num_nodes, small.num_nodes());

@@ -4,8 +4,6 @@
 // short-training behaviour.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "core/cost_model.h"
@@ -135,21 +133,6 @@ TEST(CostModel, SaveLoadReproducesPredictions) {
   EXPECT_DOUBLE_EQ(b.PredictScore(pk_b, &tile), expected);
 }
 
-TEST(CostModel, SaveLoadFileRoundTrip) {
-  const std::string path = std::filesystem::temp_directory_path() /
-                           "tpuperf_model_test.bin";
-  ModelConfig config = SmallConfig();
-  LearnedCostModel a(config);
-  FitOn(a, SmallKernel());
-  a.SaveToFile(path);
-  LearnedCostModel b(config);
-  b.LoadFromFile(path);
-  EXPECT_TRUE(b.fitted());
-  std::remove(path.c_str());
-  EXPECT_THROW(b.LoadFromFile("/nonexistent/path/model.bin"),
-               std::runtime_error);
-}
-
 TEST(CostModel, LoadRejectsBadMagic) {
   LearnedCostModel model(SmallConfig());
   std::stringstream stream("not a model file at all....");
@@ -249,9 +232,11 @@ TEST(PreparedCacheTest, ReusesPreparedKernels) {
   const auto kernel = SmallKernel();
   FitOn(model, kernel);
   PreparedCache cache(model);
-  const auto fp = kernel.Fingerprint();
-  const PreparedKernel& a = cache.Get(kernel, fp);
-  const PreparedKernel& b = cache.Get(kernel, fp);
+  const auto hashes = kernel.FingerprintAndSignature();
+  const PreparedKernel& a =
+      cache.Get(kernel, hashes.fingerprint, hashes.signature);
+  const PreparedKernel& b =
+      cache.Get(kernel, hashes.fingerprint, hashes.signature);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(cache.size(), 1u);
 }

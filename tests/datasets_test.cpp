@@ -102,6 +102,7 @@ TEST_F(DatasetTest, TileDatasetWellFormed) {
       EXPECT_GT(k.runtimes[c], 0.0);
     }
     EXPECT_EQ(k.record.fingerprint, k.record.kernel.graph.Fingerprint());
+    EXPECT_EQ(k.record.signature, k.record.kernel.graph.StructuralSignature());
     EXPECT_FALSE(k.record.family.empty());
   }
 }
@@ -125,6 +126,8 @@ TEST_F(DatasetTest, FusionDatasetDeduplicated) {
   int default_samples = 0;
   for (const auto& s : fusion_->samples) {
     EXPECT_TRUE(fingerprints.insert(s.record.fingerprint).second);
+    EXPECT_EQ(s.record.fingerprint, s.record.kernel.graph.Fingerprint());
+    EXPECT_EQ(s.record.signature, s.record.kernel.graph.StructuralSignature());
     EXPECT_GT(s.runtime, 0.0);
     EXPECT_FALSE(s.record.kernel.graph.Validate().has_value());
     if (s.from_default_config) ++default_samples;

@@ -3,7 +3,12 @@
 // small slice, asserting the paper's qualitative relationships end to end.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +18,7 @@
 #include "bench/common.h"
 #include "core/evaluation.h"
 #include "dataset/families.h"
+#include "features/featurizer.h"
 #include "sim/hash.h"
 
 namespace tpuperf {
@@ -122,10 +128,11 @@ TEST_F(IntegrationTest, ModelSurvivesSerializationMidPipeline) {
   core::PreparedCache loaded_cache(loaded);
 
   const auto& kdata = tile_->kernels.front();
+  const data::KernelRecord& record = kdata.record;
   const auto& pk =
-      cache.Get(kdata.record.kernel.graph, kdata.record.fingerprint);
-  const auto& pk2 =
-      loaded_cache.Get(kdata.record.kernel.graph, kdata.record.fingerprint);
+      cache.Get(record.kernel.graph, record.fingerprint, record.signature);
+  const auto& pk2 = loaded_cache.Get(record.kernel.graph, record.fingerprint,
+                                     record.signature);
   for (const auto& tile_config : kdata.configs) {
     EXPECT_DOUBLE_EQ(model.PredictScore(pk, &tile_config),
                      loaded.PredictScore(pk2, &tile_config));
@@ -140,6 +147,18 @@ TEST_F(IntegrationTest, TileAutotunerWithLearnedModelEndToEnd) {
   core::LearnedCostModel model(config);
   core::PreparedCache cache(model);
   core::TrainTileTask(model, *tile_, kTrain, cache);
+
+  // EstimateKernel is a one-item EstimateBatch: same value, same charge.
+  {
+    const auto& kdata = tile_->kernels.front();
+    const tune::KernelTileRef item{&kdata.record.kernel.graph,
+                                   &kdata.configs.front()};
+    tune::LearnedEvaluator single(model, cache);
+    tune::LearnedEvaluator batched(model, cache);
+    EXPECT_EQ(single.EstimateKernel(*item.kernel, *item.tile),
+              batched.EstimateBatch(std::span(&item, 1)).front());
+    EXPECT_EQ(single.SpentSeconds(), batched.SpentSeconds());
+  }
 
   tune::TileSizeAutotuner tuner(*simulator_, *analytical_, 48);
   tune::LearnedEvaluator evaluator(model, cache);
@@ -176,6 +195,66 @@ TEST_F(IntegrationTest, FusionAutotunerWithLearnedModelEndToEnd) {
   EXPECT_GE(result.Speedup(), 1.0);
   EXPECT_GT(result.configs_explored, 0);
   EXPECT_LE(result.hardware_seconds, 90.0);
+}
+
+// The bench harness's store path: a cold build writes both tasks' stores,
+// a warm one loads them, and training and evaluating both tasks from the
+// features BuildTile/BuildFusion hand back never runs the featurizer.
+TEST_F(IntegrationTest, BenchTrainsBothTasksFromAWarmStore) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("tpuperf_integration_store_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  bench::Env env;
+  env.corpus = *corpus_;
+  env.options.max_tile_configs_per_kernel = 12;
+  env.options.fusion_configs_per_program = 4;
+  env.dataset_dir = dir.string();
+  analytical::AnalyticalModel analytical(env.sim_v2.target());
+  std::shared_ptr<data::StoredFeatures> tile_features, fusion_features;
+  (void)bench::BuildTile(env, env.sim_v2, analytical, &tile_features);
+  (void)bench::BuildFusion(env, env.sim_v2, analytical, &fusion_features);
+
+  feat::ResetFeaturizeKernelInvocations();
+  const auto tile =
+      bench::BuildTile(env, env.sim_v2, analytical, &tile_features);
+  const auto fusion =
+      bench::BuildFusion(env, env.sim_v2, analytical, &fusion_features);
+  ASSERT_NE(tile_features, nullptr);
+  ASSERT_NE(fusion_features, nullptr);
+  EXPECT_EQ(tile.kernels.size(), tile_->kernels.size());
+  EXPECT_EQ(fusion.samples.size(), fusion_->samples.size());
+
+  core::ModelConfig tile_config = core::ModelConfig::TileTaskDefault();
+  tile_config.hidden_dim = 16;
+  tile_config.opcode_embedding_dim = 8;
+  const auto tile_model = bench::TrainTile(tile_config, tile, kTrain,
+                                           /*scale=*/0.01, tile_features.get());
+  const auto tile_results = core::EvaluateTileTask(
+      tile, kTest, env.corpus,
+      core::MakeLearnedTileScorer(*tile_model.model, *tile_model.cache));
+
+  core::ModelConfig fusion_config = core::ModelConfig::FusionTaskDefault();
+  fusion_config.hidden_dim = 16;
+  fusion_config.opcode_embedding_dim = 8;
+  const auto fusion_model =
+      bench::TrainFusion(fusion_config, fusion, kTrain, /*scale=*/0.01,
+                         fusion_features.get());
+  const auto fusion_results = core::EvaluateFusionTask(
+      fusion, kTest, env.corpus,
+      core::MakeLearnedFusionEstimator(*fusion_model.model,
+                                       *fusion_model.cache),
+      /*min_runtime_sec=*/0.0);
+
+  EXPECT_EQ(tile_model.stats.steps, 200);
+  EXPECT_EQ(fusion_model.stats.steps, 200);
+  // The scorers ran over every test program's records.
+  for (const auto& r : tile_results) EXPECT_GT(r.kernels, 0) << r.application;
+  for (const auto& r : fusion_results) {
+    EXPECT_GT(r.kernels, 0) << r.application;
+  }
+  EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(IntegrationTest, BenchEnvironmentIsConstructible) {

@@ -504,6 +504,18 @@ TEST(ParamStore, LoadRejectsMismatch) {
   EXPECT_THROW(c.Load(stream2), std::runtime_error);
 }
 
+TEST(ParamStore, HugeNameLengthThrowsBeforeAllocating) {
+  std::mt19937_64 rng(1);
+  ParamStore store;
+  store.Create("w", 2, 2, Init::kZero, rng);
+  std::stringstream stream;
+  const std::uint64_t count = 1;
+  const std::uint64_t name_len = std::uint64_t{1} << 40;
+  stream.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  stream.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+  EXPECT_THROW(store.Load(stream), std::runtime_error);
+}
+
 TEST(GraphStructure, NormalizedAdjacency) {
   // 0 -> 2, 1 -> 2, 2 -> 3.
   const std::vector<std::vector<int>> operands = {{}, {}, {0, 1}, {2}};

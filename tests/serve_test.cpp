@@ -381,6 +381,11 @@ TEST(ServeSnapshot, MissingRecordsThrow) {
   std::filesystem::remove(path);
 }
 
+TEST(ServeSnapshot, MissingFileThrows) {
+  EXPECT_THROW(LoadModelSnapshot("/nonexistent/path/model.snapshot"),
+               data::StoreError);
+}
+
 // ---- Construction ----------------------------------------------------------
 
 // An unfitted model cannot be served.

@@ -118,6 +118,9 @@ void ExpectRecordsEqual(const KernelRecord& a, const KernelRecord& b) {
   ExpectGraphsEqual(a.kernel.graph, b.kernel.graph);
   EXPECT_EQ(a.kernel.kind, b.kernel.kind);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
+  // Each record carries its graph's signature, built or loaded.
+  EXPECT_EQ(a.signature, a.kernel.graph.StructuralSignature());
+  EXPECT_EQ(b.signature, b.kernel.graph.StructuralSignature());
   EXPECT_EQ(a.program_id, b.program_id);
   EXPECT_EQ(a.family, b.family);
 }

@@ -254,6 +254,9 @@ void ExpectRecordsEqual(const KernelRecord& a, const KernelRecord& b) {
     EXPECT_EQ(na.is_output, nb.is_output) << "node " << i;
   }
   EXPECT_EQ(ga.StructuralSignature(), gb.StructuralSignature());
+  // Each record carries its graph's signature, decoded or drawn.
+  EXPECT_EQ(a.signature, ga.StructuralSignature());
+  EXPECT_EQ(b.signature, gb.StructuralSignature());
   EXPECT_EQ(a.kernel.kind, b.kernel.kind);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.program_id, b.program_id);

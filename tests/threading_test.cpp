@@ -267,8 +267,10 @@ TEST(PreparedCacheThreaded, ConcurrentGetsShareOneEntryPerKernel) {
   for (const auto& kernel : kernels) model.FitNodeScaler(kernel);
   model.FitTileScaler(ir::TileConfig{{8, 16}});
   model.FinishFitting();
-  std::vector<std::uint64_t> fps;
-  for (const auto& kernel : kernels) fps.push_back(kernel.Fingerprint());
+  std::vector<ir::Graph::Hashes> hashes;
+  for (const auto& kernel : kernels) {
+    hashes.push_back(kernel.FingerprintAndSignature());
+  }
 
   PreparedCache cache(model);
   constexpr int kThreads = 8;
@@ -282,7 +284,8 @@ TEST(PreparedCacheThreaded, ConcurrentGetsShareOneEntryPerKernel) {
       std::uniform_int_distribution<size_t> pick(0, kernels.size() - 1);
       for (int i = 0; i < kIters; ++i) {
         const size_t k = pick(rng);
-        const PreparedKernel& pk = cache.Get(kernels[k], fps[k]);
+        const PreparedKernel& pk = cache.Get(
+            kernels[k], hashes[k].fingerprint, hashes[k].signature);
         if (seen[static_cast<size_t>(t)][k] == nullptr) {
           seen[static_cast<size_t>(t)][k] = &pk;
         } else {
@@ -322,7 +325,8 @@ TEST(PreparedCacheThreaded, ConcurrentCollisionKeepsBothEntries) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 100; ++i) {
         const ir::Graph& g = ((t + i) % 2 == 0) ? small : large;
-        const PreparedKernel& pk = cache.Get(g, shared_key);
+        const PreparedKernel& pk =
+            cache.Get(g, shared_key, g.StructuralSignature());
         ASSERT_EQ(pk.num_nodes, g.num_nodes());
       }
     });
@@ -332,7 +336,8 @@ TEST(PreparedCacheThreaded, ConcurrentCollisionKeepsBothEntries) {
   // of interleaving.
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.collisions(), 1u);
-  EXPECT_NE(&cache.Get(small, shared_key), &cache.Get(large, shared_key));
+  EXPECT_NE(&cache.Get(small, shared_key, small.StructuralSignature()),
+            &cache.Get(large, shared_key, large.StructuralSignature()));
 }
 
 // A feature source whose Lookup throws for the first `failures` calls, then
@@ -365,7 +370,7 @@ TEST(PreparedCacheThreaded, ThrowingFeatureSourceReleasesClaim) {
   model.FitNodeScaler(kernel);
   model.FitTileScaler(ir::TileConfig{{8, 16}});
   model.FinishFitting();
-  const std::uint64_t fp = kernel.Fingerprint();
+  const ir::Graph::Hashes hashes = kernel.FingerprintAndSignature();
 
   FlakyFeatureSource source(/*failures=*/16);
   PreparedCache cache(model, &source);
@@ -380,7 +385,8 @@ TEST(PreparedCacheThreaded, ThrowingFeatureSourceReleasesClaim) {
       // the cache claimable again rather than wedging the remaining threads.
       for (;;) {
         try {
-          const PreparedKernel& pk = cache.Get(kernel, fp);
+          const PreparedKernel& pk =
+              cache.Get(kernel, hashes.fingerprint, hashes.signature);
           ASSERT_EQ(pk.num_nodes, kernel.num_nodes());
           successes.fetch_add(1);
           return;
@@ -397,7 +403,7 @@ TEST(PreparedCacheThreaded, ThrowingFeatureSourceReleasesClaim) {
   EXPECT_EQ(cache.size(), 1u);  // one entry once the source recovered
   // The entry is cached: further Gets hit without consulting the source.
   const int lookups_before = source.lookups();
-  cache.Get(kernel, fp);
+  cache.Get(kernel, hashes.fingerprint, hashes.signature);
   EXPECT_EQ(source.lookups(), lookups_before);
 }
 
@@ -528,10 +534,11 @@ TEST(ParallelParity, TileTrainerLossExact) {
 
   // And the trained models agree exactly on a probe prediction.
   const auto& probe = dataset.kernels.front();
+  const data::KernelRecord& record = probe.record;
   const PreparedKernel& pk_serial = serial_cache.Get(
-      probe.record.kernel.graph, probe.record.fingerprint);
+      record.kernel.graph, record.fingerprint, record.signature);
   const PreparedKernel& pk_parallel = parallel_cache.Get(
-      probe.record.kernel.graph, probe.record.fingerprint);
+      record.kernel.graph, record.fingerprint, record.signature);
   EXPECT_EQ(serial_model.PredictScore(pk_serial, &probe.configs.front()),
             parallel_model.PredictScore(pk_parallel, &probe.configs.front()));
 }
