@@ -1,8 +1,6 @@
 #include "core/cost_model.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "core/fault_injection.h"
@@ -434,26 +432,35 @@ void LearnedCostModel::SetOutputBias(float value) {
   if (bias != nullptr) bias->value.Fill(value);
 }
 
-void LearnedCostModel::Save(std::ostream& os) const {
-  const char magic[8] = {'T', 'P', 'U', 'P', 'E', 'R', 'F', '1'};
-  os.write(magic, sizeof(magic));
-  node_scaler_.Save(os);
-  tile_scaler_.Save(os);
-  perf_scaler_.Save(os);
-  store_->Save(os);
-}
-
-void LearnedCostModel::Load(std::istream& is) {
-  char magic[8] = {};
-  is.read(magic, sizeof(magic));
-  if (std::string_view(magic, 8) != "TPUPERF1") {
-    throw std::runtime_error("LearnedCostModel::Load: bad magic");
+void LearnedCostModel::Restore(feat::FeatureScaler node_scaler,
+                               feat::FeatureScaler tile_scaler,
+                               feat::FeatureScaler perf_scaler,
+                               std::vector<nn::Matrix> values) {
+  if (node_scaler.num_features() != feat::kNodeScalarFeatures ||
+      tile_scaler.num_features() != feat::kTileFeatures ||
+      perf_scaler.num_features() != feat::kStaticPerfFeatures) {
+    throw std::invalid_argument(
+        "LearnedCostModel::Restore: scaler width differs from the "
+        "featurizer's");
+  }
+  const std::vector<nn::Parameter*> params = store_->params();
+  if (values.size() != params.size()) {
+    throw std::invalid_argument(
+        "LearnedCostModel::Restore: parameter count mismatch");
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!values[i].same_shape(params[i]->value)) {
+      throw std::invalid_argument("LearnedCostModel::Restore: shape mismatch "
+                                  "for " + params[i]->name);
+    }
   }
   plan_cache_.Clear();
-  node_scaler_.Load(is);
-  tile_scaler_.Load(is);
-  perf_scaler_.Load(is);
-  store_->Load(is);
+  node_scaler_ = std::move(node_scaler);
+  tile_scaler_ = std::move(tile_scaler);
+  perf_scaler_ = std::move(perf_scaler);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    params[i]->value = std::move(values[i]);
+  }
   fitted_ = true;
 }
 

@@ -69,7 +69,7 @@ class LearnedCostModel {
   const ModelConfig& config() const noexcept { return config_; }
 
   // ---- Feature scaling -----------------------------------------------------
-  // Scalers must be fitted (or loaded) before Prepare/Predict.
+  // Scalers must be fitted (or restored) before Prepare/Predict.
   void FitNodeScaler(const ir::Graph& kernel);    // observe one kernel
   // As above from pre-extracted raw features (the dataset store's warm
   // path); observes the same rows in the same order, so the fitted scaler
@@ -165,8 +165,24 @@ class LearnedCostModel {
   }
   std::size_t parameter_scalars() const { return store_->scalar_count(); }
 
-  void Save(std::ostream& os) const;
-  void Load(std::istream& is);
+  // ---- Snapshot state (serve/snapshot.h encodes and restores it) -----------
+  const nn::ParamStore& param_store() const noexcept { return *store_; }
+  const feat::FeatureScaler& node_scaler() const noexcept {
+    return node_scaler_;
+  }
+  const feat::FeatureScaler& tile_scaler() const noexcept {
+    return tile_scaler_;
+  }
+  const feat::FeatureScaler& perf_scaler() const noexcept {
+    return perf_scaler_;
+  }
+  // Replaces the three scalers and every parameter value (`values` in
+  // param_store() order), drops the cached plans and marks the model
+  // fitted. Throws std::invalid_argument, changing nothing, when a scaler's
+  // width differs from the featurizer's or a value's count or shape from
+  // the parameters'.
+  void Restore(feat::FeatureScaler node_scaler, feat::FeatureScaler tile_scaler,
+               feat::FeatureScaler perf_scaler, std::vector<nn::Matrix> values);
 
  private:
   // The model's one forward: ForwardBatch trains through it, and

@@ -348,31 +348,6 @@ FeaturizedKernel DecodeFeaturizedPayload(Dec& d) {
   return fk;
 }
 
-std::string EncodeScalerPayload(const std::string& name,
-                                const feat::FeatureScaler& scaler) {
-  Enc e;
-  e.Str(name);
-  e.U32(static_cast<std::uint32_t>(scaler.num_features()));
-  e.I64(scaler.observed());
-  for (const double v : scaler.mins()) e.F64(v);
-  for (const double v : scaler.maxs()) e.F64(v);
-  return e.bytes();
-}
-
-std::pair<std::string, feat::FeatureScaler> DecodeScalerPayload(Dec& d) {
-  std::string name = d.Str();
-  const std::uint32_t width = d.U32();
-  if (width > (1u << 20)) d.Fail("implausible scaler width");
-  const long observed = static_cast<long>(d.I64());
-  std::vector<double> mins(width);
-  for (auto& v : mins) v = d.F64();
-  std::vector<double> maxs(width);
-  for (auto& v : maxs) v = d.F64();
-  return {std::move(name),
-          feat::FeatureScaler::FromStats(std::move(mins), std::move(maxs),
-                                         observed)};
-}
-
 // Decodes one record into StoreContents, threading the file's graph
 // dictionary. Shared by ReadAll (single file) and ReadStoreContents
 // (per part, merging in record order).
@@ -393,11 +368,6 @@ void DecodeRecordInto(StoreContents& out, const RecordView& view,
       case kFeaturizedRecordType:
         out.features->Add(DecodeFeaturizedPayload(d));
         break;
-      case kScalerRecordType: {
-        auto [name, scaler] = DecodeScalerPayload(d);
-        out.scalers.insert_or_assign(std::move(name), std::move(scaler));
-        break;
-      }
       case kGraphDictRecordType:
         dict.Add(view);
         return;  // GraphDict::Add runs its own trailing-bytes check
@@ -406,6 +376,7 @@ void DecodeRecordInto(StoreContents& out, const RecordView& view,
                          ": sharded-store manifest record inside a plain "
                          "dataset read; open this path with "
                          "data::ReadStoreContents instead");
+      case kScalerRecordType:
       case kModelConfigRecordType:
       case kModelParamsRecordType:
         throw StoreError(view.context + ": model-snapshot record (type " +
@@ -851,12 +822,6 @@ void DatasetWriter::Add(const FeaturizedKernel& kernel) {
   WriteRecord(kFeaturizedRecordType, EncodeFeaturizedPayload(kernel));
 }
 
-void DatasetWriter::AddScaler(const std::string& name,
-                              const feat::FeatureScaler& scaler) {
-  MaybeRoll();
-  WriteRecord(kScalerRecordType, EncodeScalerPayload(name, scaler));
-}
-
 std::size_t DatasetWriter::part_count() const noexcept {
   return parts_.size() + (part_ != nullptr ? 1 : 0);
 }
@@ -1018,6 +983,7 @@ RecordView DatasetReader::ReadPayload(std::uint64_t r, std::uint64_t offset,
                      "): checksum mismatch — corrupted store");
   }
   view.payload = std::span<const unsigned char>(scratch_.data(), size);
+  view.checksum = header.checksum;
   return view;
 }
 
@@ -1068,7 +1034,8 @@ namespace {
 // Decodes every record of one file into `out`, threading the file's graph
 // dictionary. With `region_fnv` it also accumulates the FNV-1a-64 of the
 // records region, re-deriving each framing header from its (deterministic)
-// encoding so the manifest's checksum needs no second pass over the file.
+// encoding and the checksum ReadPayload verified, so the manifest's
+// checksum needs no second pass over the file.
 void DecodeFileInto(StoreContents& out, const DatasetReader& reader,
                     std::uint64_t* region_fnv) {
   GraphDict dict;
@@ -1077,7 +1044,7 @@ void DecodeFileInto(StoreContents& out, const DatasetReader& reader,
       Enc hdr;
       hdr.U32(view.type);
       hdr.U64(view.payload.size());
-      hdr.U64(Fnv1a64(view.payload.data(), view.payload.size()));
+      hdr.U64(view.checksum);
       *region_fnv = Fnv1a64Continue(*region_fnv, hdr.bytes().data(),
                                     hdr.bytes().size());
       *region_fnv = Fnv1a64Continue(*region_fnv, view.payload.data(),

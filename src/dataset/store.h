@@ -25,10 +25,10 @@
 /// every payload handed to a caller must match its checksum. Record types:
 /// program info, tile-task kernels (graph + measured tile configs +
 /// runtimes), fusion samples, featurized kernels (raw node features as
-/// f64 + adjacency in CSR form + static perf), named feature-scaler
-/// statistics, shared kernel-graph dictionary entries, and the shard
-/// manifest. Unknown record types are a read error (not skipped): a
-/// store is only readable by the format version that wrote it.
+/// f64 + adjacency in CSR form + static perf), shared kernel-graph
+/// dictionary entries, and the shard manifest. Unknown record types are a
+/// read error (not skipped): a store is only readable by the format
+/// version that wrote it.
 ///
 /// ## Sharding (format v3)
 ///
@@ -94,7 +94,6 @@
 #include "dataset/datasets.h"
 #include "dataset/wire.h"
 #include "features/featurizer.h"
-#include "features/scaler.h"
 
 namespace tpuperf::data {
 
@@ -107,8 +106,8 @@ inline constexpr std::uint32_t kStoreFormatVersion = 3;
 inline constexpr char kStoreMagic[8] = {'T', 'P', 'U', 'P',
                                         'E', 'R', 'F', 'D'};
 
-/// Record types of the store framing. Dataset stores hold types 1-5 and 8;
-/// model snapshot files (serve/snapshot.h) hold types 6-7 inside the same
+/// Record types of the store framing. Dataset stores hold types 1-4 and 8;
+/// model snapshot files (serve/snapshot.h) hold types 5-7 inside the same
 /// framing (and are rejected with a pointer to serve::LoadModelSnapshot
 /// when fed to DatasetReader::ReadAll); sharded-store manifests hold a
 /// single type-9 record.
@@ -187,7 +186,6 @@ struct StoreContents {
   FusionDataset fusion;
   std::shared_ptr<StoredFeatures> features =
       std::make_shared<StoredFeatures>();
-  std::map<std::string, feat::FeatureScaler> scalers;
 };
 
 /// One part of a sharded store, as its manifest lists it.
@@ -214,7 +212,6 @@ class DatasetWriter {
   void Add(const TileKernelData& kernel);
   void Add(const FusionSample& sample);
   void Add(const FeaturizedKernel& kernel);
-  void AddScaler(const std::string& name, const feat::FeatureScaler& scaler);
 
   // Appends one raw record (type + payload) with the standard framing
   // (size + checksum). This is how non-dataset consumers of the framing
@@ -263,6 +260,7 @@ class DatasetWriter {
 struct RecordView {
   std::uint32_t type = 0;
   std::span<const unsigned char> payload;
+  std::uint64_t checksum = 0;  // the framing checksum `payload` matched
   std::uint64_t offset = 0;  // byte offset of the record header in the file
   std::string context;       // "<path>: record <r>" for diagnostics
 };

@@ -1,9 +1,7 @@
 #include "features/scaler.h"
 
 #include <algorithm>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 
 namespace tpuperf::feat {
@@ -64,29 +62,6 @@ FeatureScaler FeatureScaler::FromStats(std::vector<double> min,
   scaler.max_ = std::move(max);
   scaler.observed_ = observed;
   return scaler;
-}
-
-void FeatureScaler::Save(std::ostream& os) const {
-  const std::uint64_t n = min_.size();
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(&observed_), sizeof(observed_));
-  os.write(reinterpret_cast<const char*>(min_.data()),
-           static_cast<std::streamsize>(n * sizeof(double)));
-  os.write(reinterpret_cast<const char*>(max_.data()),
-           static_cast<std::streamsize>(n * sizeof(double)));
-}
-
-void FeatureScaler::Load(std::istream& is) {
-  std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  is.read(reinterpret_cast<char*>(&observed_), sizeof(observed_));
-  min_.resize(n);
-  max_.resize(n);
-  is.read(reinterpret_cast<char*>(min_.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  is.read(reinterpret_cast<char*>(max_.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  if (!is) throw std::runtime_error("FeatureScaler::Load: truncated stream");
 }
 
 }  // namespace tpuperf::feat

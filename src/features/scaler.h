@@ -4,7 +4,6 @@
 // values cannot explode activations.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -30,7 +29,7 @@ class FeatureScaler {
   bool fitted() const noexcept { return observed_ > 0; }
   long observed() const noexcept { return observed_; }
 
-  // Raw fitted statistics, for serialization (the dataset store) and tests.
+  // Raw fitted statistics, for model snapshots (serve/snapshot.h) and tests.
   std::span<const double> mins() const noexcept { return min_; }
   std::span<const double> maxs() const noexcept { return max_; }
 
@@ -38,9 +37,6 @@ class FeatureScaler {
   // std::invalid_argument when min/max widths differ.
   static FeatureScaler FromStats(std::vector<double> min,
                                  std::vector<double> max, long observed);
-
-  void Save(std::ostream& os) const;
-  void Load(std::istream& is);
 
  private:
   std::vector<double> min_;

@@ -276,7 +276,7 @@ bool BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
           for (int p = 0; p < dim; ++p) acc += qi[p] * kj[p];
           srow[static_cast<size_t>(j)] = acc * scale;
         }
-        // Row softmax, exactly as SoftmaxRowsOp.
+        // Row softmax, exactly as MaskedSoftmaxRowsOp with no entry masked.
         float max_v = -std::numeric_limits<float>::infinity();
         for (int j = 0; j < len; ++j) {
           max_v = std::max(max_v, srow[static_cast<size_t>(j)]);

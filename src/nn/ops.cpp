@@ -133,26 +133,6 @@ Tensor MulOp(Tape& tape, Tensor a, Tensor b) {
   });
 }
 
-Tensor ScaleOp(Tape& tape, Tensor a, float s) {
-  const Matrix& av = a.value();
-  Matrix y = tape.NewMatrixUninit(av.rows(), av.cols());
-  for (size_t i = 0; i < av.size(); ++i) y.data()[i] = av.data()[i] * s;
-  TapeNode* an = a.node();
-  return tape.NewNode(std::move(y), {an}, [an, s](TapeNode& self) {
-    AccumulateScaled(an->grad, self.grad, s);
-  });
-}
-
-Tensor AddScalarOp(Tape& tape, Tensor a, float s) {
-  const Matrix& av = a.value();
-  Matrix y = tape.NewMatrixUninit(av.rows(), av.cols());
-  for (size_t i = 0; i < av.size(); ++i) y.data()[i] = av.data()[i] + s;
-  TapeNode* an = a.node();
-  return tape.NewNode(std::move(y), {an}, [an](TapeNode& self) {
-    AccumulateInto(an->grad, self.grad);
-  });
-}
-
 Tensor AddRowBroadcastOp(Tape& tape, Tensor x, Tensor bias) {
   const Matrix& xv = x.value();
   const Matrix& bv = bias.value();
@@ -203,18 +183,6 @@ Tensor SigmoidOp(Tape& tape, Tensor x) {
   return Unary(
       tape, x, [](float v) { return FastSigmoid(v); },
       [](float, float y) { return y * (1.0f - y); });
-}
-
-Tensor ExpOp(Tape& tape, Tensor x) {
-  return Unary(
-      tape, x, [](float v) { return std::exp(v); },
-      [](float, float y) { return y; });
-}
-
-Tensor LogOp(Tape& tape, Tensor x, float eps) {
-  return Unary(
-      tape, x, [eps](float v) { return std::log(v + eps); },
-      [eps](float v, float) { return 1.0f / (v + eps); });
 }
 
 namespace {
@@ -365,35 +333,22 @@ Tensor LayerNormRowsOp(Tape& tape, Tensor x, Tensor gamma, Tensor beta,
       Replay{OpKind::kLayerNorm, eps});
 }
 
-namespace {
-
-void SoftmaxBackward(const Matrix& yv, TapeNode* xn, TapeNode& self) {
-  // dx = y * (G - sum_j(G_j y_j)) row-wise.
-  for (int i = 0; i < self.grad.rows(); ++i) {
-    double dot = 0;
-    for (int j = 0; j < self.grad.cols(); ++j) {
-      dot += static_cast<double>(self.grad.at(i, j)) * yv.at(i, j);
-    }
-    for (int j = 0; j < self.grad.cols(); ++j) {
-      xn->grad.at(i, j) +=
-          yv.at(i, j) * (self.grad.at(i, j) - static_cast<float>(dot));
-    }
-  }
-}
-
-Tensor SoftmaxImpl(Tape& tape, Tensor x, const Matrix* mask) {
+Tensor MaskedSoftmaxRowsOp(Tape& tape, Tensor x, const Matrix& mask) {
   const Matrix& xv = x.value();
+  if (!mask.same_shape(xv)) {
+    throw std::invalid_argument("MaskedSoftmaxRowsOp: mask shape mismatch");
+  }
   const int n = xv.rows(), c = xv.cols();
   Matrix y = tape.NewMatrixUninit(n, c);
   for (int i = 0; i < n; ++i) {
     float max_v = -std::numeric_limits<float>::infinity();
     for (int j = 0; j < c; ++j) {
-      if (mask != nullptr && mask->at(i, j) == 0.0f) continue;
+      if (mask.at(i, j) == 0.0f) continue;
       max_v = std::max(max_v, xv.at(i, j));
     }
     double denom = 0;
     for (int j = 0; j < c; ++j) {
-      if (mask != nullptr && mask->at(i, j) == 0.0f) {
+      if (mask.at(i, j) == 0.0f) {
         y.at(i, j) = 0.0f;
         continue;
       }
@@ -408,19 +363,19 @@ Tensor SoftmaxImpl(Tape& tape, Tensor x, const Matrix* mask) {
   }
   TapeNode* xn = x.node();
   return tape.NewNode(std::move(y), {xn}, [xn](TapeNode& self) {
-    SoftmaxBackward(self.value, xn, self);
+    // dx = y * (G - sum_j(G_j y_j)) row-wise.
+    const Matrix& yv = self.value;
+    for (int i = 0; i < self.grad.rows(); ++i) {
+      double dot = 0;
+      for (int j = 0; j < self.grad.cols(); ++j) {
+        dot += static_cast<double>(self.grad.at(i, j)) * yv.at(i, j);
+      }
+      for (int j = 0; j < self.grad.cols(); ++j) {
+        xn->grad.at(i, j) +=
+            yv.at(i, j) * (self.grad.at(i, j) - static_cast<float>(dot));
+      }
+    }
   });
-}
-
-}  // namespace
-
-Tensor SoftmaxRowsOp(Tape& tape, Tensor x) { return SoftmaxImpl(tape, x, nullptr); }
-
-Tensor MaskedSoftmaxRowsOp(Tape& tape, Tensor x, const Matrix& mask) {
-  if (!mask.same_shape(x.value())) {
-    throw std::invalid_argument("MaskedSoftmaxRowsOp: mask shape mismatch");
-  }
-  return SoftmaxImpl(tape, x, &mask);
 }
 
 Tensor ConcatColsOp(Tape& tape, std::span<const Tensor> parts) {
@@ -528,25 +483,6 @@ Tensor SliceRowsOp(Tape& tape, Tensor x, int begin, int rows) {
     for (int i = 0; i < self.grad.rows(); ++i) {
       for (int j = 0; j < self.grad.cols(); ++j) {
         xn->grad.at(begin + i, j) += self.grad.at(i, j);
-      }
-    }
-  });
-}
-
-Tensor SliceColsOp(Tape& tape, Tensor x, int begin, int cols) {
-  const Matrix& xv = x.value();
-  if (begin < 0 || cols < 0 || begin + cols > xv.cols()) {
-    throw std::out_of_range("SliceColsOp: range out of bounds");
-  }
-  Matrix y = tape.NewMatrixUninit(xv.rows(), cols);
-  for (int i = 0; i < xv.rows(); ++i) {
-    for (int j = 0; j < cols; ++j) y.at(i, j) = xv.at(i, begin + j);
-  }
-  TapeNode* xn = x.node();
-  return tape.NewNode(std::move(y), {xn}, [xn, begin](TapeNode& self) {
-    for (int i = 0; i < self.grad.rows(); ++i) {
-      for (int j = 0; j < self.grad.cols(); ++j) {
-        xn->grad.at(i, begin + j) += self.grad.at(i, j);
       }
     }
   });
@@ -806,7 +742,7 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
                     dp[static_cast<size_t>(j)] = acc;
                   }
                   // Softmax backward (same double-precision row dot as
-                  // SoftmaxRowsOp's closure).
+                  // MaskedSoftmaxRowsOp's closure).
                   double dot = 0;
                   for (int j = 0; j < len; ++j) {
                     dot += static_cast<double>(dp[static_cast<size_t>(j)]) *
@@ -1024,7 +960,12 @@ Tensor MeanAllOp(Tape& tape, Tensor x) {
   const float inv =
       x.value().size() > 0 ? 1.0f / static_cast<float>(x.value().size()) : 0.0f;
   Tensor s = SumAllOp(tape, x);
-  return ScaleOp(tape, s, inv);
+  Matrix y(1, 1);
+  y.at(0, 0) = s.value().at(0, 0) * inv;
+  TapeNode* sn = s.node();
+  return tape.NewNode(std::move(y), {sn}, [sn, inv](TapeNode& self) {
+    sn->grad.at(0, 0) += self.grad.at(0, 0) * inv;
+  });
 }
 
 Tensor GatherRowsOp(Tape& tape, Tensor table, std::span<const int> ids) {
@@ -1074,14 +1015,6 @@ Tensor OuterSumOp(Tape& tape, Tensor a, Tensor b) {
         bn->grad.at(j, 0) += acc;
       }
     }
-  });
-}
-
-Tensor TransposeOp(Tape& tape, Tensor x) {
-  Matrix y = Transpose(x.value());
-  TapeNode* xn = x.node();
-  return tape.NewNode(std::move(y), {xn}, [xn](TapeNode& self) {
-    AccumulateInto(xn->grad, Transpose(self.grad));
   });
 }
 

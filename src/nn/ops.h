@@ -21,8 +21,6 @@ Tensor MatMulOp(Tape& tape, Tensor a, Tensor b);
 Tensor AddOp(Tape& tape, Tensor a, Tensor b);
 Tensor SubOp(Tape& tape, Tensor a, Tensor b);
 Tensor MulOp(Tape& tape, Tensor a, Tensor b);  // elementwise
-Tensor ScaleOp(Tape& tape, Tensor a, float s);
-Tensor AddScalarOp(Tape& tape, Tensor a, float s);
 // y[i, :] = x[i, :] + bias[0, :]; bias is [1, c].
 Tensor AddRowBroadcastOp(Tape& tape, Tensor x, Tensor bias);
 
@@ -30,9 +28,6 @@ Tensor ReluOp(Tape& tape, Tensor x);
 Tensor LeakyReluOp(Tape& tape, Tensor x, float alpha);
 Tensor TanhOp(Tape& tape, Tensor x);
 Tensor SigmoidOp(Tape& tape, Tensor x);
-Tensor ExpOp(Tape& tape, Tensor x);
-// log(x + eps), guarded for non-negative inputs.
-Tensor LogOp(Tape& tape, Tensor x, float eps = 1e-12f);
 
 // Inverted dropout; identity when rate <= 0.
 Tensor DropoutOp(Tape& tape, Tensor x, float rate, std::mt19937_64& rng);
@@ -43,9 +38,9 @@ Tensor RowL2NormalizeOp(Tape& tape, Tensor x, float eps = 1e-6f);
 Tensor LayerNormRowsOp(Tape& tape, Tensor x, Tensor gamma, Tensor beta,
                        float eps = 1e-5f);
 
-// Row-wise softmax. With `mask` (same shape, entries 0/1), masked-out
-// entries get probability 0; fully-masked rows become all-zero.
-Tensor SoftmaxRowsOp(Tape& tape, Tensor x);
+// Row-wise softmax over the entries `mask` (same shape, entries 0/1)
+// keeps; masked-out entries get probability 0, and fully-masked rows
+// become all-zero.
 Tensor MaskedSoftmaxRowsOp(Tape& tape, Tensor x, const Matrix& mask);
 
 Tensor ConcatColsOp(Tape& tape, std::span<const Tensor> parts);
@@ -54,8 +49,6 @@ Tensor ConcatRowsOp(Tape& tape, std::span<const Tensor> parts);
 Tensor SliceRowOp(Tape& tape, Tensor x, int row);
 // y = x[begin:begin+rows, :] as a [rows, c] tensor.
 Tensor SliceRowsOp(Tape& tape, Tensor x, int begin, int rows);
-// y = x[:, begin:begin+cols] as a [r, cols] tensor.
-Tensor SliceColsOp(Tape& tape, Tensor x, int begin, int cols);
 
 // The whole-sequence LSTM over every segment of a packed batch, as ONE
 // tape node (see LstmSequenceForward for the recurrence): xw [N, 4h] is the
@@ -131,7 +124,5 @@ Tensor GatherRowsOp(Tape& tape, Tensor table, std::span<const int> ids);
 
 // y[i, j] = a[i, 0] + b[j, 0] for column vectors a, b (GAT attention logits).
 Tensor OuterSumOp(Tape& tape, Tensor a, Tensor b);
-
-Tensor TransposeOp(Tape& tape, Tensor x);
 
 }  // namespace tpuperf::nn

@@ -1,12 +1,11 @@
 // Trainable parameters and their registry.
 //
 // Parameters live in a ParamStore that outlives any forward tape; layers
-// hold non-owning pointers. The store also owns the Adam moment buffers and
-// handles (de)serialization of trained models.
+// hold non-owning pointers. The store also owns the Adam moment buffers.
+// Model snapshots (serve/snapshot.h) encode and restore parameter values.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <random>
 #include <string>
@@ -43,14 +42,11 @@ class ParamStore {
                     std::mt19937_64& rng);
 
   std::vector<Parameter*> params();
+  std::vector<const Parameter*> params() const;
   std::size_t parameter_count() const;   // number of tensors
   std::size_t scalar_count() const;      // total trainable scalars
 
   void ZeroGrad();
-
-  // Binary round-trip of parameter values (names + shapes checked on load).
-  void Save(std::ostream& os) const;
-  void Load(std::istream& is);
 
  private:
   std::vector<std::unique_ptr<Parameter>> params_;

@@ -1,11 +1,15 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/fault_injection.h"
 #include "dataset/store.h"
@@ -103,16 +107,114 @@ ModelConfig DecodeConfigPayload(Dec& d) {
   return c;
 }
 
+// The three scalers of a model, by the name their records carry.
+constexpr const char* kScalerNames[] = {"node", "tile", "perf"};
+constexpr int kScalerWidths[] = {feat::kNodeScalarFeatures,
+                                 feat::kTileFeatures,
+                                 feat::kStaticPerfFeatures};
+
+std::string EncodeScalerPayload(const std::string& name,
+                                const feat::FeatureScaler& scaler) {
+  Enc e;
+  e.Str(name);
+  e.U32(static_cast<std::uint32_t>(scaler.num_features()));
+  e.I64(scaler.observed());
+  for (const double v : scaler.mins()) e.F64(v);
+  for (const double v : scaler.maxs()) e.F64(v);
+  return e.bytes();
+}
+
+// Decodes one scaler record into its slot of `scalers` (indexed like
+// kScalerNames), rejecting an unknown name, a repeated one and a width
+// other than the featurizer's before allocating.
+void DecodeScalerPayload(
+    Dec& d, std::array<std::optional<feat::FeatureScaler>, 3>& scalers) {
+  const std::string name = d.Str();
+  const auto it = std::find(std::begin(kScalerNames), std::end(kScalerNames),
+                            std::string_view(name));
+  if (it == std::end(kScalerNames)) d.Fail("unknown scaler \"" + name + "\"");
+  const auto slot = static_cast<std::size_t>(it - std::begin(kScalerNames));
+  if (scalers[slot].has_value()) d.Fail("duplicate scaler \"" + name + "\"");
+  const std::uint32_t width = d.U32();
+  if (width != static_cast<std::uint32_t>(kScalerWidths[slot])) {
+    d.Fail("scaler \"" + name + "\" width " + std::to_string(width) +
+           " does not match the featurizer's " +
+           std::to_string(kScalerWidths[slot]));
+  }
+  const long observed = static_cast<long>(d.I64());
+  d.RequireCount(2 * std::uint64_t{width}, sizeof(double), "scaler statistic");
+  std::vector<double> mins(width);
+  for (auto& v : mins) v = d.F64();
+  std::vector<double> maxs(width);
+  for (auto& v : maxs) v = d.F64();
+  scalers[slot] = feat::FeatureScaler::FromStats(std::move(mins),
+                                                 std::move(maxs), observed);
+}
+
+std::string EncodeParamsPayload(const nn::ParamStore& store) {
+  const std::vector<const nn::Parameter*> params = store.params();
+  Enc e;
+  e.U32(static_cast<std::uint32_t>(params.size()));
+  for (const nn::Parameter* p : params) {
+    e.Str(p->name);
+    e.I32(p->value.rows());
+    e.I32(p->value.cols());
+    for (const float v : p->value.flat()) e.F32(v);
+  }
+  return e.bytes();
+}
+
+// Decodes the parameter values, checking the count and each name and shape
+// against `store` (the freshly built model's) before allocating them.
+std::vector<nn::Matrix> DecodeParamsPayload(Dec& d,
+                                            const nn::ParamStore& store) {
+  const std::vector<const nn::Parameter*> params = store.params();
+  const std::uint32_t count = d.U32();
+  if (count != params.size()) {
+    d.Fail("parameter count " + std::to_string(count) + " does not match "
+           "the model's " + std::to_string(params.size()));
+  }
+  std::vector<nn::Matrix> values;
+  values.reserve(params.size());
+  for (const nn::Parameter* p : params) {
+    const std::string name = d.Str();
+    if (name != p->name) {
+      d.Fail("parameter \"" + name + "\" where the model has \"" + p->name +
+             "\"");
+    }
+    const std::int32_t rows = d.I32();
+    const std::int32_t cols = d.I32();
+    if (rows != p->value.rows() || cols != p->value.cols()) {
+      d.Fail("parameter \"" + name + "\" is " + std::to_string(rows) + "x" +
+             std::to_string(cols) + " where the model's is " +
+             p->value.ShapeString());
+    }
+    d.RequireCount(p->value.size(), sizeof(float), "parameter value");
+    nn::Matrix& value = values.emplace_back(rows, cols);
+    for (float& v : value.flat()) v = d.F32();
+  }
+  return values;
+}
+
 }  // namespace
 
 void SaveModelSnapshot(const std::string& path,
                        const core::LearnedCostModel& model) {
-  std::ostringstream params;
-  model.Save(params);
+  if (!model.fitted()) {
+    throw std::invalid_argument(
+        "SaveModelSnapshot: the model's scalers are not fitted");
+  }
+  const feat::FeatureScaler* scalers[] = {
+      &model.node_scaler(), &model.tile_scaler(), &model.perf_scaler()};
   data::DatasetWriter writer(path);
   writer.AddRaw(data::kModelConfigRecordType,
                 EncodeConfigPayload(model.config()));
-  writer.AddRaw(data::kModelParamsRecordType, params.str());
+  for (std::size_t i = 0; i < std::size(kScalerNames); ++i) {
+    writer.AddRaw(data::kScalerRecordType,
+                  EncodeScalerPayload(kScalerNames[i], *scalers[i]));
+  }
+  writer.AddRaw(data::kModelParamsRecordType,
+                EncodeParamsPayload(model.param_store()));
   writer.Finish();
 }
 
@@ -126,41 +228,49 @@ std::unique_ptr<core::LearnedCostModel> LoadModelSnapshot(
                      "snapshot.load_fail)");
   }
   data::DatasetReader reader(path);
-  std::optional<ModelConfig> config;
   std::unique_ptr<core::LearnedCostModel> model;
+  std::array<std::optional<feat::FeatureScaler>, 3> scalers;
+  std::optional<std::vector<nn::Matrix>> values;
   reader.ForEachRecord([&](const data::RecordView& record) {
     Dec d(record.payload.data(), record.payload.size(), record.context);
-    switch (record.type) {
-      case data::kModelConfigRecordType:
-        config = DecodeConfigPayload(d);
-        if (!d.AtEnd()) d.Fail("trailing bytes inside config record");
-        break;
-      case data::kModelParamsRecordType: {
-        if (!config.has_value()) {
-          throw StoreError(record.context +
-                           ": parameter record precedes the config record "
-                           "(malformed snapshot)");
-        }
-        model = std::make_unique<core::LearnedCostModel>(*config);
-        std::istringstream is(std::string(
-            reinterpret_cast<const char*>(record.payload.data()),
-            record.payload.size()));
-        try {
-          model->Load(is);
-        } catch (const std::exception& e) {
-          throw StoreError(record.context + ": " + e.what());
-        }
-        break;
-      }
-      default:
-        throw StoreError(record.context + ": record type " +
-                         std::to_string(record.type) +
-                         " does not belong in a model snapshot");
+    if (model == nullptr && record.type != data::kModelConfigRecordType) {
+      d.Fail("the config record must come first");
     }
+    try {
+      switch (record.type) {
+        case data::kModelConfigRecordType:
+          if (model != nullptr) d.Fail("duplicate config record");
+          model = std::make_unique<core::LearnedCostModel>(
+              DecodeConfigPayload(d));
+          break;
+        case data::kScalerRecordType:
+          DecodeScalerPayload(d, scalers);
+          break;
+        case data::kModelParamsRecordType:
+          if (values.has_value()) d.Fail("duplicate parameter record");
+          values = DecodeParamsPayload(d, model->param_store());
+          break;
+        default:
+          d.Fail("record type " + std::to_string(record.type) +
+                 " does not belong in a model snapshot");
+      }
+    } catch (const StoreError&) {
+      throw;
+    } catch (const std::exception& e) {
+      d.Fail(e.what());
+    }
+    if (!d.AtEnd()) d.Fail("trailing bytes inside record payload");
   });
-  if (model == nullptr) {
-    throw StoreError(path + ": no model parameter record (not a snapshot?)");
+  if (model == nullptr) throw StoreError(path + ": no config record");
+  for (std::size_t i = 0; i < scalers.size(); ++i) {
+    if (!scalers[i].has_value()) {
+      throw StoreError(path + ": no \"" + kScalerNames[i] +
+                       "\" scaler record");
+    }
   }
+  if (!values.has_value()) throw StoreError(path + ": no parameter record");
+  model->Restore(*std::move(scalers[0]), *std::move(scalers[1]),
+                 *std::move(scalers[2]), *std::move(values));
   return model;
 }
 

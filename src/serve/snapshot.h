@@ -1,20 +1,27 @@
 /// \file
 /// Model snapshots: one self-contained artifact a prediction service can be
-/// constructed from. A snapshot bundles everything inference needs — the
-/// trained parameters, the fitted FeatureScaler statistics, and the
-/// ModelConfig that shaped the network — inside the dataset store's record
-/// framing (dataset/store.h), reusing its magic/version/checksum corruption
-/// guarantees and atomic-rename writer:
+/// constructed from, and the one file format of a trained model. A snapshot
+/// bundles everything inference needs — the ModelConfig that shaped the
+/// network, the fitted FeatureScaler statistics and the trained parameters
+/// — inside the dataset store's record framing (dataset/store.h), reusing
+/// its magic/version/checksum corruption guarantees and atomic-rename
+/// writer. Every payload is encoded with dataset/wire.h's Enc/Dec:
 ///
-///     record 1: kModelConfigRecordType — every ModelConfig field, encoded
-///               explicitly (enums validated on load)
-///     record 2: kModelParamsRecordType — LearnedCostModel::Save() bytes
-///               (scaler stats + named/shape-checked parameter store)
+///     kModelConfigRecordType (6)  — every ModelConfig field, encoded
+///                                   explicitly (enums validated on load);
+///                                   always the first record
+///     kScalerRecordType (5) x3    — "node", "tile" and "perf": Str name,
+///                                   U32 width, I64 observed count, then
+///                                   the mins and maxs as F64
+///     kModelParamsRecordType (7)  — U32 count, then per parameter its Str
+///                                   name, I32 rows, I32 cols and values
+///                                   as F32 (bit-exact)
 ///
-/// LoadModelSnapshot reverses the process: decode the config, construct the
-/// model from it, then stream the parameter record through
-/// LearnedCostModel::Load (which re-checks parameter names and shapes, so a
-/// config/params mismatch fails loudly instead of mispredicting).
+/// LoadModelSnapshot decodes the config, builds the model from it, and
+/// checks every other record against that model before allocating or
+/// writing anything: each scaler once and at the featurizer's width, the
+/// parameter count, names and shapes, no trailing bytes. It then hands the
+/// decoded state to LearnedCostModel::Restore.
 #pragma once
 
 #include <chrono>
@@ -26,13 +33,15 @@
 namespace tpuperf::serve {
 
 /// Writes `model` (config + scalers + parameters) to `path` atomically.
-/// Throws data::StoreError on I/O failure.
+/// Throws std::invalid_argument for an unfitted model (as the
+/// PredictionService constructor does) and data::StoreError on I/O
+/// failure.
 void SaveModelSnapshot(const std::string& path,
                        const core::LearnedCostModel& model);
 
 /// Reads a snapshot written by SaveModelSnapshot and reconstructs the model.
-/// Throws data::StoreError on any corruption, truncation, missing record, or
-/// config/parameter mismatch.
+/// Throws data::StoreError, naming the record, on any corruption,
+/// truncation, missing or repeated record, or config/parameter mismatch.
 std::unique_ptr<core::LearnedCostModel> LoadModelSnapshot(
     const std::string& path);
 

@@ -1,10 +1,11 @@
 // Tests for the learned cost model: construction across the full
 // architecture grid (parameterized), forward determinism, feature-placement
-// options, save/load fidelity, the plan cache's drop on every write, and
-// short-training behaviour.
+// options, the plan cache's drop on every write, and short-training
+// behaviour. Save/load fidelity is serve_test's (model snapshots).
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/trainer.h"
@@ -115,30 +116,6 @@ TEST(CostModel, LogTargetExponentiatesSeconds) {
   EXPECT_GT(model.PredictSeconds(pk), 0.0);
 }
 
-TEST(CostModel, SaveLoadReproducesPredictions) {
-  ModelConfig config = SmallConfig();
-  LearnedCostModel a(config);
-  const auto kernel = SmallKernel();
-  FitOn(a, kernel);
-  const PreparedKernel pk = a.Prepare(kernel);
-  const ir::TileConfig tile{{8, 64}};
-  const double expected = a.PredictScore(pk, &tile);
-
-  std::stringstream stream;
-  a.Save(stream);
-  config.seed = 777;  // different init; load must overwrite
-  LearnedCostModel b(config);
-  b.Load(stream);
-  const PreparedKernel pk_b = b.Prepare(kernel);
-  EXPECT_DOUBLE_EQ(b.PredictScore(pk_b, &tile), expected);
-}
-
-TEST(CostModel, LoadRejectsBadMagic) {
-  LearnedCostModel model(SmallConfig());
-  std::stringstream stream("not a model file at all....");
-  EXPECT_THROW(model.Load(stream), std::runtime_error);
-}
-
 TEST(CostModel, SetOutputBiasShiftsPrediction) {
   ModelConfig config = SmallConfig();
   config.use_tile_features = false;
@@ -215,10 +192,13 @@ TEST(CostModel, EveryWriteDropsFoldedPlans) {
   other_config.seed = 99;
   LearnedCostModel other(other_config);
   FitOn(other, kernel);
-  std::stringstream bytes;
-  other.Save(bytes);
-  model.Load(bytes);
-  expect_refolded("Load");
+  std::vector<nn::Matrix> values;
+  for (const nn::Parameter* p : other.param_store().params()) {
+    values.push_back(p->value);
+  }
+  model.Restore(other.node_scaler(), other.tile_scaler(), other.perf_scaler(),
+                std::move(values));
+  expect_refolded("Restore");
 
   cache_plan();
   for (nn::Parameter* p : model.params().params()) {

@@ -1,8 +1,6 @@
 // Tests for featurization (paper §3.1) and min-max scaling (footnote 1).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include <cmath>
 
 #include "features/featurizer.h"
@@ -49,22 +47,6 @@ TEST(Scaler, RowTransformsAndWidthChecks) {
   std::vector<double> bad = {1.0};
   EXPECT_THROW(scaler.TransformRow(bad), std::invalid_argument);
   EXPECT_THROW(scaler.Observe(bad), std::invalid_argument);
-}
-
-TEST(Scaler, SaveLoadRoundTrip) {
-  FeatureScaler scaler(3);
-  scaler.Observe(std::vector<double>{1, 2, 3});
-  scaler.Observe(std::vector<double>{4, 8, 12});
-  std::stringstream stream;
-  scaler.Save(stream);
-  FeatureScaler loaded(3);
-  loaded.Load(stream);
-  EXPECT_EQ(loaded.observed(), 2);
-  for (int f = 0; f < 3; ++f) {
-    for (const double v : {0.5, 2.0, 5.0, 20.0}) {
-      EXPECT_DOUBLE_EQ(loaded.Transform(f, v), scaler.Transform(f, v));
-    }
-  }
 }
 
 ir::Graph ConvKernel() {

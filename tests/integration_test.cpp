@@ -19,6 +19,7 @@
 #include "core/evaluation.h"
 #include "dataset/families.h"
 #include "features/featurizer.h"
+#include "serve/snapshot.h"
 #include "sim/hash.h"
 
 namespace tpuperf {
@@ -121,10 +122,15 @@ TEST_F(IntegrationTest, ModelSurvivesSerializationMidPipeline) {
   core::PreparedCache cache(model);
   core::TrainTileTask(model, *tile_, kTrain, cache);
 
-  std::stringstream stream;
-  model.Save(stream);
-  core::LearnedCostModel loaded(config);
-  loaded.Load(stream);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       "tpuperf_integration_test_midpipeline.tpms")
+          .string();
+  serve::SaveModelSnapshot(path, model);
+  const std::unique_ptr<core::LearnedCostModel> restored =
+      serve::LoadModelSnapshot(path);
+  std::filesystem::remove(path);
+  core::LearnedCostModel& loaded = *restored;
   core::PreparedCache loaded_cache(loaded);
 
   const auto& kdata = tile_->kernels.front();

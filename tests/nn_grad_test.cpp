@@ -102,7 +102,7 @@ TEST(GradCheck, BlockDiagMatMulConstA) {
                  });
 }
 
-TEST(GradCheck, AddSubMulScale) {
+TEST(GradCheck, AddSubMul) {
   std::mt19937_64 rng(3);
   CheckGradients(
       {RandomMatrix(3, 3, rng), RandomMatrix(3, 3, rng)},
@@ -110,7 +110,7 @@ TEST(GradCheck, AddSubMulScale) {
         Tensor a = AddOp(t, in[0], in[1]);
         Tensor s = SubOp(t, a, in[1]);
         Tensor m = MulOp(t, s, in[0]);
-        return SumAllOp(t, ScaleOp(t, m, 0.5f));
+        return SumAllOp(t, m);
       });
 }
 
@@ -124,30 +124,20 @@ TEST(GradCheck, AddRowBroadcast) {
 
 TEST(GradCheck, Activations) {
   std::mt19937_64 rng(5);
-  for (int which = 0; which < 5; ++which) {
+  for (int which = 0; which < 4; ++which) {
     CheckGradients(
         {RandomMatrix(3, 4, rng, 0.8f)},
         [which](Tape& t, std::vector<Tensor>& in) {
           Tensor y;
           switch (which) {
-            case 0: y = ReluOp(t, AddScalarOp(t, in[0], 0.05f)); break;
+            case 0: y = ReluOp(t, in[0]); break;
             case 1: y = TanhOp(t, in[0]); break;
             case 2: y = SigmoidOp(t, in[0]); break;
-            case 3: y = ExpOp(t, in[0]); break;
-            default: y = LeakyReluOp(t, AddScalarOp(t, in[0], 0.05f), 0.2f);
+            default: y = LeakyReluOp(t, in[0], 0.2f);
           }
           return SumAllOp(t, MulOp(t, y, y));
         });
   }
-}
-
-TEST(GradCheck, LogGuarded) {
-  std::mt19937_64 rng(6);
-  Matrix x = RandomMatrix(3, 3, rng);
-  for (float& v : x.flat()) v = std::abs(v) + 0.5f;
-  CheckGradients({x}, [](Tape& t, std::vector<Tensor>& in) {
-    return SumAllOp(t, LogOp(t, in[0]));
-  });
 }
 
 TEST(GradCheck, RowL2Normalize) {
@@ -168,15 +158,6 @@ TEST(GradCheck, LayerNormRows) {
         return SumAllOp(t, MulOp(t, y, y));
       },
       /*tolerance=*/3e-2f);
-}
-
-TEST(GradCheck, SoftmaxRows) {
-  std::mt19937_64 rng(9);
-  CheckGradients({RandomMatrix(3, 4, rng)},
-                 [](Tape& t, std::vector<Tensor>& in) {
-                   Tensor y = SoftmaxRowsOp(t, in[0]);
-                   return SumAllOp(t, MulOp(t, y, y));
-                 });
 }
 
 TEST(GradCheck, MaskedSoftmaxRows) {
@@ -254,15 +235,6 @@ TEST(GradCheck, OuterSum) {
   CheckGradients({RandomMatrix(3, 1, rng), RandomMatrix(4, 1, rng)},
                  [](Tape& t, std::vector<Tensor>& in) {
                    Tensor y = OuterSumOp(t, in[0], in[1]);
-                   return SumAllOp(t, MulOp(t, y, y));
-                 });
-}
-
-TEST(GradCheck, Transpose) {
-  std::mt19937_64 rng(16);
-  CheckGradients({RandomMatrix(3, 4, rng)},
-                 [](Tape& t, std::vector<Tensor>& in) {
-                   Tensor y = TransposeOp(t, in[0]);
                    return SumAllOp(t, MulOp(t, y, y));
                  });
 }

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -469,51 +468,6 @@ TEST(Dropout, KeptFractionWithinFourSigmaOfBinomial) {
       previous = mask;
     }
   }
-}
-
-TEST(ParamStore, SaveLoadRoundTrip) {
-  std::mt19937_64 rng(11);
-  ParamStore a;
-  a.Create("w1", 3, 4, Init::kXavierUniform, rng);
-  a.Create("w2", 2, 2, Init::kSmallNormal, rng);
-
-  std::mt19937_64 rng2(99);  // different init values
-  ParamStore b;
-  Parameter* b1 = b.Create("w1", 3, 4, Init::kXavierUniform, rng2);
-  Parameter* b2 = b.Create("w2", 2, 2, Init::kSmallNormal, rng2);
-
-  std::stringstream stream;
-  a.Save(stream);
-  b.Load(stream);
-  EXPECT_LT(MaxAbsDiff(b1->value, a.params()[0]->value), 0.0f + 1e-9f);
-  EXPECT_LT(MaxAbsDiff(b2->value, a.params()[1]->value), 0.0f + 1e-9f);
-}
-
-TEST(ParamStore, LoadRejectsMismatch) {
-  std::mt19937_64 rng(1);
-  ParamStore a;
-  a.Create("w", 2, 2, Init::kZero, rng);
-  ParamStore b;
-  b.Create("different", 2, 2, Init::kZero, rng);
-  std::stringstream stream;
-  a.Save(stream);
-  EXPECT_THROW(b.Load(stream), std::runtime_error);
-  ParamStore c;  // wrong count
-  std::stringstream stream2;
-  a.Save(stream2);
-  EXPECT_THROW(c.Load(stream2), std::runtime_error);
-}
-
-TEST(ParamStore, HugeNameLengthThrowsBeforeAllocating) {
-  std::mt19937_64 rng(1);
-  ParamStore store;
-  store.Create("w", 2, 2, Init::kZero, rng);
-  std::stringstream stream;
-  const std::uint64_t count = 1;
-  const std::uint64_t name_len = std::uint64_t{1} << 40;
-  stream.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  stream.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-  EXPECT_THROW(store.Load(stream), std::runtime_error);
 }
 
 TEST(GraphStructure, NormalizedAdjacency) {

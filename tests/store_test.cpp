@@ -211,7 +211,6 @@ TEST_F(StoreTest, EmptyStoreRoundTrips) {
   EXPECT_TRUE(contents.tile.kernels.empty());
   EXPECT_TRUE(contents.fusion.samples.empty());
   EXPECT_TRUE(contents.features->empty());
-  EXPECT_TRUE(contents.scalers.empty());
 }
 
 // One record and 32 records; both ends of the batch-size spectrum must be
@@ -306,40 +305,6 @@ TEST_F(StoreTest, FullDatasetsRoundTripBitExact) {
             contents.tile.KernelsOfPrograms(ids));
   EXPECT_EQ(fusion_->SamplesOfPrograms(ids),
             contents.fusion.SamplesOfPrograms(ids));
-}
-
-TEST_F(StoreTest, ScalerStatsRoundTripBitExact) {
-  feat::FeatureScaler scaler(feat::kNodeScalarFeatures);
-  for (const auto& s : fusion_->samples) {
-    const feat::KernelFeatures kf =
-        feat::FeaturizeKernel(s.record.kernel.graph);
-    for (const auto& row : kf.node_scalars) scaler.Observe(row);
-  }
-  ASSERT_TRUE(scaler.fitted());
-
-  const std::string path = Path("scalers.tpds");
-  {
-    DatasetWriter writer(path);
-    writer.AddScaler("fusion/node", scaler);
-    writer.AddScaler("empty", feat::FeatureScaler(feat::kTileFeatures));
-    writer.Finish();
-  }
-  const StoreContents contents = DatasetReader(path).ReadAll();
-  ASSERT_EQ(contents.scalers.size(), 2u);
-  const feat::FeatureScaler& loaded = contents.scalers.at("fusion/node");
-  EXPECT_EQ(loaded.observed(), scaler.observed());
-  ASSERT_EQ(loaded.num_features(), scaler.num_features());
-  for (int i = 0; i < scaler.num_features(); ++i) {
-    EXPECT_EQ(loaded.mins()[static_cast<std::size_t>(i)],
-              scaler.mins()[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(loaded.maxs()[static_cast<std::size_t>(i)],
-              scaler.maxs()[static_cast<std::size_t>(i)]);
-    // Transforms agree exactly, including the clamp edges.
-    EXPECT_EQ(loaded.Transform(i, 0.37), scaler.Transform(i, 0.37));
-  }
-  const feat::FeatureScaler& empty = contents.scalers.at("empty");
-  EXPECT_FALSE(empty.fitted());
-  EXPECT_EQ(empty.num_features(), feat::kTileFeatures);
 }
 
 // ---- Adversarial corruption -------------------------------------------------
@@ -459,6 +424,19 @@ TEST_F(StoreCorruptionTest, UnknownRecordTypeFailsLoudly) {
   f.write(type99, 4);
   f.close();
   ExpectRejected(path, "unknown record type");
+}
+
+// Scaler records belong to model snapshots (serve/snapshot.h); a dataset
+// read points at the snapshot loader, as it does for the other snapshot
+// record types.
+TEST_F(StoreCorruptionTest, SnapshotScalerRecordIsRejected) {
+  const std::string path = Path("scaler_record.tpds");
+  {
+    DatasetWriter writer(path);
+    writer.AddRaw(kScalerRecordType, "scaler");
+    writer.Finish();
+  }
+  ExpectRejected(path, "LoadModelSnapshot");
 }
 
 TEST_F(StoreCorruptionTest, TrailingGarbageFailsLoudly) {
