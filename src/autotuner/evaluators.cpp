@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/thread_pool.h"
 #include "sim/hash.h"
 
 namespace tpuperf::tune {
@@ -73,44 +72,24 @@ std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(
   }
 
   const bool use_tiles = model_.config().use_tile_features;
-  // The candidate pool splits into fixed kMaxBatch sub-batches; sub-batches
-  // featurize (through the thread-safe PreparedCache) and run their packed
-  // forward passes concurrently on the pool. Chunk boundaries are a pure
-  // function of the pending list, and each chunk writes only its own
-  // results, so the scores match the 1-thread run exactly.
-  const size_t num_chunks = (pending.size() + kMaxBatch - 1) / kMaxBatch;
-  const auto score_chunks = [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t c = c0; c < c1; ++c) {
-      const size_t begin = static_cast<size_t>(c) * kMaxBatch;
-      const size_t end = std::min(pending.size(), begin + kMaxBatch);
-      std::vector<core::BatchItem> batch_items;
-      batch_items.reserve(end - begin);
-      for (size_t p = begin; p < end; ++p) {
-        const KernelTileRef& item = items[pending[p]];
-        const ir::Graph::Hashes hashes = item.kernel->FingerprintAndSignature();
-        const core::PreparedKernel& pk =
-            cache_.Get(*item.kernel, hashes.fingerprint, hashes.signature);
-        batch_items.push_back({&pk, use_tiles ? item.tile : nullptr});
-      }
-      const core::PreparedBatch batch = model_.PrepareBatch(batch_items);
-      const std::vector<double> seconds = model_.PredictBatchSeconds(batch);
-      for (size_t p = begin; p < end; ++p) {
-        out[pending[p]] = seconds[p - begin];
-      }
-    }
-  };
-  if (num_chunks > 1 && core::ThreadPool::Global().size() > 1) {
-    core::ParallelFor(0, static_cast<std::int64_t>(num_chunks), 1,
-                      score_chunks);
-  } else {
-    score_chunks(0, static_cast<std::int64_t>(num_chunks));
-  }
-  // Memoization and cost accounting stay on the calling thread.
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * kMaxBatch;
+  // The candidate pool splits into fixed kMaxBatch sub-batches, each
+  // scored by one packed forward pass, memoized and charged.
+  for (size_t begin = 0; begin < pending.size(); begin += kMaxBatch) {
     const size_t end = std::min(pending.size(), begin + kMaxBatch);
+    std::vector<core::BatchItem> batch_items;
+    batch_items.reserve(end - begin);
     for (size_t p = begin; p < end; ++p) {
-      memo_.emplace(keys[pending[p]], *out[pending[p]]);
+      const KernelTileRef& item = items[pending[p]];
+      const ir::Graph::Hashes hashes = item.kernel->FingerprintAndSignature();
+      const core::PreparedKernel& pk =
+          cache_.Get(*item.kernel, hashes.fingerprint, hashes.signature);
+      batch_items.push_back({&pk, use_tiles ? item.tile : nullptr});
+    }
+    const core::PreparedBatch batch = model_.PrepareBatch(batch_items);
+    const std::vector<double> seconds = model_.PredictBatchSeconds(batch);
+    for (size_t p = begin; p < end; ++p) {
+      out[pending[p]] = seconds[p - begin];
+      memo_.emplace(keys[pending[p]], seconds[p - begin]);
     }
     // Packed inference amortizes per-graph overhead, but only across the
     // queries actually packed together: charge one full sequential cost for

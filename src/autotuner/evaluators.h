@@ -93,11 +93,9 @@ class LearnedEvaluator : public CostEvaluator {
                                        const ir::TileConfig& tile) override;
   // Packs all un-memoized queries into PreparedBatch chunks and runs them
   // through LearnedCostModel::PredictBatch — one large forward pass instead
-  // of one per candidate. Sub-batches of kMaxBatch are scored concurrently
-  // on the global core::ThreadPool (this is how the tuners' candidate pools
-  // spread over the host's cores); results are exactly the 1-thread ones.
-  // Batched inference is charged a discounted per-query cost (large GEMMs
-  // amortize per-graph overhead).
+  // of one per candidate, in sub-batches of kMaxBatch. Batched inference
+  // is charged a discounted per-query cost (large GEMMs amortize per-graph
+  // overhead).
   std::vector<std::optional<double>> EstimateBatch(
       std::span<const KernelTileRef> items) override;
   double SpentSeconds() const override { return spent_; }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/fault_injection.h"
-#include "core/thread_pool.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
 
@@ -200,36 +199,25 @@ PreparedBatch LearnedCostModel::PrepareBatch(
   if (config_.use_tile_features) {
     pb.tile_features = nn::Matrix(batch, feat::kTileFeatures);
   }
-  // Each item owns rows [offsets[b], offsets[b+1]) of the packed matrices
-  // (plus its own per-kernel row), so assembly — feature copies and tile
-  // scaling — shards across the pool without changing any output byte.
+  // Each item owns rows [offsets[b], offsets[b+1]) of the packed matrices,
+  // plus its own per-kernel row.
   const std::span<const int> offsets = pb.offsets();
-  const auto assemble = [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const BatchItem& item = items[static_cast<size_t>(b)];
-      const PreparedKernel& pk = *item.kernel;
-      int row = offsets[static_cast<size_t>(b)];
-      std::copy(pk.opcode_ids.begin(), pk.opcode_ids.end(),
-                pb.opcode_ids.begin() + row);
-      for (int i = 0; i < pk.num_nodes; ++i, ++row) {
-        std::copy(pk.node_features.row(i).begin(),
-                  pk.node_features.row(i).end(),
-                  pb.node_features.row(row).begin());
-      }
-      const int bi = static_cast<int>(b);
-      std::copy(pk.static_perf.begin(), pk.static_perf.end(),
-                pb.static_perf.row(bi).begin());
-      if (config_.use_tile_features) {
-        const std::vector<float> scaled = ScaledTileFeatures(*item.tile);
-        std::copy(scaled.begin(), scaled.end(),
-                  pb.tile_features.row(bi).begin());
-      }
+  for (int b = 0; b < batch; ++b) {
+    const BatchItem& item = items[static_cast<size_t>(b)];
+    const PreparedKernel& pk = *item.kernel;
+    int row = offsets[static_cast<size_t>(b)];
+    std::copy(pk.opcode_ids.begin(), pk.opcode_ids.end(),
+              pb.opcode_ids.begin() + row);
+    for (int i = 0; i < pk.num_nodes; ++i, ++row) {
+      std::copy(pk.node_features.row(i).begin(), pk.node_features.row(i).end(),
+                pb.node_features.row(row).begin());
     }
-  };
-  if (batch >= 8 && ThreadPool::Global().size() > 1) {
-    ParallelFor(0, batch, 4, assemble);
-  } else {
-    assemble(0, batch);
+    std::copy(pk.static_perf.begin(), pk.static_perf.end(),
+              pb.static_perf.row(b).begin());
+    if (config_.use_tile_features) {
+      const std::vector<float> scaled = ScaledTileFeatures(*item.tile);
+      std::copy(scaled.begin(), scaled.end(), pb.tile_features.row(b).begin());
+    }
   }
   return pb;
 }
@@ -399,8 +387,7 @@ nn::Tensor LearnedCostModel::ForwardBatchImpl(
       // The whole encoder stack runs packed: dense transforms (q/k/v, layer
       // norms, FFN) as single GEMMs over every node of the batch, attention
       // (O(n^2) per kernel, never mixing kernels) block-diagonally per
-      // segment through one fused op whose forward and backward shard
-      // segments across the pool.
+      // segment through one fused op.
       nn::Tensor enc = reduction_transformer_.Forward(tape, h, offsets);
       kernel_embedding = nn::SegmentMeanOp(tape, enc, offsets);
       break;

@@ -1,8 +1,5 @@
 #include "core/env.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 namespace tpuperf::core {
@@ -28,21 +25,6 @@ std::optional<std::int64_t> ParseIntStrict(std::string_view text) noexcept {
     value = -value;
   }
   return value;
-}
-
-std::int64_t EnvInt(const char* name, std::int64_t fallback,
-                    std::int64_t min_value, std::int64_t max_value) noexcept {
-  const char* text = std::getenv(name);
-  if (text == nullptr) return fallback;
-  const std::optional<std::int64_t> parsed = ParseIntStrict(text);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr,
-                 "[tpuperf] warning: ignoring %s=\"%s\" (not a valid "
-                 "integer); using %lld\n",
-                 name, text, static_cast<long long>(fallback));
-    return fallback;
-  }
-  return std::clamp(*parsed, min_value, max_value);
 }
 
 }  // namespace tpuperf::core

@@ -13,9 +13,9 @@
 /// `point[:every=N[,after=M][,times=K]]`. `every` defaults to 1 (fire on
 /// every eligible hit), `after` to 0 (no warm-up grace), `times` to 0
 /// (unlimited; K > 0 stops firing after K injections — a transient fault).
-/// Malformed entries warn on stderr and are skipped — consistent with
-/// core::EnvInt, a typo must never silently arm (or fail to arm) something
-/// else.
+/// Malformed entries warn on stderr and are skipped: numbers go through
+/// core::ParseIntStrict, and a typo must never silently arm (or fail to
+/// arm) something else.
 ///
 /// Schedule: each point keeps a process-wide atomic hit counter h (1-based).
 /// Hit h fires iff h > after and (h - after) % every == 0. The schedule is a

@@ -1,15 +1,9 @@
 #include "core/thread_pool.h"
 
-#include "core/env.h"
-
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 
 namespace tpuperf::core {
 
@@ -21,49 +15,6 @@ struct ThreadPool::Queue {
   bool joined = false;  // guarded by shutdown_mu
   std::mutex shutdown_mu;
 };
-
-namespace {
-
-// Shared state of one ParallelFor call. Runner tasks may still sit in the
-// pool queue after the call returned (when the caller finished the last
-// chunk itself), so the state is shared_ptr-owned by every runner.
-struct ForState {
-  std::int64_t begin = 0;
-  std::int64_t end = 0;
-  std::int64_t grain = 1;
-  std::int64_t num_chunks = 0;
-  const std::function<void(std::int64_t, std::int64_t)>* body = nullptr;
-
-  std::atomic<std::int64_t> next_chunk{0};
-  std::atomic<std::int64_t> done_chunks{0};
-  std::mutex mu;
-  std::condition_variable all_done;
-  std::exception_ptr error;  // first exception, guarded by mu
-
-  // Claims chunks until none remain. Chunk boundaries are a pure function
-  // of (begin, end, grain): chunk i covers
-  // [begin + i*grain, min(begin + (i+1)*grain, end)).
-  void RunChunks() {
-    for (;;) {
-      const std::int64_t chunk = next_chunk.fetch_add(1);
-      if (chunk >= num_chunks) return;
-      const std::int64_t lo = begin + chunk * grain;
-      const std::int64_t hi = std::min(end, lo + grain);
-      try {
-        (*body)(lo, hi);
-      } catch (...) {
-        std::scoped_lock lock(mu);
-        if (!error) error = std::current_exception();
-      }
-      if (done_chunks.fetch_add(1) + 1 == num_chunks) {
-        std::scoped_lock lock(mu);
-        all_done.notify_all();
-      }
-    }
-  }
-};
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
     : queue_(std::make_unique<Queue>()),
@@ -118,99 +69,29 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& body) {
-  if (stopped_.load(std::memory_order_acquire)) {
-    throw ThreadPoolStopped("ThreadPool::ParallelFor after Shutdown");
-  }
-  if (end <= begin) return;
-  const std::int64_t total = end - begin;
-  if (grain <= 0) {
-    grain = (total + num_threads_ - 1) / num_threads_;
-  }
-  const std::int64_t num_chunks = (total + grain - 1) / grain;
-
-  // Serial fallback: no workers, or nothing to share. Same chunk
-  // boundaries, run in order on the caller.
-  if (workers_.empty() || num_chunks <= 1) {
-    for (std::int64_t chunk = 0; chunk < num_chunks; ++chunk) {
-      const std::int64_t lo = begin + chunk * grain;
-      body(lo, std::min(end, lo + grain));
-    }
-    return;
-  }
-
-  auto state = std::make_shared<ForState>();
-  state->begin = begin;
-  state->end = end;
-  state->grain = grain;
-  state->num_chunks = num_chunks;
-  state->body = &body;
-
-  // One runner per worker that could usefully help; the caller is a runner
-  // too, so a busy pool degrades to caller-inline execution instead of
-  // deadlocking (nested ParallelFor is safe for the same reason).
-  const std::int64_t helpers = std::min<std::int64_t>(
-      static_cast<std::int64_t>(workers_.size()), num_chunks - 1);
-  try {
-    for (std::int64_t i = 0; i < helpers; ++i) {
-      Enqueue([state] { state->RunChunks(); });
-    }
-  } catch (const ThreadPoolStopped&) {
-    // Shutdown raced in after the top-of-call check. Helpers that made it
-    // into the queue drain before the workers exit; the caller runs every
-    // remaining chunk itself below, so the wait still terminates.
-  }
-  state->RunChunks();
-
-  std::unique_lock lock(state->mu);
-  state->all_done.wait(lock, [&] {
-    return state->done_chunks.load() == state->num_chunks;
-  });
-  if (state->error) std::rethrow_exception(state->error);
-}
-
 namespace {
 
 std::mutex g_global_mu;
-std::unique_ptr<ThreadPool> g_global_owner;
-// Lock-free read path: Global() sits inside every kernel's parallel-or-not
-// dispatch, so it must not take a mutex per GEMM.
-std::atomic<ThreadPool*> g_global{nullptr};
+std::unique_ptr<ThreadPool> g_global;  // guarded by g_global_mu
 
 }  // namespace
 
 ThreadPool& ThreadPool::Global() {
-  ThreadPool* pool = g_global.load(std::memory_order_acquire);
-  if (pool != nullptr) return *pool;
   std::scoped_lock lock(g_global_mu);
-  if (g_global.load(std::memory_order_relaxed) == nullptr) {
-    g_global_owner = std::make_unique<ThreadPool>(DefaultNumThreads());
-    g_global.store(g_global_owner.get(), std::memory_order_release);
-  }
-  return *g_global.load(std::memory_order_relaxed);
+  if (g_global == nullptr) g_global = std::make_unique<ThreadPool>(1);
+  return *g_global;
 }
 
 void ThreadPool::SetNumThreads(int num_threads) {
-  // Build the replacement before publishing it; the old pool joins its
-  // workers when `previous` leaves scope, after readers see the new one.
+  // The old pool joins its workers when `previous` leaves scope, outside
+  // the lock.
   auto next = std::make_unique<ThreadPool>(num_threads);
   std::unique_ptr<ThreadPool> previous;
   {
     std::scoped_lock lock(g_global_mu);
-    g_global.store(next.get(), std::memory_order_release);
-    previous = std::move(g_global_owner);
-    g_global_owner = std::move(next);
+    previous = std::move(g_global);
+    g_global = std::move(next);
   }
-}
-
-int ThreadPool::DefaultNumThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int fallback = hw == 0 ? 1 : static_cast<int>(hw);
-  // Strict full-string parse: "4x" or "" is a warning + fallback, never a
-  // silently truncated thread count. Well-formed values clamp to >= 1.
-  return static_cast<int>(EnvInt("TPUPERF_NUM_THREADS", fallback, 1, 4096));
 }
 
 }  // namespace tpuperf::core

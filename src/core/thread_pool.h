@@ -1,16 +1,9 @@
-// A fixed worker pool shared by every hot path in the repo: batched
-// inference (GEMM row partitions, per-segment GNN blocks), trainer
-// minibatch featurization, and the autotuners' candidate scoring.
-//
-// Determinism contract: ParallelFor partitions [begin, end) into contiguous
-// chunks whose boundaries depend ONLY on the range and the grain — never on
-// the worker count or on scheduling. A body that writes disjoint outputs per
-// chunk therefore produces bit-identical results at any pool size, including
-// the serial fallback (pool size 1 runs the chunks inline on the caller).
+// A fixed worker pool that runs submitted tasks. serve::PredictionService
+// owns one for its flushed batches; every other computation in the library
+// runs on its caller's thread.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
@@ -22,9 +15,9 @@
 
 namespace tpuperf::core {
 
-// Thrown by Submit/ParallelFor on a pool that was Shutdown(): scheduling on
-// a stopped pool is a caller bug, and a typed error beats the alternative
-// (a future that never resolves, or work running on a half-torn-down pool).
+// Thrown by Submit on a pool that was Shutdown(): scheduling on a stopped
+// pool is a caller bug, and a typed error beats the alternative (a future
+// that never resolves, or work running on a half-torn-down pool).
 class ThreadPoolStopped : public std::logic_error {
  public:
   explicit ThreadPoolStopped(const char* what) : std::logic_error(what) {}
@@ -40,24 +33,15 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Drains every task already queued, joins the workers, and marks the pool
-  // stopped: Submit and ParallelFor throw ThreadPoolStopped from then on.
-  // Idempotent and safe to call concurrently; called by the destructor.
+  // stopped: Submit throws ThreadPoolStopped from then on. Idempotent and
+  // safe to call concurrently; called by the destructor.
   void Shutdown();
   bool stopped() const noexcept {
     return stopped_.load(std::memory_order_acquire);
   }
 
-  // Total threads that can execute work (workers + the calling thread's
-  // participation in ParallelFor); always >= 1.
+  // The width the pool was built with (workers + 1); always >= 1.
   int size() const noexcept { return num_threads_; }
-
-  // Runs body(chunk_begin, chunk_end) for contiguous chunks of exactly
-  // `grain` indices (the last chunk may be short). Chunks may run on any
-  // thread, in any order; the caller participates and blocks until every
-  // chunk finished. The first exception thrown by a body is rethrown here.
-  // Grain <= 0 means one chunk per available thread.
-  void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                   const std::function<void(std::int64_t, std::int64_t)>& body);
 
   // Schedules a task on the pool (runs inline when the pool has no workers)
   // and returns its future. Throws ThreadPoolStopped after Shutdown(): the
@@ -81,17 +65,13 @@ class ThreadPool {
   }
 
   // ---- Global pool ----------------------------------------------------------
-  // The process-wide pool used by nn kernels, trainers and evaluators.
-  // Created on first use with DefaultNumThreads() threads.
+  // A process-wide pool, created on first use with width 1 (no workers).
+  // Nothing in the library uses it; the tpubench harness still sets and
+  // reports its width, and both members go once the harness stops calling
+  // them.
   static ThreadPool& Global();
-  // Replaces the global pool. Must not be called while parallel work is in
-  // flight (intended for startup / benchmarks / tests).
+  // Replaces the global pool. Must not be called while work is in flight.
   static void SetNumThreads(int num_threads);
-  // TPUPERF_NUM_THREADS when set to a well-formed integer (strict
-  // full-string parse, clamped to >= 1), else
-  // std::thread::hardware_concurrency(). Malformed values ("4x", "") warn
-  // on stderr and fall back to hardware concurrency.
-  static int DefaultNumThreads();
 
  private:
   void Enqueue(std::function<void()> task);
@@ -103,12 +83,5 @@ class ThreadPool {
   int num_threads_ = 1;
   std::atomic<bool> stopped_{false};
 };
-
-// Shorthand for ThreadPool::Global().ParallelFor(...).
-inline void ParallelFor(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& body) {
-  ThreadPool::Global().ParallelFor(begin, end, grain, body);
-}
 
 }  // namespace tpuperf::core

@@ -11,7 +11,6 @@
 #include <unordered_set>
 
 #include "core/fault_injection.h"
-#include "core/thread_pool.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
 
@@ -73,7 +72,7 @@ const PreparedKernel& PreparedCache::Get(const ir::Graph& kernel,
     if (const PreparedKernel* hit = find_entry()) return *hit;
   }
   // Miss: claim the kernel, then featurize outside any lock (the expensive
-  // part — and the point of calling Get from pool workers). Concurrent
+  // part — and the point of calling Get from service workers). Concurrent
   // misses on the same kernel wait for the claimant instead of redoing the
   // featurization; distinct kernels prepare fully in parallel.
   //
@@ -162,8 +161,7 @@ struct TrainLoop {
       : model(m), cfg(m.config()), cache(c), rng(cfg.seed ^ seed_salt),
         adam(MakeAdamConfig(cfg)), params(m.params().params()) {}
 
-  // The drawn record's prepared kernel, by its stored hashes. Safe from
-  // pool workers.
+  // The drawn record's prepared kernel, by its stored hashes.
   const PreparedKernel& Prepare(const data::KernelRecord& record) {
     return cache.Get(record.kernel.graph, record.fingerprint,
                      record.signature);
@@ -297,10 +295,8 @@ struct FusionTask {
     }
   }
 
-  // The RNG draws and the record reads stay serial (so sampling is
-  // identical at any pool width, and a window's records are resolved on
-  // this thread only); then the picked kernels featurize concurrently
-  // through the thread-safe cache.
+  // Draws the minibatch, then prepares the picked kernels through the
+  // cache.
   template <typename Window>
   static bool Draw(TrainLoop& loop, Window& window, const Families& families) {
     const ModelConfig& cfg = loop.cfg;
@@ -316,16 +312,8 @@ struct FusionTask {
           &At(window, static_cast<size_t>(family[pick(loop.rng)])));
     }
     std::vector<const PreparedKernel*> prepared(picked.size());
-    const auto featurize = [&](std::int64_t b0, std::int64_t b1) {
-      for (std::int64_t b = b0; b < b1; ++b) {
-        prepared[static_cast<size_t>(b)] =
-            &loop.Prepare(picked[static_cast<size_t>(b)]->record);
-      }
-    };
-    if (picked.size() > 1 && ThreadPool::Global().size() > 1) {
-      ParallelFor(0, static_cast<std::int64_t>(picked.size()), 1, featurize);
-    } else {
-      featurize(0, static_cast<std::int64_t>(picked.size()));
+    for (size_t b = 0; b < picked.size(); ++b) {
+      prepared[b] = &loop.Prepare(picked[b]->record);
     }
     loop.items.clear();
     loop.targets.clear();

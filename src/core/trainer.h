@@ -28,8 +28,8 @@ namespace tpuperf::core {
 // fingerprints collide each get their own prepared entry instead of silently
 // sharing one.
 //
-// Concurrency-safe: Get() may be called from any number of pool workers
-// (trainer minibatch featurization and the batched evaluators do). Hits take
+// Concurrency-safe: Get() may be called from any number of threads
+// (serve::PredictionService's workers do). Hits take
 // a shared lock; misses featurize OUTSIDE the lock. A miss first claims the
 // (fingerprint, signature) pair in an in-flight set, so concurrent misses on
 // the SAME kernel block for the one featurization instead of each computing

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "core/fault_injection.h"
-#include "core/thread_pool.h"
 #include "sim/hash.h"
 
 #if !defined(__unix__) && !defined(__APPLE__)
@@ -405,36 +404,20 @@ double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Featurizes every unique (fingerprint, signature) kernel once, sharded
-// across the global thread pool. Output order is the deterministic
-// first-seen record order regardless of pool width.
+// Featurizes every unique (fingerprint, signature) kernel once, in
+// first-seen record order.
 std::shared_ptr<StoredFeatures> FeaturizeUnique(
     const std::vector<const KernelRecord*>& records) {
-  std::vector<const KernelRecord*> unique;
+  auto out = std::make_shared<StoredFeatures>();
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
   for (const KernelRecord* rec : records) {
-    if (seen.insert({rec->fingerprint, rec->signature}).second) {
-      unique.push_back(rec);
-    }
+    if (!seen.insert({rec->fingerprint, rec->signature}).second) continue;
+    FeaturizedKernel fk;
+    fk.fingerprint = rec->fingerprint;
+    fk.structural_sig = rec->signature;
+    fk.features = feat::FeaturizeKernel(rec->kernel.graph);
+    out->Add(std::move(fk));
   }
-  std::vector<FeaturizedKernel> featurized(unique.size());
-  const auto body = [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t i = b0; i < b1; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      featurized[u].fingerprint = unique[u]->fingerprint;
-      featurized[u].structural_sig = unique[u]->signature;
-      featurized[u].features =
-          feat::FeaturizeKernel(unique[u]->kernel.graph);
-    }
-  };
-  const auto n = static_cast<std::int64_t>(unique.size());
-  if (n > 1 && core::ThreadPool::Global().size() > 1) {
-    core::ParallelFor(0, n, 1, body);
-  } else {
-    body(0, n);
-  }
-  auto out = std::make_shared<StoredFeatures>();
-  for (FeaturizedKernel& fk : featurized) out->Add(std::move(fk));
   return out;
 }
 

@@ -461,11 +461,10 @@ struct StoreLoadStats {
 
 /// Loads the tile-size dataset for (corpus, options, simulator target) from
 /// `cache_dir` when a store exists; otherwise builds it in-process,
-/// featurizes every unique kernel (sharded across core::ThreadPool), and
-/// writes the store for the next run (sharded when
-/// options.store_part_bytes > 0). An empty `cache_dir` means plain
-/// in-process generation with no I/O and no featurization. A present but
-/// corrupt store throws StoreError rather than silently rebuilding.
+/// featurizes every unique kernel, and writes the store for the next run
+/// (sharded when options.store_part_bytes > 0). An empty `cache_dir` means
+/// plain in-process generation with no I/O and no featurization. A present
+/// but corrupt store throws StoreError rather than silently rebuilding.
 /// `features` (optional) receives the featurized records, to hand to a
 /// core::PreparedCache as its feature source.
 TileDataset LoadOrBuildTileDataset(

@@ -18,7 +18,7 @@
 /// output is implementation-defined. Record order INSIDE a window stays
 /// canonical (store order). Every window, and every record it decodes, is
 /// a pure function of the store bytes and those two integers, so the
-/// sequence of windows is bit-identical at any thread-pool width. With a
+/// sequence of windows is bit-identical from run to run. With a
 /// single window (window_records = 0 or >= the corpus) the stream is the
 /// canonical in-memory order: the in-memory trainers run the same driver
 /// over the dataset as one such window, so a streaming trainer then draws

@@ -7,8 +7,7 @@
 // projections, layer norms, the FFN) run as single GEMMs over the whole
 // packed batch, and attention is applied block-diagonally through
 // BlockDiagSelfAttentionOp so sequences never attend across segments — one
-// differentiable op whose forward AND backward shard segments across
-// core::ThreadPool.
+// differentiable op over every segment of the batch.
 #pragma once
 
 #include <random>

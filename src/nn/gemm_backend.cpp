@@ -4,38 +4,15 @@
 #include "nn/gemm_backend.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "core/thread_pool.h"
 #include "nn/matrix.h"
 #include "nn/simd.h"
 
 namespace tpuperf::nn {
 namespace {
-
-// ---- Parallel dispatch ------------------------------------------------------
-
-// Parallel dispatch threshold, in multiply-adds. Below this the GEMM
-// finishes faster than the fork/join overhead costs.
-constexpr std::int64_t kParallelFlops = 1 << 18;
-
-// Row grain for parallel GEMMs: large enough that a chunk amortizes task
-// dispatch, aligned to the register tile's height so every chunk boundary
-// falls between full row blocks.
-std::int64_t RowGrain(int m, std::int64_t flops_per_row) {
-  constexpr std::int64_t kTile = simd::kTileRows;
-  std::int64_t rows = kParallelFlops / std::max<std::int64_t>(1, flops_per_row);
-  rows = std::max(kTile, (rows + kTile - 1) / kTile * kTile);
-  return std::min<std::int64_t>(rows, m);
-}
-
-bool ShouldParallelize(std::int64_t m, std::int64_t k, std::int64_t n) {
-  return m * k * n >= 2 * kParallelFlops &&
-         core::ThreadPool::Global().size() > 1;
-}
 
 // ---- The kernel -------------------------------------------------------------
 
@@ -65,35 +42,22 @@ Rows Transposed(const Matrix& a) {
 // simd::kTileRows, so every element is one MulAdd chain over ascending p
 // from zero (added onto out with Accum) whatever the operands' values,
 // their density or the row's position: packed batches match per-kernel
-// runs exactly (the serve::PredictionService parity contract), and the
-// parallel row chunks, aligned to the tile height, match the serial kernel
-// at any pool width.
+// runs exactly (the serve::PredictionService parity contract).
 template <bool Accum>
 void Gemm(Matrix& out, const Rows& a, const Matrix& b, bool transpose_b) {
   const int n = out.cols();
   const auto [panel, ldb] =
       simd::PackedPanel(b.data(), static_cast<std::size_t>(b.cols()), a.k, n,
                         transpose_b);
-  const auto range = [&, panel = panel, ldb = ldb](int i0, int i1) {
-    for (int i = i0; i < i1; i += simd::kTileRows) {
-      const int rows = std::min(simd::kTileRows, i1 - i);
-      const float* a_rows[simd::kTileRows];
-      float* o_rows[simd::kTileRows];
-      for (int r = 0; r < rows; ++r) {
-        a_rows[r] = a.data + static_cast<std::size_t>(i + r) * a.row_stride;
-        o_rows[r] = out.data() + static_cast<std::size_t>(i + r) * n;
-      }
-      simd::MulAddRows<Accum>(a_rows, a.step, panel, ldb, a.k, n, o_rows,
-                              rows);
+  for (int i = 0; i < a.m; i += simd::kTileRows) {
+    const int rows = std::min(simd::kTileRows, a.m - i);
+    const float* a_rows[simd::kTileRows];
+    float* o_rows[simd::kTileRows];
+    for (int r = 0; r < rows; ++r) {
+      a_rows[r] = a.data + static_cast<std::size_t>(i + r) * a.row_stride;
+      o_rows[r] = out.data() + static_cast<std::size_t>(i + r) * n;
     }
-  };
-  if (ShouldParallelize(a.m, a.k, n)) {
-    core::ParallelFor(0, a.m, RowGrain(a.m, 2ll * a.k * n),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        range(static_cast<int>(lo), static_cast<int>(hi));
-                      });
-  } else {
-    range(0, a.m);
+    simd::MulAddRows<Accum>(a_rows, a.step, panel, ldb, a.k, n, o_rows, rows);
   }
 }
 

@@ -180,7 +180,7 @@ Tensor GatLayer::Forward(Tape& tape, Tensor h,
     Tensor d = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_dst));  // [N, 1]
     // Attention stays per segment (nodes never attend across kernels): one
     // fused op per head holds every segment's masked attention in one tape
-    // node whose forward and backward shard segments across the pool.
+    // node.
     head_outputs.push_back(
         BlockDiagGatAttentionOp(tape, s, d, wh, masks, gs.offsets, 0.2f));
   }

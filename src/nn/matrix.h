@@ -6,7 +6,7 @@
 /// The five GEMM entry points (MatMul/MatMulInto, MatMulTransposeA/B and
 /// their Accum variants) check shapes, throwing std::invalid_argument on a
 /// mismatch, and call the register-tiled kernels in nn/gemm_backend.cpp
-/// directly. Their values do not depend on the core::ThreadPool width.
+/// directly, on the caller's thread.
 #pragma once
 
 #include <cassert>
@@ -171,9 +171,7 @@ class Matrix {
 
 /// out = a @ b. Shapes: [m,k] x [k,n] -> [m,n]. Every output element is
 /// one MulAdd chain from zero over ascending k, whatever the operands'
-/// values, the row's position or the number of rows; large products are
-/// partitioned by output row across the global core::ThreadPool, which
-/// therefore changes no value.
+/// values, the row's position or the number of rows.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 /// out = a^T @ b. Shapes: [k,m] x [k,n] -> [m,n]. The same kernel as
 /// MatMul, reading a's columns as its rows (backward-pass GEMMs).

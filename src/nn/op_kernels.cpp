@@ -6,16 +6,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/thread_pool.h"
 #include "nn/fastmath.h"
 #include "nn/simd.h"
 
 namespace tpuperf::nn {
 namespace {
-
-// Work (in multiply-adds / transcendental evaluations) below which an op
-// runs serially: fork/join overhead beats the parallel win under this.
-constexpr std::int64_t kParallelOpWork = 1 << 18;
 
 // Grow-only thread_local scratch row: steady-state replay (and the warm tape
 // path) performs zero heap allocations for per-row workspaces.
@@ -26,10 +21,6 @@ std::vector<float>& ScratchRow(size_t min_size) {
 }
 
 }  // namespace
-
-bool UseParallelOpWork(std::int64_t work) {
-  return work >= kParallelOpWork && core::ThreadPool::Global().size() > 1;
-}
 
 void CheckSegmentOffsetsFor(int rows, std::span<const int> offsets,
                             const char* op) {
@@ -107,80 +98,64 @@ void LayerNormRowsForward(Matrix& y, const Matrix& x, const Matrix& gamma,
   }
 }
 
-bool SegmentSumForward(Matrix& y, const Matrix& x,
+void SegmentSumForward(Matrix& y, const Matrix& x,
                        std::span<const int> offsets) {
   const int batch = static_cast<int>(offsets.size()) - 1;
-  const bool parallel =
-      batch > 1 && UseParallelOpWork(static_cast<std::int64_t>(x.size()));
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      for (int i = offsets[static_cast<size_t>(b)];
-           i < offsets[static_cast<size_t>(b) + 1]; ++i) {
-        for (int j = 0; j < x.cols(); ++j) {
-          y.at(static_cast<int>(b), j) += x.at(i, j);
-        }
+  for (int b = 0; b < batch; ++b) {
+    for (int i = offsets[static_cast<size_t>(b)];
+         i < offsets[static_cast<size_t>(b) + 1]; ++i) {
+      for (int j = 0; j < x.cols(); ++j) {
+        y.at(b, j) += x.at(i, j);
       }
     }
-  });
-  return parallel;
+  }
 }
 
-bool SegmentMeanForward(Matrix& y, const Matrix& x,
+void SegmentMeanForward(Matrix& y, const Matrix& x,
                         std::span<const int> offsets, float* inv) {
   const int batch = static_cast<int>(offsets.size()) - 1;
-  const bool parallel =
-      batch > 1 && UseParallelOpWork(static_cast<std::int64_t>(x.size()));
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const int len = offsets[static_cast<size_t>(b) + 1] -
-                      offsets[static_cast<size_t>(b)];
-      if (len == 0) continue;
-      const float w = 1.0f / static_cast<float>(len);
-      if (inv != nullptr) inv[static_cast<size_t>(b)] = w;
-      for (int i = offsets[static_cast<size_t>(b)];
-           i < offsets[static_cast<size_t>(b) + 1]; ++i) {
-        for (int j = 0; j < x.cols(); ++j) {
-          y.at(static_cast<int>(b), j) += x.at(i, j);
-        }
+  for (int b = 0; b < batch; ++b) {
+    const int len = offsets[static_cast<size_t>(b) + 1] -
+                    offsets[static_cast<size_t>(b)];
+    if (len == 0) continue;
+    const float w = 1.0f / static_cast<float>(len);
+    if (inv != nullptr) inv[static_cast<size_t>(b)] = w;
+    for (int i = offsets[static_cast<size_t>(b)];
+         i < offsets[static_cast<size_t>(b) + 1]; ++i) {
+      for (int j = 0; j < x.cols(); ++j) {
+        y.at(b, j) += x.at(i, j);
       }
-      for (int j = 0; j < x.cols(); ++j) y.at(static_cast<int>(b), j) *= w;
     }
-  });
-  return parallel;
+    for (int j = 0; j < x.cols(); ++j) y.at(b, j) *= w;
+  }
 }
 
-bool SegmentMaxForward(Matrix& y, const Matrix& x,
+void SegmentMaxForward(Matrix& y, const Matrix& x,
                        std::span<const int> offsets, int* argmax) {
   const int batch = static_cast<int>(offsets.size()) - 1;
-  const bool parallel =
-      batch > 1 && UseParallelOpWork(static_cast<std::int64_t>(x.size()));
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const int begin = offsets[static_cast<size_t>(b)];
-      const int end = offsets[static_cast<size_t>(b) + 1];
-      for (int j = 0; j < x.cols(); ++j) {
-        float best = begin < end ? x.at(begin, j) : 0.0f;
-        int best_row = begin < end ? begin : -1;
-        for (int i = begin + 1; i < end; ++i) {
-          if (x.at(i, j) > best) {
-            best = x.at(i, j);
-            best_row = i;
-          }
-        }
-        y.at(static_cast<int>(b), j) = best;
-        if (argmax != nullptr) {
-          argmax[static_cast<size_t>(b) * x.cols() + j] = best_row;
+  for (int b = 0; b < batch; ++b) {
+    const int begin = offsets[static_cast<size_t>(b)];
+    const int end = offsets[static_cast<size_t>(b) + 1];
+    for (int j = 0; j < x.cols(); ++j) {
+      float best = begin < end ? x.at(begin, j) : 0.0f;
+      int best_row = begin < end ? begin : -1;
+      for (int i = begin + 1; i < end; ++i) {
+        if (x.at(i, j) > best) {
+          best = x.at(i, j);
+          best_row = i;
         }
       }
+      y.at(b, j) = best;
+      if (argmax != nullptr) {
+        argmax[static_cast<size_t>(b) * x.cols() + j] = best_row;
+      }
     }
-  });
-  return parallel;
+  }
 }
 
-bool EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
+void EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
                           std::span<const int> offsets, const Matrix& x) {
   const int batch = static_cast<int>(blocks.size());
-  std::int64_t edge_flops = 0;
   for (int b = 0; b < batch; ++b) {
     const EdgeList& a = *blocks[static_cast<size_t>(b)];
     if (a.rows() != offsets[static_cast<size_t>(b) + 1] -
@@ -188,63 +163,55 @@ bool EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
       throw std::invalid_argument(
           "BlockDiagMatMulConstA: block shape mismatch");
     }
-    edge_flops += 2ll * static_cast<std::int64_t>(a.col.size()) * x.cols();
   }
-  const bool parallel = batch > 1 && UseParallelOpWork(edge_flops);
   const int cols = x.cols();
   // y[begin+i, :] += w * x[begin+k, :] over row i's edges, ascending k.
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const EdgeList& a = *blocks[static_cast<size_t>(b)];
-      const int begin = offsets[static_cast<size_t>(b)];
-      for (int i = 0; i < a.rows(); ++i) {
-        float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * cols;
-        for (int e = a.row_begin[static_cast<size_t>(i)];
-             e < a.row_begin[static_cast<size_t>(i) + 1]; ++e) {
-          const float w = a.weight[static_cast<size_t>(e)];
-          const float* __restrict xk =
-              x.data() +
-              static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
-          for (int j = 0; j < cols; ++j) {
-            yi[j] = simd::MulAdd(w, xk[j], yi[j]);
-          }
+  for (int b = 0; b < batch; ++b) {
+    const EdgeList& a = *blocks[static_cast<size_t>(b)];
+    const int begin = offsets[static_cast<size_t>(b)];
+    for (int i = 0; i < a.rows(); ++i) {
+      float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * cols;
+      for (int e = a.row_begin[static_cast<size_t>(i)];
+           e < a.row_begin[static_cast<size_t>(i) + 1]; ++e) {
+        const float w = a.weight[static_cast<size_t>(e)];
+        const float* __restrict xk =
+            x.data() +
+            static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
+        for (int j = 0; j < cols; ++j) {
+          yi[j] = simd::MulAdd(w, xk[j], yi[j]);
         }
       }
     }
-  });
-  return parallel;
+  }
 }
 
 void EdgeAggregateBackward(Matrix& dx, std::span<const EdgeList* const> blocks,
-                           std::span<const int> offsets, const Matrix& dy,
-                           bool parallel) {
+                           std::span<const int> offsets, const Matrix& dy) {
   const int batch = static_cast<int>(blocks.size());
   const int cols = dy.cols();
   // dx[begin+k, :] += w * dy[begin+i, :]: each block scatters only into its
-  // own row segment — same sharding as the forward pass.
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const EdgeList& a = *blocks[static_cast<size_t>(b)];
-      const int begin = offsets[static_cast<size_t>(b)];
-      for (int i = 0; i < a.rows(); ++i) {
-        const float* __restrict dyi =
-            dy.data() + static_cast<size_t>(begin + i) * cols;
-        for (int e = a.row_begin[static_cast<size_t>(i)];
-             e < a.row_begin[static_cast<size_t>(i) + 1]; ++e) {
-          const float w = a.weight[static_cast<size_t>(e)];
-          float* __restrict dxk =
-              dx.data() +
-              static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
-          for (int j = 0; j < cols; ++j) {
-            dxk[j] = simd::MulAdd(w, dyi[j], dxk[j]);
-          }
+  // own row segment.
+  for (int b = 0; b < batch; ++b) {
+    const EdgeList& a = *blocks[static_cast<size_t>(b)];
+    const int begin = offsets[static_cast<size_t>(b)];
+    for (int i = 0; i < a.rows(); ++i) {
+      const float* __restrict dyi =
+          dy.data() + static_cast<size_t>(begin + i) * cols;
+      for (int e = a.row_begin[static_cast<size_t>(i)];
+           e < a.row_begin[static_cast<size_t>(i) + 1]; ++e) {
+        const float w = a.weight[static_cast<size_t>(e)];
+        float* __restrict dxk =
+            dx.data() +
+            static_cast<size_t>(begin + a.col[static_cast<size_t>(e)]) * cols;
+        for (int j = 0; j < cols; ++j) {
+          dxk[j] = simd::MulAdd(w, dyi[j], dxk[j]);
         }
       }
     }
-  });
+  }
 }
 
-bool BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
+void BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
                                    const Matrix& k, const Matrix& v,
                                    std::span<const int> offsets,
                                    std::span<const std::int64_t> sq,
@@ -252,65 +219,59 @@ bool BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
   const int batch = static_cast<int>(offsets.size()) - 1;
   const int dim = q.cols();
   const int vdim = v.cols();
-  const bool parallel =
-      batch > 1 && UseParallelOpWork(sq.back() * (2ll * dim + vdim));
   // Per segment and row: logits, softmax, then the value reduction — the
   // same float sequence as MatMul/Scale/SoftmaxRows/MatMul per segment, so
-  // outputs are row-for-row identical to the unfused op chain. Segments
-  // write disjoint output rows (bit-exact sharding at any pool width).
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    std::vector<float>& srow = ScratchRow(static_cast<size_t>(max_len));
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const int begin = offsets[static_cast<size_t>(b)];
-      const int len = offsets[static_cast<size_t>(b) + 1] - begin;
-      float* __restrict p_seg =
-          probs != nullptr ? probs + sq[static_cast<size_t>(b)] : nullptr;
-      for (int i = 0; i < len; ++i) {
-        const float* __restrict qi =
-            q.data() + static_cast<size_t>(begin + i) * dim;
-        // Scaled dot-product logits (ascending-p dots, as MatMul computes).
-        for (int j = 0; j < len; ++j) {
-          const float* __restrict kj =
-              k.data() + static_cast<size_t>(begin + j) * dim;
-          float acc = 0.0f;
-          for (int p = 0; p < dim; ++p) acc += qi[p] * kj[p];
-          srow[static_cast<size_t>(j)] = acc * scale;
-        }
-        // Row softmax, exactly as MaskedSoftmaxRowsOp with no entry masked.
-        float max_v = -std::numeric_limits<float>::infinity();
-        for (int j = 0; j < len; ++j) {
-          max_v = std::max(max_v, srow[static_cast<size_t>(j)]);
-        }
-        double denom = 0;
-        for (int j = 0; j < len; ++j) {
-          const float e = std::exp(srow[static_cast<size_t>(j)] - max_v);
-          srow[static_cast<size_t>(j)] = e;
-          denom += e;
-        }
-        if (denom > 0) {
-          const float inv = 1.0f / static_cast<float>(denom);
-          for (int j = 0; j < len; ++j) srow[static_cast<size_t>(j)] *= inv;
-        }
-        if (p_seg != nullptr) {
-          std::copy(srow.begin(), srow.begin() + len,
-                    p_seg + static_cast<std::int64_t>(i) * len);
-        }
-        // y_i = sum_j P_ij v_j (ascending j, as the MatMul row kernel).
-        float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * vdim;
-        for (int j = 0; j < len; ++j) {
-          const float pij = srow[static_cast<size_t>(j)];
-          if (pij == 0.0f) continue;
-          const float* __restrict vj =
-              v.data() + static_cast<size_t>(begin + j) * vdim;
-          for (int c = 0; c < vdim; ++c) yi[c] += pij * vj[c];
-        }
+  // outputs are row-for-row identical to the unfused op chain.
+  std::vector<float>& srow = ScratchRow(static_cast<size_t>(max_len));
+  for (int b = 0; b < batch; ++b) {
+    const int begin = offsets[static_cast<size_t>(b)];
+    const int len = offsets[static_cast<size_t>(b) + 1] - begin;
+    float* __restrict p_seg =
+        probs != nullptr ? probs + sq[static_cast<size_t>(b)] : nullptr;
+    for (int i = 0; i < len; ++i) {
+      const float* __restrict qi =
+          q.data() + static_cast<size_t>(begin + i) * dim;
+      // Scaled dot-product logits (ascending-p dots, as MatMul computes).
+      for (int j = 0; j < len; ++j) {
+        const float* __restrict kj =
+            k.data() + static_cast<size_t>(begin + j) * dim;
+        float acc = 0.0f;
+        for (int p = 0; p < dim; ++p) acc += qi[p] * kj[p];
+        srow[static_cast<size_t>(j)] = acc * scale;
+      }
+      // Row softmax, exactly as MaskedSoftmaxRowsOp with no entry masked.
+      float max_v = -std::numeric_limits<float>::infinity();
+      for (int j = 0; j < len; ++j) {
+        max_v = std::max(max_v, srow[static_cast<size_t>(j)]);
+      }
+      double denom = 0;
+      for (int j = 0; j < len; ++j) {
+        const float e = std::exp(srow[static_cast<size_t>(j)] - max_v);
+        srow[static_cast<size_t>(j)] = e;
+        denom += e;
+      }
+      if (denom > 0) {
+        const float inv = 1.0f / static_cast<float>(denom);
+        for (int j = 0; j < len; ++j) srow[static_cast<size_t>(j)] *= inv;
+      }
+      if (p_seg != nullptr) {
+        std::copy(srow.begin(), srow.begin() + len,
+                  p_seg + static_cast<std::int64_t>(i) * len);
+      }
+      // y_i = sum_j P_ij v_j (ascending j, as the MatMul row kernel).
+      float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * vdim;
+      for (int j = 0; j < len; ++j) {
+        const float pij = srow[static_cast<size_t>(j)];
+        if (pij == 0.0f) continue;
+        const float* __restrict vj =
+            v.data() + static_cast<size_t>(begin + j) * vdim;
+        for (int c = 0; c < vdim; ++c) yi[c] += pij * vj[c];
       }
     }
-  });
-  return parallel;
+  }
 }
 
-bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
+void BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
                                   const Matrix& wh,
                                   std::span<const Matrix* const> masks,
                                   std::span<const int> offsets,
@@ -318,59 +279,55 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
                                   int max_len, float alpha, float* probs) {
   const int batch = static_cast<int>(masks.size());
   const int dim = wh.cols();
-  const bool parallel = batch > 1 && UseParallelOpWork(sq.back() * (dim + 8ll));
   // Per segment and row: masked LeakyReLU(s_i + d_j) logits, masked softmax
   // (the exact float sequence of OuterSum/LeakyRelu/MaskedSoftmaxRows), then
-  // the attention-weighted neighbor sum. Disjoint rows per segment.
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    std::vector<float>& lrow = ScratchRow(static_cast<size_t>(max_len));
-    for (std::int64_t b = b0; b < b1; ++b) {
-      const int begin = offsets[static_cast<size_t>(b)];
-      const int len = offsets[static_cast<size_t>(b) + 1] - begin;
-      const Matrix& mask = *masks[static_cast<size_t>(b)];
-      float* __restrict p_seg =
-          probs != nullptr ? probs + sq[static_cast<size_t>(b)] : nullptr;
-      for (int i = 0; i < len; ++i) {
-        const float si = s.at(begin + i, 0);
-        float max_v = -std::numeric_limits<float>::infinity();
-        for (int j = 0; j < len; ++j) {
-          if (mask.at(i, j) == 0.0f) continue;
-          const float z = si + d.at(begin + j, 0);
-          const float l = z > 0 ? z : alpha * z;
-          lrow[static_cast<size_t>(j)] = l;
-          max_v = std::max(max_v, l);
+  // the attention-weighted neighbor sum.
+  std::vector<float>& lrow = ScratchRow(static_cast<size_t>(max_len));
+  for (int b = 0; b < batch; ++b) {
+    const int begin = offsets[static_cast<size_t>(b)];
+    const int len = offsets[static_cast<size_t>(b) + 1] - begin;
+    const Matrix& mask = *masks[static_cast<size_t>(b)];
+    float* __restrict p_seg =
+        probs != nullptr ? probs + sq[static_cast<size_t>(b)] : nullptr;
+    for (int i = 0; i < len; ++i) {
+      const float si = s.at(begin + i, 0);
+      float max_v = -std::numeric_limits<float>::infinity();
+      for (int j = 0; j < len; ++j) {
+        if (mask.at(i, j) == 0.0f) continue;
+        const float z = si + d.at(begin + j, 0);
+        const float l = z > 0 ? z : alpha * z;
+        lrow[static_cast<size_t>(j)] = l;
+        max_v = std::max(max_v, l);
+      }
+      double denom = 0;
+      for (int j = 0; j < len; ++j) {
+        if (mask.at(i, j) == 0.0f) {
+          lrow[static_cast<size_t>(j)] = 0.0f;
+          continue;
         }
-        double denom = 0;
-        for (int j = 0; j < len; ++j) {
-          if (mask.at(i, j) == 0.0f) {
-            lrow[static_cast<size_t>(j)] = 0.0f;
-            continue;
-          }
-          const float e = std::exp(lrow[static_cast<size_t>(j)] - max_v);
-          lrow[static_cast<size_t>(j)] = e;
-          denom += e;
-        }
-        if (denom > 0) {
-          const float inv = 1.0f / static_cast<float>(denom);
-          for (int j = 0; j < len; ++j) lrow[static_cast<size_t>(j)] *= inv;
-        }
-        if (p_seg != nullptr) {
-          std::copy(lrow.begin(), lrow.begin() + len,
-                    p_seg + static_cast<std::int64_t>(i) * len);
-        }
-        // y_i = sum_j P_ij wh_j, skipping the masked (zero) weights.
-        float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * dim;
-        for (int j = 0; j < len; ++j) {
-          const float pij = lrow[static_cast<size_t>(j)];
-          if (pij == 0.0f) continue;
-          const float* __restrict whj =
-              wh.data() + static_cast<size_t>(begin + j) * dim;
-          for (int c = 0; c < dim; ++c) yi[c] += pij * whj[c];
-        }
+        const float e = std::exp(lrow[static_cast<size_t>(j)] - max_v);
+        lrow[static_cast<size_t>(j)] = e;
+        denom += e;
+      }
+      if (denom > 0) {
+        const float inv = 1.0f / static_cast<float>(denom);
+        for (int j = 0; j < len; ++j) lrow[static_cast<size_t>(j)] *= inv;
+      }
+      if (p_seg != nullptr) {
+        std::copy(lrow.begin(), lrow.begin() + len,
+                  p_seg + static_cast<std::int64_t>(i) * len);
+      }
+      // y_i = sum_j P_ij wh_j, skipping the masked (zero) weights.
+      float* __restrict yi = y.data() + static_cast<size_t>(begin + i) * dim;
+      for (int j = 0; j < len; ++j) {
+        const float pij = lrow[static_cast<size_t>(j)];
+        if (pij == 0.0f) continue;
+        const float* __restrict whj =
+            wh.data() + static_cast<size_t>(begin + j) * dim;
+        for (int c = 0; c < dim; ++c) yi[c] += pij * whj[c];
       }
     }
-  });
-  return parallel;
+  }
 }
 
 namespace {
@@ -426,7 +383,7 @@ float** ScratchRowPointers(size_t count) {
 
 }  // namespace
 
-bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
+void LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
                          const Matrix& bias, std::span<const int> offsets,
                          const LstmTrace* trace) {
   const int hidden = w_h.rows();
@@ -445,82 +402,74 @@ bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
   }
   const size_t h = static_cast<size_t>(hidden);
   const int n = 4 * hidden;
-  const bool parallel =
-      batch > 1 && UseParallelOpWork(static_cast<std::int64_t>(xw.rows()) *
-                                     4 * hidden * (hidden + 10));
   const auto [w_panel, ldw] =
       simd::PackedPanel(w_h.data(), w_h.cols(), hidden, n, false);
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    const int segs = static_cast<int>(b1 - b0);
-    // Per segment: the untraced h and c state rows, the gate row, and the
-    // traced run's final c row.
-    float* state = ScratchRow(6 * h * static_cast<size_t>(segs)).data();
-    float** rows = ScratchRowPointers(static_cast<size_t>(segs));
-    // Where segment s's step t reads and writes its state. Untraced, the
-    // state rows update in place; traced, each step reads its own
-    // h_prev/c_prev rows and writes the next step's. The last step's h goes
-    // to h_final.
-    struct StepRows {
-      float *h_in, *c_in, *act, *h_out, *c_out, *tanh_c;
-    };
-    const auto step_rows = [&](int s, int t) {
-      const size_t b = static_cast<size_t>(b0 + s);
-      const size_t i = static_cast<size_t>(offsets[b] + t);
-      const bool last = offsets[b] + t + 1 == offsets[b + 1];
-      float* hs = state + static_cast<size_t>(s) * 6 * h;
-      float* out = h_final.data() + b * h;
-      if (trace == nullptr) {
-        return StepRows{hs, hs + h, hs + 2 * h, last ? out : hs, hs + h,
-                        nullptr};
-      }
-      float* hp = trace->h_prev->data();
-      float* cp = trace->c_prev->data();
-      return StepRows{hp + i * h,
-                      cp + i * h,
-                      trace->gates->data() + i * 4 * h,
-                      last ? out : hp + (i + 1) * h,
-                      last ? hs + h : cp + (i + 1) * h,
-                      trace->tanh_c->data() + i * h};
-    };
-    for (int s = 0; s < segs; ++s) {
-      const StepRows r = step_rows(s, 0);
-      std::fill(r.h_in, r.h_in + h, 0.0f);
-      std::fill(r.c_in, r.c_in + h, 0.0f);
+  // Per segment: the untraced h and c state rows, the gate row, and the
+  // traced run's final c row.
+  float* state = ScratchRow(6 * h * static_cast<size_t>(batch)).data();
+  float** rows = ScratchRowPointers(static_cast<size_t>(batch));
+  // Where segment s's step t reads and writes its state. Untraced, the
+  // state rows update in place; traced, each step reads its own
+  // h_prev/c_prev rows and writes the next step's. The last step's h goes
+  // to h_final.
+  struct StepRows {
+    float *h_in, *c_in, *act, *h_out, *c_out, *tanh_c;
+  };
+  const auto step_rows = [&](int s, int t) {
+    const size_t b = static_cast<size_t>(s);
+    const size_t i = static_cast<size_t>(offsets[b] + t);
+    const bool last = offsets[b] + t + 1 == offsets[b + 1];
+    float* hs = state + b * 6 * h;
+    float* out = h_final.data() + b * h;
+    if (trace == nullptr) {
+      return StepRows{hs, hs + h, hs + 2 * h, last ? out : hs, hs + h,
+                      nullptr};
     }
-    const int max_len = MaxSegmentLength(offsets.subspan(
-        static_cast<size_t>(b0), static_cast<size_t>(segs) + 1));
-    for (int t = 0; t < max_len; ++t) {
-      // pre = (xw[i] + bias) + h_in @ w_h for every live segment: one tile
-      // product whose elements are each one MulAdd chain from zero over
-      // ascending p, added onto the input projection.
-      int live = 0;
-      for (int s = 0; s < segs; ++s) {
-        const size_t b = static_cast<size_t>(b0 + s);
-        if (offsets[b] + t >= offsets[b + 1]) continue;
-        const StepRows r = step_rows(s, t);
-        const float* xw_row =
-            xw.data() + static_cast<size_t>(offsets[b] + t) * n;
-        for (int j = 0; j < n; ++j) r.act[j] = xw_row[j] + bias.data()[j];
-        rows[live] = r.h_in;
-        rows[segs + live] = r.act;
-        ++live;
-      }
-      simd::MulAddRows<true>(rows, 1, w_panel, ldw, hidden, n, rows + segs,
-                             live);
-      for (int s = 0; s < segs; ++s) {
-        const size_t b = static_cast<size_t>(b0 + s);
-        if (offsets[b] + t >= offsets[b + 1]) continue;
-        const StepRows r = step_rows(s, t);
-        LstmGates(r.act, r.c_in, hidden, r.h_out, r.c_out, r.tanh_c);
-      }
+    float* hp = trace->h_prev->data();
+    float* cp = trace->c_prev->data();
+    return StepRows{hp + i * h,
+                    cp + i * h,
+                    trace->gates->data() + i * 4 * h,
+                    last ? out : hp + (i + 1) * h,
+                    last ? hs + h : cp + (i + 1) * h,
+                    trace->tanh_c->data() + i * h};
+  };
+  for (int s = 0; s < batch; ++s) {
+    const StepRows r = step_rows(s, 0);
+    std::fill(r.h_in, r.h_in + h, 0.0f);
+    std::fill(r.c_in, r.c_in + h, 0.0f);
+  }
+  const int max_len = MaxSegmentLength(offsets);
+  for (int t = 0; t < max_len; ++t) {
+    // pre = (xw[i] + bias) + h_in @ w_h for every live segment: one tile
+    // product whose elements are each one MulAdd chain from zero over
+    // ascending p, added onto the input projection.
+    int live = 0;
+    for (int s = 0; s < batch; ++s) {
+      const size_t b = static_cast<size_t>(s);
+      if (offsets[b] + t >= offsets[b + 1]) continue;
+      const StepRows r = step_rows(s, t);
+      const float* xw_row =
+          xw.data() + static_cast<size_t>(offsets[b] + t) * n;
+      for (int j = 0; j < n; ++j) r.act[j] = xw_row[j] + bias.data()[j];
+      rows[live] = r.h_in;
+      rows[batch + live] = r.act;
+      ++live;
     }
-  }, simd::kTileRows);
-  return parallel;
+    simd::MulAddRows<true>(rows, 1, w_panel, ldw, hidden, n, rows + batch,
+                           live);
+    for (int s = 0; s < batch; ++s) {
+      const size_t b = static_cast<size_t>(s);
+      if (offsets[b] + t >= offsets[b + 1]) continue;
+      const StepRows r = step_rows(s, t);
+      LstmGates(r.act, r.c_in, hidden, r.h_out, r.c_out, r.tanh_c);
+    }
+  }
 }
 
 void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
                           const Matrix& w_h, std::span<const int> offsets,
-                          const LstmTrace& trace, bool parallel) {
+                          const LstmTrace& trace) {
   const int hidden = w_h.rows();
   const size_t h = static_cast<size_t>(hidden);
   const int n = 4 * hidden;
@@ -528,43 +477,39 @@ void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
   const auto [wt_panel, ldwt] =
       simd::PackedPanel(w_h.data(), w_h.cols(), n, hidden, true);
   const int batch = static_cast<int>(offsets.size()) - 1;
-  ForEachSegment(batch, parallel, [&](std::int64_t b0, std::int64_t b1) {
-    const int segs = static_cast<int>(b1 - b0);
-    // Per segment: the carried dh and dc rows.
-    float* state = ScratchRow(2 * h * static_cast<size_t>(segs)).data();
-    float** rows = ScratchRowPointers(static_cast<size_t>(segs));
-    for (int s = 0; s < segs; ++s) {
-      const float* dout = dh_final.data() + static_cast<size_t>(b0 + s) * h;
-      float* dh = state + static_cast<size_t>(s) * 2 * h;
-      std::copy(dout, dout + h, dh);
-      std::fill(dh + h, dh + 2 * h, 0.0f);
+  // Per segment: the carried dh and dc rows.
+  float* state = ScratchRow(2 * h * static_cast<size_t>(batch)).data();
+  float** rows = ScratchRowPointers(static_cast<size_t>(batch));
+  for (int s = 0; s < batch; ++s) {
+    const float* dout = dh_final.data() + static_cast<size_t>(s) * h;
+    float* dh = state + static_cast<size_t>(s) * 2 * h;
+    std::copy(dout, dout + h, dh);
+    std::fill(dh + h, dh + 2 * h, 0.0f);
+  }
+  const int max_len = MaxSegmentLength(offsets);
+  // Step u runs node end - 1 - u of every segment that long.
+  for (int u = 0; u < max_len; ++u) {
+    int live = 0;
+    for (int s = 0; s < batch; ++s) {
+      const size_t b = static_cast<size_t>(s);
+      const int i = offsets[b + 1] - 1 - u;
+      if (i < offsets[b]) continue;
+      float* dh = state + b * 2 * h;
+      float* dp = dpre.data() + i * 4 * h;
+      LstmGateGrads(trace.gates->data() + i * 4 * h,
+                    trace.tanh_c->data() + i * h,
+                    trace.c_prev->data() + i * h, hidden, dh, dh + h, dp);
+      // The zero initial state takes no gradient.
+      if (i == offsets[b]) continue;
+      rows[live] = dp;
+      rows[batch + live] = dh;
+      ++live;
     }
-    const int max_len = MaxSegmentLength(offsets.subspan(
-        static_cast<size_t>(b0), static_cast<size_t>(segs) + 1));
-    // Step u runs node end - 1 - u of every segment that long.
-    for (int u = 0; u < max_len; ++u) {
-      int live = 0;
-      for (int s = 0; s < segs; ++s) {
-        const size_t b = static_cast<size_t>(b0 + s);
-        const int i = offsets[b + 1] - 1 - u;
-        if (i < offsets[b]) continue;
-        float* dh = state + static_cast<size_t>(s) * 2 * h;
-        float* dp = dpre.data() + i * 4 * h;
-        LstmGateGrads(trace.gates->data() + i * 4 * h,
-                      trace.tanh_c->data() + i * h,
-                      trace.c_prev->data() + i * h, hidden, dh, dh + h, dp);
-        // The zero initial state takes no gradient.
-        if (i == offsets[b]) continue;
-        rows[live] = dp;
-        rows[segs + live] = dh;
-        ++live;
-      }
-      // dh_prev = dpre[i] @ w_h^T into dh (fully consumed above): each
-      // element one MulAdd chain from zero over ascending gate column.
-      simd::MulAddRows<false>(rows, 1, wt_panel, ldwt, n, hidden, rows + segs,
-                              live);
-    }
-  }, simd::kTileRows);
+    // dh_prev = dpre[i] @ w_h^T into dh (fully consumed above): each
+    // element one MulAdd chain from zero over ascending gate column.
+    simd::MulAddRows<false>(rows, 1, wt_panel, ldwt, n, hidden, rows + batch,
+                            live);
+  }
 }
 
 void GatherRowsForward(Matrix& y, const Matrix& table,
@@ -602,7 +547,7 @@ void CopyColsForward(Matrix& y, const Matrix& x, int col_off) {
 void BroadcastSegmentsForward(Matrix& y, const Matrix& x,
                               std::span<const int> offsets, int col_off) {
   for (size_t b = 0; b + 1 < offsets.size(); ++b) {
-    const auto src = x.row(static_cast<int>(b));
+    const auto src = x.row(b);
     for (int i = offsets[b]; i < offsets[b + 1]; ++i) {
       std::copy(src.begin(), src.end(), y.row(i).begin() + col_off);
     }

@@ -1,9 +1,8 @@
 // Into-preplanned-buffer forward kernels shared by the tape ops (nn/ops.cpp)
 // and the compiled-plan executor (src/plan). Each kernel writes a
 // caller-shaped output matrix and performs EXACTLY the float sequence of the
-// corresponding tape op's forward — same accumulation order, same parallel
-// predicate, same grain — so a plan replaying these kernels is bit-identical
-// to the tape's training forward at any core::ThreadPool width.
+// corresponding tape op's forward — same accumulation order — so a plan
+// replaying these kernels is bit-identical to the tape's training forward.
 //
 // Backward by-products (inverse norms, layer-norm xhat, attention
 // probabilities, the LSTM trace) are optional out-parameters: the tape ops
@@ -19,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "nn/matrix.h"
 
 namespace tpuperf::nn {
@@ -36,24 +34,6 @@ struct EdgeList {
 
   int rows() const noexcept { return static_cast<int>(row_begin.size()) - 1; }
 };
-
-// Runs `body(b0, b1)` over segments [0, batch), sharded across the pool in
-// chunks of `grain` segments when `parallel`. Every segment kernel writes
-// disjoint output row ranges per segment, so the partitioning (which never
-// depends on pool width) is bit-exact at any thread count.
-template <typename Body>
-void ForEachSegment(int batch, bool parallel, const Body& body,
-                    int grain = 1) {
-  if (parallel) {
-    core::ParallelFor(0, batch, grain, body);
-  } else {
-    body(0, batch);
-  }
-}
-
-// The shared op-level parallel dispatch predicate (work in multiply-adds or
-// transcendental evaluations; see kParallelOpWork in ops.cpp).
-bool UseParallelOpWork(std::int64_t work);
 
 // Throws std::invalid_argument unless `offsets` has >= 2 entries, starts at
 // 0, ends at `rows`, and is monotone.
@@ -84,39 +64,36 @@ void LayerNormRowsForward(Matrix& y, const Matrix& x, const Matrix& gamma,
                           float* inv_std);
 
 // Segment reductions. `y` must be pre-shaped [B, x.cols()] and zero-filled
-// (the sums accumulate into it). Each returns the parallel decision it
-// dispatched with (batch > 1 && UseParallelOpWork(x.size())) so the tape
-// ops can replay the identical sharding in their backward closures.
-bool SegmentSumForward(Matrix& y, const Matrix& x,
+// (the sums accumulate into it).
+void SegmentSumForward(Matrix& y, const Matrix& x,
                        std::span<const int> offsets);
 // `inv`, when non-null, must hold B floats (zero-initialized) and receives
 // each non-empty segment's 1/len.
-bool SegmentMeanForward(Matrix& y, const Matrix& x,
+void SegmentMeanForward(Matrix& y, const Matrix& x,
                         std::span<const int> offsets, float* inv);
 // `argmax`, when non-null, must hold B * cols ints and receives the row
 // index of each maximum (-1 for empty segments). `y` may be uninitialized
 // (every element is written).
-bool SegmentMaxForward(Matrix& y, const Matrix& x,
+void SegmentMaxForward(Matrix& y, const Matrix& x,
                        std::span<const int> offsets, int* argmax);
 
 // y[seg b] += blocks[b] @ x[seg b], each row summing its edges in
 // ascending column order, one simd::MulAdd per edge and column. `y` must
-// be pre-shaped [x.rows(), x.cols()] and zero-filled. Validates block row counts; returns the parallel decision.
-bool EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
+// be pre-shaped [x.rows(), x.cols()] and zero-filled. Validates block row
+// counts.
+void EdgeAggregateForward(Matrix& y, std::span<const EdgeList* const> blocks,
                           std::span<const int> offsets, const Matrix& x);
 // The transposed scatter: dx[seg b] += blocks[b]^T @ dy[seg b], visiting
-// rows and their edges in ascending order, one simd::MulAdd each;
-// `parallel` shards segments as the forward did.
+// rows and their edges in ascending order, one simd::MulAdd each.
 void EdgeAggregateBackward(Matrix& dx, std::span<const EdgeList* const> blocks,
-                           std::span<const int> offsets, const Matrix& dy,
-                           bool parallel);
+                           std::span<const int> offsets, const Matrix& dy);
 
 // y[seg b] = Softmax(scale * q_b @ k_b^T) @ v_b. `y` must be pre-shaped
 // [q.rows(), v.cols()] and zero-filled. `sq`/`max_len` come from
 // SquaredSegmentOffsetsInto/MaxSegmentLength over the same offsets.
 // `probs`, when non-null, receives the attention probabilities packed at
-// sq[b] + i * len_b. Returns the parallel decision.
-bool BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
+// sq[b] + i * len_b.
+void BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
                                    const Matrix& k, const Matrix& v,
                                    std::span<const int> offsets,
                                    std::span<const std::int64_t> sq,
@@ -124,7 +101,7 @@ bool BlockDiagSelfAttentionForward(Matrix& y, const Matrix& q,
 
 // GAT attention: y[seg b] = MaskedSoftmax(LeakyReLU(s_b (+) d_b^T, alpha),
 // masks[b]) @ wh_b. Same conventions as the self-attention kernel.
-bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
+void BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
                                   const Matrix& wh,
                                   std::span<const Matrix* const> masks,
                                   std::span<const int> offsets,
@@ -148,15 +125,14 @@ bool BlockDiagGatAttentionForward(Matrix& y, const Matrix& s, const Matrix& d,
 //
 // `trace`, when non-null, records the backward state per node row: the
 // state each step read (h_prev, c_prev; [N, h] each), the gate activations
-// ([N, 4h]) and tanh(c) ([N, h]). Returns the parallel decision (segments
-// are independent, so sharding them is bit-exact at any pool width).
+// ([N, 4h]) and tanh(c) ([N, h]).
 struct LstmTrace {
   Matrix* h_prev = nullptr;
   Matrix* c_prev = nullptr;
   Matrix* gates = nullptr;
   Matrix* tanh_c = nullptr;
 };
-bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
+void LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
                          const Matrix& bias, std::span<const int> offsets,
                          const LstmTrace* trace);
 
@@ -169,7 +145,7 @@ bool LstmSequenceForward(Matrix& h_final, const Matrix& xw, const Matrix& w_h,
 // tile product over the live segments; W_h^T is packed once per call.
 void LstmSequenceBackward(Matrix& dpre, const Matrix& dh_final,
                           const Matrix& w_h, std::span<const int> offsets,
-                          const LstmTrace& trace, bool parallel);
+                          const LstmTrace& trace);
 
 // y[i, :] = x[i, :] + bias[0, :]; y may be x (the plan's GEMM epilogue).
 void AddRowBroadcastForward(Matrix& y, const Matrix& x, const Matrix& bias);

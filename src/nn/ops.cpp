@@ -8,7 +8,6 @@
 #include <source_location>
 #include <stdexcept>
 
-#include "core/thread_pool.h"
 #include "nn/fastmath.h"
 #include "nn/op_kernels.h"
 #include "nn/simd.h"
@@ -501,8 +500,8 @@ Tensor LstmSequenceOp(Tape& tape, Tensor xw, Tensor w_h, Tensor bias,
   TapeNode* tanh_c = tape.Leaf(tape.NewMatrixUninit(nodes, hidden)).node();
   const LstmTrace trace{&h_prev->value, &c_prev->value, &gates->value,
                         &tanh_c->value};
-  const bool parallel = LstmSequenceForward(y, xw.value(), w_h.value(),
-                                            bias.value(), offsets, &trace);
+  LstmSequenceForward(y, xw.value(), w_h.value(), bias.value(), offsets,
+                      &trace);
   TapeNode* xn = xw.node();
   TapeNode* wn = w_h.node();
   TapeNode* bn = bias.node();
@@ -510,10 +509,9 @@ Tensor LstmSequenceOp(Tape& tape, Tensor xw, Tensor w_h, Tensor bias,
   TapeNode* dpre = tape.Leaf(tape.NewMatrixUninit(nodes, 4 * hidden)).node();
   return tape.NewNode(
       std::move(y), {xn, wn, bn},
-      [xn, wn, bn, trace, dpre, offs = std::move(offs),
-       parallel](TapeNode& self) {
+      [xn, wn, bn, trace, dpre, offs = std::move(offs)](TapeNode& self) {
         Matrix& dp = dpre->value;
-        LstmSequenceBackward(dp, self.grad, wn->value, offs, trace, parallel);
+        LstmSequenceBackward(dp, self.grad, wn->value, offs, trace);
         // Row i of dpre is d xw[i, :]; the weight and bias gradients are one
         // GEMM and one column sum over the whole sequence batch.
         if (xn->requires_grad) AccumulateInto(xn->grad, dp);
@@ -545,23 +543,20 @@ Tensor SegmentSumOp(Tape& tape, Tensor x, std::span<const int> offsets) {
   CheckSegmentOffsets(xv, offsets, "SegmentSumOp");
   const int batch = static_cast<int>(offsets.size()) - 1;
   Matrix y = tape.NewMatrix(batch, xv.cols());
-  const bool parallel = SegmentSumForward(y, xv, offsets);
+  SegmentSumForward(y, xv, offsets);
   TapeNode* xn = x.node();
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
       std::move(y), {xn},
-      [xn, offs = std::move(offs), parallel](TapeNode& self) {
-        ForEachSegment(
-            self.grad.rows(), parallel, [&](std::int64_t b0, std::int64_t b1) {
-              for (std::int64_t b = b0; b < b1; ++b) {
-                for (int i = offs[static_cast<size_t>(b)];
-                     i < offs[static_cast<size_t>(b) + 1]; ++i) {
-                  for (int j = 0; j < self.grad.cols(); ++j) {
-                    xn->grad.at(i, j) += self.grad.at(static_cast<int>(b), j);
-                  }
-                }
-              }
-            });
+      [xn, offs = std::move(offs)](TapeNode& self) {
+        for (int b = 0; b < self.grad.rows(); ++b) {
+          for (int i = offs[static_cast<size_t>(b)];
+               i < offs[static_cast<size_t>(b) + 1]; ++i) {
+            for (int j = 0; j < self.grad.cols(); ++j) {
+              xn->grad.at(i, j) += self.grad.at(b, j);
+            }
+          }
+        }
       },
       Replay{OpKind::kSegmentSum, 0.0f, offsets.data()});
 }
@@ -572,26 +567,21 @@ Tensor SegmentMeanOp(Tape& tape, Tensor x, std::span<const int> offsets) {
   const int batch = static_cast<int>(offsets.size()) - 1;
   Matrix y = tape.NewMatrix(batch, xv.cols());
   std::vector<float> inv(static_cast<size_t>(batch), 0.0f);
-  const bool parallel = SegmentMeanForward(y, xv, offsets, inv.data());
+  SegmentMeanForward(y, xv, offsets, inv.data());
   TapeNode* xn = x.node();
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
       std::move(y), {xn},
-      [xn, offs = std::move(offs), inv = std::move(inv),
-       parallel](TapeNode& self) {
-        ForEachSegment(
-            self.grad.rows(), parallel, [&](std::int64_t b0, std::int64_t b1) {
-              for (std::int64_t b = b0; b < b1; ++b) {
-                const float w = inv[static_cast<size_t>(b)];
-                for (int i = offs[static_cast<size_t>(b)];
-                     i < offs[static_cast<size_t>(b) + 1]; ++i) {
-                  for (int j = 0; j < self.grad.cols(); ++j) {
-                    xn->grad.at(i, j) +=
-                        self.grad.at(static_cast<int>(b), j) * w;
-                  }
-                }
-              }
-            });
+      [xn, offs = std::move(offs), inv = std::move(inv)](TapeNode& self) {
+        for (int b = 0; b < self.grad.rows(); ++b) {
+          const float w = inv[static_cast<size_t>(b)];
+          for (int i = offs[static_cast<size_t>(b)];
+               i < offs[static_cast<size_t>(b) + 1]; ++i) {
+            for (int j = 0; j < self.grad.cols(); ++j) {
+              xn->grad.at(i, j) += self.grad.at(b, j) * w;
+            }
+          }
+        }
       },
       Replay{OpKind::kSegmentMean, 0.0f, offsets.data()});
 }
@@ -603,23 +593,20 @@ Tensor SegmentMaxOp(Tape& tape, Tensor x, std::span<const int> offsets) {
   Matrix y = tape.NewMatrix(batch, xv.cols());
   // argmax[b * cols + j] = row index of the max within segment b, column j.
   std::vector<int> argmax(static_cast<size_t>(batch) * xv.cols(), -1);
-  const bool parallel = SegmentMaxForward(y, xv, offsets, argmax.data());
+  SegmentMaxForward(y, xv, offsets, argmax.data());
   TapeNode* xn = x.node();
   return tape.NewNode(
       std::move(y), {xn},
-      [xn, argmax = std::move(argmax), parallel](TapeNode& self) {
+      [xn, argmax = std::move(argmax)](TapeNode& self) {
         const int cols = self.grad.cols();
-        ForEachSegment(
-            self.grad.rows(), parallel, [&](std::int64_t b0, std::int64_t b1) {
-              for (std::int64_t b = b0; b < b1; ++b) {
-                for (int j = 0; j < cols; ++j) {
-                  const int r = argmax[static_cast<size_t>(b) * cols + j];
-                  if (r >= 0) {
-                    xn->grad.at(r, j) += self.grad.at(static_cast<int>(b), j);
-                  }
-                }
-              }
-            });
+        for (int b = 0; b < self.grad.rows(); ++b) {
+          for (int j = 0; j < cols; ++j) {
+            const int r = argmax[static_cast<size_t>(b) * cols + j];
+            if (r >= 0) {
+              xn->grad.at(r, j) += self.grad.at(b, j);
+            }
+          }
+        }
       },
       Replay{OpKind::kSegmentMax, 0.0f, offsets.data()});
 }
@@ -656,15 +643,15 @@ Tensor BlockDiagMatMulConstA(Tape& tape,
     throw std::invalid_argument("BlockDiagMatMulConstA: blocks/offsets size");
   }
   Matrix y = tape.NewMatrix(xv.rows(), xv.cols());  // accumulated: keep zeroed
-  const bool parallel = EdgeAggregateForward(y, blocks, offsets, xv);
+  EdgeAggregateForward(y, blocks, offsets, xv);
   TapeNode* xn = x.node();
   std::vector<const EdgeList*> blocks_copy(blocks.begin(), blocks.end());
   std::vector<int> offs(offsets.begin(), offsets.end());
   return tape.NewNode(
       std::move(y), {xn},
-      [xn, blocks = std::move(blocks_copy), offs = std::move(offs),
-       parallel](TapeNode& self) {
-        EdgeAggregateBackward(xn->grad, blocks, offs, self.grad, parallel);
+      [xn, blocks = std::move(blocks_copy),
+       offs = std::move(offs)](TapeNode& self) {
+        EdgeAggregateBackward(xn->grad, blocks, offs, self.grad);
       },
       Replay{OpKind::kBlockAgg, 0.0f, blocks.front()});
 }
@@ -702,8 +689,8 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
   // (arena-recycled) rather than in a closure capture.
   Matrix probs = tape.NewMatrixUninit(1, static_cast<int>(sq.back()));
   Matrix y = tape.NewMatrix(qv.rows(), vdim);
-  const bool parallel = BlockDiagSelfAttentionForward(
-      y, qv, kv, vv, offsets, sq, max_len, scale, probs.data());
+  BlockDiagSelfAttentionForward(y, qv, kv, vv, offsets, sq, max_len, scale,
+                                probs.data());
   TapeNode* qn = q.node();
   TapeNode* kn = k.node();
   TapeNode* vn = v.node();
@@ -712,84 +699,80 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
   return tape.NewNode(
       std::move(y), {qn, kn, vn},
       [qn, kn, vn, probs_node, offs = std::move(offs), sq, max_len, scale,
-       parallel, dim, vdim](TapeNode& self) {
+       dim, vdim](TapeNode& self) {
         // Per segment: dP = G v^T, softmax backward, then dq/dk/dv — all
         // row-streamed, so nothing is materialized beyond two len-sized
-        // scratch rows per chunk. Segments touch disjoint grad rows of
-        // every operand, so the sharding is bit-exact at any pool width.
-        ForEachSegment(
-            static_cast<int>(offs.size()) - 1, parallel,
-            [&](std::int64_t b0, std::int64_t b1) {
-              std::vector<float> dp(static_cast<size_t>(max_len));
-              std::vector<float> ds(static_cast<size_t>(max_len));
-              for (std::int64_t b = b0; b < b1; ++b) {
-                const int begin = offs[static_cast<size_t>(b)];
-                const int len = offs[static_cast<size_t>(b) + 1] - begin;
-                const float* __restrict p_seg =
-                    probs_node->value.data() + sq[static_cast<size_t>(b)];
-                for (int i = 0; i < len; ++i) {
-                  const float* __restrict gi =
-                      self.grad.data() + static_cast<size_t>(begin + i) * vdim;
-                  const float* __restrict pi =
-                      p_seg + static_cast<std::int64_t>(i) * len;
-                  // dP_i[j] = G_i . v_j
-                  for (int j = 0; j < len; ++j) {
-                    const float* __restrict vj =
-                        vn->value.data() +
-                        static_cast<size_t>(begin + j) * vdim;
-                    float acc = 0.0f;
-                    for (int c = 0; c < vdim; ++c) acc += gi[c] * vj[c];
-                    dp[static_cast<size_t>(j)] = acc;
-                  }
-                  // Softmax backward (same double-precision row dot as
-                  // MaskedSoftmaxRowsOp's closure).
-                  double dot = 0;
-                  for (int j = 0; j < len; ++j) {
-                    dot += static_cast<double>(dp[static_cast<size_t>(j)]) *
-                           pi[j];
-                  }
-                  for (int j = 0; j < len; ++j) {
-                    ds[static_cast<size_t>(j)] =
-                        pi[j] * (dp[static_cast<size_t>(j)] -
-                                 static_cast<float>(dot));
-                  }
-                  if (qn->requires_grad) {
-                    float* __restrict dqi =
-                        qn->grad.data() + static_cast<size_t>(begin + i) * dim;
-                    for (int j = 0; j < len; ++j) {
-                      const float w = scale * ds[static_cast<size_t>(j)];
-                      if (w == 0.0f) continue;
-                      const float* __restrict kj =
-                          kn->value.data() +
-                          static_cast<size_t>(begin + j) * dim;
-                      for (int c = 0; c < dim; ++c) dqi[c] += w * kj[c];
-                    }
-                  }
-                  if (kn->requires_grad) {
-                    const float* __restrict qi =
-                        qn->value.data() + static_cast<size_t>(begin + i) * dim;
-                    for (int j = 0; j < len; ++j) {
-                      const float w = scale * ds[static_cast<size_t>(j)];
-                      if (w == 0.0f) continue;
-                      float* __restrict dkj =
-                          kn->grad.data() +
-                          static_cast<size_t>(begin + j) * dim;
-                      for (int c = 0; c < dim; ++c) dkj[c] += w * qi[c];
-                    }
-                  }
-                  if (vn->requires_grad) {
-                    for (int j = 0; j < len; ++j) {
-                      const float pij = pi[j];
-                      if (pij == 0.0f) continue;
-                      float* __restrict dvj =
-                          vn->grad.data() +
-                          static_cast<size_t>(begin + j) * vdim;
-                      for (int c = 0; c < vdim; ++c) dvj[c] += pij * gi[c];
-                    }
-                  }
-                }
+        // scratch rows.
+        std::vector<float> dp(static_cast<size_t>(max_len));
+        std::vector<float> ds(static_cast<size_t>(max_len));
+        const int batch = static_cast<int>(offs.size()) - 1;
+        for (int b = 0; b < batch; ++b) {
+          const int begin = offs[static_cast<size_t>(b)];
+          const int len = offs[static_cast<size_t>(b) + 1] - begin;
+          const float* __restrict p_seg =
+              probs_node->value.data() + sq[static_cast<size_t>(b)];
+          for (int i = 0; i < len; ++i) {
+            const float* __restrict gi =
+                self.grad.data() + static_cast<size_t>(begin + i) * vdim;
+            const float* __restrict pi =
+                p_seg + static_cast<std::int64_t>(i) * len;
+            // dP_i[j] = G_i . v_j
+            for (int j = 0; j < len; ++j) {
+              const float* __restrict vj =
+                  vn->value.data() +
+                  static_cast<size_t>(begin + j) * vdim;
+              float acc = 0.0f;
+              for (int c = 0; c < vdim; ++c) acc += gi[c] * vj[c];
+              dp[static_cast<size_t>(j)] = acc;
+            }
+            // Softmax backward (same double-precision row dot as
+            // MaskedSoftmaxRowsOp's closure).
+            double dot = 0;
+            for (int j = 0; j < len; ++j) {
+              dot += static_cast<double>(dp[static_cast<size_t>(j)]) *
+                     pi[j];
+            }
+            for (int j = 0; j < len; ++j) {
+              ds[static_cast<size_t>(j)] =
+                  pi[j] * (dp[static_cast<size_t>(j)] -
+                           static_cast<float>(dot));
+            }
+            if (qn->requires_grad) {
+              float* __restrict dqi =
+                  qn->grad.data() + static_cast<size_t>(begin + i) * dim;
+              for (int j = 0; j < len; ++j) {
+                const float w = scale * ds[static_cast<size_t>(j)];
+                if (w == 0.0f) continue;
+                const float* __restrict kj =
+                    kn->value.data() +
+                    static_cast<size_t>(begin + j) * dim;
+                for (int c = 0; c < dim; ++c) dqi[c] += w * kj[c];
               }
-            });
+            }
+            if (kn->requires_grad) {
+              const float* __restrict qi =
+                  qn->value.data() + static_cast<size_t>(begin + i) * dim;
+              for (int j = 0; j < len; ++j) {
+                const float w = scale * ds[static_cast<size_t>(j)];
+                if (w == 0.0f) continue;
+                float* __restrict dkj =
+                    kn->grad.data() +
+                    static_cast<size_t>(begin + j) * dim;
+                for (int c = 0; c < dim; ++c) dkj[c] += w * qi[c];
+              }
+            }
+            if (vn->requires_grad) {
+              for (int j = 0; j < len; ++j) {
+                const float pij = pi[j];
+                if (pij == 0.0f) continue;
+                float* __restrict dvj =
+                    vn->grad.data() +
+                    static_cast<size_t>(begin + j) * vdim;
+                for (int c = 0; c < vdim; ++c) dvj[c] += pij * gi[c];
+              }
+            }
+          }
+        }
       },
       Replay{OpKind::kSelfAttention, scale, offsets.data()});
 }
@@ -823,8 +806,8 @@ Tensor BlockDiagGatAttentionOp(Tape& tape, Tensor s, Tensor d, Tensor wh,
   const int max_len = MaxSegmentLength(offsets);
   Matrix probs = tape.NewMatrixUninit(1, static_cast<int>(sq.back()));
   Matrix y = tape.NewMatrix(whv.rows(), dim);
-  const bool parallel = BlockDiagGatAttentionForward(
-      y, sv, dv, whv, masks, offsets, sq, max_len, alpha, probs.data());
+  BlockDiagGatAttentionForward(y, sv, dv, whv, masks, offsets, sq, max_len,
+                               alpha, probs.data());
   TapeNode* sn = s.node();
   TapeNode* dn = d.node();
   TapeNode* whn = wh.node();
@@ -833,75 +816,71 @@ Tensor BlockDiagGatAttentionOp(Tape& tape, Tensor s, Tensor d, Tensor wh,
   return tape.NewNode(
       std::move(y), {sn, dn, whn},
       [sn, dn, whn, probs_node, offs = std::move(offs), sq, max_len, alpha,
-       parallel, dim](TapeNode& self) {
+       dim](TapeNode& self) {
         // Per row: dP = G wh^T, masked softmax backward, LeakyReLU backward
         // (the pre-activation sign is recomputed from the s/d parent values
         // — nothing else is saved), then the OuterSum row/column sums.
-        // Segments touch disjoint grad rows of s, d, and wh.
-        ForEachSegment(
-            static_cast<int>(offs.size()) - 1, parallel,
-            [&](std::int64_t b0, std::int64_t b1) {
-              std::vector<float> dp(static_cast<size_t>(max_len));
-              std::vector<float> dz(static_cast<size_t>(max_len));
-              for (std::int64_t b = b0; b < b1; ++b) {
-                const int begin = offs[static_cast<size_t>(b)];
-                const int len = offs[static_cast<size_t>(b) + 1] - begin;
-                const float* __restrict p_seg =
-                    probs_node->value.data() + sq[static_cast<size_t>(b)];
-                for (int i = 0; i < len; ++i) {
-                  const float* __restrict gi =
-                      self.grad.data() + static_cast<size_t>(begin + i) * dim;
-                  const float* __restrict pi =
-                      p_seg + static_cast<std::int64_t>(i) * len;
-                  // dP_i[j] = G_i . wh_j (only where P is non-zero; zero
-                  // probabilities contribute nothing downstream).
-                  for (int j = 0; j < len; ++j) {
-                    if (pi[j] == 0.0f) {
-                      dp[static_cast<size_t>(j)] = 0.0f;
-                      continue;
-                    }
-                    const float* __restrict whj =
-                        whn->value.data() +
-                        static_cast<size_t>(begin + j) * dim;
-                    float acc = 0.0f;
-                    for (int c = 0; c < dim; ++c) acc += gi[c] * whj[c];
-                    dp[static_cast<size_t>(j)] = acc;
-                  }
-                  double dot = 0;
-                  for (int j = 0; j < len; ++j) {
-                    dot += static_cast<double>(dp[static_cast<size_t>(j)]) *
-                           pi[j];
-                  }
-                  const float si = sn->value.at(begin + i, 0);
-                  float dsi = 0.0f;
-                  for (int j = 0; j < len; ++j) {
-                    const float dl =
-                        pi[j] * (dp[static_cast<size_t>(j)] -
-                                 static_cast<float>(dot));
-                    const float z = si + dn->value.at(begin + j, 0);
-                    const float g = dl * (z > 0 ? 1.0f : alpha);
-                    dz[static_cast<size_t>(j)] = g;
-                    dsi += g;
-                  }
-                  if (sn->requires_grad) sn->grad.at(begin + i, 0) += dsi;
-                  if (dn->requires_grad) {
-                    for (int j = 0; j < len; ++j) {
-                      dn->grad.at(begin + j, 0) += dz[static_cast<size_t>(j)];
-                    }
-                  }
-                  if (whn->requires_grad) {
-                    for (int j = 0; j < len; ++j) {
-                      const float pij = pi[j];
-                      if (pij == 0.0f) continue;
-                      float* __restrict dwhj =
-                          whn->grad.data() +
-                          static_cast<size_t>(begin + j) * dim;
-                      for (int c = 0; c < dim; ++c) dwhj[c] += pij * gi[c];
-                    }
-                  }
-                }
+        std::vector<float> dp(static_cast<size_t>(max_len));
+        std::vector<float> dz(static_cast<size_t>(max_len));
+        const int batch = static_cast<int>(offs.size()) - 1;
+        for (int b = 0; b < batch; ++b) {
+          const int begin = offs[static_cast<size_t>(b)];
+          const int len = offs[static_cast<size_t>(b) + 1] - begin;
+          const float* __restrict p_seg =
+              probs_node->value.data() + sq[static_cast<size_t>(b)];
+          for (int i = 0; i < len; ++i) {
+            const float* __restrict gi =
+                self.grad.data() + static_cast<size_t>(begin + i) * dim;
+            const float* __restrict pi =
+                p_seg + static_cast<std::int64_t>(i) * len;
+            // dP_i[j] = G_i . wh_j (only where P is non-zero; zero
+            // probabilities contribute nothing downstream).
+            for (int j = 0; j < len; ++j) {
+              if (pi[j] == 0.0f) {
+                dp[static_cast<size_t>(j)] = 0.0f;
+                continue;
               }
-            });
+              const float* __restrict whj =
+                  whn->value.data() +
+                  static_cast<size_t>(begin + j) * dim;
+              float acc = 0.0f;
+              for (int c = 0; c < dim; ++c) acc += gi[c] * whj[c];
+              dp[static_cast<size_t>(j)] = acc;
+            }
+            double dot = 0;
+            for (int j = 0; j < len; ++j) {
+              dot += static_cast<double>(dp[static_cast<size_t>(j)]) *
+                     pi[j];
+            }
+            const float si = sn->value.at(begin + i, 0);
+            float dsi = 0.0f;
+            for (int j = 0; j < len; ++j) {
+              const float dl =
+                  pi[j] * (dp[static_cast<size_t>(j)] -
+                           static_cast<float>(dot));
+              const float z = si + dn->value.at(begin + j, 0);
+              const float g = dl * (z > 0 ? 1.0f : alpha);
+              dz[static_cast<size_t>(j)] = g;
+              dsi += g;
+            }
+            if (sn->requires_grad) sn->grad.at(begin + i, 0) += dsi;
+            if (dn->requires_grad) {
+              for (int j = 0; j < len; ++j) {
+                dn->grad.at(begin + j, 0) += dz[static_cast<size_t>(j)];
+              }
+            }
+            if (whn->requires_grad) {
+              for (int j = 0; j < len; ++j) {
+                const float pij = pi[j];
+                if (pij == 0.0f) continue;
+                float* __restrict dwhj =
+                    whn->grad.data() +
+                    static_cast<size_t>(begin + j) * dim;
+                for (int c = 0; c < dim; ++c) dwhj[c] += pij * gi[c];
+              }
+            }
+          }
+        }
       },
       Replay{OpKind::kGatAttention, alpha, masks.front()});
 }

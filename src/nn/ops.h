@@ -88,12 +88,9 @@ Tensor BlockDiagMatMulConstA(Tape& tape,
 
 // ---- Fused block-diagonal masked attention ---------------------------------
 // Both ops pack every attention segment of a batch into ONE differentiable
-// tape node: the forward shards segments across core::ThreadPool, and —
-// unlike the per-segment op loops they replace — so does the fused backward
-// closure (each segment touches a disjoint row range of every operand's
-// grad, so the partitioning is bit-identical at any pool width). Attention
-// probabilities are saved on the tape itself (an arena-recycled stash leaf),
-// not in closure captures.
+// tape node, whose forward and backward each loop over the segments.
+// Attention probabilities are saved on the tape itself (an arena-recycled
+// stash leaf), not in closure captures.
 
 // Scaled-dot-product self-attention per segment (the Transformer reduction):
 //   y[seg b] = Softmax(scale * q_b @ k_b^T) @ v_b

@@ -26,7 +26,7 @@
 ///
 /// Ops must route every tape-lifetime allocation through
 /// Tape::NewMatrix/NewMatrixUninit so Clear() can recycle it; stack-local
-/// scratch in parallel backward bodies deliberately bypasses the arena.
+/// scratch in backward bodies deliberately bypasses the arena.
 ///
 /// ## Stash-leaf rules
 ///
@@ -82,7 +82,7 @@ class Tape;
 /// more buffers than one step acquires and its bytes follow the largest
 /// step rather than the sum of every shape seen. Single-threaded by
 /// design: tapes acquire/recycle only from the thread that owns them
-/// (parallel backward bodies use stack-local scratch, never the arena). See
+/// (backward bodies use stack-local scratch, never the arena). See
 /// the file comment for the lifecycle contract.
 class TapeArena {
  public:

@@ -15,8 +15,8 @@
 // slab of memory.
 //
 // Determinism contract: CompiledPlan::Run produces bit-identical outputs to
-// the training forward (LearnedCostModel::ForwardBatch with training off) at
-// any core::ThreadPool width — every instruction bottoms out in the same
+// the training forward (LearnedCostModel::ForwardBatch with training off)
+// — every instruction bottoms out in the same
 // nn/op_kernels.h entry points the tape ops call, in the same order, with
 // the same operand values. Parameters are read through live pointers;
 // values computed from parameters alone (the LSTM's fused gate weight) were
@@ -83,7 +83,7 @@ class CompiledPlan {
   // Replays the schedule over `input`, writing one score per kernel into
   // `out` (size must equal the batch size). Throws std::invalid_argument on
   // shape/capacity violations. Performs zero heap allocations after the
-  // first (warm-up) call per concurrent caller at pool width 1.
+  // first (warm-up) call per concurrent caller.
   void Run(const PlanInput& input, std::span<double> out) const;
 
   int batch_capacity() const noexcept { return batch_capacity_; }

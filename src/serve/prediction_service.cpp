@@ -283,9 +283,10 @@ PredictionService::PredictionService(
   cache_ = std::make_unique<core::PreparedCache>(*model_);
   fallback_ =
       std::make_unique<analytical::AnalyticalModel>(sim::TpuTarget::V2());
-  const int threads = config_.num_threads > 0
-                          ? config_.num_threads
-                          : core::ThreadPool::DefaultNumThreads();
+  const int threads =
+      config_.num_threads > 0
+          ? config_.num_threads
+          : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   impl_ = std::make_unique<ServiceImpl>(threads,
                                         model_->plan_cache().counters());
   impl_->batcher = std::thread([this] { BatcherLoop(); });

@@ -119,8 +119,10 @@ struct ServiceConfig {
   // Deadline trigger: flush at most this long (microseconds) after the
   // oldest queued request was seen.
   long deadline_us = 200;
-  // Worker threads processing flushed batches; 0 means
-  // core::ThreadPool::DefaultNumThreads().
+  // Threads processing flushed batches, the batcher included: the service
+  // starts num_threads - 1 workers, so 1 runs every batch inline on the
+  // batcher thread and 3 gives two workers. 0 (or less) means
+  // std::thread::hardware_concurrency(), at least 1.
   int num_threads = 0;
   // Admission control: queued-request cap (0 = unbounded).
   int queue_cap = 4096;

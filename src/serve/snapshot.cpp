@@ -65,6 +65,26 @@ std::uint8_t DecodeEnum(Dec& d, std::uint8_t max_value, const char* what) {
   return v;
 }
 
+// Bounds on the config's sizes, checked before the model is built so that
+// a damaged or crafted config record cannot make the load allocate a huge
+// model first. Each upper bound is 4x the largest value the paper uses
+// (§5, Tables 5-7: opcode embedding 256, hidden 1024, 3 GNN, node-final and
+// Transformer layers, 4 Transformer and GAT heads).
+struct SizeBound {
+  const char* name;
+  int ModelConfig::*field;
+  int min, max;
+};
+constexpr SizeBound kSizeBounds[] = {
+    {"opcode_embedding_dim", &ModelConfig::opcode_embedding_dim, 1, 4 * 256},
+    {"hidden_dim", &ModelConfig::hidden_dim, 1, 4 * 1024},
+    {"gnn_layers", &ModelConfig::gnn_layers, 0, 4 * 3},
+    {"node_final_layers", &ModelConfig::node_final_layers, 0, 4 * 3},
+    {"transformer_layers", &ModelConfig::transformer_layers, 0, 4 * 3},
+    {"transformer_heads", &ModelConfig::transformer_heads, 0, 4 * 4},
+    {"gat_heads", &ModelConfig::gat_heads, 0, 4 * 4},
+};
+
 ModelConfig DecodeConfigPayload(Dec& d) {
   ModelConfig c;
   c.gnn = static_cast<GnnKind>(
@@ -100,9 +120,12 @@ ModelConfig DecodeConfigPayload(Dec& d) {
   c.configs_per_batch = d.I32();
   c.kernels_per_batch = d.I32();
   c.seed = d.U64();
-  if (c.hidden_dim <= 0 || c.hidden_dim > 65536 ||
-      c.opcode_embedding_dim <= 0 || c.opcode_embedding_dim > 65536) {
-    d.Fail("implausible model dimensions (corrupt snapshot)");
+  for (const SizeBound& b : kSizeBounds) {
+    const int v = c.*b.field;
+    if (v < b.min || v > b.max) {
+      d.Fail(std::string(b.name) + " " + std::to_string(v) + " is outside [" +
+             std::to_string(b.min) + ", " + std::to_string(b.max) + "]");
+    }
   }
   return c;
 }

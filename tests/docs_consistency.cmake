@@ -6,7 +6,7 @@
 #   * every bench binary the build defines must be documented in
 #     docs/BENCHMARKS.md;
 #   * every environment variable the sources (src/, bench/, examples/) read
-#     via getenv() or core::EnvInt() must be documented in
+#     via getenv() must be documented in
 #     docs/BENCHMARKS.md's env-var matrix, and every TPUPERF_*/REPRO_*
 #     variable that matrix lists must be read by some source there, so a
 #     deleted knob cannot linger in the docs and a knob moved into an
@@ -80,9 +80,8 @@ foreach(bench IN LISTS BENCH_LIST)
 endforeach()
 
 # ---- Every environment variable the sources read is documented --------------
-# Reads happen through raw getenv() or the strict numeric parser
-# core::EnvInt("NAME", ...); both spellings are scanned, with the name on
-# the call's line or wrapped onto the next.
+# Reads happen through getenv("NAME"), with the name on the call's line or
+# wrapped onto the next.
 file(GLOB_RECURSE source_files
      "${REPO_ROOT}/src/*.cpp" "${REPO_ROOT}/src/*.h"
      "${REPO_ROOT}/bench/*.cpp" "${REPO_ROOT}/bench/*.h"
@@ -90,7 +89,7 @@ file(GLOB_RECURSE source_files
 set(env_vars "")
 foreach(source_file IN LISTS source_files)
   file(READ "${source_file}" content)
-  string(REGEX MATCHALL "(getenv|EnvInt)\\([ \t\r\n]*\"[A-Z_]+\"" reads "${content}")
+  string(REGEX MATCHALL "getenv\\([ \t\r\n]*\"[A-Z_]+\"" reads "${content}")
   foreach(read IN LISTS reads)
     string(REGEX REPLACE ".*\"([A-Z_]+)\".*" "\\1" var "${read}")
     list(APPEND env_vars "${var}")

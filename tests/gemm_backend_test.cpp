@@ -1,8 +1,7 @@
 // The GEMM entry points of nn/matrix.h on the builtin kernels
 // (src/nn/gemm_backend.cpp): all five against a double-accumulating
 // reference (including empty, 1-row, and non-multiple-of-tile shapes),
-// every element as one scalar FMA chain, and bit-identity across pool
-// widths 1 and 4.
+// and every element as one scalar FMA chain.
 #include "nn/gemm_backend.h"
 
 #include <gtest/gtest.h>
@@ -10,11 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "nn/matrix.h"
 #include "nn/tape.h"
 
@@ -57,13 +56,6 @@ void ExpectNear(const Matrix& got, const Matrix& want, const char* what) {
   }
 }
 
-void ExpectBitEqual(const Matrix& got, const Matrix& want, const char* what) {
-  ASSERT_TRUE(got.same_shape(want)) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got.data()[i], want.data()[i]) << what << " flat index " << i;
-  }
-}
-
 // dst + op(a) @ op(b), each element summed in double over ascending p, where
 // op transposes its operand when the flag is set.
 Matrix Reference(const Matrix& a, bool transpose_a, const Matrix& b,
@@ -83,12 +75,7 @@ Matrix Reference(const Matrix& a, bool transpose_a, const Matrix& b,
   return dst;
 }
 
-class GemmBackendTest : public ::testing::Test {
- protected:
-  void TearDown() override { core::ThreadPool::SetNumThreads(1); }
-};
-
-TEST_F(GemmBackendTest, NameIsBuiltin) {
+TEST(GemmBackendTest, NameIsBuiltin) {
   EXPECT_EQ(CurrentGemmBackendName(), "builtin");
 }
 
@@ -100,14 +87,14 @@ struct GemmShape {
 };
 
 // Empty extents, single rows, shapes straddling the register tile, and
-// products large enough to cross the thread-pool threshold.
+// larger products.
 const GemmShape kShapes[] = {
     {0, 4, 3, 0},   {4, 0, 3, 0},    {4, 3, 0, 0},     {1, 1, 1, 0},
     {1, 16, 16, 0}, {5, 7, 3, 0},    {33, 17, 29, 0},  {64, 48, 32, 0},
     {96, 64, 80, 8}, {200, 128, 160, 0},
 };
 
-TEST_F(GemmBackendTest, EveryEntryPointMatchesReferenceOnAllShapes) {
+TEST(GemmBackendTest, EveryEntryPointMatchesReferenceOnAllShapes) {
   for (const GemmShape& s : kShapes) {
     SCOPED_TRACE("shape=" + std::to_string(s.m) + "x" + std::to_string(s.k) +
                  "x" + std::to_string(s.n) + " sparsity=" +
@@ -161,7 +148,7 @@ float MulAdd(float a, float b, float acc) {
 // step's shapes (k = 203; n = 69 and 96). The left operands are dense or
 // 80% zeros: the builtin kernels have no density dispatch, so zeros change
 // no element's chain.
-TEST_F(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
+TEST(GemmBackendTest, BuiltinKernelsEqualScalarFmaChains) {
   std::uint64_t seed = 100;
   for (const int zeros : {0, 8}) {
     for (const int m : {1, 3, 4, 5, 13}) {
@@ -216,7 +203,7 @@ bool Aligned64(const Matrix& m) {
 // Matrix storage is 64-byte aligned however it was made: fresh, recycled
 // through a TapeArena (zeroed or not), or reshaped by MatMulInto, so the
 // kernels read whole-vector rows of lane-multiple width in place.
-TEST_F(GemmBackendTest, OutputsAre64ByteAligned) {
+TEST(GemmBackendTest, OutputsAre64ByteAligned) {
   const Matrix a = PseudoRandom(13, 203, 31);
   const Matrix b = PseudoRandom(203, 96, 32);
   EXPECT_TRUE(Aligned64(Matrix(3, 5)));
@@ -239,34 +226,44 @@ TEST_F(GemmBackendTest, OutputsAre64ByteAligned) {
   EXPECT_GT(arena.recycled(), 0u);
 }
 
-// ---- Threaded exactness -----------------------------------------------------
+// Uniform values in [-1, 1] from std::mt19937_64.
+Matrix UniformRandom(int rows, int cols, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  Matrix m(rows, cols);
+  for (float& v : m.flat()) v = dist(rng);
+  return m;
+}
 
-TEST_F(GemmBackendTest, PoolWidthDoesNotChangeResults) {
-  // Shapes above the parallel threshold (m*k*n >= 2^19) so the kernels
-  // actually shard; the results must be bit-identical across widths.
-  const Matrix a = PseudoRandom(200, 128, 13);
-  const Matrix sparse_a = PseudoRandom(200, 128, 14, 8);
-  const Matrix b = PseudoRandom(128, 160, 15);
-  const Matrix b_t = PseudoRandom(160, 128, 18);
-  const auto run = [&](int width) {
-    core::ThreadPool::SetNumThreads(width);
-    std::vector<Matrix> out;
-    out.push_back(MatMul(a, b));
-    out.push_back(MatMul(sparse_a, b));
-    out.push_back(MatMulTransposeB(a, b_t));
-    out.push_back(PseudoRandom(128, 160, 16));
-    MatMulTransposeAAccum(out.back(), a, PseudoRandom(200, 160, 17));
-    out.push_back(PseudoRandom(200, 160, 19));
-    MatMulTransposeBAccum(out.back(), a, b_t);
-    return out;
-  };
-  const std::vector<Matrix> one = run(1);
-  const std::vector<Matrix> four = run(4);
-  const char* what[] = {"dense MatMul", "sparse MatMul", "TransposeB",
-                        "TransposeAAccum", "TransposeBAccum"};
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    ExpectBitEqual(four[i], one[i], what[i]);
+// The register-tiled transpose kernels must agree with the textbook loops.
+TEST(GemmBackendTest, TiledTransposeKernelsMatchReference) {
+  const Matrix a = UniformRandom(70, 130, 11);  // odd sizes hit remainders
+  const Matrix b = UniformRandom(70, 37, 12);
+  Matrix ref_ta(a.cols(), b.cols());
+  for (int p = 0; p < a.rows(); ++p) {
+    for (int i = 0; i < a.cols(); ++i) {
+      for (int j = 0; j < b.cols(); ++j) {
+        ref_ta.at(i, j) += a.at(p, i) * b.at(p, j);
+      }
+    }
   }
+  const Matrix ta = MatMulTransposeA(a, b);
+  ASSERT_TRUE(ta.same_shape(ref_ta));
+  EXPECT_LE(MaxAbsDiff(ta, ref_ta), 1e-5f);
+
+  const Matrix c = UniformRandom(41, 53, 13);
+  const Matrix d = UniformRandom(29, 53, 14);
+  Matrix ref_tb(c.rows(), d.rows());
+  for (int i = 0; i < c.rows(); ++i) {
+    for (int j = 0; j < d.rows(); ++j) {
+      float acc = 0.0f;
+      for (int p = 0; p < c.cols(); ++p) acc += c.at(i, p) * d.at(j, p);
+      ref_tb.at(i, j) = acc;
+    }
+  }
+  const Matrix tb = MatMulTransposeB(c, d);
+  ASSERT_TRUE(tb.same_shape(ref_tb));
+  EXPECT_LE(MaxAbsDiff(tb, ref_tb), 1e-5f);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "nn/fastmath.h"
 #include "nn/gnn.h"
 #include "nn/layers.h"
@@ -416,34 +415,25 @@ TEST(Dropout, InvertedScalingPreservesMeanAndZeroes) {
   EXPECT_THROW(DropoutOp(tape, x, 1.0f, rng), std::invalid_argument);
 }
 
-// The mask depends only on the rng's draw and the element index: the same
-// at pool widths 1 and 4, and the backward applies the forward's mask.
-TEST(Dropout, MaskIsPoolWidthIndependentAndBackwardAppliesIt) {
+// The kept elements are scaled by 1 / (1 - rate), the dropped ones zeroed,
+// and the backward applies the forward's mask.
+TEST(Dropout, BackwardAppliesTheForwardMask) {
   std::mt19937_64 init(13);
   std::uniform_real_distribution<float> dist(0.5f, 1.5f);
   Matrix x0(97, 61), w(97, 61);
   for (float& v : x0.flat()) v = dist(init);
   for (float& v : w.flat()) v = dist(init) - 1.0f;
   const float rate = 0.4f, scale = 1.0f / (1.0f - rate);
-  std::vector<Matrix> ys, dxs;
-  for (const int width : {1, 4}) {
-    core::ThreadPool::SetNumThreads(width);
-    std::mt19937_64 rng(21);
-    Tape tape;
-    Tensor x = tape.Leaf(x0, /*requires_grad=*/true);
-    Tensor y = DropoutOp(tape, x, rate, rng);
-    tape.Backward(SumAllOp(tape, MulOp(tape, y, tape.Leaf(w))));
-    for (size_t i = 0; i < x0.size(); ++i) {
-      const bool kept = y.value().data()[i] != 0.0f;
-      ASSERT_EQ(y.value().data()[i], kept ? x0.data()[i] * scale : 0.0f);
-      ASSERT_EQ(x.grad().data()[i], kept ? w.data()[i] * scale : 0.0f) << i;
-    }
-    ys.push_back(y.value());
-    dxs.push_back(x.grad());
+  std::mt19937_64 rng(21);
+  Tape tape;
+  Tensor x = tape.Leaf(x0, /*requires_grad=*/true);
+  Tensor y = DropoutOp(tape, x, rate, rng);
+  tape.Backward(SumAllOp(tape, MulOp(tape, y, tape.Leaf(w))));
+  for (size_t i = 0; i < x0.size(); ++i) {
+    const bool kept = y.value().data()[i] != 0.0f;
+    ASSERT_EQ(y.value().data()[i], kept ? x0.data()[i] * scale : 0.0f);
+    ASSERT_EQ(x.grad().data()[i], kept ? w.data()[i] * scale : 0.0f) << i;
   }
-  core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
-  EXPECT_EQ(MaxAbsDiff(ys[0], ys[1]), 0.0f);
-  EXPECT_EQ(MaxAbsDiff(dxs[0], dxs[1]), 0.0f);
 }
 
 // Over several calls (one key each) and rates, the kept count lies within
@@ -616,9 +606,8 @@ TEST(EdgeListAggregation, MatchesDenseReferenceBitForBit) {
 
 // Runs LstmSequenceForward (traced and untraced) and LstmSequenceBackward
 // over segments of the given lengths and checks the traced gates, both runs'
-// h and the dpre rows against a per-segment scalar reference. Returns the
-// forward's parallel decision.
-bool ExpectLstmMatchesScalarReference(const std::vector<int>& lengths,
+// h and the dpre rows against a per-segment scalar reference.
+void ExpectLstmMatchesScalarReference(const std::vector<int>& lengths,
                                       int hidden, std::mt19937_64& rng) {
   std::uniform_real_distribution<float> dist(-1, 1);
   std::vector<int> offsets = {0};
@@ -634,10 +623,9 @@ bool ExpectLstmMatchesScalarReference(const std::vector<int>& lengths,
       h_prev(rows, hidden), c_prev(rows, hidden), tanh_c(rows, hidden),
       dpre(rows, n);
   const LstmTrace trace{&h_prev, &c_prev, &gates, &tanh_c};
-  const bool parallel =
-      LstmSequenceForward(h_final, xw, w_h, bias, offsets, &trace);
+  LstmSequenceForward(h_final, xw, w_h, bias, offsets, &trace);
   LstmSequenceForward(h_untraced, xw, w_h, bias, offsets, nullptr);
-  LstmSequenceBackward(dpre, dh_final, w_h, offsets, trace, parallel);
+  LstmSequenceBackward(dpre, dh_final, w_h, offsets, trace);
 
   for (int b = 0; b < batch; ++b) {
     SCOPED_TRACE("segment " + std::to_string(b));
@@ -696,7 +684,6 @@ bool ExpectLstmMatchesScalarReference(const std::vector<int>& lengths,
       }
     }
   }
-  return parallel;
 }
 
 // The lockstep recurrence against the scalar reference: each recurrent
@@ -704,8 +691,7 @@ bool ExpectLstmMatchesScalarReference(const std::vector<int>& lengths,
 // ascending gate column j for dh_prev), and the gate arithmetic uses the
 // kernels' own expressions. The segment lengths cover single steps, equal
 // lengths (a tile step's batch), and live sets that shrink from the end
-// (ascending) or from the start (descending) of the batch, at pool widths 1
-// and 4; the 12-segment batches are large enough to shard at width 4.
+// (ascending) or from the start (descending) of the batch.
 TEST(LstmSequence, MatchesScalarReferenceBitForBit) {
   std::mt19937_64 rng(29);
   const std::vector<std::vector<int>> length_sets = {
@@ -715,24 +701,14 @@ TEST(LstmSequence, MatchesScalarReferenceBitForBit) {
       {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
       {12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1},
   };
-  bool sharded = false;
-  for (const int width : {1, 4}) {
-    core::ThreadPool::SetNumThreads(width);
-    for (const int hidden : {4, 20, 32}) {
-      for (const std::vector<int>& lengths : length_sets) {
-        SCOPED_TRACE("width=" + std::to_string(width) + " hidden=" +
-                     std::to_string(hidden) + " segments=" +
-                     std::to_string(lengths.size()) + " first length=" +
-                     std::to_string(lengths.front()));
-        const bool parallel =
-            ExpectLstmMatchesScalarReference(lengths, hidden, rng);
-        EXPECT_TRUE(width > 1 || !parallel);
-        sharded = sharded || parallel;
-      }
+  for (const int hidden : {4, 20, 32}) {
+    for (const std::vector<int>& lengths : length_sets) {
+      SCOPED_TRACE("hidden=" + std::to_string(hidden) + " segments=" +
+                   std::to_string(lengths.size()) + " first length=" +
+                   std::to_string(lengths.front()));
+      ExpectLstmMatchesScalarReference(lengths, hidden, rng);
     }
   }
-  core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
-  EXPECT_TRUE(sharded) << "no case sharded its segments across the pool";
 }
 
 TEST(Lstm, ShapesAndDeterminism) {

@@ -1,8 +1,8 @@
 // Tests for plan-compiled inference (src/plan): bit-exact parity between
 // PredictBatch (which replays plans from the model's PlanCache), explicitly
 // compiled plans and the training forward (ForwardBatch, training off, on a
-// gradient tape) across the full GNN × reduction grid at pool widths 1 and
-// 4, allocation-free replay after warm-up, the NaN-poison validation of the
+// gradient tape) across the full GNN × reduction grid, allocation-free
+// replay after warm-up, the NaN-poison validation of the
 // liveness plan, the shape of the recorded schedule (its fused instruction
 // counts and memory plan), record mode's refusal of what it cannot replay,
 // PlanCache bucketing, covering lookup, LRU eviction and counters, and the
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/cost_model.h"
-#include "core/thread_pool.h"
 #include "ir/builder.h"
 #include "nn/gnn.h"
 #include "nn/ops.h"
@@ -164,26 +163,16 @@ std::vector<double> ReplayPlan(const plan::CompiledPlan& plan,
   return out;
 }
 
-// Restores the global pool width on scope exit.
-struct PoolWidthGuard {
-  explicit PoolWidthGuard(int n) { core::ThreadPool::SetNumThreads(n); }
-  ~PoolWidthGuard() {
-    core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
-  }
-};
-
 // ---- Parity ----------------------------------------------------------------
 
 class PlanParityTest
-    : public ::testing::TestWithParam<
-          std::tuple<int, GnnKind, ReductionKind>> {};
+    : public ::testing::TestWithParam<std::tuple<GnnKind, ReductionKind>> {};
 
 // Every inference must be EXACTLY the training forward's output — batched
 // PredictBatch, an explicitly compiled plan, and single-kernel PredictScore
-// against the one-item training forward — at every pool width.
+// against the one-item training forward.
 TEST_P(PlanParityTest, BitExactVsTape) {
-  const auto [width, gnn, reduction] = GetParam();
-  PoolWidthGuard pool(width);
+  const auto [gnn, reduction] = GetParam();
   ModelConfig config = SmallConfig();
   config.gnn = gnn;
   config.reduction = reduction;
@@ -200,7 +189,7 @@ TEST_P(PlanParityTest, BitExactVsTape) {
     EXPECT_TRUE(std::isfinite(predicted[i]));
     EXPECT_EQ(predicted[i], tape[i])
         << "kernel " << i << " (" << ToString(gnn) << " + "
-        << ToString(reduction) << ", width " << width << ")";
+        << ToString(reduction) << ")";
     EXPECT_EQ(planned[i], tape[i]) << "compiled plan, kernel " << i;
   }
   for (size_t i = 0; i < fx.prepared.size(); ++i) {
@@ -215,7 +204,6 @@ TEST_P(PlanParityTest, BitExactVsTape) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, PlanParityTest,
     ::testing::Combine(
-        ::testing::Values(1, 4),
         ::testing::Values(GnnKind::kNone, GnnKind::kGraphSage, GnnKind::kGat),
         ::testing::Values(ReductionKind::kPerNode, ReductionKind::kColumnWise,
                           ReductionKind::kLstm, ReductionKind::kTransformer)));
@@ -238,33 +226,29 @@ TEST(PlanParity, UndirectedGraphSage) {
 
 // An untrained model has zero biases and unit layer-norm gains, so a plan
 // that dropped a bias or a gain would still match it: perturb every
-// parameter and compare again, over the whole GNN × reduction grid at pool
-// widths 1 and 4.
+// parameter and compare again, over the whole GNN × reduction grid.
 TEST(PlanParity, PerturbedParameters) {
-  for (const int width : {1, 4}) {
-    PoolWidthGuard pool(width);
-    for (const GnnKind gnn :
-         {GnnKind::kNone, GnnKind::kGraphSage, GnnKind::kGat}) {
-      for (const ReductionKind reduction :
-           {ReductionKind::kPerNode, ReductionKind::kColumnWise,
-            ReductionKind::kLstm, ReductionKind::kTransformer}) {
-        ModelConfig config = SmallConfig();
-        config.gnn = gnn;
-        config.reduction = reduction;
-        Fixture fx(config);
-        std::mt19937_64 rng(7);
-        std::normal_distribution<float> noise(0.0f, 0.1f);
-        for (nn::Parameter* p : fx.model->params().params()) {
-          for (float& v : p->value.flat()) v += noise(rng);
-        }
-        const PreparedBatch batch = fx.MakeBatch();
-        const std::vector<double> tape = fx.TrainingForward(batch);
-        const std::vector<double> predicted = fx.model->PredictBatch(batch);
-        for (size_t i = 0; i < tape.size(); ++i) {
-          EXPECT_EQ(predicted[i], tape[i])
-              << ToString(gnn) << " + " << ToString(reduction) << " kernel "
-              << i << " (width " << width << ")";
-        }
+  for (const GnnKind gnn :
+       {GnnKind::kNone, GnnKind::kGraphSage, GnnKind::kGat}) {
+    for (const ReductionKind reduction :
+         {ReductionKind::kPerNode, ReductionKind::kColumnWise,
+          ReductionKind::kLstm, ReductionKind::kTransformer}) {
+      ModelConfig config = SmallConfig();
+      config.gnn = gnn;
+      config.reduction = reduction;
+      Fixture fx(config);
+      std::mt19937_64 rng(7);
+      std::normal_distribution<float> noise(0.0f, 0.1f);
+      for (nn::Parameter* p : fx.model->params().params()) {
+        for (float& v : p->value.flat()) v += noise(rng);
+      }
+      const PreparedBatch batch = fx.MakeBatch();
+      const std::vector<double> tape = fx.TrainingForward(batch);
+      const std::vector<double> predicted = fx.model->PredictBatch(batch);
+      for (size_t i = 0; i < tape.size(); ++i) {
+        EXPECT_EQ(predicted[i], tape[i])
+            << ToString(gnn) << " + " << ToString(reduction) << " kernel "
+            << i;
       }
     }
   }
@@ -346,10 +330,9 @@ TEST(PlanLiveness, PhysicalPoolSmallerThanLogical) {
 
 // ---- Allocation-free replay ------------------------------------------------
 
-// After warm-up, a width-1 Run must perform ZERO heap allocations: the slab,
+// After warm-up, a Run must perform ZERO heap allocations: the slab,
 // the execution context, and every kernel scratch are preallocated.
 TEST(PlanReplay, ReplayIsAllocationFree) {
-  PoolWidthGuard pool(1);
   Fixture fx(SmallConfig());
   const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();

@@ -1,7 +1,7 @@
 // Tests for the serving engine: micro-batcher flush triggers (size /
 // deadline / shutdown), exact parity between served results and direct
-// PredictScore calls, concurrent-client stress at pool widths 1 and 4 (run
-// under TSan in CI), bit-exact model-snapshot round trips, crafted and
+// PredictScore calls, concurrent-client stress at 1 and 4 service threads
+// (run under TSan in CI), bit-exact model-snapshot round trips, crafted and
 // damaged snapshots that must throw StoreError (run under ASan+UBSan in CI),
 // and graceful shutdown draining.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/cost_model.h"
-#include "core/thread_pool.h"
 #include "dataset/store.h"
 #include "dataset/wire.h"
 #include "ir/builder.h"
@@ -251,7 +250,9 @@ TEST(ServeShutdown, DestructorDrains) {
 class ServeStressTest : public ::testing::TestWithParam<int> {};
 
 // Many client threads hammering one service; duplicate kernels share the
-// prepared cache across batches. Run under TSan in CI at both widths.
+// prepared cache across batches. The parameter is the service's thread
+// count: 1 runs every batch on the batcher thread, 4 adds three workers.
+// Run under TSan in CI.
 TEST_P(ServeStressTest, ConcurrentClients) {
   Fixture fx;
   auto reference = fx.MakeModel();
@@ -296,7 +297,8 @@ TEST_P(ServeStressTest, ConcurrentClients) {
   EXPECT_EQ(stats.batched_items, stats.requests);
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolWidths, ServeStressTest, ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(ServiceThreads, ServeStressTest,
+                         ::testing::Values(1, 4));
 
 // ---- Snapshots -------------------------------------------------------------
 
@@ -319,18 +321,10 @@ std::unique_ptr<core::LearnedCostModel> MakePerturbedModel(
   return model;
 }
 
-class SnapshotRoundTripTest : public ::testing::TestWithParam<int> {
- protected:
-  void SetUp() override { core::ThreadPool::SetNumThreads(GetParam()); }
-  void TearDown() override {
-    core::ThreadPool::SetNumThreads(core::ThreadPool::DefaultNumThreads());
-  }
-};
-
 // Save → load → identical scalers, parameters and predictions, both via the
 // loaded model directly and via a service constructed from the snapshot
 // path, for a GraphSAGE and an LSTM-reduction (folded-constant) model.
-TEST_P(SnapshotRoundTripTest, BitExact) {
+TEST(ServeSnapshot, RoundTripBitExact) {
   Fixture fx;
   core::ModelConfig lstm = SmallConfig();
   lstm.reduction = core::ReductionKind::kLstm;
@@ -391,9 +385,6 @@ TEST_P(SnapshotRoundTripTest, BitExact) {
     std::filesystem::remove(path);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(PoolWidths, SnapshotRoundTripTest,
-                         ::testing::Values(1, 4));
 
 // A scaler that never observed a row round-trips unfitted, at its width.
 TEST(ServeSnapshot, UnobservedScalerRoundTrips) {
@@ -658,6 +649,79 @@ TEST(ServeSnapshotCrafted, RecordOrderAndSet) {
   ExpectRejected(r, "does not belong in a model snapshot");
 
   ExpectRejected({}, "no config record");
+}
+
+// `payload` with the little-endian I32 at `offset` replaced by `value`.
+std::string WithI32(std::string payload, std::size_t offset,
+                    std::int32_t value) {
+  payload.replace(offset, 4, U32Bytes(static_cast<std::uint32_t>(value)));
+  return payload;
+}
+
+// Byte offsets in the config payload: the GNN and reduction kinds lead,
+// and the I32 sizes start at 7 (opcode embedding, hidden, GNN layers, node
+// final layers, Transformer layers, Transformer heads, GAT heads).
+constexpr std::size_t kGnnKindAt = 0, kReductionAt = 1,
+                      kOpcodeEmbeddingAt = 7, kHiddenAt = 11,
+                      kGnnLayersAt = 15, kNodeFinalAt = 19,
+                      kTransformerLayersAt = 23, kTransformerHeadsAt = 27,
+                      kGatHeadsAt = 31;
+
+// A config asking for thousands of layers or heads, or for an oversized
+// width, is rejected by the config record itself, before the model is
+// built. Each count is used by the architecture it sets (heads over a
+// width they divide), so a loader that built the model first would reach
+// the parameter record instead.
+TEST(ServeSnapshotCrafted, ConfigSizesAreBounded) {
+  Fixture fx(2);
+  const Records good = SnapshotRecords(*fx.MakeModel());
+  ASSERT_EQ(good.size(), 5u);
+  ASSERT_EQ(good[kConfig].first, data::kModelConfigRecordType);
+  const std::string& config = good[kConfig].second;
+  std::string transformer = config;
+  transformer[kReductionAt] =
+      static_cast<char>(core::ReductionKind::kTransformer);
+  std::string gat = config;
+  gat[kGnnKindAt] = static_cast<char>(core::GnnKind::kGat);
+
+  Records r = good;
+  r[kConfig].second = WithI32(config, kGnnLayersAt, 2000);
+  ExpectRejected(r, "record 0: gnn_layers 2000 is outside [0, 12]");
+
+  r = good;
+  r[kConfig].second = WithI32(config, kNodeFinalAt, 2000);
+  ExpectRejected(r, "record 0: node_final_layers 2000 is outside");
+
+  r = good;
+  r[kConfig].second = WithI32(transformer, kTransformerLayersAt, 2000);
+  ExpectRejected(r, "record 0: transformer_layers 2000 is outside");
+
+  r = good;
+  r[kConfig].second = WithI32(WithI32(transformer, kHiddenAt, 2000),
+                              kTransformerHeadsAt, 2000);
+  ExpectRejected(r, "record 0: transformer_heads 2000 is outside [0, 16]");
+
+  r = good;
+  r[kConfig].second =
+      WithI32(WithI32(gat, kHiddenAt, 2000), kGatHeadsAt, 2000);
+  ExpectRejected(r, "record 0: gat_heads 2000 is outside");
+
+  r = good;
+  r[kConfig].second = WithI32(config, kGnnLayersAt, -1);
+  ExpectRejected(r, "record 0: gnn_layers -1 is outside");
+
+  r = good;
+  r[kConfig].second = WithI32(config, kHiddenAt, 4097);
+  ExpectRejected(r, "record 0: hidden_dim 4097 is outside [1, 4096]");
+
+  r = good;
+  r[kConfig].second = WithI32(config, kHiddenAt, 0);
+  ExpectRejected(r, "record 0: hidden_dim 0 is outside");
+
+  r = good;
+  r[kConfig].second = WithI32(config, kOpcodeEmbeddingAt, 1025);
+  ExpectRejected(r,
+                 "record 0: opcode_embedding_dim 1025 is outside [1, 1024]");
 }
 
 // The model file format before snapshots encoded their own records: a

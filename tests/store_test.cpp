@@ -2,7 +2,7 @@
 // bit-exact round trips for every record type, loud rejection of corrupted
 // or incompatible files (by the whole-store read and, for sharded stores,
 // the streaming sampler too), program identity across serialization, and
-// training-parity from a warm store at pool widths 1 and 4.
+// training-parity from a warm store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/fault_injection.h"
-#include "core/thread_pool.h"
 #include "core/trainer.h"
 #include "dataset/families.h"
 #include "dataset/store.h"
@@ -560,8 +559,8 @@ TEST_F(StoreTest, LoadOrBuildRoundTripsDatasetsAndPrograms) {
 }
 
 // Trains both tasks for 50 steps from (a) in-process featurization and (b)
-// the warm store, at pool widths 1 and 4: identical seeds must give
-// identical splits of work and losses within 1e-6 relative.
+// the warm store: identical seeds must give identical splits of work and
+// losses within 1e-6 relative.
 TEST_F(StoreTest, WarmStoreTrainingMatchesInProcess) {
   // Populate the store once (cold), then reload both datasets and their
   // featurized records from disk (warm) — training below runs off the
@@ -605,53 +604,43 @@ TEST_F(StoreTest, WarmStoreTrainingMatchesInProcess) {
     return c;
   }();
 
-  for (const int width : {1, 4}) {
-    core::ThreadPool::SetNumThreads(width);
+  // ---- rank loss (tile task) -----------------------------------------------
+  core::LearnedCostModel in_process(tile_config);
+  core::PreparedCache in_process_cache(in_process, /*features=*/nullptr);
+  const core::TrainStats a =
+      core::TrainTileTask(in_process, tile_cold, all_ids, in_process_cache);
 
-    // ---- rank loss (tile task) ---------------------------------------------
-    core::LearnedCostModel in_process(tile_config);
-    core::PreparedCache in_process_cache(in_process, /*features=*/nullptr);
-    const core::TrainStats a =
-        core::TrainTileTask(in_process, tile_cold, all_ids, in_process_cache);
+  feat::ResetFeaturizeKernelInvocations();
+  core::LearnedCostModel warm(tile_config);
+  core::PreparedCache warm_cache(warm, features.get());
+  const core::TrainStats b =
+      core::TrainTileTask(warm, tile_warm, all_ids, warm_cache);
+  EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
+      << "warm tile training touched the featurizer";
 
-    feat::ResetFeaturizeKernelInvocations();
-    core::LearnedCostModel warm(tile_config);
-    core::PreparedCache warm_cache(warm, features.get());
-    const core::TrainStats b =
-        core::TrainTileTask(warm, tile_warm, all_ids, warm_cache);
-    EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
-        << "warm tile training touched the featurizer (width " << width << ")";
+  EXPECT_NEAR(a.first_loss, b.first_loss,
+              1e-6 * std::max(1.0, std::abs(a.first_loss)));
+  EXPECT_NEAR(a.final_loss, b.final_loss,
+              1e-6 * std::max(1.0, std::abs(a.final_loss)));
 
-    EXPECT_NEAR(a.first_loss, b.first_loss,
-                1e-6 * std::max(1.0, std::abs(a.first_loss)))
-        << "width " << width;
-    EXPECT_NEAR(a.final_loss, b.final_loss,
-                1e-6 * std::max(1.0, std::abs(a.final_loss)))
-        << "width " << width;
+  // ---- log-MSE loss (fusion task) ------------------------------------------
+  core::LearnedCostModel in_process_f(fusion_config);
+  core::PreparedCache in_process_f_cache(in_process_f, nullptr);
+  const core::TrainStats c = core::TrainFusionTask(
+      in_process_f, fusion_in_process, all_ids, in_process_f_cache);
 
-    // ---- log-MSE loss (fusion task) ----------------------------------------
-    core::LearnedCostModel in_process_f(fusion_config);
-    core::PreparedCache in_process_f_cache(in_process_f, nullptr);
-    const core::TrainStats c = core::TrainFusionTask(
-        in_process_f, fusion_in_process, all_ids, in_process_f_cache);
+  feat::ResetFeaturizeKernelInvocations();
+  core::LearnedCostModel warm_f(fusion_config);
+  core::PreparedCache warm_f_cache(warm_f, fusion_features.get());
+  const core::TrainStats d =
+      core::TrainFusionTask(warm_f, fusion_warm, all_ids, warm_f_cache);
+  EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
+      << "warm fusion training touched the featurizer";
 
-    feat::ResetFeaturizeKernelInvocations();
-    core::LearnedCostModel warm_f(fusion_config);
-    core::PreparedCache warm_f_cache(warm_f, fusion_features.get());
-    const core::TrainStats d =
-        core::TrainFusionTask(warm_f, fusion_warm, all_ids, warm_f_cache);
-    EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
-        << "warm fusion training touched the featurizer (width " << width
-        << ")";
-
-    EXPECT_NEAR(c.first_loss, d.first_loss,
-                1e-6 * std::max(1.0, std::abs(c.first_loss)))
-        << "width " << width;
-    EXPECT_NEAR(c.final_loss, d.final_loss,
-                1e-6 * std::max(1.0, std::abs(c.final_loss)))
-        << "width " << width;
-  }
-  core::ThreadPool::SetNumThreads(1);
+  EXPECT_NEAR(c.first_loss, d.first_loss,
+              1e-6 * std::max(1.0, std::abs(c.first_loss)));
+  EXPECT_NEAR(c.final_loss, d.final_loss,
+              1e-6 * std::max(1.0, std::abs(c.final_loss)));
 }
 
 // Split identity across the store round trip: the same seed selects the

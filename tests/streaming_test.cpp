@@ -1,5 +1,5 @@
 // Tests for out-of-core dataset streaming (src/dataset/streaming.h):
-// deterministic shuffle-window sequences at thread-pool widths 1 and 4,
+// deterministic shuffle-window sequences,
 // canonical single-window order, windows equal to the whole-store read
 // field for field, the store's corruption checks on per-window dictionary
 // decode, bit-identical streaming-vs-in-memory training (losses and every
@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "core/trainer.h"
 #include "dataset/families.h"
 #include "dataset/store.h"
@@ -190,20 +189,19 @@ TEST_F(StreamingTest, ShardedStoreServesSameRecordStream) {
   EXPECT_EQ(DrainFingerprints(a, 1), DrainFingerprints(b, 1));
 }
 
-TEST_F(StreamingTest, WindowSequenceIdenticalAtPoolWidths1And4) {
+// Two samplers over one sharded store draw the same window sequence.
+TEST_F(StreamingTest, WindowSequenceRepeatsOnAShardedStore) {
   const std::string path = WriteTileStore("tile.tpds", 2048);
   const StreamingOptions options{.window_records = 2, .seed = 7};
   std::vector<std::vector<std::uint64_t>> traces;
-  for (const int width : {1, 4}) {
-    core::ThreadPool::SetNumThreads(width);
+  for (int run = 0; run < 2; ++run) {
     StreamingSampler sampler(path, StreamTask::kTile, options);
     ASSERT_GT(sampler.windows_per_epoch(), 1u);
     // Two full epochs: covers the epoch-boundary reshuffle too.
     traces.push_back(
         DrainFingerprints(sampler, 2 * sampler.windows_per_epoch()));
   }
-  EXPECT_EQ(traces[0], traces[1])
-      << "the window sequence must not depend on the pool width";
+  EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST_F(StreamingTest, WindowOrderDependsOnSeedAndEpoch) {
@@ -615,8 +613,8 @@ TEST_F(StreamingTest, FeatureLookupKeepsFewPartsOpen) {
 // ---- Training parity --------------------------------------------------------
 
 // Every trained parameter of `a` equals `b`'s, bit for bit.
-void ExpectSameParameters(core::LearnedCostModel& a, core::LearnedCostModel& b,
-                          int width) {
+void ExpectSameParameters(core::LearnedCostModel& a,
+                          core::LearnedCostModel& b) {
   const std::vector<nn::Parameter*> pa = a.params().params();
   const std::vector<nn::Parameter*> pb = b.params().params();
   ASSERT_EQ(pa.size(), pb.size());
@@ -626,7 +624,7 @@ void ExpectSameParameters(core::LearnedCostModel& a, core::LearnedCostModel& b,
     EXPECT_EQ(std::memcmp(pa[i]->value.data(), pb[i]->value.data(),
                           pa[i]->value.size() * sizeof(float)),
               0)
-        << pa[i]->name << " differs (width " << width << ")";
+        << pa[i]->name << " differs";
   }
 }
 
@@ -638,31 +636,27 @@ TEST_F(StreamingTest, TileTrainingBitIdenticalToInMemory) {
   config.opcode_embedding_dim = 8;
   config.train_steps = 50;
 
-  for (const int width : {1, 4}) {
-    core::ThreadPool::SetNumThreads(width);
-    core::LearnedCostModel in_memory(config);
-    core::PreparedCache in_memory_cache(in_memory, /*features=*/nullptr);
-    const core::TrainStats a =
-        core::TrainTileTask(in_memory, *tile_, ids, in_memory_cache);
+  core::LearnedCostModel in_memory(config);
+  core::PreparedCache in_memory_cache(in_memory, /*features=*/nullptr);
+  const core::TrainStats a =
+      core::TrainTileTask(in_memory, *tile_, ids, in_memory_cache);
 
-    feat::ResetFeaturizeKernelInvocations();
-    StreamingSampler sampler(path, StreamTask::kTile,
-                             {.seed = options_->seed});
-    core::LearnedCostModel streamed(config);
-    core::PreparedCache streamed_cache(streamed, sampler.features().get());
-    const core::TrainStats b =
-        core::TrainTileTaskStreaming(streamed, sampler, ids, streamed_cache);
-    EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
-        << "streaming training touched the featurizer (width " << width
-        << ")";
+  feat::ResetFeaturizeKernelInvocations();
+  StreamingSampler sampler(path, StreamTask::kTile,
+                           {.seed = options_->seed});
+  core::LearnedCostModel streamed(config);
+  core::PreparedCache streamed_cache(streamed, sampler.features().get());
+  const core::TrainStats b =
+      core::TrainTileTaskStreaming(streamed, sampler, ids, streamed_cache);
+  EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0)
+      << "streaming training touched the featurizer";
 
-    // Bit-identical, not approximately equal: both trainers run one driver,
-    // and a single-window sampler serves the in-memory record order.
-    EXPECT_EQ(a.first_loss, b.first_loss) << "width " << width;
-    EXPECT_EQ(a.final_loss, b.final_loss) << "width " << width;
-    EXPECT_EQ(a.steps, b.steps);
-    ExpectSameParameters(in_memory, streamed, width);
-  }
+  // Bit-identical, not approximately equal: both trainers run one driver,
+  // and a single-window sampler serves the in-memory record order.
+  EXPECT_EQ(a.first_loss, b.first_loss);
+  EXPECT_EQ(a.final_loss, b.final_loss);
+  EXPECT_EQ(a.steps, b.steps);
+  ExpectSameParameters(in_memory, streamed);
 }
 
 TEST_F(StreamingTest, FusionTrainingBitIdenticalToInMemory) {
@@ -673,26 +667,23 @@ TEST_F(StreamingTest, FusionTrainingBitIdenticalToInMemory) {
   config.opcode_embedding_dim = 8;
   config.train_steps = 50;
 
-  for (const int width : {1, 4}) {
-    core::ThreadPool::SetNumThreads(width);
-    core::LearnedCostModel in_memory(config);
-    core::PreparedCache in_memory_cache(in_memory, nullptr);
-    const core::TrainStats a =
-        core::TrainFusionTask(in_memory, *fusion_, ids, in_memory_cache);
+  core::LearnedCostModel in_memory(config);
+  core::PreparedCache in_memory_cache(in_memory, nullptr);
+  const core::TrainStats a =
+      core::TrainFusionTask(in_memory, *fusion_, ids, in_memory_cache);
 
-    feat::ResetFeaturizeKernelInvocations();
-    StreamingSampler sampler(path, StreamTask::kFusion,
-                             {.seed = options_->seed});
-    core::LearnedCostModel streamed(config);
-    core::PreparedCache streamed_cache(streamed, sampler.features().get());
-    const core::TrainStats b = core::TrainFusionTaskStreaming(
-        streamed, sampler, ids, streamed_cache);
-    EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0) << "width " << width;
+  feat::ResetFeaturizeKernelInvocations();
+  StreamingSampler sampler(path, StreamTask::kFusion,
+                           {.seed = options_->seed});
+  core::LearnedCostModel streamed(config);
+  core::PreparedCache streamed_cache(streamed, sampler.features().get());
+  const core::TrainStats b = core::TrainFusionTaskStreaming(
+      streamed, sampler, ids, streamed_cache);
+  EXPECT_EQ(feat::FeaturizeKernelInvocations(), 0);
 
-    EXPECT_EQ(a.first_loss, b.first_loss) << "width " << width;
-    EXPECT_EQ(a.final_loss, b.final_loss) << "width " << width;
-    ExpectSameParameters(in_memory, streamed, width);
-  }
+  EXPECT_EQ(a.first_loss, b.first_loss);
+  EXPECT_EQ(a.final_loss, b.final_loss);
+  ExpectSameParameters(in_memory, streamed);
 }
 
 // ---- Streaming trainers, both tasks -----------------------------------------
