@@ -23,16 +23,12 @@
 namespace tpuperf::tune {
 
 struct FusionTuneOptions {
-  // Simulated-annealing schedule.
+  // Annealing steps (the schedule's temperature and cooling, and the cost
+  // model's search budget, are fixed in fusion_tuner.cpp).
   int max_steps = 600;
-  double initial_temperature = 0.25;
-  double cooling = 0.995;
 
   // Hardware-seconds budget (Fig. 5: 60 or 600 seconds).
   double hardware_budget_sec = 600;
-  // Cost-model search budget in model-evaluation seconds ("an hour on CPU",
-  // effectively unbounded at this scale — the step cap binds first).
-  double model_budget_sec = 3600;
   // Top configurations validated on hardware, in predicted-cost order.
   int validate_top = 8;
 
@@ -47,6 +43,9 @@ struct FusionTuneResult {
   double default_runtime_sec = 0;  // true runtime of the default config
   double best_runtime_sec = 0;     // true runtime of the best found config
   double hardware_seconds = 0;     // hardware budget actually consumed
+  // Configs the annealing walk scored: the hardware arm counts its start
+  // config, the model arm counts only the candidates after it.
+  // examples/fusion_search prints it; tpubench divides featurizations by it.
   int configs_explored = 0;
 
   double Speedup() const {
@@ -71,17 +70,6 @@ class FusionAutotuner {
                                  const FusionTuneOptions& options) const;
 
  private:
-  // Total program cost under a fusion config according to `evaluator`
-  // (kernels the evaluator cannot score fall back to the analytical
-  // tile-scale estimate). Also returns the kernels for reuse.
-  double ConfigCost(const ir::Program& program, const data::EdgeList& edges,
-                    const data::FusionConfig& config,
-                    CostEvaluator& evaluator) const;
-
-  // True runtime of a config, measured on the simulator (no budget).
-  double TrueRuntime(const ir::Program& program, const data::EdgeList& edges,
-                     const data::FusionConfig& config) const;
-
   const sim::TpuSimulator& simulator_;
   const analytical::AnalyticalModel& analytical_;
 };

@@ -2,10 +2,35 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace tpuperf::tune {
+namespace {
+
+// Indices of the candidates `ranker` could score, best (lowest) score
+// first; equal scores keep the lower index first. All candidates of the
+// kernel are scored in one batched call.
+std::vector<size_t> RankByScore(CostEvaluator& ranker, const ir::Graph& kernel,
+                                const std::vector<ir::TileConfig>& candidates) {
+  std::vector<KernelTileRef> refs;
+  refs.reserve(candidates.size());
+  for (const auto& tile : candidates) refs.push_back({&kernel, &tile});
+  const auto scores = ranker.EstimateBatch(refs);
+  std::vector<std::pair<double, size_t>> scored;
+  scored.reserve(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (scores[i].has_value()) scored.emplace_back(*scores[i], i);
+  }
+  std::sort(scored.begin(), scored.end());
+  std::vector<size_t> ranked;
+  ranked.reserve(scored.size());
+  for (const auto& [score, index] : scored) ranked.push_back(index);
+  return ranked;
+}
+
+}  // namespace
 
 TileTuneResult TileSizeAutotuner::Tune(const ir::Program& program,
                                        TileTuneMode mode, CostEvaluator* ranker,
@@ -43,52 +68,25 @@ TileTuneResult TileSizeAutotuner::Tune(const ir::Program& program,
         break;
       }
       case TileTuneMode::kModelOnly: {
-        // All candidates of this kernel are scored in one batched call.
-        std::vector<KernelTileRef> refs;
-        refs.reserve(candidates.size());
-        for (const auto& tile : candidates) {
-          refs.push_back({&kernel.graph, &tile});
-        }
-        const auto scores = ranker->EstimateBatch(refs);
-        double best_score = std::numeric_limits<double>::infinity();
-        const ir::TileConfig* best_tile = &candidates.front();
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          if (scores[i].has_value() && *scores[i] < best_score) {
-            best_score = *scores[i];
-            best_tile = &candidates[i];
-          }
-        }
-        tuned = simulator_.Measure(kernel.graph, *best_tile);
+        // Trust the model's pick: measured for the result, not charged.
+        const auto ranked = RankByScore(*ranker, kernel.graph, candidates);
+        tuned = simulator_.Measure(kernel.graph,
+                                   candidates[ranked.empty() ? 0 : ranked[0]]);
         break;
       }
       case TileTuneMode::kTopK: {
-        // Rank all candidates with the model (batched), verify the top k on
-        // hardware. The compiler default is always among the verified set
-        // (the autotuner keeps the default when nothing beats it), so the
-        // '10' series never regresses below 1.0x — as in the paper's Fig. 4.
+        // Verify the model's top k on hardware. The compiler default is
+        // always among the verified set (the autotuner keeps the default
+        // when nothing beats it), so the '10' series never regresses below
+        // 1.0x — as in the paper's Fig. 4. A kernel no candidate could be
+        // scored for keeps its default tile.
         tuned = default_runtime;
-        std::vector<KernelTileRef> refs;
-        refs.reserve(candidates.size());
-        for (const auto& tile : candidates) {
-          refs.push_back({&kernel.graph, &tile});
+        const auto ranked = RankByScore(*ranker, kernel.graph, candidates);
+        for (size_t r = 0; r < ranked.size() && static_cast<int>(r) < top_k;
+             ++r) {
+          tuned = std::min(tuned, *hardware.EstimateKernel(
+                                      kernel.graph, candidates[ranked[r]]));
         }
-        const auto scores = ranker->EstimateBatch(refs);
-        std::vector<std::pair<double, int>> ranked;
-        ranked.reserve(candidates.size());
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          if (scores[i].has_value()) {
-            ranked.emplace_back(*scores[i], static_cast<int>(i));
-          }
-        }
-        std::sort(ranked.begin(), ranked.end());
-        const int verify = std::min<int>(top_k, static_cast<int>(ranked.size()));
-        for (int r = 0; r < verify; ++r) {
-          const auto& tile =
-              candidates[static_cast<size_t>(ranked[static_cast<size_t>(r)].second)];
-          tuned = std::min(tuned, *hardware.EstimateKernel(kernel.graph, tile));
-        }
-        // A kernel no candidate could be scored for keeps its default tile.
-        if (verify == 0) tuned = default_runtime;
         break;
       }
     }

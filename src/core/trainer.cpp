@@ -295,32 +295,24 @@ struct FusionTask {
     }
   }
 
-  // Draws the minibatch, then prepares the picked kernels through the
-  // cache.
+  // Draws the minibatch: one kernel per family in turn, prepared through
+  // the cache as it is picked.
   template <typename Window>
   static bool Draw(TrainLoop& loop, Window& window, const Families& families) {
     const ModelConfig& cfg = loop.cfg;
-    std::vector<const data::FusionSample*> picked;
-    picked.reserve(static_cast<size_t>(cfg.kernels_per_batch));
+    loop.items.clear();
+    loop.targets.clear();
     for (int b = 0; b < cfg.kernels_per_batch; ++b) {
       const auto& family =
           families[(static_cast<size_t>(loop.step) * cfg.kernels_per_batch +
                     b) %
                    families.size()];
       std::uniform_int_distribution<size_t> pick(0, family.size() - 1);
-      picked.push_back(
-          &At(window, static_cast<size_t>(family[pick(loop.rng)])));
-    }
-    std::vector<const PreparedKernel*> prepared(picked.size());
-    for (size_t b = 0; b < picked.size(); ++b) {
-      prepared[b] = &loop.Prepare(picked[b]->record);
-    }
-    loop.items.clear();
-    loop.targets.clear();
-    for (size_t b = 0; b < picked.size(); ++b) {
-      loop.items.push_back(
-          {prepared[b], cfg.use_tile_features ? &picked[b]->tile : nullptr});
-      loop.targets.push_back(picked[b]->runtime);
+      const data::FusionSample& sample =
+          At(window, static_cast<size_t>(family[pick(loop.rng)]));
+      loop.items.push_back({&loop.Prepare(sample.record),
+                            cfg.use_tile_features ? &sample.tile : nullptr});
+      loop.targets.push_back(sample.runtime);
     }
     return true;
   }

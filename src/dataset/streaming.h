@@ -128,10 +128,12 @@ class StreamWindow {
 /// Lazy feat::KernelFeatureSource over the featurized records of a store:
 /// the sampler indexes (fingerprint, signature) -> (part, offset) during
 /// its scan; every Lookup preads and decodes the record and returns it,
-/// retaining nothing (its PartReader is mutex-protected — safe for
-/// concurrent Lookup from pool workers). Warm streaming runs therefore
-/// keep feat::FeaturizeKernelInvocations() at zero without ever holding
-/// the featurized corpus in memory.
+/// retaining nothing. Warm streaming runs therefore keep
+/// feat::FeaturizeKernelInvocations() at zero without ever holding the
+/// featurized corpus in memory. Its PartReader is mutex-protected, so
+/// Lookup is safe from any thread: a PreparedCache shared across threads
+/// calls its source outside its own lock. The one caller here, the
+/// trainer, looks up from a single thread.
 class StreamedFeatures final : public feat::KernelFeatureSource {
  public:
   std::optional<feat::KernelFeatures> Lookup(

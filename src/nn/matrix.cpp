@@ -40,41 +40,6 @@ std::string Matrix::ShapeString() const {
   return s;
 }
 
-Matrix Transpose(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < a.cols(); ++j) out.at(j, i) = a.at(i, j);
-  }
-  return out;
-}
-
-Matrix Add(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "Add");
-  Matrix out(a.rows(), a.cols());
-  for (size_t i = 0; i < a.size(); ++i) out.data()[i] = a.data()[i] + b.data()[i];
-  return out;
-}
-
-Matrix Sub(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "Sub");
-  Matrix out(a.rows(), a.cols());
-  for (size_t i = 0; i < a.size(); ++i) out.data()[i] = a.data()[i] - b.data()[i];
-  return out;
-}
-
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "Hadamard");
-  Matrix out(a.rows(), a.cols());
-  for (size_t i = 0; i < a.size(); ++i) out.data()[i] = a.data()[i] * b.data()[i];
-  return out;
-}
-
-Matrix Scale(const Matrix& a, float s) {
-  Matrix out(a.rows(), a.cols());
-  for (size_t i = 0; i < a.size(); ++i) out.data()[i] = a.data()[i] * s;
-  return out;
-}
-
 void AccumulateInto(Matrix& dst, const Matrix& src) {
   CheckSameShape(dst, src, "AccumulateInto");
   for (size_t i = 0; i < dst.size(); ++i) dst.data()[i] += src.data()[i];

@@ -178,7 +178,7 @@ Matrix MatMul(const Matrix& a, const Matrix& b);
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 /// out = a @ b^T. Shapes: [m,k] x [n,k] -> [m,n]. The same kernel as
 /// MatMul over b packed transposed, so every element is the same MulAdd
-/// chain as MatMul(a, Transpose(b)).
+/// chain as MatMul(a, b') for b' the transpose of b.
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 
 /// In-place variant of MatMul writing into a caller-provided (typically
@@ -199,12 +199,6 @@ void MatMulTransposeAAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 void MatMulTransposeBAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 
 // ---- Elementwise / reduction helpers ----------------------------------------
-
-Matrix Transpose(const Matrix& a);
-Matrix Add(const Matrix& a, const Matrix& b);
-Matrix Sub(const Matrix& a, const Matrix& b);
-Matrix Hadamard(const Matrix& a, const Matrix& b);
-Matrix Scale(const Matrix& a, float s);
 
 /// dst += src (shapes must match).
 void AccumulateInto(Matrix& dst, const Matrix& src);

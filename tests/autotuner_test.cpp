@@ -1,6 +1,7 @@
 // Tests for the autotuner: evaluator cost accounting and caching, tile-size
 // tuning invariants (exhaustive dominates, oracle top-k equals exhaustive),
-// and fusion annealing budgets/determinism.
+// and fusion annealing budgets/determinism, including the two arms' shared
+// walk.
 #include <gtest/gtest.h>
 
 #include "autotuner/fusion_tuner.h"
@@ -139,6 +140,35 @@ TEST_F(AutotunerTest, ModelGuidedTuningUsesLittleHardware) {
   const auto result = tuner.TuneWithModel(*program_, model, options);
   EXPECT_GE(result.Speedup(), 1.0);
   EXPECT_LE(result.hardware_seconds, 90.0);  // only validation spends HW
+}
+
+// Both arms run the same annealing walk: with the hardware itself as the
+// "model", a validation pool larger than the walk and a hardware budget
+// that never binds, the model arm validates every config the hardware arm
+// measured, so both reach the same best runtime. The model arm is
+// deterministic per seed too.
+TEST_F(AutotunerTest, ModelArmScoredByHardwareMatchesHardwareArm) {
+  FusionAutotuner tuner(*simulator_, *analytical_);
+  for (const bool from_default : {true, false}) {
+    SCOPED_TRACE(from_default ? "default start" : "random start");
+    FusionTuneOptions options;
+    options.max_steps = 40;
+    options.validate_top = options.max_steps + 1;
+    options.hardware_budget_sec = 1e9;
+    options.start_from_default = from_default;
+    options.seed = from_default ? 21 : 22;
+    const auto hardware_arm = tuner.TuneWithHardware(*program_, options);
+    HardwareEvaluator model(*simulator_);
+    const auto model_arm = tuner.TuneWithModel(*program_, model, options);
+    EXPECT_EQ(model_arm.best_runtime_sec, hardware_arm.best_runtime_sec);
+    EXPECT_EQ(model_arm.default_runtime_sec, hardware_arm.default_runtime_sec);
+
+    HardwareEvaluator again(*simulator_);
+    const auto repeat = tuner.TuneWithModel(*program_, again, options);
+    EXPECT_EQ(repeat.best_runtime_sec, model_arm.best_runtime_sec);
+    EXPECT_EQ(repeat.hardware_seconds, model_arm.hardware_seconds);
+    EXPECT_EQ(repeat.configs_explored, model_arm.configs_explored);
+  }
 }
 
 TEST_F(AutotunerTest, RandomStartIsNotClampedToDefault) {

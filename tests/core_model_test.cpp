@@ -207,20 +207,6 @@ TEST(CostModel, EveryWriteDropsFoldedPlans) {
   expect_refolded("params()");
 }
 
-TEST(PreparedCacheTest, ReusesPreparedKernels) {
-  LearnedCostModel model(SmallConfig());
-  const auto kernel = SmallKernel();
-  FitOn(model, kernel);
-  PreparedCache cache(model);
-  const auto hashes = kernel.FingerprintAndSignature();
-  const PreparedKernel& a =
-      cache.Get(kernel, hashes.fingerprint, hashes.signature);
-  const PreparedKernel& b =
-      cache.Get(kernel, hashes.fingerprint, hashes.signature);
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 TEST(Trainer, ShortTileTrainingReducesLoss) {
   const auto program = data::BuildProgram("RNNLM", 0);
   const std::vector<ir::Program> corpus = {program};

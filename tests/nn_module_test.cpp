@@ -51,6 +51,15 @@ TEST(Matrix, MatMulKnownValues) {
   EXPECT_FLOAT_EQ(c.at(1, 1), 64);
 }
 
+// Reference transpose for the transposed-GEMM checks.
+Matrix Transposed(const Matrix& a) {
+  Matrix out(a.cols(), a.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < a.cols(); ++j) out.at(j, i) = a.at(i, j);
+  }
+  return out;
+}
+
 TEST(Matrix, TransposedMatMulsAgree) {
   std::mt19937_64 rng(3);
   std::uniform_real_distribution<float> dist(-1, 1);
@@ -59,10 +68,10 @@ TEST(Matrix, TransposedMatMulsAgree) {
   for (float& x : b.flat()) x = dist(rng);
   for (float& x : c.flat()) x = dist(rng);
   // a^T @ b: [5,4] x [4,3].
-  EXPECT_LT(MaxAbsDiff(MatMulTransposeA(a, b), MatMul(Transpose(a), b)),
+  EXPECT_LT(MaxAbsDiff(MatMulTransposeA(a, b), MatMul(Transposed(a), b)),
             1e-5f);
   // a @ c^T: [4,5] x [5,3].
-  EXPECT_LT(MaxAbsDiff(MatMulTransposeB(a, c), MatMul(a, Transpose(c))),
+  EXPECT_LT(MaxAbsDiff(MatMulTransposeB(a, c), MatMul(a, Transposed(c))),
             1e-5f);
 }
 
@@ -86,8 +95,6 @@ TEST(Matrix, ShapeMismatchThrows) {
   Matrix ta_dst(3, 4), tb_dst(2, 4);
   EXPECT_NO_THROW(MatMulTransposeAAccum(ta_dst, Matrix(2, 3), Matrix(2, 4)));
   EXPECT_NO_THROW(MatMulTransposeBAccum(tb_dst, Matrix(2, 3), Matrix(4, 3)));
-  EXPECT_THROW(Add(Matrix(2, 3), Matrix(3, 2)), std::invalid_argument);
-  EXPECT_THROW(Hadamard(Matrix(2, 3), Matrix(2, 2)), std::invalid_argument);
 }
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -511,7 +518,8 @@ DenseAdjacency BuildDenseAdjacency(
       d.out_agg.at(j, i) += 1.0f / static_cast<float>(out_degree[j]);
     }
   }
-  d.sym_norm = Add(d.in_agg, d.out_agg);
+  d.sym_norm = d.in_agg;
+  AccumulateInto(d.sym_norm, d.out_agg);
   for (int i = 0; i < n; ++i) {
     float total = 0;
     for (int j = 0; j < n; ++j) total += d.sym_norm.at(i, j);
